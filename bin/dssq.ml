@@ -1635,13 +1635,14 @@ let explore_run object_ crash_mode line_sizes coalesce combine persistency
                     else 100. *. float_of_int s.pruned /. float_of_int hit_denom
                   in
                   Printf.sprintf
-                    "%7d execs %6d pruned (%4.1f%% hit) %7d crash %s %6.2fs"
+                    "%7d execs %6d pruned (%4.1f%% hit) %7d crash %s %7d \
+                     replays %6.2fs"
                     s.executions s.pruned hit s.crash_branches
                     (if s.crash_sampled > 0 then
                        Printf.sprintf "[%d/%d pts sampled]" s.crash_sampled
                          s.crash_points
                      else Printf.sprintf "[%d pts enum]" s.crash_points)
-                    s.wall_s
+                    s.replays s.wall_s
               | Error (sched, _) ->
                   Printf.sprintf "FAIL %s" (Explore.schedule_to_string sched)
             in
@@ -1778,7 +1779,7 @@ let explore_run object_ crash_mode line_sizes coalesce combine persistency
         "explored %d case(s): all executions %s-linearizable w.r.t. their \
          specifications\n\
          coverage: %d executions, %d branches, %d pruned, %d crash points \
-         (%d enumerated, %d sampled), %.2fs\n"
+         (%d enumerated, %d sampled), %d replays, %.2fs\n"
         (List.length results) mode_name
         (tot (fun s -> s.Explore.executions))
         (tot (fun s -> s.Explore.branches))
@@ -1786,6 +1787,7 @@ let explore_run object_ crash_mode line_sizes coalesce combine persistency
         (tot (fun s -> s.Explore.crash_points))
         (tot (fun s -> s.Explore.crash_enumerated))
         (tot (fun s -> s.Explore.crash_sampled))
+        (tot (fun s -> s.Explore.replays))
         wall;
       if persistency = Dssq_pmem.Heap.Persistency.Px86 then
         Printf.printf

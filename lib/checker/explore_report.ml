@@ -11,16 +11,18 @@
       the run params record the swept mode, and a top-level
       ["coverage"] object totals branch/crash-point counts per
       persistency mode.
+    - v4: stats gain [replays], the scenario set-ups the search ran
+      (per case and in the coverage totals).
 
-    {!decode} accepts v1-v3: fields introduced later read back as their
-    pre-introduction defaults (drain counts 0, persistency ["sc"]), so
-    archived v2 reports keep decoding bit-compatibly. *)
+    {!decode} accepts v1-v4: fields introduced later read back as their
+    pre-introduction defaults (drain counts and replays 0, persistency
+    ["sc"]), so archived v2 reports keep decoding bit-compatibly. *)
 
 module Json = Dssq_obs.Json
 module Explore = Dssq_sim.Explore
 
 let schema = "dssq-explore-report"
-let version = 3
+let version = 4
 
 (** One corpus case's outcome under the reduced (and optionally the
     naive) search. *)
@@ -54,6 +56,7 @@ let stats_fields prefix = function
         (prefix ^ "crash_sampled", Json.Int s.crash_sampled);
         (prefix ^ "drain_points", Json.Int s.drain_points);
         (prefix ^ "drain_branches", Json.Int s.drain_branches);
+        (prefix ^ "replays", Json.Int s.replays);
         (prefix ^ "wall_s", Json.Float s.wall_s);
       ]
   | Error (sched, exn) ->
@@ -135,6 +138,7 @@ let coverage_json results =
                ("drain_points", Json.Int (tot (fun s -> s.Explore.drain_points)));
                ( "drain_branches",
                  Json.Int (tot (fun s -> s.Explore.drain_branches)) );
+               ("replays", Json.Int (tot (fun s -> s.Explore.replays)));
              ] ))
        modes)
 
@@ -165,6 +169,7 @@ type case_summary = {
   s_crash_points : int;
   s_drain_points : int;  (** 0 when absent (v1/v2 documents) *)
   s_drain_branches : int;  (** 0 when absent (v1/v2 documents) *)
+  s_replays : int;  (** 0 when absent (v1-v3 documents) *)
   s_token : string option;  (** counterexample token of a failing case *)
 }
 
@@ -203,6 +208,7 @@ let decode doc =
       s_crash_points = int_or 0 (Json.member "crash_points" j);
       s_drain_points = int_or 0 (Json.member "drain_points" j);
       s_drain_branches = int_or 0 (Json.member "drain_branches" j);
+      s_replays = int_or 0 (Json.member "replays" j);
       s_token =
         (match Json.member "token" j with
         | Json.Null -> None

@@ -136,7 +136,9 @@ module Make_any (M : Dssq_memory.Memory_intf.S) = struct
       epoch = M.alloc ~name:(cname "epoch") ?placement 0;
       x =
         Array.init nthreads (fun i ->
-            M.alloc ~name:(cname (Printf.sprintf "X[%d]" i)) ?placement None);
+            M.alloc
+              ~name:(cname ("X[" ^ string_of_int i ^ "]"))
+              ?placement None);
       active = Array.make nthreads false;
       seqs = Array.make nthreads 0;
       batches = 0;
@@ -606,6 +608,13 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
       ebr : int Dssq_ebr.Ebr.t;
       deferred : int list ref array;
           (* nodes whose retirement waits until X[tid] is overwritten *)
+      pins : int Atomic.t array;
+          (* per-thread volatile pin: the node [resolve] reads through
+             X[tid] (the announced node, or the queue's dequeued
+             successor); [Tagged.null] when nothing is pinned *)
+      handed : int list Atomic.t array;
+          (* nodes whose free found them pinned by [tid]: reclamation
+             handed them over, and [tid] re-retires them once X moves on *)
       reclaim : bool;
       combine : bool;  (* flat-combining batch epochs (DESIGN.md §14) *)
       nthreads : int;
@@ -614,31 +623,52 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
     let create ?wal ?pool_id ?(combine = false) ~xname ~reclaim ~nthreads
         ~capacity () =
       let pool = Pool.create ?wal ?pool_id ~capacity ~nthreads () in
+      let pins = Array.init nthreads (fun _ -> Atomic.make Tagged.null) in
+      let handed = Array.init nthreads (fun _ -> Atomic.make []) in
+      let rec hand_over owner node =
+        let cur = Atomic.get handed.(owner) in
+        if not (Atomic.compare_and_set handed.(owner) cur (node :: cur)) then
+          hand_over owner node
+      in
+      (* A pin is set before its node can be retired (at announce, or
+         inside the reclamation region that claims the node), and a node
+         is freed only after a grace period that outlasts that region —
+         so the free of a pinned node always sees the pin. *)
+      let free ~tid node =
+        let rec pinner i =
+          if i = nthreads then None
+          else if Atomic.get pins.(i) = node then Some i
+          else pinner (i + 1)
+        in
+        match pinner 0 with
+        | Some owner -> hand_over owner node
+        | None -> Pool.free pool ~tid node
+      in
       {
         pool;
         x =
           Array.init nthreads (fun i ->
               M.alloc
-                ~name:(Printf.sprintf "%s[%d]" xname i)
+                ~name:(xname ^ "[" ^ string_of_int i ^ "]")
                 ~placement:Dssq_memory.Memory_intf.Line.Isolated 0);
-        ebr =
-          Dssq_ebr.Ebr.create ~nthreads
-            ~free:(fun ~tid node -> Pool.free pool ~tid node)
-            ();
+        ebr = Dssq_ebr.Ebr.create ~nthreads ~free ();
         deferred = Array.init nthreads (fun _ -> ref []);
+        pins;
+        handed;
         reclaim;
         combine;
         nthreads;
       }
 
     (* Retire the nodes whose reclamation was deferred while X[tid]
-       still referenced them; called exactly when X[tid] is about to
-       move on. *)
+       still referenced them, and the pinned node if reclamation handed
+       it over; called exactly when X[tid] is about to move on. *)
     let release_deferred a ~tid =
       if a.reclaim then begin
-        List.iter
-          (fun n -> Dssq_ebr.Ebr.retire a.ebr ~tid n)
-          !(a.deferred.(tid));
+        Atomic.set a.pins.(tid) Tagged.null;
+        let retire n = Dssq_ebr.Ebr.retire a.ebr ~tid n in
+        List.iter retire !(a.deferred.(tid));
+        List.iter retire (Atomic.exchange a.handed.(tid) []);
         a.deferred.(tid) := []
       end
 
@@ -647,6 +677,11 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
 
     let defer_retire a ~tid node =
       if a.reclaim then a.deferred.(tid) := node :: !(a.deferred.(tid))
+
+    (* Keep [node] out of reuse until X[tid] moves on: [resolve] reads
+       it through X[tid], yet another thread may remove and retire it.
+       Volatile only, like the rest of reclamation: a crash clears it. *)
+    let pin a ~tid node = if a.reclaim then Atomic.set a.pins.(tid) node
 
     (* Allocate and persist a fresh node holding [v] (the caller flushes
        [next] too if its object initializes it at alloc time). *)
@@ -679,9 +714,12 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
        subsumed; the trailing drain stays (it is the prep persistence
        point, and the announce must be durable before the operation's
        effect can, which later CASes by {e other} threads' helpers may
-       persist out of this thread's FIFO). *)
+       persist out of this thread's FIFO).  An announced node is pinned:
+       once inserted, other threads remove and retire it, and
+       [resolve_push] must still read its value. *)
     let announce a ~tid word =
       if not a.combine then M.drain ();
+      pin a ~tid (Tagged.idx word);
       post a ~tid word;
       M.drain ()
 
@@ -702,7 +740,9 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
         and in the simulator it must be discarded explicitly. *)
     let reset_volatile a =
       Dssq_ebr.Ebr.clear a.ebr;
-      Array.iter (fun l -> l := []) a.deferred
+      Array.iter (fun l -> l := []) a.deferred;
+      Array.iter (fun p -> Atomic.set p Tagged.null) a.pins;
+      Array.iter (fun h -> Atomic.set h []) a.handed
 
     let stats a ~state_words : Detectable_intf.stats =
       { state_words; announce_words = a.nthreads }
@@ -750,7 +790,8 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
        queue's DEQ-successor case: resolve-dequeue reads X->next).
        Kept-but-unreachable nodes are handed to the deferred retirement
        of their referencing thread so they are reclaimed once that
-       thread's X moves on.
+       thread's X moves on; kept nodes are also pinned to that thread,
+       the last one kept per X entry (what [resolve] reads) winning.
 
        Several X entries can reference the SAME node (two removers that
        saved the same predecessor; a DEQ successor that is another
@@ -764,6 +805,7 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
       let deferred_once = Array.make (a.pool.Pool.capacity + 1) false in
       let defer_to i n =
         keep.(n) <- true;
+        Announce.pin a ~tid:i n;
         if (not live.(n)) && not deferred_once.(n) then begin
           deferred_once.(n) <- true;
           a.deferred.(i) := n :: !(a.deferred.(i))

@@ -264,6 +264,11 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
             (* line 49 *)
           then begin
             M.flush (Pool.deq_tid (pool t) next) (* line 50 *);
+            (* resolve reads [next]'s claim mark through X[tid] -> first,
+               but the next dequeue retires [next]: pin it until X moves
+               on, or its free resets the mark and a completed dequeue
+               resolves as pending. *)
+            if detectable then A.pin t.an ~tid next;
             (* px86 hardening: the claim mark must be durable before the
                head advance can persist, or a crash strands a persisted
                head past an unmarked node.  No-op under sc. *)

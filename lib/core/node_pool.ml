@@ -81,7 +81,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       Array.init (capacity + 1) (fun i ->
           match
             M.alloc_block
-              ~name:(Printf.sprintf "node%d" i)
+              ~name:("node" ^ string_of_int i)
               [ 0; Tagged.null; -1 ]
           with
           | [ v; n; d ] -> (v, n, d)

@@ -148,7 +148,9 @@ let alloc_block t ?(name = "") vs =
   let cells =
     List.mapi
       (fun i v ->
-        let name = if name = "" then "" else Printf.sprintf "%s[%d]" name i in
+        let name =
+          if name = "" then "" else name ^ "[" ^ string_of_int i ^ "]"
+        in
         alloc t ~name v)
       vs
   in

@@ -20,8 +20,10 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     let entries =
       Array.init capacity (fun i ->
           {
-            e_name = M.alloc ~name:(Printf.sprintf "%s.name[%d]" name i) "";
-            e_value = M.alloc ~name:(Printf.sprintf "%s.value[%d]" name i) 0;
+            e_name =
+              M.alloc ~name:(name ^ ".name[" ^ string_of_int i ^ "]") "";
+            e_value =
+              M.alloc ~name:(name ^ ".value[" ^ string_of_int i ^ "]") 0;
           })
     in
     { entries; count = M.alloc ~name:(name ^ ".count") 0; capacity }

@@ -135,7 +135,9 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     let slots =
       Array.init (lanes * lane_capacity) (fun i ->
           match
-            M.alloc_block ~name:(Printf.sprintf "%s[%d]" name i) [ 0; 0; 0; 0 ]
+            M.alloc_block
+              ~name:(name ^ "[" ^ string_of_int i ^ "]")
+              [ 0; 0; 0; 0 ]
           with
           | [ k; a; b; s ] -> { s_kind = k; s_a = a; s_b = b; s_sum = s }
           | _ -> assert false)

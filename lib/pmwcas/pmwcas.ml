@@ -62,7 +62,8 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
   let create ?(ring = 64) ?(max_width = 4) ~nwords ~nthreads () =
     let ndescs = nthreads * ring in
     let mk name count init =
-      Array.init count (fun i -> M.alloc ~name:(Printf.sprintf "%s[%d]" name i) init)
+      Array.init count (fun i ->
+          M.alloc ~name:(name ^ "[" ^ string_of_int i ^ "]") init)
     in
     let free_descs = Array.init nthreads (fun _ -> ref []) in
     for d = ndescs downto 1 do

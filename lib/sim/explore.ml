@@ -4,9 +4,12 @@
     crash at every reachable step boundary with a {e per-line} eviction
     adversary: at a crash point, every subset of the currently dirty
     persist lines may survive to persistence (be evicted by the cache)
-    while the rest is lost.  Executions replay the scenario from scratch
-    along each branch — continuations are one-shot, so replay is how we
-    fork.
+    while the rest is lost.  The search hands each node's live scenario
+    to its first explored child, which advances it by one step; a fresh
+    replay of the scenario from scratch happens only where the live
+    state is already spent — for each later sibling (backtracking) and
+    for each crash branch, since a crash kills the threads and their
+    continuations are one-shot, so replay is how we fork.
 
     When the scenario's heap runs under buffered (px86) persistency, a
     crash point additionally enumerates adversary-chosen {e buffer-drain
@@ -89,6 +92,9 @@ type stats = {
           nonempty, i.e. where buffer-drain prefixes were enumerated *)
   drain_branches : int;
       (** crash executions that carried at least one [Bdrain] decision *)
+  replays : int;
+      (** [setup] calls: one per round, per later sibling and per crash
+          branch *)
   wall_s : float;  (** wall-clock seconds spent in [run] *)
 }
 
@@ -131,6 +137,7 @@ type 'ctx t = {
   mutable crash_sampled : int;
   mutable drain_points : int;
   mutable drain_branches : int;
+  mutable replays : int;
 }
 
 let make ?(crashes = false) ?(adversary = `Per_line) ?(max_crash_lines = 4)
@@ -160,6 +167,7 @@ let make ?(crashes = false) ?(adversary = `Per_line) ?(max_crash_lines = 4)
     crash_sampled = 0;
     drain_points = 0;
     drain_branches = 0;
+    replays = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -238,6 +246,7 @@ let schedule_of_string s =
    crash is applied and [`Crashed] is returned.  When a tracer is active
    (see [explain]) each step is attributed to its thread. *)
 let replay t prefix =
+  t.replays <- t.replays + 1;
   let scenario = t.setup () in
   let machine = Machine.create scenario.heap scenario.threads in
   scenario.heap.Heap.in_sim <- true;
@@ -271,6 +280,15 @@ let replay t prefix =
   scenario.heap.Heap.in_sim <- false;
   if Trace.is_on () then Trace.set_tid (-1);
   (scenario, machine, outcome)
+
+(* Advance a live scenario by one scheduling step of [tid], bracketed
+   exactly as a [Sched] decision inside [replay]. *)
+let advance scenario machine tid =
+  scenario.heap.Heap.in_sim <- true;
+  if Trace.is_on () then Trace.set_tid tid;
+  ignore (Machine.step machine tid : Machine.step_info);
+  scenario.heap.Heap.in_sim <- false;
+  if Trace.is_on () then Trace.set_tid (-1)
 
 let finish t schedule scenario ~crashed =
   t.executions <- t.executions + 1;
@@ -440,9 +458,8 @@ let joint_crash_choices t ~fifos ~candidates =
 let round_matches round preemptions =
   match round with None -> true | Some k -> preemptions = k
 
-let rec dfs t prefix depth ~sleep ~last ~preemptions ~round =
-  let scenario, machine, state = replay t prefix in
-  assert (state = `Running);
+(* [scenario] and [machine] are live and positioned after [prefix]. *)
+let rec dfs t scenario machine prefix depth ~sleep ~last ~preemptions ~round =
   if depth > t.max_steps then
     failwith "Explore: max_steps exceeded (livelock under exploration?)";
   (* Crash branches: at every reachable step boundary, try each
@@ -481,10 +498,24 @@ let rec dfs t prefix depth ~sleep ~last ~preemptions ~round =
          step is covered by an already-explored sibling branch; entries
          survive into a child only while independent of the step taken.
          After exploring a thread's branch, that thread joins the sleep
-         set of its later siblings. *)
+         set of its later siblings.
+
+         The first explored child takes this node's live machine over
+         and advances it in place; later siblings replay their prefix
+         afresh.  Every pending access is read before that handoff,
+         while the machine still sits at this node. *)
+      let accesses =
+        List.map
+          (fun tid ->
+            match Machine.pending_access machine tid with
+            | Some a -> (tid, a)
+            | None -> assert false (* runnable => pending access *))
+          runnable
+      in
+      let live = ref true in
       let sleep = ref sleep in
       List.iter
-        (fun tid ->
+        (fun (tid, access) ->
           if t.reduction && List.mem_assoc tid !sleep then
             t.pruned <- t.pruned + 1
           else
@@ -495,25 +526,30 @@ let rec dfs t prefix depth ~sleep ~last ~preemptions ~round =
               | _ -> true
             in
             if allowed then begin
-              let access =
-                match Machine.pending_access machine tid with
-                | Some a -> a
-                | None -> assert false (* runnable => pending access *)
-              in
               let child_sleep =
                 List.filter (fun (_, a) -> independent a access) !sleep
               in
               t.branches <- t.branches + 1;
-              dfs t
-                (prefix @ [ Sched tid ])
-                (depth + 1) ~sleep:child_sleep ~last:tid
+              let child = prefix @ [ Sched tid ] in
+              let scenario, machine =
+                if !live then begin
+                  live := false;
+                  advance scenario machine tid;
+                  (scenario, machine)
+                end
+                else
+                  let scenario, machine, _ = replay t child in
+                  (scenario, machine)
+              in
+              dfs t scenario machine child (depth + 1) ~sleep:child_sleep
+                ~last:tid
                 ~preemptions:(if preempts then preemptions + 1 else preemptions)
                 ~round;
               sleep := (tid, access) :: !sleep
             end
             (* A branch skipped by the preemption bound was not explored,
                so it must NOT join the sleep set. *))
-        runnable
+        accesses
 
 let run t =
   t.executions <- 0;
@@ -525,13 +561,18 @@ let run t =
   t.crash_sampled <- 0;
   t.drain_points <- 0;
   t.drain_branches <- 0;
+  t.replays <- 0;
   t.rng <- Random.State.make [| t.seed; 0xD55 |];
   let t0 = Unix.gettimeofday () in
+  let search round =
+    let scenario, machine, _ = replay t [] in
+    dfs t scenario machine [] 0 ~sleep:[] ~last:(-1) ~preemptions:0 ~round
+  in
   (match t.max_preemptions with
-  | None -> dfs t [] 0 ~sleep:[] ~last:(-1) ~preemptions:0 ~round:None
+  | None -> search None
   | Some bound ->
       for k = 0 to bound do
-        dfs t [] 0 ~sleep:[] ~last:(-1) ~preemptions:0 ~round:(Some k)
+        search (Some k)
       done);
   {
     executions = t.executions;
@@ -543,6 +584,7 @@ let run t =
     crash_sampled = t.crash_sampled;
     drain_points = t.drain_points;
     drain_branches = t.drain_branches;
+    replays = t.replays;
     wall_s = Unix.gettimeofday () -. t0;
   }
 

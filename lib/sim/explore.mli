@@ -5,8 +5,9 @@
     reachable crash point.  Failing executions are reported as
     {!Violation} carrying a replayable {!schedule}.
 
-    Replays the scenario from scratch along each branch, so [setup] must
-    build a fresh, independent scenario each call. *)
+    Each node's live scenario passes to its first explored child; later
+    siblings and crash branches replay the scenario from scratch, so
+    [setup] must build a fresh, independent scenario each call. *)
 
 exception Too_many_executions of int
 
@@ -54,6 +55,9 @@ type stats = {
           (always 0 under sc) *)
   drain_branches : int;
       (** crash executions carrying at least one [Bdrain] decision *)
+  replays : int;
+      (** [setup] calls: one per round, per later sibling and per crash
+          branch *)
   wall_s : float;  (** wall-clock seconds spent in [run] *)
 }
 (** Coverage telemetry: [pruned /. (pruned + branches)] is the sleep-set

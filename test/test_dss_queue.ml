@@ -148,6 +148,56 @@ let test_reclamation_detectable_recycles_nodes () =
     Alcotest.(check int) "fifo under recycling" i (q.exec_dequeue ~tid:0)
   done
 
+(* A completed detectable dequeue leaves X[0] on the old sentinel, and
+   resolve reads the dequeued node's claim mark through it.  Another
+   client's next dequeue retires that node; without a pin, its free
+   resets the mark and resolve answers pending. *)
+let test_resolve_dequeue_survives_recycling () =
+  let q = dq ~nthreads:2 ~capacity:16 () in
+  q.enqueue ~tid:1 1;
+  q.prep_dequeue ~tid:0;
+  Alcotest.(check int) "dequeued" 1 (q.exec_dequeue ~tid:0);
+  Alcotest.check resolved "done" (Queue_intf.Deq_done 1) (q.resolve ~tid:0);
+  for i = 1 to 50 do
+    q.enqueue ~tid:1 (100 + i);
+    Alcotest.(check int) "pair" (100 + i) (q.dequeue ~tid:1)
+  done;
+  Alcotest.check resolved "still done after 50 pairs" (Queue_intf.Deq_done 1)
+    (q.resolve ~tid:0)
+
+(* A restart drops the volatile pins; recovery must re-pin what resolve
+   reads, here the dequeued node, which is then the live head sentinel. *)
+let test_resolve_dequeue_survives_recycling_after_recovery () =
+  let q = dq ~nthreads:2 ~capacity:16 () in
+  q.enqueue ~tid:1 1;
+  q.prep_dequeue ~tid:0;
+  Alcotest.(check int) "dequeued" 1 (q.exec_dequeue ~tid:0);
+  q.recover ();
+  for i = 1 to 50 do
+    q.enqueue ~tid:1 (100 + i);
+    Alcotest.(check int) "pair" (100 + i) (q.dequeue ~tid:1)
+  done;
+  Alcotest.check resolved "still done after recovery and 50 pairs"
+    (Queue_intf.Deq_done 1) (q.resolve ~tid:0)
+
+(* Same for an enqueue: once another client dequeues past the enqueued
+   node, it is retired, and reallocating it (a freed node returns to its
+   home thread, here the enqueuer's own plain enqueues) would overwrite
+   the value resolve reports. *)
+let test_resolve_enqueue_survives_recycling () =
+  let q = dq ~nthreads:2 ~capacity:16 () in
+  q.prep_enqueue ~tid:0 7;
+  q.exec_enqueue ~tid:0;
+  for i = 1 to 50 do
+    q.enqueue ~tid:1 (100 + i);
+    ignore (q.dequeue ~tid:1 : int)
+  done;
+  for i = 1 to 4 do
+    q.enqueue ~tid:0 (200 + i)
+  done;
+  Alcotest.check resolved "still done after 50 pairs" (Queue_intf.Enq_done 7)
+    (q.resolve ~tid:0)
+
 (* ----------------------- concurrent, failure-free --------------------- *)
 
 let run_concurrent ~seed ~nthreads ~program =
@@ -309,6 +359,12 @@ let suite =
     Alcotest.test_case "pool exhaustion raises" `Quick test_pool_exhaustion;
     Alcotest.test_case "reclamation recycles nodes (plain)" `Quick
       test_reclamation_recycles_nodes;
+    Alcotest.test_case "resolve dequeue survives node recycling" `Quick
+      test_resolve_dequeue_survives_recycling;
+    Alcotest.test_case "resolve survives recycling after recovery" `Quick
+      test_resolve_dequeue_survives_recycling_after_recovery;
+    Alcotest.test_case "resolve enqueue survives node recycling" `Quick
+      test_resolve_enqueue_survives_recycling;
     Alcotest.test_case "reclamation recycles nodes (detectable)" `Quick
       test_reclamation_detectable_recycles_nodes;
     Alcotest.test_case "concurrent detectable ops strictly linearizable"

@@ -5,8 +5,9 @@
     iterative deepening boundaries, per-line crash-adversary coverage,
     and the buffered (px86) persistency axis: the drain adversary's
     extra reach, its equivalence with sc under drain-at-every-
-    persistence-point programs, and the report schema's v2/v3
-    compatibility. *)
+    persistence-point programs, the report schema's v2-v4
+    compatibility, and the live-handoff search pinned to the counts of
+    the search that replayed every node. *)
 
 open Helpers
 
@@ -520,7 +521,7 @@ let prop_px86_drained_equals_sc =
       crash_states ~persistency:Heap.Persistency.Sc prog
       = crash_states ~persistency:px86 prog)
 
-(* ------------- report schema: v2 still decodes, v3 round-trips -------- *)
+(* -------- report schema: v2 and v3 still decode, v4 round-trips ------- *)
 
 module Explore_report = Dssq_checker.Explore_report
 module Scenarios = Dssq_checker.Scenarios
@@ -557,12 +558,38 @@ let test_report_decodes_v2 () =
         pass.Explore_report.s_drain_points;
       Alcotest.(check int) "drain branches default to 0" 0
         pass.Explore_report.s_drain_branches;
+      Alcotest.(check int) "replays default to 0" 0
+        pass.Explore_report.s_replays;
       Alcotest.(check (option string))
         "failing case keeps its token" (Some "t0.t1.c3e")
         fail.Explore_report.s_token
   | cs -> Alcotest.failf "expected two cases, got %d" (List.length cs)
 
-let test_report_v3_roundtrip () =
+(* A pre-replay-count (v3) document: [replays] reads back as 0. *)
+let v3_fixture =
+  {|{ "schema": "dssq-explore-report", "version": 3, "git_rev": "def5678",
+  "params": { "max_preemptions": 2, "persistency": "px86" },
+  "coverage": { "px86": { "cases": 1, "failures": 0, "executions": 161 } },
+  "cases": [
+    { "name": "queue/mid-link/crash/ls1/px86", "object": "queue",
+      "program": "mid-link", "crashes": true, "line_size": 1,
+      "persistency": "px86", "nthreads": 1, "status": "pass",
+      "executions": 161, "pruned": 0, "crash_branches": 160, "branches": 99,
+      "sleep_hit_rate": 0.0, "crash_points": 34, "crash_enumerated": 34,
+      "crash_sampled": 0, "drain_points": 8, "drain_branches": 37,
+      "wall_s": 0.1 }
+  ] }|}
+
+let test_report_decodes_v3 () =
+  let s = Explore_report.decode_string v3_fixture in
+  Alcotest.(check int) "version" 3 s.Explore_report.s_version;
+  match s.Explore_report.s_cases with
+  | [ c ] ->
+      Alcotest.(check int) "drain points" 8 c.Explore_report.s_drain_points;
+      Alcotest.(check int) "replays default to 0" 0 c.Explore_report.s_replays
+  | cs -> Alcotest.failf "expected one case, got %d" (List.length cs)
+
+let test_report_v4_roundtrip () =
   let c =
     List.hd
       (Scenarios.cases ~objects:[ "queue" ] ~crash_modes:[ true ]
@@ -581,7 +608,7 @@ let test_report_v3_roundtrip () =
       ~params:[ ("persistency", Json.String "px86") ]
       [ r ]
   in
-  (* the v3 coverage object groups branch/crash totals by mode *)
+  (* the coverage object groups branch/crash totals by mode *)
   (match Json.member "coverage" doc with
   | Json.Obj [ ("px86", Json.Obj fields) ] ->
       Alcotest.(check bool) "coverage counts drain points" true
@@ -590,9 +617,11 @@ let test_report_v3_roundtrip () =
         | _ -> false)
   | j -> Alcotest.failf "unexpected coverage object: %s" (Json.to_string j));
   let s = Explore_report.decode_string (Json.to_string doc) in
-  Alcotest.(check int) "version" 3 s.Explore_report.s_version;
+  Alcotest.(check int) "version" 4 s.Explore_report.s_version;
   match s.Explore_report.s_cases with
   | [ case ] ->
+      Alcotest.(check bool) "replays decoded" true
+        (case.Explore_report.s_replays > 0);
       Alcotest.(check string) "persistency" "px86"
         case.Explore_report.s_persistency;
       Alcotest.(check string) "status" "pass" case.Explore_report.s_status;
@@ -601,6 +630,79 @@ let test_report_v3_roundtrip () =
       Alcotest.(check bool) "drain branches decoded" true
         (case.Explore_report.s_drain_branches > 0)
   | cs -> Alcotest.failf "expected one case, got %d" (List.length cs)
+
+(* ------------- live handoff: the same search, fewer replays ---------- *)
+
+let corpus_bound = 2
+
+let corpus_case ?(persistency = Heap.Persistency.Sc) ?(combine = false)
+    ~crashes obj prog =
+  Scenarios.build
+    ~params:
+      {
+        Scenarios.default_params with
+        crashes;
+        persistency;
+        combine;
+        max_preemptions = corpus_bound;
+      }
+    ~obj ~prog
+
+let run_pass (c : Scenarios.case) =
+  match c.Scenarios.run ~reduction:true with
+  | s -> s
+  | exception Explore.Violation { schedule; exn } ->
+      Alcotest.failf "%s failed at %s: %s" c.Scenarios.name
+        (Explore.schedule_to_string schedule)
+        (Printexc.to_string exn)
+
+(* Counts the search produced when every tree node replayed its prefix
+   from scratch: executions, branches, pruned, crash points, drain
+   points.  Handing live machines to first children must reproduce them
+   exactly. *)
+let recorded =
+  [
+    (corpus_case ~crashes:false "queue" "enq-deq", (35, 1453, 631, 0, 0));
+    (corpus_case ~crashes:true "queue" "enq-deq", (3831, 1453, 631, 1091, 0));
+    ( corpus_case ~crashes:true "register" "write-write",
+      (1156, 1078, 156, 836, 0) );
+    ( corpus_case ~persistency:px86 ~crashes:true "queue" "mid-link",
+      (161, 99, 0, 34, 8) );
+    ( corpus_case ~combine:true ~crashes:true "register" "write-read",
+      (719, 621, 27, 449, 191) );
+  ]
+
+let test_handoff_same_search () =
+  List.iter
+    (fun (c, (executions, branches, pruned, crash_points, drain_points)) ->
+      let s = run_pass c in
+      let n = c.Scenarios.name in
+      Alcotest.(check int) (n ^ " executions") executions s.Explore.executions;
+      Alcotest.(check int) (n ^ " branches") branches s.Explore.branches;
+      Alcotest.(check int) (n ^ " pruned") pruned s.Explore.pruned;
+      Alcotest.(check int) (n ^ " crash points") crash_points
+        s.Explore.crash_points;
+      Alcotest.(check int) (n ^ " drain points") drain_points
+        s.Explore.drain_points;
+      let every_node =
+        s.Explore.branches + corpus_bound + 1 + s.Explore.crash_branches
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s replays %d < %d" n s.Explore.replays every_node)
+        true
+        (s.Explore.replays < every_node))
+    recorded
+
+(* A single thread never backtracks: one replay per preemption round and
+   one per crash branch, none for the schedule steps. *)
+let test_chain_replays () =
+  List.iter
+    (fun prog ->
+      let s = run_pass (corpus_case ~crashes:true "queue" prog) in
+      Alcotest.(check int) (prog ^ " replays")
+        (s.Explore.crash_branches + corpus_bound + 1)
+        s.Explore.replays)
+    [ "mid-alloc"; "mid-link" ]
 
 (* --------------------------- explain -------------------------------- *)
 
@@ -652,6 +754,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_px86_drained_equals_sc;
     Alcotest.test_case "explore report still decodes v2 documents" `Quick
       test_report_decodes_v2;
-    Alcotest.test_case "explore report v3 round-trips" `Quick
-      test_report_v3_roundtrip;
+    Alcotest.test_case "explore report still decodes v3 documents" `Quick
+      test_report_decodes_v3;
+    Alcotest.test_case "explore report v4 round-trips" `Quick
+      test_report_v4_roundtrip;
+    Alcotest.test_case "live handoff explores the recorded search" `Quick
+      test_handoff_same_search;
+    Alcotest.test_case "single-thread chains replay once per round" `Quick
+      test_chain_replays;
   ]
