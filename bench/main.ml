@@ -290,7 +290,7 @@ let quick_flag =
 let regress_out =
   Arg.(
     value
-    & opt string "BENCH_PR5.json"
+    & opt string "regress.json"
     & info [ "json" ] ~docv:"FILE" ~doc:"where to write the run report")
 
 let run_regress quick out =

@@ -87,6 +87,23 @@ let persistency_arg =
            or, under the explorer, the crash adversary — writes them \
            back)")
 
+(* The three memory-model flags as one validated triple.  A combination
+   that names no behaviour of its own is refused with the flag it is
+   equivalent to ([Policy.of_axes] is where the rest resolve). *)
+let memory_model_arg =
+  let check coalesce combine persistency =
+    let px86 = persistency = Heap.Persistency.Px86 in
+    if combine && px86 then
+      Error "--combine --persistency px86 is the same policy as --combine"
+    else if coalesce && combine then
+      Error "--coalesce --combine is the same policy as --combine"
+    else if coalesce && px86 then
+      Error "--coalesce --persistency px86 is the same policy as --persistency px86"
+    else Ok (coalesce, combine, persistency)
+  in
+  Term.(
+    term_result' (const check $ coalesce_arg $ combine_arg $ persistency_arg))
+
 let json_arg =
   Arg.(
     value
@@ -671,10 +688,10 @@ let metrics_object_run name pairs line_size combine persistency =
 (* Run a finite deterministic workload on the counted simulator backend
    and print the memory-event accounting for one queue implementation —
    the quickest way to see e.g. flushes per operation. *)
-let metrics_queue_run queue pairs det_pct line_size coalesce combine
-    persistency =
-  let heap = Heap.create ~line_size ~combine ~persistency () in
-  let (module M) = Sim.counted_memory ~coalesce heap in
+let metrics_queue_run queue pairs det_pct line_size
+    (coalesce, combine, persistency) =
+  let heap = Heap.create ~line_size ~coalesce ~combine ~persistency () in
+  let (module M) = Sim.counted_memory heap in
   let module R = Dssq_workload.Registry.Make (M) in
   match R.find_opt queue with
   | None ->
@@ -737,8 +754,8 @@ let metrics_queue_run queue pairs det_pct line_size coalesce combine
 (* [--object] dispatches across queue-registry names and the zoo; an
    unknown name is an error listing every known name — it must never
    fall back to the queue silently. *)
-let metrics_run queue object_name pairs det_pct line_size coalesce combine
-    persistency =
+let metrics_run queue object_name pairs det_pct line_size
+    ((_, combine, persistency) as model) =
   let queue_names =
     let heap = Heap.create ~line_size:1 () in
     let (module M) = Sim.counted_memory heap in
@@ -747,11 +764,9 @@ let metrics_run queue object_name pairs det_pct line_size coalesce combine
   in
   match object_name with
   | None ->
-      metrics_queue_run queue pairs det_pct line_size coalesce combine
-        persistency
+      metrics_queue_run queue pairs det_pct line_size model
   | Some name when List.mem name queue_names ->
-      metrics_queue_run name pairs det_pct line_size coalesce combine
-        persistency
+      metrics_queue_run name pairs det_pct line_size model
   | Some name when List.mem name Dssq_workload.Zoo.objects ->
       metrics_object_run name pairs line_size combine persistency
   | Some name ->
@@ -795,7 +810,7 @@ let metrics_cmd =
        ~doc:"memory-event accounting for one detectable object on the simulator")
     Term.(
       const metrics_run $ queue $ object_name $ pairs $ det $ line_size_arg
-      $ coalesce_arg $ combine_arg $ persistency_arg)
+      $ memory_model_arg)
 
 (* -------------------------------- zoo --------------------------------- *)
 
@@ -884,7 +899,7 @@ module MI = Dssq_memory.Memory_intf
    printed under each table — per-phase events summing exactly to the
    backend counter deltas — is the invariant the whole attribution rests
    on; the test suite asserts it across every object. *)
-let profile_run object_ backend pairs line_size coalesce combine persistency
+let profile_run object_ backend pairs line_size (coalesce, combine, persistency)
     crash with_heatmap top json prom =
   let fail fmt =
     Printf.ksprintf (fun m -> Printf.eprintf "dssq: %s\n" m; exit 2) fmt
@@ -1097,7 +1112,7 @@ let profile_cmd =
           zoo (--json / --prom for the archivable artifacts)")
     Term.(
       const profile_run $ object_ $ backend $ pairs $ line_size_arg
-      $ coalesce_arg $ combine_arg $ persistency_arg $ crash $ with_heatmap
+      $ memory_model_arg $ crash $ with_heatmap
       $ top $ json_arg $ prom)
 
 let latency_cmd =
@@ -1328,8 +1343,8 @@ type qh = {
 }
 
 let make_queue ?(coalesce = false) ?(combine = false) ?persistency kind : qh =
-  let heap = Heap.create ~combine ?persistency () in
-  let (module M) = Sim.memory ~coalesce heap in
+  let heap = Heap.create ~coalesce ~combine ?persistency () in
+  let (module M) = Sim.memory heap in
   match kind with
   | `Dss ->
       let module Q = Dssq_core.Dss_queue.Make (M) in
@@ -1389,7 +1404,7 @@ let make_queue ?(coalesce = false) ?(combine = false) ?persistency kind : qh =
    Every execution runs under an event tracer, so a violation is reported
    with the exact interleaving of stores, flushes, crash and resolves
    that produced it — as a timeline, and optionally as Perfetto JSON. *)
-let lincheck_run kind coalesce combine persistency iterations verbose
+let lincheck_run kind (coalesce, combine, persistency) iterations verbose
     trace_json =
   if combine && kind <> `Dss then begin
     Printf.eprintf "dssq: --combine only applies to the dss queue\n";
@@ -1523,7 +1538,7 @@ let lincheck_cmd =
        ~doc:
          "randomized strict-linearizability checking of a detectable queue")
     Term.(
-      const lincheck_run $ kind $ coalesce_arg $ combine_arg $ persistency_arg
+      const lincheck_run $ kind $ memory_model_arg
       $ iterations $ verbose $ trace_json)
 
 (* ------------------------------ explore ------------------------------ *)
@@ -1545,7 +1560,7 @@ type explore_result = Explore_report.case_result = {
 
 let run_case = Explore_report.run_case
 
-let explore_run object_ crash_mode line_sizes coalesce combine persistency
+let explore_run object_ crash_mode line_sizes (coalesce, combine, persistency)
     mutant mode_name max_preemptions max_crash_lines crash_samples seed
     adversary limit compare_naive json token_file replay case_name list_only =
   let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "dssq: %s\n" m; exit 2) fmt in
@@ -1914,8 +1929,8 @@ let explore_cmd =
           objects (sleep-set reduction, per-line crash adversary, lincheck \
           oracle, replayable counterexamples)")
     Term.(
-      const explore_run $ object_ $ crashes $ line_sizes $ coalesce_arg
-      $ combine_arg $ persistency_arg $ mutant $ mode $ max_preemptions
+      const explore_run $ object_ $ crashes $ line_sizes $ memory_model_arg
+      $ mutant $ mode $ max_preemptions
       $ max_crash_lines $ crash_samples $ seed $ adversary $ limit
       $ compare_naive $ json_arg $ token_file $ replay $ case $ list_only)
 

@@ -43,16 +43,16 @@ type mutation =
           crash can persist the link to a node whose fields never made
           it to the persistence domain. *)
   | Short_drain
-      (** every px86 drain misses the newest buffered entry — the
-          off-by-one persist barrier that covers each pwb except the one
-          issued just before it.  Invisible under sc (eager flushes
-          leave nothing pending); under px86 it hollows out exactly the
-          hardening drains the objects interpose between a flush and the
-          CAS that depends on it, reverting them to their unhardened
-          crash behaviour.  Implemented in the heap
-          ([Heap.short_drain]) because the module interposer cannot see
-          which buffered entry a drain would write back; {!wrap} passes
-          operations through unchanged. *)
+      (** every drain misses the newest flush — the off-by-one persist
+          barrier that covers each pwb except the one issued just before
+          it.  {!wrap} holds each flush back until the next flush or
+          barrier and forwards a drain's newest flush {e after} the
+          drain, so it stays buffered past it.  Inert under sc (eager
+          flushes leave nothing pending, coalesced ones drain before
+          every store); under px86 it hollows out exactly the hardening
+          drains the objects interpose between a flush and the CAS that
+          depends on it, reverting them to their unhardened crash
+          behaviour. *)
   | Lost_batch
       (** a flat-combining install publishes its batch's completion
           records durably {e before} the state's persist epoch — the
@@ -67,18 +67,16 @@ type mutation =
           module interposer cannot see), so {!wrap} passes operations
           through unchanged and the scenario runner flips the hook. *)
   | Reorder_persist of string
-      (** flushes of matching cells jump to the {e front} of the
-          thread's px86 persist-buffer FIFO — a persist that overtakes
-          program order.  Invisible under sc (no buffer to reorder), and
-          {e provably masked} in the hardened objects: every inter-line
-          persistence dependence is mediated by a drain barrier, so
-          buffers hold at most one entry at each dependence point and
-          there is nothing to reorder past.  Registered so the px86
-          corpus passing under it is a standing robustness regression
-          (drain-mediation suffices against pure persist reordering).
-          Implemented in the heap ([Heap.reorder_pat]) because the
-          module interposer cannot reach the buffer; {!wrap} passes
-          operations through unchanged. *)
+      (** flushes of matching cells overtake every flush issued since
+          the last barrier — a persist that jumps program order.
+          {!wrap} holds the other flushes back until the next barrier
+          and forwards a matching one at once, ahead of them.  Inert
+          under sc, and {e provably masked} in the hardened objects:
+          every inter-line persistence dependence is mediated by a drain
+          barrier, so at each dependence point there is nothing to
+          reorder past.  Registered so the px86 corpus passing under it
+          is a standing robustness regression (drain-mediation suffices
+          against pure persist reordering). *)
 
 let describe = function
   | Skip_flush pat -> Printf.sprintf "drop flushes of cells matching %S" pat
@@ -88,7 +86,7 @@ let describe = function
   | Drop_drain -> "drop all drains (coalesced flushes never written back)"
   | Skip_drain pat ->
       Printf.sprintf "drop the drain after flushes of cells matching %S" pat
-  | Short_drain -> "every drain misses the newest buffered entry (off-by-one)"
+  | Short_drain -> "every drain misses the newest flush (off-by-one)"
   | Lost_batch ->
       "combining installs publish batch completions before the persist epoch"
   | Reorder_persist pat ->
@@ -125,8 +123,8 @@ let skip_drain_node = Skip_drain "node"
     node it points at is lost). *)
 
 let short_drain = Short_drain
-(** Every drain persists all but the newest buffered entry: SC-safe (the
-    eager flush already persisted before the drain was a no-op),
+(** Every drain persists all but the newest flush: SC-safe (the eager
+    flush already persisted before the drain was a no-op),
     relaxed-buggy (the flush each hardening drain was interposed for is
     exactly the one it misses, so the publish CAS races a link that never
     reached the persistence domain). *)
@@ -135,14 +133,13 @@ let lost_batch = Lost_batch
 (** Completion-before-epoch ordering inversion in the flat-combining
     engine.  Invisible with combining off (eager installs publish after
     their own drain by construction) and not part of {!all}; the
-    combining corpus hunts it by name ("lost-batch") under both sc and
-    px86. *)
+    combining corpus hunts it by name ("lost-batch"). *)
 
 let reorder_completion = Reorder_persist "X["
-(** Announcement-word flushes jump the persist FIFO.  SC-safe (no
-    buffer); under px86 the hardened objects mask it — see
-    {!Reorder_persist} — so the px86 corpus {e passing} this mutant is
-    the drain-mediation robustness regression, hunted by name
+(** Announcement-word flushes overtake the flushes since the last
+    barrier.  SC-safe (no buffer); under px86 the hardened objects mask
+    it — see {!Reorder_persist} — so the px86 corpus {e passing} this
+    mutant is the drain-mediation robustness regression, hunted by name
     ("reorder-persist") like {!drop_drain}. *)
 
 let all =
@@ -193,8 +190,19 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(** Interpose [mutation] on a backend. *)
-let wrap mutation (module M : Intf.S) : (module Intf.S) =
+(** Interpose [mutation] on a backend whose persist policy is [policy].
+    The persist-order mutants ({!Short_drain}, {!Reorder_persist}) act
+    only under a {!Intf.Policy.relaxed} policy — [Px86] or [Combine] —
+    and pass every operation through otherwise. *)
+let wrap ~(policy : Intf.Policy.t) mutation (module M : Intf.S) :
+    (module Intf.S) =
+  let mutation =
+    match mutation with
+    | (Short_drain | Reorder_persist _) when not (Intf.Policy.relaxed policy)
+      ->
+        None
+    | m -> Some m
+  in
   (module struct
     type 'a cell = { inner : 'a M.cell; cname : string; mutable writes : int }
 
@@ -212,10 +220,7 @@ let wrap mutation (module M : Intf.S) : (module Intf.S) =
     let alloc_block ?(name = "") vs =
       List.mapi
         (fun i c ->
-          let cname =
-            if name = "" then "" else Printf.sprintf "%s[%d]" name i
-          in
-          mk cname c)
+          mk (if name = "" then "" else name ^ "[" ^ string_of_int i ^ "]") c)
         (M.alloc_block ~name vs)
 
     (* Recovery-infrastructure cells — the write-ahead log's slot words
@@ -240,7 +245,7 @@ let wrap mutation (module M : Intf.S) : (module Intf.S) =
       spend ();
       c.writes <- c.writes + 1;
       match mutation with
-      | Stale_write pat when hits pat c && c.writes > 1 -> ()
+      | Some (Stale_write pat) when hits pat c && c.writes > 1 -> ()
       | _ -> M.write c.inner v
 
     let cas c ~expected ~desired =
@@ -251,23 +256,52 @@ let wrap mutation (module M : Intf.S) : (module Intf.S) =
        the next drain is swallowed and disarms it. *)
     let armed = ref false
 
+    (* Flushes held back from the backend, newest first.  Forwarding them
+       later — after a barrier, or behind a flush issued after them — is
+       how the persist-order mutants reorder the backend's FIFO from
+       outside.  Unlike the other mutations these hold infrastructure
+       flushes too: exempting them would itself reorder persists. *)
+    let held : (unit -> unit) list ref = ref []
+
+    let forward_held () =
+      let pending = List.rev !held in
+      held := [];
+      List.iter (fun forward -> forward ()) pending
+
     let flush c =
       spend ();
       match mutation with
-      | Unfenced when not (infra c) -> ()
-      | Skip_flush pat when hits pat c -> ()
-      | Skip_drain pat ->
+      | Some Unfenced when not (infra c) -> ()
+      | Some (Skip_flush pat) when hits pat c -> ()
+      | Some (Skip_drain pat) ->
           if hits pat c then armed := true;
           M.flush c.inner
+      | Some Short_drain ->
+          forward_held ();
+          held := [ (fun () -> M.flush c.inner) ]
+      | Some (Reorder_persist pat) when not (hits pat c) ->
+          held := (fun () -> M.flush c.inner) :: !held
       | _ -> M.flush c.inner
 
-    let fence () = M.fence ()
+    let fence () =
+      match mutation with
+      | Some Short_drain ->
+          M.fence ();
+          forward_held ()
+      | _ ->
+          forward_held ();
+          M.fence ()
 
     let drain () =
       match mutation with
-      | Drop_drain -> ()
-      | Skip_drain _ when !armed -> armed := false
-      | _ -> M.drain ()
+      | Some Drop_drain -> ()
+      | Some (Skip_drain _) when !armed -> armed := false
+      | Some Short_drain ->
+          M.drain ();
+          forward_held ()
+      | _ ->
+          forward_held ();
+          M.drain ()
   end)
 
 let () =

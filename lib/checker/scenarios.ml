@@ -155,20 +155,19 @@ let case_of_setup ~(params : params) ~obj ~prog ~nthreads setup =
             Explore.explain (explorer ~params ~reduction:true setup) sched));
   }
 
+let heap ~(params : params) =
+  Heap.create ~line_size:params.line_size ~persistency:params.persistency
+    ~coalesce:params.coalesce ~combine:params.combine ()
+
 let memory ~(params : params) heap =
-  (* The reorder and short-drain mutants live in the heap, not the
-     module interposer: they perturb the persist-buffer FIFO, which the
-     first-class-module cell abstraction cannot reach from outside. *)
-  (match params.mutation with
-  | Some (Mutants.Reorder_persist pat) -> heap.Heap.reorder_pat <- Some pat
-  | Some Mutants.Short_drain -> heap.Heap.short_drain <- true
-  | Some Mutants.Lost_batch ->
-      (* Engine-level mutant: arm the ordering-inversion hook; the case
-         closures ([with_injection]) disarm it when the run ends. *)
-      Dssq_core.Detectable.lost_batch_injection := true
-  | _ -> ());
-  let mem = Sim.memory ~coalesce:params.coalesce heap in
-  match params.mutation with Some m -> Mutants.wrap m mem | None -> mem
+  (* Engine-level mutant: arm the ordering-inversion hook; the case
+     closures ([with_injection]) disarm it when the run ends. *)
+  if params.mutation = Some Mutants.Lost_batch then
+    Dssq_core.Detectable.lost_batch_injection := true;
+  let mem = Sim.memory heap in
+  match params.mutation with
+  | Some m -> Mutants.wrap ~policy:(Heap.policy heap) m mem
+  | None -> mem
 
 (* ---------------------------------------------------------------------- *)
 (* Queue and stack share the Queue_intf.resolved vocabulary.               *)
@@ -177,10 +176,7 @@ let queue_progs =
   [ "enq-deq"; "enq-enq"; "enq-enq-deq"; "mid-alloc"; "mid-link" ]
 
 let queue_setup ~(params : params) ~prog () =
-  let heap =
-    Heap.create ~line_size:params.line_size ~persistency:params.persistency
-      ~combine:params.combine ()
-  in
+  let heap = heap ~params in
   let (module M) = memory ~params heap in
   let module Q = Dssq_core.Dss_queue.Make (M) in
   let module Sys = Dssq_core.Recovery.Make (M) in
@@ -349,10 +345,7 @@ let queue_setup ~(params : params) ~prog () =
 let stack_progs = [ "push-pop"; "push-push" ]
 
 let stack_setup ~(params : params) ~prog () =
-  let heap =
-    Heap.create ~line_size:params.line_size ~persistency:params.persistency
-      ~combine:params.combine ()
-  in
+  let heap = heap ~params in
   let (module M) = memory ~params heap in
   let module S = Dssq_core.Dss_stack.Make (M) in
   let module Sys = Dssq_core.Recovery.Make (M) in
@@ -479,10 +472,7 @@ let stack_setup ~(params : params) ~prog () =
 let register_progs = [ "write-write"; "write-read" ]
 
 let register_setup ~(params : params) ~prog () =
-  let heap =
-    Heap.create ~line_size:params.line_size ~persistency:params.persistency
-      ~combine:params.combine ()
-  in
+  let heap = heap ~params in
   let (module M) = memory ~params heap in
   let module R = Dssq_core.Dss_register.Make (M) in
   let module Sys = Dssq_core.Recovery.Make (M) in
@@ -570,10 +560,7 @@ let register_setup ~(params : params) ~prog () =
 let hashmap_progs = [ "put-put"; "put-remove" ]
 
 let hashmap_setup ~(params : params) ~prog () =
-  let heap =
-    Heap.create ~line_size:params.line_size ~persistency:params.persistency
-      ~combine:params.combine ()
-  in
+  let heap = heap ~params in
   let (module M) = memory ~params heap in
   let module H = Dssq_core.Dss_hashmap.Make (M) in
   let module Sys = Dssq_core.Recovery.Make (M) in
@@ -672,10 +659,7 @@ type 'op engine_prog = {
 let engine_setup (type s op r) ~(params : params) ~(spec : (s, op, r) Spec.t)
     ~(instantiate : (module Dssq_memory.Memory_intf.S) -> (op, r) engine_ops)
     ~(eprog : op engine_prog) () =
-  let heap =
-    Heap.create ~line_size:params.line_size ~persistency:params.persistency
-      ~combine:params.combine ()
-  in
+  let heap = heap ~params in
   let mem = memory ~params heap in
   let o = instantiate mem in
   let module MM = (val mem) in

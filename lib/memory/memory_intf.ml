@@ -188,6 +188,54 @@ module Persistency = struct
   let all = [ Sc; Px86 ]
 end
 
+(** Persist policy: the one behaviour both backends implement, resolved
+    once from the three memory-model inputs (persistency model, flush
+    coalescing, flat combining).  Every policy but {!Eager} routes
+    flushes into a per-thread FIFO persist buffer that drains write back
+    in FIFO order; the buffered policies differ only in
+    {!drains_before_store} and {!enqueues_stores}.
+
+    - {!Eager}: no buffer — [flush] writes back synchronously, [drain] is
+      a no-op.
+    - {!Coalesced}: buffered, and every store or CAS first drains the
+      storing thread's buffer, so persist order stays flush order.
+    - {!Px86}: buffered; stores never drain, so only [drain]/[fence] —
+      or the crash adversary, by FIFO prefixes — write buffers back.
+    - {!Combine}: {!Px86} plus strict buffering of stores: every store or
+      CAS enqueues its line too, and a line re-dirtied or re-flushed
+      while buffered moves to the FIFO tail (flat-combining epochs). *)
+module Policy = struct
+  type t = Eager | Coalesced | Px86 | Combine
+
+  (** The single place the eight flag combinations collapse onto four
+      behaviours: combining subsumes px86, which subsumes coalescing. *)
+  let of_axes ~persistency ~coalesce ~combine =
+    if combine then Combine
+    else
+      match (persistency : Persistency.t) with
+      | Px86 -> Px86
+      | Sc -> if coalesce then Coalesced else Eager
+
+  let drains_before_store = function
+    | Coalesced -> true
+    | Eager | Px86 | Combine -> false
+
+  let enqueues_stores = function
+    | Combine -> true
+    | Eager | Coalesced | Px86 -> false
+
+  (** Whether buffered flushes can stay pending across stores — so the
+      crash adversary must see the buffers, and persist-order faults can
+      show. *)
+  let relaxed p = p <> Eager && not (drains_before_store p)
+
+  let to_string = function
+    | Eager -> "eager"
+    | Coalesced -> "coalesced"
+    | Px86 -> "px86"
+    | Combine -> "combine"
+end
+
 module type S = sig
   type 'a cell
   (** A shared memory word holding a value of type ['a].  On persistent
@@ -232,18 +280,16 @@ module type S = sig
   (** Store fence without a write-back; orders prior flushes. *)
 
   val drain : unit -> unit
-  (** Persist barrier for flush-coalescing backends: write back every
-      line this thread has flushed since its last drain and fence once.
-      Algorithms call it at their linearization/persistence points (end
-      of prep, end of exec, before publishing a node for reuse).  On
-      eager backends every [flush] already drained, so [drain] is a
-      no-op — zero events, zero cost — which keeps the coalescing-off
-      path bit-for-bit identical to the pre-coalescing figures.
-
-      Coalescing backends additionally {e auto-drain} before applying
-      any store or CAS by a thread with pending flushes, so the
-      flush-before-dependent-store orderings eager code relies on are
-      preserved without annotating every store site. *)
+  (** Persist barrier for buffering backends: write back every line in
+      this thread's persist buffer and fence once.  Algorithms call it at
+      their linearization/persistence points (end of prep, end of exec,
+      before publishing a node for reuse).  Under the {!Policy.Eager}
+      policy every [flush] already wrote back, so [drain] is a no-op —
+      zero events, zero cost — which keeps the eager path bit-for-bit
+      identical to the pre-coalescing figures.  Under {!Policy.Coalesced}
+      stores and CAS drain first, so the flush-before-dependent-store
+      orderings eager code relies on hold without annotating every store
+      site. *)
 end
 
 (** A snapshot of memory-event counters: one monotonic count per event

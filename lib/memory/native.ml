@@ -56,9 +56,8 @@ let pad_for placement =
     this library (the [trace_hook] inversion, below): [alloc_hook]
     reports allocation-site names to the persistence heatmap,
     [heat_hook]/[phase_hook] report persist events to the heatmap and
-    the phase profiler respectively.  Only the [Counted]/[Coalescing]
-    backends consult the event hooks — the plain operations stay
-    branch-free. *)
+    the phase profiler respectively.  Only the counted backends ({!Make})
+    consult the event hooks — the plain operations stay branch-free. *)
 type prof_event =
   [ `Pwrite
   | `Flush
@@ -95,10 +94,14 @@ let alloc_block ?(name = "") vs =
   let lines = List.map (fun _ -> Line.Alloc.place !allocator) vs in
   Line.Alloc.align !allocator;
   Mutex.unlock alloc_lock;
-  List.iteri
-    (fun i line ->
-      if name <> "" then noted_alloc (Printf.sprintf "%s[%d]" name i) line)
-    lines;
+  (* Element names are built only for an installed hook. *)
+  (match !alloc_hook with
+  | Some f when name <> "" ->
+      List.iteri
+        (fun i (line : Line.t) ->
+          f ~name:(name ^ "[" ^ string_of_int i ^ "]") ~line:line.Line.id)
+        lines
+  | _ -> ());
   List.map2 (fun v line -> { v = Atomic.make v; line; pad = [||] }) vs lines
 
 let line_id c = c.line.Line.id
@@ -137,7 +140,7 @@ let drain () = ()
 (** Event hook for the observability tracer.  The tracer lives in
     [Dssq_obs], which depends on this library, so the dependency is
     inverted: this side exposes a hook, [Dssq_obs.Trace.start] points it
-    at the active tracer.  Only the [Counted] backend consults it — the
+    at the active tracer.  Only the counted backends consult it — the
     plain operations above stay branch-free. *)
 let trace_hook :
     ([ `Read | `Write | `Cas | `Flush | `Fence ] ->
@@ -148,123 +151,37 @@ let trace_hook :
     ref =
   ref None
 
-(** Counting variant of the native backend, for memory-event accounting
-    on real domains.  Generative: each [Counted ()] instantiation owns a
-    fresh set of counters, so concurrent harness runs do not share state.
-    Instrumentation is enabled by instantiating algorithm functors over
-    this module instead of the plain backend — the plain operations above
-    stay branch-free when accounting is off. *)
-module Counted () : Memory_intf.COUNTED with type 'a cell = 'a cell = struct
-  type nonrec 'a cell = 'a cell
-  module P = Memory_intf.Padded
+(** The counted native backend under one persist {!Memory_intf.Policy},
+    for memory-event accounting on real domains — the native
+    counter/trace analogue of [Dssq_pmem.Heap] under the same policy.
+    Generative: each instantiation owns a fresh set of counters, so
+    concurrent harness runs do not share state.  Instrumentation is
+    enabled by instantiating algorithm functors over this module instead
+    of the plain backend — the plain operations above stay branch-free
+    when accounting is off.
 
-  (* Every domain increments these on every memory event: padded to
-     line-size stride so the counters themselves do not false-share. *)
-  let c_reads = P.make 0
-  let c_writes = P.make 0
-  let c_cases = P.make 0
-  let c_pwrites = P.make 0
-  let c_flushes = P.make 0
-  let c_elided = P.make 0
-  let c_fences = P.make 0
-  let alloc = alloc
-  let alloc_block = alloc_block
-
-  let traced kind c =
-    match !trace_hook with
-    | None -> ()
-    | Some f -> f kind ~line:(line_id c) ~dirty:(Line.is_dirty c.line)
-
-  let traced_fence () =
-    match !trace_hook with
-    | None -> ()
-    | Some f -> f `Fence ~line:(-1) ~dirty:false
-
-  let read c =
-    P.incr c_reads;
-    traced `Read c;
-    read c
-
-  let write c v =
-    P.incr c_writes;
-    P.incr c_pwrites;
-    write c v;
-    prof `Pwrite ~line:(line_id c);
-    traced `Write c
-
-  let cas c ~expected ~desired =
-    P.incr c_cases;
-    let hit = cas c ~expected ~desired in
-    if hit then begin
-      P.incr c_pwrites;
-      prof `Pwrite ~line:(line_id c)
-    end;
-    traced `Cas c;
-    hit
-
-  let flush c =
-    if flush_line c then begin
-      P.incr c_flushes;
-      prof `Flush ~line:(line_id c)
-    end
-    else begin
-      P.incr c_elided;
-      prof `Elide ~line:(line_id c)
-    end;
-    traced `Flush c
-
-  let fence () =
-    P.incr c_fences;
-    prof `Fence ~line:(-1);
-    traced_fence ();
-    fence ()
-
-  let drain () = ()
-
-  let counters () =
-    {
-      Memory_intf.reads = P.get c_reads;
-      writes = P.get c_writes;
-      cases = P.get c_cases;
-      pwrites = P.get c_pwrites;
-      flushes = P.get c_flushes;
-      elided_flushes = P.get c_elided;
-      coalesced_flushes = 0;
-      fences = P.get c_fences;
-      elided_fences = 0;
-    }
-
-  let reset_counters () =
-    P.set c_reads 0;
-    P.set c_writes 0;
-    P.set c_cases 0;
-    P.set c_pwrites 0;
-    P.set c_flushes 0;
-    P.set c_elided 0;
-    P.set c_fences 0
-end
-
-(** Shared body of the buffered native backends (always counted — the
-    buffering win is precisely what the counters exist to show).  Each
-    domain owns a private persist buffer in domain-local storage:
-    [flush] records the cell's line (deduplicated; clean lines elided at
-    any line size), [drain] clears the buffer paying one write-back
-    latency — the buffered CLWBs complete in parallel, so one
-    [pay_flush] models the overlapped batch — plus the barrier.
-    [Cfg.auto_drain_on_store] selects the persistency contract:
-    {!Coalescing} (true) auto-drains before stores and CAS, preserving
-    eager code's flush-before-dependent-store orderings; {!Px86} (false)
-    leaves buffered flushes pending across stores, so only explicit
-    [drain]/[fence] barriers order persists — the native counter/trace
-    analogue of [Dssq_pmem.Heap]'s [Persistency.Px86] mode.  Generative
-    for the same reason as {!Counted}. *)
-module Make_buffered (Cfg : sig
-  val auto_drain_on_store : bool
+    Under [Eager] [flush] writes back synchronously and [drain] is a
+    no-op.  Under every other policy each domain owns a private persist
+    buffer in domain-local storage: [flush] records the cell's line
+    (deduplicated; clean lines elided at any line size), and [drain]
+    clears the buffer paying one write-back latency — the buffered CLWBs
+    complete in parallel, so one [pay_flush] models the overlapped batch
+    — plus the barrier.  [Coalesced] drains the buffer (counts only)
+    before every store and CAS; [Combine] enqueues every store's line. *)
+module Make (Cfg : sig
+  val policy : Memory_intf.Policy.t
 end)
 () : Memory_intf.COUNTED with type 'a cell = 'a cell = struct
   type nonrec 'a cell = 'a cell
   module P = Memory_intf.Padded
+  module Policy = Memory_intf.Policy
 
+  let eager = Cfg.policy = Policy.Eager
+  let drains_before_store = Policy.drains_before_store Cfg.policy
+  let enqueues_stores = Policy.enqueues_stores Cfg.policy
+
+  (* Every domain increments these on every memory event: padded to
+     line-size stride so the counters themselves do not false-share. *)
   let c_reads = P.make 0
   let c_writes = P.make 0
   let c_cases = P.make 0
@@ -281,9 +198,9 @@ end)
     lines : (int, Line.t) Hashtbl.t;
     mutable calls : int;
     mutable owed : bool;
-        (* a buffered flush's round-trip is still outstanding: the next
-           explicit drain pays one overlapped flush + one fence for the
-           whole batch *)
+        (* a buffered write-back's round-trip is still outstanding: the
+           next explicit drain pays one overlapped flush + one fence for
+           the whole batch *)
   }
 
   let key =
@@ -300,11 +217,15 @@ end)
     | None -> ()
     | Some f -> f `Fence ~line:(-1) ~dirty:false
 
+  let count_fence () =
+    P.incr c_fences;
+    prof `Fence ~line:(-1);
+    traced_fence ()
+
   (* Write the pending lines back (counter-wise): the semantic half of a
-     drain, shared by explicit drains and the auto-drain that orders
-     write-backs before a store.  Pays nothing — the batched round-trip
-     cost is charged once, at the explicit persistence-point drain (see
-     [drain]). *)
+     drain, shared by explicit drains and the drain before a store.
+     Pays nothing — the batched round-trip cost is charged once, at the
+     explicit persistence-point drain (see [drain]). *)
   let retire b =
     if Hashtbl.length b.lines > 0 then begin
       let effective = ref 0 in
@@ -320,29 +241,36 @@ end)
       Hashtbl.reset b.lines;
       if !effective > 0 then ignore (P.fetch_and_add c_flushes !effective);
       if skipped > 0 then ignore (P.fetch_and_add c_elided skipped);
-      P.incr c_fences;
-      prof `Fence ~line:(-1);
       ignore (P.fetch_and_add c_elided_fences (max 0 (b.calls - 1)));
       for _ = 1 to max 0 (b.calls - 1) do
         prof `Fence_elided ~line:(-1)
       done;
       b.calls <- 0;
-      traced_fence ()
+      count_fence ()
     end
 
   (* One overlapped device round-trip plus one fence per persistence
      point, however many flushes were buffered since the last one — the
      coalescing win the [Padded] counters make observable. *)
   let drain () =
-    let b = Domain.DLS.get key in
-    retire b;
-    if b.owed then begin
-      b.owed <- false;
-      Persist_cost.pay_flush ();
-      Persist_cost.pay_fence ()
+    if not eager then begin
+      let b = Domain.DLS.get key in
+      retire b;
+      if b.owed then begin
+        b.owed <- false;
+        Persist_cost.pay_flush ();
+        Persist_cost.pay_fence ()
+      end
     end
 
-  let auto_drain () = retire (Domain.DLS.get key)
+  let enqueue b (line : Line.t) =
+    Hashtbl.replace b.lines line.Line.id line;
+    b.owed <- true
+
+  let before_store () = if drains_before_store then retire (Domain.DLS.get key)
+
+  let after_store c =
+    if enqueues_stores then enqueue (Domain.DLS.get key) c.line
 
   let read c =
     P.incr c_reads;
@@ -350,25 +278,27 @@ end)
     read c
 
   let write c v =
-    if Cfg.auto_drain_on_store then auto_drain ();
+    before_store ();
     P.incr c_writes;
     P.incr c_pwrites;
     write c v;
+    after_store c;
     prof `Pwrite ~line:(line_id c);
     traced `Write c
 
   let cas c ~expected ~desired =
-    if Cfg.auto_drain_on_store then auto_drain ();
+    before_store ();
     P.incr c_cases;
     let hit = cas c ~expected ~desired in
     if hit then begin
       P.incr c_pwrites;
+      after_store c;
       prof `Pwrite ~line:(line_id c)
     end;
     traced `Cas c;
     hit
 
-  let flush c =
+  let flush_buffered c =
     let b = Domain.DLS.get key in
     let lid = line_id c in
     if Hashtbl.mem b.lines lid then begin
@@ -378,22 +308,37 @@ end)
       b.owed <- true
     end
     else if Line.is_dirty c.line then begin
-      Hashtbl.add b.lines lid c.line;
-      b.calls <- b.calls + 1;
-      b.owed <- true
+      enqueue b c.line;
+      b.calls <- b.calls + 1
     end
     else begin
       P.incr c_elided;
       prof `Elide ~line:lid
-    end;
+    end
+
+  let flush c =
+    if eager then begin
+      if flush_line c then begin
+        P.incr c_flushes;
+        prof `Flush ~line:(line_id c)
+      end
+      else begin
+        P.incr c_elided;
+        prof `Elide ~line:(line_id c)
+      end
+    end
+    else flush_buffered c;
     traced `Flush c
 
+  (* A fence with lines pending is the drain (one barrier, counted
+     once), exactly as [Heap.fence]. *)
   let fence () =
-    drain ();
-    P.incr c_fences;
-    prof `Fence ~line:(-1);
-    traced_fence ();
-    fence ()
+    if (not eager) && Hashtbl.length (Domain.DLS.get key).lines > 0 then
+      drain ()
+    else begin
+      count_fence ();
+      fence ()
+    end
 
   let counters () =
     {
@@ -420,25 +365,8 @@ end)
     P.set c_elided_fences 0
 end
 
-module Coalescing () = Make_buffered (struct
-  let auto_drain_on_store = true
-end)
-()
-
-module Px86 () = Make_buffered (struct
-  let auto_drain_on_store = false
-end)
-()
-
-(** Flat-combining batch-epoch backend: buffered flushes with {e no}
-    auto-drain before stores, so an operation's flushes stay pending
-    until the driver (or a combiner) closes the epoch with one [drain] —
-    one overlapped write-back plus one fence for the whole batch.  The
-    same persistency contract as {!Px86} (only explicit barriers order
-    persists), instantiated separately so combine-mode measurements own
-    their counters; the native analogue of
-    [Dssq_pmem.Heap.create ~combine:true]. *)
-module Combining () = Make_buffered (struct
-  let auto_drain_on_store = false
+(** The eager instance: every flush writes back, [drain] is a no-op. *)
+module Counted () = Make (struct
+  let policy = Memory_intf.Policy.Eager
 end)
 ()

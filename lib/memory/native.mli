@@ -43,8 +43,8 @@ val flush : 'a cell -> unit
 val fence : unit -> unit
 
 val drain : unit -> unit
-(** No-op: the eager backend drains at every [flush].  See
-    {!Coalescing} for the buffering variant. *)
+(** No-op: the plain backend writes back at every [flush].  See {!Make}
+    for the buffering policies. *)
 
 val trace_hook :
   ([ `Read | `Write | `Cas | `Flush | `Fence ] ->
@@ -53,7 +53,7 @@ val trace_hook :
   unit)
   option
   ref
-(** Event hook consulted by {!Counted} on every memory operation, with
+(** Event hook consulted by {!Make} on every memory operation, with
     the target's persist-line identity and post-event line dirtiness
     ([line = -1] for fences).  Installed/cleared by the tracer in
     [Dssq_obs.Trace] (which depends on this library, hence the
@@ -78,7 +78,7 @@ val alloc_hook : (name:string -> line:int -> unit) option ref
     persistence heatmap ([Dssq_obs.Heatmap.start]). *)
 
 val heat_hook : (prof_event -> line:int -> unit) option ref
-(** Per-event attribution hook consulted by {!Counted}/{!Coalescing} at
+(** Per-event attribution hook consulted by {!Make} at
     every counter-bump site ([line = -1] for fences).  Installed by the
     persistence heatmap.  Needed in addition to {!trace_hook} because
     that one fires after the flush cleared line dirtiness and so cannot
@@ -89,34 +89,23 @@ val phase_hook : (prof_event -> line:int -> unit) option ref
     ([Dssq_obs.Profile.start]).  Separate hooks keep the two consumers'
     lifecycles independent. *)
 
+module Make (Cfg : sig
+  val policy : Memory_intf.Policy.t
+end)
+() : Memory_intf.COUNTED with type 'a cell = 'a cell
+(** The counted backend under one persist policy — the native
+    counter/trace analogue of [Dssq_pmem.Heap] under the same
+    {!Memory_intf.Policy.t}.  Each instantiation owns fresh counters
+    (padded to line stride so the counters themselves do not
+    false-share).  Under [Eager] every flush writes back (counting
+    write-backs and elisions separately) and [drain] is a no-op.  Every
+    other policy buffers each domain's flushed lines in domain-local
+    storage; [drain] — or a fence with lines pending — writes the batch
+    back with one overlapped persist latency plus one barrier, filling
+    the [coalesced_flushes] / [elided_fences] counters.  [Coalesced]
+    drains before every store and CAS; [Combine] enqueues every store's
+    line.  Counter-only on real hardware (no crash adversary): the
+    simulator is where crash behaviour is model-checked. *)
+
 module Counted () : Memory_intf.COUNTED with type 'a cell = 'a cell
-(** Counting variant for memory-event accounting on real domains; each
-    instantiation owns fresh counters (padded to line stride so the
-    counters themselves do not false-share).  Counts flush write-backs
-    and elisions separately ([flushes] / [elided_flushes]).  Instantiate
-    algorithm functors over this module (instead of the plain backend)
-    to enable accounting — the plain operations stay branch-free. *)
-
-module Coalescing () : Memory_intf.COUNTED with type 'a cell = 'a cell
-(** Flush-coalescing variant (always counted): each domain buffers the
-    lines it flushes in domain-local storage, [drain] writes the batch
-    back with one overlapped persist latency plus one barrier, and
-    stores/CAS auto-drain first when the buffer is nonempty.  Fills the
-    [coalesced_flushes] / [elided_fences] counters that stay zero on
-    the eager backends. *)
-
-module Px86 () : Memory_intf.COUNTED with type 'a cell = 'a cell
-(** Buffered-persistency variant (always counted): like {!Coalescing}
-    but stores and CAS do {e not} auto-drain, so buffered flushes stay
-    pending across dependent stores and only explicit [drain]/[fence]
-    barriers persist them — the native counter/trace analogue of
-    [Dssq_pmem.Heap]'s [Persistency.Px86] mode.  Counter-only on real
-    hardware (no crash adversary); the simulator is where the relaxed
-    crash behaviour is model-checked. *)
-
-module Combining () : Memory_intf.COUNTED with type 'a cell = 'a cell
-(** Flat-combining batch-epoch variant: the {!Px86} buffering contract
-    (no auto-drain on stores), instantiated separately so combine-mode
-    measurements own their counters — the native analogue of
-    [Dssq_pmem.Heap.create ~combine:true].  The driver closes each batch
-    epoch with one [drain]. *)
+(** [Make] under [Eager]. *)

@@ -8,13 +8,19 @@
     Persistence is line-granular: cells are placed into persist lines by
     a {!Line.Alloc} allocator at allocation time, [flush] writes back the
     cell's whole line (persisting every dirty member), flushing a clean
-    line is elided, and a crash evicts or drops each line as a unit. *)
+    line is elided, and a crash evicts or drops each line as a unit.
+
+    How flushes reach the persistence domain is one resolved
+    {!Policy.t}: under [Eager] a flush writes back at once; under every
+    other policy it enters the issuing thread's FIFO persist buffer, and
+    drains write buffers back oldest first. *)
 
 module Trace = Dssq_obs.Trace
 module Heatmap = Dssq_obs.Heatmap
 module Profile = Dssq_obs.Profile
 module Line = Dssq_memory.Memory_intf.Line
 module Persistency = Dssq_memory.Memory_intf.Persistency
+module Policy = Dssq_memory.Memory_intf.Policy
 
 type stats = {
   mutable reads : int;
@@ -26,6 +32,14 @@ type stats = {
   mutable coalesced_flushes : int;
   mutable fences : int;
   mutable elided_fences : int;
+}
+
+(* One thread's persist buffer: the lines it has flushed (and, under
+   [Combine], stored) since its last drain, plus the flush calls the next
+   drain's single barrier absorbs. *)
+type fifo = {
+  mutable entries : Line.t list;  (* newest first *)
+  mutable calls : int;
 }
 
 type t = {
@@ -43,46 +57,15 @@ type t = {
   mutable cur_tid : int;
       (* Thread on whose behalf memory operations currently apply: set by
          the stepping machine before each step, -1 in direct mode.  Keys
-         the per-thread coalescing buffers. *)
-  pending : (int, (int, Line.t) Hashtbl.t) Hashtbl.t;
-      (* tid -> line id -> line: lines flushed by the thread since its
-         last drain (coalescing mode only).  Pending lines stay dirty, so
-         the crash adversary covers the whole deferral window. *)
-  pending_calls : (int, int) Hashtbl.t;
-      (* tid -> flush calls absorbed since the thread's last drain *)
-  pending_order : (int, int list ref) Hashtbl.t;
-      (* tid -> pending line ids, newest first (reverse FIFO).  Mirrors
-         [pending]; under px86 the drain writes back in FIFO order and
-         the crash adversary persists FIFO prefixes, so order is part of
-         the model, not just bookkeeping. *)
-  persistency : Persistency.t;
-      (* Sc: flushes are synchronous unless coalescing is opted into and
-         stores auto-drain (persist order = flush order).  Px86: every
-         flush buffers, stores never auto-drain, only drain/fence — or
-         the crash adversary — writes buffers back. *)
-  mutable reorder_pat : string option;
-      (* Fault injection for the checker's relaxed mutants: a flush of a
-         cell whose name contains this pattern enqueues at the FRONT of
-         the thread's FIFO instead of the back — a persist that jumps
-         the program's persist order.  Invisible under sc (no buffer). *)
-  mutable short_drain : bool;
-      (* Fault injection (checker's short-drain mutant): each px86 drain
-         misses the newest buffered entry — the off-by-one persist
-         barrier that covers every pwb except the one issued just before
-         it.  Invisible under sc (eager flushes leave nothing pending). *)
-  combine : bool;
-      (* Flat-combining batch epochs: every flush buffers (even under
-         Sc), stores never auto-drain, and only explicit drains — or the
-         crash adversary's prefix write-backs — empty the buffers.  The
-         write-back of a buffered line re-orders at its {e latest} flush
-         or store ([refresh_pending]): the buffered entry persists the
-         current value, so its position in the persist FIFO follows the
-         last modification, which is what lets the objects replace
-         per-op hardening drains with FIFO order inside one epoch. *)
+         the per-thread persist buffers. *)
+  fifos : (int, fifo) Hashtbl.t;
+      (* tid -> persist buffer.  Buffered lines stay dirty, so the crash
+         adversary covers the whole flush-to-drain window. *)
+  policy : Policy.t;
 }
 
-let create ?(line_size = 1) ?(persistency = Persistency.Sc) ?(combine = false)
-    () =
+let create ?(line_size = 1) ?(persistency = Persistency.Sc) ?(coalesce = false)
+    ?(combine = false) () =
   {
     cells = [];
     next_id = 0;
@@ -103,23 +86,11 @@ let create ?(line_size = 1) ?(persistency = Persistency.Sc) ?(combine = false)
       };
     in_sim = false;
     cur_tid = -1;
-    pending = Hashtbl.create 8;
-    pending_calls = Hashtbl.create 8;
-    pending_order = Hashtbl.create 8;
-    persistency;
-    reorder_pat = None;
-    short_drain = false;
-    combine;
+    fifos = Hashtbl.create 8;
+    policy = Policy.of_axes ~persistency ~coalesce ~combine;
   }
 
-let persistency t = t.persistency
-let combine t = t.combine
-
-(* Buffered routing: flushes enter per-thread persist buffers instead of
-   writing back synchronously.  Px86 is buffered by definition; combine
-   mode opts the Sc heap into the same machinery so one batch drain can
-   retire many operations' flushes. *)
-let buffered t = t.persistency = Persistency.Px86 || t.combine
+let policy t = t.policy
 
 let line_size t = Line.Alloc.line_size t.line_alloc
 
@@ -192,82 +163,66 @@ let persist_line t (l : Line.t) =
     (members t l)
 
 (* ------------------------------------------------------------------ *)
-(* Flush coalescing: per-thread persist buffers.  Defined before the
-   plain operations because stores and CAS auto-drain: a pending flush
-   must complete before any later store by the same thread, or
-   coalescing would reorder eager code's flush-before-dependent-store
-   sequences.  The buffers are only ever populated through
-   [flush_coalesced], so on the eager path every operation below pays
-   one hash lookup miss and nothing else — event streams are
-   bit-for-bit identical. *)
+(* Per-thread persist buffers.  Defined before the plain operations
+   because stores consult them: under [Coalesced] a store first drains
+   the storing thread's buffer, under [Combine] it enqueues its own
+   line.  Under [Eager] the table stays empty. *)
 
-let buffer t tid =
-  match Hashtbl.find_opt t.pending tid with
-  | Some b -> b
+let fifo t tid =
+  match Hashtbl.find_opt t.fifos tid with
+  | Some f -> f
   | None ->
-      let b = Hashtbl.create 8 in
-      Hashtbl.add t.pending tid b;
-      b
+      let f = { entries = []; calls = 0 } in
+      Hashtbl.add t.fifos tid f;
+      f
 
-let order t tid =
-  match Hashtbl.find_opt t.pending_order tid with
-  | Some o -> o
-  | None ->
-      let o = ref [] in
-      Hashtbl.add t.pending_order tid o;
-      o
-
-let contains_sub hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  n = 0 || go 0
-
-let has_pending t =
-  match Hashtbl.find_opt t.pending t.cur_tid with
-  | Some b -> Hashtbl.length b > 0
+let pending_for t ~tid =
+  match Hashtbl.find_opt t.fifos tid with
+  | Some f -> f.entries <> []
   | None -> false
 
-let pending_lines t =
-  match Hashtbl.find_opt t.pending t.cur_tid with
-  | Some b -> Hashtbl.fold (fun lid _ acc -> lid :: acc) b [] |> List.sort compare
-  | None -> []
+let buffered (f : fifo) (line : Line.t) = List.memq line f.entries
 
-let bump_calls t =
-  Hashtbl.replace t.pending_calls t.cur_tid
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.pending_calls t.cur_tid))
+(* Move a buffered line to the FIFO tail, or enqueue it there: under
+   [Combine] the buffered entry persists the line's current contents, so
+   its position must follow the line's last modification or a prefix
+   drain could persist a value newer than entries behind it. *)
+let to_tail (f : fifo) (line : Line.t) =
+  f.entries <- line :: List.filter (fun l -> l != line) f.entries
 
-(** Coalescing flush: record the cell's line in the current thread's
-    persist buffer instead of writing it back now.  A line already
-    pending is deduplicated ([coalesced_flushes]); a clean line has
-    nothing to write back and is elided outright, {e at any} line size —
-    the size-1 always-charge rule of {!flush} exists only to reproduce
-    the legacy eager cost model, which the coalescing mode replaces.
-    Volatile and persisted state are untouched: the line stays dirty, so
-    a crash before the drain exposes exactly the not-yet-persisted
-    window the deferral creates. *)
-let flush_coalesced t (c : 'a Cell.t) =
+let write_back t (line : Line.t) =
+  let lid = line.Line.id in
+  if Line.take_dirty line then begin
+    t.stats.flushes <- t.stats.flushes + 1;
+    attrib t `Flush ~line:lid;
+    persist_line t line;
+    true
+  end
+  else begin
+    t.stats.elided_flushes <- t.stats.elided_flushes + 1;
+    attrib t `Elide ~line:lid;
+    false
+  end
+
+(* Buffered flush: record the cell's line in the current thread's FIFO
+   instead of writing it back now.  A line already buffered is
+   deduplicated ([coalesced_flushes]); a clean line has nothing to write
+   back and is elided outright, {e at any} line size — the size-1
+   always-charge rule of the eager flush exists only to reproduce the
+   legacy eager cost model.  Volatile and persisted state are untouched:
+   the line stays dirty until the drain. *)
+let flush_buffered t (c : 'a Cell.t) =
   let line = c.Cell.line in
-  let b = buffer t t.cur_tid in
-  if Hashtbl.mem b line.Line.id then begin
+  let f = fifo t t.cur_tid in
+  if buffered f line then begin
     t.stats.coalesced_flushes <- t.stats.coalesced_flushes + 1;
-    bump_calls t;
-    (* Combine epochs: a re-flushed line's write-back re-orders at the
-       latest flush (the buffered entry persists the current value). *)
-    if t.combine then begin
-      let ord = order t t.cur_tid in
-      ord := line.Line.id :: List.filter (fun l -> l <> line.Line.id) !ord
-    end;
+    f.calls <- f.calls + 1;
+    if Policy.enqueues_stores t.policy then to_tail f line;
     attrib t `Coalesce ~line:line.Line.id
   end
   else if Line.is_dirty line then begin
-    Hashtbl.add b line.Line.id line;
-    (let ord = order t t.cur_tid in
-     match t.reorder_pat with
-     | Some pat when contains_sub c.Cell.name pat ->
-         (* front of the FIFO = end of the newest-first list *)
-         ord := !ord @ [ line.Line.id ]
-     | _ -> ord := line.Line.id :: !ord);
-    bump_calls t
+    f.entries <- line :: f.entries;
+    f.calls <- f.calls + 1
   end
   else begin
     t.stats.elided_flushes <- t.stats.elided_flushes + 1;
@@ -275,78 +230,25 @@ let flush_coalesced t (c : 'a Cell.t) =
   end;
   traced `Flush c
 
-(** Drain the current thread's persist buffer: write every pending line
-    back and fence once.  Counts one effective flush per line that is
-    still dirty (a concurrent drain may have beaten us to a shared
-    line), one fence for the barrier, and [k-1] elided fences for the
-    [k] flush calls the barrier absorbed. *)
+(** Drain the current thread's persist buffer: write every buffered line
+    back in FIFO order and fence once.  Counts one effective flush per
+    line that is still dirty (a concurrent drain may have beaten us to a
+    shared line), one fence for the barrier, and [k-1] elided fences for
+    the [k] flush calls the barrier absorbed. *)
 let drain t =
-  match Hashtbl.find_opt t.pending t.cur_tid with
-  | None -> ()
-  | Some b when Hashtbl.length b = 0 -> ()
-  | Some b ->
-      let writeback lid line =
-        if Line.take_dirty line then begin
-          t.stats.flushes <- t.stats.flushes + 1;
-          attrib t `Flush ~line:lid;
-          persist_line t line;
-          if Trace.is_on () then
+  match Hashtbl.find_opt t.fifos t.cur_tid with
+  | None | Some { entries = []; _ } -> ()
+  | Some f ->
+      let fifo = List.rev f.entries and calls = f.calls in
+      f.entries <- [];
+      f.calls <- 0;
+      List.iter
+        (fun line ->
+          if write_back t line && Trace.is_on () then
             match members t line with
             | Cell.Packed m :: _ -> traced `Flush m
-            | [] -> ()
-        end
-        else begin
-          t.stats.elided_flushes <- t.stats.elided_flushes + 1;
-          attrib t `Elide ~line:lid
-        end
-      in
-      (* Fault injection (checker's short-drain mutant): the barrier
-         misses the newest buffered entry, which stays pending. *)
-      let kept =
-        match t.persistency with
-        | Persistency.Px86 when t.short_drain -> (
-            match !(order t t.cur_tid) with
-            | newest :: _ -> (
-                match Hashtbl.find_opt b newest with
-                | Some line -> Some (newest, line)
-                | None -> None)
-            | [] -> None)
-        | _ -> None
-      in
-      (if t.persistency = Persistency.Sc && not t.combine then
-         (* Hash order, as always: persist order within a drain is
-            unobservable under sc (the batch is atomic w.r.t. crashes),
-            and keeping the historical iteration order keeps event
-            streams bit-for-bit identical to the pre-px86 figures. *)
-         Hashtbl.iter writeback b
-       else
-         (* FIFO (px86 and combine epochs): the write-back order is the
-            order flushes were issued — re-ordered at the latest flush
-            or store under combine — which is what the adversary's
-            prefix drains (and hence crash states) are defined
-            against. *)
-         List.iter
-           (fun lid ->
-             if match kept with Some (k, _) -> k <> lid | None -> true then
-               match Hashtbl.find_opt b lid with
-               | Some line -> writeback lid line
-               | None -> ())
-           (List.rev !(order t t.cur_tid)));
-      Hashtbl.reset b;
-      (match Hashtbl.find_opt t.pending_order t.cur_tid with
-      | Some o -> o := []
-      | None -> ());
-      (match kept with
-      | Some (lid, line) ->
-          Hashtbl.replace b lid line;
-          (match Hashtbl.find_opt t.pending_order t.cur_tid with
-          | Some o -> o := [ lid ]
-          | None -> Hashtbl.replace t.pending_order t.cur_tid (ref [ lid ]))
-      | None -> ());
-      let calls =
-        Option.value ~default:0 (Hashtbl.find_opt t.pending_calls t.cur_tid)
-      in
-      Hashtbl.replace t.pending_calls t.cur_tid 0;
+            | [] -> ())
+        fifo;
       t.stats.fences <- t.stats.fences + 1;
       t.stats.elided_fences <- t.stats.elided_fences + max 0 (calls - 1);
       attrib t `Fence ~line:(-1);
@@ -357,88 +259,56 @@ let drain t =
       if Trace.is_on () then
         Trace.mem `Fence ~cell:(-1) ~name:"" ~line:(-1) ~dirty:false
 
-(* Auto-drain: complete the thread's pending flushes before it issues a
-   store, CAS, or fence.  Folding the drain into the same atomic step is
-   sound — a drain changes no volatile state, and the crash state "just
-   after the drain" is already reachable by evicting every pending line
-   at the crash before this step.
+(* What a store does to the storing thread's buffer, before it applies.
+   [Coalesced]: complete the pending flushes first — folding the drain
+   into the same atomic step is sound, a drain changes no volatile state
+   and the crash state "just after the drain" is already reachable by
+   evicting every pending line at a crash before this step.  Every other
+   policy leaves the buffer alone: under [Px86] and [Combine] the
+   decoupling of persist order from store order is the model. *)
+let before_store t = if Policy.drains_before_store t.policy then drain t
 
-   Under px86 stores do NOT auto-drain: the decoupling of persist order
-   from store order is the model, and closing the window here would hide
-   exactly the executions the relaxed sweep exists to find.  Explicit
-   [fence]/[drain] still write the buffer back. *)
-let auto_drain t =
-  if t.persistency = Persistency.Sc && (not t.combine) && has_pending t then
-    drain t
+(* ... and after it applies.  [Combine] runs under buffered strict
+   persistency (Pelley et al.'s strict model with asynchronous
+   buffering): every store or CAS enqueues its line, so no line a
+   simulated thread dirties is ever outside a buffer and the crash
+   adversary's free-form per-line verdicts cannot persist a store ahead
+   of the stores before it. *)
+let after_store t (line : Line.t) =
+  if Policy.enqueues_stores t.policy then to_tail (fifo t t.cur_tid) line
 
-(* Combine epochs run under {e buffered strict persistency} (Pelley et
-   al.'s strict model with asynchronous buffering): every store or CAS
-   enqueues its line into the storing thread's persist FIFO — persist
-   order follows per-thread store order, write-backs happen at drains or
-   by the adversary's prefixes.  Two consequences the drain elisions in
-   the objects rely on: (a) no line a simulated thread dirties is ever
-   outside a buffer, so the crash adversary's free-form per-line
-   verdicts cannot persist a store ahead of the stores before it; (b) a
-   store (or re-flush) to a line whose write-back is already pending
-   moves that write-back to the FIFO tail — the buffered entry persists
-   the line's current contents, so its position must follow the last
-   modification or a prefix drain could persist a value {e newer} than
-   entries behind it in the buffer. *)
-let refresh_pending t (line : Line.t) =
-  if t.combine then begin
-    let b = buffer t t.cur_tid in
-    let ord = order t t.cur_tid in
-    if Hashtbl.mem b line.Line.id then
-      ord := line.Line.id :: List.filter (fun l -> l <> line.Line.id) !ord
-    else begin
-      Hashtbl.add b line.Line.id line;
-      ord := line.Line.id :: !ord
-    end
-  end
-
-(** Asynchronous write-back chosen by the crash adversary (px86): persist
-    the oldest [count] entries of thread [tid]'s persist buffer, in FIFO
+(** Asynchronous write-back chosen by the crash adversary: persist the
+    oldest [count] entries of thread [tid]'s persist buffer, in FIFO
     order, with no fence — modelling CLWBs that happened to complete
     before power failed.  Counted as effective flushes.  Out-of-range
     targets (unknown thread, empty buffer, count past the end) degrade to
     persisting what is there, so replaying a token prefix against a heap
     whose buffers evolved differently stays total. *)
 let adversary_drain t ~tid ~count =
-  match
-    (Hashtbl.find_opt t.pending tid, Hashtbl.find_opt t.pending_order tid)
-  with
-  | Some b, Some ord when count > 0 ->
+  match Hashtbl.find_opt t.fifos tid with
+  | Some f when count > 0 ->
+      let fifo = List.rev f.entries in
       List.iteri
-        (fun i lid ->
-          if i < count then
-            match Hashtbl.find_opt b lid with
-            | Some line ->
-                Hashtbl.remove b lid;
-                if Line.take_dirty line then begin
-                  t.stats.flushes <- t.stats.flushes + 1;
-                  attrib t `Flush ~line:lid;
-                  persist_line t line
-                end
-                else begin
-                  t.stats.elided_flushes <- t.stats.elided_flushes + 1;
-                  attrib t `Elide ~line:lid
-                end
-            | None -> ())
-        (List.rev !ord);
-      ord := List.filter (fun lid -> Hashtbl.mem b lid) !ord
+        (fun i line -> if i < count then ignore (write_back t line : bool))
+        fifo;
+      f.entries <- List.rev (List.filteri (fun i _ -> i >= count) fifo)
   | _ -> ()
 
 (** Per-thread persist-buffer contents, oldest first: [(tid, lines)]
     sorted by thread id — the FIFOs the crash adversary draws drain
-    prefixes over.  Empty under sc: there the coalescing windows are
-    already covered by the per-line verdicts. *)
+    prefixes over.  Empty unless the policy is {!Policy.relaxed}: under
+    [Coalesced] every store drains first, so a buffered line is exactly
+    a dirty line whose fate the per-line verdicts already decide. *)
 let pending_fifos t =
-  if not (buffered t) then []
+  if not (Policy.relaxed t.policy) then []
   else
     Hashtbl.fold
-      (fun tid ord acc ->
-        match List.rev !ord with [] -> acc | fifo -> (tid, fifo) :: acc)
-      t.pending_order []
+      (fun tid f acc ->
+        match f.entries with
+        | [] -> acc
+        | entries ->
+            (tid, List.rev_map (fun (l : Line.t) -> l.Line.id) entries) :: acc)
+      t.fifos []
     |> List.sort compare
 
 let read t (c : 'a Cell.t) : 'a =
@@ -447,18 +317,18 @@ let read t (c : 'a Cell.t) : 'a =
   c.volatile
 
 let write t (c : 'a Cell.t) (v : 'a) =
-  auto_drain t;
+  before_store t;
   t.stats.writes <- t.stats.writes + 1;
   t.stats.pwrites <- t.stats.pwrites + 1;
   c.volatile <- v;
   c.dirty <- true;
   Line.mark_dirty c.line;
-  refresh_pending t c.line;
+  after_store t c.line;
   attrib t `Pwrite ~line:c.line.Line.id;
   traced `Write c
 
 let cas t (c : 'a Cell.t) ~(expected : 'a) ~(desired : 'a) =
-  auto_drain t;
+  before_store t;
   t.stats.cases <- t.stats.cases + 1;
   let hit =
     if Cell.value_equal c.volatile expected then begin
@@ -466,7 +336,7 @@ let cas t (c : 'a Cell.t) ~(expected : 'a) ~(desired : 'a) =
       c.volatile <- desired;
       c.dirty <- true;
       Line.mark_dirty c.line;
-      refresh_pending t c.line;
+      after_store t c.line;
       attrib t `Pwrite ~line:c.line.Line.id;
       true
     end
@@ -475,7 +345,7 @@ let cas t (c : 'a Cell.t) ~(expected : 'a) ~(desired : 'a) =
   traced `Cas c;
   hit
 
-let flush t (c : 'a Cell.t) =
+let flush_eager t (c : 'a Cell.t) =
   if Line.flush_effective c.Cell.line then begin
     t.stats.flushes <- t.stats.flushes + 1;
     attrib t `Flush ~line:c.Cell.line.Line.id;
@@ -487,8 +357,18 @@ let flush t (c : 'a Cell.t) =
   end;
   traced `Flush c
 
+let flush t c =
+  if t.policy = Policy.Eager then flush_eager t c else flush_buffered t c
+
+(** Whether flushing [c] now would write its line back, without changing
+    any state — asked by cost models before the flush applies.  A
+    buffered flush of a clean line is elided at any line size. *)
+let flush_pending t (c : 'a Cell.t) =
+  if t.policy = Policy.Eager then Line.flush_pending c.Cell.line
+  else Line.is_dirty c.Cell.line
+
 let fence t =
-  if has_pending t then drain t
+  if pending_for t ~tid:t.cur_tid then drain t
   else begin
     t.stats.fences <- t.stats.fences + 1;
     attrib t `Fence ~line:(-1);
@@ -510,20 +390,22 @@ let dirty_lines t =
     t.cells
   |> List.sort_uniq compare
 
-(** Lines eligible for a per-line eviction verdict at a crash.  Under sc
-    every dirty line qualifies.  Under px86 a line sitting in some
-    thread's persist buffer reaches the persistence domain only through
+(** Lines eligible for a per-line eviction verdict at a crash.  Under
+    [Eager] and [Coalesced] every dirty line qualifies.  Under [Px86] and
+    [Combine] a line sitting in some thread's persist buffer reaches the persistence domain only through
     that buffer — in FIFO order, via an adversary prefix drain — so the
     free-form verdicts range over the dirty lines {e outside} every
     buffer (stores issued and never flushed). *)
 let crash_candidate_lines t =
-  if not (buffered t) then dirty_lines t
+  if not (Policy.relaxed t.policy) then dirty_lines t
   else begin
     let in_buffer = Hashtbl.create 16 in
     Hashtbl.iter
-      (fun _ b ->
-        Hashtbl.iter (fun lid _ -> Hashtbl.replace in_buffer lid ()) b)
-      t.pending;
+      (fun _ f ->
+        List.iter
+          (fun (l : Line.t) -> Hashtbl.replace in_buffer l.Line.id ())
+          f.entries)
+      t.fifos;
     List.filter (fun lid -> not (Hashtbl.mem in_buffer lid)) (dirty_lines t)
   end
 
@@ -560,9 +442,7 @@ let crash_by_line t ~verdict =
      state: pending-but-undrained flushes are simply gone (their lines
      were still dirty, so the per-line verdicts above already decided
      their fate). *)
-  Hashtbl.reset t.pending;
-  Hashtbl.reset t.pending_calls;
-  Hashtbl.reset t.pending_order;
+  Hashtbl.reset t.fifos;
   if Trace.is_on () then Trace.crash ~verdicts:(List.rev !verdicts)
 
 (** Crash with one [evict] draw per dirty line, drawn in the order lines

@@ -8,10 +8,16 @@
     [flush] writes the cell's whole line back, flushing a clean line is
     elided (counted in [elided_flushes], not [flushes]), and a crash
     evicts or drops each dirty line as a unit.  The default line size of
-    1 reproduces the original word-granular model exactly. *)
+    1 reproduces the original word-granular model exactly.
+
+    Persist order is one {!Policy.t}, resolved at {!create}: under
+    [Eager] a flush writes back at once; under every other policy each
+    thread owns one FIFO persist buffer that flushes enter and drains
+    empty oldest first (see DESIGN.md §9 for the policy table). *)
 
 module Line = Dssq_memory.Memory_intf.Line
 module Persistency = Dssq_memory.Memory_intf.Persistency
+module Policy = Dssq_memory.Memory_intf.Policy
 
 type stats = {
   mutable reads : int;
@@ -22,11 +28,15 @@ type stats = {
   mutable flushes : int;  (** effective flushes (write-backs) *)
   mutable elided_flushes : int;  (** flush calls answered by a clean line *)
   mutable coalesced_flushes : int;
-      (** flush calls absorbed by an already-pending line (coalescing) *)
+      (** flush calls absorbed by an already-buffered line *)
   mutable fences : int;
   mutable elided_fences : int;
-      (** per-flush fences folded into drain barriers (coalescing) *)
+      (** per-flush fences folded into drain barriers *)
 }
+
+type fifo
+(** One thread's persist buffer: its buffered lines in FIFO order and the
+    flush calls the next drain absorbs. *)
 
 type t = {
   mutable cells : Cell.packed list;
@@ -41,47 +51,28 @@ type t = {
   mutable cur_tid : int;
       (** thread on whose behalf memory operations currently apply (set
           by the stepping machine; -1 in direct mode) — keys the
-          per-thread coalescing buffers *)
-  pending : (int, (int, Line.t) Hashtbl.t) Hashtbl.t;
-  pending_calls : (int, int) Hashtbl.t;
-  pending_order : (int, int list ref) Hashtbl.t;
-      (** tid -> pending line ids, newest first: the FIFO the px86 drain
-          and the adversary's prefix write-backs are ordered by *)
-  persistency : Persistency.t;
-  mutable reorder_pat : string option;
-      (** fault injection for relaxed mutants: flushes of cells whose
-          name contains the pattern jump to the front of the FIFO *)
-  mutable short_drain : bool;
-      (** fault injection for relaxed mutants: each px86 drain misses
-          the newest buffered entry (off-by-one persist barrier) *)
-  combine : bool;
-      (** flat-combining batch epochs: every flush buffers (even under
-          Sc), stores never auto-drain, and a line re-dirtied or
-          re-flushed while buffered moves to the FIFO tail — one drain
-          is the batch's single persist epoch *)
+          per-thread persist buffers *)
+  fifos : (int, fifo) Hashtbl.t;  (** tid -> persist buffer *)
+  policy : Policy.t;
 }
 
 val create :
-  ?line_size:int -> ?persistency:Persistency.t -> ?combine:bool -> unit -> t
+  ?line_size:int ->
+  ?persistency:Persistency.t ->
+  ?coalesce:bool ->
+  ?combine:bool ->
+  unit ->
+  t
 (** [line_size] defaults to 1 — the original word-granular persistence
     model (every flush charged, no elision, per-word crash eviction).
-    Pass [Line.default_size] (8) for the cache-line model.
-    [persistency] defaults to {!Persistency.Sc}, the strong model every
-    pre-relaxed figure anchors to; {!Persistency.Px86} turns every flush
-    into a per-thread FIFO buffer enqueue that only [drain]/[fence] — or
-    the crash adversary — makes durable.  [combine] (default [false])
-    forces the buffered routing regardless of persistency model and
-    suppresses the store auto-drain, so flushes from many operations
-    accumulate until one explicit epoch drain (flat-combining batch
-    epochs, DESIGN.md §14). *)
+    Pass [Line.default_size] (8) for the cache-line model.  The three
+    memory-model inputs resolve once, through {!Policy.of_axes}, into the
+    heap's {!policy}: all defaults give [Eager], the model every
+    pre-relaxed figure anchors to; [~coalesce:true] gives [Coalesced],
+    [~persistency:Px86] gives [Px86], and [~combine:true] gives
+    [Combine] (flat-combining batch epochs, DESIGN.md §14). *)
 
-val persistency : t -> Persistency.t
-
-val combine : t -> bool
-
-val buffered : t -> bool
-(** Whether flushes route through the per-thread persist buffers rather
-    than writing back synchronously: px86 persistency or combine mode. *)
+val policy : t -> Policy.t
 
 val line_size : t -> int
 
@@ -105,44 +96,34 @@ val write : t -> 'a Cell.t -> 'a -> unit
 val cas : t -> 'a Cell.t -> expected:'a -> desired:'a -> bool
 
 val flush : t -> 'a Cell.t -> unit
-(** Write the cell's line back: every dirty member of the line persists.
-    Elided (only [elided_flushes] incremented) when the line is clean
-    and the line size is >= 2. *)
+(** Flush the cell's line, routed by {!policy}.  Under [Eager] the line
+    is written back now (every dirty member persists), elided when the
+    line is clean and the line size is >= 2.  Otherwise the line enters
+    the current thread's persist buffer: an already-buffered line is
+    deduplicated ([coalesced_flushes]; under [Combine] it also moves to
+    the FIFO tail), a clean line is elided at any line size. *)
+
+val flush_pending : t -> 'a Cell.t -> bool
+(** Whether {!flush} would write the line back (or buffer it) rather than
+    elide it; changes nothing.  Cost models ask before the flush. *)
 
 val fence : t -> unit
-
-(** {2 Flush coalescing}
-
-    Opt-in per-thread persist buffers (see [Dssq_sim.Sim.memory
-    ~coalesce:true]): {!flush_coalesced} records the cell's line in the
-    current thread's buffer instead of writing it back, {!drain} writes
-    every pending line back with one barrier.  Pending lines stay dirty,
-    so the crash adversary ranges over the whole deferral window. *)
-
-val flush_coalesced : t -> 'a Cell.t -> unit
-(** Buffer the cell's line for the next {!drain}.  Already-pending lines
-    are deduplicated ([coalesced_flushes]); clean lines are elided at any
-    line size (nothing to write back — the size-1 always-charge rule is
-    an eager-cost-model anchor, not a semantic requirement). *)
+(** A fence by a thread with a nonempty buffer is a {!drain}. *)
 
 val drain : t -> unit
-(** Write back every line in the current thread's persist buffer and
-    fence once.  No-op (zero events, zero counts) when the buffer is
-    empty. *)
+(** Write back every line in the current thread's persist buffer, oldest
+    first, and fence once.  No-op (zero events, zero counts) when the
+    buffer is empty — always, under [Eager]. *)
 
-val has_pending : t -> bool
-(** Whether the current thread's persist buffer is nonempty. *)
+val pending_for : t -> tid:int -> bool
+(** Whether thread [tid]'s persist buffer is nonempty. *)
 
-val pending_lines : t -> int list
-(** Line ids in the current thread's persist buffer, ascending. *)
+(** {2 The crash adversary's view of the buffers}
 
-(** {2 Buffered (px86) persistency}
-
-    Under {!Persistency.Px86} every flush goes through the per-thread
-    buffer (no auto-drain before stores), the buffer drains in FIFO
-    order, and a crash may first write back an adversary-chosen FIFO
-    {e prefix} per thread.  These entry points expose the buffers to the
-    model checker. *)
+    Under [Px86] and [Combine] buffers outlive stores, and a crash may
+    first write back an adversary-chosen FIFO {e prefix} per thread.
+    Under [Eager] and [Coalesced] every dirty line is a free per-line
+    verdict. *)
 
 val adversary_drain : t -> tid:int -> count:int -> unit
 (** Persist the oldest [count] entries of thread [tid]'s buffer, in FIFO
@@ -151,13 +132,14 @@ val adversary_drain : t -> tid:int -> count:int -> unit
 
 val pending_fifos : t -> (int * int list) list
 (** Per-thread buffer contents, oldest first, sorted by thread id.
-    Always empty under sc. *)
+    Always empty under [Eager] and [Coalesced]. *)
 
 val crash_candidate_lines : t -> int list
 (** Dirty lines eligible for free-form eviction verdicts at a crash:
-    all of {!dirty_lines} under sc; under px86, the dirty lines not
-    sitting in any thread's persist buffer (buffered lines persist only
-    via {!adversary_drain} prefixes). *)
+    all of {!dirty_lines} under [Eager] and [Coalesced]; under [Px86]
+    and [Combine], the dirty lines not sitting in any thread's persist
+    buffer (buffered lines persist only via {!adversary_drain}
+    prefixes). *)
 
 val crash : t -> evict:(unit -> bool) -> unit
 (** Crash the machine: for every dirty {e line}, [evict ()] decides

@@ -317,15 +317,13 @@ let independent (a : Machine.access) (b : Machine.access) =
              (conflicts with everything), never as [Mem] *)
           false
       | Sim_op.Read, Sim_op.Read -> true
-      | ( Sim_op.Read, (Sim_op.Flush | Sim_op.Flush_async) )
-      | ( (Sim_op.Flush | Sim_op.Flush_async), Sim_op.Read ) ->
+      | Sim_op.Read, Sim_op.Flush | Sim_op.Flush, Sim_op.Read ->
           (* a flush never changes volatile state and a read never
              changes dirtiness, so they commute even on the same line *)
           true
-      | (Sim_op.Flush | Sim_op.Flush_async), _
-      | _, (Sim_op.Flush | Sim_op.Flush_async) ->
+      | Sim_op.Flush, _ | _, Sim_op.Flush ->
           (* flush vs write/cas/flush: they interact through the line's
-             dirtiness and persisted words (a coalescing flush reads
+             dirtiness and persisted words (a buffered flush reads
              dirtiness to decide pend-vs-elide, so it conflicts too) *)
           x.line <> y.line
       | ( (Sim_op.Read | Sim_op.Write | Sim_op.Cas),

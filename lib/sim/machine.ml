@@ -85,7 +85,7 @@ let step t tid =
   | Waiting (Paused (op, k)) ->
       t.steps <- t.steps + 1;
       (* Line dirtiness must be read before the flush clears it. *)
-      let flush_effective = Sim_op.flush_pending op in
+      let flush_effective = Sim_op.flush_pending t.heap op in
       (* The heap's coalescing buffers are per-thread: tell it whose
          behalf this operation applies on, and restore direct mode (-1)
          afterwards so non-scheduled code keeps its own buffer. *)
@@ -95,9 +95,8 @@ let step t tid =
       let info =
         match op with
         | Sim_op.Cas _ -> { cas_success = Some result; flush_effective }
-        | Sim_op.Read _ | Sim_op.Write _ | Sim_op.Flush _
-        | Sim_op.Flush_async _ | Sim_op.Drain | Sim_op.Fence | Sim_op.Yield
-          ->
+        | Sim_op.Read _ | Sim_op.Write _ | Sim_op.Flush _ | Sim_op.Drain
+        | Sim_op.Fence | Sim_op.Yield ->
             { cas_success = None; flush_effective }
       in
       set t tid (Effect.Deep.continue k result);
@@ -143,15 +142,11 @@ let pending_access t tid =
          footprint the access summary cannot name, so treat it like
          [Start]: conflicting with everything (sound, conservative). *)
       Some Start
-  | Waiting (Paused (Sim_op.Fence, _))
-    when (match Hashtbl.find_opt t.heap.Heap.pending tid with
-         | Some b -> Hashtbl.length b > 0
-         | None -> false) ->
+  | Waiting (Paused (Sim_op.Fence, _)) when Heap.pending_for t.heap ~tid ->
       (* A fence by a thread with a nonempty persist buffer drains it
          (see [Heap.fence]) — same unnameable footprint as [Drain], so
-         the same conservative verdict.  On the eager path the buffer is
-         always empty and fences stay [Pure], preserving the pre-px86
-         reduction exactly. *)
+         the same conservative verdict.  Under the eager policy the
+         buffer is always empty and fences stay [Pure]. *)
       Some Start
   | Waiting (Paused (op, _)) -> (
       match (Sim_op.cell_id op, Sim_op.target op) with

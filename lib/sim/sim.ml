@@ -47,24 +47,14 @@ type outcome = {
 (** A first-class [MEMORY] backed by [heap].  Inside {!run} operations
     suspend into the scheduler; outside they apply directly.
 
-    With [~coalesce:true], [flush] buffers the line in the calling
-    thread's per-thread persist buffer ({!Sim_op.Flush_async}) and
-    [drain] is a real scheduling step that writes the batch back with one
-    barrier; stores/CAS/fences auto-drain inside {!Heap} so eager code's
-    flush-before-dependent-store orderings are preserved.  With the
-    default [~coalesce:false], [drain] is a literal no-op (zero events,
-    zero scheduling points), keeping annotated algorithms bit-for-bit
-    identical to their pre-coalescing event streams.
-
-    A heap created with [~persistency:Px86] forces the buffered routing
-    regardless of [coalesce]: under the relaxed model a synchronous
-    flush does not exist — the heap itself then skips the store
-    auto-drain, so the flush-to-drain window stays open for the crash
-    adversary.  A heap created with [~combine:true] (flat-combining
-    batch epochs) forces it too: there the whole point is that flushes
-    from many operations accumulate until one explicit epoch drain. *)
-let memory ?(coalesce = false) heap : (module Dssq_memory.Memory_intf.S) =
-  let buffered = coalesce || Heap.buffered heap in
+    The heap's {!Heap.policy} decides what [flush] and [drain] do, so
+    this module only routes: [flush] is one {!Sim_op.Flush} event either
+    way, and [drain] is a real scheduling step on a buffered heap but a
+    literal no-op (zero events, zero scheduling points) on an eager one,
+    keeping annotated algorithms bit-for-bit identical to their
+    pre-coalescing event streams there. *)
+let memory heap : (module Dssq_memory.Memory_intf.S) =
+  let eager = Heap.policy heap = Dssq_memory.Memory_intf.Policy.Eager in
   (module struct
     type 'a cell = 'a Cell.t
 
@@ -79,21 +69,18 @@ let memory ?(coalesce = false) heap : (module Dssq_memory.Memory_intf.S) =
     let read c = op (Sim_op.Read c)
     let write c v = op (Sim_op.Write (c, v))
     let cas c ~expected ~desired = op (Sim_op.Cas (c, expected, desired))
-
-    let flush c =
-      if buffered then op (Sim_op.Flush_async c) else op (Sim_op.Flush c)
-
+    let flush c = op (Sim_op.Flush c)
     let fence () = op Sim_op.Fence
-    let drain () = if buffered then op Sim_op.Drain
+    let drain () = if not eager then op Sim_op.Drain
   end)
 
 (** {!memory} plus the uniform accounting interface: the heap always
     counts events (that {e is} the simulator's cost model), so this just
     exposes snapshot/reset in the same [COUNTED] shape as
     [Dssq_memory.Native.Counted]. *)
-let counted_memory ?coalesce heap : (module Dssq_memory.Memory_intf.COUNTED) =
+let counted_memory heap : (module Dssq_memory.Memory_intf.COUNTED) =
   (module struct
-    include (val memory ?coalesce heap : Dssq_memory.Memory_intf.S)
+    include (val memory heap : Dssq_memory.Memory_intf.S)
 
     let counters () = Heap.counters heap
     let reset_counters () = Heap.reset_stats heap
@@ -194,7 +181,7 @@ let run ?(policy = Round_robin) ?(crash = No_crash) ?(max_steps = 1_000_000)
 (** Apply crash semantics to the heap: every dirty line independently
     persists with probability [evict_p] (cache eviction at power loss)
     or reverts to its last flushed value — each line as a unit.  Under
-    px86 the draw respects the buffered model: each thread's persist
+    the px86 and combine policies the draw respects the buffered model: each thread's persist
     buffer first writes back a random FIFO {e prefix} (the adversary's
     asynchronous drain), and the free-form per-line verdicts then range
     only over the dirty lines outside every buffer — a buffered line

@@ -42,18 +42,15 @@ type outcome = {
       (** per-thread; [None] if killed by a crash *)
 }
 
-val memory : ?coalesce:bool -> Heap.t -> (module Dssq_memory.Memory_intf.S)
+val memory : Heap.t -> (module Dssq_memory.Memory_intf.S)
 (** A first-class [MEMORY] backed by the heap: operations suspend into
-    the scheduler inside {!run}, and apply directly outside.
+    the scheduler inside {!run}, and apply directly outside.  The heap's
+    {!Heap.policy} (fixed at {!Heap.create}) decides what a flush does;
+    [drain] is its own scheduling step on a buffered heap and a literal
+    no-op on an eager one, so annotated algorithms produce bit-for-bit
+    the pre-coalescing event stream there. *)
 
-    [~coalesce:true] turns on per-thread flush coalescing: [flush]
-    buffers the cell's line, [drain] writes the batch back with one
-    barrier as its own scheduling step, and stores/CAS/fences auto-drain
-    first.  Default [false]: [drain] is a literal no-op, so annotated
-    algorithms produce bit-for-bit the pre-coalescing event stream. *)
-
-val counted_memory :
-  ?coalesce:bool -> Heap.t -> (module Dssq_memory.Memory_intf.COUNTED)
+val counted_memory : Heap.t -> (module Dssq_memory.Memory_intf.COUNTED)
 (** {!memory} plus uniform event accounting (the heap always counts);
     same [COUNTED] shape as [Dssq_memory.Native.Counted ()]. *)
 

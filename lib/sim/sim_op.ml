@@ -11,9 +11,7 @@ type 'a t =
   | Write : 'a Cell.t * 'a -> unit t
   | Cas : 'a Cell.t * 'a * 'a -> bool t
   | Flush : 'a Cell.t -> unit t
-  | Flush_async : 'a Cell.t -> unit t
-      (** coalescing flush: record the line in the thread's persist
-          buffer (no write-back yet; the line stays dirty) *)
+      (** write-back, or persist-buffer enqueue, per the heap's policy *)
   | Drain : unit t
       (** persist barrier: write back every line in the thread's persist
           buffer and fence once *)
@@ -27,20 +25,18 @@ let apply : type a. Heap.t -> a t -> a =
   | Write (c, v) -> Heap.write heap c v
   | Cas (c, expected, desired) -> Heap.cas heap c ~expected ~desired
   | Flush c -> Heap.flush heap c
-  | Flush_async c -> Heap.flush_coalesced heap c
   | Drain -> Heap.drain heap
   | Fence -> Heap.fence heap
   | Yield -> ()
 
 (** Cost classes for the discrete-event throughput model. *)
-type kind = Read | Write | Cas | Flush | Flush_async | Drain | Fence | Yield
+type kind = Read | Write | Cas | Flush | Drain | Fence | Yield
 
 let kind : type a. a t -> kind = function
   | Read _ -> Read
   | Write _ -> Write
   | Cas _ -> Cas
   | Flush _ -> Flush
-  | Flush_async _ -> Flush_async
   | Drain -> Drain
   | Fence -> Fence
   | Yield -> Yield
@@ -55,7 +51,6 @@ let target : type a. a t -> int option = function
   | Write (c, _) -> Some (Cell.line_id c)
   | Cas (c, _, _) -> Some (Cell.line_id c)
   | Flush c -> Some (Cell.line_id c)
-  | Flush_async c -> Some (Cell.line_id c)
   | Drain -> None (* targets the thread's whole pending-line set *)
   | Fence -> None
   | Yield -> None
@@ -69,21 +64,17 @@ let cell_id : type a. a t -> int option = function
   | Write (c, _) -> Some c.Cell.id
   | Cas (c, _, _) -> Some c.Cell.id
   | Flush c -> Some c.Cell.id
-  | Flush_async c -> Some c.Cell.id
   | Drain -> None
   | Fence -> None
   | Yield -> None
 
-(** For a [Flush], whether it would actually write back (line dirty, or
-    legacy line size 1); for a [Flush_async], whether the line is dirty
-    (clean lines are elided at any size on the coalescing path).  Asked
-    {e before} the event applies — cost models use it to charge elided
-    flushes nothing. *)
-let flush_pending : type a. a t -> bool option = function
-  | Flush c ->
-      Some (Dssq_memory.Memory_intf.Line.flush_pending (Cell.line c))
-  | Flush_async c ->
-      Some (Dssq_memory.Memory_intf.Line.is_dirty (Cell.line c))
+(** For a [Flush], whether it would actually write back or buffer its
+    line rather than be elided ({!Heap.flush_pending}).  Asked {e before}
+    the event applies — cost models use it to charge elided flushes
+    nothing. *)
+let flush_pending : type a. Heap.t -> a t -> bool option =
+ fun heap -> function
+  | Flush c -> Some (Heap.flush_pending heap c)
   | Read _ | Write _ | Cas _ | Drain | Fence | Yield -> None
 
 let describe : type a. a t -> string = function
@@ -91,7 +82,6 @@ let describe : type a. a t -> string = function
   | Write (c, _) -> Printf.sprintf "write %s#%d" c.Cell.name c.Cell.id
   | Cas (c, _, _) -> Printf.sprintf "cas %s#%d" c.Cell.name c.Cell.id
   | Flush c -> Printf.sprintf "flush %s#%d" c.Cell.name c.Cell.id
-  | Flush_async c -> Printf.sprintf "flush-async %s#%d" c.Cell.name c.Cell.id
   | Drain -> "drain"
   | Fence -> "fence"
   | Yield -> "yield"

@@ -8,8 +8,7 @@ type 'a t =
   | Write : 'a Cell.t * 'a -> unit t
   | Cas : 'a Cell.t * 'a * 'a -> bool t
   | Flush : 'a Cell.t -> unit t
-  | Flush_async : 'a Cell.t -> unit t
-      (** coalescing flush: buffer the line, no write-back yet *)
+      (** write-back, or persist-buffer enqueue, per the heap's policy *)
   | Drain : unit t
       (** persist barrier: write back the thread's pending lines *)
   | Fence : unit t
@@ -19,7 +18,7 @@ val apply : Heap.t -> 'a t -> 'a
 (** Execute one event directly against the heap. *)
 
 (** Cost classes for the discrete-event throughput model. *)
-type kind = Read | Write | Cas | Flush | Flush_async | Drain | Fence | Yield
+type kind = Read | Write | Cas | Flush | Drain | Fence | Yield
 
 val kind : 'a t -> kind
 
@@ -31,9 +30,9 @@ val cell_id : 'a t -> int option
 (** Id of the cell the event touches, if any — the unit at which plain
     reads/writes conflict (finer than {!target}). *)
 
-val flush_pending : 'a t -> bool option
-(** For a [Flush], whether it would actually write back ([Some false] =
-    the flush will be elided); [None] for other events.  Must be asked
-    before the event applies. *)
+val flush_pending : Heap.t -> 'a t -> bool option
+(** For a [Flush], whether it would actually write back or buffer its
+    line ([Some false] = the flush will be elided); [None] for other
+    events.  Must be asked before the event applies. *)
 
 val describe : 'a t -> string

@@ -11,9 +11,10 @@
     backend/worker selection made here in the harness: the uninstrumented
     path runs the plain [Native] backend and the original worker loop,
     bit-for-bit, so enabling the observability layer elsewhere costs
-    measured runs nothing.  Flush coalescing ([coalesce:true]) selects
-    the {!Native.Coalescing} backend, which is always counted — the
-    coalesced/elided event totals are the point of running it. *)
+    measured runs nothing.  Flush coalescing ([coalesce:true]) and
+    combining select a buffered {!Native.Make} backend, which is always
+    counted — the coalesced/elided event totals are the point of running
+    it. *)
 
 module MI = Dssq_memory.Memory_intf
 module Native = Dssq_memory.Native
@@ -127,9 +128,10 @@ let run_workers ?(instrument = false) ?epoch ~nthreads ~det_pct ~duration
     native backend (a fresh [Native.Counted ()] instance, so concurrent
     measurements don't share counters) and each thread records
     wall-clock per-operation latency; events exclude queue seeding.
-    With [coalesce:true] the queue runs over a fresh
-    [Native.Coalescing ()] instance — per-domain persist buffers, one
-    drain per persistence point — whose counters are always reported.
+    With [coalesce:true] or [combine:true] the queue runs over a fresh
+    [Native.Make] instance under the resolved policy — per-domain
+    persist buffers, one drain per persistence point — whose counters
+    are always reported.
     [det_pct] is as in {!Sim_throughput.pair_worker}. *)
 let measure_ex ?(init_nodes = 16) ?(det_pct = 100) ?(line_size = 1)
     ?(coalesce = false) ?(combine = false) ?(batch = 8) ?(instrument = false)
@@ -140,7 +142,10 @@ let measure_ex ?(init_nodes = 16) ?(det_pct = 100) ?(line_size = 1)
       ~capacity ()
   in
   Native.set_line_size line_size;
-  if (not instrument) && (not coalesce) && not combine then begin
+  let policy =
+    MI.Policy.of_axes ~persistency:MI.Persistency.Sc ~coalesce ~combine
+  in
+  if (not instrument) && policy = MI.Policy.Eager then begin
     let ops = Registry.setup (module Native) ~mk ~init_nodes cfg in
     let mops, total, _ = run_workers ~nthreads ~det_pct ~duration ops in
     {
@@ -177,21 +182,15 @@ let measure_ex ?(init_nodes = 16) ?(det_pct = 100) ?(line_size = 1)
           latency;
         }
     end in
-    if combine then begin
-      let module B = Native.Combining () in
-      let module R = Run (B) in
-      R.result
-    end
-    else if coalesce then begin
-      let module B = Native.Coalescing () in
-      let module R = Run (B) in
-      R.result
-    end
-    else begin
-      let module B = Native.Counted () in
-      let module R = Run (B) in
-      R.result
-    end
+    let module B =
+      Native.Make
+        (struct
+          let policy = policy
+        end)
+        ()
+    in
+    let module R = Run (B) in
+    R.result
   end
 
 (** Throughput only, in Mops/s — the historical entry point. *)

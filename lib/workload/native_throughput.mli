@@ -26,13 +26,13 @@ val measure_ex :
     native backend (events exclude seeding) and each thread records
     wall-clock per-operation latency, merged into one histogram.
     [line_size] (default 1 = word-granular) reconfigures the native
-    backend's line allocator before the queue is built.  [coalesce]
-    (default false) runs the queue over a fresh [Native.Coalescing ()]
-    instance — per-domain persist buffers drained once per persistence
-    point — whose event counters are always reported.  [combine]
-    (default false) runs over a fresh [Native.Combining ()] instance
-    (buffered, no auto-drain) with each domain closing a batch persist
-    epoch every [batch] (default 8) operation pairs. *)
+    backend's line allocator before the queue is built.  [coalesce] and
+    [combine] (default false) resolve through
+    [Memory_intf.Policy.of_axes] into the policy of a fresh
+    [Native.Make] instance — per-domain persist buffers drained once per
+    persistence point — whose event counters are always reported; under
+    [combine] each domain closes a batch persist epoch every [batch]
+    (default 8) operation pairs. *)
 
 val measure :
   ?init_nodes:int ->

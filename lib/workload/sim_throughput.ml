@@ -64,8 +64,8 @@ let cost_of costs (kind : Sim_op.kind) =
   | Sim_op.Write -> costs.write_ns
   | Sim_op.Cas -> costs.cas_ns
   | Sim_op.Flush -> costs.flush_ns
-  | Sim_op.Flush_async -> costs.flush_ns
-      (* the async round-trip latency; the issue stall is flush_issue_ns *)
+      (* on a buffered heap: the async round-trip latency; the issue
+         stall is flush_issue_ns *)
   | Sim_op.Drain -> 0. (* a drain only waits; see the stepping loop *)
   | Sim_op.Fence -> costs.fence_ns
   | Sim_op.Yield -> costs.work_ns
@@ -94,6 +94,7 @@ let cost_of costs (kind : Sim_op.kind) =
 let run ?(costs = default_costs) ?(seed = 1) ?clock ~horizon_ns ~heap ~threads
     ~ops_done () =
   let machine = Machine.create heap (Array.to_list threads) in
+  let buffered = Heap.policy heap <> Dssq_memory.Memory_intf.Policy.Eager in
   let n = Array.length threads in
   let clocks = Array.make n 0. in
   (* Expose the private clocks to instrumented workers (they read their
@@ -135,8 +136,8 @@ let run ?(costs = default_costs) ?(seed = 1) ?clock ~horizon_ns ~heap ~threads
               Option.value ~default:(0., tid) (Hashtbl.find_opt line_clock cell)
             in
             (match (target, kind) with
-            | Some _, (Sim_op.Flush | Sim_op.Flush_async)
-              when info.Machine.flush_effective = Some false ->
+            | Some _, Sim_op.Flush when info.Machine.flush_effective = Some false
+              ->
                 (* Clean line: the CLWB has nothing to write back.  No
                    device round-trip, no line occupancy — free. *)
                 ()
@@ -162,8 +163,8 @@ let run ?(costs = default_costs) ?(seed = 1) ?clock ~horizon_ns ~heap ~threads
                 in
                 clocks.(tid) <- start +. cost;
                 Hashtbl.replace line_clock cell (start +. line_cost, tid)
-            | Some cell, Sim_op.Flush_async ->
-                (* Coalesced flush: the CLWB issues (short pipeline
+            | Some cell, Sim_op.Flush when buffered ->
+                (* Buffered flush: the CLWB issues (short pipeline
                    stall) and its device round-trip completes in the
                    background — only the eventual drain/fence waits on
                    it.  Like an eager CLWB it does not take ownership. *)
@@ -280,8 +281,8 @@ let measure_ex ?costs ?(seed = 1) ?(horizon_ns = 300_000.) ?(init_nodes = 16)
     ?(det_pct = 100) ?(line_size = 1) ?(coalesce = false) ?(combine = false)
     ?(batch = 8) ?(instrument = false) ~mk ~nthreads () :
     Dssq_obs.Run_report.sample =
-  let heap = Heap.create ~line_size ~combine () in
-  let (module M) = Sim.memory ~coalesce heap in
+  let heap = Heap.create ~line_size ~coalesce ~combine () in
+  let (module M) = Sim.memory heap in
   let capacity = init_nodes + 8 + (nthreads * 192) in
   let ops =
     Registry.setup

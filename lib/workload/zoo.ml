@@ -337,8 +337,8 @@ let with_attribution body =
 let profile_one ?(pairs = 200) ?(line_size = 1) ?(coalesce = false)
     ?(combine = false) ?persistency ?(crash = false) name =
   with_attribution (fun () ->
-      let heap = Heap.create ~line_size ~combine ?persistency () in
-      let (module M) = Sim.counted_memory ~coalesce heap in
+      let heap = Heap.create ~line_size ~coalesce ~combine ?persistency () in
+      let (module M) = Sim.counted_memory heap in
       let r = make_runner (module M) ~combine ~pairs name in
       M.reset_counters ();
       Heatmap.reset_counts ();
@@ -395,15 +395,12 @@ let profile_one_native ?(pairs = 200) ?(line_size = 1) ?(coalesce = false)
           p_heat = Heatmap.rows ();
         }
       in
-      if combine then
-        (* combining wants the write-combining buffer irrespective of the
-           persistency axis — one drain per batch is the point *)
-        measure (module Native.Combining ())
-      else if persistency = MI.Persistency.Px86 then
-        (* px86 subsumes coalescing: same buffer, weaker store ordering *)
-        measure (module Native.Px86 ())
-      else if coalesce then measure (module Native.Coalescing ())
-      else measure (module Native.Counted ()))
+      measure
+        (module Native.Make
+                  (struct
+                    let policy = MI.Policy.of_axes ~persistency ~coalesce ~combine
+                  end)
+                  ()))
 
 let profile_all ?pairs ?line_size ?coalesce ?combine ?persistency ?crash () =
   List.map

@@ -95,12 +95,12 @@ val profile_one_native :
   ?persistency:Dssq_memory.Memory_intf.Persistency.t ->
   string ->
   profile
-(** {!profile_one} on the native Counted (or Coalescing) backend, with
-    workers run sequentially for a deterministic event stream.
-    [persistency:Px86] selects the [Native.Px86] buffered backend
-    (subsumes [coalesce]); [combine] selects [Native.Combining] and
-    creates combining-capable objects in flat-combining mode.  No crash
-    arm: crash semantics are simulator-only. *)
+(** {!profile_one} on a native [Native.Make] backend whose policy
+    [Memory_intf.Policy.of_axes] resolves from [persistency], [coalesce]
+    and [combine], with workers run sequentially for a deterministic
+    event stream.  [combine] also creates combining-capable objects in
+    flat-combining mode.  No crash arm: crash semantics are
+    simulator-only. *)
 
 val profile_all :
   ?pairs:int ->

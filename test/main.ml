@@ -2,6 +2,7 @@ let () =
   Alcotest.run "dssq"
     [
       ("pmem", Test_pmem.suite);
+      ("policy", Test_policy.suite);
       ("wal", Test_wal.suite);
       ("recovery", Test_recovery.suite);
       ("sim", Test_sim.suite);

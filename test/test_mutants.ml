@@ -122,10 +122,11 @@ let relaxed_caught_under_px86 =
 (* The flat-combining matrix.  [lost-batch] inverts the engine's
    install-then-epoch ordering, so it is only reachable through the
    combining path: the combining corpus — which swaps in the engine
-   objects for this mutant (see {!Scenarios.cases}) — must catch it
-   under both persistency models, and the same flag must be invisible
-   with combining off (the injection hook is never read by eager
-   installs). *)
+   objects for this mutant (see {!Scenarios.cases}) — must catch it,
+   and the same flag must be invisible with combining off (the
+   injection hook is never read by eager installs).  Combining under
+   px86 is the same persist policy as combining alone, so it has no
+   cases of its own. *)
 let lost_batch =
   match Mutants.by_name "lost-batch" with
   | Some m -> m
@@ -136,15 +137,8 @@ let combine_suite =
     Alcotest.test_case "unmutated combining queue passes the crash corpus"
       `Quick (fun () ->
         test_correct_queue_passes ~combine:true ~what:"combining" ());
-    Alcotest.test_case "px86 combining queue passes the same corpus" `Quick
-      (fun () ->
-        test_correct_queue_passes ~combine:true ~persistency:px86
-          ~what:"px86 combining" ());
     Alcotest.test_case "mutant lost-batch is caught under combining" `Quick
       (test_mutant ~combine:true "lost-batch" lost_batch);
-    Alcotest.test_case "mutant lost-batch is caught under combining px86"
-      `Quick
-      (test_mutant ~combine:true ~persistency:px86 "lost-batch" lost_batch);
     Alcotest.test_case "mutant lost-batch is invisible with combining off"
       `Quick
       (fun () ->

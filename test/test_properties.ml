@@ -448,9 +448,9 @@ let prop_explore_counts =
 
 (* 13. Flush coalescing is persistence-equivalent to eager flushing: run
    one random single-threaded memory program against two heaps, one
-   flushing eagerly ([Heap.flush]; [drain] is a no-op) and one routing
-   every flush through the per-thread persist buffer
-   ([Heap.flush_coalesced]; [Heap.drain] retires it).  At every
+   flushing eagerly ([drain] is a no-op) and one created with
+   [~coalesce:true], whose [Heap.flush] routes every flush through the
+   per-thread persist buffer ([Heap.drain] retires it).  At every
    persistence point — each drain, each fence, and the end of the
    program — the persisted contents and the dirty-line set of the two
    heaps must coincide.  Between persistence points they legitimately
@@ -506,7 +506,7 @@ let prop_coalescing_matches_eager =
       (* Interpret the program on one heap; snapshot (dirty lines,
          persisted values) at every persistence point. *)
       let run ~coalesce =
-        let heap = Heap.create ~line_size () in
+        let heap = Heap.create ~line_size ~coalesce () in
         let cells = Array.init ncells (fun i -> Heap.alloc heap i) in
         let snapshots = ref [] in
         let snap () =
@@ -516,10 +516,6 @@ let prop_coalescing_matches_eager =
                 (Array.map (fun c -> c.Cell.persisted) cells) )
             :: !snapshots
         in
-        let flush c =
-          if coalesce then Heap.flush_coalesced heap cells.(c)
-          else Heap.flush heap cells.(c)
-        in
         List.iter
           (fun op ->
             match op with
@@ -527,7 +523,7 @@ let prop_coalescing_matches_eager =
             | MCas (c, v) ->
                 let cur = Heap.read heap cells.(c) in
                 ignore (Heap.cas heap cells.(c) ~expected:cur ~desired:v)
-            | MFlush c -> flush c
+            | MFlush c -> Heap.flush heap cells.(c)
             | MDrain ->
                 Heap.drain heap;
                 snap ()
