@@ -1143,15 +1143,9 @@ let crash_demo step evict_p show_trace =
     Q.prep_dequeue q ~tid:0;
     ignore (Q.exec_dequeue q ~tid:0)
   in
-  let trace =
-    if show_trace then
-      Some
-        (fun ~step ~tid desc -> Printf.printf "  [%3d] t%d: %s\n" step tid desc)
-    else None
-  in
-  let outcome =
-    Sim.run heap ~crash:(Sim.Crash_at_step step) ?trace ~threads:[ thread ]
-  in
+  let run () = Sim.run heap ~crash:(Sim.Crash_at_step step) ~threads:[ thread ] in
+  let outcome, entries = if show_trace then Trace.capture run else (run (), []) in
+  Format.printf "%a" Trace.pp_timeline entries;
   if not outcome.Sim.crashed then
     Printf.printf
       "no crash before the program finished (it takes fewer than %d steps);\n\
@@ -1188,7 +1182,7 @@ let crash_demo_cmd =
     Arg.(value & opt float 0.5 & info [ "evict" ] ~doc:"cache eviction probability")
   in
   let trace =
-    Arg.(value & flag & info [ "trace" ] ~doc:"print every memory event")
+    Arg.(value & flag & info [ "trace" ] ~doc:"print the run's event timeline")
   in
   Cmd.v
     (Cmd.info "crash-demo" ~doc:"crash a detectable program and resolve it")

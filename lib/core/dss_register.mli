@@ -1,19 +1,13 @@
 (** A detectable recoverable read/write register — [D<register>] with no
     recovery procedure and no auxiliary system state (Section 2.2's
-    base-object story) — in two observationally equivalent
-    implementations behind one signature:
-
-    - {!Make}: the {!Detectable} engine instantiated on the register
-      specification (the post-refactor default).
-    - {!Packed}: the original implementation packing [(value, writer,
-      seq)] provenance into single failure-atomic 64-bit words; kept as
-      the oracle for the engine-equivalence QCheck property
-      ([test/test_detectable.ml]) and as the bit-packing exemplar.
+    base-object story): the {!Detectable} engine instantiated on the
+    register specification.
 
     Writers {e help} persist the previous writer's completion before
     destroying its evidence, which is what keeps [resolve] sound across
-    overwrites.  Values are in [0 .. 2^40-1] (both implementations
-    enforce the {!Packed} word-packing range); at most 4096 threads. *)
+    overwrites.  Values are in [0 .. 2^40-1] (the range of the original
+    packed-word register, which the test suite keeps as the oracle of an
+    equivalence property); at most 4096 threads. *)
 
 module type S = sig
   type t
@@ -43,14 +37,12 @@ module type S = sig
   val resolve : t -> tid:int -> resolved
 
   val recover : t -> unit
-  (** Restores volatile sequence counters ({!Make}) or is a no-op
-      ({!Packed}); either way, no persistent repairs — detection state
-      is maintained inline by helping. *)
+  (** Restores volatile sequence counters; no persistent repairs —
+      detection state is maintained inline by helping. *)
 
   val stats : t -> Detectable_intf.stats
   (** Persistent footprint: one register word plus one X word per
-      thread, in both implementations. *)
+      thread. *)
 end
 
 module Make (M : Dssq_memory.Memory_intf.S) : S
-module Packed (M : Dssq_memory.Memory_intf.S) : S

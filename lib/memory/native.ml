@@ -52,40 +52,19 @@ let pad_for placement =
   | Some Line.Isolated -> Array.make !pad_words 0
   | Some Line.Packed | None -> [||]
 
-(** Attribution hooks for the observability layer, which sits {e above}
-    this library (the [trace_hook] inversion, below): [alloc_hook]
-    reports allocation-site names to the persistence heatmap,
-    [heat_hook]/[phase_hook] report persist events to the heatmap and
-    the phase profiler respectively.  Only the counted backends ({!Make})
-    consult the event hooks — the plain operations stay branch-free. *)
-type prof_event =
-  [ `Pwrite
-  | `Flush
-  | `Elide
-  | `Coalesce
-  | `Fence
-  | `Fence_elided
-  | `Evict
-  | `Drop ]
+module PE = Persist_event
 
-let alloc_hook : (name:string -> line:int -> unit) option ref = ref None
-let heat_hook : (prof_event -> line:int -> unit) option ref = ref None
-let phase_hook : (prof_event -> line:int -> unit) option ref = ref None
-
-let prof ev ~line =
-  (match !heat_hook with None -> () | Some f -> f ev ~line);
-  match !phase_hook with None -> () | Some f -> f ev ~line
-
-let noted_alloc name (line : Line.t) =
-  match !alloc_hook with
-  | Some f when name <> "" -> f ~name ~line:line.Line.id
-  | _ -> ()
+(* Allocation labels go to the stream only while someone listens, so the
+   element names of a block are built only then. *)
+let note_alloc name (line : Line.t) =
+  PE.emit Alloc ~tid:(PE.pinned_tid ()) ~cell:(-1) ~name ~line:line.Line.id
+    ~dirty:false
 
 let alloc ?(name = "") ?placement v =
   Mutex.lock alloc_lock;
   let line = Line.Alloc.place ?placement !allocator in
   Mutex.unlock alloc_lock;
-  noted_alloc name line;
+  if PE.is_on () then note_alloc name line;
   { v = Atomic.make v; line; pad = pad_for placement }
 
 let alloc_block ?(name = "") vs =
@@ -94,14 +73,13 @@ let alloc_block ?(name = "") vs =
   let lines = List.map (fun _ -> Line.Alloc.place !allocator) vs in
   Line.Alloc.align !allocator;
   Mutex.unlock alloc_lock;
-  (* Element names are built only for an installed hook. *)
-  (match !alloc_hook with
-  | Some f when name <> "" ->
-      List.iteri
-        (fun i (line : Line.t) ->
-          f ~name:(name ^ "[" ^ string_of_int i ^ "]") ~line:line.Line.id)
-        lines
-  | _ -> ());
+  if PE.is_on () then
+    List.iteri
+      (fun i line ->
+        note_alloc
+          (if name = "" then "" else name ^ "[" ^ string_of_int i ^ "]")
+          line)
+      lines;
   List.map2 (fun v line -> { v = Atomic.make v; line; pad = [||] }) vs lines
 
 let line_id c = c.line.Line.id
@@ -137,23 +115,9 @@ let drain () = ()
    keeps algorithms annotated with [drain] calls bit-for-bit identical
    to their pre-coalescing event streams on this backend. *)
 
-(** Event hook for the observability tracer.  The tracer lives in
-    [Dssq_obs], which depends on this library, so the dependency is
-    inverted: this side exposes a hook, [Dssq_obs.Trace.start] points it
-    at the active tracer.  Only the counted backends consult it — the
-    plain operations above stay branch-free. *)
-let trace_hook :
-    ([ `Read | `Write | `Cas | `Flush | `Fence ] ->
-    line:int ->
-    dirty:bool ->
-    unit)
-    option
-    ref =
-  ref None
-
 (** The counted native backend under one persist {!Memory_intf.Policy},
     for memory-event accounting on real domains — the native
-    counter/trace analogue of [Dssq_pmem.Heap] under the same policy.
+    counter/event-stream analogue of [Dssq_pmem.Heap] under the same policy.
     Generative: each instantiation owns a fresh set of counters, so
     concurrent harness runs do not share state.  Instrumentation is
     enabled by instantiating algorithm functors over this module instead
@@ -207,46 +171,43 @@ end)
     Domain.DLS.new_key (fun () ->
         { lines = Hashtbl.create 8; calls = 0; owed = false })
 
-  let traced kind c =
-    match !trace_hook with
-    | None -> ()
-    | Some f -> f kind ~line:(line_id c) ~dirty:(Line.is_dirty c.line)
+  (* Every counted operation tests {!PE.is_on} once and emits only when
+     someone listens.  Native cells have no id or name; the acting
+     thread is the pinned one. *)
+  let emit kind ~line ~dirty =
+    PE.emit kind ~tid:(PE.pinned_tid ()) ~cell:(-1) ~name:"" ~line ~dirty
 
-  let traced_fence () =
-    match !trace_hook with
-    | None -> ()
-    | Some f -> f `Fence ~line:(-1) ~dirty:false
+  let emit_cell kind c = emit kind ~line:(line_id c) ~dirty:(Line.is_dirty c.line)
 
-  let count_fence () =
+  (* One barrier absorbing [absorbed] buffered flush calls. *)
+  let count_fence ~on absorbed =
     P.incr c_fences;
-    prof `Fence ~line:(-1);
-    traced_fence ()
+    if on then emit (Fence absorbed) ~line:(-1) ~dirty:false
 
   (* Write the pending lines back (counter-wise): the semantic half of a
      drain, shared by explicit drains and the drain before a store.
      Pays nothing — the batched round-trip cost is charged once, at the
      explicit persistence-point drain (see [drain]). *)
-  let retire b =
+  let retire ~on b =
     if Hashtbl.length b.lines > 0 then begin
       let effective = ref 0 in
       Hashtbl.iter
-        (fun lid l ->
-          if Line.take_dirty l then begin
-            incr effective;
-            prof `Flush ~line:lid
-          end
-          else prof `Elide ~line:lid)
+        (fun _ (l : Line.t) ->
+          let written = Line.take_dirty l in
+          if written then incr effective;
+          if on then
+            emit
+              (Write_back { effective = written; adversary = false })
+              ~line:l.Line.id ~dirty:(Line.is_dirty l))
         b.lines;
       let skipped = Hashtbl.length b.lines - !effective in
       Hashtbl.reset b.lines;
       if !effective > 0 then ignore (P.fetch_and_add c_flushes !effective);
       if skipped > 0 then ignore (P.fetch_and_add c_elided skipped);
       ignore (P.fetch_and_add c_elided_fences (max 0 (b.calls - 1)));
-      for _ = 1 to max 0 (b.calls - 1) do
-        prof `Fence_elided ~line:(-1)
-      done;
+      let absorbed = b.calls in
       b.calls <- 0;
-      count_fence ()
+      count_fence ~on absorbed
     end
 
   (* One overlapped device round-trip plus one fence per persistence
@@ -255,7 +216,7 @@ end)
   let drain () =
     if not eager then begin
       let b = Domain.DLS.get key in
-      retire b;
+      retire ~on:(PE.is_on ()) b;
       if b.owed then begin
         b.owed <- false;
         Persist_cost.pay_flush ();
@@ -267,68 +228,69 @@ end)
     Hashtbl.replace b.lines line.Line.id line;
     b.owed <- true
 
-  let before_store () = if drains_before_store then retire (Domain.DLS.get key)
+  let before_store ~on =
+    if drains_before_store then retire ~on (Domain.DLS.get key)
 
   let after_store c =
     if enqueues_stores then enqueue (Domain.DLS.get key) c.line
 
   let read c =
     P.incr c_reads;
-    traced `Read c;
+    if PE.is_on () then emit_cell Read c;
     read c
 
   let write c v =
-    before_store ();
+    let on = PE.is_on () in
+    before_store ~on;
     P.incr c_writes;
     P.incr c_pwrites;
     write c v;
     after_store c;
-    prof `Pwrite ~line:(line_id c);
-    traced `Write c
+    if on then emit_cell Write c
 
   let cas c ~expected ~desired =
-    before_store ();
+    let on = PE.is_on () in
+    before_store ~on;
     P.incr c_cases;
     let hit = cas c ~expected ~desired in
     if hit then begin
       P.incr c_pwrites;
-      after_store c;
-      prof `Pwrite ~line:(line_id c)
+      after_store c
     end;
-    traced `Cas c;
+    if on then emit_cell (Cas hit) c;
     hit
 
-  let flush_buffered c =
+  let flush_buffered c : PE.flush =
     let b = Domain.DLS.get key in
-    let lid = line_id c in
-    if Hashtbl.mem b.lines lid then begin
+    if Hashtbl.mem b.lines (line_id c) then begin
       P.incr c_coalesced;
-      prof `Coalesce ~line:lid;
       b.calls <- b.calls + 1;
-      b.owed <- true
+      b.owed <- true;
+      Coalesced
     end
     else if Line.is_dirty c.line then begin
       enqueue b c.line;
-      b.calls <- b.calls + 1
+      b.calls <- b.calls + 1;
+      Buffered
     end
     else begin
       P.incr c_elided;
-      prof `Elide ~line:lid
+      Elided
     end
 
   let flush c =
-    if eager then begin
-      if flush_line c then begin
+    let outcome : PE.flush =
+      if not eager then flush_buffered c
+      else if flush_line c then begin
         P.incr c_flushes;
-        prof `Flush ~line:(line_id c)
+        Written_back
       end
       else begin
         P.incr c_elided;
-        prof `Elide ~line:(line_id c)
+        Elided
       end
-    end
-    else flush_buffered c;
-    traced `Flush c
+    in
+    if PE.is_on () then emit_cell (Flush outcome) c
 
   (* A fence with lines pending is the drain (one barrier, counted
      once), exactly as [Heap.fence]. *)
@@ -336,7 +298,7 @@ end)
     if (not eager) && Hashtbl.length (Domain.DLS.get key).lines > 0 then
       drain ()
     else begin
-      count_fence ();
+      count_fence ~on:(PE.is_on ()) 0;
       fence ()
     end
 

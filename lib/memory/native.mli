@@ -4,7 +4,9 @@
     flush/fence — per dirty {e line}: a flush of a clean line is free
     (elided) when the line size is >= 2.
     Crash semantics cannot be exercised here — that is the simulator
-    backend's job; this one is for wall-clock measurement. *)
+    backend's job; this one is for wall-clock measurement.  The plain
+    operations emit no {!Persist_event}s; allocations (named [name[i]]
+    within a block) and {!Make}'s operations do, while subscribed. *)
 
 module Line = Memory_intf.Line
 
@@ -35,10 +37,6 @@ val read : 'a cell -> 'a
 val write : 'a cell -> 'a -> unit
 val cas : 'a cell -> expected:'a -> desired:'a -> bool
 
-val flush_line : 'a cell -> bool
-(** {!flush}, returning whether a write-back actually happened ([false]
-    = elided: the line was clean and the line size >= 2). *)
-
 val flush : 'a cell -> unit
 val fence : unit -> unit
 
@@ -46,56 +44,15 @@ val drain : unit -> unit
 (** No-op: the plain backend writes back at every [flush].  See {!Make}
     for the buffering policies. *)
 
-val trace_hook :
-  ([ `Read | `Write | `Cas | `Flush | `Fence ] ->
-  line:int ->
-  dirty:bool ->
-  unit)
-  option
-  ref
-(** Event hook consulted by {!Make} on every memory operation, with
-    the target's persist-line identity and post-event line dirtiness
-    ([line = -1] for fences).  Installed/cleared by the tracer in
-    [Dssq_obs.Trace] (which depends on this library, hence the
-    inversion).  [None] — the default — costs one load and branch per
-    counted operation. *)
-
-type prof_event =
-  [ `Pwrite  (** store or successful CAS *)
-  | `Flush  (** effective write-back *)
-  | `Elide  (** clean-line flush, skipped *)
-  | `Coalesce  (** duplicate flush absorbed by a persist buffer *)
-  | `Fence
-  | `Fence_elided  (** fence folded into a buffered drain *)
-  | `Evict  (** unused here: crash verdicts are sim-only *)
-  | `Drop  (** unused here: crash verdicts are sim-only *) ]
-(** Attribution vocabulary shared with [Dssq_obs.Heatmap.event]
-    (structurally — this library sits below the observability layer). *)
-
-val alloc_hook : (name:string -> line:int -> unit) option ref
-(** Consulted by {!alloc}/{!alloc_block} for named cells: reports the
-    allocation-site name and persist-line id.  Installed by the
-    persistence heatmap ([Dssq_obs.Heatmap.start]). *)
-
-val heat_hook : (prof_event -> line:int -> unit) option ref
-(** Per-event attribution hook consulted by {!Make} at
-    every counter-bump site ([line = -1] for fences).  Installed by the
-    persistence heatmap.  Needed in addition to {!trace_hook} because
-    that one fires after the flush cleared line dirtiness and so cannot
-    distinguish effective from elided write-backs. *)
-
-val phase_hook : (prof_event -> line:int -> unit) option ref
-(** Same events as {!heat_hook}, consumed by the phase profiler
-    ([Dssq_obs.Profile.start]).  Separate hooks keep the two consumers'
-    lifecycles independent. *)
-
 module Make (Cfg : sig
   val policy : Memory_intf.Policy.t
 end)
 () : Memory_intf.COUNTED with type 'a cell = 'a cell
 (** The counted backend under one persist policy — the native
     counter/trace analogue of [Dssq_pmem.Heap] under the same
-    {!Memory_intf.Policy.t}.  Each instantiation owns fresh counters
+    {!Memory_intf.Policy.t}, emitting the same {!Persist_event}s as the
+    heap (cells anonymous, thread from {!Persist_event.pinned_tid}).
+    Each instantiation owns fresh counters
     (padded to line stride so the counters themselves do not
     false-share).  Under [Eager] every flush writes back (counting
     write-backs and elisions separately) and [drain] is a no-op.  Every

@@ -9,25 +9,12 @@
     and buckets labels by owning object (the name prefix before ['.'] or
     ['[']), so hot lines are rankable and attributable.
 
-    Zero-cost when off, by the same discipline as {!Trace}: every
-    emitter is guarded by {!is_on} (one load + one branch), the sim heap
-    calls the emitters directly, and the native Counted backends go
-    through the [heat_hook] this module installs ({!start}) — the
-    dependency inversion [Dssq_memory] already uses for [trace_hook].
-    Recording takes a mutex, acceptable for a measurement mode (same
-    argument as the tracer). *)
+    A subscriber of the {!Dssq_memory.Persist_event} stream, which both
+    backends emit into: {!start} subscribes, {!stop} unsubscribes, so
+    with the heatmap off nothing reaches it.  Recording takes a mutex,
+    acceptable for a measurement mode (same argument as the tracer). *)
 
-type event =
-  [ `Pwrite  (** a store or successful CAS mutated a word on the line *)
-  | `Flush  (** effective write-back of the line *)
-  | `Elide  (** flush of a clean line, skipped *)
-  | `Coalesce  (** duplicate flush absorbed by a persist buffer *)
-  | `Fence
-  | `Fence_elided
-  | `Evict  (** crash verdict: the dirty line survived to persistence *)
-  | `Drop  (** crash verdict: the dirty line was lost *) ]
-(** The shared attribution vocabulary ({!Profile.event} consumes the
-    same type).  Fences carry no line and are ignored here. *)
+module PE = Dssq_memory.Persist_event
 
 type row = {
   h_line : int;
@@ -51,10 +38,14 @@ type counts = {
   mutable drops : int;
 }
 
-let on = ref false
+let subscription = ref None
 let lock = Mutex.create ()
 let table : (int, counts) Hashtbl.t = Hashtbl.create 64
-let is_on () = !on
+let is_on () = !subscription <> None
+
+(* Lines already given a verdict by the crash in progress: the stream
+   carries one verdict per dirty cell, the heatmap counts one per line. *)
+let judged : (int, unit) Hashtbl.t = Hashtbl.create 16
 
 let slot line =
   match Hashtbl.find_opt table line with
@@ -74,31 +65,37 @@ let slot line =
       Hashtbl.add table line c;
       c
 
-(** Label line [line] with the allocation-site name of a cell placed on
-    it.  The first non-empty name wins: with co-located cells it is the
-    block's first member, which is the most recognizable. *)
-let note ~line ~name =
-  if !on && name <> "" && line >= 0 then begin
-    Mutex.lock lock;
-    let c = slot line in
-    if c.label = "" then c.label <- name;
-    Mutex.unlock lock
-  end
+let bump line f =
+  Mutex.lock lock;
+  f (slot line);
+  Mutex.unlock lock
 
-let record (ev : event) ~line =
-  if !on && line >= 0 then begin
-    Mutex.lock lock;
-    let c = slot line in
-    (match ev with
-    | `Pwrite -> c.writes <- c.writes + 1
-    | `Flush -> c.flushes <- c.flushes + 1
-    | `Elide -> c.elides <- c.elides + 1
-    | `Coalesce -> c.coalesces <- c.coalesces + 1
-    | `Evict -> c.evicts <- c.evicts + 1
-    | `Drop -> c.drops <- c.drops + 1
-    | `Fence | `Fence_elided -> ());
-    Mutex.unlock lock
-  end
+(* Fold one stream event into its line's row; events that touch no count
+   (reads, failed CAS, buffered flushes) create no row.  Allocation
+   labels: the first non-empty name wins — with co-located cells, the
+   block's first member, which is the most recognizable.  Fences carry
+   no line. *)
+let observe (ev : PE.t) =
+  let line = ev.line in
+  match ev.kind with
+  | Crashed -> Hashtbl.reset judged
+  | _ when line < 0 -> ()
+  | Alloc ->
+      if ev.name <> "" then
+        bump line (fun c -> if c.label = "" then c.label <- ev.name)
+  | Write | Cas true -> bump line (fun c -> c.writes <- c.writes + 1)
+  | Flush Written_back | Write_back { effective = true; _ } ->
+      bump line (fun c -> c.flushes <- c.flushes + 1)
+  | Flush Elided | Write_back { effective = false; _ } ->
+      bump line (fun c -> c.elides <- c.elides + 1)
+  | Flush Coalesced -> bump line (fun c -> c.coalesces <- c.coalesces + 1)
+  | Verdict evicted ->
+      if not (Hashtbl.mem judged line) then begin
+        Hashtbl.add judged line ();
+        bump line (fun c ->
+            if evicted then c.evicts <- c.evicts + 1 else c.drops <- c.drops + 1)
+      end
+  | Read | Cas false | Flush Buffered | Fence _ -> ()
 
 (* Owning-object bucket: the label prefix before the first ['.'] (the
    engine's [name.suffix] convention) or ['['] (announce and pool
@@ -135,16 +132,11 @@ let reset_counts () =
   Mutex.unlock lock
 
 let stop () =
-  on := false;
-  Dssq_memory.Native.alloc_hook := None;
-  Dssq_memory.Native.heat_hook := None
+  Option.iter PE.unsubscribe !subscription;
+  subscription := None
 
 let start () =
-  on := true;
-  (* The native backend sits below this library, so it exposes hooks we
-     point back here (the [trace_hook] pattern). *)
-  Dssq_memory.Native.alloc_hook := Some (fun ~name ~line -> note ~line ~name);
-  Dssq_memory.Native.heat_hook := Some (fun ev ~line -> record ev ~line)
+  if not (is_on ()) then subscription := Some (PE.subscribe observe)
 
 let rows () =
   Mutex.lock lock;

@@ -1,20 +1,8 @@
 (** Persistence heatmap: aggregates per-line write / flush / elide /
     coalesce / evict counts from both memory backends, labeled by
     allocation site and bucketed by owning object, so hot persist lines
-    are rankable.  All emitters are one load + one branch when off (the
-    {!Trace} discipline); see the implementation header for the hook
-    architecture. *)
-
-type event =
-  [ `Pwrite  (** store or successful CAS on the line *)
-  | `Flush  (** effective write-back *)
-  | `Elide  (** clean-line flush, skipped *)
-  | `Coalesce  (** duplicate flush absorbed by a persist buffer *)
-  | `Fence  (** ignored here (no line); consumed by {!Profile} *)
-  | `Fence_elided  (** ignored here; consumed by {!Profile} *)
-  | `Evict  (** crash verdict: dirty line survived to persistence *)
-  | `Drop  (** crash verdict: dirty line lost *) ]
-(** Shared attribution vocabulary, also consumed by {!Profile.event}. *)
+    are rankable.  A subscriber of the {!Dssq_memory.Persist_event}
+    stream while on; a crash's verdicts count once per line. *)
 
 type row = {
   h_line : int;
@@ -29,13 +17,11 @@ type row = {
 }
 
 val start : unit -> unit
-(** Enable aggregation and install the native backend's allocation and
-    event hooks.  Does not clear previously aggregated state — call
-    {!reset} for a fresh run. *)
+(** Enable aggregation: subscribe to the persist-event stream.  Does not
+    clear previously aggregated state — call {!reset} for a fresh run. *)
 
 val stop : unit -> unit
-(** Disable aggregation and detach the native hooks.  Aggregated rows
-    stay readable. *)
+(** Disable aggregation: unsubscribe.  Aggregated rows stay readable. *)
 
 val is_on : unit -> bool
 
@@ -45,15 +31,6 @@ val reset : unit -> unit
 val reset_counts : unit -> unit
 (** Zero the event counts but keep line labels — the post-construction
     measurement-window reset. *)
-
-val note : line:int -> name:string -> unit
-(** Label [line] with an allocation-site cell name (first non-empty name
-    wins).  The sim heap calls this from [alloc]; the native backend's
-    [alloc_hook] routes here. *)
-
-val record : event -> line:int -> unit
-(** Count one event against [line].  No-op when off, for fences, and for
-    negative lines. *)
 
 val rows : unit -> row list
 (** Aggregated rows, ascending by line id. *)

@@ -14,20 +14,20 @@
 
     Per-thread phase slots make attribution correct under the
     simulator's interleaving: each simulated thread carries its own
-    current phase, and the heap charges each event to the thread the
-    scheduler is stepping ([Heap.cur_tid]).  On the native backend
-    events resolve their thread through {!Trace.current_tid}, which the
-    profiled zoo runner pins per worker.
+    current phase, and each event of the {!Dssq_memory.Persist_event}
+    stream — which the profiler subscribes to while on — is charged to
+    the thread the event names: the one the scheduler is stepping on
+    the sim heap, the pinned worker on the native backend.
 
     Span latency is wall-clock: real per-phase cost on the native
     backend; on the simulator it includes interleaved steps of other
     threads, so treat sim latencies as relative weights, not absolutes.
 
-    Costs nothing when off: every entry point is one load + one branch,
-    {!begin_span} returns a shared dummy span (no allocation), and no
-    instrumented call site ever touches backend memory — event streams
-    and counters are bit-for-bit identical whether profiling is on or
-    off. *)
+    Costs nothing when off: every span entry point is one load + one
+    branch, {!begin_span} returns a shared dummy span (no allocation), no
+    event reaches an unsubscribed profiler, and no instrumented call
+    site ever touches backend memory — event streams and counters are
+    bit-for-bit identical whether profiling is on or off. *)
 
 type phase =
   | Announce
@@ -73,8 +73,8 @@ type span = { sp_phase : int; sp_prev : int; sp_t0 : float }
    even if profiling was switched on in between. *)
 let dummy_span = { sp_phase = other_index; sp_prev = other_index; sp_t0 = 0. }
 
-let on = ref false
-let is_on () = !on
+let subscription = ref None
+let is_on () = !subscription <> None
 let lock = Mutex.create ()
 
 (* Per-thread current phase, indexed by [tid + 1] ([-1] = system
@@ -120,7 +120,7 @@ let reset () =
   Mutex.unlock lock
 
 let begin_span ~tid phase =
-  if not !on then dummy_span
+  if not (is_on ()) then dummy_span
   else begin
     Mutex.lock lock;
     let idx = slot_index tid in
@@ -132,7 +132,7 @@ let begin_span ~tid phase =
   end
 
 let end_span ~tid sp =
-  if !on && sp != dummy_span then begin
+  if is_on () && sp != dummy_span then begin
     let dt_ns = (Unix.gettimeofday () -. sp.sp_t0) *. 1e9 in
     Mutex.lock lock;
     let idx = slot_index tid in
@@ -142,39 +142,32 @@ let end_span ~tid sp =
     Mutex.unlock lock
   end
 
-let current_phase ~tid =
+let charge ?(n = 1) counts tid =
   Mutex.lock lock;
   let p = !slots.(slot_index tid) in
-  Mutex.unlock lock;
-  List.nth phases p
+  counts.(p) <- counts.(p) + n;
+  Mutex.unlock lock
 
-let event ~tid (ev : Heatmap.event) =
-  if !on then begin
-    Mutex.lock lock;
-    let p = !slots.(slot_index tid) in
-    (match ev with
-    | `Pwrite -> pwrites.(p) <- pwrites.(p) + 1
-    | `Flush -> flushes.(p) <- flushes.(p) + 1
-    | `Elide -> elides.(p) <- elides.(p) + 1
-    | `Coalesce -> coalesces.(p) <- coalesces.(p) + 1
-    | `Fence -> fences.(p) <- fences.(p) + 1
-    | `Fence_elided -> elided_fences.(p) <- elided_fences.(p) + 1
-    | `Evict | `Drop -> () (* crash verdicts are the heatmap's *));
-    Mutex.unlock lock
-  end
+(* Fold one stream event into its thread's current phase.  Crash
+   verdicts, reads and allocations are not persist traffic here. *)
+let observe (ev : Dssq_memory.Persist_event.t) =
+  match ev.kind with
+  | Write | Cas true -> charge pwrites ev.tid
+  | Flush Written_back | Write_back { effective = true; _ } -> charge flushes ev.tid
+  | Flush Elided | Write_back { effective = false; _ } -> charge elides ev.tid
+  | Flush Coalesced -> charge coalesces ev.tid
+  | Fence absorbed ->
+      charge fences ev.tid;
+      charge elided_fences ev.tid ~n:(max 0 (absorbed - 1))
+  | Read | Cas false | Flush Buffered | Verdict _ | Crashed | Alloc -> ()
 
 let stop () =
-  on := false;
-  Dssq_memory.Native.phase_hook := None
+  Option.iter Dssq_memory.Persist_event.unsubscribe !subscription;
+  subscription := None
 
 let start () =
-  on := true;
-  (* Same inversion as [Trace]/[Heatmap]: the native Counted backends
-     report events through a hook this side points back here.  Thread
-     identity comes from the tracer's tid pin, which profiled native
-     runs set per worker. *)
-  Dssq_memory.Native.phase_hook :=
-    Some (fun ev ~line:_ -> event ~tid:(Trace.current_tid ()) ev)
+  if not (is_on ()) then
+    subscription := Some (Dssq_memory.Persist_event.subscribe observe)
 
 (* ------------------------------ reporting ----------------------------- *)
 

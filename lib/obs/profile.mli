@@ -29,12 +29,11 @@ type span
     {!end_span}.  A shared dummy (no allocation) while off. *)
 
 val start : unit -> unit
-(** Enable profiling and install the native backend's event hook.  Does
-    not clear prior state — call {!reset} for a fresh run. *)
+(** Enable profiling: subscribe to the persist-event stream.  Does not
+    clear prior state — call {!reset} for a fresh run. *)
 
 val stop : unit -> unit
-(** Disable profiling and detach the hook; accumulated rows stay
-    readable. *)
+(** Disable profiling: unsubscribe; accumulated rows stay readable. *)
 
 val is_on : unit -> bool
 
@@ -48,14 +47,6 @@ val begin_span : tid:int -> phase -> span
 val end_span : tid:int -> span -> unit
 (** Close the span: restore the previous phase and record the span's
     wall time in the phase's latency histogram. *)
-
-val current_phase : tid:int -> phase
-
-val event : tid:int -> Heatmap.event -> unit
-(** Charge one persist event to [tid]'s current phase.  The sim heap
-    calls this directly with its stepping tid; the native backends route
-    through the installed hook.  Crash verdicts ([`Evict]/[`Drop]) are
-    ignored (they belong to the heatmap). *)
 
 type phase_row = {
   ph_phase : string;

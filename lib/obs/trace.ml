@@ -9,15 +9,18 @@
       thread's activity, which is the part that explains a crash;
     - a single mutex serializes emission.  On the cooperative simulator
       there is no contention at all; on the native backend tracing is a
-      debugging mode, not a measurement mode, so the lock is acceptable. *)
+      debugging mode, not a measurement mode, so the lock is acceptable;
+    - memory events come from the {!Dssq_memory.Persist_event} stream,
+      which {!start} subscribes to; threads are still attributed by the
+      tracer's own register ({!set_tid}). *)
 
-type mem_op = [ `Read | `Write | `Cas | `Flush | `Fence ]
+module PE = Dssq_memory.Persist_event
 
 type event =
   | Op_begin of { op : string; args : string }
   | Op_end of { op : string; result : string }
   | Mem of {
-      op : mem_op;
+      op : [ `Read | `Write | `Cas | `Flush | `Fence ];
       cell : int;
       cell_name : string;
       line : int;
@@ -42,6 +45,8 @@ type t = {
   mutable rings : ring option array; (* index = tid + 1; grown on demand *)
   mutable seq : int;
   lock : Mutex.t;
+  mutable verdicts : (int * string * bool) list;
+      (* the crash in progress, newest first *)
 }
 
 let dummy_entry = { seq = 0; ts_ns = 0.; tid = -1; event = Recovery_begin }
@@ -76,7 +81,6 @@ let cur_tid = ref (-1)
 let is_on () = !sink != noop
 let active () = !active_tracer
 let set_tid tid = cur_tid := tid
-let current_tid () = !cur_tid
 
 let ring_for t tid =
   let idx = tid + 1 in
@@ -108,24 +112,45 @@ let record t event =
     { seq; ts_ns = Unix.gettimeofday () *. 1e9; tid; event };
   Mutex.unlock t.lock
 
+(* Every flush call is a flush entry, and so is each write-back a drain
+   actually performs; elided write-backs and the crash adversary's
+   asynchronous ones are not recorded.  A crash's verdicts become one
+   entry. *)
+let observe t (ev : PE.t) =
+  let mem op =
+    record t
+      (Mem { op; cell = ev.cell; cell_name = ev.name; line = ev.line; dirty = ev.dirty })
+  in
+  match ev.kind with
+  | Read -> mem `Read
+  | Write -> mem `Write
+  | Cas _ -> mem `Cas
+  | Flush _ | Write_back { effective = true; adversary = false } -> mem `Flush
+  | Fence _ -> mem `Fence
+  | Verdict evicted -> t.verdicts <- (ev.cell, ev.name, evicted) :: t.verdicts
+  | Crashed ->
+      record t (Crash { verdicts = List.rev t.verdicts });
+      t.verdicts <- []
+  | Write_back _ | Alloc -> ()
+
+let subscription = ref None
+
 let stop () =
   sink := noop;
   active_tracer := None;
   cur_tid := -1;
-  Dssq_memory.Native.trace_hook := None
+  Option.iter PE.unsubscribe !subscription;
+  subscription := None
 
 let start ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.start: capacity must be positive";
   stop ();
-  let t = { capacity; rings = Array.make 8 None; seq = 0; lock = Mutex.create () } in
+  let t =
+    { capacity; rings = Array.make 8 None; seq = 0; lock = Mutex.create (); verdicts = [] }
+  in
   active_tracer := Some t;
   sink := record t;
-  (* The native Counted backend cannot depend on this library (it sits
-     below it), so it exposes a hook that we point back here. *)
-  Dssq_memory.Native.trace_hook :=
-    Some
-      (fun op ~line ~dirty ->
-        record t (Mem { op; cell = -1; cell_name = ""; line; dirty }));
+  subscription := Some (PE.subscribe (observe t));
   t
 
 (* ----------------------------- emitters ------------------------------- *)
@@ -133,10 +158,6 @@ let start ?(capacity = 4096) () =
 let op_begin op ~args = if is_on () then !sink (Op_begin { op; args })
 let op_end op ~result = if is_on () then !sink (Op_end { op; result })
 
-let mem op ~cell ~name ~line ~dirty =
-  if is_on () then !sink (Mem { op; cell; cell_name = name; line; dirty })
-
-let crash ~verdicts = if is_on () then !sink (Crash { verdicts })
 let recovery_begin () = if is_on () then !sink Recovery_begin
 let recovery_end () = if is_on () then !sink Recovery_end
 let resolve ~outcome = if is_on () then !sink (Resolve { outcome })
@@ -184,7 +205,7 @@ let capture ?capacity f =
 
 (* ------------------------------ rendering ----------------------------- *)
 
-let mem_op_name : mem_op -> string = function
+let mem_op_name = function
   | `Read -> "read"
   | `Write -> "write"
   | `Cas -> "cas"

@@ -8,21 +8,25 @@
     the uninstrumented hot path.  Buffers are bounded and drop the oldest
     entry on overflow (counting drops), so a tracer can stay attached to
     an arbitrarily long run and always hold the most recent window —
-    which is the part that explains a crash. *)
+    which is the part that explains a crash.
 
-type mem_op = [ `Read | `Write | `Cas | `Flush | `Fence ]
+    Memory events, crash verdicts included, come from the
+    {!Dssq_memory.Persist_event} stream, which an active tracer
+    subscribes to. *)
 
 type event =
   | Op_begin of { op : string; args : string }
   | Op_end of { op : string; result : string }
   | Mem of {
-      op : mem_op;
+      op : [ `Read | `Write | `Cas | `Flush | `Fence ];
       cell : int;
       cell_name : string;
       line : int;
       dirty : bool;
     }
-      (** one memory event; [line] is the persist line the cell lives in
+      (** one memory event, projected from the persist-event stream (a
+          [`Flush] per flush call plus one per write-back a drain
+          performs); [line] is the persist line the cell lives in
           (what a flush writes back and a crash evicts as a unit);
           [dirty] is the cell's dirtiness {e after} the event ([cell =
           -1] when the backend has no cell identity, e.g. the native
@@ -42,33 +46,26 @@ type entry = { seq : int; ts_ns : float; tid : int; event : event }
 type t
 
 val start : ?capacity:int -> unit -> t
-(** Install a fresh tracer as the active sink and return it.  [capacity]
-    (default 4096) bounds each per-thread ring.  Also attaches the native
-    backend's counted-memory hook.  Stops any previously active tracer
+(** Install a fresh tracer as the active sink, subscribe it to the
+    persist-event stream, and return it.  [capacity] (default 4096)
+    bounds each per-thread ring.  Stops any previously active tracer
     first. *)
 
 val stop : unit -> unit
-(** Detach the active tracer (its recorded entries stay readable). *)
+(** Detach the active tracer and its stream subscription (its recorded
+    entries stay readable). *)
 
 val is_on : unit -> bool
 val active : unit -> t option
-
-val sink : (event -> unit) ref
-(** The emission point.  Physically equal to a no-op closure while
-    tracing is off; {!start}/{!stop} swap it. *)
 
 val set_tid : int -> unit
 (** Set the thread id attributed to subsequent events ([-1] = system);
     the sim scheduler calls this at every step. *)
 
-val current_tid : unit -> int
-
 (** Typed emitters.  All are no-ops (and build no event) when off. *)
 
 val op_begin : string -> args:string -> unit
 val op_end : string -> result:string -> unit
-val mem : mem_op -> cell:int -> name:string -> line:int -> dirty:bool -> unit
-val crash : verdicts:(int * string * bool) list -> unit
 val recovery_begin : unit -> unit
 val recovery_end : unit -> unit
 val resolve : outcome:string -> unit

@@ -13,11 +13,13 @@
     How flushes reach the persistence domain is one resolved
     {!Policy.t}: under [Eager] a flush writes back at once; under every
     other policy it enters the issuing thread's FIFO persist buffer, and
-    drains write buffers back oldest first. *)
+    drains write buffers back oldest first.
 
-module Trace = Dssq_obs.Trace
-module Heatmap = Dssq_obs.Heatmap
-module Profile = Dssq_obs.Profile
+    Every event is emitted once to the {!Dssq_memory.Persist_event}
+    stream, tagged with the acting thread ([cur_tid]); with no subscriber
+    each operation pays one load and one branch. *)
+
+module PE = Dssq_memory.Persist_event
 module Line = Dssq_memory.Memory_intf.Line
 module Persistency = Dssq_memory.Memory_intf.Persistency
 module Policy = Dssq_memory.Memory_intf.Policy
@@ -107,7 +109,8 @@ let alloc t ?(name = "") ?placement v =
   | None ->
       Hashtbl.add t.lines lid line;
       Hashtbl.add t.line_members lid (ref [ Cell.Packed cell ]));
-  if Heatmap.is_on () then Heatmap.note ~line:lid ~name;
+  if PE.is_on () then
+    PE.emit Alloc ~tid:t.cur_tid ~cell:cell.Cell.id ~name ~line:lid ~dirty:false;
   cell
 
 (** Co-located cells: the block starts at a fresh line boundary and the
@@ -133,23 +136,16 @@ let members t (l : Line.t) =
   | Some members -> !members
   | None -> []
 
-(* Direct application of memory operations to the heap.  Each operation
-   reports itself to the tracer (a load + branch when tracing is off);
-   the dirtiness recorded is the cell's state AFTER the event, so a
-   trace shows exactly which lines a crash can lose. *)
+(* A cell event, with the cell's dirtiness AFTER the event, so a trace
+   shows exactly which lines a crash can lose.  Callers test
+   [PE.is_on] first. *)
+let emit t kind (c : 'a Cell.t) =
+  PE.emit kind ~tid:t.cur_tid ~cell:c.Cell.id ~name:c.Cell.name
+    ~line:c.Cell.line.Line.id ~dirty:c.Cell.dirty
 
-let traced op (c : 'a Cell.t) =
-  if Trace.is_on () then
-    Trace.mem op ~cell:c.Cell.id ~name:c.Cell.name
-      ~line:c.Cell.line.Line.id ~dirty:c.Cell.dirty
-
-(* Attribution of persist events: per-line to the heatmap, per-phase
-   (keyed by the thread the scheduler is stepping) to the profiler.
-   Both off by default — one load + branch each, the tracer's cost
-   discipline. *)
-let attrib t ev ~line =
-  if Heatmap.is_on () then Heatmap.record ev ~line;
-  if Profile.is_on () then Profile.event ~tid:t.cur_tid ev
+(* A cell-less event: a fence or the end of a crash. *)
+let emit_system t kind =
+  PE.emit kind ~tid:t.cur_tid ~cell:(-1) ~name:"" ~line:(-1) ~dirty:false
 
 (* Write the whole line back: every dirty member persists in the one
    write-back (CLWB acts on the full cache line). *)
@@ -190,19 +186,19 @@ let buffered (f : fifo) (line : Line.t) = List.memq line f.entries
 let to_tail (f : fifo) (line : Line.t) =
   f.entries <- line :: List.filter (fun l -> l != line) f.entries
 
-let write_back t (line : Line.t) =
-  let lid = line.Line.id in
-  if Line.take_dirty line then begin
+(* A line leaving a persist buffer, reported under the line's most
+   recently allocated member. *)
+let write_back t ~on ~adversary (line : Line.t) =
+  let effective = Line.take_dirty line in
+  if effective then begin
     t.stats.flushes <- t.stats.flushes + 1;
-    attrib t `Flush ~line:lid;
-    persist_line t line;
-    true
+    persist_line t line
   end
-  else begin
-    t.stats.elided_flushes <- t.stats.elided_flushes + 1;
-    attrib t `Elide ~line:lid;
-    false
-  end
+  else t.stats.elided_flushes <- t.stats.elided_flushes + 1;
+  if on then
+    match members t line with
+    | Cell.Packed m :: _ -> emit t (Write_back { effective; adversary }) m
+    | [] -> ()
 
 (* Buffered flush: record the cell's line in the current thread's FIFO
    instead of writing it back now.  A line already buffered is
@@ -211,53 +207,43 @@ let write_back t (line : Line.t) =
    always-charge rule of the eager flush exists only to reproduce the
    legacy eager cost model.  Volatile and persisted state are untouched:
    the line stays dirty until the drain. *)
-let flush_buffered t (c : 'a Cell.t) =
+let flush_buffered t (c : 'a Cell.t) : PE.flush =
   let line = c.Cell.line in
   let f = fifo t t.cur_tid in
   if buffered f line then begin
     t.stats.coalesced_flushes <- t.stats.coalesced_flushes + 1;
     f.calls <- f.calls + 1;
     if Policy.enqueues_stores t.policy then to_tail f line;
-    attrib t `Coalesce ~line:line.Line.id
+    Coalesced
   end
   else if Line.is_dirty line then begin
     f.entries <- line :: f.entries;
-    f.calls <- f.calls + 1
+    f.calls <- f.calls + 1;
+    Buffered
   end
   else begin
     t.stats.elided_flushes <- t.stats.elided_flushes + 1;
-    attrib t `Elide ~line:line.Line.id
-  end;
-  traced `Flush c
+    Elided
+  end
 
 (** Drain the current thread's persist buffer: write every buffered line
     back in FIFO order and fence once.  Counts one effective flush per
     line that is still dirty (a concurrent drain may have beaten us to a
     shared line), one fence for the barrier, and [k-1] elided fences for
     the [k] flush calls the barrier absorbed. *)
-let drain t =
+let drain_fifo t ~on =
   match Hashtbl.find_opt t.fifos t.cur_tid with
   | None | Some { entries = []; _ } -> ()
   | Some f ->
       let fifo = List.rev f.entries and calls = f.calls in
       f.entries <- [];
       f.calls <- 0;
-      List.iter
-        (fun line ->
-          if write_back t line && Trace.is_on () then
-            match members t line with
-            | Cell.Packed m :: _ -> traced `Flush m
-            | [] -> ())
-        fifo;
+      List.iter (write_back t ~on ~adversary:false) fifo;
       t.stats.fences <- t.stats.fences + 1;
       t.stats.elided_fences <- t.stats.elided_fences + max 0 (calls - 1);
-      attrib t `Fence ~line:(-1);
-      if Profile.is_on () then
-        for _ = 1 to max 0 (calls - 1) do
-          Profile.event ~tid:t.cur_tid `Fence_elided
-        done;
-      if Trace.is_on () then
-        Trace.mem `Fence ~cell:(-1) ~name:"" ~line:(-1) ~dirty:false
+      if on then emit_system t (Fence calls)
+
+let drain t = drain_fifo t ~on:(PE.is_on ())
 
 (* What a store does to the storing thread's buffer, before it applies.
    [Coalesced]: complete the pending flushes first — folding the drain
@@ -266,7 +252,8 @@ let drain t =
    evicting every pending line at a crash before this step.  Every other
    policy leaves the buffer alone: under [Px86] and [Combine] the
    decoupling of persist order from store order is the model. *)
-let before_store t = if Policy.drains_before_store t.policy then drain t
+let before_store t ~on =
+  if Policy.drains_before_store t.policy then drain_fifo t ~on
 
 (* ... and after it applies.  [Combine] runs under buffered strict
    persistency (Pelley et al.'s strict model with asynchronous
@@ -288,8 +275,10 @@ let adversary_drain t ~tid ~count =
   match Hashtbl.find_opt t.fifos tid with
   | Some f when count > 0 ->
       let fifo = List.rev f.entries in
+      let on = PE.is_on () in
       List.iteri
-        (fun i line -> if i < count then ignore (write_back t line : bool))
+        (fun i line ->
+          if i < count then write_back t ~on ~adversary:true line)
         fifo;
       f.entries <- List.rev (List.filteri (fun i _ -> i >= count) fifo)
   | _ -> ()
@@ -313,22 +302,23 @@ let pending_fifos t =
 
 let read t (c : 'a Cell.t) : 'a =
   t.stats.reads <- t.stats.reads + 1;
-  traced `Read c;
+  if PE.is_on () then emit t Read c;
   c.volatile
 
 let write t (c : 'a Cell.t) (v : 'a) =
-  before_store t;
+  let on = PE.is_on () in
+  before_store t ~on;
   t.stats.writes <- t.stats.writes + 1;
   t.stats.pwrites <- t.stats.pwrites + 1;
   c.volatile <- v;
   c.dirty <- true;
   Line.mark_dirty c.line;
   after_store t c.line;
-  attrib t `Pwrite ~line:c.line.Line.id;
-  traced `Write c
+  if on then emit t Write c
 
 let cas t (c : 'a Cell.t) ~(expected : 'a) ~(desired : 'a) =
-  before_store t;
+  let on = PE.is_on () in
+  before_store t ~on;
   t.stats.cases <- t.stats.cases + 1;
   let hit =
     if Cell.value_equal c.volatile expected then begin
@@ -337,28 +327,29 @@ let cas t (c : 'a Cell.t) ~(expected : 'a) ~(desired : 'a) =
       c.dirty <- true;
       Line.mark_dirty c.line;
       after_store t c.line;
-      attrib t `Pwrite ~line:c.line.Line.id;
       true
     end
     else false
   in
-  traced `Cas c;
+  if on then emit t (Cas hit) c;
   hit
 
-let flush_eager t (c : 'a Cell.t) =
+let flush_eager t (c : 'a Cell.t) : PE.flush =
   if Line.flush_effective c.Cell.line then begin
     t.stats.flushes <- t.stats.flushes + 1;
-    attrib t `Flush ~line:c.Cell.line.Line.id;
-    persist_line t c.Cell.line
+    persist_line t c.Cell.line;
+    Written_back
   end
   else begin
     t.stats.elided_flushes <- t.stats.elided_flushes + 1;
-    attrib t `Elide ~line:c.Cell.line.Line.id
-  end;
-  traced `Flush c
+    Elided
+  end
 
 let flush t c =
-  if t.policy = Policy.Eager then flush_eager t c else flush_buffered t c
+  let outcome =
+    if t.policy = Policy.Eager then flush_eager t c else flush_buffered t c
+  in
+  if PE.is_on () then emit t (Flush outcome) c
 
 (** Whether flushing [c] now would write its line back, without changing
     any state — asked by cost models before the flush applies.  A
@@ -371,9 +362,7 @@ let fence t =
   if pending_for t ~tid:t.cur_tid then drain t
   else begin
     t.stats.fences <- t.stats.fences + 1;
-    attrib t `Fence ~line:(-1);
-    if Trace.is_on () then
-      Trace.mem `Fence ~cell:(-1) ~name:"" ~line:(-1) ~dirty:false
+    if PE.is_on () then emit_system t (Fence 0)
   end
 
 let dirty_count t =
@@ -416,25 +405,14 @@ let crash_candidate_lines t =
    Afterwards volatile state equals persisted state everywhere, which is
    what recovery code and restarted threads observe. *)
 let crash_by_line t ~verdict =
-  let verdicts = ref [] in
-  (* The heatmap wants one Evict/Drop per line, but this walk visits
-     every dirty cell — dedup by line id, allocating only when on. *)
-  let seen = if Heatmap.is_on () then Some (Hashtbl.create 16) else None in
+  let on = PE.is_on () in
   List.iter
     (fun (Cell.Packed c) ->
       if c.dirty then begin
         let evicted = verdict c.line.Line.id in
         if evicted then c.persisted <- c.volatile else c.volatile <- c.persisted;
         c.dirty <- false;
-        (match seen with
-        | Some seen ->
-            let lid = c.line.Line.id in
-            if not (Hashtbl.mem seen lid) then begin
-              Hashtbl.add seen lid ();
-              Heatmap.record (if evicted then `Evict else `Drop) ~line:lid
-            end
-        | None -> ());
-        if Trace.is_on () then verdicts := (c.id, c.name, evicted) :: !verdicts
+        if on then emit t (Verdict evicted) c
       end)
     t.cells;
   Hashtbl.iter (fun _ l -> Atomic.set l.Line.dirty false) t.lines;
@@ -443,7 +421,7 @@ let crash_by_line t ~verdict =
      were still dirty, so the per-line verdicts above already decided
      their fate). *)
   Hashtbl.reset t.fifos;
-  if Trace.is_on () then Trace.crash ~verdicts:(List.rev !verdicts)
+  if on then emit_system t Crashed
 
 (** Crash with one [evict] draw per dirty line, drawn in the order lines
     are first encountered walking [t.cells] (most recent first); at line

@@ -103,13 +103,6 @@ let step t tid =
       info
   | Waiting (Done _) -> assert false
 
-(** Pending operation of a suspended thread, for traces. *)
-let pending_op t tid =
-  match t.threads.(tid) with
-  | Waiting (Paused (op, _)) -> Some (Sim_op.describe op)
-  | Fresh _ -> Some "start"
-  | _ -> None
-
 (** Cost class of the thread's next step, for the throughput model. *)
 let pending_kind t tid =
   match t.threads.(tid) with

@@ -36,9 +36,6 @@ val step : t -> int -> step_info
 (** Execute one atomic step of the given thread: start it (running to its
     first memory event) or apply its pending event and run to the next. *)
 
-val pending_op : t -> int -> string option
-(** Description of the thread's next event (traces). *)
-
 val pending_kind : t -> int -> Sim_op.kind option
 (** Cost class of the thread's next event. *)
 

@@ -97,7 +97,7 @@ let pick_round_robin last runnable =
   | [] -> List.hd runnable
 
 let run ?(policy = Round_robin) ?(crash = No_crash) ?(max_steps = 1_000_000)
-    ?trace heap ~threads =
+    heap ~threads =
   let machine = Machine.create heap threads in
   let n = Machine.nthreads machine in
   let rng =
@@ -160,11 +160,6 @@ let run ?(policy = Round_robin) ?(crash = No_crash) ?(max_steps = 1_000_000)
           (* Attribute the memory events of this step (emitted from
              [Heap]) to the scheduled thread. *)
           Dssq_obs.Trace.set_tid tid;
-          (match trace with
-          | Some f ->
-              f ~step:step_index ~tid
-                (Option.value ~default:"?" (Machine.pending_op machine tid))
-          | None -> ());
           ignore (Machine.step machine tid : Machine.step_info)
         end
       done;

@@ -61,13 +61,12 @@ val run :
   ?policy:policy ->
   ?crash:crash_plan ->
   ?max_steps:int ->
-  ?trace:(step:int -> tid:int -> string -> unit) ->
   Heap.t ->
   threads:(unit -> unit) list ->
   outcome
 (** Run the threads to completion, crash, or [max_steps] (default 10^6 —
-    exceeding it raises, catching livelocks).  [trace] is called before
-    each step with a description of the memory event about to execute. *)
+    exceeding it raises, catching livelocks).  Each step's events are
+    attributed to the stepped thread in an active [Dssq_obs.Trace]. *)
 
 val apply_crash : Heap.t -> evict_p:float -> seed:int -> unit
 (** Apply crash semantics to the heap: every dirty cell independently

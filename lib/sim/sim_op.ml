@@ -76,12 +76,3 @@ let flush_pending : type a. Heap.t -> a t -> bool option =
  fun heap -> function
   | Flush c -> Some (Heap.flush_pending heap c)
   | Read _ | Write _ | Cas _ | Drain | Fence | Yield -> None
-
-let describe : type a. a t -> string = function
-  | Read c -> Printf.sprintf "read %s#%d" c.Cell.name c.Cell.id
-  | Write (c, _) -> Printf.sprintf "write %s#%d" c.Cell.name c.Cell.id
-  | Cas (c, _, _) -> Printf.sprintf "cas %s#%d" c.Cell.name c.Cell.id
-  | Flush c -> Printf.sprintf "flush %s#%d" c.Cell.name c.Cell.id
-  | Drain -> "drain"
-  | Fence -> "fence"
-  | Yield -> "yield"

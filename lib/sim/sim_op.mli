@@ -34,5 +34,3 @@ val flush_pending : Heap.t -> 'a t -> bool option
 (** For a [Flush], whether it would actually write back or buffer its
     line ([Some false] = the flush will be elided); [None] for other
     events.  Must be asked before the event applies. *)
-
-val describe : 'a t -> string

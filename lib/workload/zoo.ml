@@ -364,7 +364,7 @@ let profile_one ?(pairs = 200) ?(line_size = 1) ?(coalesce = false)
 let profile_one_native ?(pairs = 200) ?(line_size = 1) ?(coalesce = false)
     ?(combine = false) ?(persistency = MI.Persistency.Sc) name =
   let module Native = Dssq_memory.Native in
-  let module Trace = Dssq_obs.Trace in
+  let module PE = Dssq_memory.Persist_event in
   with_attribution (fun () ->
       Native.set_line_size line_size;
       let measure (module C : MI.COUNTED) =
@@ -377,10 +377,10 @@ let profile_one_native ?(pairs = 200) ?(line_size = 1) ?(coalesce = false)
            per-worker tid keeps the profiler's thread slots honest. *)
         List.iteri
           (fun tid th ->
-            Trace.set_tid tid;
+            PE.pin_tid tid;
             th ())
           r.r_threads;
-        Trace.set_tid (-1);
+        PE.pin_tid (-1);
         C.drain ();
         r.r_recover ();
         {

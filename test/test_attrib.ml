@@ -10,12 +10,17 @@ module Profile = Dssq_obs.Profile
 module Prom = Dssq_obs.Prom
 module Zoo = Dssq_workload.Zoo
 module MI = Dssq_memory.Memory_intf
+module PE = Dssq_memory.Persist_event
 
 (* --------------------------- heatmap invariants ----------------------- *)
 
+let emit ?(name = "") kind ~line =
+  PE.emit kind ~tid:0 ~cell:(-1) ~name ~line ~dirty:false
+
 (* Index-coded events so QCheck can print counterexamples. *)
 let line_events =
-  [| `Pwrite; `Flush; `Elide; `Coalesce; `Evict; `Drop |]
+  PE.[| Write; Flush Written_back; Flush Elided; Flush Coalesced;
+        Verdict true; Verdict false |]
 
 let prop_heatmap_sums =
   QCheck.Test.make ~count:200
@@ -26,8 +31,12 @@ let prop_heatmap_sums =
     (fun evs ->
       Heatmap.reset ();
       Heatmap.start ();
+      (* every verdict closes its own crash: within one crash the
+         heatmap counts a line's verdict once *)
       List.iter
-        (fun (line, i) -> Heatmap.record line_events.(i) ~line)
+        (fun (line, i) ->
+          emit line_events.(i) ~line;
+          if i >= 4 then emit Crashed ~line:(-1))
         evs;
       Heatmap.stop ();
       let rows = Heatmap.rows () in
@@ -43,14 +52,18 @@ let prop_heatmap_sums =
 let test_heatmap_labels () =
   Heatmap.reset ();
   Heatmap.start ();
-  Heatmap.note ~line:3 ~name:"";
-  Heatmap.note ~line:3 ~name:"queue.head";
-  Heatmap.note ~line:3 ~name:"later-loser";
-  Heatmap.record `Pwrite ~line:3;
-  (* fences carry no line and negative lines have no identity: both are
+  emit Alloc ~line:3 ~name:"";
+  emit Alloc ~line:3 ~name:"queue.head";
+  emit Alloc ~line:3 ~name:"later-loser";
+  emit Write ~line:3;
+  (* fences count nothing and negative lines have no identity: both are
      ignored rather than aggregated *)
-  Heatmap.record `Fence ~line:3;
-  Heatmap.record `Flush ~line:(-1);
+  emit (Fence 0) ~line:3;
+  emit (Flush Written_back) ~line:(-1);
+  (* one crash dropping two cells of line 3 is one dropped line *)
+  emit (Verdict false) ~line:3;
+  emit (Verdict false) ~line:3;
+  emit Crashed ~line:(-1);
   Heatmap.stop ();
   (match Heatmap.rows () with
   | [ r ] ->
@@ -58,7 +71,8 @@ let test_heatmap_labels () =
         "first non-empty name wins" "queue.head" r.Heatmap.h_label;
       Alcotest.(check string) "bucketed by owner" "queue" r.Heatmap.h_object;
       Alcotest.(check int) "one write" 1 r.Heatmap.h_writes;
-      Alcotest.(check int) "fence not aggregated" 0 r.Heatmap.h_flushes
+      Alcotest.(check int) "fence not aggregated" 0 r.Heatmap.h_flushes;
+      Alcotest.(check int) "one verdict per line per crash" 1 r.Heatmap.h_drops
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
   Alcotest.(check string) "bucket strips index" "ann" (Heatmap.bucket "ann[0]");
   Alcotest.(check string) "bucket of empty label" "?" (Heatmap.bucket "");
@@ -66,7 +80,7 @@ let test_heatmap_labels () =
      post-construction measurement-window reset) *)
   Heatmap.start ();
   Heatmap.reset_counts ();
-  Heatmap.record `Flush ~line:3;
+  emit (Flush Written_back) ~line:3;
   Heatmap.stop ();
   match List.filter (fun r -> r.Heatmap.h_line = 3) (Heatmap.rows ()) with
   | [ r ] ->
@@ -78,8 +92,8 @@ let test_heatmap_labels () =
 
 let test_heatmap_off_is_noop () =
   Heatmap.reset ();
-  Heatmap.record `Pwrite ~line:1;
-  Heatmap.note ~line:1 ~name:"ghost";
+  emit Write ~line:1;
+  emit Alloc ~line:1 ~name:"ghost";
   Alcotest.(check int) "nothing aggregated while off" 0
     (List.length (Heatmap.rows ()))
 

@@ -111,7 +111,7 @@ let sim_pair ~line_size impl =
         let module R = Reg.Make (M) in
         Pack ((module R), R.create ~nthreads:2 ())
     | `Packed ->
-        let module R = Reg.Packed (M) in
+        let module R = Packed_register.Make (M) in
         Pack ((module R), R.create ~nthreads:2 ())
   in
   (pack, crash)
@@ -127,7 +127,7 @@ let native_pair impl =
         let module R = Reg.Make (M) in
         Pack ((module R), R.create ~nthreads:2 ())
     | `Packed ->
-        let module R = Reg.Packed (M) in
+        let module R = Packed_register.Make (M) in
         Pack ((module R), R.create ~nthreads:2 ())
   in
   (pack, crash)

@@ -1,12 +1,14 @@
 (** One persist policy, two backends: the simulated heap and the counted
     native backend must account the same program identically under each
-    {!Dssq_memory.Memory_intf.Policy.t}. *)
+    {!Dssq_memory.Memory_intf.Policy.t} — in their counters and in the
+    persist events they emit. *)
 
 module MI = Dssq_memory.Memory_intf
 module Policy = MI.Policy
 module Heap = Dssq_pmem.Heap
 module Native = Dssq_memory.Native
 module Sim = Dssq_sim.Sim
+module PE = Dssq_memory.Persist_event
 
 (* A fixed single-thread program touching every buffer path: a
    re-flushed line (coalesced), a store behind a buffered flush (drained
@@ -18,6 +20,7 @@ let program (module M : MI.COUNTED) =
   let b = M.alloc ~name:"b" ~placement:MI.Line.Isolated 0 in
   M.reset_counters ();
   M.write a 1;
+  ignore (M.read a : int);
   M.flush a;
   M.flush a;
   M.write b 1;
@@ -42,6 +45,33 @@ let program (module M : MI.COUNTED) =
     ("elided_fences", c.MI.elided_fences);
   ]
 
+let kind_label : PE.kind -> string = function
+  | Read -> "read"
+  | Write -> "write"
+  | Cas hit -> Printf.sprintf "cas hit=%b" hit
+  | Flush Written_back -> "flush"
+  | Flush Elided -> "elide"
+  | Flush Coalesced -> "coalesce"
+  | Flush Buffered -> "buffer"
+  | Write_back { effective; adversary } ->
+      Printf.sprintf "write-back effective=%b adversary=%b" effective adversary
+  | Fence absorbed -> Printf.sprintf "fence absorbing %d" absorbed
+  | Verdict evicted -> Printf.sprintf "verdict evicted=%b" evicted
+  | Crashed -> "crashed"
+  | Alloc -> "alloc"
+
+(* The program's counters, then its event counts per kind from a stream
+   subscriber. *)
+let measure m =
+  let counts = Hashtbl.create 16 in
+  let bump (ev : PE.t) =
+    let k = kind_label ev.kind in
+    Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
+  in
+  let sub = PE.subscribe bump in
+  let counters = Fun.protect ~finally:(fun () -> PE.unsubscribe sub) (fun () -> program m) in
+  counters @ List.sort compare (List.of_seq (Hashtbl.to_seq counts))
+
 let heap_of policy ~line_size =
   match policy with
   | Policy.Eager -> Heap.create ~line_size ()
@@ -56,13 +86,13 @@ let test_parity policy () =
       Alcotest.(check string)
         "heap resolves the policy" (Policy.to_string policy)
         (Policy.to_string (Heap.policy heap));
-      let sim = program (Sim.counted_memory heap) in
+      let sim = measure (Sim.counted_memory heap) in
       let native =
         Fun.protect
           ~finally:(fun () -> Native.set_line_size 1)
           (fun () ->
             Native.set_line_size line_size;
-            program
+            measure
               (module Native.Make
                         (struct
                           let policy = policy

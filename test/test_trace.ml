@@ -25,8 +25,8 @@ let test_off_is_noop () =
   Alcotest.(check bool) "no active tracer" true (Trace.active () = None);
   (* emitters are safe no-ops *)
   Trace.op_begin "op" ~args:"";
-  Trace.mem `Read ~cell:0 ~name:"c" ~line:0 ~dirty:false;
-  Trace.crash ~verdicts:[];
+  Alcotest.(check bool) "not subscribed to the event stream" false
+    (Dssq_memory.Persist_event.is_on ());
   Trace.recovery_begin ();
   Trace.resolve ~outcome:"nothing";
   Alcotest.(check bool) "still off" false (Trace.is_on ())
@@ -256,7 +256,8 @@ let test_lincheck_counterexample_carries_trace () =
   let t = Trace.start () in
   Trace.set_tid 0;
   Trace.op_begin "dequeue" ~args:"";
-  Trace.mem `Read ~cell:3 ~name:"head" ~line:1 ~dirty:false;
+  Dssq_memory.Persist_event.(
+    emit Read ~tid:0 ~cell:3 ~name:"head" ~line:1 ~dirty:false);
   Trace.op_end "dequeue" ~result:"5";
   let verdict = Lincheck.check spec (make_history ()) in
   Trace.stop ();
