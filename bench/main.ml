@@ -7,6 +7,7 @@
      dune exec bench/main.exe -- fig5b --repeats 5 --horizon-us 1000
      dune exec bench/main.exe -- fig5a --backend native --duration 1.0
      dune exec bench/main.exe -- bechamel     # wall-clock op latency
+     dune exec bench/main.exe -- setup        # model-checker set-up cost
 
    The default backend is the discrete-event simulated multiprocessor
    (see DESIGN.md: this container has one core, so domain-based scaling
@@ -509,11 +510,32 @@ let latency_cmd =
 
 (* ------------------------- bechamel latency -------------------------- *)
 
+(* OLS estimate of each test's monotonic-clock ns per run, by test name,
+   in name order. *)
+let bechamel_ns test =
+  let open Bechamel in
+  let open Toolkit in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  in
+  let instance = Instance.monotonic_clock in
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
+  in
+  let raw_results = Benchmark.all cfg [ instance ] test in
+  Hashtbl.fold
+    (fun name result acc ->
+      match Analyze.OLS.estimates result with
+      | Some [ est ] -> (name, est) :: acc
+      | _ -> acc)
+    (Analyze.all ols instance raw_results)
+    []
+  |> List.sort compare
+
 (* Wall-clock per-operation latency on the native backend, one
    Test.make per queue implementation and detectability mode. *)
 let run_bechamel () =
   let open Bechamel in
-  let open Toolkit in
   Dssq_memory.Persist_cost.calibrate ();
   Dssq_memory.Persist_cost.configure ~flush:150 ();
   let module R = Dssq_workload.Registry.Make (Dssq_memory.Native) in
@@ -539,32 +561,11 @@ let run_bechamel () =
   in
   let tests = List.concat_map mk_test R.all in
   let test = Test.make_grouped ~name:"queues" ~fmt:"%s %s" tests in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-    in
-    let raw_results = Benchmark.all cfg instances test in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
-    in
-    Analyze.merge ols instances results
-  in
-  let results = benchmark () in
+  let results = bechamel_ns test in
   Printf.printf "## Bechamel wall-clock latency (native backend, %d ns/flush charged)\n"
     (Dssq_memory.Persist_cost.current_flush_ns ());
-  Hashtbl.iter
-    (fun label result_tbl ->
-      if label = Measure.label Instance.monotonic_clock then
-        Hashtbl.iter
-          (fun name result ->
-            match Analyze.OLS.estimates result with
-            | Some [ est ] -> Printf.printf "%-44s %10.0f ns/pair\n" name est
-            | _ -> ())
-          result_tbl)
+  List.iter
+    (fun (name, est) -> Printf.printf "%-44s %10.0f ns/pair\n" name est)
     results;
   print_newline ()
 
@@ -572,6 +573,42 @@ let bechamel_cmd =
   Cmd.v
     (Cmd.info "bechamel" ~doc:"wall-clock op latency via bechamel")
     Term.(const run_bechamel $ const ())
+
+(* ------------------------- scenario set-up --------------------------- *)
+
+(* What the model checker pays per explored execution before it runs a
+   step: one fresh scenario — heap, WAL, root directory, object, seeded
+   preps and recorder — for each object of the litmus corpus, at the
+   default parameters (line size 1, sc) and the object's first program. *)
+let run_setup () =
+  let open Bechamel in
+  let module Scenarios = Dssq_checker.Scenarios in
+  let tests =
+    List.map
+      (fun (d : Scenarios.descriptor) ->
+        let prog = List.hd d.d_progs in
+        Test.make ~name:(d.d_obj ^ "/" ^ prog)
+          (Staged.stage (fun () ->
+               ignore
+                 (Sys.opaque_identity
+                    (d.d_setup ~params:Scenarios.default_params ~prog ())))))
+      Scenarios.registry
+  in
+  let results =
+    bechamel_ns (Test.make_grouped ~name:"setup" ~fmt:"%s %s" tests)
+  in
+  Printf.printf "## Scenario set-up (sim heap, line size 1, sc)\n";
+  List.iter
+    (fun (name, est) ->
+      Printf.printf "%-32s %10.1f us/setup\n" name (est /. 1e3))
+    results;
+  print_newline ()
+
+let setup_cmd =
+  Cmd.v
+    (Cmd.info "setup"
+       ~doc:"wall-clock cost of one model-checker scenario set-up per object")
+    Term.(const run_setup $ const ())
 
 (* ------------------------- default: everything ----------------------- *)
 
@@ -614,4 +651,5 @@ let () =
             pad_sweep_cmd;
             latency_cmd;
             bechamel_cmd;
+            setup_cmd;
           ]))

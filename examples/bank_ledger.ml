@@ -39,7 +39,10 @@ let () =
      crash cannot tear them — a real system would make the balance update
      and the dequeue one recoverable transaction; here the queue IS the
      ledger and balances are a materialized view we rebuild checks on). *)
-  let balances = Array.init accounts (fun i -> M.alloc ~name:(Printf.sprintf "balance%d" i) 1000) in
+  let balances =
+    Array.init accounts (fun i ->
+        M.alloc ~name:(fun () -> Printf.sprintf "balance%d" i) 1000)
+  in
   let apply_transfer v =
     let (src, dst), amount = decode v in
     M.write balances.(src) (M.read balances.(src) - amount);

@@ -44,10 +44,13 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
   let create ?(reclaim = true) ~x_kind ~nthreads ~capacity () =
     let nwords = capacity + 3 + nthreads in
     let p = P.create ~nwords ~nthreads ~max_width:2 () in
-    let next = Array.init (capacity + 1) (fun i -> P.alloc p ~name:(Printf.sprintf "next[%d]" i) 0) in
+    let next =
+      Array.init (capacity + 1) (fun i ->
+          P.alloc p ~name:(fun () -> Printf.sprintf "next[%d]" i) 0)
+    in
     let value =
       Array.init (capacity + 1) (fun i ->
-          M.alloc ~name:(Printf.sprintf "value[%d]" i) 0)
+          M.alloc ~name:(fun () -> Printf.sprintf "value[%d]" i) 0)
     in
     let free_lists = Array.init nthreads (fun _ -> Atomic.make []) in
     (* Node 1 is the initial sentinel; 2..capacity are free. *)
@@ -55,10 +58,11 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       let owner = (i - 1) mod nthreads in
       Atomic.set free_lists.(owner) (i :: Atomic.get free_lists.(owner))
     done;
-    let head = P.alloc p ~name:"head" 1 in
-    let tail = P.alloc p ~name:"tail" 1 in
+    let head = P.alloc p ~name:(fun () -> "head") 1 in
+    let tail = P.alloc p ~name:(fun () -> "tail") 1 in
     let x =
-      Array.init nthreads (fun i -> P.alloc p ~name:(Printf.sprintf "X[%d]" i) 0)
+      Array.init nthreads (fun i ->
+          P.alloc p ~name:(fun () -> Printf.sprintf "X[%d]" i) 0)
     in
     let t =
       {

@@ -33,8 +33,8 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     let sentinel = Pool.alloc pool ~tid:0 ~value:0 in
     M.flush (Pool.value pool sentinel);
     M.flush (Pool.next pool sentinel);
-    let head = M.alloc ~name:"head" sentinel in
-    let tail = M.alloc ~name:"tail" sentinel in
+    let head = M.alloc ~name:(fun () -> "head") sentinel in
+    let tail = M.alloc ~name:(fun () -> "tail") sentinel in
     M.flush head;
     M.flush tail;
     {
@@ -43,7 +43,9 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       tail;
       returned_values =
         Array.init nthreads (fun i ->
-            M.alloc ~name:(Printf.sprintf "returnedValues[%d]" i) no_result);
+            M.alloc
+              ~name:(fun () -> Printf.sprintf "returnedValues[%d]" i)
+              no_result);
       ebr =
         Dssq_ebr.Ebr.create ~nthreads
           ~free:(fun ~tid node -> Pool.free pool ~tid node)

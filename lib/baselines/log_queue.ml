@@ -47,14 +47,15 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     let sentinel = Pool.alloc pool ~tid:0 ~value:0 in
     M.flush (Pool.value pool sentinel);
     M.flush (Pool.next pool sentinel);
-    let head = M.alloc ~name:"head" sentinel in
-    let tail = M.alloc ~name:"tail" sentinel in
+    let head = M.alloc ~name:(fun () -> "head") sentinel in
+    let tail = M.alloc ~name:(fun () -> "tail") sentinel in
     M.flush head;
     M.flush tail;
     M.drain ();
     let nentries = (nthreads * ring_size) + 1 in
     let mk name init =
-      Array.init nentries (fun i -> M.alloc ~name:(Printf.sprintf "%s[%d]" name i) init)
+      Array.init nentries (fun i ->
+          M.alloc ~name:(fun () -> Printf.sprintf "%s[%d]" name i) init)
     in
     {
       pool;
@@ -64,10 +65,11 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       log_node = mk "log_node" 0;
       log_result = mk "log_result" no_result;
       announce =
-        Array.init nthreads (fun i -> M.alloc ~name:(Printf.sprintf "L[%d]" i) 0);
+        Array.init nthreads (fun i ->
+            M.alloc ~name:(fun () -> Printf.sprintf "L[%d]" i) 0);
       enq_log =
         Array.init (capacity + 1) (fun i ->
-            M.alloc ~name:(Printf.sprintf "enq_log[%d]" i) 0);
+            M.alloc ~name:(fun () -> Printf.sprintf "enq_log[%d]" i) 0);
       ring_pos = Array.make nthreads 0;
       ebr =
         Dssq_ebr.Ebr.create ~nthreads

@@ -26,8 +26,8 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     let sentinel = Pool.alloc pool ~tid:0 ~value:0 in
     {
       pool;
-      head = M.alloc ~name:"head" sentinel;
-      tail = M.alloc ~name:"tail" sentinel;
+      head = M.alloc ~name:(fun () -> "head") sentinel;
+      tail = M.alloc ~name:(fun () -> "tail") sentinel;
       ebr =
         Dssq_ebr.Ebr.create ~nthreads
           ~free:(fun ~tid node -> Pool.free pool ~tid node)

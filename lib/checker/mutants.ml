@@ -214,13 +214,14 @@ let wrap ~(policy : Intf.Policy.t) mutation (module M : Intf.S) :
 
     let mk cname inner = { inner; cname; writes = 0 }
 
-    let alloc ?(name = "") ?placement v =
-      mk name (M.alloc ~name ?placement v)
+    (* Selection matches on names, so the interposer forces each cell's
+       name thunk once, at allocation: only mutant runs pay for it. *)
+    let alloc ?(name = Intf.Name.none) ?placement v =
+      mk (name ()) (M.alloc ~name ?placement v)
 
-    let alloc_block ?(name = "") vs =
+    let alloc_block ?(name = Intf.Name.none) vs =
       List.mapi
-        (fun i c ->
-          mk (if name = "" then "" else name ^ "[" ^ string_of_int i ^ "]") c)
+        (fun i c -> mk (Intf.Name.element name i ()) c)
         (M.alloc_block ~name vs)
 
     (* Recovery-infrastructure cells — the write-ahead log's slot words

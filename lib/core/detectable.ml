@@ -123,7 +123,7 @@ module Make_any (M : Dssq_memory.Memory_intf.S) = struct
     let init = Option.value ~default:spec.Spec.init init in
     let cname suffix = if name = "" then suffix else name ^ "." ^ suffix in
     let state =
-      M.alloc ~name:(cname "state") ?placement
+      M.alloc ~name:(fun () -> cname "state") ?placement
         { s = init; writer = -1; seq = 0; resp = None; batch = []; e = 0 }
     in
     M.flush state;
@@ -133,11 +133,11 @@ module Make_any (M : Dssq_memory.Memory_intf.S) = struct
       nthreads;
       combine;
       state;
-      epoch = M.alloc ~name:(cname "epoch") ?placement 0;
+      epoch = M.alloc ~name:(fun () -> cname "epoch") ?placement 0;
       x =
         Array.init nthreads (fun i ->
             M.alloc
-              ~name:(cname ("X[" ^ string_of_int i ^ "]"))
+              ~name:(fun () -> cname ("X[" ^ string_of_int i ^ "]"))
               ?placement None);
       active = Array.make nthreads false;
       seqs = Array.make nthreads 0;
@@ -649,7 +649,7 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
         x =
           Array.init nthreads (fun i ->
               M.alloc
-                ~name:(xname ^ "[" ^ string_of_int i ^ "]")
+                ~name:(fun () -> xname ^ "[" ^ string_of_int i ^ "]")
                 ~placement:Dssq_memory.Memory_intf.Line.Isolated 0);
         ebr = Dssq_ebr.Ebr.create ~nthreads ~free ();
         deferred = Array.init nthreads (fun _ -> ref []);

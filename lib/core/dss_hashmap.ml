@@ -70,7 +70,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       ann =
         Array.init nthreads (fun i ->
             M.alloc
-              ~name:(Printf.sprintf "ann[%d]" i)
+              ~name:(fun () -> Printf.sprintf "ann[%d]" i)
               ~placement:Dssq_memory.Memory_intf.Line.Isolated 0);
       nbuckets;
       nthreads;

@@ -69,11 +69,15 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     M.flush (Pool.value an.A.pool sentinel);
     M.flush (Pool.next an.A.pool sentinel);
     let head =
-      M.alloc ~name:"head" ~placement:Dssq_memory.Memory_intf.Line.Isolated
+      M.alloc
+        ~name:(fun () -> "head")
+        ~placement:Dssq_memory.Memory_intf.Line.Isolated
         sentinel
     in
     let tail =
-      M.alloc ~name:"tail" ~placement:Dssq_memory.Memory_intf.Line.Isolated
+      M.alloc
+        ~name:(fun () -> "tail")
+        ~placement:Dssq_memory.Memory_intf.Line.Isolated
         sentinel
     in
     M.flush head;

@@ -52,7 +52,9 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
         ()
     in
     let top =
-      M.alloc ~name:"top" ~placement:Dssq_memory.Memory_intf.Line.Isolated
+      M.alloc
+        ~name:(fun () -> "top")
+        ~placement:Dssq_memory.Memory_intf.Line.Isolated
         Tagged.null
     in
     M.flush top;

@@ -35,17 +35,20 @@ struct
      meaningful nested analogue and is ignored. *)
   let alloc ?name ?placement v =
     ignore placement;
-    C.create ?name ~nthreads:Config.nthreads v
+    (* A [Dss_cell] composes its inner cells' names from a string, so a
+       nested cell's name is built here, at allocation. *)
+    C.create ?name:(Option.map (fun name -> name ()) name)
+      ~nthreads:Config.nthreads v
 
   let alloc_block ?name vs =
     List.mapi
       (fun i v ->
-        let name =
-          match name with
-          | None -> None
-          | Some n -> Some (Printf.sprintf "%s[%d]" n i)
-        in
-        alloc ?name v)
+        alloc
+          ?name:
+            (Option.map
+               (fun n -> Dssq_memory.Memory_intf.Name.element n i)
+               name)
+          v)
       vs
 
   let read c = C.read c

@@ -236,24 +236,49 @@ module Policy = struct
     | Combine -> "combine"
 end
 
+(** Deferred cell names (see {!S.alloc}): a name is a thunk, forced only
+    when something reads it. *)
+module Name = struct
+  type t = unit -> string
+
+  let none : t = fun () -> ""
+
+  (** The name of element [i] of a block named [name]: [name ^ "[i]"],
+      or [""] when the block is unnamed — built only when forced. *)
+  let element (name : t) i : t =
+   fun () ->
+    match name () with "" -> "" | n -> n ^ "[" ^ string_of_int i ^ "]"
+end
+
 module type S = sig
   type 'a cell
   (** A shared memory word holding a value of type ['a].  On persistent
       backends the cell has both a volatile (cache) value, which all
       threads observe, and a persisted value, which survives crashes. *)
 
-  val alloc : ?name:string -> ?placement:Line.placement -> 'a -> 'a cell
+  val alloc : ?name:Name.t -> ?placement:Line.placement -> 'a -> 'a cell
   (** [alloc v] allocates a fresh cell whose volatile {e and} persisted
       value is [v] (allocation happens during failure-free initialization
-      or recovery, both of which persist initial state).  [name] is used
-      only for diagnostics and traces; [placement] (default
-      {!Line.Packed}) chooses the persist line the cell lands in. *)
+      or recovery, both of which persist initial state).  [placement]
+      (default {!Line.Packed}) chooses the persist line the cell lands
+      in.
 
-  val alloc_block : ?name:string -> 'a list -> 'a cell list
+      [name] is the cell's diagnostic name, {e computed when read}: the
+      backend keeps the thunk and calls it only when a
+      {!Persist_event} subscriber is sent an event for the cell or the
+      cell is printed — which may be long after allocation, so a
+      subscriber that starts late still sees every name.  Most cells
+      are never named at all, and allocation then costs no string work.
+      The thunk must be pure: each call returns the same string.  The
+      default names the cell [""]. *)
+
+  val alloc_block : ?name:Name.t -> 'a list -> 'a cell list
   (** [alloc_block vs] allocates one cell per value, co-located from a
       fresh line boundary — a node's fields share (with the default line
       size) a single persist line, so flushing them after initialization
-      costs one write-back instead of one per word. *)
+      costs one write-back instead of one per word.  Element [i] is
+      named [name ^ "[i]"] (or [""] under an empty name), composed as
+      lazily as [name] itself. *)
 
   val read : 'a cell -> 'a
   (** Sequentially consistent load of the volatile value. *)

@@ -54,20 +54,20 @@ let pad_for placement =
 
 module PE = Persist_event
 
-(* Allocation labels go to the stream only while someone listens, so the
-   element names of a block are built only then. *)
-let note_alloc name (line : Line.t) =
-  PE.emit Alloc ~tid:(PE.pinned_tid ()) ~cell:(-1) ~name ~line:line.Line.id
-    ~dirty:false
+(* Allocation labels go to the stream only while someone listens, so a
+   cell's name thunk runs only then.  Native cells keep no name. *)
+let note_alloc (name : Memory_intf.Name.t) (line : Line.t) =
+  PE.emit Alloc ~tid:(PE.pinned_tid ()) ~cell:(-1) ~name:(name ())
+    ~line:line.Line.id ~dirty:false
 
-let alloc ?(name = "") ?placement v =
+let alloc ?(name = Memory_intf.Name.none) ?placement v =
   Mutex.lock alloc_lock;
   let line = Line.Alloc.place ?placement !allocator in
   Mutex.unlock alloc_lock;
   if PE.is_on () then note_alloc name line;
   { v = Atomic.make v; line; pad = pad_for placement }
 
-let alloc_block ?(name = "") vs =
+let alloc_block ?(name = Memory_intf.Name.none) vs =
   Mutex.lock alloc_lock;
   Line.Alloc.align !allocator;
   let lines = List.map (fun _ -> Line.Alloc.place !allocator) vs in
@@ -75,10 +75,7 @@ let alloc_block ?(name = "") vs =
   Mutex.unlock alloc_lock;
   if PE.is_on () then
     List.iteri
-      (fun i line ->
-        note_alloc
-          (if name = "" then "" else name ^ "[" ^ string_of_int i ^ "]")
-          line)
+      (fun i line -> note_alloc (Memory_intf.Name.element name i) line)
       lines;
   List.map2 (fun v line -> { v = Atomic.make v; line; pad = [||] }) vs lines
 

@@ -30,8 +30,12 @@ val set_pad_words : int -> unit
     Exists so the harness can sweep the isolation stride on real
     machines ([Dssq_workload.Native_throughput.pad_sweep]). *)
 
-val alloc : ?name:string -> ?placement:Line.placement -> 'a -> 'a cell
-val alloc_block : ?name:string -> 'a list -> 'a cell list
+val alloc :
+  ?name:Memory_intf.Name.t -> ?placement:Line.placement -> 'a -> 'a cell
+(** [name] is forced only to label the allocation for a subscriber
+    listening at that moment; native cells keep no name. *)
+
+val alloc_block : ?name:Memory_intf.Name.t -> 'a list -> 'a cell list
 val line_id : 'a cell -> int
 val read : 'a cell -> 'a
 val write : 'a cell -> 'a -> unit

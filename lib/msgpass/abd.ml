@@ -86,12 +86,14 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       nclients;
       store =
         Array.init nservers (fun i ->
-            M.alloc ~name:(Printf.sprintf "store[%d]" i) (ts_zero, 0));
+            M.alloc
+              ~name:(fun () -> Printf.sprintf "store[%d]" i)
+              (ts_zero, 0));
       ann =
         Array.init nclients (fun i ->
-            M.alloc ~name:(Printf.sprintf "ann[%d]" i) Idle);
+            M.alloc ~name:(fun () -> Printf.sprintf "ann[%d]" i) Idle);
       rids = Array.make nclients 0;
-      clients_done = M.alloc ~name:"clients_done" 0;
+      clients_done = M.alloc ~name:(fun () -> "clients_done") 0;
     }
 
   (* ----------------------------- servers ----------------------------- *)

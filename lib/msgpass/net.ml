@@ -21,7 +21,8 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
   let create ~nprocs =
     {
       mailboxes =
-        Array.init nprocs (fun i -> M.alloc ~name:(Printf.sprintf "mbox[%d]" i) []);
+        Array.init nprocs (fun i ->
+            M.alloc ~name:(fun () -> Printf.sprintf "mbox[%d]" i) []);
       nprocs;
     }
 

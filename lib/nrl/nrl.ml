@@ -57,10 +57,10 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       {
         frames =
           Array.init (nthreads * max_depth) (fun i ->
-              M.alloc ~name:(Printf.sprintf "frame[%d]" i) None);
+              M.alloc ~name:(fun () -> Printf.sprintf "frame[%d]" i) None);
         depth =
           Array.init nthreads (fun i ->
-              M.alloc ~name:(Printf.sprintf "depth[%d]" i) 0);
+              M.alloc ~name:(fun () -> Printf.sprintf "depth[%d]" i) 0);
         max_depth;
         nthreads;
         recoverers = [];

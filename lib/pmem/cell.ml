@@ -10,13 +10,16 @@
 
     Each cell belongs to a persist {!Line}: write-back and crash
     eviction happen to the line as a unit, so a cell's [line] determines
-    which other words a [flush] of it persists for free. *)
+    which other words a [flush] of it persists for free.
+
+    The [name] is a thunk (see [Memory_intf.S.alloc]): only observers
+    and printers force it, so allocating a cell builds no string. *)
 
 module Line = Dssq_memory.Memory_intf.Line
 
 type 'a t = {
   id : int;
-  name : string;
+  name : unit -> string;
   line : Line.t;
   mutable volatile : 'a;
   mutable persisted : 'a;
@@ -30,7 +33,8 @@ let value_equal (a : 'a) (b : 'a) = a == b
 let is_dirty c = c.dirty
 let line c = c.line
 let line_id c = c.line.Line.id
+let name c = c.name ()
 
 let pp_summary fmt (Packed c) =
-  Format.fprintf fmt "cell#%d(%s)@L%d%s" c.id c.name c.line.Line.id
+  Format.fprintf fmt "cell#%d(%s)@L%d%s" c.id (name c) c.line.Line.id
     (if c.dirty then "*" else "")

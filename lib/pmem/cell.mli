@@ -6,7 +6,8 @@ module Line = Dssq_memory.Memory_intf.Line
 
 type 'a t = {
   id : int;
-  name : string;
+  name : unit -> string;
+      (** diagnostic name, computed when read (see {!name}) *)
   line : Line.t;  (** persist line the word lives in *)
   mutable volatile : 'a;  (** what loads/stores/CAS observe (coherent) *)
   mutable persisted : 'a;  (** what survives a crash *)
@@ -24,5 +25,8 @@ val is_dirty : 'a t -> bool
 val line : 'a t -> Line.t
 
 val line_id : 'a t -> int
+
+val name : 'a t -> string
+(** The cell's diagnostic name, built now from its deferred thunk. *)
 
 val pp_summary : Format.formatter -> packed -> unit

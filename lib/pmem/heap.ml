@@ -17,12 +17,14 @@
 
     Every event is emitted once to the {!Dssq_memory.Persist_event}
     stream, tagged with the acting thread ([cur_tid]); with no subscriber
-    each operation pays one load and one branch. *)
+    each operation pays one load and one branch.  Cell names are forced
+    from their thunks only for an event actually emitted. *)
 
 module PE = Dssq_memory.Persist_event
 module Line = Dssq_memory.Memory_intf.Line
 module Persistency = Dssq_memory.Memory_intf.Persistency
 module Policy = Dssq_memory.Memory_intf.Policy
+module Name = Dssq_memory.Memory_intf.Name
 
 type stats = {
   mutable reads : int;
@@ -48,9 +50,14 @@ type t = {
   mutable cells : Cell.packed list; (* most recently allocated first *)
   mutable next_id : int;
   line_alloc : Line.Alloc.t;
-  line_members : (int, Cell.packed list ref) Hashtbl.t;
-      (* line id -> member cells; flush persists all dirty members *)
-  lines : (int, Line.t) Hashtbl.t;
+  mutable lines : Line.t array;
+      (* line id -> line.  [Line.Alloc] hands ids out densely and in
+         order, so slots [0, line_count) are exactly the lines in use;
+         the arrays grow by doubling. *)
+  mutable line_members : Cell.packed list array;
+      (* line id -> member cells, most recent first; flush persists all
+         dirty members *)
+  mutable line_count : int;
   stats : stats;
   mutable in_sim : bool;
       (* When true, memory operations must be routed through the scheduler
@@ -72,8 +79,9 @@ let create ?(line_size = 1) ?(persistency = Persistency.Sc) ?(coalesce = false)
     cells = [];
     next_id = 0;
     line_alloc = Line.Alloc.create ~size:line_size ();
-    line_members = Hashtbl.create 64;
-    lines = Hashtbl.create 64;
+    lines = [||];
+    line_members = [||];
+    line_count = 0;
     stats =
       {
         reads = 0;
@@ -96,7 +104,24 @@ let policy t = t.policy
 
 let line_size t = Line.Alloc.line_size t.line_alloc
 
-let alloc t ?(name = "") ?placement v =
+(* Enter a freshly placed line: ids arrive densely and in order, so a
+   new line's id is always [line_count]. *)
+let add_line t (line : Line.t) =
+  let n = t.line_count in
+  if n = Array.length t.lines then begin
+    let cap = max 64 (2 * n) in
+    let grow a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    t.lines <- grow t.lines line;
+    t.line_members <- grow t.line_members []
+  end;
+  t.lines.(n) <- line;
+  t.line_count <- n + 1
+
+let alloc t ?(name = Name.none) ?placement v =
   let line = Line.Alloc.place ?placement t.line_alloc in
   let cell =
     { Cell.id = t.next_id; name; line; volatile = v; persisted = v; dirty = false }
@@ -104,43 +129,35 @@ let alloc t ?(name = "") ?placement v =
   t.next_id <- t.next_id + 1;
   t.cells <- Cell.Packed cell :: t.cells;
   let lid = line.Line.id in
-  (match Hashtbl.find_opt t.line_members lid with
-  | Some members -> members := Cell.Packed cell :: !members
-  | None ->
-      Hashtbl.add t.lines lid line;
-      Hashtbl.add t.line_members lid (ref [ Cell.Packed cell ]));
+  if lid = t.line_count then add_line t line;
+  t.line_members.(lid) <- Cell.Packed cell :: t.line_members.(lid);
   if PE.is_on () then
-    PE.emit Alloc ~tid:t.cur_tid ~cell:cell.Cell.id ~name ~line:lid ~dirty:false;
+    PE.emit Alloc ~tid:t.cur_tid ~cell:cell.Cell.id ~name:(name ()) ~line:lid
+      ~dirty:false;
   cell
 
 (** Co-located cells: the block starts at a fresh line boundary and the
     allocator is re-aligned afterwards, so distinct blocks never share a
     line.  With the default line size a node's fields land on one line
     and cost one write-back to persist together. *)
-let alloc_block t ?(name = "") vs =
+let alloc_block t ?(name = Name.none) vs =
   Line.Alloc.align t.line_alloc;
   let cells =
     List.mapi
-      (fun i v ->
-        let name =
-          if name = "" then "" else name ^ "[" ^ string_of_int i ^ "]"
-        in
-        alloc t ~name v)
+      (fun i v -> alloc t ~name:(Name.element name i) v)
       vs
   in
   Line.Alloc.align t.line_alloc;
   cells
 
 let members t (l : Line.t) =
-  match Hashtbl.find_opt t.line_members l.Line.id with
-  | Some members -> !members
-  | None -> []
+  if l.Line.id < t.line_count then t.line_members.(l.Line.id) else []
 
 (* A cell event, with the cell's dirtiness AFTER the event, so a trace
    shows exactly which lines a crash can lose.  Callers test
    [PE.is_on] first. *)
 let emit t kind (c : 'a Cell.t) =
-  PE.emit kind ~tid:t.cur_tid ~cell:c.Cell.id ~name:c.Cell.name
+  PE.emit kind ~tid:t.cur_tid ~cell:c.Cell.id ~name:(Cell.name c)
     ~line:c.Cell.line.Line.id ~dirty:c.Cell.dirty
 
 (* A cell-less event: a fence or the end of a crash. *)
@@ -415,7 +432,9 @@ let crash_by_line t ~verdict =
         if on then emit t (Verdict evicted) c
       end)
     t.cells;
-  Hashtbl.iter (fun _ l -> Atomic.set l.Line.dirty false) t.lines;
+  for i = 0 to t.line_count - 1 do
+    Atomic.set t.lines.(i).Line.dirty false
+  done;
   (* Power loss wipes the persist buffers with the rest of volatile
      state: pending-but-undrained flushes are simply gone (their lines
      were still dirty, so the per-line verdicts above already decided
@@ -479,4 +498,4 @@ let reset_stats t =
   s.elided_fences <- 0
 
 let cell_count t = List.length t.cells
-let line_count t = Hashtbl.length t.lines
+let line_count t = t.line_count

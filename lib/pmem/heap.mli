@@ -42,8 +42,11 @@ type t = {
   mutable cells : Cell.packed list;
   mutable next_id : int;
   line_alloc : Line.Alloc.t;
-  line_members : (int, Cell.packed list ref) Hashtbl.t;
-  lines : (int, Line.t) Hashtbl.t;
+  mutable lines : Line.t array;
+      (** line id -> line; ids are dense, slots [0, line_count) live *)
+  mutable line_members : Cell.packed list array;
+      (** line id -> member cells, most recent first *)
+  mutable line_count : int;
   stats : stats;
   mutable in_sim : bool;
       (** when true, memory operations must go through the scheduler;
@@ -76,11 +79,15 @@ val policy : t -> Policy.t
 
 val line_size : t -> int
 
-val alloc : t -> ?name:string -> ?placement:Line.placement -> 'a -> 'a Cell.t
+val alloc :
+  t -> ?name:(unit -> string) -> ?placement:Line.placement -> 'a -> 'a Cell.t
 (** Fresh cell whose volatile {e and} persisted value is the initial
-    value, placed into a persist line ({!Line.Packed} by default). *)
+    value, placed into a persist line ({!Line.Packed} by default).  The
+    [name] thunk is stored, not called: it runs only when an event for
+    the cell reaches a {!Dssq_memory.Persist_event} subscriber, or the
+    cell is printed. *)
 
-val alloc_block : t -> ?name:string -> 'a list -> 'a Cell.t list
+val alloc_block : t -> ?name:(unit -> string) -> 'a list -> 'a Cell.t list
 (** One cell per value, co-located from a fresh line boundary; the
     allocator is re-aligned afterwards so distinct blocks never share a
     line. *)

@@ -21,12 +21,16 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       Array.init capacity (fun i ->
           {
             e_name =
-              M.alloc ~name:(name ^ ".name[" ^ string_of_int i ^ "]") "";
+              M.alloc
+                ~name:(fun () -> name ^ ".name[" ^ string_of_int i ^ "]")
+                "";
             e_value =
-              M.alloc ~name:(name ^ ".value[" ^ string_of_int i ^ "]") 0;
+              M.alloc
+                ~name:(fun () -> name ^ ".value[" ^ string_of_int i ^ "]")
+                0;
           })
     in
-    { entries; count = M.alloc ~name:(name ^ ".count") 0; capacity }
+    { entries; count = M.alloc ~name:(fun () -> name ^ ".count") 0; capacity }
 
   let capacity t = t.capacity
   let count t = M.read t.count

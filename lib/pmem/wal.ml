@@ -136,7 +136,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       Array.init (lanes * lane_capacity) (fun i ->
           match
             M.alloc_block
-              ~name:(name ^ "[" ^ string_of_int i ^ "]")
+              ~name:(fun () -> name ^ "[" ^ string_of_int i ^ "]")
               [ 0; 0; 0; 0 ]
           with
           | [ k; a; b; s ] -> { s_kind = k; s_a = a; s_b = b; s_sum = s }

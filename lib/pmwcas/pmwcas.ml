@@ -63,7 +63,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     let ndescs = nthreads * ring in
     let mk name count init =
       Array.init count (fun i ->
-          M.alloc ~name:(name ^ "[" ^ string_of_int i ^ "]") init)
+          M.alloc ~name:(fun () -> name ^ "[" ^ string_of_int i ^ "]") init)
     in
     let free_descs = Array.init nthreads (fun _ -> ref []) in
     for d = ndescs downto 1 do
@@ -250,11 +250,36 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     Dssq_ebr.Ebr.exit t.ebr ~tid;
     v
 
-  let alloc_desc t ~tid =
+  let take_desc t ~tid =
     match !(t.free_descs.(tid)) with
-    | [] -> raise (Descriptor_pool_exhausted tid)
+    | [] -> None
     | d :: rest ->
         t.free_descs.(tid) := rest;
+        Some d
+
+  (* Called inside the caller's EBR region.  When the ring is dry, every
+     descriptor is waiting out a grace period, typically one held open by
+     a preempted in-region thread: leave our own region (so it stalls no
+     one, us included), pace the epochs forward until a descriptor comes
+     back, and re-enter — as [Node_pool.alloc_reclaiming] does for
+     nodes. *)
+  let alloc_desc t ~tid =
+    match take_desc t ~tid with
+    | Some d -> d
+    | None ->
+        Dssq_ebr.Ebr.exit t.ebr ~tid;
+        let rec go attempts =
+          Dssq_ebr.Ebr.enter t.ebr ~tid;
+          Dssq_ebr.Ebr.exit t.ebr ~tid;
+          M.fence ();
+          match take_desc t ~tid with
+          | Some d -> d
+          | None when attempts < 3_000_000 && Dssq_ebr.Ebr.pending t.ebr > 0 ->
+              go (attempts + 1)
+          | None -> raise (Descriptor_pool_exhausted tid)
+        in
+        let d = go 0 in
+        Dssq_ebr.Ebr.enter t.ebr ~tid;
         d
 
   (** [pmwcas t ~tid entries] atomically, and persistently, applies every

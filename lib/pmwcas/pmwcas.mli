@@ -22,7 +22,7 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
   (** [ring] descriptors per thread (default 64), [max_width] words per
       operation (default 4). *)
 
-  val alloc : t -> ?name:string -> int -> int
+  val alloc : t -> ?name:(unit -> string) -> int -> int
   (** Allocate a managed word with an initial (persisted) value; returns
       its address. *)
 

@@ -42,7 +42,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       dss = Dss_spec.make ~nthreads spec;
       log =
         Array.init capacity (fun i ->
-            M.alloc ~name:(Printf.sprintf "log[%d]" i) None);
+            M.alloc ~name:(fun () -> Printf.sprintf "log[%d]" i) None);
       capacity;
       hint = Array.make nthreads 0;
     }

@@ -62,7 +62,9 @@ module Make (M : Dssq_memory.Memory_intf.S) : Dssq_core.Dss_register.S = struct
   let create ?(init = 0) ~nthreads () =
     if init < 0 || init > value_mask then invalid_arg "Dss_register.create";
     let reg =
-      M.alloc ~name:"register" ~placement:Dssq_memory.Memory_intf.Line.Isolated
+      M.alloc
+        ~name:(fun () -> "register")
+        ~placement:Dssq_memory.Memory_intf.Line.Isolated
         (pack ~value:init ~writer:(-1) ~seq:0)
     in
     M.flush reg;
@@ -72,7 +74,7 @@ module Make (M : Dssq_memory.Memory_intf.S) : Dssq_core.Dss_register.S = struct
       x =
         Array.init nthreads (fun i ->
             M.alloc
-              ~name:(Printf.sprintf "Xr[%d]" i)
+              ~name:(fun () -> Printf.sprintf "Xr[%d]" i)
               ~placement:Dssq_memory.Memory_intf.Line.Isolated 0);
       seqs = Array.make nthreads 0;
       nthreads;

@@ -146,8 +146,39 @@ let combine_suite =
           ~what:"eager (lost-batch)" ());
   ]
 
+(* The interposer matches on names, which allocation now defers: it must
+   still see them, and still exempt the recovery infrastructure.  A
+   skip-flush mutant whose pattern "[" matches every WAL slot word
+   ("wal[i][j]") and every root entry ("roots.name[i]") as well as the
+   object word "obj[0]" drops only the object's flush. *)
+let test_infra_exempt () =
+  let heap = Heap.create () in
+  let (module W) =
+    Mutants.wrap ~policy:(Heap.policy heap) (Mutants.Skip_flush "[")
+      (Sim.memory heap)
+  in
+  let module Wal = Dssq_pmem.Wal.Make (W) in
+  let module Roots = Dssq_pmem.Roots.Make (W) in
+  let wal = Wal.create ~lanes:1 ~lane_capacity:2 () in
+  let roots = Roots.create ~capacity:1 () in
+  let obj = W.alloc ~name:(fun () -> "obj[0]") 0 in
+  Wal.append wal ~lane:0 ~kind:Dssq_pmem.Wal.Codec.kind_alloc ~a:1 ~b:2;
+  ignore (Roots.register roots ~name:"queue" ~value:5 : int);
+  W.write obj 9;
+  W.flush obj;
+  W.drain ();
+  (* Power loss that keeps only what was written back. *)
+  Heap.crash heap ~evict:(fun () -> false);
+  Alcotest.(check int) "the WAL record survived" 1
+    (List.length (fst (Wal.replay wal)));
+  Alcotest.(check (option int)) "the root survived" (Some 5)
+    (Roots.lookup roots "queue");
+  Alcotest.(check int) "the object's flush was dropped" 0 (W.read obj)
+
 let suite =
-  (Alcotest.test_case "unmutated queue passes the crash corpus" `Quick
+  (Alcotest.test_case "mutants exempt the WAL and root directory" `Quick
+     test_infra_exempt
+  :: Alcotest.test_case "unmutated queue passes the crash corpus" `Quick
      (fun () -> test_correct_queue_passes ())
   :: Alcotest.test_case "coalesced queue passes the same corpus" `Quick
        (fun () -> test_correct_queue_passes ~coalesce:true ())

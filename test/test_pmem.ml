@@ -6,7 +6,7 @@ module Cell = Dssq_pmem.Cell
 
 let test_alloc_initial_persisted () =
   let h = Heap.create () in
-  let c = Heap.alloc h ~name:"c" 7 in
+  let c = Heap.alloc h ~name:(fun () -> "c") 7 in
   Alcotest.(check int) "volatile" 7 (Heap.read h c);
   Alcotest.(check int) "persisted" 7 c.Cell.persisted;
   Alcotest.(check bool) "clean" false (Cell.is_dirty c)
@@ -119,7 +119,8 @@ let test_crash_random_deterministic () =
   let run () =
     let h = Heap.create () in
     let cells =
-      List.init 32 (fun i -> Heap.alloc h ~name:(Printf.sprintf "c%d" i) i)
+      List.init 32 (fun i ->
+          Heap.alloc h ~name:(fun () -> Printf.sprintf "c%d" i) i)
     in
     List.iter (fun c -> Heap.write h c 1_000) cells;
     let rng = Random.State.make [| 42 |] in
@@ -165,7 +166,7 @@ let test_size1_never_elides () =
 
 let test_flush_persists_whole_line () =
   let h = Heap.create ~line_size:4 () in
-  match Heap.alloc_block h ~name:"blk" [ 0; 0; 0; 0 ] with
+  match Heap.alloc_block h ~name:(fun () -> "blk") [ 0; 0; 0; 0 ] with
   | [ a; b; c; d ] as cells ->
       Alcotest.(check bool) "block shares one line" true
         (List.for_all (fun x -> Cell.line_id x = Cell.line_id a) cells);
@@ -251,7 +252,10 @@ let arb_heap_program =
 
 let build_and_run (ls, n, ops) =
   let h = Heap.create ~line_size:ls () in
-  let cells = Array.init n (fun i -> Heap.alloc h ~name:(Printf.sprintf "q%d" i) i) in
+  let cells =
+    Array.init n (fun i ->
+        Heap.alloc h ~name:(fun () -> Printf.sprintf "q%d" i) i)
+  in
   List.iter
     (function
       | `Write (i, v) -> Heap.write h cells.(i) v
@@ -299,6 +303,73 @@ let prop_clean_flush_only_bumps_elision =
       && Array.for_all2 (fun v c -> Heap.read h c = v) values cells
       && Array.for_all2 (fun v c -> c.Cell.persisted = v) persisted cells)
 
+(* The heap's dense line table against a reference built from the cells
+   alone: random mixes of packed, isolated and block allocations, at the
+   legacy word-granular size and at cache-line size, then random stores
+   and a per-line crash. *)
+let arb_alloc_program =
+  QCheck.make
+    ~print:(fun (ls, allocs, writes, seed) ->
+      Printf.sprintf "line size %d, %d allocs, %d writes, seed %d" ls
+        (List.length allocs) (List.length writes) seed)
+    QCheck.Gen.(
+      oneofl [ 1; 8 ] >>= fun ls ->
+      list_size (int_range 1 40)
+        (oneof
+           [
+             return `Packed;
+             return `Isolated;
+             map (fun n -> `Block n) (int_range 1 10);
+           ])
+      >>= fun allocs ->
+      list_size (int_range 0 30) (int_range 0 1000) >>= fun writes ->
+      int >>= fun seed -> return (ls, allocs, writes, seed))
+
+let prop_dense_line_table =
+  QCheck.Test.make ~count:300
+    ~name:"dense line table = cells grouped by line id" arb_alloc_program
+    (fun (ls, allocs, writes, seed) ->
+      let h = Heap.create ~line_size:ls () in
+      let cells =
+        List.concat_map
+          (function
+            | `Packed -> [ Heap.alloc h 0 ]
+            | `Isolated -> [ Heap.alloc h ~placement:Line.Isolated 0 ]
+            | `Block n -> Heap.alloc_block h (List.init n (fun _ -> 0)))
+          allocs
+        |> Array.of_list
+      in
+      let ids = List.map (fun (Cell.Packed c) -> c.Cell.id) in
+      (* Reference: all cells on a line, most recently allocated first. *)
+      let reference lid =
+        List.filter (fun (Cell.Packed c) -> Cell.line_id c = lid) h.Heap.cells
+        |> ids
+      in
+      let lines =
+        Array.to_list cells |> List.map Cell.line
+        |> List.sort_uniq (fun (a : Line.t) b -> compare a.Line.id b.Line.id)
+      in
+      let members_match =
+        List.for_all
+          (fun (l : Line.t) -> ids (Heap.members h l) = reference l.Line.id)
+          lines
+      in
+      let n = Array.length cells in
+      List.iter (fun i -> Heap.write h cells.(i mod n) i) writes;
+      let rng = Random.State.make [| seed |] in
+      let verdicts = Hashtbl.create 16 in
+      Heap.crash_lines h ~evict:(fun lid ->
+          match Hashtbl.find_opt verdicts lid with
+          | Some v -> v
+          | None ->
+              let v = Random.State.bool rng in
+              Hashtbl.add verdicts lid v;
+              v);
+      members_match
+      && Heap.line_count h = List.length lines
+      && List.for_all (fun l -> not (Line.is_dirty l)) lines
+      && Heap.dirty_lines h = [])
+
 let suite =
   [
     Alcotest.test_case "alloc: initial value persisted" `Quick
@@ -335,4 +406,5 @@ let suite =
       test_crash_evicts_line_as_unit;
     QCheck_alcotest.to_alcotest prop_full_eviction_preserves_volatile;
     QCheck_alcotest.to_alcotest prop_clean_flush_only_bumps_elision;
+    QCheck_alcotest.to_alcotest prop_dense_line_table;
   ]

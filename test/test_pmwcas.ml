@@ -236,6 +236,31 @@ let test_recovery_is_idempotent () =
   Alcotest.(check int) "a stable" va (p.read ~tid:0 a);
   Alcotest.(check int) "b stable" vb (p.read ~tid:0 b)
 
+(* A ring far smaller than the operations run through it, on two real
+   domains: every allocation past the first few finds the free list dry
+   while the descriptors wait out grace periods, which the other domain
+   can hold open whenever it is preempted inside its region.  The
+   allocator must pace the epochs forward instead of giving up. *)
+let test_native_small_ring () =
+  let module P = Dssq_pmwcas.Pmwcas.Make (Dssq_memory.Native) in
+  let p = P.create ~ring:2 ~nwords:2 ~nthreads:2 () in
+  let shared = P.alloc p 0 in
+  let ops = 2_000 in
+  let worker tid () =
+    for _ = 1 to ops do
+      let rec incr () =
+        let v = P.read p ~tid shared in
+        if not (P.pmwcas p ~tid [ (shared, v, v + 1, `Shared) ]) then incr ()
+      in
+      incr ()
+    done
+  in
+  let d = Domain.spawn (worker 1) in
+  worker 0 ();
+  Domain.join d;
+  Alcotest.(check int) "every increment applied" (2 * ops)
+    (P.read p ~tid:0 shared)
+
 let suite =
   [
     Alcotest.test_case "single word success" `Quick test_single_word_success;
@@ -259,4 +284,6 @@ let suite =
     Alcotest.test_case "crash: private word atomic with shared" `Quick
       test_crash_recovery_private_word;
     Alcotest.test_case "recovery idempotent" `Quick test_recovery_is_idempotent;
+    Alcotest.test_case "native: 2 domains outrun a 2-descriptor ring" `Quick
+      test_native_small_ring;
   ]

@@ -16,8 +16,8 @@ module PE = Dssq_memory.Persist_event
    never flushed but fenced (enqueued under [Combine]), a fence with
    lines pending (one barrier, not two) and fences with none. *)
 let program (module M : MI.COUNTED) =
-  let a = M.alloc ~name:"a" ~placement:MI.Line.Isolated 0 in
-  let b = M.alloc ~name:"b" ~placement:MI.Line.Isolated 0 in
+  let a = M.alloc ~name:(fun () -> "a") ~placement:MI.Line.Isolated 0 in
+  let b = M.alloc ~name:(fun () -> "b") ~placement:MI.Line.Isolated 0 in
   M.reset_counters ();
   M.write a 1;
   ignore (M.read a : int);

@@ -120,7 +120,7 @@ let test_protected_invariant_across_crashes () =
   let (module M) = Sim.memory heap in
   let module L = Dssq_core.Rme_lock.Make (M) in
   let l = L.create ~nthreads:2 () in
-  let counter = M.alloc ~name:"protected" 0 in
+  let counter = M.alloc ~name:(fun () -> "protected") 0 in
   let completed = Array.make 2 0 in
   let intent = Array.make 2 (-1) in
   (* target value each thread is installing; volatile *)

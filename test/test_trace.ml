@@ -80,8 +80,8 @@ let test_per_thread_rings () =
 
 let test_heap_emission_and_crash_verdicts () =
   let h = Heap.create () in
-  let a = Heap.alloc h ~name:"a" 0 in
-  let b = Heap.alloc h ~name:"b" 0 in
+  let a = Heap.alloc h ~name:(fun () -> "a") 0 in
+  let b = Heap.alloc h ~name:(fun () -> "b") 0 in
   let t = Trace.start () in
   Heap.write h a 1;
   Heap.flush h a;
@@ -271,6 +271,54 @@ let test_lincheck_counterexample_carries_trace () =
       Alcotest.(check bool) "timeline printed with the verdict" true
         (contains s "begin dequeue" && contains s "read  head#3")
 
+(* Cell names are computed when read: a tracer started only after the
+   whole system was built (objects, WAL, root directory) still sees
+   every cell under its allocation-time name. *)
+let test_late_subscriber_sees_names () =
+  let heap = Heap.create () in
+  let (module M) = Sim.memory heap in
+  let module Q = Dssq_core.Dss_queue.Make (M) in
+  let module Sys = Dssq_core.Recovery.Make (M) in
+  let sys = Sys.create ~nthreads:2 ~wal_lane_capacity:8 ~root_capacity:2 () in
+  let q =
+    Q.create ~wal:(Sys.wal sys) ~pool_id:(Sys.fresh_pool_id sys)
+      ~reclaim:false ~nthreads:2 ~capacity:4 ()
+  in
+  ignore (Sys.register sys ~name:"queue" (fun () -> Q.recover q) : int);
+  Alcotest.(check bool) "nothing subscribed while building" false
+    (Dssq_memory.Persist_event.is_on ());
+  let enq () =
+    Q.prep_enqueue q ~tid:0 7;
+    Q.exec_enqueue q ~tid:0
+  in
+  let deq () =
+    Q.prep_dequeue q ~tid:1;
+    ignore (Q.exec_dequeue q ~tid:1)
+  in
+  let _, entries =
+    Trace.capture (fun () -> Sim.run heap ~threads:[ enq; deq ])
+  in
+  let names =
+    List.filter_map
+      (fun (e : Trace.entry) ->
+        match e.Trace.event with
+        | Trace.Mem { cell_name; _ } -> Some cell_name
+        | _ -> None)
+      entries
+  in
+  let starts p n =
+    String.length n >= String.length p
+    && String.sub n 0 (String.length p) = p
+  in
+  let seen what p =
+    Alcotest.(check bool) what true (List.exists p names)
+  in
+  seen "node<i>[j]" (fun n -> starts "node" n && contains n "[");
+  seen "X[i]" (fun n -> n = "X[0]" || n = "X[1]");
+  seen "head" (String.equal "head");
+  seen "tail" (String.equal "tail");
+  seen "wal[i][j]" (fun n -> starts "wal[" n && contains n "][")
+
 let suite =
   [
     Alcotest.test_case "tracing off is a no-op" `Quick test_off_is_noop;
@@ -287,4 +335,6 @@ let suite =
     Alcotest.test_case "native Counted hook" `Quick test_native_counted_hook;
     Alcotest.test_case "lincheck counterexample carries the trace" `Quick
       test_lincheck_counterexample_carries_trace;
+    Alcotest.test_case "a late subscriber still sees cell names" `Quick
+      test_late_subscriber_sees_names;
   ]
