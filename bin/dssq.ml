@@ -1,10 +1,17 @@
 (* dssq — command-line front end for the DSS queue reproduction.
 
-     dssq fig5a / fig5b / ablate-*   experiment drivers (same as bench)
-     dssq crash-demo                 interactive crash/recovery walkthrough
-     dssq lincheck                   randomized strict-linearizability testing
-     dssq latency                    modelled per-op latency table
-     dssq info                       inventory of what this repo implements *)
+     dssq figures                     Figures 5a/5b, every ablation, latency
+     dssq fig5a / fig5b / ablate-*    one experiment
+     dssq regress / bench-diff        benchmark-regression sweep and gate
+     dssq combine / pad-sweep         flat-combining and padding sweeps
+     dssq bechamel / setup            wall-clock latency via Bechamel
+     dssq metrics / zoo / profile     memory-event accounting
+     dssq crash-demo / trace          crash/recovery walkthroughs
+     dssq lincheck / explore / fsck   correctness checking
+     dssq info                        inventory of what this repo implements
+
+   Throughput experiments run on the discrete-event simulated
+   multiprocessor by default; --backend native runs real domains. *)
 
 module Experiments = Dssq_workload.Experiments
 module Report = Dssq_workload.Report
@@ -17,31 +24,116 @@ module Recorder = Dssq_history.Recorder
 module Lincheck = Dssq_lincheck.Lincheck
 module Trace = Dssq_obs.Trace
 module Json = Dssq_obs.Json
+module Run_report = Dssq_obs.Run_report
+module MI = Dssq_memory.Memory_intf
 open Cmdliner
 
-let render ~title ~x_label ~y_label series =
-  Report.print_table ~title ~x_label ~y_label series;
-  Report.print_chart series
+(* ------------------------------- flags ------------------------------- *)
 
-(* ------------------------------ figures ------------------------------ *)
+(* Every flag is declared once, here, and means the same thing in each
+   command that takes it.  Counts are checked when the flags are parsed,
+   so a zero never reaches [Queue_intf.config] or a mean. *)
 
-let threads_arg =
-  Arg.(
-    value
-    & opt (list int) [ 1; 2; 4; 8; 12; 16; 20 ]
-    & info [ "threads" ] ~doc:"thread counts")
-
-let repeats_arg = Arg.(value & opt int 3 & info [ "repeats" ] ~doc:"samples")
-
-(* A line size of 0 (or less) would only surface later as an
-   [Invalid_argument] from [Line.Alloc.create]; reject it at parse time. *)
-let pos_int =
+let int_in ~lo ?(hi = max_int) what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when lo <= n && n <= hi -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_in ~lo:1 "a positive integer"
+
+let backend_arg =
+  let backends = [ Experiments.Sim_model; Experiments.Native_domains ] in
+  Arg.(
+    value
+    & opt (enum (List.map (fun b -> (Experiments.backend_name b, b)) backends))
+        Experiments.Sim_model
+    & info [ "backend" ]
+        ~doc:
+          "memory backend: $(b,sim) (default; the simulated multiprocessor, \
+           modelled time) or $(b,native) (real domains, wall clock)")
+
+let threads_arg default =
+  Arg.(
+    value
+    & opt (list pos_int) default
+    & info [ "threads" ] ~docv:"COUNTS" ~doc:"thread counts to sweep")
+
+(* The knobs of a throughput sweep on the simulated multiprocessor, and
+   their defaults. *)
+type knobs = { nthreads : int; repeats : int; horizon_us : float }
+
+let default_knobs = { nthreads = 8; repeats = 3; horizon_us = 300. }
+
+let nthreads_arg =
+  Arg.(
+    value
+    & opt pos_int default_knobs.nthreads
+    & info [ "nthreads" ] ~docv:"N" ~doc:"thread count")
+
+let repeats_arg =
+  Arg.(
+    value
+    & opt pos_int default_knobs.repeats
+    & info [ "repeats" ] ~doc:"samples per point")
+
+let horizon_us_arg =
+  Arg.(
+    value
+    & opt float default_knobs.horizon_us
+    & info [ "horizon-us" ] ~docv:"US"
+        ~doc:"simulated time per sample (sim backend)")
+
+let knobs_arg =
+  Term.(
+    const (fun nthreads repeats horizon_us -> { nthreads; repeats; horizon_us })
+    $ nthreads_arg $ repeats_arg $ horizon_us_arg)
+
+let duration_arg =
+  Arg.(
+    value & opt float 0.2
+    & info [ "duration" ] ~docv:"SECONDS"
+        ~doc:"wall-clock time per sample (native backend)")
+
+let pairs_arg =
+  Arg.(
+    value & opt pos_int 200
+    & info [ "pairs" ] ~doc:"operation pairs per thread (and per object)")
+
+let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"also print the table as CSV")
+
+let json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:"write the command's schema-versioned JSON report to $(docv)")
+
+let object_arg names default ~doc =
+  Arg.(value & opt names default & info [ "object" ] ~docv:"NAME" ~doc)
+
+let queue_arg names default =
+  Arg.(
+    value & opt names default
+    & info [ "queue" ] ~docv:"NAME"
+        ~doc:"queue implementation (see $(b,dssq info))")
+
+let step_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "step" ] ~doc:"memory event to crash before")
+
+let evict_arg =
+  Arg.(
+    value & opt float 0.5
+    & info [ "evict" ] ~doc:"cache eviction probability at the crash")
+
+let seed_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "seed" ] ~doc:"seed of the run's pseudo-random choices")
 
 let line_size_arg =
   Arg.(
@@ -104,219 +196,294 @@ let memory_model_arg =
   Term.(
     term_result' (const check $ coalesce_arg $ combine_arg $ persistency_arg))
 
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"write a schema-versioned JSON run report to $(docv)")
+(* ------------------------------ reports ------------------------------ *)
 
-let write_report ~experiment ~x_label ~y_label ?(params = []) ?(provenance = [])
-    series file =
-  let report =
-    Dssq_obs.Run_report.make ~backend:"sim" ~experiment ~x_label ~y_label
-      ~params ~provenance series
-  in
-  match Dssq_obs.Run_report.write file report with
+let render ~title ~x_label ~y_label ~csv series =
+  Report.print_table ~title ~x_label ~y_label series;
+  Report.print_chart series;
+  if csv then print_string (Report.to_csv ~x_label series)
+
+let write_run_report file report =
+  match Run_report.write file report with
   | () ->
-      Printf.printf "wrote %s (%s v%d)\n" file Dssq_obs.Run_report.schema_name
-        Dssq_obs.Run_report.schema_version
+      Printf.printf "wrote %s (%s v%d)\n" file Run_report.schema_name
+        Run_report.schema_version
   | exception Sys_error msg ->
       Printf.eprintf "dssq: cannot write report: %s\n" msg;
       exit 1
 
-let fig_params ~threads ~repeats ~line_size ~coalesce =
-  [
-    ("threads", String.concat "," (List.map string_of_int threads));
-    ("repeats", string_of_int repeats);
-    ("line_size", string_of_int line_size);
-    ("coalesce", string_of_bool coalesce);
-  ]
+(* The command's own JSON document (fsck verdicts, profiles, explore
+   reports), named by [what] in the confirmation line. *)
+let write_json ~what file doc =
+  match
+    Out_channel.with_open_text file (fun oc ->
+        Out_channel.output_string oc (Json.to_string doc);
+        Out_channel.output_char oc '\n')
+  with
+  | () -> Printf.printf "wrote %s (%s)\n" file what
+  | exception Sys_error msg ->
+      Printf.eprintf "dssq: cannot write %s: %s\n" what msg;
+      exit 1
+
+let write_report ?(backend = Experiments.Sim_model) ~experiment ~x_label
+    ~y_label ~params ~provenance series file =
+  write_run_report file
+    (Run_report.make
+       ~backend:(Experiments.backend_name backend)
+       ~experiment ~x_label ~y_label ~params ~provenance series)
+
+let ints l = String.concat "," (List.map string_of_int l)
 
 (* Machine-readable run provenance (schema v5): the memory-model knobs
    that decide whether two archived reports are comparable at all.  The
    git revision is stamped by [Run_report.make] itself. *)
 let provenance ?threads ~line_size ~coalesce () =
-  (match threads with
-  | None -> []
-  | Some t -> [ ("threads", String.concat "," (List.map string_of_int t)) ])
-  @ [
-      ("line_size", string_of_int line_size);
-      ("coalesce", string_of_bool coalesce);
-    ]
+  (match threads with None -> [] | Some t -> [ ("threads", t) ])
+  @ [ ("line_size", line_size); ("coalesce", string_of_bool coalesce) ]
 
-let fig5a_cmd =
-  let run threads repeats line_size coalesce json =
-    match json with
-    | None ->
-        render ~title:"Figure 5a" ~x_label:"threads" ~y_label:"Mops/s"
-          (Experiments.fig5a ~threads ~repeats ~line_size ~coalesce ())
-    | Some file ->
-        (* Instrumented run: same figure, plus events + latency in JSON. *)
-        let series =
-          Experiments.fig5a_ex ~threads ~repeats ~line_size ~coalesce
-            ~instrument:true ()
-        in
-        render ~title:"Figure 5a" ~x_label:"threads" ~y_label:"Mops/s"
-          (Report.of_run series);
-        write_report ~experiment:"fig5a" ~x_label:"threads" ~y_label:"Mops/s"
-          ~params:(fig_params ~threads ~repeats ~line_size ~coalesce)
-          ~provenance:(provenance ~threads ~line_size ~coalesce ())
-          series file
-  in
-  Cmd.v (Cmd.info "fig5a" ~doc:"regenerate Figure 5a")
-    Term.(
-      const run $ threads_arg $ repeats_arg $ line_size_arg $ coalesce_arg
-      $ json_arg)
+(* ------------------------------ figures ------------------------------ *)
 
-let fig5b_cmd =
-  let run threads repeats line_size coalesce json =
-    match json with
-    | None ->
-        render ~title:"Figure 5b" ~x_label:"threads" ~y_label:"Mops/s"
-          (Experiments.fig5b ~threads ~repeats ~line_size ~coalesce ())
-    | Some file ->
-        let series =
-          Experiments.fig5b_ex ~threads ~repeats ~line_size ~coalesce
-            ~instrument:true ()
-        in
-        render ~title:"Figure 5b" ~x_label:"threads" ~y_label:"Mops/s"
-          (Report.of_run series);
-        write_report ~experiment:"fig5b" ~x_label:"threads" ~y_label:"Mops/s"
-          ~params:(fig_params ~threads ~repeats ~line_size ~coalesce)
-          ~provenance:(provenance ~threads ~line_size ~coalesce ())
-          series file
-  in
-  Cmd.v (Cmd.info "fig5b" ~doc:"regenerate Figure 5b")
-    Term.(
-      const run $ threads_arg $ repeats_arg $ line_size_arg $ coalesce_arg
-      $ json_arg)
-
-let ablate_cmd ~name ~doc ~title ~x_label ~y_label f =
-  let run line_size json =
-    let series = f ~line_size () in
-    render ~title ~x_label ~y_label series;
+(* One Figure 5 panel: the [queues] over every thread count, printed,
+   and with --json archived instrumented. *)
+let fig_cmd name ~doc ~title queues =
+  let run backend threads repeats horizon_us duration line_size coalesce csv
+      json =
+    let series =
+      Experiments.sweep ~backend ~threads ~repeats
+        ~horizon_ns:(horizon_us *. 1e3) ~duration ~line_size ~coalesce
+        ~instrument:(Option.is_some json) queues
+    in
+    render ~title ~x_label:"threads" ~y_label:"Mops/s" ~csv
+      (Report.of_run series);
     Option.iter
-      (fun file ->
-        write_report ~experiment:name ~x_label ~y_label
-          ~params:[ ("line_size", string_of_int line_size) ]
-          ~provenance:(provenance ~line_size ~coalesce:false ())
-          (Report.to_run series) file)
+      (write_report ~backend ~experiment:name ~x_label:"threads"
+         ~y_label:"Mops/s"
+         ~params:
+           [
+             ("threads", ints threads);
+             ("repeats", string_of_int repeats);
+             ("line_size", string_of_int line_size);
+             ("coalesce", string_of_bool coalesce);
+           ]
+         ~provenance:
+           (provenance ~threads:(ints threads)
+              ~line_size:(string_of_int line_size) ~coalesce ())
+         series)
       json
   in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ line_size_arg $ json_arg)
+  ( run,
+    Cmd.v (Cmd.info name ~doc)
+      Term.(
+        const run $ backend_arg
+        $ threads_arg Experiments.default_threads
+        $ repeats_arg $ horizon_us_arg $ duration_arg $ line_size_arg
+        $ coalesce_arg $ csv_arg $ json_arg) )
 
-let ablate_cmds =
+let fig5a, fig5a_cmd =
+  fig_cmd "fig5a" ~doc:"MS queue vs DSS non-detectable vs DSS detectable"
+    ~title:
+      "Figure 5a: levels of detectability and persistence (alternating \
+       enqueue/dequeue pairs, queue seeded with 16 nodes)"
+    Experiments.fig5a_queues
+
+let fig5b, fig5b_cmd =
+  fig_cmd "fig5b" ~doc:"DSS queue vs log queue vs Fast/General CASWithEffect"
+    ~title:
+      "Figure 5b: detectable queue implementations (all operations \
+       detectable)"
+    Experiments.fig5b_queues
+
+(* ----------------------------- ablations ----------------------------- *)
+
+(* An ablation prints one table over its swept x; --json archives it with
+   the knobs it ran under.  A sweep that [reads_knobs] accepts their
+   flags; the others run at their fixed defaults. *)
+type ablation = {
+  name : string;
+  doc : string;
+  title : string;
+  x_label : string;
+  y_label : string;
+  reads_knobs : bool;
+  experiment : knobs -> line_size:int -> Report.series list;
+}
+
+let run_ablation a k line_size csv json =
+  let series = a.experiment k ~line_size in
+  let title, knob_params =
+    if a.reads_knobs then
+      ( Printf.sprintf "%s (%d threads)" a.title k.nthreads,
+        [
+          ("threads", string_of_int k.nthreads);
+          ("repeats", string_of_int k.repeats);
+        ] )
+    else (a.title, [])
+  in
+  render ~title ~x_label:a.x_label ~y_label:a.y_label ~csv series;
+  Option.iter
+    (write_report ~experiment:a.name ~x_label:a.x_label ~y_label:a.y_label
+       ~params:(knob_params @ [ ("line_size", string_of_int line_size) ])
+       ~provenance:
+         (provenance ~line_size:(string_of_int line_size) ~coalesce:false ())
+       (Report.to_run series))
+    json
+
+let ablate_cmd a =
+  let knobs = if a.reads_knobs then knobs_arg else Term.const default_knobs in
+  Cmd.v (Cmd.info a.name ~doc:a.doc)
+    Term.(const (run_ablation a) $ knobs $ line_size_arg $ csv_arg $ json_arg)
+
+let horizon_ns k = k.horizon_us *. 1e3
+
+let ablations =
   [
-    ablate_cmd ~name:"ablate-flush" ~doc:"persist-latency sweep"
-      ~title:"Persist-cost ablation" ~x_label:"flush_ns" ~y_label:"Mops/s"
-      (fun ~line_size () -> Experiments.ablate_flush ~line_size ());
-    ablate_cmd ~name:"ablate-demand" ~doc:"detectability-fraction sweep"
-      ~title:"Detectability on demand" ~x_label:"det_pct" ~y_label:"Mops/s"
-      (fun ~line_size () -> Experiments.ablate_demand ~line_size ());
-    ablate_cmd ~name:"ablate-recovery" ~doc:"recovery-style comparison"
-      ~title:"Recovery styles" ~x_label:"queue_len" ~y_label:"memory events"
-      (fun ~line_size () -> Experiments.ablate_recovery ~line_size ());
-    ablate_cmd ~name:"ablate-pmwcas" ~doc:"PMwCAS width sweep"
-      ~title:"PMwCAS width" ~x_label:"width" ~y_label:"ns/op"
-      (fun ~line_size () -> Experiments.ablate_pmwcas ~line_size ());
-    ablate_cmd ~name:"ablate-crashes" ~doc:"throughput under periodic crashes"
-      ~title:"Failure-full throughput" ~x_label:"mtbf_us" ~y_label:"Mops/s"
-      (fun ~line_size () -> Experiments.ablate_crash_mtbf ~line_size ());
+    {
+      name = "ablate-flush";
+      doc = "sweep the simulated CLWB+sfence latency";
+      title = "Ablation: persist-instruction latency sweep";
+      x_label = "flush_ns";
+      y_label = "Mops/s";
+      reads_knobs = true;
+      experiment =
+        (fun k ~line_size ->
+          Experiments.ablate_flush ~nthreads:k.nthreads ~repeats:k.repeats
+            ~horizon_ns:(horizon_ns k) ~line_size ());
+    };
+    {
+      name = "ablate-demand";
+      doc = "sweep the fraction of operations requesting detectability";
+      title =
+        "Ablation: detectability on demand — fraction of detectable pairs on \
+         the DSS queue";
+      x_label = "det_pct";
+      y_label = "Mops/s";
+      reads_knobs = true;
+      experiment =
+        (fun k ~line_size ->
+          Experiments.ablate_demand ~nthreads:k.nthreads ~repeats:k.repeats
+            ~horizon_ns:(horizon_ns k) ~line_size ());
+    };
+    {
+      name = "ablate-recovery";
+      doc = "centralized (Figure 6) vs per-thread recovery cost";
+      title =
+        "Ablation: recovery styles — memory events to recover vs queue length";
+      x_label = "queue_len";
+      y_label = "memory events";
+      reads_knobs = false;
+      experiment =
+        (fun _ ~line_size -> Experiments.ablate_recovery ~line_size ());
+    };
+    {
+      name = "ablate-depth";
+      doc = "initial queue depth sweep";
+      title = "Ablation: initial queue depth (8 threads)";
+      x_label = "depth";
+      y_label = "Mops/s";
+      reads_knobs = false;
+      experiment = (fun _ ~line_size -> Experiments.ablate_depth ~line_size ());
+    };
+    {
+      name = "ablate-crashes";
+      doc = "throughput under periodic crashes (MTBF sweep)";
+      title =
+        "Ablation: failure-full throughput — effective Mops/s vs crash MTBF \
+         (8 threads, recovery charged)";
+      x_label = "mtbf_us";
+      y_label = "Mops/s";
+      reads_knobs = false;
+      experiment =
+        (fun _ ~line_size -> Experiments.ablate_crash_mtbf ~line_size ());
+    };
+    {
+      name = "ablate-pmwcas";
+      doc = "PMwCAS cost vs number of words";
+      title = "Ablation: PMwCAS width — modelled ns per operation";
+      x_label = "width";
+      y_label = "ns/op";
+      reads_knobs = false;
+      experiment = (fun _ ~line_size -> Experiments.ablate_pmwcas ~line_size ());
+    };
   ]
 
 (* ------------------------- ablate-linesize --------------------------- *)
 
-(* The persist-line-size sweep has its own command (rather than joining
-   [ablate_cmds]) because its payload is richer — every point is
+(* The persist-line-size sweep is not an [ablate_cmd]: every point is
    instrumented, so flushes/op and elided/op per line size are printed
-   and archived — and because its size-1 point doubles as the CI
-   regression anchor for the whole line refactor. *)
-let linesize_run sizes nthreads repeats json anchor =
+   and archived, and its size-1 point doubles as the regression anchor
+   for the whole line refactor. *)
+let default_sizes = [ 1; 2; 4; 8; 16 ]
+
+let ablate_linesize sizes ({ nthreads; repeats; _ } as k) csv json anchor =
   let series =
-    Experiments.ablate_linesize ~nthreads ~line_sizes:sizes ~repeats ()
+    Experiments.ablate_linesize ~nthreads ~line_sizes:sizes ~repeats
+      ~horizon_ns:(horizon_ns k) ()
   in
-  render ~title:"Persist-line size" ~x_label:"line_size" ~y_label:"Mops/s"
-    (Report.of_run series);
+  render
+    ~title:(Printf.sprintf "Ablation: persist-line size (%d threads)" nthreads)
+    ~x_label:"line_size" ~y_label:"Mops/s" ~csv (Report.of_run series);
   let per_op ops n = float_of_int n /. float_of_int (max 1 ops) in
   Printf.printf "%-12s%10s%14s%14s\n" "queue" "line_size" "flushes/op"
     "elided/op";
   List.iter
-    (fun (s : Dssq_obs.Run_report.series) ->
+    (fun (s : Run_report.series) ->
       List.iter
-        (fun (p : Dssq_obs.Run_report.point) ->
+        (fun (p : Run_report.point) ->
           Printf.printf "%-12s%10d%14.2f%14.2f\n" s.label p.x
-            (per_op p.ops p.events.Dssq_memory.Memory_intf.flushes)
-            (per_op p.ops p.events.Dssq_memory.Memory_intf.elided_flushes))
+            (per_op p.ops p.events.MI.flushes)
+            (per_op p.ops p.events.MI.elided_flushes))
         s.points)
     series;
   Option.iter
-    (fun file ->
-      write_report ~experiment:"ablate-linesize" ~x_label:"line_size"
-        ~y_label:"Mops/s"
-        ~params:
-          [
-            ("threads", string_of_int nthreads);
-            ("repeats", string_of_int repeats);
-            ("line_sizes", String.concat "," (List.map string_of_int sizes));
-          ]
-        ~provenance:
-          [
-            ("threads", string_of_int nthreads);
-            ("line_size", String.concat "," (List.map string_of_int sizes));
-            ("coalesce", "false");
-          ]
-        series file)
+    (write_report ~experiment:"ablate-linesize" ~x_label:"line_size"
+       ~y_label:"Mops/s"
+       ~params:
+         [
+           ("threads", string_of_int nthreads);
+           ("repeats", string_of_int repeats);
+           ("line_sizes", ints sizes);
+         ]
+       ~provenance:
+         (provenance ~threads:(string_of_int nthreads) ~line_size:(ints sizes)
+            ~coalesce:false ())
+       series)
     json;
   (* CI anchor: at line size 1 the harness must be byte-identical to the
      pre-line-abstraction model, so dss-det's flushes/op is a constant of
-     the workload.  A drift here means the refactor changed the legacy
-     semantics. *)
+     the workload.  It is compared at the printed precision: a drift in
+     the third decimal means the legacy semantics changed. *)
   Option.iter
     (fun expected ->
-      match
-        List.find_opt
-          (fun (s : Dssq_obs.Run_report.series) -> s.label = "dss-det")
-          series
-      with
+      let fail fmt =
+        Printf.ksprintf (fun m -> prerr_string m; exit 1) fmt
+      in
+      let point =
+        Option.bind
+          (List.find_opt (fun (s : Run_report.series) -> s.label = "dss-det") series)
+          (fun s -> List.find_opt (fun (p : Run_report.point) -> p.x = 1) s.points)
+      in
+      match point with
       | None ->
-          Printf.eprintf "dssq: anchor check: no dss-det series\n";
-          exit 1
-      | Some s -> (
-          match
-            List.find_opt (fun (p : Dssq_obs.Run_report.point) -> p.x = 1)
-              s.points
-          with
-          | None ->
-              Printf.eprintf
-                "dssq: anchor check: no line-size-1 point (add 1 to --sizes)\n";
-              exit 1
-          | Some p ->
-              let got =
-                per_op p.ops p.events.Dssq_memory.Memory_intf.flushes
-              in
-              if Float.abs (got -. expected) > 0.01 then begin
-                Printf.eprintf
-                  "dssq: anchor check FAILED: dss-det flushes/op at line size \
-                   1 = %.3f, expected %.3f\n"
-                  got expected;
-                exit 1
-              end;
-              Printf.printf
-                "anchor check passed: dss-det flushes/op at line size 1 = \
-                 %.3f (expected %.3f)\n"
-                got expected))
+          fail "dssq: anchor check: no dss-det point at line size 1 (add 1 to --sizes)\n"
+      | Some p ->
+          let got = per_op p.ops p.events.MI.flushes in
+          if Float.abs (got -. expected) > 0.0005 then
+            fail
+              "dssq: anchor check FAILED: dss-det flushes/op at line size 1 = \
+               %.3f, expected %.3f\n"
+              got expected;
+          Printf.printf
+            "anchor check passed: dss-det flushes/op at line size 1 = %.3f \
+             (expected %.3f)\n"
+            got expected)
     anchor
 
 let ablate_linesize_cmd =
   let sizes =
     Arg.(
       value
-      & opt (list pos_int) [ 1; 2; 4; 8; 16 ]
-      & info [ "sizes" ] ~doc:"line sizes (words) to sweep")
-  in
-  let nthreads =
-    Arg.(value & opt int 8 & info [ "threads" ] ~doc:"thread count")
+      & opt (list pos_int) default_sizes
+      & info [ "sizes" ] ~docv:"WORDS" ~doc:"line sizes (words) to sweep")
   in
   let anchor =
     Arg.(
@@ -325,25 +492,70 @@ let ablate_linesize_cmd =
       & info [ "check-anchor" ] ~docv:"FLUSHES_PER_OP"
           ~doc:
             "assert that the dss-det series' flushes/op at line size 1 \
-             equals $(docv) to within 0.01 (the legacy word-granular \
-             regression anchor); exit non-zero on drift")
+             equals $(docv) at the printed precision (within 0.0005; the \
+             legacy word-granular regression anchor); exit non-zero on \
+             drift")
   in
   Cmd.v
     (Cmd.info "ablate-linesize"
        ~doc:"persist-line-size sweep (instrumented: flushes/op, elided/op)")
-    Term.(const linesize_run $ sizes $ nthreads $ repeats_arg $ json_arg $ anchor)
+    Term.(
+      const ablate_linesize $ sizes $ knobs_arg $ csv_arg $ json_arg $ anchor)
+
+(* ------------------------------ latency ------------------------------ *)
+
+let latency () =
+  Printf.printf
+    "## Modelled single-thread latency per operation (ns, no contention)\n";
+  Printf.printf "%-16s%14s%14s%9s\n" "queue" "plain_ns" "detectable_ns" "ratio";
+  List.iter
+    (fun (name, nondet, det) ->
+      Printf.printf "%-16s%14.0f%14.0f%9.2f\n" name nondet det
+        (if nondet > 0. then det /. nondet else 0.))
+    (Experiments.op_latency ());
+  print_newline ()
+
+let latency_cmd =
+  Cmd.v
+    (Cmd.info "latency" ~doc:"modelled per-operation latency table")
+    Term.(const latency $ const ())
+
+(* ------------------------------ figures ------------------------------ *)
+
+(* Everything the paper's evaluation and DESIGN.md's ablations plot, in
+   one run: both figure panels over [threads], every ablation at 8
+   threads (the throughput sweeps with this run's repeats and horizon),
+   then the latency table. *)
+let figures backend threads repeats horizon_us duration csv =
+  fig5a backend threads repeats horizon_us duration 1 false csv None;
+  fig5b backend threads repeats horizon_us duration 1 false csv None;
+  let k = { default_knobs with repeats; horizon_us } in
+  List.iter (fun a -> run_ablation a k 1 csv None) ablations;
+  ablate_linesize default_sizes k csv None None;
+  latency ()
+
+let figures_cmd =
+  Cmd.v
+    (Cmd.info "figures"
+       ~doc:
+         "regenerate the paper's figures (5a, 5b), every DESIGN.md ablation \
+          and the latency table")
+    Term.(
+      const figures $ backend_arg
+      $ threads_arg Experiments.default_threads
+      $ repeats_arg $ horizon_us_arg $ duration_arg $ csv_arg)
 
 (* ----------------------------- bench-diff ----------------------------- *)
 
 (* Compare two run reports — typically the checked-in BENCH_*.json
-   baseline against a fresh `bench regress` run — and exit non-zero when
+   baseline against a fresh `dssq regress` run — and exit non-zero when
    throughput regressed.  Points are matched on (series label, x); the
    statistic is the mean of the throughput samples at each point.  Points
    present in only one file are reported but not gated on, so adding or
    retiring a series does not break the pipeline. *)
 let bench_diff_run old_file new_file tolerance sp_new sp_ref sp_at sp_min =
   let load file =
-    match Dssq_obs.Run_report.read file with
+    match Run_report.read file with
     | r -> r
     | exception Sys_error msg ->
         Printf.eprintf "dssq: cannot read %s: %s\n" file msg;
@@ -358,20 +570,20 @@ let bench_diff_run old_file new_file tolerance sp_new sp_ref sp_at sp_min =
     | [] -> Float.nan
     | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
   in
-  let points (r : Dssq_obs.Run_report.t) =
+  let points (r : Run_report.t) =
     List.concat_map
-      (fun (s : Dssq_obs.Run_report.series) ->
+      (fun (s : Run_report.series) ->
         List.map
-          (fun (p : Dssq_obs.Run_report.point) ->
-            ((s.Dssq_obs.Run_report.label, p.Dssq_obs.Run_report.x),
-             mean p.Dssq_obs.Run_report.samples))
-          s.Dssq_obs.Run_report.points)
-      r.Dssq_obs.Run_report.series
+          (fun (p : Run_report.point) ->
+            ((s.Run_report.label, p.Run_report.x),
+             mean p.Run_report.samples))
+          s.Run_report.points)
+      r.Run_report.series
   in
   let old_pts = points old_r in
   let new_pts = points new_r in
   Printf.printf "bench-diff: %s (%s) -> %s (%s), tolerance %.1f%%\n\n" old_file
-    old_r.Dssq_obs.Run_report.git_rev new_file new_r.Dssq_obs.Run_report.git_rev
+    old_r.Run_report.git_rev new_file new_r.Run_report.git_rev
     tolerance;
   Printf.printf "%-26s%6s%12s%12s%10s\n" "series" "x" "old" "new" "delta";
   let compared = ref 0 in
@@ -407,11 +619,11 @@ let bench_diff_run old_file new_file tolerance sp_new sp_ref sp_at sp_min =
      deterministic; points present in only one report — e.g. a pre-v6
      baseline with no recovery list — are not gated on.  A leak in the
      candidate's audit is always a failure, tolerance or not. *)
-  let rec_pts (r : Dssq_obs.Run_report.t) =
+  let rec_pts (r : Run_report.t) =
     List.map
-      (fun (p : Dssq_obs.Run_report.recovery_point) ->
-        ((p.Dssq_obs.Run_report.r_object, p.r_backend), p))
-      r.Dssq_obs.Run_report.recovery
+      (fun (p : Run_report.recovery_point) ->
+        ((p.Run_report.r_object, p.r_backend), p))
+      r.Run_report.recovery
   in
   let old_rec = rec_pts old_r in
   let new_rec = rec_pts new_r in
@@ -419,7 +631,7 @@ let bench_diff_run old_file new_file tolerance sp_new sp_ref sp_at sp_min =
     Printf.printf "\n%-26s%12s%12s%10s\n" "recovery (ms, lower=better)" "old"
       "new" "delta";
     List.iter
-      (fun ((obj, backend), (po : Dssq_obs.Run_report.recovery_point)) ->
+      (fun ((obj, backend), (po : Run_report.recovery_point)) ->
         match List.assoc_opt (obj, backend) new_rec with
         | None -> ()
         | Some pn ->
@@ -438,7 +650,7 @@ let bench_diff_run old_file new_file tolerance sp_new sp_ref sp_at sp_min =
       old_rec
   end;
   List.iter
-    (fun ((obj, backend), (p : Dssq_obs.Run_report.recovery_point)) ->
+    (fun ((obj, backend), (p : Run_report.recovery_point)) ->
       if p.r_leaked > 0 then begin
         incr regressions;
         Printf.printf "%s/%s: %d node(s) LEAKED after recovery\n" obj backend
@@ -555,6 +767,289 @@ let bench_diff_cmd =
       const bench_diff_run $ old_file $ new_file $ tolerance $ sp_new $ sp_ref
       $ sp_at $ sp_min)
 
+(* ------------------------- regression sweep -------------------------- *)
+
+(* The sweep behind the checked-in BENCH_*.json baselines; compare a
+   fresh report against one with `dssq bench-diff`. *)
+let regress quick json =
+  let series = Experiments.regress ~quick () in
+  let recovery = Experiments.recovery_latency ~quick () in
+  render
+    ~title:
+      "Benchmark regression sweep: flush coalescing off vs on (line size 1; \
+       compare reports with `dssq bench-diff`)"
+    ~x_label:"threads" ~y_label:"Mops/s" ~csv:false (Report.of_run series);
+  write_run_report
+    (Option.value json ~default:"regress.json")
+    (Run_report.make ~backend:"mixed" ~experiment:"regress" ~x_label:"threads"
+       ~y_label:"Mops/s"
+       ~params:[ ("quick", string_of_bool quick); ("line_size", "1") ]
+       ~provenance:[ ("line_size", "1"); ("coalesce", "off+on") ]
+       ~recovery series);
+  let mean = Dssq_workload.Stats.mean in
+  let find label =
+    List.find_opt (fun (s : Run_report.series) -> s.label = label) series
+  in
+  (* Make the coalescing claim visible in the terminal: coalescing-on vs
+     -off mean throughput of the detectable DSS queue, per backend and
+     thread count. *)
+  List.iter
+    (fun backend ->
+      match (find (backend ^ "/dss-det"), find (backend ^ "+co/dss-det")) with
+      | Some off, Some on ->
+          List.iter2
+            (fun (po : Run_report.point) (pn : Run_report.point) ->
+              let fpo (p : Run_report.point) =
+                if p.ops = 0 then 0.
+                else float_of_int p.events.MI.flushes /. float_of_int p.ops
+              in
+              Printf.printf
+                "%s dss-det %2d threads: %.3f -> %.3f Mops/s (%+.1f%%), \
+                 flushes/op %.2f -> %.2f\n"
+                backend po.x (mean po.samples) (mean pn.samples)
+                (100. *. ((mean pn.samples /. mean po.samples) -. 1.))
+                (fpo po) (fpo pn))
+            off.points on.points
+      | _ -> ())
+    [ "sim"; "native" ];
+  (* And the flat-combining claim: the engine-backed FC queue (one
+     persist epoch per batch) against the eager detectable queue. *)
+  (match (find "sim/dss-det", find "sim+fc/dss-det") with
+  | Some eager, Some fc ->
+      List.iter
+        (fun (pf : Run_report.point) ->
+          match
+            List.find_opt (fun (pe : Run_report.point) -> pe.x = pf.x)
+              eager.points
+          with
+          | None -> ()
+          | Some pe ->
+              Printf.printf
+                "fc dss-det %2d threads: %.3f vs eager %.3f Mops/s (%.2fx)\n"
+                pf.x (mean pf.samples) (mean pe.samples)
+                (mean pf.samples /. mean pe.samples))
+        fc.points
+  | _ -> ());
+  List.iter
+    (fun (r : Run_report.recovery_point) ->
+      Printf.printf
+        "recovery %s/%s: %.4f ms (%d wal records replayed, %d leaked)\n"
+        r.r_object r.r_backend r.r_ms r.r_replayed r.r_leaked)
+    recovery
+
+let regress_cmd =
+  let quick =
+    Arg.(
+      value & flag
+      & info [ "quick" ]
+          ~doc:
+            "CI smoke configuration: sim backend only, two thread counts, one \
+             repeat (deterministic)")
+  in
+  Cmd.v
+    (Cmd.info "regress"
+       ~doc:
+         "benchmark-regression sweep (coalescing off vs on) emitting a \
+          BENCH_*.json run report (regress.json without $(b,--json))")
+    Term.(const regress $ quick $ json_arg)
+
+(* ------------------------- flat combining ---------------------------- *)
+
+(* Threads x batch size x Mops/s x flushes/op for the engine-backed
+   flat-combining queue against the eager detectable queue, on the
+   simulated multiprocessor (the shipped numbers; see EXPERIMENTS.md).
+   One persist epoch per batch should make flushes/op strictly decreasing
+   in the batch size and the 8-thread speedup >= 2x — `dssq bench-diff
+   --speedup-*` gates the latter in CI from the regress report. *)
+let combine threads batches =
+  let per (s : Run_report.sample) c =
+    float_of_int c /. float_of_int (max 1 s.ops)
+  in
+  Printf.printf
+    "## Flat combining: one persist epoch per batch (sim; dss-fc engine \
+     queue vs eager dss-queue, det 100%%)\n";
+  Printf.printf "%8s%8s%12s%10s%10s%10s\n" "threads" "batch" "Mops/s" "fl/op"
+    "fen/op" "speedup";
+  List.iter
+    (fun n ->
+      let eager =
+        Dssq_workload.Sim_throughput.measure_ex ~seed:1 ~mk:"dss-queue"
+          ~det_pct:100 ~nthreads:n ()
+      in
+      Printf.printf "%8d%8s%12.3f%10.3f%10.3f%10s\n" n "eager" eager.mops
+        (per eager eager.events.MI.flushes)
+        (per eager eager.events.MI.fences)
+        "1.00x";
+      List.iter
+        (fun b ->
+          let s =
+            Dssq_workload.Sim_throughput.measure_ex ~seed:1 ~mk:"dss-fc"
+              ~det_pct:100 ~combine:true ~batch:b ~nthreads:n ()
+          in
+          Printf.printf "%8d%8d%12.3f%10.3f%10.3f%9.2fx\n" n b s.mops
+            (per s s.events.MI.flushes)
+            (per s s.events.MI.fences)
+            (s.mops /. eager.mops))
+        batches)
+    threads
+
+let combine_cmd =
+  let batches =
+    Arg.(
+      value
+      & opt (list pos_int) [ 1; 2; 4; 8; 16; 32 ]
+      & info [ "batches" ] ~docv:"SIZES"
+          ~doc:"batch sizes (operation pairs per persist epoch) to sweep")
+  in
+  Cmd.v
+    (Cmd.info "combine"
+       ~doc:
+         "flat-combining sweep: threads x batch size x Mops/s x flushes/op \
+          (sim backend)")
+    Term.(const combine $ threads_arg [ 1; 4; 8 ] $ batches)
+
+(* NUMA-ish padding-stride sweep on the native backend: how much
+   isolation stride the contended cells (head/tail/announces) want on
+   real hardware.  Flat on a single-core host by construction; meant for
+   multicore machines. *)
+let pad_sweep pads nthreads duration combine batch =
+  Printf.printf "## Padding-stride sweep (native domains, %d thread(s)%s)\n"
+    nthreads
+    (if combine then Printf.sprintf ", combine batch=%d" batch else "");
+  Printf.printf "%10s%12s\n" "pad_words" "Mops/s";
+  List.iter
+    (fun (pad, mops) -> Printf.printf "%10d%12.3f\n" pad mops)
+    (Dssq_workload.Native_throughput.pad_sweep ~pads ~det_pct:100 ~combine
+       ~batch
+       ~mk:(if combine then "dss-fc" else "dss-queue")
+       ~nthreads ~duration ())
+
+let pad_sweep_cmd =
+  let pads =
+    Arg.(
+      value
+      & opt (list int) [ 0; 7; 15; 31 ]
+      & info [ "pads" ] ~docv:"WORDS"
+          ~doc:"padding strides (filler words per isolated cell) to sweep")
+  in
+  let batch =
+    Arg.(
+      value & opt pos_int 8
+      & info [ "batch" ] ~docv:"PAIRS"
+          ~doc:"operation pairs per persist epoch (with $(b,--combine))")
+  in
+  Cmd.v
+    (Cmd.info "pad-sweep"
+       ~doc:
+         "NUMA-ish padding-stride sweep on the native backend \
+          ($(b,--combine) measures the flat-combining engine queue)")
+    Term.(
+      const pad_sweep $ pads $ nthreads_arg $ duration_arg $ combine_arg
+      $ batch)
+
+(* ------------------------- bechamel latency -------------------------- *)
+
+(* OLS estimate of each test's monotonic-clock ns per run, by test name,
+   in name order. *)
+let bechamel_ns test =
+  let open Bechamel in
+  let open Toolkit in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  in
+  let instance = Instance.monotonic_clock in
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
+  in
+  let raw_results = Benchmark.all cfg [ instance ] test in
+  Hashtbl.fold
+    (fun name result acc ->
+      match Analyze.OLS.estimates result with
+      | Some [ est ] -> (name, est) :: acc
+      | _ -> acc)
+    (Analyze.all ols instance raw_results)
+    []
+  |> List.sort compare
+
+(* Wall-clock per-operation latency on the native backend, one
+   Test.make per queue implementation and detectability mode. *)
+let bechamel () =
+  let open Bechamel in
+  Dssq_memory.Persist_cost.calibrate ();
+  Dssq_memory.Persist_cost.configure ~flush:150 ();
+  let module R = Dssq_workload.Registry.Make (Dssq_memory.Native) in
+  let mk_test (name, mk) =
+    let ops : Dssq_core.Queue_intf.ops =
+      mk ?system:None
+        (Dssq_core.Queue_intf.config ~nthreads:1 ~capacity:4096 ())
+    in
+    let i = ref 0 in
+    [
+      Test.make
+        ~name:(name ^ "/plain-pair")
+        (Staged.stage (fun () ->
+             incr i;
+             ops.enqueue ~tid:0 (!i land 0xFFFF);
+             ignore (ops.dequeue ~tid:0)));
+      Test.make
+        ~name:(name ^ "/detectable-pair")
+        (Staged.stage (fun () ->
+             incr i;
+             ops.d_enqueue ~tid:0 (!i land 0xFFFF);
+             ignore (ops.d_dequeue ~tid:0)));
+    ]
+  in
+  let tests = List.concat_map mk_test R.all in
+  let results =
+    bechamel_ns (Test.make_grouped ~name:"queues" ~fmt:"%s %s" tests)
+  in
+  Printf.printf
+    "## Bechamel wall-clock latency (native backend, %d ns/flush charged)\n"
+    (Dssq_memory.Persist_cost.current_flush_ns ());
+  List.iter
+    (fun (name, est) -> Printf.printf "%-44s %10.0f ns/pair\n" name est)
+    results;
+  print_newline ()
+
+let bechamel_cmd =
+  Cmd.v
+    (Cmd.info "bechamel" ~doc:"wall-clock op latency via bechamel")
+    Term.(const bechamel $ const ())
+
+(* What the model checker pays per explored execution before it runs a
+   step: one fresh scenario — heap, WAL, root directory, object, seeded
+   preps and recorder — for each object of the litmus corpus, at the
+   default parameters (line size 1, sc) and the object's first program. *)
+let setup () =
+  let open Bechamel in
+  let module Scenarios = Dssq_checker.Scenarios in
+  let tests =
+    List.map
+      (fun (d : Scenarios.descriptor) ->
+        let prog = List.hd d.d_progs in
+        Test.make ~name:(d.d_obj ^ "/" ^ prog)
+          (Staged.stage (fun () ->
+               ignore
+                 (Sys.opaque_identity
+                    (d.d_setup ~params:Scenarios.default_params ~prog ())))))
+      Scenarios.registry
+  in
+  let results =
+    bechamel_ns (Test.make_grouped ~name:"setup" ~fmt:"%s %s" tests)
+  in
+  Printf.printf "## Scenario set-up (sim heap, line size 1, sc)\n";
+  List.iter
+    (fun (name, est) ->
+      Printf.printf "%-32s %10.1f us/setup\n" name (est /. 1e3))
+    results;
+  print_newline ()
+
+let setup_cmd =
+  Cmd.v
+    (Cmd.info "setup"
+       ~doc:"wall-clock cost of one model-checker scenario set-up per object")
+    Term.(const setup $ const ())
+
 (* -------------------------------- fsck -------------------------------- *)
 
 (* Build a crashed heap in-process — a detectable queue rooted in a
@@ -597,29 +1092,26 @@ let fsck_run corrupt json =
       Printf.eprintf "dssq: fsck: unknown --corrupt %S\n" other;
       exit 2);
   let emit ~ok ~error (rep : Dssq_core.Recovery.report option) =
-    match json with
-    | "" -> ()
-    | file ->
-        Out_channel.with_open_text file (fun oc ->
-            Out_channel.output_string oc
-              (Json.to_string
-                 (Json.Obj
-                    ([ ("ok", Json.Bool ok) ]
-                    @ (match error with
-                      | None -> []
-                      | Some e -> [ ("error", Json.String e) ])
-                    @
-                    match rep with
-                    | None -> []
-                    | Some r ->
-                        [
-                          ( "replayed",
-                            Json.Int r.Dssq_core.Recovery.replayed );
-                          ("torn_dropped", Json.Int r.torn_dropped);
-                          ("in_flight", Json.Int r.in_flight);
-                          ("roots_attached", Json.Int r.roots_attached);
-                          ("leaked", Json.Int r.leaked_total);
-                        ]))))
+    Option.iter
+      (fun file ->
+        write_json ~what:"fsck verdict" file
+          (Json.Obj
+             ([ ("ok", Json.Bool ok) ]
+             @ (match error with
+               | None -> []
+               | Some e -> [ ("error", Json.String e) ])
+             @
+             match rep with
+             | None -> []
+             | Some r ->
+                 [
+                   ("replayed", Json.Int r.Dssq_core.Recovery.replayed);
+                   ("torn_dropped", Json.Int r.torn_dropped);
+                   ("in_flight", Json.Int r.in_flight);
+                   ("roots_attached", Json.Int r.roots_attached);
+                   ("leaked", Json.Int r.leaked_total);
+                 ])))
+      json
   in
   match R.Sys.fsck sys with
   | Ok rep ->
@@ -641,19 +1133,13 @@ let fsck_cmd =
              $(b,bitflip) (flip one payload bit of a committed record), \
              or $(b,torn) (zero the final record's checksum)")
   in
-  let json =
-    Arg.(
-      value & opt string ""
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"also write the verdict (and report numbers) as JSON")
-  in
   Cmd.v
     (Cmd.info "fsck"
        ~doc:
          "verify a crashed-then-recovered heap end to end (WAL checksums, \
           root directory, recovery, leak audit); exit non-zero on any \
           corruption")
-    Term.(const fsck_run $ corrupt $ json)
+    Term.(const fsck_run $ corrupt $ json_arg)
 
 (* ------------------------------ metrics ------------------------------ *)
 
@@ -663,7 +1149,7 @@ let print_event_table ~ops counters =
   List.iter
     (fun (k, v) ->
       Printf.printf "%-16s%12d%12.2f\n" k v (float_of_int v /. denom))
-    (Dssq_memory.Memory_intf.Counters.to_assoc counters)
+    (MI.Counters.to_assoc counters)
 
 (* Accounting for a non-queue detectable object: the zoo's deterministic
    two-thread workload, plus the words-per-op line the zoo exists for. *)
@@ -781,40 +1267,32 @@ let metrics_run queue object_name pairs det_pct line_size
       exit 1
 
 let metrics_cmd =
-  let queue =
-    Arg.(
-      value & opt string "dss-queue"
-      & info [ "queue" ] ~doc:"queue implementation to account (see dssq info)")
-  in
   let object_name =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "object" ] ~docv:"NAME"
-          ~doc:
-            "detectable object to account (any queue-registry or zoo name); \
-             overrides $(b,--queue)")
-  in
-  let pairs =
-    Arg.(
-      value & opt int 200
-      & info [ "pairs" ] ~doc:"operation pairs per thread")
+    object_arg
+      Arg.(some string)
+      None
+      ~doc:
+        "detectable object to account (any queue-registry or zoo name); \
+         overrides $(b,--queue)"
   in
   let det =
     Arg.(
-      value & opt int 100
+      value
+      & opt (int_in ~lo:0 ~hi:100 "a percentage from 0 to 100") 100
       & info [ "det" ] ~doc:"percent of detectable operations (queues only)")
   in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:"memory-event accounting for one detectable object on the simulator")
     Term.(
-      const metrics_run $ queue $ object_name $ pairs $ det $ line_size_arg
+      const metrics_run
+      $ queue_arg Arg.string "dss-queue"
+      $ object_name $ pairs_arg $ det $ line_size_arg
       $ memory_model_arg)
 
 (* -------------------------------- zoo --------------------------------- *)
 
-let zoo_run pairs line_size combine json =
+let zoo_run pairs line_size json =
   let rows = Dssq_workload.Zoo.run_all ~pairs ~line_size () in
   Printf.printf
     "detectable-object zoo: %d ops/object (2 threads), sim backend, \
@@ -825,7 +1303,7 @@ let zoo_run pairs line_size combine json =
   List.iter
     (fun (r : Dssq_workload.Zoo.row) ->
       Printf.printf "%-14s%8d%10d%12.2f%12.2f%14d%16d\n" r.z_object r.z_ops
-        r.z_events.Dssq_memory.Memory_intf.pwrites
+        r.z_events.MI.pwrites
         (Dssq_workload.Zoo.words_per_op r)
         (Dssq_workload.Zoo.flushes_per_op r)
         r.z_stats.Dssq_core.Detectable_intf.state_words
@@ -835,53 +1313,29 @@ let zoo_run pairs line_size combine json =
     "\nlower bound (Ben-Baruch et al., PAPERS.md): one persistent announce \
      word\nper process, and >= 2 persisted words per detectable mutation \
      (announce +\nstate); see EXPERIMENTS.md for the comparison table.\n";
-  if combine then begin
-    Printf.printf
-      "\nflat-combining amortization (dss-fc engine queue, 8 threads): \
-       words/op is\nfloor-bound — folding does not skip announce turnover — \
-       while flushes/op\namortizes toward O(1/batch), one persist epoch per \
-       batch:\n\n";
-    Printf.printf "%8s%8s%12s%12s%12s\n" "batch" "ops" "words/op" "flushes/op"
-      "fences/op";
-    List.iter
-      (fun (f : Dssq_workload.Zoo.fc_row) ->
-        Printf.printf "%8d%8d%12.2f%12.3f%12.3f\n" f.f_batch f.f_ops f.f_words
-          f.f_flushes f.f_fences)
-      (Dssq_workload.Zoo.combine_rows ())
-  end;
-  match json with
-  | None -> ()
-  | Some file ->
-      let report = Dssq_workload.Zoo.to_report ~pairs ~line_size rows in
-      (match Dssq_obs.Run_report.write file report with
-      | () ->
-          Printf.printf "wrote %s (%s v%d)\n" file
-            Dssq_obs.Run_report.schema_name Dssq_obs.Run_report.schema_version
-      | exception Sys_error msg ->
-          Printf.eprintf "dssq: cannot write report: %s\n" msg;
-          exit 1)
+  Printf.printf
+    "\nflat-combining amortization (dss-fc engine queue, 8 threads): words/op \
+     is\nfloor-bound — folding does not skip announce turnover — while \
+     flushes/op\namortizes toward O(1/batch), one persist epoch per batch:\n\n";
+  Printf.printf "%8s%8s%12s%12s%12s\n" "batch" "ops" "words/op" "flushes/op"
+    "fences/op";
+  List.iter
+    (fun (f : Dssq_workload.Zoo.fc_row) ->
+      Printf.printf "%8d%8d%12.2f%12.3f%12.3f\n" f.f_batch f.f_ops f.f_words
+        f.f_flushes f.f_fences)
+    (Dssq_workload.Zoo.combine_rows ());
+  Option.iter
+    (fun file ->
+      write_run_report file (Dssq_workload.Zoo.to_report ~pairs ~line_size rows))
+    json
 
 let zoo_cmd =
-  let pairs =
-    Arg.(
-      value & opt int 200
-      & info [ "pairs" ] ~doc:"operation pairs per thread per object")
-  in
-  let combine =
-    Arg.(
-      value & flag
-      & info [ "combine" ]
-          ~doc:
-            "append the flat-combining amortization sweep: words/op and \
-             flushes/op per batch size on the engine queue, against the \
-             Ben-Baruch floor")
-  in
   Cmd.v
     (Cmd.info "zoo"
        ~doc:
          "persistent_words_per_op accounting across every detectable object \
           (the space-complexity table; --json for the archivable report)")
-    Term.(const zoo_run $ pairs $ line_size_arg $ combine $ json_arg)
+    Term.(const zoo_run $ pairs_arg $ line_size_arg $ json_arg)
 
 (* ------------------------------ profile ------------------------------ *)
 
@@ -889,7 +1343,6 @@ module Zoo = Dssq_workload.Zoo
 module Heatmap = Dssq_obs.Heatmap
 module Profile = Dssq_obs.Profile
 module Prom = Dssq_obs.Prom
-module MI = Dssq_memory.Memory_intf
 
 (* Attribution-grade profiling of the detectable-object zoo: the
    per-line persistence heatmap (which persist lines absorb the writes,
@@ -912,18 +1365,18 @@ let profile_run object_ backend pairs line_size (coalesce, combine, persistency)
     | o ->
         fail "unknown object %S (all, %s)" o (String.concat ", " Zoo.objects)
   in
-  let backend_name = match backend with `Sim -> "sim" | `Native -> "native" in
-  if crash && backend = `Native then
+  let backend_name = Experiments.backend_name backend in
+  if crash && backend = Experiments.Native_domains then
     fail "--crash is simulator-only (the native backend cannot lose its cache)";
   let profiles =
     List.map
       (fun name ->
         let p =
           match backend with
-          | `Sim ->
+          | Experiments.Sim_model ->
               Zoo.profile_one ~pairs ~line_size ~coalesce ~combine ~persistency
                 ~crash name
-          | `Native ->
+          | Experiments.Native_domains ->
               Zoo.profile_one_native ~pairs ~line_size ~coalesce ~combine
                 ~persistency name
         in
@@ -984,7 +1437,7 @@ let profile_run object_ backend pairs line_size (coalesce, combine, persistency)
           [
             ("schema", Json.String "dssq-profile-report");
             ("version", Json.Int 1);
-            ("git_rev", Json.String (Dssq_obs.Run_report.git_rev ()));
+            ("git_rev", Json.String (Run_report.git_rev ()));
             ("backend", Json.String backend_name);
             ( "params",
               Json.Obj
@@ -1000,7 +1453,8 @@ let profile_run object_ backend pairs line_size (coalesce, combine, persistency)
                 (List.map
                    (fun (k, v) -> (k, Json.String v))
                    (* The zoo's workload is fixed at two threads. *)
-                   (provenance ~threads:[ 2 ] ~line_size ~coalesce ())) );
+                   (provenance ~threads:"2"
+                      ~line_size:(string_of_int line_size) ~coalesce ())) );
             ( "objects",
               Json.List
                 (List.map
@@ -1021,16 +1475,7 @@ let profile_run object_ backend pairs line_size (coalesce, combine, persistency)
                    profiles) );
           ]
       in
-      match
-        let oc = open_out file in
-        output_string oc (Json.to_string doc);
-        output_char oc '\n';
-        close_out oc
-      with
-      | () -> Printf.printf "wrote %s (dssq-profile-report v1)\n" file
-      | exception Sys_error msg ->
-          Printf.eprintf "dssq: cannot write profile report: %s\n" msg;
-          exit 1)
+      write_json ~what:"dssq-profile-report v1" file doc)
     json;
   Option.iter
     (fun file ->
@@ -1057,22 +1502,8 @@ let profile_run object_ backend pairs line_size (coalesce, combine, persistency)
 
 let profile_cmd =
   let object_ =
-    Arg.(
-      value & opt string "all"
-      & info [ "object" ] ~docv:"NAME"
-          ~doc:
-            "zoo object to profile (the dss- prefix may be omitted), or all")
-  in
-  let backend =
-    Arg.(
-      value
-      & opt (enum [ ("sim", `Sim); ("native", `Native) ]) `Sim
-      & info [ "backend" ] ~doc:"memory backend: sim (default) or native")
-  in
-  let pairs =
-    Arg.(
-      value & opt int 200
-      & info [ "pairs" ] ~doc:"operation pairs per thread")
+    object_arg Arg.string "all"
+      ~doc:"zoo object to profile (the dss- prefix may be omitted), or all"
   in
   let crash =
     Arg.(
@@ -1111,20 +1542,9 @@ let profile_cmd =
           phase-attributed persist-event/latency tables for the detectable \
           zoo (--json / --prom for the archivable artifacts)")
     Term.(
-      const profile_run $ object_ $ backend $ pairs $ line_size_arg
+      const profile_run $ object_ $ backend_arg $ pairs_arg $ line_size_arg
       $ memory_model_arg $ crash $ with_heatmap
       $ top $ json_arg $ prom)
-
-let latency_cmd =
-  let run () =
-    Printf.printf "%-16s%14s%14s%9s\n" "queue" "plain_ns" "detectable_ns" "ratio";
-    List.iter
-      (fun (name, nondet, det) ->
-        Printf.printf "%-16s%14.0f%14.0f%9.2f\n" name nondet det
-          (if nondet > 0. then det /. nondet else 0.))
-      (Experiments.op_latency ())
-  in
-  Cmd.v (Cmd.info "latency" ~doc:"modelled per-op latency") Term.(const run $ const ())
 
 (* ---------------------------- crash demo ----------------------------- *)
 
@@ -1175,18 +1595,12 @@ let crash_demo step evict_p show_trace =
   end
 
 let crash_demo_cmd =
-  let step =
-    Arg.(value & opt int 25 & info [ "step" ] ~doc:"memory event to crash before")
-  in
-  let evict =
-    Arg.(value & opt float 0.5 & info [ "evict" ] ~doc:"cache eviction probability")
-  in
   let trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"print the run's event timeline")
   in
   Cmd.v
     (Cmd.info "crash-demo" ~doc:"crash a detectable program and resolve it")
-    Term.(const crash_demo $ step $ evict $ trace)
+    Term.(const crash_demo $ step_arg 25 $ evict_arg $ trace)
 
 (* ------------------------------- trace ------------------------------- *)
 
@@ -1297,17 +1711,9 @@ let trace_cmd =
       value & opt string "dssq-trace.json"
       & info [ "out" ] ~docv:"FILE" ~doc:"output file (chrome trace-event JSON)")
   in
-  let step =
-    Arg.(value & opt int 30 & info [ "step" ] ~doc:"memory event to crash before")
-  in
-  let evict =
-    Arg.(
-      value & opt float 0.5 & info [ "evict" ] ~doc:"cache eviction probability")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"schedule seed") in
   let capacity =
     Arg.(
-      value & opt int 4096
+      value & opt pos_int 4096
       & info [ "capacity" ] ~doc:"per-thread ring-buffer capacity")
   in
   let timeline =
@@ -1320,7 +1726,9 @@ let trace_cmd =
        ~doc:
          "trace a crash/recovery workload and export a Perfetto-loadable \
           timeline")
-    Term.(const trace_run $ out $ step $ evict $ seed $ capacity $ timeline)
+    Term.(
+      const trace_run $ out $ step_arg 30 $ evict_arg $ seed_arg 42 $ capacity
+      $ timeline)
 
 (* ----------------------------- lincheck ------------------------------ *)
 
@@ -1336,62 +1744,47 @@ type qh = {
   recover : unit -> unit;
 }
 
-let make_queue ?(coalesce = false) ?(combine = false) ?persistency kind : qh =
-  let heap = Heap.create ~coalesce ~combine ?persistency () in
+(* What [lincheck] needs of a detectable queue implementation. *)
+module type DETECTABLE_QUEUE = sig
+  type t
+
+  val prep_enqueue : t -> tid:int -> int -> unit
+  val exec_enqueue : t -> tid:int -> unit
+  val prep_dequeue : t -> tid:int -> unit
+  val exec_dequeue : t -> tid:int -> int
+  val dequeue : t -> tid:int -> int
+  val resolve : t -> tid:int -> Dssq_core.Queue_intf.resolved
+  val recover : t -> unit
+end
+
+let make_queue ~coalesce ~combine ~persistency kind : qh =
+  let heap = Heap.create ~coalesce ~combine ~persistency () in
   let (module M) = Sim.memory heap in
+  let qh (type q) (module Q : DETECTABLE_QUEUE with type t = q) (q : q) =
+    {
+      heap;
+      prep_enqueue = Q.prep_enqueue q;
+      exec_enqueue = Q.exec_enqueue q;
+      prep_dequeue = Q.prep_dequeue q;
+      exec_dequeue = Q.exec_dequeue q;
+      dequeue = Q.dequeue q;
+      resolve = Q.resolve q;
+      recover = (fun () -> Q.recover q);
+    }
+  in
   match kind with
   | `Dss ->
       let module Q = Dssq_core.Dss_queue.Make (M) in
-      let q = Q.create ~nthreads:2 ~capacity:64 ~combine () in
-      {
-        heap;
-        prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-        exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-        prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-        exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-        dequeue = (fun ~tid -> Q.dequeue q ~tid);
-        resolve = (fun ~tid -> Q.resolve q ~tid);
-        recover = (fun () -> Q.recover q);
-      }
+      qh (module Q) (Q.create ~nthreads:2 ~capacity:64 ~combine ())
   | `Log ->
       let module Q = Dssq_baselines.Log_queue.Make (M) in
-      let q = Q.create ~nthreads:2 ~capacity:64 in
-      {
-        heap;
-        prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-        exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-        prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-        exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-        dequeue = (fun ~tid -> Q.dequeue q ~tid);
-        resolve = (fun ~tid -> Q.resolve q ~tid);
-        recover = (fun () -> Q.recover q);
-      }
+      qh (module Q) (Q.create ~nthreads:2 ~capacity:64)
   | `Fast ->
       let module Q = Dssq_baselines.Caswe_queue.Fast (M) in
-      let q = Q.create ~nthreads:2 ~capacity:64 () in
-      {
-        heap;
-        prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-        exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-        prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-        exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-        dequeue = (fun ~tid -> Q.dequeue q ~tid);
-        resolve = (fun ~tid -> Q.resolve q ~tid);
-        recover = (fun () -> Q.recover q);
-      }
+      qh (module Q) (Q.create ~nthreads:2 ~capacity:64 ())
   | `General ->
       let module Q = Dssq_baselines.Caswe_queue.General (M) in
-      let q = Q.create ~nthreads:2 ~capacity:64 () in
-      {
-        heap;
-        prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-        exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-        prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-        exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-        dequeue = (fun ~tid -> Q.dequeue q ~tid);
-        resolve = (fun ~tid -> Q.resolve q ~tid);
-        recover = (fun () -> Q.recover q);
-      }
+      qh (module Q) (Q.create ~nthreads:2 ~capacity:64 ())
 
 (* Randomized strict-linearizability testing: random schedules, random
    crash points, recovery, recorded resolves, checked against D<queue>.
@@ -1506,13 +1899,16 @@ let lincheck_run kind (coalesce, combine, persistency) iterations verbose
 
 let lincheck_cmd =
   let kind =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("dss", `Dss); ("log", `Log); ("fast-caswe", `Fast); ("general-caswe", `General) ])
-          `Dss
-      & info [ "queue" ] ~doc:"implementation to check")
+    queue_arg
+      Arg.(
+        enum
+          [
+            ("dss", `Dss);
+            ("log", `Log);
+            ("fast-caswe", `Fast);
+            ("general-caswe", `General);
+          ])
+      `Dss
   in
   let iterations =
     Arg.(value & opt int 500 & info [ "n" ] ~doc:"number of random executions")
@@ -1544,7 +1940,7 @@ module Oracle = Dssq_checker.Oracle
 module Explore_report = Dssq_checker.Explore_report
 
 (* Re-exported so the explore driver below can build and match the
-   record with unqualified fields; the schema (encode + decode) lives in
+   record with unqualified fields; the report schema lives in
    {!Dssq_checker.Explore_report}. *)
 type explore_result = Explore_report.case_result = {
   xcase : Scenarios.case;
@@ -1712,13 +2108,12 @@ let explore_run object_ crash_mode line_sizes (coalesce, combine, persistency)
       in
       Option.iter
         (fun file ->
-          let doc = Explore_report.encode ~params results in
-          let oc = open_out file in
-          output_string oc (Json.to_string doc);
-          output_char oc '\n';
-          close_out oc;
-          Printf.printf "wrote %s (%s v%d)\n" file Explore_report.schema
-            Explore_report.version)
+          write_json
+            ~what:
+              (Printf.sprintf "%s v%d" Explore_report.schema
+                 Explore_report.version)
+            file
+            (Explore_report.encode ~params results))
         json;
       (match failures with
       | [] -> ()
@@ -1807,10 +2202,8 @@ let explore_run object_ crash_mode line_sizes (coalesce, combine, persistency)
 
 let explore_cmd =
   let object_ =
-    Arg.(
-      value & opt string "all"
-      & info [ "object" ] ~docv:"OBJ"
-          ~doc:"object to check: all, queue, stack, register or hashmap")
+    object_arg Arg.string "all"
+      ~doc:"object to check: all, queue, stack, register or hashmap"
   in
   let crashes =
     Arg.(
@@ -1864,9 +2257,6 @@ let explore_cmd =
       value & opt int 6
       & info [ "crash-samples" ]
           ~doc:"sampled eviction subsets past the enumeration cap")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"crash-sampling seed")
   in
   let adversary =
     Arg.(
@@ -1925,7 +2315,7 @@ let explore_cmd =
     Term.(
       const explore_run $ object_ $ crashes $ line_sizes $ memory_model_arg
       $ mutant $ mode $ max_preemptions
-      $ max_crash_lines $ crash_samples $ seed $ adversary $ limit
+      $ max_crash_lines $ crash_samples $ seed_arg 0 $ adversary $ limit
       $ compare_naive $ json_arg $ token_file $ replay $ case $ list_only)
 
 (* ------------------------------- info -------------------------------- *)
@@ -1947,11 +2337,13 @@ let info_cmd =
       \  dssq.universal recoverable universal construction of D<T>\n\
       \  dssq.ebr       epoch-based reclamation\n\
       \  dssq.obs       histograms, metrics, JSON run reports (--json)\n\n\
-       Experiments: fig5a, fig5b, ablate-flush, ablate-demand,\n\
-       ablate-recovery, ablate-pmwcas, ablate-linesize, latency, metrics,\n\
-       zoo (persistent_words_per_op across the detectable-object zoo),\n\
+       Experiments: figures (all of the below), fig5a, fig5b,\n\
+       ablate-flush, ablate-demand, ablate-recovery, ablate-depth,\n\
+       ablate-crashes, ablate-pmwcas, ablate-linesize, latency, regress,\n\
+       combine, pad-sweep, bechamel, setup, metrics, zoo\n\
+       (persistent_words_per_op across the detectable-object zoo),\n\
        profile (persistence heatmap + phase-attributed profiler),\n\
-       lincheck, crash-demo, trace, explore.  See DESIGN.md and\n\
+       lincheck, crash-demo, trace, explore, fsck.  See DESIGN.md and\n\
        EXPERIMENTS.md.\n"
   in
   Cmd.v (Cmd.info "info" ~doc:"what this repository implements") Term.(const run $ const ())
@@ -1967,19 +2359,25 @@ let () =
        (Cmd.group ~default
           (Cmd.info "dssq" ~doc:"DSS queue reproduction toolkit")
           ([
+             figures_cmd;
              fig5a_cmd;
              fig5b_cmd;
              ablate_linesize_cmd;
+             latency_cmd;
+             regress_cmd;
              bench_diff_cmd;
+             combine_cmd;
+             pad_sweep_cmd;
+             bechamel_cmd;
+             setup_cmd;
              fsck_cmd;
              metrics_cmd;
              zoo_cmd;
              profile_cmd;
-             latency_cmd;
              crash_demo_cmd;
              trace_cmd;
              lincheck_cmd;
              explore_cmd;
              info_cmd;
            ]
-          @ ablate_cmds)))
+          @ List.map ablate_cmd ablations)))

@@ -1,6 +1,6 @@
-(** Schema-versioned JSON encoding and decoding of explore-corpus runs:
-    the [dssq-explore-report] document written by [dssq explore --json]
-    and consumed by CI artifact tooling and the regression suite.
+(** Schema-versioned JSON encoding of explore-corpus runs: the
+    [dssq-explore-report] document written by [dssq explore --json] and
+    archived by CI.
 
     Version history:
     - v1: per-case status, executions/pruned/crash counts, tokens.
@@ -12,11 +12,7 @@
       ["coverage"] object totals branch/crash-point counts per
       persistency mode.
     - v4: stats gain [replays], the scenario set-ups the search ran
-      (per case and in the coverage totals).
-
-    {!decode} accepts v1-v4: fields introduced later read back as their
-    pre-introduction defaults (drain counts and replays 0, persistency
-    ["sc"]), so archived v2 reports keep decoding bit-compatibly. *)
+      (per case and in the coverage totals). *)
 
 module Json = Dssq_obs.Json
 module Explore = Dssq_sim.Explore
@@ -36,8 +32,6 @@ let run_case (c : Scenarios.case) ~reduction =
   match c.Scenarios.run ~reduction with
   | s -> Ok s
   | exception Explore.Violation { schedule; exn } -> Error (schedule, exn)
-
-(* ------------------------------- encode ------------------------------- *)
 
 let stats_fields prefix = function
   | Ok (s : Explore.stats) ->
@@ -152,74 +146,3 @@ let encode ~params results =
       ("coverage", coverage_json results);
       ("cases", Json.List (List.map case_json results));
     ]
-
-(* ------------------------------- decode ------------------------------- *)
-
-(** Decoded view of one case: stats of a passing case, token of a
-    failing one.  Fields a document's version predates read back as
-    their defaults, recorded per field below. *)
-type case_summary = {
-  s_name : string;
-  s_obj : string;
-  s_persistency : string;  (** ["sc"] when absent (v1/v2 documents) *)
-  s_status : string;
-  s_executions : int;  (** 0 for failing cases *)
-  s_branches : int;
-  s_crash_branches : int;
-  s_crash_points : int;
-  s_drain_points : int;  (** 0 when absent (v1/v2 documents) *)
-  s_drain_branches : int;  (** 0 when absent (v1/v2 documents) *)
-  s_replays : int;  (** 0 when absent (v1-v3 documents) *)
-  s_token : string option;  (** counterexample token of a failing case *)
-}
-
-type summary = {
-  s_version : int;
-  s_git_rev : string;
-  s_params : (string * Json.t) list;
-  s_cases : case_summary list;
-}
-
-let int_or d = function Json.Null -> d | j -> Json.to_int j
-let str_or d = function Json.Null -> d | j -> Json.to_str j
-
-let decode doc =
-  (match Json.member "schema" doc with
-  | Json.String s when s = schema -> ()
-  | j ->
-      raise
-        (Json.Parse_error
-           (Printf.sprintf "expected schema %S, got %s" schema
-              (Json.to_string ~indent:false j))));
-  let v = Json.to_int (Json.member "version" doc) in
-  if v < 1 || v > version then
-    raise
-      (Json.Parse_error
-         (Printf.sprintf "unsupported %s version %d (max %d)" schema v version));
-  let case j =
-    {
-      s_name = Json.to_str (Json.member "name" j);
-      s_obj = Json.to_str (Json.member "object" j);
-      s_persistency = str_or "sc" (Json.member "persistency" j);
-      s_status = Json.to_str (Json.member "status" j);
-      s_executions = int_or 0 (Json.member "executions" j);
-      s_branches = int_or 0 (Json.member "branches" j);
-      s_crash_branches = int_or 0 (Json.member "crash_branches" j);
-      s_crash_points = int_or 0 (Json.member "crash_points" j);
-      s_drain_points = int_or 0 (Json.member "drain_points" j);
-      s_drain_branches = int_or 0 (Json.member "drain_branches" j);
-      s_replays = int_or 0 (Json.member "replays" j);
-      s_token =
-        (match Json.member "token" j with
-        | Json.Null -> None
-        | j -> Some (Json.to_str j));
-    }
-  in
-  {
-    s_version = v;
-    s_git_rev = str_or "" (Json.member "git_rev" doc);
-    s_params = Json.to_obj (Json.member "params" doc);
-    s_cases = List.map case (Json.to_list (Json.member "cases" doc));
-  }
-
-let decode_string s = decode (Json.of_string s)

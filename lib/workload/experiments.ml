@@ -1,6 +1,6 @@
 (** Drivers for every figure of the paper's evaluation and for the
-    ablations listed in DESIGN.md.  Both the benchmark executable and the
-    CLI dispatch here, so the experiments are defined exactly once. *)
+    ablations listed in DESIGN.md.  The [dssq] commands dispatch here, so
+    each experiment is defined exactly once. *)
 
 open Dssq_pmem
 module Sim = Dssq_sim.Sim
@@ -24,13 +24,15 @@ let measure_point ~backend ~horizon_ns ~duration ~repeats ~instrument
           Native_throughput.measure_ex ~mk:q.mk ~det_pct:q.det_pct ~line_size
             ~coalesce ~combine ~batch ~instrument ~nthreads ~duration ())
 
+let backend_name = function Sim_model -> "sim" | Native_domains -> "native"
+
 (** One series per queue configuration, one point per thread count, every
     point carrying [repeats] samples plus the aggregate observability
     payload (memory-event deltas, and latency histograms when
     [instrument] is set).  [line_size] (default 1 = the legacy
     word-granular persistence model) sets the backend's persist-line
     size for every measurement. *)
-let sweep_ex ?(backend = Sim_model) ?(threads = default_threads) ?(repeats = 3)
+let sweep ?(backend = Sim_model) ?(threads = default_threads) ?(repeats = 3)
     ?(horizon_ns = 300_000.) ?(duration = 0.2) ?(instrument = false)
     ?(line_size = 1) ?(coalesce = false) ?(combine = false) ?(batch = 8)
     (queues : queue_config list) : Dssq_obs.Run_report.series list =
@@ -48,12 +50,6 @@ let sweep_ex ?(backend = Sim_model) ?(threads = default_threads) ?(repeats = 3)
       })
     queues
 
-let sweep ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size ?coalesce
-    ?combine ?batch (queues : queue_config list) : Report.series list =
-  Report.of_run
-    (sweep_ex ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size
-       ?coalesce ?combine ?batch queues)
-
 (* ---------------------------------------------------------------------- *)
 (* Figure 5a: levels of detectability and persistence                      *)
 (* ---------------------------------------------------------------------- *)
@@ -64,16 +60,6 @@ let fig5a_queues =
     { label = "dss-nondet"; mk = "dss-queue"; det_pct = 0 };
     { label = "dss-det"; mk = "dss-queue"; det_pct = 100 };
   ]
-
-let fig5a ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size ?coalesce
-    () =
-  sweep ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size ?coalesce
-    fig5a_queues
-
-let fig5a_ex ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
-    ?line_size ?coalesce () =
-  sweep_ex ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
-    ?line_size ?coalesce fig5a_queues
 
 (* ---------------------------------------------------------------------- *)
 (* Figure 5b: detectable queue implementations                             *)
@@ -86,16 +72,6 @@ let fig5b_queues =
     { label = "fast-caswe"; mk = "fast-caswe"; det_pct = 100 };
     { label = "gen-caswe"; mk = "general-caswe"; det_pct = 100 };
   ]
-
-let fig5b ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size ?coalesce
-    () =
-  sweep ?backend ?threads ?repeats ?horizon_ns ?duration ?line_size ?coalesce
-    fig5b_queues
-
-let fig5b_ex ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
-    ?line_size ?coalesce () =
-  sweep_ex ?backend ?threads ?repeats ?horizon_ns ?duration ?instrument
-    ?line_size ?coalesce fig5b_queues
 
 (* ---------------------------------------------------------------------- *)
 (* Ablation: persist-cost sweep (simulated CLWB+sfence latency)            *)
@@ -428,11 +404,11 @@ let regress ?(quick = false) () : Dssq_obs.Run_report.series list =
   let horizon_ns = if quick then 120_000. else 300_000. in
   let one ?(combine = false) ~backend ~threads ~coalesce queues =
     let prefix =
-      (match backend with Sim_model -> "sim" | Native_domains -> "native")
+      backend_name backend
       ^ (if coalesce then "+co" else "")
       ^ if combine then "+fc" else ""
     in
-    sweep_ex ~backend ~threads ~repeats ~horizon_ns ~duration:0.1
+    sweep ~backend ~threads ~repeats ~horizon_ns ~duration:0.1
       ~instrument:true ~line_size:1 ~coalesce ~combine queues
     |> List.map (fun (s : Dssq_obs.Run_report.series) ->
            { s with label = prefix ^ "/" ^ s.label })

@@ -1,6 +1,6 @@
 (** Drivers for every figure of the paper's evaluation and the DESIGN.md
-    ablations.  Both the benchmark executable and the CLI dispatch here,
-    so each experiment is defined exactly once. *)
+    ablations.  The [dssq] commands dispatch here, so each experiment is
+    defined exactly once. *)
 
 type backend = Sim_model | Native_domains
 
@@ -9,7 +9,10 @@ val default_threads : int list
 type queue_config = { label : string; mk : string; det_pct : int }
 
 val fig5a_queues : queue_config list
+(** MS queue vs DSS non-detectable vs DSS detectable (Figure 5a). *)
+
 val fig5b_queues : queue_config list
+(** DSS vs log vs Fast/General CASWithEffect, all detectable (Figure 5b). *)
 
 val linesize_queues : queue_config list
 (** Union of {!fig5a_queues} and {!fig5b_queues}, deduplicated by label —
@@ -21,7 +24,11 @@ val fc_queues : queue_config list
     (["dss-linked"]), both fully detectable — the set [regress] sweeps
     with combine on (the ["sim+fc/"] series). *)
 
-val sweep_ex :
+val backend_name : backend -> string
+(** ["sim"] or ["native"]: the name a run report and a [--backend] flag
+    give the backend. *)
+
+val sweep :
   ?backend:backend ->
   ?threads:int list ->
   ?repeats:int ->
@@ -41,71 +48,8 @@ val sweep_ex :
     persist-line size for every measurement; [coalesce] (default false)
     routes every flush through the backend's per-thread persist buffer;
     [combine] (default false) runs in flat-combining batch-epoch mode,
-    one driver drain per [batch] (default 8) operation pairs. *)
-
-val sweep :
-  ?backend:backend ->
-  ?threads:int list ->
-  ?repeats:int ->
-  ?horizon_ns:float ->
-  ?duration:float ->
-  ?line_size:int ->
-  ?coalesce:bool ->
-  ?combine:bool ->
-  ?batch:int ->
-  queue_config list ->
-  Report.series list
-(** Throughput-only view of {!sweep_ex}. *)
-
-val fig5a :
-  ?backend:backend ->
-  ?threads:int list ->
-  ?repeats:int ->
-  ?horizon_ns:float ->
-  ?duration:float ->
-  ?line_size:int ->
-  ?coalesce:bool ->
-  unit ->
-  Report.series list
-(** MS queue vs DSS non-detectable vs DSS detectable (Figure 5a). *)
-
-val fig5a_ex :
-  ?backend:backend ->
-  ?threads:int list ->
-  ?repeats:int ->
-  ?horizon_ns:float ->
-  ?duration:float ->
-  ?instrument:bool ->
-  ?line_size:int ->
-  ?coalesce:bool ->
-  unit ->
-  Dssq_obs.Run_report.series list
-(** Figure 5a with the observability payload. *)
-
-val fig5b :
-  ?backend:backend ->
-  ?threads:int list ->
-  ?repeats:int ->
-  ?horizon_ns:float ->
-  ?duration:float ->
-  ?line_size:int ->
-  ?coalesce:bool ->
-  unit ->
-  Report.series list
-(** DSS vs log vs Fast/General CASWithEffect (Figure 5b). *)
-
-val fig5b_ex :
-  ?backend:backend ->
-  ?threads:int list ->
-  ?repeats:int ->
-  ?horizon_ns:float ->
-  ?duration:float ->
-  ?instrument:bool ->
-  ?line_size:int ->
-  ?coalesce:bool ->
-  unit ->
-  Dssq_obs.Run_report.series list
-(** Figure 5b with the observability payload. *)
+    one driver drain per [batch] (default 8) operation pairs.  Figure 5a
+    is [sweep fig5a_queues], Figure 5b [sweep fig5b_queues]. *)
 
 val ablate_flush :
   ?nthreads:int ->
@@ -186,7 +130,7 @@ val ablate_pmwcas :
 (** PMwCAS modelled ns/op vs word count, all-shared vs private-rest. *)
 
 val regress : ?quick:bool -> unit -> Dssq_obs.Run_report.series list
-(** The benchmark-regression sweep behind [bench regress] /
+(** The benchmark-regression sweep behind [dssq regress] /
     [BENCH_*.json]: {!linesize_queues} with coalescing off and on, plus
     {!fc_queues} with combine on, instrumented, at line size 1.  Series
     labels are prefixed ["sim/"], ["sim+co/"], ["sim+fc/"], ["native/"],

@@ -521,75 +521,13 @@ let prop_px86_drained_equals_sc =
       crash_states ~persistency:Heap.Persistency.Sc prog
       = crash_states ~persistency:px86 prog)
 
-(* -------- report schema: v2 and v3 still decode, v4 round-trips ------- *)
+(* ------------- report schema: v4 carries replays and drains ---------- *)
 
 module Explore_report = Dssq_checker.Explore_report
 module Scenarios = Dssq_checker.Scenarios
 module Json = Dssq_obs.Json
 
-(* A verbatim pre-px86 (v2) document: decoding must fill the fields v3
-   introduced with their pre-introduction defaults. *)
-let v2_fixture =
-  {|{ "schema": "dssq-explore-report", "version": 2, "git_rev": "abc1234",
-  "params": { "max_preemptions": 2 },
-  "cases": [
-    { "name": "queue/enq-deq/crash/ls1", "object": "queue",
-      "program": "enq-deq", "crashes": true, "line_size": 1, "nthreads": 2,
-      "status": "pass", "executions": 100, "pruned": 10,
-      "crash_branches": 40, "branches": 200, "sleep_hit_rate": 0.05,
-      "crash_points": 30, "crash_enumerated": 30, "crash_sampled": 0,
-      "wall_s": 0.5 },
-    { "name": "queue/enq-enq/crash/ls8", "object": "queue",
-      "program": "enq-enq", "crashes": true, "line_size": 8, "nthreads": 2,
-      "status": "fail", "token": "t0.t1.c3e", "error": "not linearizable" }
-  ] }|}
-
-let test_report_decodes_v2 () =
-  let s = Explore_report.decode_string v2_fixture in
-  Alcotest.(check int) "version" 2 s.Explore_report.s_version;
-  Alcotest.(check string) "git rev" "abc1234" s.Explore_report.s_git_rev;
-  match s.Explore_report.s_cases with
-  | [ pass; fail ] ->
-      Alcotest.(check string) "status" "pass" pass.Explore_report.s_status;
-      Alcotest.(check string) "persistency defaults to sc" "sc"
-        pass.Explore_report.s_persistency;
-      Alcotest.(check int) "executions" 100 pass.Explore_report.s_executions;
-      Alcotest.(check int) "drain points default to 0" 0
-        pass.Explore_report.s_drain_points;
-      Alcotest.(check int) "drain branches default to 0" 0
-        pass.Explore_report.s_drain_branches;
-      Alcotest.(check int) "replays default to 0" 0
-        pass.Explore_report.s_replays;
-      Alcotest.(check (option string))
-        "failing case keeps its token" (Some "t0.t1.c3e")
-        fail.Explore_report.s_token
-  | cs -> Alcotest.failf "expected two cases, got %d" (List.length cs)
-
-(* A pre-replay-count (v3) document: [replays] reads back as 0. *)
-let v3_fixture =
-  {|{ "schema": "dssq-explore-report", "version": 3, "git_rev": "def5678",
-  "params": { "max_preemptions": 2, "persistency": "px86" },
-  "coverage": { "px86": { "cases": 1, "failures": 0, "executions": 161 } },
-  "cases": [
-    { "name": "queue/mid-link/crash/ls1/px86", "object": "queue",
-      "program": "mid-link", "crashes": true, "line_size": 1,
-      "persistency": "px86", "nthreads": 1, "status": "pass",
-      "executions": 161, "pruned": 0, "crash_branches": 160, "branches": 99,
-      "sleep_hit_rate": 0.0, "crash_points": 34, "crash_enumerated": 34,
-      "crash_sampled": 0, "drain_points": 8, "drain_branches": 37,
-      "wall_s": 0.1 }
-  ] }|}
-
-let test_report_decodes_v3 () =
-  let s = Explore_report.decode_string v3_fixture in
-  Alcotest.(check int) "version" 3 s.Explore_report.s_version;
-  match s.Explore_report.s_cases with
-  | [ c ] ->
-      Alcotest.(check int) "drain points" 8 c.Explore_report.s_drain_points;
-      Alcotest.(check int) "replays default to 0" 0 c.Explore_report.s_replays
-  | cs -> Alcotest.failf "expected one case, got %d" (List.length cs)
-
-let test_report_v4_roundtrip () =
+let test_report_v4_encodes () =
   let c =
     List.hd
       (Scenarios.cases ~objects:[ "queue" ] ~crash_modes:[ true ]
@@ -616,19 +554,17 @@ let test_report_v4_roundtrip () =
         | Json.Int n -> n > 0
         | _ -> false)
   | j -> Alcotest.failf "unexpected coverage object: %s" (Json.to_string j));
-  let s = Explore_report.decode_string (Json.to_string doc) in
-  Alcotest.(check int) "version" 4 s.Explore_report.s_version;
-  match s.Explore_report.s_cases with
+  Alcotest.(check int) "version" 4 (Json.to_int (Json.member "version" doc));
+  match Json.to_list (Json.member "cases" doc) with
   | [ case ] ->
-      Alcotest.(check bool) "replays decoded" true
-        (case.Explore_report.s_replays > 0);
-      Alcotest.(check string) "persistency" "px86"
-        case.Explore_report.s_persistency;
-      Alcotest.(check string) "status" "pass" case.Explore_report.s_status;
-      Alcotest.(check bool) "drain points decoded" true
-        (case.Explore_report.s_drain_points > 0);
-      Alcotest.(check bool) "drain branches decoded" true
-        (case.Explore_report.s_drain_branches > 0)
+      let int k = Json.to_int (Json.member k case) in
+      let str k = Json.to_str (Json.member k case) in
+      Alcotest.(check bool) "replays encoded" true (int "replays" > 0);
+      Alcotest.(check string) "persistency" "px86" (str "persistency");
+      Alcotest.(check string) "status" "pass" (str "status");
+      Alcotest.(check bool) "drain points encoded" true (int "drain_points" > 0);
+      Alcotest.(check bool) "drain branches encoded" true
+        (int "drain_branches" > 0)
   | cs -> Alcotest.failf "expected one case, got %d" (List.length cs)
 
 (* ------------- live handoff: the same search, fewer replays ---------- *)
@@ -752,12 +688,8 @@ let suite =
     Alcotest.test_case "px86 drain telemetry" `Quick test_px86_drain_telemetry;
     QCheck_alcotest.to_alcotest prop_replay_deterministic_px86;
     QCheck_alcotest.to_alcotest prop_px86_drained_equals_sc;
-    Alcotest.test_case "explore report still decodes v2 documents" `Quick
-      test_report_decodes_v2;
-    Alcotest.test_case "explore report still decodes v3 documents" `Quick
-      test_report_decodes_v3;
-    Alcotest.test_case "explore report v4 round-trips" `Quick
-      test_report_v4_roundtrip;
+    Alcotest.test_case "explore report v4 encodes replays and drains" `Quick
+      test_report_v4_encodes;
     Alcotest.test_case "live handoff explores the recorded search" `Quick
       test_handoff_same_search;
     Alcotest.test_case "single-thread chains replay once per round" `Quick

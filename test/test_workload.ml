@@ -146,14 +146,17 @@ let test_report_rendering () =
 
 let test_experiments_tiny () =
   let series =
-    Experiments.fig5a ~threads:[ 1; 2 ] ~repeats:1 ~horizon_ns:20_000. ()
+    Experiments.sweep ~threads:[ 1; 2 ] ~repeats:1 ~horizon_ns:20_000.
+      Experiments.fig5a_queues
   in
   Alcotest.(check int) "three series" 3 (List.length series);
   List.iter
-    (fun s -> Alcotest.(check int) "two points" 2 (List.length s.Report.points))
+    (fun (s : Dssq_obs.Run_report.series) ->
+      Alcotest.(check int) "two points" 2 (List.length s.points))
     series;
   let series_b =
-    Experiments.fig5b ~threads:[ 1 ] ~repeats:1 ~horizon_ns:20_000. ()
+    Experiments.sweep ~threads:[ 1 ] ~repeats:1 ~horizon_ns:20_000.
+      Experiments.fig5b_queues
   in
   Alcotest.(check int) "four series" 4 (List.length series_b)
 
