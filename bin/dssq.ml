@@ -143,58 +143,30 @@ let line_size_arg =
           "persist-line size in words (1, the default, is the legacy \
            word-granular model)")
 
-let coalesce_arg =
-  Arg.(
-    value & flag
-    & info [ "coalesce" ]
-        ~doc:
-          "route flushes through the per-thread persist buffer: duplicate \
-           flushes of a pending line coalesce, and each persistence point \
-           drains the buffer with one write-back and one fence")
-
-let combine_arg =
-  Arg.(
-    value & flag
-    & info [ "combine" ]
-        ~doc:
-          "flat-combining mode: engine-backed objects announce, one \
-           combiner applies the whole batch and closes a single persist \
-           epoch (flush + drain) for all of it")
-
-let persistency_arg =
+let policy_arg =
+  let policies =
+    List.map (fun p -> (MI.Policy.to_string p, p)) MI.Policy.all
+  in
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("sc", Dssq_pmem.Heap.Persistency.Sc);
-             ("px86", Dssq_pmem.Heap.Persistency.Px86);
-           ])
-        Dssq_pmem.Heap.Persistency.Sc
-    & info [ "persistency" ] ~docv:"MODEL"
+    & opt (enum policies) MI.Policy.Eager
+    & info [ "policy" ] ~docv:"POLICY"
         ~doc:
-          "persistency model: $(b,sc) (default; flushes write back \
-           eagerly, persist order = store order) or $(b,px86) (flushes \
-           enqueue into per-thread persist buffers; only drain/fence — \
-           or, under the explorer, the crash adversary — writes them \
-           back)")
+          "persist policy: $(b,eager) (default; every flush writes back at \
+           once), $(b,coalesced) (flushes enter a per-thread persist buffer \
+           that each persistence point drains with one write-back and one \
+           fence; stores drain it first), $(b,px86) (buffered persistency: \
+           only drain/fence — or, under the explorer, the crash adversary — \
+           writes buffers back) or $(b,combine) (px86 plus flat combining: \
+           engine-backed objects fold a batch and close one persist epoch \
+           for all of it)")
 
-(* The three memory-model flags as one validated triple.  A combination
-   that names no behaviour of its own is refused with the flag it is
-   equivalent to ([Policy.of_axes] is where the rest resolve). *)
-let memory_model_arg =
-  let check coalesce combine persistency =
-    let px86 = persistency = Heap.Persistency.Px86 in
-    if combine && px86 then
-      Error "--combine --persistency px86 is the same policy as --combine"
-    else if coalesce && combine then
-      Error "--coalesce --combine is the same policy as --combine"
-    else if coalesce && px86 then
-      Error "--coalesce --persistency px86 is the same policy as --persistency px86"
-    else Ok (coalesce, combine, persistency)
-  in
-  Term.(
-    term_result' (const check $ coalesce_arg $ combine_arg $ persistency_arg))
+(* The suffix a banner gives the backend name under each policy. *)
+let policy_banner : MI.Policy.t -> string = function
+  | Eager -> ""
+  | Coalesced -> "+coalesce"
+  | Px86 -> "+px86"
+  | Combine -> "+fc"
 
 (* ------------------------------ reports ------------------------------ *)
 
@@ -237,20 +209,20 @@ let ints l = String.concat "," (List.map string_of_int l)
 (* Machine-readable run provenance (schema v5): the memory-model knobs
    that decide whether two archived reports are comparable at all.  The
    git revision is stamped by [Run_report.make] itself. *)
-let provenance ?threads ~line_size ~coalesce () =
+let provenance ?threads ~line_size ~policy () =
   (match threads with None -> [] | Some t -> [ ("threads", t) ])
-  @ [ ("line_size", line_size); ("coalesce", string_of_bool coalesce) ]
+  @ [ ("line_size", line_size); ("policy", MI.Policy.to_string policy) ]
 
 (* ------------------------------ figures ------------------------------ *)
 
 (* One Figure 5 panel: the [queues] over every thread count, printed,
    and with --json archived instrumented. *)
 let fig_cmd name ~doc ~title queues =
-  let run backend threads repeats horizon_us duration line_size coalesce csv
+  let run backend threads repeats horizon_us duration line_size policy csv
       json =
     let series =
       Experiments.sweep ~backend ~threads ~repeats
-        ~horizon_ns:(horizon_us *. 1e3) ~duration ~line_size ~coalesce
+        ~horizon_ns:(horizon_us *. 1e3) ~duration ~line_size ~policy
         ~instrument:(Option.is_some json) queues
     in
     render ~title ~x_label:"threads" ~y_label:"Mops/s" ~csv
@@ -263,11 +235,11 @@ let fig_cmd name ~doc ~title queues =
              ("threads", ints threads);
              ("repeats", string_of_int repeats);
              ("line_size", string_of_int line_size);
-             ("coalesce", string_of_bool coalesce);
+             ("policy", MI.Policy.to_string policy);
            ]
          ~provenance:
            (provenance ~threads:(ints threads)
-              ~line_size:(string_of_int line_size) ~coalesce ())
+              ~line_size:(string_of_int line_size) ~policy ())
          series)
       json
   in
@@ -277,7 +249,7 @@ let fig_cmd name ~doc ~title queues =
         const run $ backend_arg
         $ threads_arg Experiments.default_threads
         $ repeats_arg $ horizon_us_arg $ duration_arg $ line_size_arg
-        $ coalesce_arg $ csv_arg $ json_arg) )
+        $ policy_arg $ csv_arg $ json_arg) )
 
 let fig5a, fig5a_cmd =
   fig_cmd "fig5a" ~doc:"MS queue vs DSS non-detectable vs DSS detectable"
@@ -324,7 +296,7 @@ let run_ablation a k line_size csv json =
     (write_report ~experiment:a.name ~x_label:a.x_label ~y_label:a.y_label
        ~params:(knob_params @ [ ("line_size", string_of_int line_size) ])
        ~provenance:
-         (provenance ~line_size:(string_of_int line_size) ~coalesce:false ())
+         (provenance ~line_size:(string_of_int line_size) ~policy:Eager ())
        (Report.to_run series))
     json
 
@@ -445,7 +417,7 @@ let ablate_linesize sizes ({ nthreads; repeats; _ } as k) csv json anchor =
          ]
        ~provenance:
          (provenance ~threads:(string_of_int nthreads) ~line_size:(ints sizes)
-            ~coalesce:false ())
+            ~policy:Eager ())
        series)
     json;
   (* CI anchor: at line size 1 the harness must be byte-identical to the
@@ -527,8 +499,8 @@ let latency_cmd =
    threads (the throughput sweeps with this run's repeats and horizon),
    then the latency table. *)
 let figures backend threads repeats horizon_us duration csv =
-  fig5a backend threads repeats horizon_us duration 1 false csv None;
-  fig5b backend threads repeats horizon_us duration 1 false csv None;
+  fig5a backend threads repeats horizon_us duration 1 Eager csv None;
+  fig5b backend threads repeats horizon_us duration 1 Eager csv None;
   let k = { default_knobs with repeats; horizon_us } in
   List.iter (fun a -> run_ablation a k 1 csv None) ablations;
   ablate_linesize default_sizes k csv None None;
@@ -784,7 +756,8 @@ let regress quick json =
     (Run_report.make ~backend:"mixed" ~experiment:"regress" ~x_label:"threads"
        ~y_label:"Mops/s"
        ~params:[ ("quick", string_of_bool quick); ("line_size", "1") ]
-       ~provenance:[ ("line_size", "1"); ("coalesce", "off+on") ]
+       ~provenance:
+         [ ("line_size", "1"); ("policy", "eager+coalesced+combine") ]
        ~recovery series);
   let mean = Dssq_workload.Stats.mean in
   let find label =
@@ -873,7 +846,7 @@ let combine threads batches =
   List.iter
     (fun n ->
       let eager =
-        Dssq_workload.Sim_throughput.measure_ex ~seed:1 ~mk:"dss-queue"
+        Dssq_workload.Sim_throughput.measure ~seed:1 ~mk:"dss-queue"
           ~det_pct:100 ~nthreads:n ()
       in
       Printf.printf "%8d%8s%12.3f%10.3f%10.3f%10s\n" n "eager" eager.mops
@@ -883,8 +856,8 @@ let combine threads batches =
       List.iter
         (fun b ->
           let s =
-            Dssq_workload.Sim_throughput.measure_ex ~seed:1 ~mk:"dss-fc"
-              ~det_pct:100 ~combine:true ~batch:b ~nthreads:n ()
+            Dssq_workload.Sim_throughput.measure ~seed:1 ~mk:"dss-fc"
+              ~det_pct:100 ~policy:Combine ~batch:b ~nthreads:n ()
           in
           Printf.printf "%8d%8d%12.3f%10.3f%10.3f%9.2fx\n" n b s.mops
             (per s s.events.MI.flushes)
@@ -912,16 +885,19 @@ let combine_cmd =
    isolation stride the contended cells (head/tail/announces) want on
    real hardware.  Flat on a single-core host by construction; meant for
    multicore machines. *)
-let pad_sweep pads nthreads duration combine batch =
+let pad_sweep pads nthreads duration (policy : MI.Policy.t) batch =
   Printf.printf "## Padding-stride sweep (native domains, %d thread(s)%s)\n"
     nthreads
-    (if combine then Printf.sprintf ", combine batch=%d" batch else "");
+    (match policy with
+    | Eager -> ""
+    | Combine -> Printf.sprintf ", combine batch=%d" batch
+    | p -> ", " ^ MI.Policy.to_string p);
   Printf.printf "%10s%12s\n" "pad_words" "Mops/s";
   List.iter
     (fun (pad, mops) -> Printf.printf "%10d%12.3f\n" pad mops)
-    (Dssq_workload.Native_throughput.pad_sweep ~pads ~det_pct:100 ~combine
+    (Dssq_workload.Native_throughput.pad_sweep ~pads ~det_pct:100 ~policy
        ~batch
-       ~mk:(if combine then "dss-fc" else "dss-queue")
+       ~mk:(if policy = Combine then "dss-fc" else "dss-queue")
        ~nthreads ~duration ())
 
 let pad_sweep_cmd =
@@ -936,15 +912,15 @@ let pad_sweep_cmd =
     Arg.(
       value & opt pos_int 8
       & info [ "batch" ] ~docv:"PAIRS"
-          ~doc:"operation pairs per persist epoch (with $(b,--combine))")
+          ~doc:"operation pairs per persist epoch (with $(b,--policy combine))")
   in
   Cmd.v
     (Cmd.info "pad-sweep"
        ~doc:
          "NUMA-ish padding-stride sweep on the native backend \
-          ($(b,--combine) measures the flat-combining engine queue)")
+          ($(b,--policy combine) measures the flat-combining engine queue)")
     Term.(
-      const pad_sweep $ pads $ nthreads_arg $ duration_arg $ combine_arg
+      const pad_sweep $ pads $ nthreads_arg $ duration_arg $ policy_arg
       $ batch)
 
 (* ------------------------- bechamel latency -------------------------- *)
@@ -1153,15 +1129,10 @@ let print_event_table ~ops counters =
 
 (* Accounting for a non-queue detectable object: the zoo's deterministic
    two-thread workload, plus the words-per-op line the zoo exists for. *)
-let metrics_object_run name pairs line_size combine persistency =
-  let r =
-    Dssq_workload.Zoo.run_one ~pairs ~line_size ~combine ~persistency name
-  in
-  Printf.printf "object: %s   backend: sim%s%s   ops: %d (all detectable)\n\n"
-    name
-    (if persistency = Heap.Persistency.Px86 then "+px86" else "")
-    (if combine then "+fc" else "")
-    r.z_ops;
+let metrics_object_run name pairs line_size policy =
+  let r = Dssq_workload.Zoo.run_one ~pairs ~line_size ~policy name in
+  Printf.printf "object: %s   backend: sim%s   ops: %d (all detectable)\n\n"
+    name (policy_banner policy) r.z_ops;
   print_event_table ~ops:r.z_ops r.z_events;
   Printf.printf "\npersistent_words_per_op: %.2f   flushes_per_op: %.2f\n"
     (Dssq_workload.Zoo.words_per_op r)
@@ -1174,9 +1145,8 @@ let metrics_object_run name pairs line_size combine persistency =
 (* Run a finite deterministic workload on the counted simulator backend
    and print the memory-event accounting for one queue implementation —
    the quickest way to see e.g. flushes per operation. *)
-let metrics_queue_run queue pairs det_pct line_size
-    (coalesce, combine, persistency) =
-  let heap = Heap.create ~line_size ~coalesce ~combine ~persistency () in
+let metrics_queue_run queue pairs det_pct line_size policy =
+  let heap = Heap.create ~line_size ~policy () in
   let (module M) = Sim.counted_memory heap in
   let module R = Dssq_workload.Registry.Make (M) in
   match R.find_opt queue with
@@ -1188,7 +1158,7 @@ let metrics_queue_run queue pairs det_pct line_size
       let nthreads = 2 in
       let ops =
         mk
-          (Dssq_core.Queue_intf.config ~line_size ~coalesce ~combine ~nthreads
+          (Dssq_core.Queue_intf.config ~line_size ~policy ~nthreads
              ~capacity:(16 + 8 + (nthreads * (pairs + 8)))
              ())
       in
@@ -1197,7 +1167,7 @@ let metrics_queue_run queue pairs det_pct line_size
       done;
       (* Seeding may leave buffered flushes under combine; close them
          before the measured window so they don't skew the accounting. *)
-      if combine then M.drain ();
+      if policy = Combine then M.drain ();
       M.reset_counters ();
       let completed = ref 0 in
       let worker tid () =
@@ -1220,11 +1190,8 @@ let metrics_queue_run queue pairs det_pct line_size
       ignore (Sim.run heap ~threads:[ worker 0; worker 1 ]);
       let c = M.counters () in
       Printf.printf
-        "queue: %s   backend: sim%s%s%s   ops: %d   detectable: %d%%\n\n" queue
-        (if coalesce then "+coalesce" else "")
-        (if persistency = Heap.Persistency.Px86 then "+px86" else "")
-        (if combine then "+fc" else "")
-        !completed det_pct;
+        "queue: %s   backend: sim%s   ops: %d   detectable: %d%%\n\n" queue
+        (policy_banner policy) !completed det_pct;
       print_event_table ~ops:!completed c;
       (match ops.stats () with
       | [] -> ()
@@ -1240,8 +1207,7 @@ let metrics_queue_run queue pairs det_pct line_size
 (* [--object] dispatches across queue-registry names and the zoo; an
    unknown name is an error listing every known name — it must never
    fall back to the queue silently. *)
-let metrics_run queue object_name pairs det_pct line_size
-    ((_, combine, persistency) as model) =
+let metrics_run queue object_name pairs det_pct line_size policy =
   let queue_names =
     let heap = Heap.create ~line_size:1 () in
     let (module M) = Sim.counted_memory heap in
@@ -1250,11 +1216,11 @@ let metrics_run queue object_name pairs det_pct line_size
   in
   match object_name with
   | None ->
-      metrics_queue_run queue pairs det_pct line_size model
+      metrics_queue_run queue pairs det_pct line_size policy
   | Some name when List.mem name queue_names ->
-      metrics_queue_run name pairs det_pct line_size model
+      metrics_queue_run name pairs det_pct line_size policy
   | Some name when List.mem name Dssq_workload.Zoo.objects ->
-      metrics_object_run name pairs line_size combine persistency
+      metrics_object_run name pairs line_size policy
   | Some name ->
       let known =
         queue_names
@@ -1287,8 +1253,7 @@ let metrics_cmd =
     Term.(
       const metrics_run
       $ queue_arg Arg.string "dss-queue"
-      $ object_name $ pairs_arg $ det $ line_size_arg
-      $ memory_model_arg)
+      $ object_name $ pairs_arg $ det $ line_size_arg $ policy_arg)
 
 (* -------------------------------- zoo --------------------------------- *)
 
@@ -1352,8 +1317,8 @@ module Prom = Dssq_obs.Prom
    printed under each table — per-phase events summing exactly to the
    backend counter deltas — is the invariant the whole attribution rests
    on; the test suite asserts it across every object. *)
-let profile_run object_ backend pairs line_size (coalesce, combine, persistency)
-    crash with_heatmap top json prom =
+let profile_run object_ backend pairs line_size policy crash with_heatmap top
+    json prom =
   let fail fmt =
     Printf.ksprintf (fun m -> Printf.eprintf "dssq: %s\n" m; exit 2) fmt
   in
@@ -1374,11 +1339,9 @@ let profile_run object_ backend pairs line_size (coalesce, combine, persistency)
         let p =
           match backend with
           | Experiments.Sim_model ->
-              Zoo.profile_one ~pairs ~line_size ~coalesce ~combine ~persistency
-                ~crash name
+              Zoo.profile_one ~pairs ~line_size ~policy ~crash name
           | Experiments.Native_domains ->
-              Zoo.profile_one_native ~pairs ~line_size ~coalesce ~combine
-                ~persistency name
+              Zoo.profile_one_native ~pairs ~line_size ~policy name
         in
         (name, p))
       names
@@ -1387,12 +1350,8 @@ let profile_run object_ backend pairs line_size (coalesce, combine, persistency)
     (fun (name, (p : Zoo.profile)) ->
       let r = p.Zoo.p_row in
       let c = r.Zoo.z_events in
-      Printf.printf "== %s  backend: %s%s%s%s  ops: %d  line size: %d%s ==\n"
-        name backend_name
-        (if coalesce then "+coalesce" else "")
-        (if persistency = Heap.Persistency.Px86 then "+px86" else "")
-        (if combine then "+fc" else "")
-        r.Zoo.z_ops line_size
+      Printf.printf "== %s  backend: %s%s  ops: %d  line size: %d%s ==\n" name
+        backend_name (policy_banner policy) r.Zoo.z_ops line_size
         (if crash then "  (with crash + recovery)" else "");
       Format.printf "%a@?" Profile.pp_rows p.Zoo.p_phases;
       let sum f =
@@ -1444,9 +1403,7 @@ let profile_run object_ backend pairs line_size (coalesce, combine, persistency)
                 [
                   ("pairs", Json.Int pairs);
                   ("crash", Json.Bool crash);
-                  ("combine", Json.Bool combine);
-                  ( "persistency",
-                    Json.String (Heap.Persistency.to_string persistency) );
+                  ("policy", Json.String (MI.Policy.to_string policy));
                 ] );
             ( "provenance",
               Json.Obj
@@ -1454,7 +1411,7 @@ let profile_run object_ backend pairs line_size (coalesce, combine, persistency)
                    (fun (k, v) -> (k, Json.String v))
                    (* The zoo's workload is fixed at two threads. *)
                    (provenance ~threads:"2"
-                      ~line_size:(string_of_int line_size) ~coalesce ())) );
+                      ~line_size:(string_of_int line_size) ~policy ())) );
             ( "objects",
               Json.List
                 (List.map
@@ -1543,7 +1500,7 @@ let profile_cmd =
           zoo (--json / --prom for the archivable artifacts)")
     Term.(
       const profile_run $ object_ $ backend_arg $ pairs_arg $ line_size_arg
-      $ memory_model_arg $ crash $ with_heatmap
+      $ policy_arg $ crash $ with_heatmap
       $ top $ json_arg $ prom)
 
 (* ---------------------------- crash demo ----------------------------- *)
@@ -1757,8 +1714,8 @@ module type DETECTABLE_QUEUE = sig
   val recover : t -> unit
 end
 
-let make_queue ~coalesce ~combine ~persistency kind : qh =
-  let heap = Heap.create ~coalesce ~combine ~persistency () in
+let make_queue ~policy kind : qh =
+  let heap = Heap.create ~policy () in
   let (module M) = Sim.memory heap in
   let qh (type q) (module Q : DETECTABLE_QUEUE with type t = q) (q : q) =
     {
@@ -1775,7 +1732,9 @@ let make_queue ~coalesce ~combine ~persistency kind : qh =
   match kind with
   | `Dss ->
       let module Q = Dssq_core.Dss_queue.Make (M) in
-      qh (module Q) (Q.create ~nthreads:2 ~capacity:64 ~combine ())
+      qh
+        (module Q)
+        (Q.create ~nthreads:2 ~capacity:64 ~combine:(policy = Combine) ())
   | `Log ->
       let module Q = Dssq_baselines.Log_queue.Make (M) in
       qh (module Q) (Q.create ~nthreads:2 ~capacity:64)
@@ -1791,10 +1750,9 @@ let make_queue ~coalesce ~combine ~persistency kind : qh =
    Every execution runs under an event tracer, so a violation is reported
    with the exact interleaving of stores, flushes, crash and resolves
    that produced it — as a timeline, and optionally as Perfetto JSON. *)
-let lincheck_run kind (coalesce, combine, persistency) iterations verbose
-    trace_json =
-  if combine && kind <> `Dss then begin
-    Printf.eprintf "dssq: --combine only applies to the dss queue\n";
+let lincheck_run kind (policy : MI.Policy.t) iterations verbose trace_json =
+  if policy = Combine && kind <> `Dss then begin
+    Printf.eprintf "dssq: --policy combine only applies to the dss queue\n";
     exit 2
   end;
   let spec = Dss_spec.make ~nthreads:2 (Specs.Queue.spec ()) in
@@ -1802,7 +1760,7 @@ let lincheck_run kind (coalesce, combine, persistency) iterations verbose
   let crashes = ref 0 in
   for i = 1 to iterations do
     ignore (Trace.start () : Trace.t);
-    let q = make_queue ~coalesce ~combine ~persistency kind in
+    let q = make_queue ~policy kind in
     let heap = q.heap in
     let rec_ = Recorder.create () in
     let record ~tid op f =
@@ -1928,7 +1886,7 @@ let lincheck_cmd =
        ~doc:
          "randomized strict-linearizability checking of a detectable queue")
     Term.(
-      const lincheck_run $ kind $ memory_model_arg
+      const lincheck_run $ kind $ policy_arg
       $ iterations $ verbose $ trace_json)
 
 (* ------------------------------ explore ------------------------------ *)
@@ -1950,9 +1908,9 @@ type explore_result = Explore_report.case_result = {
 
 let run_case = Explore_report.run_case
 
-let explore_run object_ crash_mode line_sizes (coalesce, combine, persistency)
-    mutant mode_name max_preemptions max_crash_lines crash_samples seed
-    adversary limit compare_naive json token_file replay case_name list_only =
+let explore_run object_ crash_mode line_sizes policy mutant mode_name
+    max_preemptions max_crash_lines crash_samples seed adversary limit
+    compare_naive json token_file replay case_name list_only =
   let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "dssq: %s\n" m; exit 2) fmt in
   let mode =
     match Oracle.mode_of_name mode_name with
@@ -1986,9 +1944,9 @@ let explore_run object_ crash_mode line_sizes (coalesce, combine, persistency)
     | `Off -> [ false ]
   in
   let cases =
-    Scenarios.cases ~objects ~crash_modes ~line_sizes ~coalesce ~combine
-      ~persistency ?mutation ~mode ~max_preemptions ~max_crash_lines
-      ~crash_samples ~seed ~adversary ~limit ()
+    Scenarios.cases ~objects ~crash_modes ~line_sizes ~policy ?mutation ~mode
+      ~max_preemptions ~max_crash_lines ~crash_samples ~seed ~adversary ~limit
+      ()
   in
   if list_only then begin
     List.iter (fun (c : Scenarios.case) -> print_endline c.Scenarios.name) cases;
@@ -2087,10 +2045,7 @@ let explore_run object_ crash_mode line_sizes (coalesce, combine, persistency)
               | `Off -> "off") );
           ( "line_sizes",
             Json.List (List.map (fun n -> Json.Int n) line_sizes) );
-          ("coalesce", Json.Bool coalesce);
-          ("combine", Json.Bool combine);
-          ( "persistency",
-            Json.String (Dssq_pmem.Heap.Persistency.to_string persistency) );
+          ("policy", Json.String (MI.Policy.to_string policy));
           ( "mutant",
             match mutant with None -> Json.Null | Some m -> Json.String m );
           ("mode", Json.String mode_name);
@@ -2193,10 +2148,11 @@ let explore_run object_ crash_mode line_sizes (coalesce, combine, persistency)
         (tot (fun s -> s.Explore.crash_sampled))
         (tot (fun s -> s.Explore.replays))
         wall;
-      if persistency = Dssq_pmem.Heap.Persistency.Px86 then
+      if MI.Policy.relaxed policy then
         Printf.printf
-          "px86 coverage: %d drain points, %d crash executions with adversary \
+          "%s coverage: %d drain points, %d crash executions with adversary \
            drains\n"
+          (MI.Policy.to_string policy)
           (tot (fun s -> s.Explore.drain_points))
           (tot (fun s -> s.Explore.drain_branches))
 
@@ -2228,10 +2184,10 @@ let explore_cmd =
             "inject a seeded bug (skip-flush-link, skip-flush-mark, \
              stale-announce, unfenced, drop-drain, skip-drain, short-drain, \
              reorder-persist, lost-batch); restricts the corpus to the queue \
-             (drop-drain is only observable with --coalesce; skip-drain, \
-             short-drain and reorder-persist only with --persistency px86; \
-             lost-batch only with --combine, where it targets the \
-             engine-backed objects)")
+             (drop-drain is only observable with --policy coalesced; \
+             skip-drain, short-drain and reorder-persist only with --policy \
+             px86; lost-batch only with --policy combine, where it targets \
+             the engine-backed objects)")
   in
   let mode =
     Arg.(
@@ -2313,7 +2269,7 @@ let explore_cmd =
           objects (sleep-set reduction, per-line crash adversary, lincheck \
           oracle, replayable counterexamples)")
     Term.(
-      const explore_run $ object_ $ crashes $ line_sizes $ memory_model_arg
+      const explore_run $ object_ $ crashes $ line_sizes $ policy_arg
       $ mutant $ mode $ max_preemptions
       $ max_crash_lines $ crash_samples $ seed_arg 0 $ adversary $ limit
       $ compare_naive $ json_arg $ token_file $ replay $ case $ list_only)

@@ -12,13 +12,18 @@
       ["coverage"] object totals branch/crash-point counts per
       persistency mode.
     - v4: stats gain [replays], the scenario set-ups the search ran
-      (per case and in the coverage totals). *)
+      (per case and in the coverage totals).
+    - v5: the persist policy replaces the memory-model fields — every
+      case and the run params carry one ["policy"] (eager, coalesced,
+      px86 or combine) in place of ["coalesce"]/["combine"]/
+      ["persistency"], and ["coverage"] is keyed by policy. *)
 
 module Json = Dssq_obs.Json
 module Explore = Dssq_sim.Explore
+module Policy = Dssq_pmem.Heap.Policy
 
 let schema = "dssq-explore-report"
-let version = 4
+let version = 5
 
 (** One corpus case's outcome under the reduced (and optionally the
     naive) search. *)
@@ -68,9 +73,7 @@ let case_json (r : case_result) =
        ("program", Json.String c.Scenarios.prog);
        ("crashes", Json.Bool c.Scenarios.crashes);
        ("line_size", Json.Int c.Scenarios.line_size);
-       ( "persistency",
-         Json.String
-           (Dssq_pmem.Heap.Persistency.to_string c.Scenarios.persistency) );
+       ("policy", Json.String (Policy.to_string c.Scenarios.policy));
        ("nthreads", Json.Int c.Scenarios.nthreads);
        ( "status",
          Json.String (match r.verdict with Ok _ -> "pass" | Error _ -> "fail")
@@ -86,55 +89,40 @@ let case_json (r : case_result) =
         :: stats_fields "naive_" n)
 
 (** Branch/crash-point totals of the passing cases, grouped by
-    persistency mode — the at-a-glance answer to "how much of the
-    relaxed state space did this run actually cover?". *)
+    persist policy — the at-a-glance answer to "how much of the relaxed
+    state space did this run actually cover?". *)
 let coverage_json results =
-  let modes =
-    List.sort_uniq compare
-      (List.map
-         (fun r ->
-           Dssq_pmem.Heap.Persistency.to_string r.xcase.Scenarios.persistency)
-         results)
+  let totals rs =
+    let tot f =
+      List.fold_left
+        (fun acc r -> match r.verdict with Ok s -> acc + f s | Error _ -> acc)
+        0 rs
+    in
+    let failures =
+      List.filter (fun r -> Result.is_error r.verdict) rs |> List.length
+    in
+    Json.Obj
+      [
+        ("cases", Json.Int (List.length rs));
+        ("failures", Json.Int failures);
+        ("executions", Json.Int (tot (fun s -> s.Explore.executions)));
+        ("branches", Json.Int (tot (fun s -> s.Explore.branches)));
+        ("crash_branches", Json.Int (tot (fun s -> s.Explore.crash_branches)));
+        ("crash_points", Json.Int (tot (fun s -> s.Explore.crash_points)));
+        ("drain_points", Json.Int (tot (fun s -> s.Explore.drain_points)));
+        ("drain_branches", Json.Int (tot (fun s -> s.Explore.drain_branches)));
+        ("replays", Json.Int (tot (fun s -> s.Explore.replays)));
+      ]
   in
   Json.Obj
-    (List.map
-       (fun mode ->
-         let rs =
-           List.filter
-             (fun r ->
-               Dssq_pmem.Heap.Persistency.to_string
-                 r.xcase.Scenarios.persistency
-               = mode)
-             results
-         in
-         let tot f =
-           List.fold_left
-             (fun acc r ->
-               match r.verdict with Ok s -> acc + f s | Error _ -> acc)
-             0 rs
-         in
-         ( mode,
-           Json.Obj
-             [
-               ("cases", Json.Int (List.length rs));
-               ( "failures",
-                 Json.Int
-                   (List.length
-                      (List.filter
-                         (fun r ->
-                           match r.verdict with Error _ -> true | Ok _ -> false)
-                         rs)) );
-               ("executions", Json.Int (tot (fun s -> s.Explore.executions)));
-               ("branches", Json.Int (tot (fun s -> s.Explore.branches)));
-               ( "crash_branches",
-                 Json.Int (tot (fun s -> s.Explore.crash_branches)) );
-               ("crash_points", Json.Int (tot (fun s -> s.Explore.crash_points)));
-               ("drain_points", Json.Int (tot (fun s -> s.Explore.drain_points)));
-               ( "drain_branches",
-                 Json.Int (tot (fun s -> s.Explore.drain_branches)) );
-               ("replays", Json.Int (tot (fun s -> s.Explore.replays)));
-             ] ))
-       modes)
+    (List.filter_map
+       (fun policy ->
+         match
+           List.filter (fun r -> r.xcase.Scenarios.policy = policy) results
+         with
+         | [] -> None
+         | rs -> Some (Policy.to_string policy, totals rs))
+       Policy.all)
 
 let encode ~params results =
   Json.Obj

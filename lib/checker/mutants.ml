@@ -114,7 +114,7 @@ let drop_drain = Drop_drain
     announcements and final link/claim flushes stay buffered when the
     operation returns.  Meaningless against eager backends (their [drain]
     is already a no-op), so it is registered separately from {!all} and
-    the regression suite hunts it on a [~coalesce:true] corpus. *)
+    the regression suite hunts it on a [~policy:Coalesced] corpus. *)
 
 let skip_drain_node = Skip_drain "node"
 (** Node-field flushes (value, next) are issued but the drain ordering

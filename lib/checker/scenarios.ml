@@ -40,17 +40,13 @@ module Queue_intf = Dssq_core.Queue_intf
 type params = {
   crashes : bool;
   line_size : int;
-  coalesce : bool;  (** route flushes through the per-thread persist buffer *)
-  combine : bool;
-      (** flat-combining batch epochs: the heap runs in buffered strict
-          persistency and every combine-capable object routes exec
-          through its combining path, so the crash adversary lands
-          inside batch epochs — before the install, mid-fold, and
-          between the install and its persist epoch closing *)
-  persistency : Heap.Persistency.t;
-      (** sc: flushes are synchronous (modulo opt-in coalescing); px86:
-          buffered persistency — flushes enqueue, only drains persist,
-          and the crash adversary also draws buffer-drain prefixes *)
+  policy : Heap.Policy.t;
+      (** the heap's persist policy.  Under [Px86] and [Combine] the
+          crash adversary also draws buffer-drain prefixes; under
+          [Combine] every combine-capable object routes exec through its
+          combining path, so crashes land inside batch epochs — before
+          the install, mid-fold, and between the install and its
+          persist epoch closing *)
   mode : Lincheck.mode;
   mutation : Mutants.mutation option;
   max_preemptions : int;
@@ -65,9 +61,7 @@ let default_params =
   {
     crashes = false;
     line_size = 1;
-    coalesce = false;
-    combine = false;
-    persistency = Heap.Persistency.Sc;
+    policy = Heap.Policy.Eager;
     mode = Lincheck.Strict;
     mutation = None;
     max_preemptions = 1;
@@ -93,7 +87,7 @@ type case = {
   prog : string;
   crashes : bool;
   line_size : int;
-  persistency : Heap.Persistency.t;
+  policy : Heap.Policy.t;
   nthreads : int;
   run : reduction:bool -> Explore.stats;
       (** explore; raises [Explore.Violation] on a failing execution *)
@@ -122,14 +116,18 @@ let with_injection ~(params : params) f =
       f
   else f ()
 
+(* The case-name suffix each policy appends. *)
+let policy_suffix : Heap.Policy.t -> string = function
+  | Eager -> ""
+  | Coalesced -> "/co"
+  | Px86 -> "/px86"
+  | Combine -> "/fc"
+
 let case_of_setup ~(params : params) ~obj ~prog ~nthreads setup =
   let name =
-    Printf.sprintf "%s/%s/%s/ls%d%s%s%s" obj prog
+    Printf.sprintf "%s/%s/%s/ls%d%s" obj prog
       (if params.crashes then "crash" else "nocrash")
-      params.line_size
-      (if params.coalesce then "/co" else "")
-      (if params.combine then "/fc" else "")
-      (if params.persistency = Heap.Persistency.Px86 then "/px86" else "")
+      params.line_size (policy_suffix params.policy)
   in
   {
     name;
@@ -137,7 +135,7 @@ let case_of_setup ~(params : params) ~obj ~prog ~nthreads setup =
     prog;
     crashes = params.crashes;
     line_size = params.line_size;
-    persistency = params.persistency;
+    policy = params.policy;
     nthreads;
     run =
       (fun ~reduction ->
@@ -156,8 +154,7 @@ let case_of_setup ~(params : params) ~obj ~prog ~nthreads setup =
   }
 
 let heap ~(params : params) =
-  Heap.create ~line_size:params.line_size ~persistency:params.persistency
-    ~coalesce:params.coalesce ~combine:params.combine ()
+  Heap.create ~line_size:params.line_size ~policy:params.policy ()
 
 let memory ~(params : params) heap =
   (* Engine-level mutant: arm the ordering-inversion hook; the case
@@ -188,7 +185,8 @@ let queue_setup ~(params : params) ~prog () =
   let q =
     Q.create ~wal:(Sys.wal sys)
       ~pool_id:(Sys.fresh_pool_id sys)
-      ~reclaim:false ~combine:params.combine ~nthreads:3 ~capacity:8 ()
+      ~reclaim:false ~combine:(params.policy = Combine) ~nthreads:3
+      ~capacity:8 ()
   in
   ignore
     (Sys.register sys ~name:"queue"
@@ -353,7 +351,8 @@ let stack_setup ~(params : params) ~prog () =
   let s =
     S.create ~wal:(Sys.wal sys)
       ~pool_id:(Sys.fresh_pool_id sys)
-      ~reclaim:false ~combine:params.combine ~nthreads:3 ~capacity:8 ()
+      ~reclaim:false ~combine:(params.policy = Combine) ~nthreads:3
+      ~capacity:8 ()
   in
   ignore
     (Sys.register sys ~name:"stack"
@@ -740,7 +739,7 @@ let swap_setup ~params ~prog () =
   engine_setup ~params ~spec:(Specs.Swap.spec ())
     ~instantiate:(fun (module M : Dssq_memory.Memory_intf.S) ->
       let module O = Dssq_core.Dss_swap.Make (M) in
-      let o = O.create ~combine:params.combine ~nthreads:3 () in
+      let o = O.create ~combine:(params.policy = Combine) ~nthreads:3 () in
       {
         e_prep = (fun ~tid op -> O.prep o ~tid op);
         e_exec = (fun ~tid -> O.exec o ~tid);
@@ -775,7 +774,7 @@ let deque_setup ~params ~prog () =
   engine_setup ~params ~spec:(Specs.Deque.spec ())
     ~instantiate:(fun (module M : Dssq_memory.Memory_intf.S) ->
       let module O = Dssq_core.Dss_deque.Make (M) in
-      let o = O.create ~combine:params.combine ~nthreads:3 () in
+      let o = O.create ~combine:(params.policy = Combine) ~nthreads:3 () in
       {
         e_prep = (fun ~tid op -> O.prep o ~tid op);
         e_exec = (fun ~tid -> O.exec o ~tid);
@@ -810,7 +809,7 @@ let pqueue_setup ~params ~prog () =
   engine_setup ~params ~spec:(Specs.Pqueue.spec ())
     ~instantiate:(fun (module M : Dssq_memory.Memory_intf.S) ->
       let module O = Dssq_core.Dss_pqueue.Make (M) in
-      let o = O.create ~combine:params.combine ~nthreads:3 () in
+      let o = O.create ~combine:(params.policy = Combine) ~nthreads:3 () in
       {
         e_prep = (fun ~tid op -> O.prep o ~tid op);
         e_exec = (fun ~tid -> O.exec o ~tid);
@@ -848,7 +847,7 @@ let bcounter_setup ~params ~prog () =
     ~spec:(Specs.Bcounter.spec ~bound:Dssq_core.Dss_bcounter.bound ())
     ~instantiate:(fun (module M : Dssq_memory.Memory_intf.S) ->
       let module O = Dssq_core.Dss_bcounter.Make (M) in
-      let o = O.create ~combine:params.combine ~nthreads:3 () in
+      let o = O.create ~combine:(params.policy = Combine) ~nthreads:3 () in
       {
         e_prep = (fun ~tid op -> O.prep o ~tid op);
         e_exec = (fun ~tid -> O.exec o ~tid);
@@ -951,8 +950,8 @@ let build ~params ~obj ~prog =
     are kept crash-free: with a crash adversary their branching factor
     would put a single case past the CI budget. *)
 let cases ?(objects = objects) ?(crash_modes = [ false; true ])
-    ?(line_sizes = [ 1; 8 ]) ?(coalesce = false) ?(combine = false)
-    ?(persistency = Heap.Persistency.Sc) ?mutation ?(mode = Lincheck.Strict)
+    ?(line_sizes = [ 1; 8 ]) ?(policy = Heap.Policy.Eager) ?mutation
+    ?(mode = Lincheck.Strict)
     ?(max_preemptions = 1) ?(max_crash_lines = 4) ?(crash_samples = 6)
     ?(seed = 0) ?(adversary = `Per_line) ?(limit = 2_000_000) () =
   let objects =
@@ -978,9 +977,7 @@ let cases ?(objects = objects) ?(crash_modes = [ false; true ])
                       {
                         crashes;
                         line_size;
-                        coalesce;
-                        combine;
-                        persistency;
+                        policy;
                         mode;
                         mutation;
                         max_preemptions;

@@ -86,7 +86,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     { an; head; tail; combine }
 
   let of_config ?wal ?pool_id (cfg : Queue_intf.config) =
-    create ?wal ?pool_id ~reclaim:cfg.reclaim ~combine:cfg.combine
+    create ?wal ?pool_id ~reclaim:cfg.reclaim ~combine:(cfg.policy = Combine)
       ~nthreads:cfg.nthreads ~capacity:cfg.capacity ()
 
   let pool t = t.an.A.pool

@@ -34,41 +34,29 @@ let equal_resolved (a : resolved) (b : resolved) = a = b
     persist-line size (words per line) the run's memory backend is
     configured with — 1 is the legacy word-granular model; the harness
     that creates the backend is responsible for keeping the two in
-    sync (see [Dssq_workload]).  [coalesce] likewise records whether
-    the backend coalesces flushes into per-thread persist buffers
-    (again the harness keeps backend and config in sync); it is
-    carried for reporting — the algorithms themselves are oblivious,
-    they just call [drain] at their persistence points.  [persistency]
-    records the persistency model the backend runs under
-    ({!Dssq_memory.Memory_intf.Persistency}): [Sc] is the legacy
-    synchronous-flush model, [Px86] the buffered model where flushes
-    enqueue into per-thread persist buffers and only drains (or the
-    crash adversary) make them durable.  Like [line_size] and
-    [coalesce] it is descriptive — this record is the {e single}
-    interface carrying the memory-model axes; object signatures live in
-    {!Detectable_intf.LINKED_CORE} and restate none of it. *)
+    sync (see [Dssq_workload]).  [policy] likewise records the backend's
+    persist policy ({!Dssq_memory.Memory_intf.Policy}); the objects read
+    only whether it is [Combine], where they elide the hardening drains
+    the buffer order subsumes (DESIGN.md §14) — under every other policy
+    they just call [drain] at their persistence points.  This record is
+    the {e single} interface carrying the memory model; object
+    signatures live in {!Detectable_intf.LINKED_CORE} and restate none
+    of it. *)
 type config = {
   nthreads : int;
   capacity : int;
   reclaim : bool;
   line_size : int;
-  coalesce : bool;
-  persistency : Dssq_memory.Memory_intf.Persistency.t;
-  combine : bool;
-      (** flat-combining batch epochs: the backend buffers flushes
-          without auto-draining and the objects elide the hardening
-          drains the buffer order subsumes (DESIGN.md §14); the harness
-          keeps backend and config in sync like the other axes *)
+  policy : Dssq_memory.Memory_intf.Policy.t;
 }
 
-let config ?(reclaim = true) ?(line_size = 1) ?(coalesce = false)
-    ?(persistency = Dssq_memory.Memory_intf.Persistency.Sc)
-    ?(combine = false) ~nthreads ~capacity () =
+let config ?(reclaim = true) ?(line_size = 1)
+    ?(policy = Dssq_memory.Memory_intf.Policy.Eager) ~nthreads ~capacity () =
   if nthreads <= 0 then invalid_arg "Queue_intf.config: nthreads must be > 0";
   if capacity <= 0 then invalid_arg "Queue_intf.config: capacity must be > 0";
   if line_size <= 0 then
     invalid_arg "Queue_intf.config: line_size must be > 0";
-  { nthreads; capacity; reclaim; line_size; coalesce; persistency; combine }
+  { nthreads; capacity; reclaim; line_size; policy }
 
 (** Closure record for heterogeneous dispatch in workloads and benches,
     hiding the functor-generated type [t]. *)

@@ -160,61 +160,28 @@ module Padded = struct
   let incr p = Atomic.incr p.v
 end
 
-(** Persistency model: the relation between store order and persist
-    order.  This is the single definition of the axis — backends,
-    object configs and the CLI all reference it from here.
-
-    - {!Sc}: the strong baseline every pre-relaxed figure was produced
-      under.  [flush] is synchronous (CLWB + implied drain): when it
-      returns, the line is durable.  Persist order equals flush order.
-    - {!Px86}: buffered (epoch) persistency in the style of Px86 /
-      PTSO.  [flush] only {e enqueues} the line into the issuing
-      thread's FIFO persist buffer; the line becomes durable when an
-      explicit [drain]/[fence] writes the buffer back — or when the
-      crash adversary chooses to write back a prefix of the buffer
-      asynchronously.  Stores never auto-drain, so the window between
-      a flush and its drain is visible to the model checker, which is
-      precisely the window real CLWB leaves open. *)
-module Persistency = struct
-  type t = Sc | Px86
-
-  let to_string = function Sc -> "sc" | Px86 -> "px86"
-
-  let of_string = function
-    | "sc" -> Some Sc
-    | "px86" -> Some Px86
-    | _ -> None
-
-  let all = [ Sc; Px86 ]
-end
-
-(** Persist policy: the one behaviour both backends implement, resolved
-    once from the three memory-model inputs (persistency model, flush
-    coalescing, flat combining).  Every policy but {!Eager} routes
-    flushes into a per-thread FIFO persist buffer that drains write back
-    in FIFO order; the buffered policies differ only in
-    {!drains_before_store} and {!enqueues_stores}.
+(** Persist policy: the one memory-model value, chosen on the command
+    line ([--policy]) and carried unchanged to the heap.  Every policy
+    but {!Eager} routes flushes into a per-thread FIFO persist buffer
+    that drains write back in FIFO order; the buffered policies differ
+    only in {!drains_before_store} and {!enqueues_stores}.
 
     - {!Eager}: no buffer — [flush] writes back synchronously, [drain] is
-      a no-op.
+      a no-op.  Every pre-relaxed figure anchors to it.
     - {!Coalesced}: buffered, and every store or CAS first drains the
       storing thread's buffer, so persist order stays flush order.
-    - {!Px86}: buffered; stores never drain, so only [drain]/[fence] —
-      or the crash adversary, by FIFO prefixes — write buffers back.
+    - {!Px86}: buffered (epoch) persistency in the style of Px86 / PTSO:
+      stores never drain, so only [drain]/[fence] — or the crash
+      adversary, by FIFO prefixes — write buffers back.  The window
+      between a flush and its drain is visible to the model checker,
+      which is precisely the window real CLWB leaves open.
     - {!Combine}: {!Px86} plus strict buffering of stores: every store or
       CAS enqueues its line too, and a line re-dirtied or re-flushed
       while buffered moves to the FIFO tail (flat-combining epochs). *)
 module Policy = struct
   type t = Eager | Coalesced | Px86 | Combine
 
-  (** The single place the eight flag combinations collapse onto four
-      behaviours: combining subsumes px86, which subsumes coalescing. *)
-  let of_axes ~persistency ~coalesce ~combine =
-    if combine then Combine
-    else
-      match (persistency : Persistency.t) with
-      | Px86 -> Px86
-      | Sc -> if coalesce then Coalesced else Eager
+  let all = [ Eager; Coalesced; Px86; Combine ]
 
   let drains_before_store = function
     | Coalesced -> true
@@ -234,6 +201,8 @@ module Policy = struct
     | Coalesced -> "coalesced"
     | Px86 -> "px86"
     | Combine -> "combine"
+
+  let of_string s = List.find_opt (fun p -> to_string p = s) all
 end
 
 (** Deferred cell names (see {!S.alloc}): a name is a thunk, forced only

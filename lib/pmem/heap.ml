@@ -10,10 +10,10 @@
     cell's whole line (persisting every dirty member), flushing a clean
     line is elided, and a crash evicts or drops each line as a unit.
 
-    How flushes reach the persistence domain is one resolved
-    {!Policy.t}: under [Eager] a flush writes back at once; under every
-    other policy it enters the issuing thread's FIFO persist buffer, and
-    drains write buffers back oldest first.
+    How flushes reach the persistence domain is one {!Policy.t}: under
+    [Eager] a flush writes back at once; under every other policy it
+    enters the issuing thread's FIFO persist buffer, and drains write
+    buffers back oldest first.
 
     Every event is emitted once to the {!Dssq_memory.Persist_event}
     stream, tagged with the acting thread ([cur_tid]); with no subscriber
@@ -22,7 +22,6 @@
 
 module PE = Dssq_memory.Persist_event
 module Line = Dssq_memory.Memory_intf.Line
-module Persistency = Dssq_memory.Memory_intf.Persistency
 module Policy = Dssq_memory.Memory_intf.Policy
 module Name = Dssq_memory.Memory_intf.Name
 
@@ -73,8 +72,14 @@ type t = {
   policy : Policy.t;
 }
 
-let create ?(line_size = 1) ?(persistency = Persistency.Sc) ?(coalesce = false)
-    ?(combine = false) () =
+let create ?(line_size = 1) ?policy ?(combine = false) () =
+  let policy =
+    match policy with
+    | None -> if combine then Policy.Combine else Policy.Eager
+    | Some p when combine && p <> Policy.Combine ->
+        invalid_arg "Heap.create: ~combine:true with a different ~policy"
+    | Some p -> p
+  in
   {
     cells = [];
     next_id = 0;
@@ -97,7 +102,7 @@ let create ?(line_size = 1) ?(persistency = Persistency.Sc) ?(coalesce = false)
     in_sim = false;
     cur_tid = -1;
     fifos = Hashtbl.create 8;
-    policy = Policy.of_axes ~persistency ~coalesce ~combine;
+    policy;
   }
 
 let policy t = t.policy

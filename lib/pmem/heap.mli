@@ -10,13 +10,12 @@
     evicts or drops each dirty line as a unit.  The default line size of
     1 reproduces the original word-granular model exactly.
 
-    Persist order is one {!Policy.t}, resolved at {!create}: under
+    Persist order is one {!Policy.t}, fixed at {!create}: under
     [Eager] a flush writes back at once; under every other policy each
     thread owns one FIFO persist buffer that flushes enter and drains
     empty oldest first (see DESIGN.md §9 for the policy table). *)
 
 module Line = Dssq_memory.Memory_intf.Line
-module Persistency = Dssq_memory.Memory_intf.Persistency
 module Policy = Dssq_memory.Memory_intf.Policy
 
 type stats = {
@@ -59,21 +58,15 @@ type t = {
   policy : Policy.t;
 }
 
-val create :
-  ?line_size:int ->
-  ?persistency:Persistency.t ->
-  ?coalesce:bool ->
-  ?combine:bool ->
-  unit ->
-  t
+val create : ?line_size:int -> ?policy:Policy.t -> ?combine:bool -> unit -> t
 (** [line_size] defaults to 1 — the original word-granular persistence
     model (every flush charged, no elision, per-word crash eviction).
-    Pass [Line.default_size] (8) for the cache-line model.  The three
-    memory-model inputs resolve once, through {!Policy.of_axes}, into the
-    heap's {!policy}: all defaults give [Eager], the model every
-    pre-relaxed figure anchors to; [~coalesce:true] gives [Coalesced],
-    [~persistency:Px86] gives [Px86], and [~combine:true] gives
-    [Combine] (flat-combining batch epochs, DESIGN.md §14). *)
+    Pass [Line.default_size] (8) for the cache-line model.  [policy]
+    (default [Eager], the model every pre-relaxed figure anchors to) is
+    the heap's {!policy} for its whole life.  [~combine:true] is
+    shorthand for [~policy:Combine] (flat-combining batch epochs,
+    DESIGN.md §14); together with any other explicit policy it raises
+    [Invalid_argument]. *)
 
 val policy : t -> Policy.t
 

@@ -12,17 +12,17 @@ let default_threads = [ 1; 2; 3; 4; 6; 8; 10; 12; 14; 16; 18; 20 ]
 type queue_config = { label : string; mk : string; det_pct : int }
 
 let measure_point ~backend ~horizon_ns ~duration ~repeats ~instrument
-    ~line_size ~coalesce ~combine ~batch (q : queue_config) ~nthreads :
+    ~line_size ~policy ~batch (q : queue_config) ~nthreads :
     Dssq_obs.Run_report.sample list =
   List.init repeats (fun r ->
       match backend with
       | Sim_model ->
-          Sim_throughput.measure_ex ~seed:(1 + r) ~horizon_ns ~mk:q.mk
-            ~det_pct:q.det_pct ~line_size ~coalesce ~combine ~batch ~instrument
-            ~nthreads ()
+          Sim_throughput.measure ~seed:(1 + r) ~horizon_ns ~mk:q.mk
+            ~det_pct:q.det_pct ~line_size ~policy ~batch ~instrument ~nthreads
+            ()
       | Native_domains ->
-          Native_throughput.measure_ex ~mk:q.mk ~det_pct:q.det_pct ~line_size
-            ~coalesce ~combine ~batch ~instrument ~nthreads ~duration ())
+          Native_throughput.measure ~mk:q.mk ~det_pct:q.det_pct ~line_size
+            ~policy ~batch ~instrument ~nthreads ~duration ())
 
 let backend_name = function Sim_model -> "sim" | Native_domains -> "native"
 
@@ -34,7 +34,7 @@ let backend_name = function Sim_model -> "sim" | Native_domains -> "native"
     size for every measurement. *)
 let sweep ?(backend = Sim_model) ?(threads = default_threads) ?(repeats = 3)
     ?(horizon_ns = 300_000.) ?(duration = 0.2) ?(instrument = false)
-    ?(line_size = 1) ?(coalesce = false) ?(combine = false) ?(batch = 8)
+    ?(line_size = 1) ?(policy = Heap.Policy.Eager) ?(batch = 8)
     (queues : queue_config list) : Dssq_obs.Run_report.series list =
   List.map
     (fun q ->
@@ -45,7 +45,7 @@ let sweep ?(backend = Sim_model) ?(threads = default_threads) ?(repeats = 3)
             (fun nthreads ->
               Dssq_obs.Run_report.point_of_samples ~x:nthreads
                 (measure_point ~backend ~horizon_ns ~duration ~repeats
-                   ~instrument ~line_size ~coalesce ~combine ~batch q ~nthreads))
+                   ~instrument ~line_size ~policy ~batch q ~nthreads))
             threads;
       })
     queues
@@ -96,8 +96,9 @@ let ablate_flush ?(nthreads = 8) ?(flush_costs = [ 0; 50; 140; 300; 600 ])
                 Report.x = flush_ns;
                 samples =
                   List.init repeats (fun r ->
-                      Sim_throughput.measure ~costs ~seed:(1 + r) ~horizon_ns
-                        ?line_size ~mk:q.mk ~det_pct:q.det_pct ~nthreads ());
+                      (Sim_throughput.measure ~costs ~seed:(1 + r) ~horizon_ns
+                         ?line_size ~mk:q.mk ~det_pct:q.det_pct ~nthreads ())
+                        .mops);
               })
             flush_costs;
       })
@@ -119,8 +120,9 @@ let ablate_demand ?(nthreads = 8) ?(percents = [ 0; 25; 50; 75; 100 ])
               Report.x = pct;
               samples =
                 List.init repeats (fun r ->
-                    Sim_throughput.measure ~seed:(1 + r) ~horizon_ns ?line_size
-                      ~mk:"dss-queue" ~det_pct:pct ~nthreads ());
+                    (Sim_throughput.measure ~seed:(1 + r) ~horizon_ns
+                       ?line_size ~mk:"dss-queue" ~det_pct:pct ~nthreads ())
+                      .mops);
             })
           percents;
     };
@@ -189,9 +191,10 @@ let ablate_depth ?(nthreads = 8) ?(depths = [ 0; 4; 16; 64; 256; 1024 ])
                 Report.x = depth;
                 samples =
                   List.init repeats (fun r ->
-                      Sim_throughput.measure ~seed:(1 + r) ~horizon_ns
-                        ?line_size ~init_nodes:depth ~mk:q.mk ~det_pct:q.det_pct
-                        ~nthreads ());
+                      (Sim_throughput.measure ~seed:(1 + r) ~horizon_ns
+                         ?line_size ~init_nodes:depth ~mk:q.mk
+                         ~det_pct:q.det_pct ~nthreads ())
+                        .mops);
               })
             depths;
       })
@@ -230,7 +233,7 @@ let ablate_linesize ?(nthreads = 8) ?(line_sizes = [ 1; 2; 4; 8; 16 ])
             (fun ls ->
               Dssq_obs.Run_report.point_of_samples ~x:ls
                 (List.init repeats (fun r ->
-                     Sim_throughput.measure_ex ~seed:(1 + r) ~horizon_ns
+                     Sim_throughput.measure ~seed:(1 + r) ~horizon_ns
                        ~mk:q.mk ~det_pct:q.det_pct ~line_size:ls
                        ~instrument:true ~nthreads ())))
             line_sizes;
@@ -402,27 +405,31 @@ let regress ?(quick = false) () : Dssq_obs.Run_report.series list =
   in
   let repeats = if quick then 1 else 3 in
   let horizon_ns = if quick then 120_000. else 300_000. in
-  let one ?(combine = false) ~backend ~threads ~coalesce queues =
+  let one ~backend ~threads ~(policy : Heap.Policy.t) queues =
     let prefix =
       backend_name backend
-      ^ (if coalesce then "+co" else "")
-      ^ if combine then "+fc" else ""
+      ^
+      match policy with
+      | Eager -> ""
+      | Coalesced -> "+co"
+      | Px86 -> "+px86"
+      | Combine -> "+fc"
     in
     sweep ~backend ~threads ~repeats ~horizon_ns ~duration:0.1
-      ~instrument:true ~line_size:1 ~coalesce ~combine queues
+      ~instrument:true ~line_size:1 ~policy queues
     |> List.map (fun (s : Dssq_obs.Run_report.series) ->
            { s with label = prefix ^ "/" ^ s.label })
   in
-  one ~backend:Sim_model ~threads:sim_threads ~coalesce:false linesize_queues
-  @ one ~backend:Sim_model ~threads:sim_threads ~coalesce:true linesize_queues
-  @ one ~combine:true ~backend:Sim_model ~threads:sim_threads ~coalesce:false
-      fc_queues
+  one ~backend:Sim_model ~threads:sim_threads ~policy:Eager linesize_queues
+  @ one ~backend:Sim_model ~threads:sim_threads ~policy:Coalesced
+      linesize_queues
+  @ one ~backend:Sim_model ~threads:sim_threads ~policy:Combine fc_queues
   @
   if quick then []
   else
-    one ~backend:Native_domains ~threads:[ 1; 2; 4 ] ~coalesce:false
+    one ~backend:Native_domains ~threads:[ 1; 2; 4 ] ~policy:Eager
       linesize_queues
-    @ one ~backend:Native_domains ~threads:[ 1; 2; 4 ] ~coalesce:true
+    @ one ~backend:Native_domains ~threads:[ 1; 2; 4 ] ~policy:Coalesced
         linesize_queues
 
 (* ---------------------------------------------------------------------- *)

@@ -36,8 +36,7 @@ val sweep :
   ?duration:float ->
   ?instrument:bool ->
   ?line_size:int ->
-  ?coalesce:bool ->
-  ?combine:bool ->
+  ?policy:Dssq_pmem.Heap.Policy.t ->
   ?batch:int ->
   queue_config list ->
   Dssq_obs.Run_report.series list
@@ -45,10 +44,10 @@ val sweep :
     point carries the observability payload (memory-event deltas, and
     latency histograms when [instrument] is set).  [line_size] (default 1
     = legacy word-granular persistence) configures the backend's
-    persist-line size for every measurement; [coalesce] (default false)
-    routes every flush through the backend's per-thread persist buffer;
-    [combine] (default false) runs in flat-combining batch-epoch mode,
-    one driver drain per [batch] (default 8) operation pairs.  Figure 5a
+    persist-line size for every measurement; [policy] (default [Eager])
+    is the backend's persist policy — under [Combine] the workers also
+    close a flat-combining batch epoch, one driver drain per [batch]
+    (default 8) operation pairs.  Figure 5a
     is [sweep fig5a_queues], Figure 5b [sweep fig5b_queues]. *)
 
 val ablate_flush :

@@ -11,10 +11,9 @@
     backend/worker selection made here in the harness: the uninstrumented
     path runs the plain [Native] backend and the original worker loop,
     bit-for-bit, so enabling the observability layer elsewhere costs
-    measured runs nothing.  Flush coalescing ([coalesce:true]) and
-    combining select a buffered {!Native.Make} backend, which is always
-    counted — the coalesced/elided event totals are the point of running
-    it. *)
+    measured runs nothing.  Every policy but [Eager] selects a buffered
+    {!Native.Make} backend, which is always counted — the
+    coalesced/elided event totals are the point of running it. *)
 
 module MI = Dssq_memory.Memory_intf
 module Native = Dssq_memory.Native
@@ -128,23 +127,19 @@ let run_workers ?(instrument = false) ?epoch ~nthreads ~det_pct ~duration
     native backend (a fresh [Native.Counted ()] instance, so concurrent
     measurements don't share counters) and each thread records
     wall-clock per-operation latency; events exclude queue seeding.
-    With [coalesce:true] or [combine:true] the queue runs over a fresh
-    [Native.Make] instance under the resolved policy — per-domain
-    persist buffers, one drain per persistence point — whose counters
-    are always reported.
+    Under any [policy] but [Eager] the queue runs over a fresh
+    [Native.Make] instance under that policy — per-domain persist
+    buffers, one drain per persistence point — whose counters are always
+    reported.
     [det_pct] is as in {!Sim_throughput.pair_worker}. *)
-let measure_ex ?(init_nodes = 16) ?(det_pct = 100) ?(line_size = 1)
-    ?(coalesce = false) ?(combine = false) ?(batch = 8) ?(instrument = false)
-    ~mk ~nthreads ~duration () : Dssq_obs.Run_report.sample =
+let measure ?(init_nodes = 16) ?(det_pct = 100) ?(line_size = 1)
+    ?(policy = MI.Policy.Eager) ?(batch = 8) ?(instrument = false) ~mk
+    ~nthreads ~duration () : Dssq_obs.Run_report.sample =
   let capacity = init_nodes + 8 + (nthreads * 4096) in
   let cfg =
-    Dssq_core.Queue_intf.config ~line_size ~coalesce ~combine ~nthreads
-      ~capacity ()
+    Dssq_core.Queue_intf.config ~line_size ~policy ~nthreads ~capacity ()
   in
   Native.set_line_size line_size;
-  let policy =
-    MI.Policy.of_axes ~persistency:MI.Persistency.Sc ~coalesce ~combine
-  in
   if (not instrument) && policy = MI.Policy.Eager then begin
     let ops = Registry.setup (module Native) ~mk ~init_nodes cfg in
     let mops, total, _ = run_workers ~nthreads ~det_pct ~duration ops in
@@ -162,7 +157,8 @@ let measure_ex ?(init_nodes = 16) ?(det_pct = 100) ?(line_size = 1)
         C.drain () (* close any seeding-time persist buffer *);
         C.reset_counters ();
         let epoch =
-          if combine then Some (max 1 batch, fun () -> C.drain ()) else None
+          if policy = Combine then Some (max 1 batch, fun () -> C.drain ())
+          else None
         in
         let mops, total, hists =
           run_workers ~instrument ?epoch ~nthreads ~det_pct ~duration ops
@@ -193,24 +189,17 @@ let measure_ex ?(init_nodes = 16) ?(det_pct = 100) ?(line_size = 1)
     R.result
   end
 
-(** Throughput only, in Mops/s — the historical entry point. *)
-let measure ?init_nodes ?det_pct ?line_size ?coalesce ?combine ?batch ~mk
-    ~nthreads ~duration () =
-  (measure_ex ?init_nodes ?det_pct ?line_size ?coalesce ?combine ?batch ~mk
-     ~nthreads ~duration ())
-    .Dssq_obs.Run_report.mops
-
 (** NUMA-ish padding-stride sweep: measure one implementation across
     isolation strides for the hot [Isolated]-placement cells (queue
     head/tail, announce words).  On a real multi-socket machine the
     right stride is an empirical trade — too small false-shares the hot
     words across domains, too large wastes cache reach — and with
-    [combine] the persist traffic is batched, so the stride's
+    the combine policy the persist traffic is batched, so the stride's
     false-sharing component dominates what remains.  Returns
     [(pad_words, Mops/s)] per stride; the process-wide stride is
     restored to the default afterwards. *)
 let pad_sweep ?(pads = [ 0; 2; 6; 14; 30 ]) ?init_nodes ?det_pct ?line_size
-    ?coalesce ?combine ?batch ~mk ~nthreads ~duration () =
+    ?policy ?batch ~mk ~nthreads ~duration () =
   Fun.protect
     ~finally:(fun () -> Native.set_pad_words MI.Padded.pad_words)
     (fun () ->
@@ -218,6 +207,7 @@ let pad_sweep ?(pads = [ 0; 2; 6; 14; 30 ]) ?init_nodes ?det_pct ?line_size
         (fun pad ->
           Native.set_pad_words pad;
           ( pad,
-            measure ?init_nodes ?det_pct ?line_size ?coalesce ?combine ?batch
-              ~mk ~nthreads ~duration () ))
+            (measure ?init_nodes ?det_pct ?line_size ?policy ?batch ~mk
+               ~nthreads ~duration ())
+              .Dssq_obs.Run_report.mops ))
         pads)

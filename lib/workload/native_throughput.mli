@@ -7,12 +7,11 @@
     harness: the uninstrumented path runs the plain backend and the
     original worker loop unchanged. *)
 
-val measure_ex :
+val measure :
   ?init_nodes:int ->
   ?det_pct:int ->
   ?line_size:int ->
-  ?coalesce:bool ->
-  ?combine:bool ->
+  ?policy:Dssq_memory.Memory_intf.Policy.t ->
   ?batch:int ->
   ?instrument:bool ->
   mk:string ->
@@ -26,35 +25,19 @@ val measure_ex :
     native backend (events exclude seeding) and each thread records
     wall-clock per-operation latency, merged into one histogram.
     [line_size] (default 1 = word-granular) reconfigures the native
-    backend's line allocator before the queue is built.  [coalesce] and
-    [combine] (default false) resolve through
-    [Memory_intf.Policy.of_axes] into the policy of a fresh
-    [Native.Make] instance — per-domain persist buffers drained once per
+    backend's line allocator before the queue is built.  Any [policy]
+    but [Eager] (the default) runs on a fresh [Native.Make] instance
+    under that policy — per-domain persist buffers drained once per
     persistence point — whose event counters are always reported; under
-    [combine] each domain closes a batch persist epoch every [batch]
+    [Combine] each domain closes a batch persist epoch every [batch]
     (default 8) operation pairs. *)
-
-val measure :
-  ?init_nodes:int ->
-  ?det_pct:int ->
-  ?line_size:int ->
-  ?coalesce:bool ->
-  ?combine:bool ->
-  ?batch:int ->
-  mk:string ->
-  nthreads:int ->
-  duration:float ->
-  unit ->
-  float
-(** Throughput only, in Mops/s: [(measure_ex ...).mops]. *)
 
 val pad_sweep :
   ?pads:int list ->
   ?init_nodes:int ->
   ?det_pct:int ->
   ?line_size:int ->
-  ?coalesce:bool ->
-  ?combine:bool ->
+  ?policy:Dssq_memory.Memory_intf.Policy.t ->
   ?batch:int ->
   mk:string ->
   nthreads:int ->

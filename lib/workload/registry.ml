@@ -82,7 +82,10 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
 
   let fc ?system (cfg : Queue_intf.config) : Queue_intf.ops =
     let module Q = Dssq_spec.Specs.Queue in
-    let q = Fcq.create ~name:"fcq" ~combine:cfg.combine ~nthreads:cfg.nthreads () in
+    let q =
+      Fcq.create ~name:"fcq" ~combine:(cfg.policy = Combine)
+        ~nthreads:cfg.nthreads ()
+    in
     attach system ~name:"dss-fc" (fun () -> Fcq.recover q);
     let of_deq_response = function
       | Q.Value x -> x

@@ -229,7 +229,7 @@ let pair_worker ?epoch (ops : Dssq_core.Queue_intf.ops) ~tid ~counter ~det_pct
       ignore (ops.dequeue ~tid);
       incr counter
     end;
-    (* Flat-combining batch epoch: under [--combine] the objects leave
+    (* Flat-combining batch epoch: under the combine policy the objects leave
        their flushes in the per-thread persist buffer; the driver closes
        the epoch (one drain) every [k] operation pairs.  A no-op when
        the buffer is already empty (engine combiners drain per batch). *)
@@ -277,19 +277,19 @@ let timed_pair_worker ?epoch (ops : Dssq_core.Queue_intf.ops) ~tid ~counter
     initialization); per-operation latency histograms are recorded only
     when [instrument] is set, leaving the default path's event sequence
     untouched. *)
-let measure_ex ?costs ?(seed = 1) ?(horizon_ns = 300_000.) ?(init_nodes = 16)
-    ?(det_pct = 100) ?(line_size = 1) ?(coalesce = false) ?(combine = false)
+let measure ?costs ?(seed = 1) ?(horizon_ns = 300_000.) ?(init_nodes = 16)
+    ?(det_pct = 100) ?(line_size = 1) ?(policy = Heap.Policy.Eager)
     ?(batch = 8) ?(instrument = false) ~mk ~nthreads () :
     Dssq_obs.Run_report.sample =
-  let heap = Heap.create ~line_size ~coalesce ~combine () in
+  let combine = policy = Combine in
+  let heap = Heap.create ~line_size ~policy () in
   let (module M) = Sim.memory heap in
   let capacity = init_nodes + 8 + (nthreads * 192) in
   let ops =
     Registry.setup
       (module M)
       ~mk ~init_nodes
-      (Dssq_core.Queue_intf.config ~line_size ~coalesce ~combine ~nthreads
-         ~capacity ())
+      (Dssq_core.Queue_intf.config ~line_size ~policy ~nthreads ~capacity ())
   in
   (* Seeding may leave buffered flushes under combine; close them before
      measuring so every run starts from a clean persist state. *)
@@ -323,10 +323,3 @@ let measure_ex ?costs ?(seed = 1) ?(horizon_ns = 300_000.) ?(init_nodes = 16)
     events;
     latency = hist;
   }
-
-(** Throughput only, in Mops/s — the historical entry point. *)
-let measure ?costs ?seed ?horizon_ns ?init_nodes ?det_pct ?line_size ?coalesce
-    ?combine ?batch ~mk ~nthreads () =
-  (measure_ex ?costs ?seed ?horizon_ns ?init_nodes ?det_pct ?line_size
-     ?coalesce ?combine ?batch ~mk ~nthreads ())
-    .Dssq_obs.Run_report.mops

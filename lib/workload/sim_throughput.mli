@@ -74,15 +74,14 @@ val timed_pair_worker :
 (** {!pair_worker} plus a per-operation simulated-latency sample recorded
     into [hist] ([now] should read the thread's private clock). *)
 
-val measure_ex :
+val measure :
   ?costs:costs ->
   ?seed:int ->
   ?horizon_ns:float ->
   ?init_nodes:int ->
   ?det_pct:int ->
   ?line_size:int ->
-  ?coalesce:bool ->
-  ?combine:bool ->
+  ?policy:Dssq_pmem.Heap.Policy.t ->
   ?batch:int ->
   ?instrument:bool ->
   mk:string ->
@@ -96,24 +95,8 @@ val measure_ex :
     nanoseconds.  [mk] is a {!Registry} name; the queue is seeded with
     [init_nodes] values (default 16, as in Section 4); [line_size]
     (default 1 = word-granular) sets the heap's persist-line size;
-    [coalesce] (default false) turns on per-thread flush coalescing
-    (asynchronous flushes retired by a single drain per persist point);
-    [combine] (default false) puts the heap in flat-combining batch-epoch
-    mode and has the workers close an epoch every [batch] (default 8)
-    operation pairs. *)
-
-val measure :
-  ?costs:costs ->
-  ?seed:int ->
-  ?horizon_ns:float ->
-  ?init_nodes:int ->
-  ?det_pct:int ->
-  ?line_size:int ->
-  ?coalesce:bool ->
-  ?combine:bool ->
-  ?batch:int ->
-  mk:string ->
-  nthreads:int ->
-  unit ->
-  float
-(** Throughput only, in Mops/s: [(measure_ex ...).mops]. *)
+    [policy] (default [Eager]) is the heap's persist policy — under
+    [Coalesced] asynchronous flushes are retired by a single drain per
+    persist point, and under [Combine] the workers also close a
+    flat-combining batch epoch every [batch] (default 8) operation
+    pairs. *)

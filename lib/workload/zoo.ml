@@ -67,8 +67,9 @@ type runner = {
          post-crash path the profiler attributes to the recovery phases *)
 }
 
-let make_runner (module M : Dssq_memory.Memory_intf.S) ?(combine = false)
-    ~pairs name : runner =
+let make_runner (module M : Dssq_memory.Memory_intf.S) ~policy ~pairs name :
+    runner =
+  let combine = policy = MI.Policy.Combine in
   let counted tid i = (tid * 1_000_000) + i in
   match name with
   | "dss-queue" ->
@@ -252,11 +253,10 @@ let make_runner (module M : Dssq_memory.Memory_intf.S) ?(combine = false)
         (Printf.sprintf "Zoo: unknown object %s (known: %s)" other
            (String.concat ", " objects))
 
-let run_one ?(pairs = 200) ?(line_size = 1) ?(combine = false) ?persistency
-    name =
-  let heap = Heap.create ~line_size ~combine ?persistency () in
+let run_one ?(pairs = 200) ?(line_size = 1) ?(policy = MI.Policy.Eager) name =
+  let heap = Heap.create ~line_size ~policy () in
   let (module M) = Sim.counted_memory heap in
-  let r = make_runner (module M) ~combine ~pairs name in
+  let r = make_runner (module M) ~policy ~pairs name in
   M.reset_counters ();
   ignore (Sim.run heap ~threads:r.r_threads);
   {
@@ -267,10 +267,8 @@ let run_one ?(pairs = 200) ?(line_size = 1) ?(combine = false) ?persistency
     z_stats = r.r_stats ();
   }
 
-let run_all ?pairs ?line_size ?combine ?persistency () =
-  List.map
-    (fun name -> run_one ?pairs ?line_size ?combine ?persistency name)
-    objects
+let run_all ?pairs ?line_size ?policy () =
+  List.map (fun name -> run_one ?pairs ?line_size ?policy name) objects
 
 (* ---------------------- flat-combining amortization -------------------- *)
 
@@ -296,8 +294,8 @@ let combine_rows ?(batches = [ 1; 2; 4; 8 ]) ?(nthreads = 8) () =
   List.map
     (fun b ->
       let s =
-        Sim_throughput.measure_ex ~seed:1 ~mk:"dss-fc" ~det_pct:100
-          ~combine:true ~batch:b ~nthreads ()
+        Sim_throughput.measure ~seed:1 ~mk:"dss-fc" ~det_pct:100
+          ~policy:Combine ~batch:b ~nthreads ()
       in
       let ops = max 1 s.Dssq_obs.Run_report.ops in
       let per c = float_of_int c /. float_of_int ops in
@@ -334,12 +332,12 @@ let with_attribution body =
       Profile.stop ())
     body
 
-let profile_one ?(pairs = 200) ?(line_size = 1) ?(coalesce = false)
-    ?(combine = false) ?persistency ?(crash = false) name =
+let profile_one ?(pairs = 200) ?(line_size = 1) ?(policy = MI.Policy.Eager)
+    ?(crash = false) name =
   with_attribution (fun () ->
-      let heap = Heap.create ~line_size ~coalesce ~combine ?persistency () in
+      let heap = Heap.create ~line_size ~policy () in
       let (module M) = Sim.counted_memory heap in
-      let r = make_runner (module M) ~combine ~pairs name in
+      let r = make_runner (module M) ~policy ~pairs name in
       M.reset_counters ();
       Heatmap.reset_counts ();
       Profile.reset ();
@@ -361,14 +359,14 @@ let profile_one ?(pairs = 200) ?(line_size = 1) ?(coalesce = false)
         p_heat = Heatmap.rows ();
       })
 
-let profile_one_native ?(pairs = 200) ?(line_size = 1) ?(coalesce = false)
-    ?(combine = false) ?(persistency = MI.Persistency.Sc) name =
+let profile_one_native ?(pairs = 200) ?(line_size = 1)
+    ?(policy = MI.Policy.Eager) name =
   let module Native = Dssq_memory.Native in
   let module PE = Dssq_memory.Persist_event in
   with_attribution (fun () ->
       Native.set_line_size line_size;
       let measure (module C : MI.COUNTED) =
-        let r = make_runner (module C) ~combine ~pairs name in
+        let r = make_runner (module C) ~policy ~pairs name in
         C.reset_counters ();
         Heatmap.reset_counts ();
         Profile.reset ();
@@ -398,14 +396,13 @@ let profile_one_native ?(pairs = 200) ?(line_size = 1) ?(coalesce = false)
       measure
         (module Native.Make
                   (struct
-                    let policy = MI.Policy.of_axes ~persistency ~coalesce ~combine
+                    let policy = policy
                   end)
                   ()))
 
-let profile_all ?pairs ?line_size ?coalesce ?combine ?persistency ?crash () =
+let profile_all ?pairs ?line_size ?policy ?crash () =
   List.map
-    (fun name ->
-      profile_one ?pairs ?line_size ?coalesce ?combine ?persistency ?crash name)
+    (fun name -> profile_one ?pairs ?line_size ?policy ?crash name)
     objects
 
 (* ------------------------------ reporting ------------------------------ *)
@@ -448,7 +445,7 @@ let to_report ?(pairs = 200) ?(line_size = 1) (rows : row list) :
     ~provenance:
       [
         ("line_size", string_of_int line_size);
-        ("coalesce", "false");
+        ("policy", MI.Policy.to_string Eager);
         ("threads", string_of_int nthreads);
       ]
     ~metrics ~backend:"sim" ~experiment:"zoo" ~x_label:"threads"

@@ -25,24 +25,22 @@ val objects : string list
 val run_one :
   ?pairs:int ->
   ?line_size:int ->
-  ?combine:bool ->
-  ?persistency:Dssq_memory.Memory_intf.Persistency.t ->
+  ?policy:Dssq_memory.Memory_intf.Policy.t ->
   string ->
   row
 (** Run the accounting workload for one object ([pairs] iterations per
-    thread, two detectable operations per iteration).  [persistency]
-    (default [Sc]) selects the heap's persistency model; under [Px86]
-    flushes buffer and only the objects' drain barriers write back, so
-    the per-op event mix shifts accordingly.  [combine] (default false)
-    creates the object in flat-combining mode where it supports it
-    (register and hashmap ignore the flag).
+    thread, two detectable operations per iteration).  [policy] (default
+    [Eager]) is the heap's persist policy; under the buffered policies
+    flushes wait in persist buffers, so the per-op event mix shifts
+    accordingly.  Under [Combine] the object is also created in
+    flat-combining mode where it supports it (register and hashmap have
+    none).
     @raise Invalid_argument listing {!objects} on an unknown name. *)
 
 val run_all :
   ?pairs:int ->
   ?line_size:int ->
-  ?combine:bool ->
-  ?persistency:Dssq_memory.Memory_intf.Persistency.t ->
+  ?policy:Dssq_memory.Memory_intf.Policy.t ->
   unit ->
   row list
 (** {!run_one} over all of {!objects}, in order. *)
@@ -74,9 +72,7 @@ type profile = {
 val profile_one :
   ?pairs:int ->
   ?line_size:int ->
-  ?coalesce:bool ->
-  ?combine:bool ->
-  ?persistency:Dssq_memory.Memory_intf.Persistency.t ->
+  ?policy:Dssq_memory.Memory_intf.Policy.t ->
   ?crash:bool ->
   string ->
   profile
@@ -90,24 +86,17 @@ val profile_one :
 val profile_one_native :
   ?pairs:int ->
   ?line_size:int ->
-  ?coalesce:bool ->
-  ?combine:bool ->
-  ?persistency:Dssq_memory.Memory_intf.Persistency.t ->
+  ?policy:Dssq_memory.Memory_intf.Policy.t ->
   string ->
   profile
-(** {!profile_one} on a native [Native.Make] backend whose policy
-    [Memory_intf.Policy.of_axes] resolves from [persistency], [coalesce]
-    and [combine], with workers run sequentially for a deterministic
-    event stream.  [combine] also creates combining-capable objects in
-    flat-combining mode.  No crash arm: crash semantics are
-    simulator-only. *)
+(** {!profile_one} on a native [Native.Make] backend under [policy], with
+    workers run sequentially for a deterministic event stream.  No crash
+    arm: crash semantics are simulator-only. *)
 
 val profile_all :
   ?pairs:int ->
   ?line_size:int ->
-  ?coalesce:bool ->
-  ?combine:bool ->
-  ?persistency:Dssq_memory.Memory_intf.Persistency.t ->
+  ?policy:Dssq_memory.Memory_intf.Policy.t ->
   ?crash:bool ->
   unit ->
   profile list

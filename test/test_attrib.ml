@@ -214,7 +214,7 @@ let test_zoo_attribution_sums_coalesce () =
   List.iter
     (fun name ->
       check_attribution_sums ~ctx:(name ^ "+co")
-        (Zoo.profile_one ~pairs:40 ~line_size:8 ~coalesce:true name))
+        (Zoo.profile_one ~pairs:40 ~line_size:8 ~policy:Coalesced name))
     Zoo.objects
 
 let test_native_attribution_sums () =
@@ -224,7 +224,7 @@ let test_native_attribution_sums () =
         (Zoo.profile_one_native ~pairs:40 name))
     Zoo.objects;
   check_attribution_sums ~ctx:"dss-queue@native+co"
-    (Zoo.profile_one_native ~pairs:40 ~coalesce:true "dss-queue")
+    (Zoo.profile_one_native ~pairs:40 ~policy:Coalesced "dss-queue")
 
 (* Profiling must not perturb what it measures: with the aggregators
    detached, the same deterministic workload produces bit-identical
@@ -246,6 +246,27 @@ let test_profiling_transparent () =
   (* and the aggregators are really off again afterwards *)
   Alcotest.(check bool) "heatmap off" false (Heatmap.is_on ());
   Alcotest.(check bool) "profiler off" false (Profile.is_on ())
+
+(* Both zoo entry points build the heap from the same policy, so they
+   count the same events under each — a policy dropped on one path shows
+   as eager counts there. *)
+let test_policy_reaches_both_paths () =
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun name ->
+          let ctx =
+            Printf.sprintf "%s/%s" name
+              (MI.Policy.to_string policy)
+          in
+          let plain = Zoo.run_one ~pairs:40 ~policy name in
+          let profiled = Zoo.profile_one ~pairs:40 ~policy name in
+          Alcotest.(check bool)
+            (ctx ^ ": run_one = profile_one")
+            true
+            (plain.Zoo.z_events = profiled.Zoo.p_row.Zoo.z_events))
+        [ "dss-queue"; "dss-stack"; "dss-swap" ])
+    MI.Policy.all
 
 let test_profile_heat_labeled () =
   (* Attribution is only useful if the hot lines carry names: the
@@ -281,6 +302,8 @@ let suite =
         test_native_attribution_sums;
       Alcotest.test_case "profiling is transparent" `Quick
         test_profiling_transparent;
+      Alcotest.test_case "zoo: run_one and profile_one agree per policy"
+        `Quick test_policy_reaches_both_paths;
       Alcotest.test_case "heatmap lines carry allocation-site labels" `Quick
         test_profile_heat_labeled;
     ]

@@ -5,14 +5,14 @@
     iterative deepening boundaries, per-line crash-adversary coverage,
     and the buffered (px86) persistency axis: the drain adversary's
     extra reach, its equivalence with sc under drain-at-every-
-    persistence-point programs, the report schema's v2-v4
-    compatibility, and the live-handoff search pinned to the counts of
-    the search that replayed every node. *)
+    persistence-point programs, the report schema's v5 encoding, and
+    the live-handoff search pinned to the counts of the search that
+    replayed every node. *)
 
 open Helpers
 
-let with_mem ?persistency () =
-  let heap = Heap.create ?persistency () in
+let with_mem ?policy () =
+  let heap = Heap.create ?policy () in
   let (module M) = Sim.memory heap in
   (heap, (module M : Dssq_memory.Memory_intf.S))
 
@@ -342,15 +342,15 @@ let prop_replay_deterministic =
 
 (* ----------------- buffered (px86) persistency axis ------------------ *)
 
-let px86 = Heap.Persistency.Px86
+let px86 = Heap.Policy.Px86
 
 (* One thread, flush-ordered commit protocol, no drain: under px86 every
    flush only buffers, so nothing persists except through the crash
    adversary's drain prefixes and evictions of dirty-unbuffered lines. *)
-let px86_crash_explorer ?persistency ~check () =
+let px86_crash_explorer ?policy ~check () =
   Explore.make ~crashes:true ~adversary:`Per_line
     ~setup:(fun () ->
-      let heap, (module M) = with_mem ?persistency () in
+      let heap, (module M) = with_mem ?policy () in
       let data = M.alloc 0 and committed = M.alloc 0 in
       {
         Explore.ctx = (fun () -> (M.read data, M.read committed));
@@ -384,13 +384,13 @@ let test_px86_buffered_hazard () =
   | exception Explore.Violation { schedule; _ } ->
       Alcotest.failf "sc flagged the flush-ordered program at %s"
         (Explore.schedule_to_string schedule));
-  match Explore.run (px86_crash_explorer ~persistency:px86 ~check ()) with
+  match Explore.run (px86_crash_explorer ~policy:px86 ~check ()) with
   | _ -> Alcotest.fail "px86 adversary missed the buffered-flush hazard"
   | exception Explore.Violation { schedule; _ } -> (
       let token = Explore.schedule_to_string schedule in
       match
         Explore.replay_schedule
-          (px86_crash_explorer ~persistency:px86 ~check ())
+          (px86_crash_explorer ~policy:px86 ~check ())
           (Explore.schedule_of_string token)
       with
       | (_ : [ `Completed | `Crashed ]) ->
@@ -410,7 +410,7 @@ let test_px86_drain_decisions_replay () =
       if d = 42 && c = 1 then failwith "both persisted"
     end
   in
-  match Explore.run (px86_crash_explorer ~persistency:px86 ~check ()) with
+  match Explore.run (px86_crash_explorer ~policy:px86 ~check ()) with
   | _ -> Alcotest.fail "px86 adversary never drained a buffer prefix"
   | exception Explore.Violation { schedule; _ } -> (
       Alcotest.(check bool) "schedule carries a drain decision" true
@@ -422,7 +422,7 @@ let test_px86_drain_decisions_replay () =
         (Explore.schedule_of_string token = schedule);
       match
         Explore.replay_schedule
-          (px86_crash_explorer ~persistency:px86 ~check ())
+          (px86_crash_explorer ~policy:px86 ~check ())
           schedule
       with
       | (_ : [ `Completed | `Crashed ]) ->
@@ -434,7 +434,7 @@ let test_px86_drain_decisions_replay () =
 let test_px86_drain_telemetry () =
   let sc = Explore.run (px86_crash_explorer ~check:nop_check ()) in
   let relaxed =
-    Explore.run (px86_crash_explorer ~persistency:px86 ~check:nop_check ())
+    Explore.run (px86_crash_explorer ~policy:px86 ~check:nop_check ())
   in
   Alcotest.(check int) "sc has no drain points" 0 sc.Explore.drain_points;
   Alcotest.(check int) "sc has no drain branches" 0 sc.Explore.drain_branches;
@@ -456,7 +456,7 @@ let prop_replay_deterministic_px86 =
     QCheck.(int_range 0 7)
     (fun bad ->
       let mk () =
-        px86_crash_explorer ~persistency:px86
+        px86_crash_explorer ~policy:px86
           ~check:(fun get _heap ~crashed ->
             let d, c = get () in
             if (if crashed then 1 else 0) + d + c mod 8 = bad then
@@ -477,12 +477,12 @@ let prop_replay_deterministic_px86 =
    — each write immediately flushed and drained — closes every window,
    so the crash adversary must produce exactly the same set of persisted
    states as under sc, crash point by crash point. *)
-let crash_states ~persistency prog =
+let crash_states ~policy prog =
   let states = Hashtbl.create 32 in
   let t =
     Explore.make ~crashes:true ~adversary:`Per_line
       ~setup:(fun () ->
-        let heap, (module M) = with_mem ~persistency () in
+        let heap, (module M) = with_mem ~policy () in
         let cells = Array.init 2 (fun _ -> M.alloc 0) in
         let threads =
           [
@@ -518,21 +518,19 @@ let prop_px86_drained_equals_sc =
         Gen.(
           list_size (int_range 1 4) (pair (int_range 0 1) (int_range 1 9))))
     (fun prog ->
-      crash_states ~persistency:Heap.Persistency.Sc prog
-      = crash_states ~persistency:px86 prog)
+      crash_states ~policy:Eager prog = crash_states ~policy:px86 prog)
 
-(* ------------- report schema: v4 carries replays and drains ---------- *)
+(* ------------- report schema: v5 carries replays and drains ---------- *)
 
 module Explore_report = Dssq_checker.Explore_report
 module Scenarios = Dssq_checker.Scenarios
 module Json = Dssq_obs.Json
 
-let test_report_v4_encodes () =
+let test_report_v5_encodes () =
   let c =
     List.hd
       (Scenarios.cases ~objects:[ "queue" ] ~crash_modes:[ true ]
-         ~line_sizes:[ 1 ]
-         ~persistency:Heap.Persistency.Px86 ())
+         ~line_sizes:[ 1 ] ~policy:px86 ())
   in
   let r =
     {
@@ -543,10 +541,10 @@ let test_report_v4_encodes () =
   in
   let doc =
     Explore_report.encode
-      ~params:[ ("persistency", Json.String "px86") ]
+      ~params:[ ("policy", Json.String "px86") ]
       [ r ]
   in
-  (* the coverage object groups branch/crash totals by mode *)
+  (* the coverage object groups branch/crash totals by policy *)
   (match Json.member "coverage" doc with
   | Json.Obj [ ("px86", Json.Obj fields) ] ->
       Alcotest.(check bool) "coverage counts drain points" true
@@ -554,13 +552,16 @@ let test_report_v4_encodes () =
         | Json.Int n -> n > 0
         | _ -> false)
   | j -> Alcotest.failf "unexpected coverage object: %s" (Json.to_string j));
-  Alcotest.(check int) "version" 4 (Json.to_int (Json.member "version" doc));
+  Alcotest.(check int) "version" 5 (Json.to_int (Json.member "version" doc));
   match Json.to_list (Json.member "cases" doc) with
   | [ case ] ->
       let int k = Json.to_int (Json.member k case) in
       let str k = Json.to_str (Json.member k case) in
       Alcotest.(check bool) "replays encoded" true (int "replays" > 0);
-      Alcotest.(check string) "persistency" "px86" (str "persistency");
+      Alcotest.(check bool) "policy" true
+        (Heap.Policy.of_string (str "policy") = Some px86);
+      Alcotest.(check bool) "no persistency field" true
+        (Json.member "persistency" case = Json.Null);
       Alcotest.(check string) "status" "pass" (str "status");
       Alcotest.(check bool) "drain points encoded" true (int "drain_points" > 0);
       Alcotest.(check bool) "drain branches encoded" true
@@ -571,15 +572,13 @@ let test_report_v4_encodes () =
 
 let corpus_bound = 2
 
-let corpus_case ?(persistency = Heap.Persistency.Sc) ?(combine = false)
-    ~crashes obj prog =
+let corpus_case ?(policy = Heap.Policy.Eager) ~crashes obj prog =
   Scenarios.build
     ~params:
       {
         Scenarios.default_params with
         crashes;
-        persistency;
-        combine;
+        policy;
         max_preemptions = corpus_bound;
       }
     ~obj ~prog
@@ -602,9 +601,9 @@ let recorded =
     (corpus_case ~crashes:true "queue" "enq-deq", (3831, 1453, 631, 1091, 0));
     ( corpus_case ~crashes:true "register" "write-write",
       (1156, 1078, 156, 836, 0) );
-    ( corpus_case ~persistency:px86 ~crashes:true "queue" "mid-link",
+    ( corpus_case ~policy:px86 ~crashes:true "queue" "mid-link",
       (161, 99, 0, 34, 8) );
-    ( corpus_case ~combine:true ~crashes:true "register" "write-read",
+    ( corpus_case ~policy:Combine ~crashes:true "register" "write-read",
       (719, 621, 27, 449, 191) );
   ]
 
@@ -688,8 +687,8 @@ let suite =
     Alcotest.test_case "px86 drain telemetry" `Quick test_px86_drain_telemetry;
     QCheck_alcotest.to_alcotest prop_replay_deterministic_px86;
     QCheck_alcotest.to_alcotest prop_px86_drained_equals_sc;
-    Alcotest.test_case "explore report v4 encodes replays and drains" `Quick
-      test_report_v4_encodes;
+    Alcotest.test_case "explore report v5 encodes replays and drains" `Quick
+      test_report_v5_encodes;
     Alcotest.test_case "live handoff explores the recorded search" `Quick
       test_handoff_same_search;
     Alcotest.test_case "single-thread chains replay once per round" `Quick

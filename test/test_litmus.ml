@@ -216,8 +216,7 @@ let px86_alloc_window_suite =
                        (Printexc.to_string exn)))
       | _ -> None)
     (Scenarios.cases ~objects:[ "queue" ] ~crash_modes:[ true ]
-       ~line_sizes:[ 1; 8 ]
-       ~persistency:Heap.Persistency.Px86 ())
+       ~line_sizes:[ 1; 8 ] ~policy:Px86 ())
 
 let suite =
   corpus_suite @ px86_alloc_window_suite

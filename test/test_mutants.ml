@@ -11,11 +11,11 @@ module Scenarios = Dssq_checker.Scenarios
 module Mutants = Dssq_checker.Mutants
 module Oracle = Dssq_checker.Oracle
 
-let corpus ?(coalesce = false) ?(combine = false) ?persistency ?mutation () =
+let corpus ?policy ?mutation () =
   Scenarios.cases ~objects:[ "queue" ] ~crash_modes:[ true ]
-    ~line_sizes:[ 1; 8 ] ~coalesce ~combine ?persistency ?mutation ()
+    ~line_sizes:[ 1; 8 ] ?policy ?mutation ()
 
-let test_correct_queue_passes ?coalesce ?combine ?persistency ?mutation
+let test_correct_queue_passes ?policy ?mutation
     ?(what = "unmutated") () =
   List.iter
     (fun (c : Scenarios.case) ->
@@ -25,7 +25,7 @@ let test_correct_queue_passes ?coalesce ?combine ?persistency ?mutation
           Alcotest.failf "%s %s flagged at %s: %s" what c.Scenarios.name
             (Explore.schedule_to_string schedule)
             (Printexc.to_string exn))
-    (corpus ?coalesce ?combine ?persistency ?mutation ())
+    (corpus ?policy ?mutation ())
 
 let contains s sub =
   let n = String.length sub and m = String.length s in
@@ -44,7 +44,7 @@ let assert_flagged ?(structural = false) ~name = function
       Alcotest.failf "mutant %s flagged with the wrong exception: %s" name
         (Printexc.to_string e)
 
-let test_mutant ?coalesce ?combine ?persistency ?structural name mutation () =
+let test_mutant ?policy ?structural name mutation () =
   let rec hunt = function
     | [] -> Alcotest.failf "mutant %s (%s): no corpus case flagged it" name
               (Mutants.describe mutation)
@@ -70,7 +70,7 @@ let test_mutant ?coalesce ?combine ?persistency ?structural name mutation () =
                   (Explore.schedule_to_string schedule)
                   (Explore.schedule_to_string schedule')))
   in
-  hunt (corpus ?coalesce ?combine ?persistency ~mutation ())
+  hunt (corpus ?policy ~mutation ())
 
 (* Flush coalescing must not change the checker's verdicts: the same
    corpus passes with every flush routed through the persist buffer, and
@@ -88,7 +88,7 @@ let reorder_persist =
   | Some m -> m
   | None -> assert false
 
-let px86 = Dssq_pmem.Heap.Persistency.Px86
+let px86 = Dssq_pmem.Heap.Policy.Px86
 
 (* The relaxed matrix.  Every relaxed mutant weakens only the
    flush-to-drain window, which does not exist under sc — so the sc
@@ -116,7 +116,7 @@ let relaxed_caught_under_px86 =
       Alcotest.test_case
         (Printf.sprintf "mutant %s is caught under px86" name)
         `Quick
-        (test_mutant ~persistency:px86 ~structural:true name mutation))
+        (test_mutant ~policy:px86 ~structural:true name mutation))
     Mutants.relaxed
 
 (* The flat-combining matrix.  [lost-batch] inverts the engine's
@@ -136,9 +136,9 @@ let combine_suite =
   [
     Alcotest.test_case "unmutated combining queue passes the crash corpus"
       `Quick (fun () ->
-        test_correct_queue_passes ~combine:true ~what:"combining" ());
+        test_correct_queue_passes ~policy:Combine ~what:"combining" ());
     Alcotest.test_case "mutant lost-batch is caught under combining" `Quick
-      (test_mutant ~combine:true "lost-batch" lost_batch);
+      (test_mutant ~policy:Combine "lost-batch" lost_batch);
     Alcotest.test_case "mutant lost-batch is invisible with combining off"
       `Quick
       (fun () ->
@@ -181,12 +181,12 @@ let suite =
   :: Alcotest.test_case "unmutated queue passes the crash corpus" `Quick
      (fun () -> test_correct_queue_passes ())
   :: Alcotest.test_case "coalesced queue passes the same corpus" `Quick
-       (fun () -> test_correct_queue_passes ~coalesce:true ())
+       (fun () -> test_correct_queue_passes ~policy:Coalesced ())
   :: Alcotest.test_case "px86 queue passes the same corpus" `Quick
        (fun () ->
-         test_correct_queue_passes ~persistency:px86 ~what:"px86" ())
+         test_correct_queue_passes ~policy:px86 ~what:"px86" ())
   :: Alcotest.test_case "mutant drop-drain is caught under coalescing" `Quick
-       (test_mutant ~coalesce:true "drop-drain" drop_drain)
+       (test_mutant ~policy:Coalesced "drop-drain" drop_drain)
   :: List.map
        (fun (name, mutation) ->
          Alcotest.test_case
@@ -200,6 +200,6 @@ let suite =
         "mutant reorder-persist stays masked under px86 (drain-mediated)"
         `Quick
         (fun () ->
-          test_correct_queue_passes ~persistency:px86 ~mutation:reorder_persist
+          test_correct_queue_passes ~policy:px86 ~mutation:reorder_persist
             ~what:"px86 reorder-persist" ());
     ]

@@ -242,7 +242,8 @@ let sample_report () =
     ~x_label:"threads" ~y_label:"Mops/s"
     ~params:[ ("repeats", "2") ]
     ~metrics:[ ("obs.reports_written", 3) ]
-    ~provenance:[ ("line_size", "8"); ("coalesce", "true"); ("threads", "2") ]
+    ~provenance:
+      [ ("line_size", "8"); ("policy", "coalesced"); ("threads", "2") ]
     [
       { Run_report.label = "dss-det"; points = [ point ] };
       { Run_report.label = "ms"; points = [] };
@@ -370,7 +371,7 @@ let test_report_provenance_roundtrip () =
    volatile MS queue (which never flushes). *)
 let test_flushes_per_op_ordering () =
   let run mk det_pct =
-    Sim_throughput.measure_ex ~horizon_ns:50_000. ~instrument:true ~mk ~det_pct
+    Sim_throughput.measure ~horizon_ns:50_000. ~instrument:true ~mk ~det_pct
       ~nthreads:2 ()
   in
   let dss = run "dss-queue" 100 in
@@ -390,7 +391,7 @@ let test_flushes_per_op_ordering () =
 
 let test_instrumented_latency () =
   let s =
-    Sim_throughput.measure_ex ~horizon_ns:50_000. ~instrument:true
+    Sim_throughput.measure ~horizon_ns:50_000. ~instrument:true
       ~mk:"dss-queue" ~nthreads:2 ()
   in
   let h = Option.get s.Run_report.latency in
@@ -402,7 +403,7 @@ let test_instrumentation_does_not_change_throughput () =
   (* Zero-cost-when-disabled, and in the deterministic model the event
      sequence must be identical either way. *)
   let run instrument =
-    (Sim_throughput.measure_ex ~seed:7 ~horizon_ns:50_000. ~instrument
+    (Sim_throughput.measure ~seed:7 ~horizon_ns:50_000. ~instrument
        ~mk:"dss-queue" ~nthreads:3 ())
       .Run_report.mops
   in
@@ -411,7 +412,7 @@ let test_instrumentation_does_not_change_throughput () =
 
 let test_native_instrumented_smoke () =
   let s =
-    Dssq_workload.Native_throughput.measure_ex ~instrument:true ~mk:"dss-queue"
+    Dssq_workload.Native_throughput.measure ~instrument:true ~mk:"dss-queue"
       ~nthreads:2 ~duration:0.05 ()
   in
   Alcotest.(check bool) "ops counted" true (s.Run_report.ops > 0);

@@ -72,17 +72,10 @@ let measure m =
   let counters = Fun.protect ~finally:(fun () -> PE.unsubscribe sub) (fun () -> program m) in
   counters @ List.sort compare (List.of_seq (Hashtbl.to_seq counts))
 
-let heap_of policy ~line_size =
-  match policy with
-  | Policy.Eager -> Heap.create ~line_size ()
-  | Policy.Coalesced -> Heap.create ~line_size ~coalesce:true ()
-  | Policy.Px86 -> Heap.create ~line_size ~persistency:MI.Persistency.Px86 ()
-  | Policy.Combine -> Heap.create ~line_size ~combine:true ()
-
 let test_parity policy () =
   List.iter
     (fun line_size ->
-      let heap = heap_of policy ~line_size in
+      let heap = Heap.create ~line_size ~policy () in
       Alcotest.(check string)
         "heap resolves the policy" (Policy.to_string policy)
         (Policy.to_string (Heap.policy heap));
@@ -104,43 +97,35 @@ let test_parity policy () =
         sim native)
     [ 1; 8 ]
 
-(* Policy.of_axes is the single place the flag combinations resolve. *)
-let test_of_axes () =
-  let resolve ~px86 ~coalesce ~combine =
-    Policy.to_string
-      (Policy.of_axes
-         ~persistency:(if px86 then MI.Persistency.Px86 else MI.Persistency.Sc)
-         ~coalesce ~combine)
-  in
-  let bools = [ false; true ] in
+let test_of_string () =
   List.iter
-    (fun px86 ->
-      List.iter
-        (fun coalesce ->
-          List.iter
-            (fun combine ->
-              let expected =
-                if combine then "combine"
-                else if px86 then "px86"
-                else if coalesce then "coalesced"
-                else "eager"
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "px86=%b coalesce=%b combine=%b" px86 coalesce
-                   combine)
-                expected
-                (resolve ~px86 ~coalesce ~combine))
-            bools)
-        bools)
-    bools
+    (fun p ->
+      Alcotest.(check (option string))
+        "of_string inverts to_string" (Some (Policy.to_string p))
+        (Option.map Policy.to_string (Policy.of_string (Policy.to_string p))))
+    Policy.all;
+  Alcotest.(check bool) "unknown name" true (Policy.of_string "sc" = None)
+
+(* [~combine:true] is shorthand for [~policy:Combine], never a second
+   axis: naming a different policy beside it is refused. *)
+let test_combine_shorthand () =
+  let policy_of h = Policy.to_string (Heap.policy h) in
+  Alcotest.(check string) "shorthand" "combine"
+    (policy_of (Heap.create ~combine:true ()));
+  Alcotest.(check string) "agreeing policy" "combine"
+    (policy_of (Heap.create ~combine:true ~policy:Combine ()));
+  Alcotest.check_raises "conflicting policy"
+    (Invalid_argument "Heap.create: ~combine:true with a different ~policy")
+    (fun () -> ignore (Heap.create ~combine:true ~policy:Px86 () : Heap.t))
 
 let suite =
-  Alcotest.test_case "of_axes maps eight flag sets onto four policies" `Quick
-    test_of_axes
+  Alcotest.test_case "of_string inverts to_string" `Quick test_of_string
+  :: Alcotest.test_case "~combine:true with another policy is refused" `Quick
+       test_combine_shorthand
   :: List.map
        (fun p ->
          Alcotest.test_case
            (Printf.sprintf "sim and native count alike under %s"
               (Policy.to_string p))
            `Quick (test_parity p))
-       [ Policy.Eager; Policy.Coalesced; Policy.Px86; Policy.Combine ]
+       Policy.all

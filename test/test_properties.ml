@@ -449,7 +449,7 @@ let prop_explore_counts =
 (* 13. Flush coalescing is persistence-equivalent to eager flushing: run
    one random single-threaded memory program against two heaps, one
    flushing eagerly ([drain] is a no-op) and one created with
-   [~coalesce:true], whose [Heap.flush] routes every flush through the
+   [~policy:Coalesced], whose [Heap.flush] routes every flush through the
    per-thread persist buffer ([Heap.drain] retires it).  At every
    persistence point — each drain, each fence, and the end of the
    program — the persisted contents and the dirty-line set of the two
@@ -505,8 +505,8 @@ let prop_coalescing_matches_eager =
     (fun (line_size, ops) ->
       (* Interpret the program on one heap; snapshot (dirty lines,
          persisted values) at every persistence point. *)
-      let run ~coalesce =
-        let heap = Heap.create ~line_size ~coalesce () in
+      let run policy =
+        let heap = Heap.create ~line_size ~policy () in
         let cells = Array.init ncells (fun i -> Heap.alloc heap i) in
         let snapshots = ref [] in
         let snap () =
@@ -533,7 +533,7 @@ let prop_coalescing_matches_eager =
           (ops @ [ MDrain ]);
         !snapshots
       in
-      run ~coalesce:false = run ~coalesce:true)
+      run Eager = run Coalesced)
 
 (* 14. Flat combining is observationally equivalent to eager execution:
    one random sequential schedule of detectable swap pairs (prep;exec by

@@ -69,14 +69,16 @@ let test_detectable_fraction () =
 
 let test_sim_throughput_positive () =
   let mops =
-    Sim_throughput.measure ~horizon_ns:50_000. ~mk:"dss-queue" ~nthreads:2 ()
+    (Sim_throughput.measure ~horizon_ns:50_000. ~mk:"dss-queue" ~nthreads:2 ())
+      .mops
   in
   Alcotest.(check bool) "positive throughput" true (mops > 0.)
 
 let test_sim_throughput_deterministic () =
   let run () =
-    Sim_throughput.measure ~seed:5 ~horizon_ns:50_000. ~mk:"dss-queue"
-      ~nthreads:3 ()
+    (Sim_throughput.measure ~seed:5 ~horizon_ns:50_000. ~mk:"dss-queue"
+       ~nthreads:3 ())
+      .mops
   in
   Alcotest.(check (float 1e-12)) "same seed, same result" (run ()) (run ())
 
@@ -84,7 +86,8 @@ let test_sim_throughput_ordering () =
   (* The headline qualitative result at low parallelism: MS > DSS
      non-detectable > DSS detectable. *)
   let measure mk det_pct =
-    Sim_throughput.measure ~horizon_ns:100_000. ~mk ~det_pct ~nthreads:2 ()
+    (Sim_throughput.measure ~horizon_ns:100_000. ~mk ~det_pct ~nthreads:2 ())
+      .mops
   in
   let ms = measure "ms-queue" 0 in
   let nondet = measure "dss-queue" 0 in
@@ -101,8 +104,9 @@ let test_sim_throughput_flush_cost_matters () =
     let costs =
       { Sim_throughput.default_costs with flush_ns = float_of_int flush_ns }
     in
-    Sim_throughput.measure ~costs ~horizon_ns:100_000. ~mk:"dss-queue"
-      ~det_pct:100 ~nthreads:1 ()
+    (Sim_throughput.measure ~costs ~horizon_ns:100_000. ~mk:"dss-queue"
+       ~det_pct:100 ~nthreads:1 ())
+      .mops
   in
   Alcotest.(check bool) "cheaper flushes, more throughput" true
     (measure 0 > measure 500)
@@ -111,7 +115,7 @@ let test_all_queues_run_in_model () =
   List.iter
     (fun mk ->
       let mops =
-        Sim_throughput.measure ~horizon_ns:30_000. ~mk ~nthreads:2 ()
+        (Sim_throughput.measure ~horizon_ns:30_000. ~mk ~nthreads:2 ()).mops
       in
       Alcotest.(check bool) (mk ^ " produces throughput") true (mops > 0.))
     [ "dss-queue"; "ms-queue"; "durable-queue"; "log-queue"; "fast-caswe"; "general-caswe" ]
@@ -119,7 +123,8 @@ let test_all_queues_run_in_model () =
 let test_native_throughput_smoke () =
   Dssq_memory.Persist_cost.configure ~flush:0 ~fence:0 ();
   let mops =
-    Native_throughput.measure ~mk:"dss-queue" ~nthreads:2 ~duration:0.05 ()
+    (Native_throughput.measure ~mk:"dss-queue" ~nthreads:2 ~duration:0.05 ())
+      .mops
   in
   Alcotest.(check bool) "native harness runs" true (mops > 0.)
 
