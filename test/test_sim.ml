@@ -119,6 +119,74 @@ let test_max_steps_guard () =
     (Failure "Sim.run: exceeded max_steps=100 (livelock?)") (fun () ->
       ignore (Sim.run heap ~max_steps:100 ~threads:[ body ]))
 
+(* Pinned schedules: a fixed three-thread program in which thread 0
+   finishes after one event, run under each policy and a probabilistic
+   crash.  The log records which thread completed each memory event, so
+   any change in how [Sim.run] selects the next thread changes the
+   fingerprint. *)
+let test_run_schedules_pinned () =
+  let fingerprint ?crash policy =
+    let heap, (module M) = with_mem () in
+    let a = M.alloc 0 and b = M.alloc 0 in
+    let log = Buffer.create 64 in
+    let mark tid = Buffer.add_char log (Char.chr (Char.code '0' + tid)) in
+    let t0 () =
+      M.write a 1;
+      mark 0
+    in
+    let t1 () =
+      for _ = 1 to 4 do
+        let v = M.read a in
+        mark 1;
+        ignore (M.cas b ~expected:v ~desired:(v + 1));
+        mark 1
+      done
+    in
+    let t2 () =
+      for i = 1 to 3 do
+        M.write b (10 * i);
+        mark 2;
+        M.flush b;
+        mark 2;
+        M.fence ();
+        mark 2
+      done
+    in
+    let o = Sim.run heap ~policy ?crash ~threads:[ t0; t1; t2 ] in
+    let result = function
+      | None -> "killed"
+      | Some (Ok ()) -> "ok"
+      | Some (Error e) -> Printexc.to_string e
+    in
+    let c = Heap.counters heap in
+    Printf.sprintf
+      "steps=%d crashed=%b results=%s log=%s a=%d b=%d reads=%d writes=%d \
+       cas=%d flushes=%d fences=%d"
+      o.Sim.steps o.Sim.crashed
+      (String.concat "," (Array.to_list (Array.map result o.Sim.results)))
+      (Buffer.contents log) (M.read a) (M.read b) c.reads c.writes c.cases
+      c.flushes c.fences
+  in
+  let check name expected got = Alcotest.(check string) name expected got in
+  check "round robin"
+    "steps=21 crashed=false results=ok,ok,ok log=012121212121212122 a=1 b=30 \
+     reads=4 writes=4 cas=4 flushes=3 fences=3"
+    (fingerprint Sim.Round_robin);
+  check "random seed 42"
+    "steps=21 crashed=false results=ok,ok,ok log=111011112221222222 a=1 b=30 \
+     reads=4 writes=4 cas=4 flushes=3 fences=3"
+    (fingerprint (Sim.Random_seed 42));
+  (* Thread 0 has finished by the third entry; the script then falls
+     back to round-robin for that step. *)
+  check "script"
+    "steps=21 crashed=false results=ok,ok,ok log=012212121212121212 a=1 b=30 \
+     reads=4 writes=4 cas=4 flushes=3 fences=3"
+    (fingerprint (Sim.Script [| 2; 0; 0; 0; 1; 2; 2 |]));
+  check "crash prob"
+    "steps=12 crashed=true results=ok,killed,killed log=111011112 a=1 b=10 \
+     reads=4 writes=2 cas=3 flushes=0 fences=0"
+    (fingerprint ~crash:(Sim.Crash_prob (0.08, 3)) (Sim.Random_seed 42))
+
 let test_explore_counts_interleavings () =
   (* Two threads, one memory step each => exactly 2 schedules. *)
   let executions =
@@ -196,6 +264,8 @@ let suite =
     Alcotest.test_case "thread exceptions are captured" `Quick
       test_thread_exception_reported;
     Alcotest.test_case "max_steps livelock guard" `Quick test_max_steps_guard;
+    Alcotest.test_case "run: pinned schedules per policy" `Quick
+      test_run_schedules_pinned;
     Alcotest.test_case "explore: interleaving count" `Quick
       test_explore_counts_interleavings;
     Alcotest.test_case "explore: finds lost update" `Quick

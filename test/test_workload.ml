@@ -120,6 +120,97 @@ let test_all_queues_run_in_model () =
       Alcotest.(check bool) (mk ^ " produces throughput") true (mops > 0.))
     [ "dss-queue"; "ms-queue"; "durable-queue"; "log-queue"; "fast-caswe"; "general-caswe" ]
 
+(* Golden values of the throughput model at 8 threads.  Determinism
+   alone ("same seed, same result") holds for any rewrite of the model;
+   these pin the numbers themselves, so a change to the stepping loop's
+   arithmetic, its random draws or its line bookkeeping shows up here.
+   Floats are compared through their exact hexadecimal form. *)
+let test_sim_throughput_golden () =
+  let fingerprint ?(instrument = false) ~line_size ~policy mk =
+    let s =
+      Sim_throughput.measure ~seed:3 ~horizon_ns:100_000. ~line_size ~policy
+        ~instrument ~mk ~nthreads:8 ()
+    in
+    let e = s.Dssq_obs.Run_report.events in
+    let latency =
+      match s.latency with
+      | None -> ""
+      | Some h ->
+          Printf.sprintf " lat_n=%d lat_sum=%h" (Dssq_obs.Histogram.total h)
+            (Dssq_obs.Histogram.sum h)
+    in
+    Printf.sprintf
+      "ops=%d mops=%h reads=%d writes=%d cas=%d pwrites=%d flushes=%d \
+       elided=%d coalesced=%d fences=%d elided_fences=%d%s"
+      s.ops s.mops e.reads e.writes e.cases e.pwrites e.flushes
+      e.elided_flushes e.coalesced_flushes e.fences e.elided_fences latency
+  in
+  let check name expected got = Alcotest.(check string) name expected got in
+  check "dss-queue eager"
+    "ops=168 mops=0x1.ae147ae147ae1p+0 reads=3017 writes=587 \
+     cas=937 pwrites=924 flushes=1142 elided=0 coalesced=0 fences=0 \
+     elided_fences=0"
+    (fingerprint ~line_size:1 ~policy:Eager "dss-queue");
+  check "dss-queue eager instrumented"
+    "ops=129 mops=0x1.4a3d70a3d70a4p+0 reads=2806 writes=452 \
+     cas=936 pwrites=711 flushes=574 elided=403 coalesced=0 \
+     fences=0 elided_fences=0 lat_n=129 \
+     lat_sum=0x1.7293a7bf9caf9p+19"
+    (fingerprint ~instrument:true ~line_size:8 ~policy:Eager "dss-queue");
+  check "dss-queue coalesced"
+    "ops=114 mops=0x1.23d70a3d70a3dp+0 reads=2568 writes=391 \
+     cas=878 pwrites=621 flushes=498 elided=324 coalesced=65 \
+     fences=503 elided_fences=65"
+    (fingerprint ~line_size:8 ~policy:Coalesced "dss-queue");
+  check "dss-fc combine"
+    "ops=345 mops=0x1.b99999999999ap+1 reads=7349 writes=353 \
+     cas=749 pwrites=786 flushes=457 elided=2292 coalesced=742 \
+     fences=421 elided_fences=326"
+    (fingerprint ~line_size:8 ~policy:Combine "dss-fc")
+
+(* A hand-written [Sim_throughput.run] program whose threads allocate
+   fresh cells while the model runs: their line ids lie past every line
+   that existed when the run started, which no queue workload reaches.
+   Every thread also stores to one shared line, so that line is busy
+   whenever the tables grow.  Pins the return value and each thread's
+   final private clock. *)
+let test_sim_throughput_run_allocating () =
+  let heap = Dssq_pmem.Heap.create () in
+  let (module M) = Dssq_sim.Sim.memory heap in
+  let shared = M.alloc 0 in
+  let count = Array.make 3 0 in
+  let worker tid () =
+    while true do
+      let c = M.alloc tid in
+      M.write shared tid;
+      M.write c (M.read shared);
+      M.flush c;
+      ignore (M.cas shared ~expected:(M.read c) ~desired:(M.read c + 1));
+      M.fence ();
+      count.(tid) <- count.(tid) + 1
+    done
+  in
+  let lines_before = heap.Dssq_pmem.Heap.line_count in
+  let clock = ref (fun (_ : int) -> 0.) in
+  let per_sec =
+    Sim_throughput.run ~seed:9 ~clock ~horizon_ns:20_000. ~heap
+      ~threads:(Array.init 3 worker)
+      ~ops_done:(fun () -> Array.fold_left ( + ) 0 count)
+      ()
+  in
+  Alcotest.(check bool)
+    "threads allocated lines mid-run" true
+    (heap.Dssq_pmem.Heap.line_count > lines_before + 64);
+  Alcotest.(check string)
+    "allocating run"
+    "per_sec=0x1.f47cfffffffffp+21 shared=0 ops=27,26,29 \
+     clocks=0x1.3c784a6719a05p+14,0x1.39e3477c66597p+14,0x1.3aefbe3a1c47cp+14"
+    (Printf.sprintf "per_sec=%h shared=%d ops=%s clocks=%s" per_sec
+       (M.read shared)
+       (String.concat "," (Array.to_list (Array.map string_of_int count)))
+       (String.concat ","
+          (List.map (fun tid -> Printf.sprintf "%h" (!clock tid)) [ 0; 1; 2 ])))
+
 let test_native_throughput_smoke () =
   Dssq_memory.Persist_cost.configure ~flush:0 ~fence:0 ();
   let mops =
@@ -320,6 +411,10 @@ let suite =
       test_sim_throughput_flush_cost_matters;
     Alcotest.test_case "all queues run in the model" `Quick
       test_all_queues_run_in_model;
+    Alcotest.test_case "sim throughput golden values" `Quick
+      test_sim_throughput_golden;
+    Alcotest.test_case "sim throughput run allocating mid-run" `Quick
+      test_sim_throughput_run_allocating;
     Alcotest.test_case "native harness smoke" `Quick test_native_throughput_smoke;
     Alcotest.test_case "report rendering" `Quick test_report_rendering;
     Alcotest.test_case "experiment drivers (tiny)" `Quick test_experiments_tiny;
