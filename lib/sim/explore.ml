@@ -257,7 +257,7 @@ let replay t prefix =
           match d with
           | Sched tid ->
               if Trace.is_on () then Trace.set_tid tid;
-              ignore (Machine.step machine tid : Machine.step_info)
+              Machine.step machine tid
           | Bdrain { tid; count } ->
               (* Asynchronous write-back of the oldest [count] buffered
                  lines of thread [tid] — no scheduling step, no fence. *)
@@ -286,7 +286,7 @@ let replay t prefix =
 let advance scenario machine tid =
   scenario.heap.Heap.in_sim <- true;
   if Trace.is_on () then Trace.set_tid tid;
-  ignore (Machine.step machine tid : Machine.step_info);
+  Machine.step machine tid;
   scenario.heap.Heap.in_sim <- false;
   if Trace.is_on () then Trace.set_tid (-1)
 

@@ -21,26 +21,31 @@ val create : Heap.t -> (unit -> unit) list -> t
 
 val nthreads : t -> int
 
-val runnable : t -> int list
-(** Thread ids that can still take a step. *)
+val is_runnable : t -> int -> bool
+(** Whether the thread can still take a step. *)
 
-val finished : t -> bool
+val runnable : t -> int list
+(** Thread ids that can still take a step, in increasing order. *)
+
 val steps : t -> int
 
-(** Outcome of a step, for cost models.  [flush_effective] is [Some
-    false] when the step was a flush of a clean line (elided — no
-    write-back to charge). *)
-type step_info = { cas_success : bool option; flush_effective : bool option }
-
-val step : t -> int -> step_info
+val step : t -> int -> unit
 (** Execute one atomic step of the given thread: start it (running to its
     first memory event) or apply its pending event and run to the next. *)
 
-val pending_kind : t -> int -> Sim_op.kind option
-(** Cost class of the thread's next event. *)
+val cas_failed : t -> bool
+(** For cost models: the last {!step} applied a CAS that failed. *)
 
-val pending_target : t -> int -> int option
-(** Persist line the thread's next event targets, if any. *)
+val flush_elided : t -> bool
+(** For cost models: the last {!step} applied a flush of a clean line
+    (elided — no write-back to charge). *)
+
+val next_kind : t -> int -> Sim_op.kind
+(** Cost class of the thread's next event; a fresh thread's first step
+    reads as [Yield].  @raise Invalid_argument once it has completed. *)
+
+val next_line : t -> int -> int
+(** Persist line the thread's next event targets, or -1 if none. *)
 
 (** Identity of a thread's next step, for the explorer's independence
     relation: [Start] (a fresh thread's first step — arbitrary closure

@@ -122,7 +122,7 @@ let run ?(policy = Round_robin) ?(crash = No_crash) ?(max_steps = 1_000_000)
       Dssq_obs.Trace.set_tid (-1))
     (fun () ->
       let continue_run = ref true in
-      while !continue_run && not (Machine.finished machine) do
+      while !continue_run && Machine.runnable machine <> [] do
         let step_index = Machine.steps machine in
         if step_index >= max_steps then
           failwith
@@ -160,7 +160,7 @@ let run ?(policy = Round_robin) ?(crash = No_crash) ?(max_steps = 1_000_000)
           (* Attribute the memory events of this step (emitted from
              [Heap]) to the scheduled thread. *)
           Dssq_obs.Trace.set_tid tid;
-          ignore (Machine.step machine tid : Machine.step_info)
+          Machine.step machine tid
         end
       done;
       {

@@ -41,22 +41,22 @@ let kind : type a. a t -> kind = function
   | Fence -> Fence
   | Yield -> Yield
 
-(** Id of the persist {e line} an operation targets.  This is the unit
-    at which the throughput model serializes conflicting accesses (cache
-    line ownership) and at which flushes write back; at line size 1 it
-    is in bijection with cell ids, recovering the old per-cell
-    behaviour. *)
-let target : type a. a t -> int option = function
-  | Read c -> Some (Cell.line_id c)
-  | Write (c, _) -> Some (Cell.line_id c)
-  | Cas (c, _, _) -> Some (Cell.line_id c)
-  | Flush c -> Some (Cell.line_id c)
-  | Drain -> None (* targets the thread's whole pending-line set *)
-  | Fence -> None
-  | Yield -> None
+(** Id of the persist {e line} an operation targets, or -1 for the
+    events that target none.  This is the unit at which the throughput
+    model serializes conflicting accesses (cache line ownership) and at
+    which flushes write back; at line size 1 it is in bijection with
+    cell ids, recovering the old per-cell behaviour. *)
+let line : type a. a t -> int = function
+  | Read c -> Cell.line_id c
+  | Write (c, _) -> Cell.line_id c
+  | Cas (c, _, _) -> Cell.line_id c
+  | Flush c -> Cell.line_id c
+  | Drain -> -1 (* targets the thread's whole pending-line set *)
+  | Fence -> -1
+  | Yield -> -1
 
-(** Id of the {e cell} an operation targets — finer than {!target}
-    (its line): two writes to distinct cells of one line commute, while
+(** Id of the {e cell} an operation targets — finer than its
+    {!line}: two writes to distinct cells of one line commute, while
     a flush conflicts with anything on its line.  The explorer's
     independence relation is keyed on both. *)
 let cell_id : type a. a t -> int option = function
@@ -67,12 +67,3 @@ let cell_id : type a. a t -> int option = function
   | Drain -> None
   | Fence -> None
   | Yield -> None
-
-(** For a [Flush], whether it would actually write back or buffer its
-    line rather than be elided ({!Heap.flush_pending}).  Asked {e before}
-    the event applies — cost models use it to charge elided flushes
-    nothing. *)
-let flush_pending : type a. Heap.t -> a t -> bool option =
- fun heap -> function
-  | Flush c -> Some (Heap.flush_pending heap c)
-  | Read _ | Write _ | Cas _ | Drain | Fence | Yield -> None

@@ -22,15 +22,10 @@ type kind = Read | Write | Cas | Flush | Drain | Fence | Yield
 
 val kind : 'a t -> kind
 
-val target : 'a t -> int option
-(** Id of the persist line the event touches, if any — the unit of
-    cache-line contention and write-back. *)
+val line : 'a t -> int
+(** Id of the persist line the event touches, or -1 if none — the unit
+    of cache-line contention and write-back. *)
 
 val cell_id : 'a t -> int option
 (** Id of the cell the event touches, if any — the unit at which plain
-    reads/writes conflict (finer than {!target}). *)
-
-val flush_pending : Heap.t -> 'a t -> bool option
-(** For a [Flush], whether it would actually write back or buffer its
-    line ([Some false] = the flush will be elided); [None] for other
-    events.  Must be asked before the event applies. *)
+    reads/writes conflict (finer than {!line}). *)

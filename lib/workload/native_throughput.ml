@@ -1,11 +1,11 @@
 (** Wall-clock throughput harness over real OCaml domains and the native
     [Atomic.t] backend with the calibrated persist cost.
 
-    This is the harness to use on an actual multicore machine.  The
-    container this repository was developed in has a single core, so the
-    shipped figures come from {!Sim_throughput} instead; this harness
-    still runs there (domains timeslice), which is exercised by the test
-    suite with small parameters.
+    This is the harness to use on a machine with at least as many cores
+    as threads.  The reference host has two cores, so the shipped
+    figures come from {!Sim_throughput} instead; this harness still runs
+    there (domains timeslice), which is exercised by the test suite with
+    small parameters.
 
     Instrumentation (memory-event counters, latency histograms) is a
     backend/worker selection made here in the harness: the uninstrumented
@@ -29,7 +29,7 @@ let stop_check_period = 32
 
 (* Busy-wait for [cond] with exponential backoff around
    [Domain.cpu_relax]: on an oversubscribed machine (more domains than
-   cores — the CI container has one core) a tight relax loop starves the
+   cores — eight domains on a 2-core host) a tight relax loop starves the
    very thread that would make [cond] true.  Doubling the relax burst up
    to a cap keeps the barrier responsive when cores are free and cheap
    when they are not. *)

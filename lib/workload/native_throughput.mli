@@ -1,7 +1,7 @@
 (** Wall-clock throughput over real OCaml domains and the native backend
     (calibrated persist cost) — the harness to use on an actual multicore
-    machine; the shipped figures come from {!Sim_throughput} because this
-    container has one core.
+    machine; the shipped figures come from {!Sim_throughput} because the
+    reference host has two cores, not the paper's 20.
 
     Instrumentation is a backend/worker selection made here in the
     harness: the uninstrumented path runs the plain backend and the
@@ -48,4 +48,4 @@ val pad_sweep :
     isolation stride in [pads] (filler words attached to
     [Isolated]-placement cells — head/tail, announce words).  Restores
     the default stride afterwards.  Meaningful on real multicore
-    hardware; deterministic-but-flat on the single-core CI container. *)
+    hardware; flat when the host has fewer cores than threads. *)

@@ -2,17 +2,18 @@
     which the Figure 5 scalability curves are regenerated.
 
     Rationale (see DESIGN.md): the paper measures wall-clock throughput
-    of 1-20 hardware threads on a 20-core Xeon with Optane memory.  This
-    container has a single core, so real domains cannot exhibit parallel
-    scaling; instead we run the {e same algorithm code} on the simulator
-    and charge each memory event a latency drawn from published costs of
-    the corresponding x86/Optane operation.  Threads progress on private
-    clocks; the scheduler always steps the thread with the smallest
-    clock, which models independent cores — the only coupling between
-    threads is through the shared words themselves, so contention
-    (failed CAS -> retry -> more charged time) and helping emerge exactly
-    where the real machine has them, and throughput saturates at the
-    queue's head/tail serialization just as in the paper.
+    of 1-20 hardware threads on a 20-core Xeon with Optane memory.  On a
+    host with a few cores (the reference host has two), real domains
+    cannot exhibit 20-thread scaling; instead we run the {e same
+    algorithm code} on the simulator and charge each memory event a
+    latency drawn from published costs of the corresponding x86/Optane
+    operation.  Threads progress on private clocks; the scheduler
+    always steps the thread with the smallest clock, which models
+    independent cores — the only coupling between threads is through
+    the shared words themselves, so contention (failed CAS -> retry ->
+    more charged time) and helping emerge exactly where the real machine
+    has them, and throughput saturates at the queue's head/tail
+    serialization just as in the paper.
 
     A deterministic per-step jitter (a few percent, seeded) breaks the
     artificial lockstep that identical integer costs would otherwise
@@ -70,14 +71,20 @@ let cost_of costs (kind : Sim_op.kind) =
   | Sim_op.Fence -> costs.fence_ns
   | Sim_op.Yield -> costs.work_ns
 
+(* [a] copied into a fresh array of [size] slots, the rest [fill]. *)
+let grow a size fill =
+  let b = Array.make size fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 (** Run [threads] (infinite-loop workers) on [heap] until every thread's
     private clock passes [horizon_ns] of simulated time; returns the
     value of [ops_done] divided by the simulated seconds, in operations
     per second.
 
     Cache-line contention model: line identity comes from the heap's
-    {!Dssq_memory.Memory_intf.Line} placement ([Machine.pending_target]
-    is the persist-line id), so the contention unit here and the
+    {!Dssq_memory.Memory_intf.Line} placement ([Machine.next_line] is
+    the persist-line id), so the contention unit here and the
     persistence unit in the heap are one and the same module — at line
     size 1 every word is its own line, the original model.  Every
     write-class access (store, CAS, flush) to a line needs exclusive
@@ -102,8 +109,11 @@ let run ?(costs = default_costs) ?(seed = 1) ?clock ~horizon_ns ~heap ~threads
   (match clock with
   | Some r -> r := fun tid -> clocks.(tid)
   | None -> ());
-  (* per line: time it becomes free, and last owning thread *)
-  let line_clock : (int, float * int) Hashtbl.t = Hashtbl.create 256 in
+  (* Per line, indexed by the heap's dense line id: the time it becomes
+     free, and its last owning thread (-1: never owned, which costs like
+     one's own line).  Lines allocated during the run grow the tables. *)
+  let line_free = ref (Array.make (max 1 heap.Heap.line_count) 0.) in
+  let line_owner = ref (Array.make (max 1 heap.Heap.line_count) (-1)) in
   (* per thread: completion time of its outstanding asynchronous
      (coalesced) flushes — the drain/fence that retires them waits for
      this instead of paying per-flush round-trips *)
@@ -113,89 +123,100 @@ let run ?(costs = default_costs) ?(seed = 1) ?clock ~horizon_ns ~heap ~threads
   Fun.protect
     ~finally:(fun () -> heap.Heap.in_sim <- false)
     (fun () ->
-      let rec pick best best_clock i =
-        if i >= n then best
-        else begin
-          let c = clocks.(i) in
-          match Machine.pending_kind machine i with
-          | Some _ when c < horizon_ns && c < best_clock -> pick i c (i + 1)
-          | _ -> pick best best_clock (i + 1)
-        end
-      in
       let continue_run = ref true in
       while !continue_run do
-        match pick (-1) infinity 0 with
-        | -1 -> continue_run := false
-        | tid ->
-            let kind = Option.get (Machine.pending_kind machine tid) in
-            let target = Machine.pending_target machine tid in
-            let info = Machine.step machine tid in
-            let jitter = 0.95 +. Random.State.float rng 0.1 in
-            let cost = cost_of costs kind *. jitter in
-            let line cell =
-              Option.value ~default:(0., tid) (Hashtbl.find_opt line_clock cell)
+        (* The runnable thread with the smallest clock below the horizon
+           steps next; ties go to the lowest id. *)
+        let tid = ref (-1) and earliest = ref horizon_ns in
+        for i = 0 to n - 1 do
+          let c = clocks.(i) in
+          if c < !earliest && Machine.is_runnable machine i then begin
+            tid := i;
+            earliest := c
+          end
+        done;
+        if !tid < 0 then continue_run := false
+        else begin
+          let tid = !tid in
+          let kind = Machine.next_kind machine tid in
+          let line = Machine.next_line machine tid in
+          Machine.step machine tid;
+          let jitter = 0.95 +. Random.State.float rng 0.1 in
+          let cost = cost_of costs kind *. jitter in
+          if line >= Array.length !line_free then begin
+            (* Every line id belongs to this heap, so [line_count]
+               covers it. *)
+            let size =
+              max (2 * Array.length !line_free) heap.Heap.line_count
             in
-            (match (target, kind) with
-            | Some _, Sim_op.Flush when info.Machine.flush_effective = Some false
-              ->
-                (* Clean line: the CLWB has nothing to write back.  No
-                   device round-trip, no line occupancy — free. *)
-                ()
-            | Some cell, (Sim_op.Write | Sim_op.Cas) ->
-                (* Exclusive access (RFO): wait for the line, pay a
-                   cross-core transfer if another thread owned it, then
-                   own it — briefly for a failed CAS (the requester grabs
-                   the line but releases it without a lasting update),
-                   for the full update latency otherwise.  Outstanding
-                   coalesced flushes do NOT stall the store: the heap's
-                   auto-drain orders the write-backs before the store
-                   semantically, but the timing model treats them as an
-                   ordered background queue (the delay-free batching of
-                   Ben-David et al.) — only an explicit drain/fence waits
-                   for completions. *)
-                let free, owner = line cell in
-                let transfer = if owner = tid then 0. else costs.transfer_ns in
-                let start = Float.max clocks.(tid) free +. transfer in
-                let line_cost =
-                  if info.Machine.cas_success = Some false then
-                    costs.cas_fail_line_ns *. jitter
-                  else cost
-                in
-                clocks.(tid) <- start +. cost;
-                Hashtbl.replace line_clock cell (start +. line_cost, tid)
-            | Some cell, Sim_op.Flush when buffered ->
-                (* Buffered flush: the CLWB issues (short pipeline
-                   stall) and its device round-trip completes in the
-                   background — only the eventual drain/fence waits on
-                   it.  Like an eager CLWB it does not take ownership. *)
-                let free, owner = line cell in
-                let transfer = if owner = tid then 0. else costs.transfer_ns in
-                let start = Float.max clocks.(tid) free +. transfer in
-                clocks.(tid) <- start +. (costs.flush_issue_ns *. jitter);
-                pending_done.(tid) <-
-                  Float.max pending_done.(tid) (start +. cost)
-            | Some cell, (Sim_op.Read | Sim_op.Flush) ->
-                (* Loads share the line after the owner is done (paying a
-                   transfer if it moved cores); CLWB writes back without
-                   invalidating, so it stalls the issuing thread for the
-                   device round-trip but does not take ownership. *)
-                let free, owner = line cell in
-                let transfer = if owner = tid then 0. else costs.transfer_ns in
-                clocks.(tid) <- Float.max clocks.(tid) free +. transfer +. cost
-            | None, Sim_op.Drain ->
-                (* Wait for the outstanding CLWBs to complete; the
-                   barrier itself overlaps the wait (no separate fence
-                   charge — that is exactly the elided-fences win). *)
-                clocks.(tid) <- Float.max clocks.(tid) pending_done.(tid);
-                pending_done.(tid) <- 0.
-            | _, Sim_op.Fence ->
-                (* An sfence additionally retires outstanding CLWBs (the
-                   heap folds the drain into it). *)
-                clocks.(tid) <-
-                  Float.max (clocks.(tid) +. cost) pending_done.(tid);
-                pending_done.(tid) <- 0.
-            | (None, _) | (Some _, (Sim_op.Drain | Sim_op.Yield)) ->
-                clocks.(tid) <- clocks.(tid) +. cost)
+            line_free := grow !line_free size 0.;
+            line_owner := grow !line_owner size (-1)
+          end;
+          (* The line's state, for the events that target one: when it
+             becomes free, and the cross-core transfer owed if another
+             thread owned it last. *)
+          let free = if line < 0 then 0. else !line_free.(line) in
+          let transfer =
+            if line < 0 then 0.
+            else
+              let owner = !line_owner.(line) in
+              if owner = tid || owner < 0 then 0. else costs.transfer_ns
+          in
+          match kind with
+          | Sim_op.Flush when Machine.flush_elided machine ->
+              (* Clean line: the CLWB has nothing to write back.  No
+                 device round-trip, no line occupancy — free. *)
+              ()
+          | Sim_op.Write | Sim_op.Cas ->
+              (* Exclusive access (RFO): wait for the line, pay a
+                 cross-core transfer if another thread owned it, then
+                 own it — briefly for a failed CAS (the requester grabs
+                 the line but releases it without a lasting update),
+                 for the full update latency otherwise.  Outstanding
+                 coalesced flushes do NOT stall the store: the heap's
+                 auto-drain orders the write-backs before the store
+                 semantically, but the timing model treats them as an
+                 ordered background queue (the delay-free batching of
+                 Ben-David et al.) — only an explicit drain/fence waits
+                 for completions. *)
+              let start = Float.max clocks.(tid) free +. transfer in
+              let line_cost =
+                if Machine.cas_failed machine then
+                  costs.cas_fail_line_ns *. jitter
+                else cost
+              in
+              clocks.(tid) <- start +. cost;
+              !line_free.(line) <- start +. line_cost;
+              !line_owner.(line) <- tid
+          | Sim_op.Flush when buffered ->
+              (* Buffered flush: the CLWB issues (short pipeline
+                 stall) and its device round-trip completes in the
+                 background — only the eventual drain/fence waits on
+                 it.  Like an eager CLWB it does not take ownership. *)
+              let start = Float.max clocks.(tid) free +. transfer in
+              clocks.(tid) <- start +. (costs.flush_issue_ns *. jitter);
+              pending_done.(tid) <- Float.max pending_done.(tid) (start +. cost)
+          | Sim_op.Read | Sim_op.Flush ->
+              (* Loads share the line after the owner is done (paying a
+                 transfer if it moved cores); CLWB writes back without
+                 invalidating, so it stalls the issuing thread for the
+                 device round-trip but does not take ownership. *)
+              clocks.(tid) <-
+                Float.max clocks.(tid) free +. transfer +. cost
+          | Sim_op.Drain ->
+              (* Wait for the outstanding CLWBs to complete; the
+                 barrier itself overlaps the wait (no separate fence
+                 charge — that is exactly the elided-fences win). *)
+              clocks.(tid) <- Float.max clocks.(tid) pending_done.(tid);
+              pending_done.(tid) <- 0.
+          | Sim_op.Fence ->
+              (* An sfence additionally retires outstanding CLWBs (the
+                 heap folds the drain into it). *)
+              clocks.(tid) <-
+                Float.max (clocks.(tid) +. cost) pending_done.(tid);
+              pending_done.(tid) <- 0.
+          | Sim_op.Yield -> clocks.(tid) <- clocks.(tid) +. cost
+        end
       done;
       Machine.kill_all machine);
   float_of_int (ops_done ()) /. (horizon_ns /. 1e9)

@@ -1,6 +1,7 @@
 (** The simulated multiprocessor: a discrete-event throughput model over
     the deterministic simulator, used to regenerate the paper's
-    scalability figures on a single-core host (DESIGN.md §1).
+    scalability figures on hosts with far fewer cores than the paper's 20
+    (DESIGN.md §1).
 
     Threads progress on private clocks (smallest clock steps next =
     independent cores); each memory event is charged a latency, and
