@@ -303,10 +303,12 @@ let prop_clean_flush_only_bumps_elision =
       && Array.for_all2 (fun v c -> Heap.read h c = v) values cells
       && Array.for_all2 (fun v c -> c.Cell.persisted = v) persisted cells)
 
-(* The heap's dense line table against a reference built from the cells
-   alone: random mixes of packed, isolated and block allocations, at the
-   legacy word-granular size and at cache-line size, then random stores
-   and a per-line crash. *)
+(* The heap's dense line table against a reference built from the test's
+   own allocation list: random mixes of packed, isolated and block
+   allocations, at the legacy word-granular size and at cache-line size,
+   then random stores and a per-line crash.  The crash must ask for its
+   verdicts in most-recent-first dirty-cell order — the order seeded
+   crashes draw in — so the walk over the line table is pinned here. *)
 let arb_alloc_program =
   QCheck.make
     ~print:(fun (ls, allocs, writes, seed) ->
@@ -339,11 +341,11 @@ let prop_dense_line_table =
           allocs
         |> Array.of_list
       in
-      let ids = List.map (fun (Cell.Packed c) -> c.Cell.id) in
-      (* Reference: all cells on a line, most recently allocated first. *)
+      (* Reference: the allocation list, most recently allocated first. *)
+      let recent_first = List.rev (Array.to_list cells) in
       let reference lid =
-        List.filter (fun (Cell.Packed c) -> Cell.line_id c = lid) h.Heap.cells
-        |> ids
+        List.filter (fun c -> Cell.line_id c = lid) recent_first
+        |> List.map (fun c -> c.Cell.id)
       in
       let lines =
         Array.to_list cells |> List.map Cell.line
@@ -351,21 +353,34 @@ let prop_dense_line_table =
       in
       let members_match =
         List.for_all
-          (fun (l : Line.t) -> ids (Heap.members h l) = reference l.Line.id)
+          (fun (l : Line.t) ->
+            List.map (fun (Cell.Packed c) -> c.Cell.id) (Heap.members h l)
+            = reference l.Line.id)
           lines
       in
       let n = Array.length cells in
       List.iter (fun i -> Heap.write h cells.(i mod n) i) writes;
+      let dirty_recent_first =
+        List.filter_map
+          (fun c -> if Cell.is_dirty c then Some (Cell.line_id c) else None)
+          recent_first
+      in
+      let dirty_lines_match =
+        Heap.dirty_lines h = List.sort_uniq compare dirty_recent_first
+      in
       let rng = Random.State.make [| seed |] in
       let verdicts = Hashtbl.create 16 in
+      let asked = ref [] in
       Heap.crash_lines h ~evict:(fun lid ->
+          asked := lid :: !asked;
           match Hashtbl.find_opt verdicts lid with
           | Some v -> v
           | None ->
               let v = Random.State.bool rng in
               Hashtbl.add verdicts lid v;
               v);
-      members_match
+      members_match && dirty_lines_match
+      && List.rev !asked = dirty_recent_first
       && Heap.line_count h = List.length lines
       && List.for_all (fun l -> not (Line.is_dirty l)) lines
       && Heap.dirty_lines h = [])

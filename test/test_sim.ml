@@ -9,12 +9,79 @@ let with_mem () =
   let (module M) = Sim.memory heap in
   (heap, (module M : Dssq_memory.Memory_intf.S))
 
+(* [Heap]'s own operations as a MEMORY, the reference [Sim.memory]'s
+   direct mode must match. *)
+let heap_memory heap : (module Dssq_memory.Memory_intf.S) =
+  (module struct
+    type 'a cell = 'a Dssq_pmem.Cell.t
+
+    let alloc ?name ?placement v = Heap.alloc heap ?name ?placement v
+    let alloc_block ?name vs = Heap.alloc_block heap ?name vs
+    let read c = Heap.read heap c
+    let write c v = Heap.write heap c v
+    let cas c ~expected ~desired = Heap.cas heap c ~expected ~desired
+    let flush c = Heap.flush heap c
+    let fence () = Heap.fence heap
+    let drain () = Heap.drain heap
+  end)
+
+(* Outside [run], [Sim.memory] is the heap itself: one sequence through
+   it and the same sequence straight through [Heap] leave identical
+   counters, cells and persist-event streams (names included), at both
+   line sizes and under every policy. *)
 let test_direct_mode_outside_run () =
-  let heap, (module M) = with_mem () in
-  ignore heap;
-  let c = M.alloc 1 in
-  M.write c 2;
-  Alcotest.(check int) "direct ops work outside run" 2 (M.read c)
+  let module PE = Dssq_memory.Persist_event in
+  let module Cell = Dssq_pmem.Cell in
+  let run ~line_size ~policy memory =
+    let heap = Heap.create ~line_size ~policy () in
+    let (module M : Dssq_memory.Memory_intf.S) = memory heap in
+    let events = ref [] in
+    let sub = PE.subscribe (fun ev -> events := ev :: !events) in
+    let cells =
+      Fun.protect
+        ~finally:(fun () -> PE.unsubscribe sub)
+        (fun () ->
+          let named = M.alloc_block ~name:(fun () -> "node") [ 1; 2; 3 ] in
+          let unnamed = M.alloc_block [ 4; 5 ] in
+          let a = List.hd named and b = List.nth named 2 in
+          M.write a 10;
+          Alcotest.(check bool) "cas hits" true (M.cas b ~expected:3 ~desired:30);
+          Alcotest.(check bool) "cas misses" false (M.cas b ~expected:3 ~desired:31);
+          M.flush a;
+          M.flush (List.hd unnamed);
+          Alcotest.(check int) "read" 30 (M.read b);
+          M.drain ();
+          named @ unnamed)
+    in
+    let counters = Heap.counters heap in
+    (* Cell state: id, name and dirtiness from the line table; volatile
+       values by direct reads, persisted ones by reads after a crash that
+       evicts nothing. *)
+    let lines = Array.sub heap.Heap.lines 0 (Heap.line_count heap) in
+    let tags =
+      Array.to_list lines
+      |> List.concat_map (Heap.members heap)
+      |> List.map (fun (Cell.Packed c) -> (c.Cell.id, Cell.name c, c.Cell.dirty))
+    in
+    let volatile = List.map M.read cells in
+    Heap.crash_lines heap ~evict:(fun _ -> false);
+    (counters, tags, volatile, List.map M.read cells, List.rev !events)
+  in
+  List.iter
+    (fun line_size ->
+      List.iter
+        (fun policy ->
+          let sim = run ~line_size ~policy Sim.memory
+          and direct = run ~line_size ~policy heap_memory in
+          let _, tags, _, _, _ = direct in
+          Alcotest.(check bool) "block elements named" true
+            (List.exists (fun (_, name, _) -> name = "node[2]") tags);
+          Alcotest.(check bool)
+            (Printf.sprintf "Sim.memory = Heap, line size %d, %s" line_size
+               (Dssq_memory.Memory_intf.Policy.to_string policy))
+            true (sim = direct))
+        Dssq_memory.Memory_intf.Policy.all)
+    [ 1; 8 ]
 
 let test_threads_complete () =
   let heap, (module M) = with_mem () in
