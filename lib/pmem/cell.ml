@@ -13,13 +13,16 @@
     which other words a [flush] of it persists for free.
 
     The [name] is a thunk (see [Memory_intf.S.alloc]): only observers
-    and printers force it, so allocating a cell builds no string. *)
+    and printers force it, so allocating a cell builds no string.  A
+    block element shares its block's thunk and records its index in
+    [elem], so allocating a block builds no closure per element. *)
 
 module Line = Dssq_memory.Memory_intf.Line
 
 type 'a t = {
   id : int;
   name : unit -> string;
+  elem : int;
   line : Line.t;
   mutable volatile : 'a;
   mutable persisted : 'a;
@@ -33,7 +36,9 @@ let value_equal (a : 'a) (b : 'a) = a == b
 let is_dirty c = c.dirty
 let line c = c.line
 let line_id c = c.line.Line.id
-let name c = c.name ()
+let name c =
+  if c.elem < 0 then c.name ()
+  else Dssq_memory.Memory_intf.Name.element c.name c.elem ()
 
 let pp_summary fmt (Packed c) =
   Format.fprintf fmt "cell#%d(%s)@L%d%s" c.id (name c) c.line.Line.id

@@ -7,7 +7,9 @@ module Line = Dssq_memory.Memory_intf.Line
 type 'a t = {
   id : int;
   name : unit -> string;
-      (** diagnostic name, computed when read (see {!name}) *)
+      (** diagnostic name, computed when read (see {!name}); a block
+          element holds its block's name *)
+  elem : int;  (** index within its block, or -1 for a scalar cell *)
   line : Line.t;  (** persist line the word lives in *)
   mutable volatile : 'a;  (** what loads/stores/CAS observe (coherent) *)
   mutable persisted : 'a;  (** what survives a crash *)
@@ -27,6 +29,7 @@ val line : 'a t -> Line.t
 val line_id : 'a t -> int
 
 val name : 'a t -> string
-(** The cell's diagnostic name, built now from its deferred thunk. *)
+(** The cell's diagnostic name, built now from its deferred thunk:
+    [name[i]] for element [i] of a block named [name]. *)
 
 val pp_summary : Format.formatter -> packed -> unit

@@ -38,13 +38,14 @@ type fifo
     flush calls the next drain absorbs. *)
 
 type t = {
-  mutable cells : Cell.packed list;
-  mutable next_id : int;
+  mutable next_id : int;  (** cells allocated so far; the next cell's id *)
   line_alloc : Line.Alloc.t;
   mutable lines : Line.t array;
       (** line id -> line; ids are dense, slots [0, line_count) live *)
   mutable line_members : Cell.packed list array;
-      (** line id -> member cells, most recent first *)
+      (** line id -> member cells, most recent first.  A line's members
+          are contiguous in allocation order, so walking line ids
+          downwards visits every cell most recently allocated first. *)
   mutable line_count : int;
   stats : stats;
   mutable in_sim : bool;
