@@ -1035,8 +1035,11 @@ let setup_cmd =
    damage in the log first: [bitflip] flips one payload bit of a
    committed interior record (the checksum must catch it), [torn]
    zeroes the checksum word of the final record so the tail looks
-   half-written.  Exit is non-zero whenever fsck reports an error —
-   the CI negative test asserts exactly that. *)
+   half-written, [stray] writes a record kind into the lane's last
+   slot, far past its last record (replay scans the whole lane, so an
+   empty gap followed by a nonzero word is corruption).  Exit is
+   non-zero whenever fsck reports an error — the CI negative tests
+   assert exactly that. *)
 let fsck_run corrupt json =
   let heap = Heap.create ~line_size:8 () in
   let (module M) = Sim.memory heap in
@@ -1064,6 +1067,12 @@ let fsck_run corrupt json =
         ~slot:(R.Sys.Wal.appended wal - 1)
         ~word:3
         ~f:(fun _ -> 0)
+  | "stray" ->
+      (* a nonzero word in an empty slot, with empty slots before it *)
+      R.Sys.Wal.corrupt_word wal ~lane:0
+        ~slot:(R.Sys.Wal.lane_capacity wal - 1)
+        ~word:0
+        ~f:(fun _ -> Dssq_pmem.Wal.Codec.kind_alloc)
   | other ->
       Printf.eprintf "dssq: fsck: unknown --corrupt %S\n" other;
       exit 2);
@@ -1107,7 +1116,8 @@ let fsck_cmd =
           ~doc:
             "plant damage in the WAL before checking: $(b,none), \
              $(b,bitflip) (flip one payload bit of a committed record), \
-             or $(b,torn) (zero the final record's checksum)")
+             $(b,torn) (zero the final record's checksum), or $(b,stray) \
+             (a nonzero word in the lane's last, empty slot)")
   in
   Cmd.v
     (Cmd.info "fsck"

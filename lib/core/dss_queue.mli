@@ -51,4 +51,10 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
   val recovered_violations : t -> string list
   (** Structural invariants that must hold right after {!recover};
       returns human-readable violations (empty = healthy). *)
+
+  (** {1 Introspection} *)
+
+  val pool : t -> Pool.t
+  (** The node pool, for tests that inspect node words and free lists
+      (quiescent use only). *)
 end

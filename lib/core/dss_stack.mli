@@ -32,4 +32,10 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
   val exec_push : t -> tid:int -> unit
   val prep_pop : t -> tid:int -> unit
   val exec_pop : t -> tid:int -> int
+
+  (** {1 Introspection} *)
+
+  val pool : t -> Pool.t
+  (** The node pool, for tests that inspect node words and free lists
+      (quiescent use only). *)
 end

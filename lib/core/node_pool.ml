@@ -179,17 +179,24 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       (fun acc l -> acc + List.length (Padded.get l))
       0 t.free_lists
 
+  (* Store [v] only if the word does not already hold it; the caller
+     flushes either way (DESIGN.md §12). *)
+  let reset (c : int M.cell) v = if M.read c <> v then M.write c v
+
   (** Rebuild all free lists after a crash: every node for which [keep]
       is false becomes available again, striped across threads.  Used by
       the recovery procedure with [keep] = "reachable from head or
-      referenced by some X entry". *)
+      referenced by some X entry".  A free node's words are stored only
+      when they differ from the reset values, but always flushed: a
+      dirty line persists the value, a clean one already holds it
+      durably, and the heap elides that flush at line sizes >= 2. *)
   let rebuild_free_lists t ~keep =
     Array.iter (fun l -> Padded.set l []) t.free_lists;
     for i = t.capacity downto 1 do
       if not (keep i) then begin
-        M.write t.deq_tid.(i) (-1);
+        reset t.deq_tid.(i) (-1);
         M.flush t.deq_tid.(i);
-        M.write t.next.(i) Tagged.null;
+        reset t.next.(i) Tagged.null;
         M.flush t.next.(i);
         let owner = home t i in
         Padded.set t.free_lists.(owner) (i :: Padded.get t.free_lists.(owner))

@@ -65,7 +65,9 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
 
   val rebuild_free_lists : t -> keep:(int -> bool) -> unit
   (** Post-crash: every node for which [keep] is false becomes available
-      again, striped across threads, with its fields reset persistently. *)
+      again, striped across threads, with its fields reset persistently
+      (stored only where they differ from the reset value, flushed
+      either way). *)
 
   val audit : t -> keep:(int -> bool) -> audit_report
   (** Read-only partition check of [1 .. capacity] against [keep] and

@@ -117,18 +117,36 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
      between the logged intent and the node's retirement.  Recovery
      handles them by construction (the rebuild returns unreachable
      nodes to the free lists); the count is reported so the corpus can
-     see crashes really do land mid-alloc. *)
+     see crashes really do land mid-alloc.  Keyed on (pool, node), not
+     on the lane: a free is logged on the freeing thread's lane, which
+     need not be the allocating one's.  The table is sized to the log,
+     so a short replay allocates a small one. *)
   let count_in_flight records =
-    let tbl = Hashtbl.create 64 in
+    (* The table's key is a logged node's identity, with monomorphic
+       equality and hash: the polymorphic ones walk every key
+       generically.  Local, so it adds no field to the functor's result. *)
+    let module Node = struct
+      type t = { pool : int; node : int }
+
+      let equal a b = Int.equal a.node b.node && Int.equal a.pool b.pool
+
+      (* 65599 is odd, so consecutive nodes of one pool hit distinct
+         buckets of the power-of-two table. *)
+      let hash k = (k.node * 65599) + k.pool
+    end in
+    let module Table = Hashtbl.Make (Node) in
+    let tbl = Table.create (max 8 (List.length records)) in
+    let bump r d =
+      let key = { Node.pool = r.Dssq_pmem.Wal.r_b; node = r.r_a } in
+      let n = Option.value ~default:0 (Table.find_opt tbl key) in
+      Table.replace tbl key (n + d)
+    in
     List.iter
       (fun r ->
-        let key = (r.Dssq_pmem.Wal.r_a, r.r_b, r.r_lane) in
-        if r.r_kind = Dssq_pmem.Wal.Codec.kind_alloc then
-          Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-        else if r.r_kind = Dssq_pmem.Wal.Codec.kind_free then
-          Hashtbl.replace tbl key (Option.value ~default:0 (Hashtbl.find_opt tbl key) - 1))
+        if r.Dssq_pmem.Wal.r_kind = Dssq_pmem.Wal.Codec.kind_alloc then bump r 1
+        else if r.r_kind = Dssq_pmem.Wal.Codec.kind_free then bump r (-1))
       records;
-    Hashtbl.fold (fun _ n acc -> acc + max 0 n) tbl 0
+    Table.fold (fun _ n acc -> acc + max 0 n) tbl 0
 
   (** The single crash-to-running entry point.  Raises
       [Dssq_pmem.Wal.Corrupted] on a corrupt log and [Failure] on a

@@ -126,6 +126,11 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     slots : slot array;  (** [lanes * lane_capacity], lane-major *)
     cursors : int array;
         (** volatile per-lane append position; rebuilt by [replay] *)
+    extents : int array;
+        (** volatile per-lane bound: every slot at or past it is empty.
+            Raised before any write can make a slot nonzero ([append],
+            [corrupt_word]), lowered only by [replay]'s full-lane scan
+            and by [truncate]; lets [truncate] skip the empty tail. *)
   }
 
   let create ?(name = "wal") ~lanes ~lane_capacity () =
@@ -142,12 +147,23 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
           | [ k; a; b; s ] -> { s_kind = k; s_a = a; s_b = b; s_sum = s }
           | _ -> assert false)
     in
-    { name; lanes; lane_capacity; slots; cursors = Array.make lanes 0 }
+    {
+      name;
+      lanes;
+      lane_capacity;
+      slots;
+      cursors = Array.make lanes 0;
+      extents = Array.make lanes 0;
+    }
 
   let lanes t = t.lanes
   let lane_capacity t = t.lane_capacity
   let abs_slot t ~lane i = (lane * t.lane_capacity) + i
   let appended t = Array.fold_left ( + ) 0 t.cursors
+
+  (* Slot [i] of [lane] may hold a nonzero word from now on. *)
+  let extend t ~lane i =
+    if t.extents.(lane) <= i then t.extents.(lane) <- i + 1
 
   (** Append one record to [lane] and make it durable before
       returning: payload words, then the checksum, then a flush of the
@@ -162,6 +178,8 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     if i >= t.lane_capacity then raise (Full { lane });
     let slot = abs_slot t ~lane i in
     let s = t.slots.(slot) in
+    (* Before the first write, so a torn append is inside the extent. *)
+    extend t ~lane i;
     M.write s.s_kind kind;
     M.write s.s_a a;
     M.write s.s_b b;
@@ -182,35 +200,47 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     Codec.classify ~slot ~kind:(M.read s.s_kind) ~a:(M.read s.s_a)
       ~b:(M.read s.s_b) ~sum:(M.read s.s_sum)
 
-  (* Scan one lane: the valid prefix, then what follows it. *)
+  (* Whether all four words of a slot are zero, without classifying it:
+     no checksum, no allocation.  Reads in [read_slot]'s order (OCaml
+     evaluates its arguments right to left: sum, b, a, kind) and stops
+     at the first nonzero word. *)
+  let is_empty t ~lane i =
+    let s = t.slots.(abs_slot t ~lane i) in
+    M.read s.s_sum = 0 && M.read s.s_b = 0 && M.read s.s_a = 0
+    && M.read s.s_kind = 0
+
+  (* Scan one lane: the valid prefix, then what follows it.  Always the
+     whole lane, never bounded by the extent: this scan is the check
+     that refuses a nonzero word past the last record. *)
   let scan_lane t lane =
     let records = ref [] in
     let i = ref 0 in
-    let state = ref None in
-    while !state = None && !i < t.lane_capacity do
-      (match read_slot t ~lane !i with
+    (* the first non-valid slot, if any: `Empty_at or `Invalid_at *)
+    let stop = ref `Clean in
+    while !stop == `Clean && !i < t.lane_capacity do
+      match read_slot t ~lane !i with
       | Codec.Valid { kind; a; b } ->
           records := { r_lane = lane; r_kind = kind; r_a = a; r_b = b }
-                     :: !records
-      | Codec.Empty -> state := Some `Empty_at
-      | Codec.Invalid -> state := Some `Invalid_at);
-      if !state = None then incr i
+                     :: !records;
+          incr i
+      | Codec.Empty -> stop := `Empty_at
+      | Codec.Invalid -> stop := `Invalid_at
     done;
     let valid = List.length !records in
     let rest_all_empty from =
       let ok = ref true in
       for j = from to t.lane_capacity - 1 do
-        if !ok && read_slot t ~lane j <> Codec.Empty then ok := false
+        if !ok && not (is_empty t ~lane j) then ok := false
       done;
       !ok
     in
     let state =
-      match !state with
-      | None -> Clean valid
-      | Some `Empty_at ->
+      match !stop with
+      | `Clean -> Clean valid
+      | `Empty_at ->
           if rest_all_empty (!i + 1) then Clean valid
           else Corrupt { at = !i }
-      | Some `Invalid_at ->
+      | `Invalid_at ->
           if rest_all_empty (!i + 1) then Torn { valid; at = !i }
           else Corrupt { at = !i }
     in
@@ -237,8 +267,8 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
         | Corrupt { at } ->
             Error
               (Printf.sprintf
-                 "%s: lane %d is corrupt at slot %d (valid data follows an \
-                  invalid record)"
+                 "%s: lane %d is corrupt at slot %d (nonzero data follows \
+                  an invalid or empty slot)"
                  t.name lane at)
     in
     go 0 0
@@ -247,9 +277,10 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       lane-major and in append order within each lane, together with
       the number of torn tail records dropped.  Restores the volatile
       append cursors to the end of each lane's valid prefix, so the
-      log is appendable again.  Read-only on persistent state —
-      replaying twice returns the same records and leaves the same
-      heap (the idempotence property test_wal checks).
+      log is appendable again, and each lane's extent to just past its
+      last nonzero slot (the torn record, if any).  Read-only on
+      persistent state — replaying twice returns the same records and
+      leaves the same heap (the idempotence property test_wal checks).
       @raise Corrupted on a lane whose invalid record is not a tail. *)
   let replay t =
     let torn = ref 0 in
@@ -258,10 +289,13 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
         (List.init t.lanes (fun lane ->
              let state, records = scan_lane t lane in
              (match state with
-             | Clean n -> t.cursors.(lane) <- n
+             | Clean n ->
+                 t.cursors.(lane) <- n;
+                 t.extents.(lane) <- n
              | Torn { valid; at = _ } ->
                  incr torn;
-                 t.cursors.(lane) <- valid
+                 t.cursors.(lane) <- valid;
+                 t.extents.(lane) <- valid + 1
              | Corrupt { at } -> raise (Corrupted { lane; slot = at }));
              records))
     in
@@ -272,13 +306,16 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       written slot, persistently, highest slot first within each lane
       and the checksum word first within each slot — so a crash in the
       middle of truncation still leaves each lane a valid prefix plus
-      at most one torn record, never a corrupt interior. *)
+      at most one torn record, never a corrupt interior.  Only slots
+      below the lane's extent are looked at, and only the nonzero ones
+      are written and flushed: the work is the records logged, not the
+      lane's capacity. *)
   let truncate t =
     for lane = 0 to t.lanes - 1 do
-      (* The cursor may understate after a torn append; wipe every
-         nonzero slot from the top of the lane down. *)
-      for i = t.lane_capacity - 1 downto 0 do
-        if read_slot t ~lane i <> Codec.Empty then begin
+      (* The cursor may understate after a torn append; the extent
+         covers it.  Wipe every nonzero slot from the top down. *)
+      for i = t.extents.(lane) - 1 downto 0 do
+        if not (is_empty t ~lane i) then begin
           let s = t.slots.(abs_slot t ~lane i) in
           M.write s.s_sum 0;
           M.write s.s_kind 0;
@@ -290,7 +327,8 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
           M.flush s.s_b
         end
       done;
-      t.cursors.(lane) <- 0
+      t.cursors.(lane) <- 0;
+      t.extents.(lane) <- 0
     done;
     M.drain ()
 
@@ -299,7 +337,10 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       property tests.  [word] selects kind (0), a (1), b (2) or the
       checksum (3); the new value is [f old], written and persisted. *)
   let corrupt_word t ~lane ~slot ~word ~f =
+    if slot < 0 || slot >= t.lane_capacity then
+      invalid_arg "Wal.corrupt_word: bad slot";
     let s = t.slots.(abs_slot t ~lane slot) in
+    extend t ~lane slot;
     let tweak c =
       M.write c (f (M.read c));
       M.flush c

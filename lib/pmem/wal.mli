@@ -65,10 +65,14 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
 
   val truncate : t -> unit
   (** Persistently zero the log (crash-safe: checksum word first,
-      highest slot first) and reset the cursors. *)
+      highest slot first) and reset the cursors.  Reads only the slots
+      below each lane's volatile extent, and stores and flushes only
+      the nonzero ones. *)
 
   val corrupt_word :
     t -> lane:int -> slot:int -> word:int -> f:(int -> int) -> unit
   (** Corruption-injection hook for tests and [dssq fsck --corrupt]:
-      rewrite word [0..3] (kind, a, b, sum) of a stored record. *)
+      rewrite word [0..3] (kind, a, b, sum) of slot [slot] (which may
+      be empty) and persist it.
+      @raise Invalid_argument when [slot] is outside the lane. *)
 end

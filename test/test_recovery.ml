@@ -168,6 +168,124 @@ let prop_reattach_no_leaks =
       && List.for_all (fun v -> List.mem v !enqueued) post
       && List.length (List.sort_uniq compare seen) = List.length seen)
 
+(* A node that one thread allocates and another frees cancels in the
+   in-flight count: the free is logged on the freeing thread's lane, so
+   the count must key on the node, not on the lane. *)
+let test_in_flight_cross_thread_free () =
+  let heap = Heap.create ~line_size:8 () in
+  let (module M) = Sim.memory heap in
+  let module R = Dssq_workload.Registry.Make (M) in
+  let sys = R.Sys.create ~nthreads:2 ~wal_lane_capacity:128 () in
+  let ops =
+    R.setup ~system:sys ~mk:"dss-queue" ~init_nodes:0
+      (Queue_intf.config ~reclaim:true ~nthreads:2 ~capacity:32 ())
+  in
+  for i = 1 to 24 do
+    ops.Queue_intf.enqueue ~tid:0 i;
+    ignore (ops.Queue_intf.dequeue ~tid:1 : int)
+  done;
+  (* Every node outside the free lists was allocated through the log
+     and never freed: the sentinel, and one dequeued node whose
+     retirement is still pending.  Before keying on the node, the
+     23 frees t1 logged cancelled none of t0's 25 intents. *)
+  let outside = 32 - List.assoc "pool_free" (ops.Queue_intf.stats ()) in
+  Alcotest.(check int) "nodes outside the free lists" 2 outside;
+  Sim.apply_crash heap ~evict_p:0. ~seed:1;
+  let rep = R.Sys.reattach sys in
+  Alcotest.(check int) "zero leaks" 0 rep.Recovery.leaked_total;
+  Alcotest.(check int) "exact in-flight count" outside rep.Recovery.in_flight
+
+(* The free-list rebuild stores a word only when it differs from its
+   reset value, but flushes it either way.  Durable either way: after
+   crash -> reattach -> a second crash that evicts nothing, every free
+   node still reads deq_tid = -1 and next = NULL, and the second
+   reattach leaks nothing — for the queue and the stack under every
+   persist policy. *)
+let test_rebuild_elision_durable () =
+  let module Policy = Dssq_memory.Memory_intf.Policy in
+  let run ~obj policy =
+    let heap = Heap.create ~line_size:8 ~policy () in
+    let (module M) = Sim.memory heap in
+    let module Sys = Recovery.Make (M) in
+    let module Q = Dssq_core.Dss_queue.Make (M) in
+    let module S = Dssq_core.Dss_stack.Make (M) in
+    let what = obj ^ "/" ^ Policy.to_string policy in
+    let sys = Sys.create ~nthreads:2 ~wal_lane_capacity:128 () in
+    let wal = Sys.wal sys and pool_id = Sys.fresh_pool_id sys in
+    let combine = policy = Policy.Combine in
+    (* the pool, the two clients' pairs, recover and audit *)
+    let pool, client, recover, audit =
+      if obj = "queue" then
+        let q = Q.create ~wal ~pool_id ~combine ~nthreads:2 ~capacity:24 () in
+        for v = 1 to 6 do
+          Q.enqueue q ~tid:0 v
+        done;
+        ( Q.pool q,
+          (fun tid v ->
+            Q.prep_enqueue q ~tid v;
+            Q.exec_enqueue q ~tid;
+            Q.prep_dequeue q ~tid;
+            ignore (Q.exec_dequeue q ~tid : int)),
+          (fun () -> Q.recover q),
+          fun () -> Q.audit q )
+      else
+        let s = S.create ~wal ~pool_id ~combine ~nthreads:2 ~capacity:24 () in
+        for v = 1 to 6 do
+          S.push s ~tid:0 v
+        done;
+        ( S.pool s,
+          (fun tid v ->
+            S.prep_push s ~tid v;
+            S.exec_push s ~tid;
+            S.prep_pop s ~tid;
+            ignore (S.exec_pop s ~tid : int)),
+          (fun () -> S.recover s),
+          fun () -> S.audit s )
+    in
+    ignore
+      (Sys.register sys ~name:obj
+         ~audit:(fun () -> Recovery.audit_of_pool (audit ()))
+         recover
+        : int);
+    let threads =
+      List.init 2 (fun tid () ->
+          for i = 1 to 4 do
+            client tid ((10 * tid) + i)
+          done)
+    in
+    ignore
+      (Sim.run heap ~policy:(Sim.Random_seed 3) ~crash:(Sim.Crash_at_step 90)
+         ~threads
+        : Sim.outcome);
+    Sim.apply_crash heap ~evict_p:0.5 ~seed:5;
+    let rep = Sys.reattach sys in
+    Alcotest.(check int) (what ^ ": zero leaks") 0 rep.Recovery.leaked_total;
+    Sim.apply_crash heap ~evict_p:0. ~seed:0;
+    let free =
+      Array.fold_left
+        (fun acc l -> Dssq_memory.Memory_intf.Padded.get l @ acc)
+        [] pool.Q.Pool.free_lists
+    in
+    if free = [] then Alcotest.failf "%s: no free nodes to check" what;
+    List.iter
+      (fun i ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: node %d persisted deq_tid" what i)
+          (-1)
+          (M.read (Q.Pool.deq_tid pool i));
+        Alcotest.(check int)
+          (Printf.sprintf "%s: node %d persisted next" what i)
+          Dssq_core.Tagged.null
+          (M.read (Q.Pool.next pool i)))
+      free;
+    let rep2 = Sys.reattach sys in
+    Alcotest.(check int) (what ^ ": zero leaks after the second crash") 0
+      rep2.Recovery.leaked_total
+  in
+  List.iter
+    (fun policy -> List.iter (fun obj -> run ~obj policy) [ "queue"; "stack" ])
+    Policy.all
+
 (* ------------------------------ fsck ---------------------------------- *)
 
 let test_fsck_rejects_corruption () =
@@ -228,6 +346,10 @@ let suite =
       test_log_then_link;
     Alcotest.test_case "reattach end to end, zero leaks" `Quick
       test_reattach_end_to_end;
+    Alcotest.test_case "in-flight count cancels a cross-thread free" `Quick
+      test_in_flight_cross_thread_free;
+    Alcotest.test_case "rebuild's skipped stores are durable" `Quick
+      test_rebuild_elision_durable;
     Alcotest.test_case "fsck rejects a corrupted log" `Quick
       test_fsck_rejects_corruption;
     Alcotest.test_case "root directory register/lookup/update" `Quick

@@ -117,6 +117,26 @@ let test_interior_corruption_refused () =
     (Wal.Corrupted { lane = 0; slot = 0 })
     (fun () -> ignore (W.replay t))
 
+(* A nonzero word in an empty slot past the last record: the full-lane
+   scan refuses it at the first empty slot, and truncate (whose wipe
+   stops at the extent) still clears it. *)
+let test_stray_word_refused () =
+  let heap = Heap.create () in
+  let (module M) = Sim.memory heap in
+  let module W = Wal.Make (M) in
+  let t = W.create ~lanes:1 ~lane_capacity:8 () in
+  for i = 1 to 3 do
+    W.append t ~lane:0 ~kind:1 ~a:i ~b:0
+  done;
+  W.corrupt_word t ~lane:0 ~slot:6 ~word:0 ~f:(fun _ -> 1);
+  Alcotest.check_raises "replay refuses the stray word"
+    (Wal.Corrupted { lane = 0; slot = 3 })
+    (fun () -> ignore (W.replay t));
+  W.truncate t;
+  Alcotest.(check bool)
+    "truncate clears it" true
+    (W.states t = [ Wal.Clean 0 ])
+
 let test_truncate () =
   let heap = Heap.create () in
   let (module M) = Sim.memory heap in
@@ -249,6 +269,76 @@ let prop_single_bit_flip_detected =
       in
       verify_failed && replay_safe)
 
+(* Truncate after a crash: appends across lanes, then optionally a
+   torn append (a crash inside [append], at any of its steps, with a
+   random eviction draw) and optionally one damaged word somewhere in
+   the written slots.  Whatever replay makes of it, truncate leaves
+   every lane clean and empty, durably, with the cursors at 0 — and it
+   reads at most the four words of each slot the lane ever held:
+   [valid + torn] per lane when replay accepts the log. *)
+let prop_truncate_after_crash =
+  QCheck.Test.make ~count:300
+    ~name:"wal: truncate after a torn append or damage is bounded and clean"
+    QCheck.(
+      quad (arb_rcds lanes (cap - 1))
+        (option (triple (int_range 0 (lanes - 1)) (int_range 0 9) small_nat))
+        (option
+           (quad (int_range 0 (lanes - 1)) small_nat (int_range 0 3)
+              (int_range 0 62)))
+        bool)
+    (fun (rss, torn, damage, wide) ->
+      let heap = Heap.create ~line_size:(if wide then 8 else 1) () in
+      let (module M) = Sim.memory heap in
+      let module W = Wal.Make (M) in
+      let t = W.create ~lanes ~lane_capacity:cap () in
+      List.iteri
+        (fun lane rs ->
+          List.iter (fun r -> W.append t ~lane ~kind:r.kind ~a:r.a ~b:r.b) rs)
+        rss;
+      (* slots each lane has written, a torn append's included *)
+      let written = Array.of_list (List.map List.length rss) in
+      Option.iter
+        (fun (lane, step, seed) ->
+          ignore
+            (Sim.run heap ~crash:(Sim.Crash_at_step step)
+               ~threads:[ (fun () -> W.append t ~lane ~kind:1 ~a:seed ~b:0) ]
+              : Sim.outcome);
+          Sim.apply_crash heap ~evict_p:0.5 ~seed;
+          written.(lane) <- written.(lane) + 1)
+        torn;
+      Option.iter
+        (fun (lane, pick, word, bit) ->
+          if written.(lane) > 0 then
+            W.corrupt_word t ~lane ~slot:(pick mod written.(lane)) ~word
+              ~f:(fun w -> w lxor (1 lsl bit)))
+        damage;
+      let states = W.states t in
+      let corrupt =
+        List.exists (function Wal.Corrupt _ -> true | _ -> false) states
+      in
+      let refused =
+        match W.replay t with _ -> false | exception Wal.Corrupted _ -> true
+      in
+      let bound =
+        if corrupt then Array.fold_left ( + ) 0 written
+        else
+          List.fold_left
+            (fun acc -> function
+              | Wal.Clean n -> acc + n
+              | Wal.Torn { valid; _ } -> acc + valid + 1
+              | Wal.Corrupt _ -> assert false)
+            0 states
+      in
+      let before = (Heap.counters heap).reads in
+      W.truncate t;
+      let reads = (Heap.counters heap).reads - before in
+      let clean () = W.states t = List.init lanes (fun _ -> Wal.Clean 0) in
+      let clean_now = clean () in
+      (* the wipe is durable: nothing unflushed survives this crash *)
+      Sim.apply_crash heap ~evict_p:0. ~seed:0;
+      refused = corrupt && clean_now && clean () && W.appended t = 0
+      && reads <= 4 * bound)
+
 let suite =
   [
     Alcotest.test_case "round-trip basics" `Quick test_roundtrip_basic;
@@ -257,10 +347,17 @@ let suite =
       test_torn_tail_dropped;
     Alcotest.test_case "interior corruption refused" `Quick
       test_interior_corruption_refused;
+    Alcotest.test_case "stray word past the tail refused" `Quick
+      test_stray_word_refused;
     Alcotest.test_case "truncate leaves a clean empty log" `Quick
       test_truncate;
     Alcotest.test_case "checksum is slot-bound" `Quick
       test_checksum_slot_bound;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_roundtrip; prop_replay_idempotent; prop_single_bit_flip_detected ]
+      [
+        prop_roundtrip;
+        prop_replay_idempotent;
+        prop_single_bit_flip_detected;
+        prop_truncate_after_crash;
+      ]
