@@ -26,6 +26,7 @@ module Trace = Dssq_obs.Trace
 module Json = Dssq_obs.Json
 module Run_report = Dssq_obs.Run_report
 module MI = Dssq_memory.Memory_intf
+module Scenarios = Dssq_checker.Scenarios
 open Cmdliner
 
 (* ------------------------------- flags ------------------------------- *)
@@ -998,7 +999,6 @@ let bechamel_cmd =
    default parameters (line size 1, sc) and the object's first program. *)
 let setup () =
   let open Bechamel in
-  let module Scenarios = Dssq_checker.Scenarios in
   let tests =
     List.map
       (fun (d : Scenarios.descriptor) ->
@@ -1776,24 +1776,11 @@ let lincheck_run kind (policy : MI.Policy.t) iterations verbose trace_json =
     let record ~tid op f =
       ignore (Recorder.record rec_ ~tid op f)
     in
-    let deq_response v : (Specs.Queue.op, Specs.Queue.response) Dss_spec.response
-        =
-      if v = Dssq_core.Queue_intf.empty_value then Dss_spec.Ret Specs.Queue.Empty
-      else Dss_spec.Ret (Specs.Queue.Value v)
+    let deq_response v =
+      Dss_spec.Ret (Scenarios.removed Scenarios.queue_ops v)
     in
-    let resolved_response (r : Dssq_core.Queue_intf.resolved) :
-        (Specs.Queue.op, Specs.Queue.response) Dss_spec.response =
-      match r with
-      | Nothing -> Dss_spec.Status (None, None)
-      | Enq_pending v -> Dss_spec.Status (Some (Specs.Queue.Enqueue v), None)
-      | Enq_done v ->
-          Dss_spec.Status (Some (Specs.Queue.Enqueue v), Some Specs.Queue.Ok)
-      | Deq_pending -> Dss_spec.Status (Some Specs.Queue.Dequeue, None)
-      | Deq_empty ->
-          Dss_spec.Status (Some Specs.Queue.Dequeue, Some Specs.Queue.Empty)
-      | Deq_done v ->
-          Dss_spec.Status
-            (Some Specs.Queue.Dequeue, Some (Specs.Queue.Value v))
+    let resolved_response r =
+      Scenarios.status (Scenarios.linked_resolved Scenarios.queue_ops r)
     in
     let enqueuer () =
       record ~tid:0 (Dss_spec.Prep (Specs.Queue.Enqueue i)) (fun () ->
@@ -1902,7 +1889,6 @@ let lincheck_cmd =
 (* ------------------------------ explore ------------------------------ *)
 
 module Explore = Dssq_sim.Explore
-module Scenarios = Dssq_checker.Scenarios
 module Mutants = Dssq_checker.Mutants
 module Oracle = Dssq_checker.Oracle
 module Explore_report = Dssq_checker.Explore_report
@@ -1922,6 +1908,8 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
     max_preemptions max_crash_lines crash_samples seed adversary limit
     compare_naive json token_file replay case_name list_only =
   let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "dssq: %s\n" m; exit 2) fmt in
+  if case_name <> None && replay = None then
+    fail "--case requires --replay TOKEN (see --list)";
   let mode =
     match Oracle.mode_of_name mode_name with
     | Some m -> m
@@ -1954,8 +1942,20 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
     | `Off -> [ false ]
   in
   let cases =
-    Scenarios.cases ~objects ~crash_modes ~line_sizes ~policy ?mutation ~mode
-      ~max_preemptions ~max_crash_lines ~crash_samples ~seed ~adversary ~limit
+    Scenarios.cases ~objects ~crash_modes ~line_sizes
+      ~params:
+        {
+          Scenarios.default_params with
+          policy;
+          mutation;
+          mode;
+          max_preemptions;
+          max_crash_lines;
+          crash_samples;
+          seed;
+          adversary;
+          limit;
+        }
       ()
   in
   if list_only then begin
@@ -2267,7 +2267,8 @@ let explore_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "case" ] ~docv:"NAME" ~doc:"corpus case to replay (see --list)")
+      & info [ "case" ] ~docv:"NAME"
+          ~doc:"corpus case to replay; requires --replay (see --list)")
   in
   let list_only =
     Arg.(value & flag & info [ "list" ] ~doc:"list corpus case names and exit")

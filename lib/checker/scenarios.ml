@@ -1,6 +1,7 @@
-(** The litmus corpus: ready-made model-checking scenarios for all four
-    DSS objects (queue, stack, register, hash map), 2–3 threads, with
-    and without crashes, at configurable persist-line sizes.
+(** The litmus corpus: ready-made model-checking scenarios for all eight
+    DSS objects (queue, stack, register, hash map, swap, deque, priority
+    queue, bounded counter), 2–3 threads, with and without crashes, at
+    configurable persist-line sizes.
 
     Every case wires the same pieces together: a fresh simulated heap
     (optionally behind a {!Mutants} interposer), the object built over
@@ -16,6 +17,11 @@
     preps run (and are recorded) during setup, the scheduler interleaves
     the exec phases.  This keeps per-thread step counts near ten, which
     is what makes exhaustive crash enumeration affordable in CI.
+
+    Every [D<T>] object goes through one builder ({!detectable_setup}):
+    the protocol above is object-independent because [D<T>] gives every
+    object the same surface.  An object supplies only its specification,
+    an {!adapter} onto that surface and a table of {!program}s.
 
     The hash map has no prep/exec split — [put]/[remove] are single
     detectable calls — so its oracle is plain strict linearizability of
@@ -36,6 +42,7 @@ module Specs = Dssq_spec.Specs
 module Recorder = Dssq_history.Recorder
 module Lincheck = Dssq_lincheck.Lincheck
 module Queue_intf = Dssq_core.Queue_intf
+module Detectable_intf = Dssq_core.Detectable_intf
 
 type params = {
   crashes : bool;
@@ -167,695 +174,472 @@ let memory ~(params : params) heap =
   | None -> mem
 
 (* ---------------------------------------------------------------------- *)
-(* Queue and stack share the Queue_intf.resolved vocabulary.               *)
+(* What every object shares: recovery wiring, programs, the finish frame.  *)
 
-let queue_progs =
-  [ "enq-deq"; "enq-enq"; "enq-enq-deq"; "mid-alloc"; "mid-link" ]
+(** The recovery system every corpus object registers with, and the
+    checked [reattach] the explorer runs on each crashed execution: it
+    fails on a leaked node or on a recovered-structure violation.  Each
+    object creates the system where its heap layout always had it —
+    before the object for queue, stack, register and hash map, after it
+    for the engine objects — because cell and line ids appear in replay
+    tokens. *)
+module System (M : Dssq_memory.Memory_intf.S) = struct
+  include Dssq_core.Recovery.Make (M)
 
-let queue_setup ~(params : params) ~prog () =
-  let heap = heap ~params in
-  let (module M) = memory ~params heap in
-  let module Q = Dssq_core.Dss_queue.Make (M) in
-  let module Sys = Dssq_core.Recovery.Make (M) in
-  let sys = Sys.create ~nthreads:3 ~wal_lane_capacity:16 ~root_capacity:4 () in
-  (* [reclaim:false] keeps epoch-based reclamation out of the explored
-     step space; node recycling has its own tests.  The pool's
-     alloc/free intents go through the system WAL (log-then-link), so
-     crashes landing mid-alloc or mid-log-append are recoverable. *)
-  let q =
-    Q.create ~wal:(Sys.wal sys)
-      ~pool_id:(Sys.fresh_pool_id sys)
-      ~reclaim:false ~combine:(params.policy = Combine) ~nthreads:3
-      ~capacity:8 ()
-  in
-  ignore
-    (Sys.register sys ~name:"queue"
-       ~audit:(fun () -> Dssq_core.Recovery.audit_of_pool (Q.audit q))
-       (fun () -> Q.recover q)
-      : int);
-  let reattach () =
-    let r = Sys.reattach sys in
-    if r.Dssq_core.Recovery.leaked_total > 0 then
-      failwith
-        (Printf.sprintf "queue: %d node(s) leaked after reattach"
-           r.Dssq_core.Recovery.leaked_total);
-    match Q.recovered_violations q with
-    | [] -> ()
-    | vs ->
+  let create ~wal_lane_capacity =
+    create ~nthreads:3 ~wal_lane_capacity ~root_capacity:4 ()
+
+  let attach t ~name ?audit ?(violations = fun () -> []) recover =
+    ignore (register t ~name ?audit recover : int);
+    fun () ->
+      let r = reattach t in
+      if r.Dssq_core.Recovery.leaked_total > 0 then
         failwith
-          ("queue: recovered-structure violations: " ^ String.concat "; " vs)
+          (Printf.sprintf "%s: %d node(s) leaked after reattach" name
+             r.leaked_total);
+      match violations () with
+      | [] -> ()
+      | vs ->
+          failwith
+            (name ^ ": recovered-structure violations: "
+           ^ String.concat "; " vs)
+end
+
+(** The direct-mode read-back that anchors the final state in the
+    history. *)
+type ('op, 'r) observe =
+  | Reads of 'op list  (** each op once *)
+  | Drain of 'op * 'r  (** the op until it answers ['r], at most 8 times *)
+
+(** A small explored program, as plain data.  Seeds and the read-back
+    run in direct mode as thread {!observer}; each [preps] entry is
+    prepped in setup and its exec explored as one thread; each
+    [base_threads] entry is one explored thread of plain (Axiom 4)
+    calls.  After a crash every prepped thread resolves and retries. *)
+type ('op, 'r) program = {
+  prog : string;
+  seed : 'op list;
+  preps : (int * 'op) list;
+  base_threads : (int * 'op list) list;
+  observe : ('op, 'r) observe;
+}
+
+let observer = 2
+
+let observe base = function
+  | Reads ops -> List.iter (fun op -> ignore (base ~tid:observer op)) ops
+  | Drain (op, last) ->
+      let rec go guard =
+        if guard > 0 && base ~tid:observer op <> last then go (guard - 1)
+      in
+      go 8
+
+(* The post-execution frame: after a crash, mark it and run the object's
+   resolve/retry protocol; then the read-back; then the oracle. *)
+let finish ~(params : params) rec_ spec ~retry ~observe ~crashed =
+  (try
+     if crashed then begin
+       (* [reattach] already ran: the explorer's crash hook routes every
+          crashed execution through the system-level recovery (WAL
+          replay, root re-attach, recover, leak audit) first. *)
+       Recorder.crash rec_;
+       retry ()
+     end;
+     observe ()
+   with Mutants.Livelock ->
+     (* Planted bugs can destroy liveness (see {!Mutants.Livelock}).
+        Observation cut short: mark the in-flight operation as crashed
+        so the truncated history is still checkable.  This only adds
+        linearization freedom, so a violation found here is genuine. *)
+     Recorder.crash rec_);
+  Oracle.assert_linearizable ~mode:params.mode spec (Recorder.history rec_)
+
+(* ---------------------------------------------------------------------- *)
+(* The D<T> builder.                                                       *)
+
+(** An object's [D<T>] surface in one vocabulary: [prep] announces,
+    [exec] applies the announced op (passed in, so an object with one
+    exec per op kind can pick it), [base] is the plain op (Axiom 4), and
+    [resolve] answers [(A[p], R[p])]. *)
+type ('op, 'r) adapter = {
+  prep : tid:int -> 'op -> unit;
+  exec : tid:int -> 'op -> 'r;
+  base : tid:int -> 'op -> 'r;
+  resolve : tid:int -> ('op, 'r) Detectable_intf.resolved;
+}
+
+(** [resolve]'s answer as the [D<T>] [Resolve] response. *)
+let status : ('op, 'r) Detectable_intf.resolved -> ('op, 'r) Dss_spec.response
+    = function
+  | Nothing -> Dss_spec.Status (None, None)
+  | Pending op -> Dss_spec.Status (Some op, None)
+  | Done (op, r) -> Dss_spec.Status (Some op, Some r)
+
+(* The one record/resolve/retry protocol for every D<T> object.
+   [instantiate] builds the object and its recovery system over the
+   scenario's memory and returns the adapter and the checked reattach. *)
+let detectable_setup (type op r) ~(params : params) ~dspec
+    ~(instantiate :
+       combine:bool ->
+       (module Dssq_memory.Memory_intf.S) ->
+       (op, r) adapter * (unit -> unit)) (p : (op, r) program) () =
+  let heap = heap ~params in
+  let o, reattach =
+    instantiate ~combine:(params.policy = Combine) (memory ~params heap)
   in
   let rec_ = Recorder.create () in
-  let spec = Dss_spec.make ~nthreads:3 (Specs.Queue.spec ()) in
   let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
-  let deq_response v : _ Dss_spec.response =
-    if v = Queue_intf.empty_value then Dss_spec.Ret Specs.Queue.Empty
-    else Dss_spec.Ret (Specs.Queue.Value v)
+  let exec ~tid op =
+    record ~tid (Dss_spec.Exec op) (fun () -> Dss_spec.Ret (o.exec ~tid op))
   in
-  let resolved_response (r : Queue_intf.resolved) : _ Dss_spec.response =
-    match r with
-    | Queue_intf.Nothing -> Dss_spec.Status (None, None)
-    | Queue_intf.Enq_pending v ->
-        Dss_spec.Status (Some (Specs.Queue.Enqueue v), None)
-    | Queue_intf.Enq_done v ->
-        Dss_spec.Status (Some (Specs.Queue.Enqueue v), Some Specs.Queue.Ok)
-    | Queue_intf.Deq_pending -> Dss_spec.Status (Some Specs.Queue.Dequeue, None)
-    | Queue_intf.Deq_empty ->
-        Dss_spec.Status (Some Specs.Queue.Dequeue, Some Specs.Queue.Empty)
-    | Queue_intf.Deq_done v ->
-        Dss_spec.Status (Some Specs.Queue.Dequeue, Some (Specs.Queue.Value v))
+  let base ~tid op =
+    let uid = Recorder.invoke rec_ ~tid (Dss_spec.Base op) in
+    let r = o.base ~tid op in
+    Recorder.response rec_ ~uid (Dss_spec.Ret r);
+    r
   in
-  let prep_enq ~tid v =
-    record ~tid
-      (Dss_spec.Prep (Specs.Queue.Enqueue v))
-      (fun () ->
-        Q.prep_enqueue q ~tid v;
-        Dss_spec.Ack)
+  List.iter (fun op -> ignore (base ~tid:observer op)) p.seed;
+  List.iter
+    (fun (tid, op) ->
+      record ~tid (Dss_spec.Prep op) (fun () ->
+          o.prep ~tid op;
+          Dss_spec.Ack))
+    p.preps;
+  let threads =
+    List.map (fun (tid, op) () -> exec ~tid op) p.preps
+    @ List.map
+        (fun (tid, ops) () -> List.iter (fun op -> ignore (base ~tid op)) ops)
+        p.base_threads
   in
-  let exec_enq ~tid v =
-    record ~tid
-      (Dss_spec.Exec (Specs.Queue.Enqueue v))
-      (fun () ->
-        Q.exec_enqueue q ~tid;
-        Dss_spec.Ret Specs.Queue.Ok)
+  let retry () =
+    List.iter
+      (fun (tid, _) ->
+        record ~tid Dss_spec.Resolve (fun () -> status (o.resolve ~tid));
+        match o.resolve ~tid with
+        | Pending op -> exec ~tid op
+        | Nothing | Done _ -> ())
+      p.preps
   in
-  let prep_deq ~tid =
-    record ~tid (Dss_spec.Prep Specs.Queue.Dequeue) (fun () ->
-        Q.prep_dequeue q ~tid;
-        Dss_spec.Ack)
+  let finish =
+    finish ~params rec_ dspec ~retry ~observe:(fun () -> observe base p.observe)
   in
-  let exec_deq ~tid =
-    record ~tid (Dss_spec.Exec Specs.Queue.Dequeue) (fun () ->
-        deq_response (Q.exec_dequeue q ~tid))
+  { Explore.ctx = { finish; reattach }; heap; threads }
+
+(** The queue and stack answer [resolve] in {!Queue_intf.resolved} and a
+    remove with a raw int ({!Queue_intf.empty_value} for EMPTY).  This
+    is the one mapping of both onto a specification's alphabet. *)
+type ('op, 'r) linked = {
+  insert : int -> 'op;
+  remove : 'op;
+  ok : 'r;
+  empty : 'r;
+  value : int -> 'r;
+}
+
+let queue_ops : (Specs.Queue.op, Specs.Queue.response) linked =
+  {
+    insert = (fun v -> Enqueue v);
+    remove = Dequeue;
+    ok = Ok;
+    empty = Empty;
+    value = (fun v -> Value v);
+  }
+
+let stack_ops : (Specs.Stack.op, Specs.Stack.response) linked =
+  {
+    insert = (fun v -> Push v);
+    remove = Pop;
+    ok = Ok;
+    empty = Empty;
+    value = (fun v -> Value v);
+  }
+
+(** A remove's raw return as a response. *)
+let removed l v = if v = Queue_intf.empty_value then l.empty else l.value v
+
+let linked_resolved l : Queue_intf.resolved -> _ Detectable_intf.resolved =
+  function
+  | Nothing -> Nothing
+  | Enq_pending v -> Pending (l.insert v)
+  | Enq_done v -> Done (l.insert v, l.ok)
+  | Deq_pending -> Pending l.remove
+  | Deq_empty -> Done (l.remove, l.empty)
+  | Deq_done v -> Done (l.remove, l.value v)
+
+(* ---------------------------------------------------------------------- *)
+(* The objects: instance, then program table.                              *)
+
+(* [reclaim:false] keeps epoch-based reclamation out of the explored
+   step space; node recycling has its own tests.  The pool's alloc/free
+   intents go through the system WAL (log-then-link), so crashes landing
+   mid-alloc or mid-log-append are recoverable. *)
+let queue_instance ~combine (module M : Dssq_memory.Memory_intf.S) =
+  let module Q = Dssq_core.Dss_queue.Make (M) in
+  let module Sys = System (M) in
+  let sys = Sys.create ~wal_lane_capacity:16 in
+  let q =
+    Q.create ~wal:(Sys.wal sys) ~pool_id:(Sys.fresh_pool_id sys)
+      ~reclaim:false ~combine ~nthreads:3 ~capacity:8 ()
   in
-  let base_deq ~tid =
-    let v = ref Queue_intf.empty_value in
-    record ~tid (Dss_spec.Base Specs.Queue.Dequeue) (fun () ->
-        v := Q.dequeue q ~tid;
-        deq_response !v);
-    !v
+  let reattach =
+    Sys.attach sys ~name:"queue"
+      ~audit:(fun () -> Dssq_core.Recovery.audit_of_pool (Q.audit q))
+      ~violations:(fun () -> Q.recovered_violations q)
+      (fun () -> Q.recover q)
   in
-  let base_enq ~tid v =
-    record ~tid
-      (Dss_spec.Base (Specs.Queue.Enqueue v))
-      (fun () ->
-        Q.enqueue q ~tid v;
-        Dss_spec.Ret Specs.Queue.Ok)
+  let open Specs.Queue in
+  ( {
+      prep =
+        (fun ~tid -> function
+          | Enqueue v -> Q.prep_enqueue q ~tid v
+          | Dequeue -> Q.prep_dequeue q ~tid);
+      exec =
+        (fun ~tid -> function
+          | Enqueue _ ->
+              Q.exec_enqueue q ~tid;
+              Ok
+          | Dequeue -> removed queue_ops (Q.exec_dequeue q ~tid));
+      base =
+        (fun ~tid -> function
+          | Enqueue v ->
+              Q.enqueue q ~tid v;
+              Ok
+          | Dequeue -> removed queue_ops (Q.dequeue q ~tid));
+      resolve = (fun ~tid -> linked_resolved queue_ops (Q.resolve q ~tid));
+    },
+    reattach )
+
+(* Every queue program seeds one element, so dequeues race over both
+   list shapes (empty and non-empty), and drains the queue at the end. *)
+let queue_progs =
+  let open Specs.Queue in
+  let prog ?(preps = []) ?(base_threads = []) prog =
+    { prog; seed = [ Enqueue 90 ]; preps; base_threads;
+      observe = Drain (Dequeue, Empty) }
   in
-  (* Seed one element in direct mode so dequeues race over both list
-     shapes (empty and non-empty). *)
-  base_enq ~tid:2 90;
-  let threads, tids =
-    match prog with
-    | "enq-deq" ->
-        prep_enq ~tid:0 5;
-        prep_deq ~tid:1;
-        ([ (fun () -> exec_enq ~tid:0 5); (fun () -> exec_deq ~tid:1) ], [ 0; 1 ])
-    | "enq-enq" ->
-        prep_enq ~tid:0 5;
-        prep_enq ~tid:1 7;
-        ( [ (fun () -> exec_enq ~tid:0 5); (fun () -> exec_enq ~tid:1 7) ],
-          [ 0; 1 ] )
-    | "enq-enq-deq" ->
-        prep_enq ~tid:0 5;
-        prep_enq ~tid:1 7;
-        prep_deq ~tid:2;
-        ( [
-            (fun () -> exec_enq ~tid:0 5);
-            (fun () -> exec_enq ~tid:1 7);
-            (fun () -> exec_deq ~tid:2);
-          ],
-          [ 0; 1; 2 ] )
+  [
+    prog "enq-deq" ~preps:[ (0, Enqueue 5); (1, Dequeue) ];
+    prog "enq-enq" ~preps:[ (0, Enqueue 5); (1, Enqueue 7) ];
+    prog "enq-enq-deq" ~preps:[ (0, Enqueue 5); (1, Enqueue 7); (2, Dequeue) ];
     (* The whole-recovery cases: a plain enqueue (and dequeue) explored
        end to end — allocation, WAL append, link, tail swing — so the
        crash adversary can land mid-alloc and mid-log-append, between
        the logged intent and the node becoming reachable.  Single
        explored thread: these probe crash coverage, not races (the
        prep/exec programs above cover those). *)
-    | "mid-alloc" -> ([ (fun () -> base_enq ~tid:0 5) ], [])
-    | "mid-link" ->
-        ( [
-            (fun () ->
-              base_enq ~tid:0 5;
-              ignore (base_deq ~tid:0));
-          ],
-          [] )
-    | p -> invalid_arg ("Scenarios.queue_setup: unknown program " ^ p)
-  in
-  let drain () =
-    let rec go guard =
-      if guard > 0 && base_deq ~tid:2 <> Queue_intf.empty_value then
-        go (guard - 1)
-    in
-    go 8
-  in
-  let resolve_retry ~tid =
-    record ~tid Dss_spec.Resolve (fun () -> resolved_response (Q.resolve q ~tid));
-    match Q.resolve q ~tid with
-    | Queue_intf.Enq_pending v -> exec_enq ~tid v
-    | Queue_intf.Deq_pending -> exec_deq ~tid
-    | _ -> ()
-  in
-  let finish ~crashed =
-    (* Planted bugs can destroy liveness (see {!Mutants.Livelock}); the
-       budget bounds the direct-mode protocol and the oracle judges the
-       history recorded so far — which already contains any stale
-       resolve response. *)
-    (try
-       if crashed then begin
-         (* [reattach] already ran: the explorer's crash hook routes
-            every crashed execution through the system-level recovery
-            (WAL replay, root re-attach, Q.recover, leak audit) before
-            this protocol resumes. *)
-         Recorder.crash rec_;
-         List.iter (fun tid -> resolve_retry ~tid) tids
-       end;
-       drain ()
-     with Mutants.Livelock ->
-       (* Observation cut short: mark the in-flight operation as crashed
-          so the truncated history is still checkable.  This only adds
-          linearization freedom, so a violation found here is genuine. *)
-       Recorder.crash rec_);
-    Oracle.assert_linearizable ~mode:params.mode spec (Recorder.history rec_)
-  in
-  { Explore.ctx = { finish; reattach }; heap; threads }
+    prog "mid-alloc" ~base_threads:[ (0, [ Enqueue 5 ]) ];
+    prog "mid-link" ~base_threads:[ (0, [ Enqueue 5; Dequeue ]) ];
+  ]
 
-let stack_progs = [ "push-pop"; "push-push" ]
-
-let stack_setup ~(params : params) ~prog () =
-  let heap = heap ~params in
-  let (module M) = memory ~params heap in
+let stack_instance ~combine (module M : Dssq_memory.Memory_intf.S) =
   let module S = Dssq_core.Dss_stack.Make (M) in
-  let module Sys = Dssq_core.Recovery.Make (M) in
-  let sys = Sys.create ~nthreads:3 ~wal_lane_capacity:16 ~root_capacity:4 () in
+  let module Sys = System (M) in
+  let sys = Sys.create ~wal_lane_capacity:16 in
   let s =
-    S.create ~wal:(Sys.wal sys)
-      ~pool_id:(Sys.fresh_pool_id sys)
-      ~reclaim:false ~combine:(params.policy = Combine) ~nthreads:3
-      ~capacity:8 ()
+    S.create ~wal:(Sys.wal sys) ~pool_id:(Sys.fresh_pool_id sys)
+      ~reclaim:false ~combine ~nthreads:3 ~capacity:8 ()
   in
-  ignore
-    (Sys.register sys ~name:"stack"
-       ~audit:(fun () -> Dssq_core.Recovery.audit_of_pool (S.audit s))
-       (fun () -> S.recover s)
-      : int);
-  let reattach () =
-    let r = Sys.reattach sys in
-    if r.Dssq_core.Recovery.leaked_total > 0 then
-      failwith
-        (Printf.sprintf "stack: %d node(s) leaked after reattach"
-           r.Dssq_core.Recovery.leaked_total)
+  let reattach =
+    Sys.attach sys ~name:"stack"
+      ~audit:(fun () -> Dssq_core.Recovery.audit_of_pool (S.audit s))
+      (fun () -> S.recover s)
   in
-  let rec_ = Recorder.create () in
-  let spec = Dss_spec.make ~nthreads:3 (Specs.Stack.spec ()) in
-  let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
-  let pop_response v : _ Dss_spec.response =
-    if v = Queue_intf.empty_value then Dss_spec.Ret Specs.Stack.Empty
-    else Dss_spec.Ret (Specs.Stack.Value v)
-  in
-  let resolved_response (r : Queue_intf.resolved) : _ Dss_spec.response =
-    match r with
-    | Queue_intf.Nothing -> Dss_spec.Status (None, None)
-    | Queue_intf.Enq_pending v ->
-        Dss_spec.Status (Some (Specs.Stack.Push v), None)
-    | Queue_intf.Enq_done v ->
-        Dss_spec.Status (Some (Specs.Stack.Push v), Some Specs.Stack.Ok)
-    | Queue_intf.Deq_pending -> Dss_spec.Status (Some Specs.Stack.Pop, None)
-    | Queue_intf.Deq_empty ->
-        Dss_spec.Status (Some Specs.Stack.Pop, Some Specs.Stack.Empty)
-    | Queue_intf.Deq_done v ->
-        Dss_spec.Status (Some Specs.Stack.Pop, Some (Specs.Stack.Value v))
-  in
-  let prep_push ~tid v =
-    record ~tid
-      (Dss_spec.Prep (Specs.Stack.Push v))
-      (fun () ->
-        S.prep_push s ~tid v;
-        Dss_spec.Ack)
-  in
-  let exec_push ~tid v =
-    record ~tid
-      (Dss_spec.Exec (Specs.Stack.Push v))
-      (fun () ->
-        S.exec_push s ~tid;
-        Dss_spec.Ret Specs.Stack.Ok)
-  in
-  let prep_pop ~tid =
-    record ~tid (Dss_spec.Prep Specs.Stack.Pop) (fun () ->
-        S.prep_pop s ~tid;
-        Dss_spec.Ack)
-  in
-  let exec_pop ~tid =
-    record ~tid (Dss_spec.Exec Specs.Stack.Pop) (fun () ->
-        pop_response (S.exec_pop s ~tid))
-  in
-  let base_pop ~tid =
-    let v = ref Queue_intf.empty_value in
-    record ~tid (Dss_spec.Base Specs.Stack.Pop) (fun () ->
-        v := S.pop s ~tid;
-        pop_response !v);
-    !v
-  in
-  record ~tid:2
-    (Dss_spec.Base (Specs.Stack.Push 90))
-    (fun () ->
-      S.push s ~tid:2 90;
-      Dss_spec.Ret Specs.Stack.Ok);
-  let threads, tids =
-    match prog with
-    | "push-pop" ->
-        prep_push ~tid:0 5;
-        prep_pop ~tid:1;
-        ( [ (fun () -> exec_push ~tid:0 5); (fun () -> exec_pop ~tid:1) ],
-          [ 0; 1 ] )
-    | "push-push" ->
-        prep_push ~tid:0 5;
-        prep_push ~tid:1 7;
-        ( [ (fun () -> exec_push ~tid:0 5); (fun () -> exec_push ~tid:1 7) ],
-          [ 0; 1 ] )
-    | p -> invalid_arg ("Scenarios.stack_setup: unknown program " ^ p)
-  in
-  let drain () =
-    let rec go guard =
-      if guard > 0 && base_pop ~tid:2 <> Queue_intf.empty_value then
-        go (guard - 1)
-    in
-    go 8
-  in
-  let resolve_retry ~tid =
-    record ~tid Dss_spec.Resolve (fun () -> resolved_response (S.resolve s ~tid));
-    match S.resolve s ~tid with
-    | Queue_intf.Enq_pending v -> exec_push ~tid v
-    | Queue_intf.Deq_pending -> exec_pop ~tid
-    | _ -> ()
-  in
-  let finish ~crashed =
-    (try
-       if crashed then begin
-         Recorder.crash rec_;
-         List.iter (fun tid -> resolve_retry ~tid) tids
-       end;
-       drain ()
-     with Mutants.Livelock ->
-       (* Observation cut short: mark the in-flight operation as crashed
-          so the truncated history is still checkable.  This only adds
-          linearization freedom, so a violation found here is genuine. *)
-       Recorder.crash rec_);
-    Oracle.assert_linearizable ~mode:params.mode spec (Recorder.history rec_)
-  in
-  { Explore.ctx = { finish; reattach }; heap; threads }
+  let open Specs.Stack in
+  ( {
+      prep =
+        (fun ~tid -> function
+          | Push v -> S.prep_push s ~tid v | Pop -> S.prep_pop s ~tid);
+      exec =
+        (fun ~tid -> function
+          | Push _ ->
+              S.exec_push s ~tid;
+              Ok
+          | Pop -> removed stack_ops (S.exec_pop s ~tid));
+      base =
+        (fun ~tid -> function
+          | Push v ->
+              S.push s ~tid v;
+              Ok
+          | Pop -> removed stack_ops (S.pop s ~tid));
+      resolve = (fun ~tid -> linked_resolved stack_ops (S.resolve s ~tid));
+    },
+    reattach )
 
-(* ---------------------------------------------------------------------- *)
-(* Register.                                                               *)
+let stack_progs =
+  let open Specs.Stack in
+  let prog prog preps =
+    { prog; seed = [ Push 90 ]; preps; base_threads = [];
+      observe = Drain (Pop, Empty) }
+  in
+  [
+    prog "push-pop" [ (0, Push 5); (1, Pop) ];
+    prog "push-push" [ (0, Push 5); (1, Push 7) ];
+  ]
 
-let register_progs = [ "write-write"; "write-read" ]
-
-let register_setup ~(params : params) ~prog () =
-  let heap = heap ~params in
-  let (module M) = memory ~params heap in
+let register_instance ~combine:_ (module M : Dssq_memory.Memory_intf.S) =
   let module R = Dssq_core.Dss_register.Make (M) in
-  let module Sys = Dssq_core.Recovery.Make (M) in
-  let sys = Sys.create ~nthreads:3 ~wal_lane_capacity:8 ~root_capacity:4 () in
+  let module Sys = System (M) in
+  let sys = Sys.create ~wal_lane_capacity:8 in
   let r = R.create ~init:0 ~nthreads:3 () in
-  ignore (Sys.register sys ~name:"register" (fun () -> R.recover r) : int);
-  let reattach () =
-    ignore (Sys.reattach sys : Dssq_core.Recovery.report)
+  let reattach = Sys.attach sys ~name:"register" (fun () -> R.recover r) in
+  let open Specs.Register in
+  ( {
+      prep =
+        (fun ~tid -> function
+          | Write v -> R.prep_write r ~tid v | Read -> R.prep_read r ~tid);
+      exec =
+        (fun ~tid -> function
+          | Write _ ->
+              R.exec_write r ~tid;
+              Ok
+          | Read -> Value (R.exec_read r ~tid));
+      base =
+        (fun ~tid -> function
+          | Write v ->
+              R.write r ~tid v;
+              Ok
+          | Read -> Value (R.read r ~tid));
+      resolve =
+        (fun ~tid : (op, response) Detectable_intf.resolved ->
+          match R.resolve r ~tid with
+          | R.Nothing -> Nothing
+          | R.Write_pending v -> Pending (Write v)
+          | R.Write_done v -> Done (Write v, Ok)
+          | R.Read_pending -> Pending Read
+          | R.Read_done v -> Done (Read, Value v));
+    },
+    reattach )
+
+let register_progs =
+  let open Specs.Register in
+  [
+    { prog = "write-write"; seed = []; preps = [ (0, Write 5); (1, Write 7) ];
+      base_threads = []; observe = Reads [ Read ] };
+    { prog = "write-read"; seed = []; preps = [ (0, Write 5) ];
+      base_threads = [ (1, [ Read ]) ]; observe = Reads [ Read ] };
+  ]
+
+(* The engine objects ({!Dssq_core.Detectable.Make}) already speak the
+   uniform vocabulary; [make] applies the object's functor.  Their
+   recovery system follows the object. *)
+let engine (type op r) make ~combine mem =
+  let (module M : Dssq_memory.Memory_intf.S) = mem in
+  let (module O : Detectable_intf.GENERIC
+        with type op = op
+         and type response = r) =
+    make mem
   in
-  let rec_ = Recorder.create () in
-  let spec = Dss_spec.make ~nthreads:3 (Specs.Register.spec ~init:0 ()) in
-  let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
-  let prep_write ~tid v =
-    record ~tid
-      (Dss_spec.Prep (Specs.Register.Write v))
-      (fun () ->
-        R.prep_write r ~tid v;
-        Dss_spec.Ack)
-  in
-  let exec_write ~tid v =
-    record ~tid
-      (Dss_spec.Exec (Specs.Register.Write v))
-      (fun () ->
-        R.exec_write r ~tid;
-        Dss_spec.Ret Specs.Register.Ok)
-  in
-  let exec_read ~tid =
-    record ~tid (Dss_spec.Exec Specs.Register.Read) (fun () ->
-        Dss_spec.Ret (Specs.Register.Value (R.exec_read r ~tid)))
-  in
-  let base_read ~tid =
-    record ~tid (Dss_spec.Base Specs.Register.Read) (fun () ->
-        Dss_spec.Ret (Specs.Register.Value (R.read r ~tid)))
-  in
-  let resolved_response ~tid : _ Dss_spec.response =
-    match R.resolve r ~tid with
-    | R.Nothing -> Dss_spec.Status (None, None)
-    | R.Write_pending v ->
-        Dss_spec.Status (Some (Specs.Register.Write v), None)
-    | R.Write_done v ->
-        Dss_spec.Status (Some (Specs.Register.Write v), Some Specs.Register.Ok)
-    | R.Read_pending -> Dss_spec.Status (Some Specs.Register.Read, None)
-    | R.Read_done v ->
-        Dss_spec.Status
-          (Some Specs.Register.Read, Some (Specs.Register.Value v))
-  in
-  let threads, tids =
-    match prog with
-    | "write-write" ->
-        prep_write ~tid:0 5;
-        prep_write ~tid:1 7;
-        ( [ (fun () -> exec_write ~tid:0 5); (fun () -> exec_write ~tid:1 7) ],
-          [ 0; 1 ] )
-    | "write-read" ->
-        prep_write ~tid:0 5;
-        ([ (fun () -> exec_write ~tid:0 5); (fun () -> base_read ~tid:1) ], [ 0 ])
-    | p -> invalid_arg ("Scenarios.register_setup: unknown program " ^ p)
-  in
-  let resolve_retry ~tid =
-    record ~tid Dss_spec.Resolve (fun () -> resolved_response ~tid);
-    match R.resolve r ~tid with
-    | R.Write_pending _v -> exec_write ~tid _v
-    | R.Read_pending -> exec_read ~tid
-    | _ -> ()
-  in
-  let finish ~crashed =
-    (try
-       if crashed then begin
-         Recorder.crash rec_;
-         List.iter (fun tid -> resolve_retry ~tid) tids
-       end;
-       base_read ~tid:2
-     with Mutants.Livelock ->
-       (* Observation cut short: mark the in-flight operation as crashed
-          so the truncated history is still checkable.  This only adds
-          linearization freedom, so a violation found here is genuine. *)
-       Recorder.crash rec_);
-    Oracle.assert_linearizable ~mode:params.mode spec (Recorder.history rec_)
-  in
-  { Explore.ctx = { finish; reattach }; heap; threads }
+  let o = O.create ~combine ~nthreads:3 () in
+  let module Sys = System (M) in
+  let sys = Sys.create ~wal_lane_capacity:8 in
+  let reattach = Sys.attach sys ~name:O.name (fun () -> O.recover o) in
+  ( {
+      prep = O.prep o;
+      exec = (fun ~tid _ -> O.exec o ~tid);
+      base = O.base o;
+      resolve = O.resolve o;
+    },
+    reattach )
+
+let swap_progs =
+  let open Specs.Swap in
+  [
+    { prog = "swap-swap"; seed = []; preps = [ (0, Swap 5); (1, Swap 7) ];
+      base_threads = []; observe = Reads [ Read ] };
+    { prog = "swap-read"; seed = [ Swap 90 ]; preps = [ (0, Swap 5) ];
+      base_threads = [ (1, [ Read ]) ]; observe = Reads [ Read ] };
+  ]
+
+let deque_progs =
+  let open Specs.Deque in
+  [
+    { prog = "front-back"; seed = [ Push_back 90 ];
+      preps = [ (0, Push_front 5); (1, Push_back 7) ]; base_threads = [];
+      observe = Reads [ Pop_front; Pop_front; Pop_front ] };
+    { prog = "push-pop"; seed = [ Push_back 90 ];
+      preps = [ (0, Push_front 5); (1, Pop_back) ]; base_threads = [];
+      observe = Reads [ Pop_front; Pop_front ] };
+  ]
+
+let pqueue_progs =
+  let open Specs.Pqueue in
+  [
+    { prog = "ins-ins"; seed = [ Insert 90 ];
+      preps = [ (0, Insert 5); (1, Insert 7) ]; base_threads = [];
+      observe = Reads [ Extract_min; Extract_min; Extract_min ] };
+    { prog = "ins-extract"; seed = [ Insert 90 ];
+      preps = [ (0, Insert 5); (1, Extract_min) ]; base_threads = [];
+      observe = Reads [ Extract_min; Extract_min ] };
+  ]
+
+let bcounter_progs =
+  let open Specs.Bcounter in
+  [
+    { prog = "inc-inc"; seed = []; preps = [ (0, Increment); (1, Increment) ];
+      base_threads = []; observe = Reads [ Get ] };
+    (* Decrement can race Increment at 0: both orders of the failing and
+       succeeding outcomes must linearize. *)
+    { prog = "inc-dec"; seed = []; preps = [ (0, Increment); (1, Decrement) ];
+      base_threads = []; observe = Reads [ Get ] };
+  ]
 
 (* ---------------------------------------------------------------------- *)
 (* Hash map: plain map linearizability; resolve drives retries only.       *)
 
-let hashmap_progs = [ "put-put"; "put-remove" ]
+let map_spec = Specs.Map.spec ()
 
-let hashmap_setup ~(params : params) ~prog () =
+let hashmap_setup ~(params : params) (p : (Specs.Map.op, _) program) () =
   let heap = heap ~params in
   let (module M) = memory ~params heap in
   let module H = Dssq_core.Dss_hashmap.Make (M) in
-  let module Sys = Dssq_core.Recovery.Make (M) in
-  let sys = Sys.create ~nthreads:3 ~wal_lane_capacity:8 ~root_capacity:4 () in
+  let module Sys = System (M) in
+  let sys = Sys.create ~wal_lane_capacity:8 in
   let h = H.create ~nthreads:3 ~nbuckets:8 () in
-  ignore (Sys.register sys ~name:"hashmap" (fun () -> H.recover h) : int);
-  let reattach () =
-    ignore (Sys.reattach sys : Dssq_core.Recovery.report)
-  in
+  let reattach = Sys.attach sys ~name:"hashmap" (fun () -> H.recover h) in
   let rec_ = Recorder.create () in
-  let spec = Specs.Map.spec () in
-  let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
-  let put ~tid k v =
-    record ~tid
-      (Specs.Map.Put (k, v))
-      (fun () ->
-        H.put h ~tid k v;
-        Specs.Map.Ok)
+  let call ~tid op =
+    Recorder.record rec_ ~tid op (fun () ->
+        match op with
+        | Specs.Map.Put (k, v) ->
+            H.put h ~tid k v;
+            Specs.Map.Ok
+        | Remove k ->
+            H.remove h ~tid k;
+            Ok
+        | Find k -> ( match H.find h k with Some v -> Found v | None -> Absent))
   in
-  let remove ~tid k =
-    record ~tid (Specs.Map.Remove k) (fun () ->
-        H.remove h ~tid k;
-        Specs.Map.Ok)
-  in
-  let find ~tid k =
-    record ~tid (Specs.Map.Find k) (fun () ->
-        match H.find h k with
-        | Some v -> Specs.Map.Found v
-        | None -> Specs.Map.Absent)
-  in
-  put ~tid:2 2 9;
-  let threads, tids =
-    match prog with
-    | "put-put" ->
-        ([ (fun () -> put ~tid:0 1 5); (fun () -> put ~tid:1 1 7) ], [ 0; 1 ])
-    | "put-remove" ->
-        ([ (fun () -> put ~tid:0 1 5); (fun () -> remove ~tid:1 2) ], [ 0; 1 ])
-    | p -> invalid_arg ("Scenarios.hashmap_setup: unknown program " ^ p)
-  in
-  let resolve_retry ~tid =
-    match H.resolve h ~tid with
-    | H.Put_pending (k, v) -> put ~tid k v
-    | H.Remove_pending k -> remove ~tid k
-    | H.Nothing | H.Put_done _ | H.Remove_done _ -> ()
-  in
-  let finish ~crashed =
-    (try
-       if crashed then begin
-         Recorder.crash rec_;
-         List.iter (fun tid -> resolve_retry ~tid) tids
-       end;
-       find ~tid:2 1;
-       find ~tid:2 2
-     with Mutants.Livelock ->
-       (* Observation cut short: mark the in-flight operation as crashed
-          so the truncated history is still checkable.  This only adds
-          linearization freedom, so a violation found here is genuine. *)
-       Recorder.crash rec_);
-    Oracle.assert_linearizable ~mode:params.mode spec (Recorder.history rec_)
-  in
-  { Explore.ctx = { finish; reattach }; heap; threads }
-
-(* ---------------------------------------------------------------------- *)
-(* Engine-made objects (Detectable.Make zoo): one generic scenario         *)
-(* builder; each object contributes its spec, its functor application      *)
-(* and a couple of program tables.                                         *)
-
-(** The face a functor-made object presents to the generic builder —
-    {!Dssq_core.Detectable_intf.GENERIC} flattened into closures so the
-    builder needs no first-class-module plumbing per call. *)
-type ('op, 'r) engine_ops = {
-  e_prep : tid:int -> 'op -> unit;
-  e_exec : tid:int -> 'r;
-  e_base : tid:int -> 'op -> 'r;
-  e_resolve : tid:int -> ('op, 'r) Dssq_core.Detectable_intf.resolved;
-  e_recover : unit -> unit;
-}
-
-(** A small explored program over one engine object: [seed] runs as
-    direct-mode base ops during setup, each [preps] entry is prepped in
-    setup and its exec explored as one thread, [base_threads] are
-    explored plain (Axiom 4) calls, and [observe] is the direct-mode
-    read-back that anchors the final state in the history. *)
-type 'op engine_prog = {
-  seed : (int * 'op) list;
-  preps : (int * 'op) list;
-  base_threads : (int * 'op) list;
-  observe : int * 'op list;
-}
-
-(* The generic engine-object scenario: the record/resolve/retry protocol
-   is object-independent because resolve speaks the uniform
-   [(A[p], R[p])] vocabulary — exactly the dedup the registry below
-   exists for.  New functor-made objects get crash coverage by adding a
-   descriptor, not a bespoke setup. *)
-let engine_setup (type s op r) ~(params : params) ~(spec : (s, op, r) Spec.t)
-    ~(instantiate : (module Dssq_memory.Memory_intf.S) -> (op, r) engine_ops)
-    ~(eprog : op engine_prog) () =
-  let heap = heap ~params in
-  let mem = memory ~params heap in
-  let o = instantiate mem in
-  let module MM = (val mem) in
-  let module Sys = Dssq_core.Recovery.Make (MM) in
-  let sys = Sys.create ~nthreads:3 ~wal_lane_capacity:8 ~root_capacity:4 () in
-  ignore
-    (Sys.register sys ~name:spec.Spec.name (fun () -> o.e_recover ()) : int);
-  let reattach () = ignore (Sys.reattach sys : Dssq_core.Recovery.report) in
-  let rec_ = Recorder.create () in
-  let dspec = Dss_spec.make ~nthreads:3 spec in
-  let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
-  let prep ~tid op =
-    record ~tid (Dss_spec.Prep op) (fun () ->
-        o.e_prep ~tid op;
-        Dss_spec.Ack)
-  in
-  let exec ~tid op =
-    record ~tid (Dss_spec.Exec op) (fun () -> Dss_spec.Ret (o.e_exec ~tid))
-  in
-  let base ~tid op =
-    record ~tid (Dss_spec.Base op) (fun () -> Dss_spec.Ret (o.e_base ~tid op))
-  in
-  let resolved_response ~tid : _ Dss_spec.response =
-    match o.e_resolve ~tid with
-    | Dssq_core.Detectable_intf.Nothing -> Dss_spec.Status (None, None)
-    | Pending op -> Dss_spec.Status (Some op, None)
-    | Done (op, r) -> Dss_spec.Status (Some op, Some r)
-  in
-  List.iter (fun (tid, op) -> base ~tid op) eprog.seed;
-  List.iter (fun (tid, op) -> prep ~tid op) eprog.preps;
+  List.iter (fun op -> ignore (call ~tid:observer op)) p.seed;
   let threads =
-    List.map (fun (tid, op) () -> exec ~tid op) eprog.preps
-    @ List.map (fun (tid, op) () -> base ~tid op) eprog.base_threads
+    List.map
+      (fun (tid, ops) () -> List.iter (fun op -> ignore (call ~tid op)) ops)
+      p.base_threads
   in
-  let tids = List.map fst eprog.preps in
-  let resolve_retry ~tid =
-    record ~tid Dss_spec.Resolve (fun () -> resolved_response ~tid);
-    match o.e_resolve ~tid with Pending op -> exec ~tid op | _ -> ()
+  let retry () =
+    List.iter
+      (fun (tid, _) ->
+        match H.resolve h ~tid with
+        | H.Put_pending (k, v) -> ignore (call ~tid (Put (k, v)))
+        | H.Remove_pending k -> ignore (call ~tid (Remove k))
+        | H.Nothing | H.Put_done _ | H.Remove_done _ -> ())
+      p.base_threads
   in
-  let finish ~crashed =
-    (try
-       if crashed then begin
-         Recorder.crash rec_;
-         List.iter (fun tid -> resolve_retry ~tid) tids
-       end;
-       let otid, obs = eprog.observe in
-       List.iter (fun op -> base ~tid:otid op) obs
-     with Mutants.Livelock ->
-       (* Observation cut short: mark the in-flight operation as crashed
-          so the truncated history is still checkable. *)
-       Recorder.crash rec_);
-    Oracle.assert_linearizable ~mode:params.mode dspec (Recorder.history rec_)
+  let finish =
+    finish ~params rec_ map_spec ~retry
+      ~observe:(fun () -> observe call p.observe)
   in
   { Explore.ctx = { finish; reattach }; heap; threads }
 
-let swap_progs = [ "swap-swap"; "swap-read" ]
-
-let swap_setup ~params ~prog () =
-  let eprog =
-    let open Specs.Swap in
-    match prog with
-    | "swap-swap" ->
-        {
-          seed = [];
-          preps = [ (0, Swap 5); (1, Swap 7) ];
-          base_threads = [];
-          observe = (2, [ Read ]);
-        }
-    | "swap-read" ->
-        {
-          seed = [ (2, Swap 90) ];
-          preps = [ (0, Swap 5) ];
-          base_threads = [ (1, Read) ];
-          observe = (2, [ Read ]);
-        }
-    | p -> invalid_arg ("Scenarios.swap_setup: unknown program " ^ p)
+(* No preps: the hash map's mutations are single detectable calls. *)
+let hashmap_progs =
+  let open Specs.Map in
+  let prog prog base_threads =
+    { prog; seed = [ Put (2, 9) ]; preps = []; base_threads;
+      observe = Reads [ Find 1; Find 2 ] }
   in
-  engine_setup ~params ~spec:(Specs.Swap.spec ())
-    ~instantiate:(fun (module M : Dssq_memory.Memory_intf.S) ->
-      let module O = Dssq_core.Dss_swap.Make (M) in
-      let o = O.create ~combine:(params.policy = Combine) ~nthreads:3 () in
-      {
-        e_prep = (fun ~tid op -> O.prep o ~tid op);
-        e_exec = (fun ~tid -> O.exec o ~tid);
-        e_base = (fun ~tid op -> O.base o ~tid op);
-        e_resolve = (fun ~tid -> O.resolve o ~tid);
-        e_recover = (fun () -> O.recover o);
-      })
-    ~eprog ()
-
-let deque_progs = [ "front-back"; "push-pop" ]
-
-let deque_setup ~params ~prog () =
-  let eprog =
-    let open Specs.Deque in
-    match prog with
-    | "front-back" ->
-        {
-          seed = [ (2, Push_back 90) ];
-          preps = [ (0, Push_front 5); (1, Push_back 7) ];
-          base_threads = [];
-          observe = (2, [ Pop_front; Pop_front; Pop_front ]);
-        }
-    | "push-pop" ->
-        {
-          seed = [ (2, Push_back 90) ];
-          preps = [ (0, Push_front 5); (1, Pop_back) ];
-          base_threads = [];
-          observe = (2, [ Pop_front; Pop_front ]);
-        }
-    | p -> invalid_arg ("Scenarios.deque_setup: unknown program " ^ p)
-  in
-  engine_setup ~params ~spec:(Specs.Deque.spec ())
-    ~instantiate:(fun (module M : Dssq_memory.Memory_intf.S) ->
-      let module O = Dssq_core.Dss_deque.Make (M) in
-      let o = O.create ~combine:(params.policy = Combine) ~nthreads:3 () in
-      {
-        e_prep = (fun ~tid op -> O.prep o ~tid op);
-        e_exec = (fun ~tid -> O.exec o ~tid);
-        e_base = (fun ~tid op -> O.base o ~tid op);
-        e_resolve = (fun ~tid -> O.resolve o ~tid);
-        e_recover = (fun () -> O.recover o);
-      })
-    ~eprog ()
-
-let pqueue_progs = [ "ins-ins"; "ins-extract" ]
-
-let pqueue_setup ~params ~prog () =
-  let eprog =
-    let open Specs.Pqueue in
-    match prog with
-    | "ins-ins" ->
-        {
-          seed = [ (2, Insert 90) ];
-          preps = [ (0, Insert 5); (1, Insert 7) ];
-          base_threads = [];
-          observe = (2, [ Extract_min; Extract_min; Extract_min ]);
-        }
-    | "ins-extract" ->
-        {
-          seed = [ (2, Insert 90) ];
-          preps = [ (0, Insert 5); (1, Extract_min) ];
-          base_threads = [];
-          observe = (2, [ Extract_min; Extract_min ]);
-        }
-    | p -> invalid_arg ("Scenarios.pqueue_setup: unknown program " ^ p)
-  in
-  engine_setup ~params ~spec:(Specs.Pqueue.spec ())
-    ~instantiate:(fun (module M : Dssq_memory.Memory_intf.S) ->
-      let module O = Dssq_core.Dss_pqueue.Make (M) in
-      let o = O.create ~combine:(params.policy = Combine) ~nthreads:3 () in
-      {
-        e_prep = (fun ~tid op -> O.prep o ~tid op);
-        e_exec = (fun ~tid -> O.exec o ~tid);
-        e_base = (fun ~tid op -> O.base o ~tid op);
-        e_resolve = (fun ~tid -> O.resolve o ~tid);
-        e_recover = (fun () -> O.recover o);
-      })
-    ~eprog ()
-
-let bcounter_progs = [ "inc-inc"; "inc-dec" ]
-
-let bcounter_setup ~params ~prog () =
-  let eprog =
-    let open Specs.Bcounter in
-    match prog with
-    | "inc-inc" ->
-        {
-          seed = [];
-          preps = [ (0, Increment); (1, Increment) ];
-          base_threads = [];
-          observe = (2, [ Get ]);
-        }
-    | "inc-dec" ->
-        (* Decrement can race Increment at 0: both orders of the failing
-           and succeeding outcomes must linearize. *)
-        {
-          seed = [];
-          preps = [ (0, Increment); (1, Decrement) ];
-          base_threads = [];
-          observe = (2, [ Get ]);
-        }
-    | p -> invalid_arg ("Scenarios.bcounter_setup: unknown program " ^ p)
-  in
-  engine_setup ~params
-    ~spec:(Specs.Bcounter.spec ~bound:Dssq_core.Dss_bcounter.bound ())
-    ~instantiate:(fun (module M : Dssq_memory.Memory_intf.S) ->
-      let module O = Dssq_core.Dss_bcounter.Make (M) in
-      let o = O.create ~combine:(params.policy = Combine) ~nthreads:3 () in
-      {
-        e_prep = (fun ~tid op -> O.prep o ~tid op);
-        e_exec = (fun ~tid -> O.exec o ~tid);
-        e_base = (fun ~tid op -> O.base o ~tid op);
-        e_resolve = (fun ~tid -> O.resolve o ~tid);
-        e_recover = (fun () -> O.recover o);
-      })
-    ~eprog ()
+  [
+    prog "put-put" [ (0, [ Put (1, 5) ]); (1, [ Put (1, 7) ]) ];
+    prog "put-remove" [ (0, [ Put (1, 5) ]); (1, [ Remove 2 ]) ];
+  ]
 
 (* ---------------------------------------------------------------------- *)
 (* Corpus assembly: the object registry.                                   *)
@@ -871,61 +655,55 @@ type descriptor = {
   d_setup : params:params -> prog:string -> unit -> world Explore.scenario;
 }
 
+(* Everything but the set-up itself derives from the program table. *)
+let descriptor ~obj progs setup =
+  let find prog =
+    match List.find_opt (fun p -> p.prog = prog) progs with
+    | Some p -> p
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Scenarios: unknown %s program %s" obj prog)
+  in
+  {
+    d_obj = obj;
+    d_progs = List.map (fun p -> p.prog) progs;
+    d_nthreads =
+      (fun prog ->
+        let p = find prog in
+        List.length p.preps + List.length p.base_threads);
+    d_setup = (fun ~params ~prog -> setup ~params (find prog));
+  }
+
+let detectable ~obj ~spec ~instantiate progs =
+  let dspec = Dss_spec.make ~nthreads:3 spec in
+  descriptor ~obj progs (detectable_setup ~dspec ~instantiate)
+
 let registry =
   [
-    {
-      d_obj = "queue";
-      d_progs = queue_progs;
-      d_nthreads =
-        (fun prog ->
-          match prog with
-          | "enq-enq-deq" -> 3
-          | "mid-alloc" | "mid-link" -> 1
-          | _ -> 2);
-      d_setup = queue_setup;
-    };
-    {
-      d_obj = "stack";
-      d_progs = stack_progs;
-      d_nthreads = (fun _ -> 2);
-      d_setup = stack_setup;
-    };
-    {
-      d_obj = "register";
-      d_progs = register_progs;
-      d_nthreads = (fun _ -> 2);
-      d_setup = register_setup;
-    };
-    {
-      d_obj = "hashmap";
-      d_progs = hashmap_progs;
-      d_nthreads = (fun _ -> 2);
-      d_setup = hashmap_setup;
-    };
-    {
-      d_obj = "swap";
-      d_progs = swap_progs;
-      d_nthreads = (fun _ -> 2);
-      d_setup = swap_setup;
-    };
-    {
-      d_obj = "deque";
-      d_progs = deque_progs;
-      d_nthreads = (fun _ -> 2);
-      d_setup = deque_setup;
-    };
-    {
-      d_obj = "pqueue";
-      d_progs = pqueue_progs;
-      d_nthreads = (fun _ -> 2);
-      d_setup = pqueue_setup;
-    };
-    {
-      d_obj = "bcounter";
-      d_progs = bcounter_progs;
-      d_nthreads = (fun _ -> 2);
-      d_setup = bcounter_setup;
-    };
+    detectable ~obj:"queue" ~spec:(Specs.Queue.spec ())
+      ~instantiate:queue_instance queue_progs;
+    detectable ~obj:"stack" ~spec:(Specs.Stack.spec ())
+      ~instantiate:stack_instance stack_progs;
+    detectable ~obj:"register" ~spec:(Specs.Register.spec ~init:0 ())
+      ~instantiate:register_instance register_progs;
+    descriptor ~obj:"hashmap" hashmap_progs hashmap_setup;
+    detectable ~obj:"swap" ~spec:(Specs.Swap.spec ())
+      ~instantiate:
+        (engine (fun (module M) -> (module Dssq_core.Dss_swap.Make (M))))
+      swap_progs;
+    detectable ~obj:"deque" ~spec:(Specs.Deque.spec ())
+      ~instantiate:
+        (engine (fun (module M) -> (module Dssq_core.Dss_deque.Make (M))))
+      deque_progs;
+    detectable ~obj:"pqueue" ~spec:(Specs.Pqueue.spec ())
+      ~instantiate:
+        (engine (fun (module M) -> (module Dssq_core.Dss_pqueue.Make (M))))
+      pqueue_progs;
+    detectable ~obj:"bcounter"
+      ~spec:(Specs.Bcounter.spec ~bound:Dssq_core.Dss_bcounter.bound ())
+      ~instantiate:
+        (engine (fun (module M) -> (module Dssq_core.Dss_bcounter.Make (M))))
+      bcounter_progs;
   ]
 
 let objects = List.map (fun d -> d.d_obj) registry
@@ -945,53 +723,38 @@ let build ~params ~obj ~prog =
   case_of_setup ~params ~obj ~prog ~nthreads:(d.d_nthreads prog)
     (d.d_setup ~params ~prog)
 
-(** Assemble the corpus.  A [mutation] restricts the corpus to the queue
-    (the seeded mutants target queue cell names).  Three-thread programs
-    are kept crash-free: with a crash adversary their branching factor
-    would put a single case past the CI budget. *)
+(** Assemble the corpus: every program of every object in [objects],
+    under each of [crash_modes] and [line_sizes] (which override
+    [params.crashes] and [params.line_size]).  A mutation restricts the
+    corpus to the objects it targets.  Three-thread programs are kept
+    crash-free: with a crash adversary their branching factor would put
+    a single case past the CI budget. *)
 let cases ?(objects = objects) ?(crash_modes = [ false; true ])
-    ?(line_sizes = [ 1; 8 ]) ?(policy = Heap.Policy.Eager) ?mutation
-    ?(mode = Lincheck.Strict)
-    ?(max_preemptions = 1) ?(max_crash_lines = 4) ?(crash_samples = 6)
-    ?(seed = 0) ?(adversary = `Per_line) ?(limit = 2_000_000) () =
+    ?(line_sizes = [ 1; 8 ]) ?(params = default_params) () =
   let objects =
     (* Memory-layer mutants are seeded against queue cell names; the
        engine-level lost-batch mutant targets the combining engine, so
        its hunt runs over the engine-made objects instead. *)
-    match mutation with
+    match params.mutation with
     | Some Mutants.Lost_batch -> [ "swap"; "deque"; "pqueue"; "bcounter" ]
     | Some _ -> [ "queue" ]
     | None -> objects
   in
   List.concat_map
     (fun obj ->
+      let d = descriptor_of_obj obj in
       List.concat_map
         (fun prog ->
           List.concat_map
             (fun crashes ->
-              if crashes && prog = "enq-enq-deq" then []
+              if crashes && d.d_nthreads prog > 2 then []
               else
                 List.map
                   (fun line_size ->
-                    let params =
-                      {
-                        crashes;
-                        line_size;
-                        policy;
-                        mode;
-                        mutation;
-                        max_preemptions;
-                        max_crash_lines;
-                        crash_samples;
-                        seed;
-                        adversary;
-                        limit;
-                      }
-                    in
-                    build ~params ~obj ~prog)
+                    build ~params:{ params with crashes; line_size } ~obj ~prog)
                   line_sizes)
             crash_modes)
-        (progs_of_obj obj))
+        d.d_progs)
     objects
 
 let find_case ~cases:cs name = List.find_opt (fun c -> c.name = name) cs

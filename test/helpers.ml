@@ -26,22 +26,15 @@ let queue_spec ~nthreads :
     Spec.t =
   Dss_spec.make ~nthreads (Specs.Queue.spec ())
 
-(* Map a dequeue's integer return to the spec response. *)
-let deq_response v : qresp =
-  if v = Queue_intf.empty_value then Dss_spec.Ret Specs.Queue.Empty
-  else Dss_spec.Ret (Specs.Queue.Value v)
+(* A dequeue's integer return and a [resolve] answer as spec responses,
+   through the litmus corpus's one queue mapping. *)
+module Scenarios = Dssq_checker.Scenarios
 
-let resolved_response (r : Queue_intf.resolved) : qresp =
-  match r with
-  | Queue_intf.Nothing -> Dss_spec.Status (None, None)
-  | Queue_intf.Enq_pending v -> Dss_spec.Status (Some (Specs.Queue.Enqueue v), None)
-  | Queue_intf.Enq_done v ->
-      Dss_spec.Status (Some (Specs.Queue.Enqueue v), Some Specs.Queue.Ok)
-  | Queue_intf.Deq_pending -> Dss_spec.Status (Some Specs.Queue.Dequeue, None)
-  | Queue_intf.Deq_empty ->
-      Dss_spec.Status (Some Specs.Queue.Dequeue, Some Specs.Queue.Empty)
-  | Queue_intf.Deq_done v ->
-      Dss_spec.Status (Some Specs.Queue.Dequeue, Some (Specs.Queue.Value v))
+let deq_response v : qresp =
+  Dss_spec.Ret (Scenarios.removed Scenarios.queue_ops v)
+
+let resolved_response r : qresp =
+  Scenarios.status (Scenarios.linked_resolved Scenarios.queue_ops r)
 
 (** A detectable queue instance bundled as closures, together with its
     heap, so scenario code does not need the functor-generated types. *)

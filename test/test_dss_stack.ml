@@ -86,19 +86,10 @@ let test_recycling () =
 
 let dstack ~nthreads = Dss_spec.make ~nthreads (St.spec ())
 
-let pop_response v : (St.op, St.response) Dss_spec.response =
-  if v = Queue_intf.empty_value then Dss_spec.Ret St.Empty
-  else Dss_spec.Ret (St.Value v)
+let pop_response v = Dss_spec.Ret (Scenarios.removed Scenarios.stack_ops v)
 
-let resolved_response (r : Queue_intf.resolved) :
-    (St.op, St.response) Dss_spec.response =
-  match r with
-  | Queue_intf.Nothing -> Dss_spec.Status (None, None)
-  | Queue_intf.Enq_pending v -> Dss_spec.Status (Some (St.Push v), None)
-  | Queue_intf.Enq_done v -> Dss_spec.Status (Some (St.Push v), Some St.Ok)
-  | Queue_intf.Deq_pending -> Dss_spec.Status (Some St.Pop, None)
-  | Queue_intf.Deq_empty -> Dss_spec.Status (Some St.Pop, Some St.Empty)
-  | Queue_intf.Deq_done v -> Dss_spec.Status (Some St.Pop, Some (St.Value v))
+let resolved_response r =
+  Scenarios.status (Scenarios.linked_resolved Scenarios.stack_ops r)
 
 let check_stack_strict ~nthreads history =
   match Lincheck.check ~mode:Lincheck.Strict (dstack ~nthreads) history with

@@ -530,7 +530,9 @@ let test_report_v5_encodes () =
   let c =
     List.hd
       (Scenarios.cases ~objects:[ "queue" ] ~crash_modes:[ true ]
-         ~line_sizes:[ 1 ] ~policy:px86 ())
+         ~line_sizes:[ 1 ]
+         ~params:{ Scenarios.default_params with policy = px86 }
+         ())
   in
   let r =
     {

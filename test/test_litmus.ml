@@ -159,9 +159,9 @@ let test_persist_ordering () =
 
 (* ---------------------------------------------------------------------- *)
 (* The DSS litmus corpus: every ready-made scenario of                      *)
-(* Dssq_checker.Scenarios — all four objects (queue, stack, register,      *)
-(* hash map), 2-3 threads, with and without crash injection, persist-line  *)
-(* sizes 1 and 8 — model-checked end to end with Lincheck as the oracle.   *)
+(* Dssq_checker.Scenarios — all eight objects, 2-3 threads, with and      *)
+(* without crash injection, persist-line sizes 1 and 8 — model-checked     *)
+(* end to end with Lincheck as the oracle.                                 *)
 (* ---------------------------------------------------------------------- *)
 
 module Scenarios = Dssq_checker.Scenarios
@@ -216,7 +216,9 @@ let px86_alloc_window_suite =
                        (Printexc.to_string exn)))
       | _ -> None)
     (Scenarios.cases ~objects:[ "queue" ] ~crash_modes:[ true ]
-       ~line_sizes:[ 1; 8 ] ~policy:Px86 ())
+       ~line_sizes:[ 1; 8 ]
+       ~params:{ Scenarios.default_params with policy = Px86 }
+       ())
 
 let suite =
   corpus_suite @ px86_alloc_window_suite

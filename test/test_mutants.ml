@@ -2,8 +2,9 @@
     except for one seeded crash-consistency bug.  Each named mutant of
     {!Dssq_checker.Mutants} is run against the queue crash corpus; the
     test passes only if some case raises a {!Explore.Violation} whose
-    payload is {!Oracle.Not_linearizable}, and the violation's schedule
-    token replays to the same failure.  The unmutated queue passes the
+    payload is {!Oracle.Not_linearizable}, the violation's schedule
+    token replays to the same failure, and the first flagged case and
+    token are exactly the pinned ones.  The unmutated queue passes the
     identical corpus — the flags are the bugs, not noise. *)
 
 open Helpers
@@ -11,9 +12,11 @@ module Scenarios = Dssq_checker.Scenarios
 module Mutants = Dssq_checker.Mutants
 module Oracle = Dssq_checker.Oracle
 
-let corpus ?policy ?mutation () =
+let corpus ?(policy = Heap.Policy.Eager) ?mutation () =
   Scenarios.cases ~objects:[ "queue" ] ~crash_modes:[ true ]
-    ~line_sizes:[ 1; 8 ] ?policy ?mutation ()
+    ~line_sizes:[ 1; 8 ]
+    ~params:{ Scenarios.default_params with policy; mutation }
+    ()
 
 let test_correct_queue_passes ?policy ?mutation
     ?(what = "unmutated") () =
@@ -44,6 +47,32 @@ let assert_flagged ?(structural = false) ~name = function
       Alcotest.failf "mutant %s flagged with the wrong exception: %s" name
         (Printexc.to_string e)
 
+(* The first flagged case and its token, per mutant.  A change to a
+   scenario's history, heap layout or allocation order moves these, so
+   they are pinned exactly. *)
+let first_flagged =
+  [
+    ( "skip-flush-link",
+      ("queue/enq-deq/crash/ls1", "c205d,211d,214d,229d,232d") );
+    ( "skip-flush-mark",
+      ( "queue/enq-deq/crash/ls1",
+        "t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.t1.t1.t1.t1.t1.t1.t1.t1.t1.c212d,231e,232d"
+      ) );
+    ( "stale-announce",
+      ("queue/enq-deq/crash/ls1", "t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.c232d") );
+    ( "unfenced",
+      ( "queue/enq-deq/crash/ls1",
+        "c204d,205d,210d,211d,213d,214d,228d,229d,232d" ) );
+    ( "skip-drain",
+      ("queue/enq-deq/crash/ls1/px86", "t0.t0.t0.t0.t0.t0.t0.t0.t0.c228e,232d")
+    );
+    ("short-drain", ("queue/enq-deq/crash/ls1/px86", "c232d"));
+    ("drop-drain", ("queue/enq-deq/crash/ls1/co", "c229d,232d"));
+    ( "lost-batch",
+      ( "swap/swap-swap/crash/ls1/fc",
+        "t0.t0.t0.t0.t0.t0.t0.t0.t0.t1.t1.t1.t1.t1.b1:1.c" ) );
+  ]
+
 let test_mutant ?policy ?structural name mutation () =
   let rec hunt = function
     | [] -> Alcotest.failf "mutant %s (%s): no corpus case flagged it" name
@@ -53,6 +82,10 @@ let test_mutant ?policy ?structural name mutation () =
         | (_ : Explore.stats) -> hunt rest
         | exception Explore.Violation { schedule; exn } -> (
             assert_flagged ?structural ~name exn;
+            Alcotest.(check (pair string string))
+              "first flagged case and token"
+              (List.assoc name first_flagged)
+              (c.Scenarios.name, Explore.schedule_to_string schedule);
             (* the counterexample token is a faithful reproduction
                recipe: replaying it on a fresh scenario fails the same
                way, per-line eviction verdicts included *)
