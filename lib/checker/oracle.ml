@@ -43,6 +43,39 @@ let assert_linearizable ?(mode = Lincheck.Strict) (spec : _ Spec.t) history =
            (Printf.sprintf "history not %s-linearizable w.r.t. %s:\n%s"
               (mode_name mode) spec.Spec.name (Buffer.contents buf)))
 
+(** Passing verdicts for one specification and mode — one corpus case.
+    {!Lincheck.check} is a pure function of spec, mode and history, and
+    the explorer's executions of one case repeat a small set of histories
+    (a crash branch's history depends only on what recovery and the
+    retries observe), so a history already judged linearizable is not
+    judged again.  Failures are never stored: every failing history
+    reaches the checker and raises. *)
+type ('s, 'op, 'r) cache = {
+  spec : ('s, 'op, 'r) Spec.t;
+  mode : Lincheck.mode;
+  passed : (int, ('op, 'r) History.t list) Hashtbl.t;
+      (* history hash -> the passing histories with that hash *)
+}
+
+let cache ?(mode = Lincheck.Strict) spec =
+  { spec; mode; passed = Hashtbl.create 64 }
+
+(* A hash over every event.  [Hashtbl.hash] of the list itself would
+   stop after a bounded prefix, and every history of a case shares its
+   set-up prefix. *)
+let hash_history history =
+  List.fold_left (fun h e -> (h * 31) + Hashtbl.hash e) 0 history
+
+(** {!assert_linearizable} through [cache]: a history structurally equal
+    to one that passed before passes at once. *)
+let check_cached c history =
+  let key = hash_history history in
+  let seen = Option.value ~default:[] (Hashtbl.find_opt c.passed key) in
+  if not (List.mem history seen) then begin
+    assert_linearizable ~mode:c.mode c.spec history;
+    Hashtbl.replace c.passed key (history :: seen)
+  end
+
 let () =
   Printexc.register_printer (function
     | Not_linearizable msg -> Some ("Oracle.Not_linearizable: " ^ msg)

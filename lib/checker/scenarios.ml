@@ -130,6 +130,9 @@ let policy_suffix : Heap.Policy.t -> string = function
   | Px86 -> "/px86"
   | Combine -> "/fc"
 
+(* [setup ()] builds the case's set-up, and with it a fresh verdict
+   cache: each run, replay and explain builds its own, so a run's cache
+   is freed when the run ends rather than when the corpus is. *)
 let case_of_setup ~(params : params) ~obj ~prog ~nthreads setup =
   let name =
     Printf.sprintf "%s/%s/%s/ls%d%s" obj prog
@@ -147,17 +150,19 @@ let case_of_setup ~(params : params) ~obj ~prog ~nthreads setup =
     run =
       (fun ~reduction ->
         with_injection ~params (fun () ->
-            Explore.run (explorer ~params ~reduction setup)));
+            Explore.run (explorer ~params ~reduction (setup ()))));
     replay =
       (fun sched ->
         with_injection ~params (fun () ->
             Explore.replay_schedule
-              (explorer ~params ~reduction:true setup)
+              (explorer ~params ~reduction:true (setup ()))
               sched));
     explain =
       (fun sched ->
         with_injection ~params (fun () ->
-            Explore.explain (explorer ~params ~reduction:true setup) sched));
+            Explore.explain
+              (explorer ~params ~reduction:true (setup ()))
+              sched));
   }
 
 let heap ~(params : params) =
@@ -235,8 +240,9 @@ let observe base = function
       go 8
 
 (* The post-execution frame: after a crash, mark it and run the object's
-   resolve/retry protocol; then the read-back; then the oracle. *)
-let finish ~(params : params) rec_ spec ~retry ~observe ~crashed =
+   resolve/retry protocol; then the read-back; then the oracle, through
+   the case's verdict cache. *)
+let finish rec_ verdicts ~retry ~observe ~crashed =
   (try
      if crashed then begin
        (* [reattach] already ran: the explorer's crash hook routes every
@@ -252,7 +258,7 @@ let finish ~(params : params) rec_ spec ~retry ~observe ~crashed =
         so the truncated history is still checkable.  This only adds
         linearization freedom, so a violation found here is genuine. *)
      Recorder.crash rec_);
-  Oracle.assert_linearizable ~mode:params.mode spec (Recorder.history rec_)
+  Oracle.check_cached verdicts (Recorder.history rec_)
 
 (* ---------------------------------------------------------------------- *)
 (* The D<T> builder.                                                       *)
@@ -278,7 +284,7 @@ let status : ('op, 'r) Detectable_intf.resolved -> ('op, 'r) Dss_spec.response
 (* The one record/resolve/retry protocol for every D<T> object.
    [instantiate] builds the object and its recovery system over the
    scenario's memory and returns the adapter and the checked reattach. *)
-let detectable_setup (type op r) ~(params : params) ~dspec
+let detectable_setup (type op r) ~(params : params) ~verdicts
     ~(instantiate :
        combine:bool ->
        (module Dssq_memory.Memory_intf.S) ->
@@ -321,7 +327,7 @@ let detectable_setup (type op r) ~(params : params) ~dspec
       p.preps
   in
   let finish =
-    finish ~params rec_ dspec ~retry ~observe:(fun () -> observe base p.observe)
+    finish rec_ verdicts ~retry ~observe:(fun () -> observe base p.observe)
   in
   { Explore.ctx = { finish; reattach }; heap; threads }
 
@@ -588,7 +594,8 @@ let bcounter_progs =
 
 let map_spec = Specs.Map.spec ()
 
-let hashmap_setup ~(params : params) (p : (Specs.Map.op, _) program) () =
+let hashmap_setup ~(params : params) ~verdicts (p : (Specs.Map.op, _) program)
+    () =
   let heap = heap ~params in
   let (module M) = memory ~params heap in
   let module H = Dssq_core.Dss_hashmap.Make (M) in
@@ -624,8 +631,7 @@ let hashmap_setup ~(params : params) (p : (Specs.Map.op, _) program) () =
       p.base_threads
   in
   let finish =
-    finish ~params rec_ map_spec ~retry
-      ~observe:(fun () -> observe call p.observe)
+    finish rec_ verdicts ~retry ~observe:(fun () -> observe call p.observe)
   in
   { Explore.ctx = { finish; reattach }; heap; threads }
 
@@ -655,8 +661,10 @@ type descriptor = {
   d_setup : params:params -> prog:string -> unit -> world Explore.scenario;
 }
 
-(* Everything but the set-up itself derives from the program table. *)
-let descriptor ~obj progs setup =
+(* Everything but the set-up itself derives from the program table.  A
+   set-up is [setup] applied to its program and to a fresh verdict
+   cache, so the cache lives as long as the set-up closure. *)
+let descriptor ~obj ~spec progs setup =
   let find prog =
     match List.find_opt (fun p -> p.prog = prog) progs with
     | Some p -> p
@@ -671,12 +679,15 @@ let descriptor ~obj progs setup =
       (fun prog ->
         let p = find prog in
         List.length p.preps + List.length p.base_threads);
-    d_setup = (fun ~params ~prog -> setup ~params (find prog));
+    d_setup =
+      (fun ~params ~prog ->
+        let p = find prog in
+        setup ~params ~verdicts:(Oracle.cache ~mode:params.mode spec) p);
   }
 
 let detectable ~obj ~spec ~instantiate progs =
-  let dspec = Dss_spec.make ~nthreads:3 spec in
-  descriptor ~obj progs (detectable_setup ~dspec ~instantiate)
+  descriptor ~obj ~spec:(Dss_spec.make ~nthreads:3 spec) progs
+    (detectable_setup ~instantiate)
 
 let registry =
   [
@@ -686,7 +697,7 @@ let registry =
       ~instantiate:stack_instance stack_progs;
     detectable ~obj:"register" ~spec:(Specs.Register.spec ~init:0 ())
       ~instantiate:register_instance register_progs;
-    descriptor ~obj:"hashmap" hashmap_progs hashmap_setup;
+    descriptor ~obj:"hashmap" ~spec:map_spec hashmap_progs hashmap_setup;
     detectable ~obj:"swap" ~spec:(Specs.Swap.spec ())
       ~instantiate:
         (engine (fun (module M) -> (module Dssq_core.Dss_swap.Make (M))))
@@ -720,8 +731,8 @@ let progs_of_obj obj = (descriptor_of_obj obj).d_progs
 
 let build ~params ~obj ~prog =
   let d = descriptor_of_obj obj in
-  case_of_setup ~params ~obj ~prog ~nthreads:(d.d_nthreads prog)
-    (d.d_setup ~params ~prog)
+  case_of_setup ~params ~obj ~prog ~nthreads:(d.d_nthreads prog) (fun () ->
+      d.d_setup ~params ~prog)
 
 (** Assemble the corpus: every program of every object in [objects],
     under each of [crash_modes] and [line_sizes] (which override

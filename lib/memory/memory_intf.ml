@@ -33,10 +33,15 @@ module Line = struct
   (** Words per line.  Eight 64-bit words = the 64-byte x86 cache line of
       the paper's testbed. *)
 
-  type t = { id : int; size : int; dirty : bool Atomic.t }
-  (** One persist line.  [dirty] is the OR of the member cells' dirtiness
-      — set by every store/CAS to a member, cleared by write-back.
-      Atomic because native-backend domains share lines. *)
+  type t = { id : int; size : int; dirty : int Atomic.t }
+  (** One persist line.  [dirty] records whether any member cell holds
+      an unpersisted store — set by every store/CAS to a member, cleared
+      by write-back — as {!clean} ([-1]) or a non-negative {e slot}.  A
+      backend that indexes its dirty lines keeps the line's position in
+      that index there (the simulated heap does), so entering and leaving
+      the index costs O(1) and no per-line table; the native backend
+      just stores 0.  Atomic because native-backend domains share
+      lines. *)
 
   (** Where [alloc] places a fresh cell. *)
   type placement =
@@ -46,14 +51,22 @@ module Line = struct
             tail, per-thread X entries) that real implementations pad to
             a full cache line to avoid false sharing *)
 
-  let make ~id ~size = { id; size; dirty = Atomic.make false }
-  let is_dirty l = Atomic.get l.dirty
-  let mark_dirty l = if not (Atomic.get l.dirty) then Atomic.set l.dirty true
+  let clean = -1
+  let make ~id ~size = { id; size; dirty = Atomic.make clean }
+  let is_dirty l = Atomic.get l.dirty >= 0
+  let mark_dirty l = if Atomic.get l.dirty < 0 then Atomic.set l.dirty 0
+
+  (** The slot a dirty line holds, or {!clean}. *)
+  let slot l = Atomic.get l.dirty
+
+  (** Mark the line dirty at index slot [s] (>= 0), or clean with
+      {!clean}. *)
+  let set_slot l s = Atomic.set l.dirty s
 
   (** Whether a flush of this line would perform a write-back, without
       changing any state — the simulator's cost model asks this before
       the operation applies. *)
-  let flush_pending l = l.size <= 1 || Atomic.get l.dirty
+  let flush_pending l = l.size <= 1 || is_dirty l
 
   (** Whether flushing this line performs a write-back, clearing its
       dirtiness either way.  At size 1 the answer is always [true]: the
@@ -62,10 +75,10 @@ module Line = struct
       anchor).  At sizes >= 2 a clean line's flush is elided. *)
   let flush_effective l =
     if l.size <= 1 then begin
-      Atomic.set l.dirty false;
+      Atomic.set l.dirty clean;
       true
     end
-    else Atomic.exchange l.dirty false
+    else Atomic.exchange l.dirty clean >= 0
 
   (** Clear the line's dirtiness, returning whether it {e was} dirty —
       i.e. whether a write-back happens.  Unlike {!flush_effective} there
@@ -73,7 +86,7 @@ module Line = struct
       legacy always-charge cost model on the eager path, whereas a
       coalescing drain writes back exactly the lines that hold unpersisted
       stores, at any line size. *)
-  let take_dirty l = Atomic.exchange l.dirty false
+  let take_dirty l = Atomic.exchange l.dirty clean >= 0
 
   (** Sequential placement of cells into lines.  Not thread-safe: the
       simulator allocates from one domain; the native backend serializes
@@ -84,20 +97,25 @@ module Line = struct
     type t = {
       size : int;
       mutable next_id : int;
-      mutable current : line option;  (** open line being filled *)
+      mutable current : line;
+          (** open line being filled; meaningful only while [room > 0] *)
       mutable room : int;  (** words left in [current] *)
     }
 
+    (* Stands in for "no open line", so opening a line allocates no
+       option box. *)
+    let no_line = make ~id:(-1) ~size:1
+
     let create ?(size = default_size) () =
       if size < 1 then invalid_arg "Line.Alloc.create: size must be >= 1";
-      { size; next_id = 0; current = None; room = 0 }
+      { size; next_id = 0; current = no_line; room = 0 }
 
     let line_size a = a.size
 
     (** Close the current open line: the next [Packed] placement starts a
         fresh one.  Used to align a block of co-located cells. *)
     let align a =
-      a.current <- None;
+      a.current <- no_line;
       a.room <- 0
 
     let fresh a =
@@ -113,16 +131,17 @@ module Line = struct
       | Isolated ->
           align a;
           fresh a
-      | Packed -> (
-          match a.current with
-          | Some l when a.room > 0 ->
-              a.room <- a.room - 1;
-              l
-          | _ ->
-              let l = fresh a in
-              a.current <- Some l;
-              a.room <- a.size - 1;
-              l)
+      | Packed ->
+          if a.room > 0 then begin
+            a.room <- a.room - 1;
+            a.current
+          end
+          else begin
+            let l = fresh a in
+            a.current <- l;
+            a.room <- a.size - 1;
+            l
+          end
 
     (** Lines for [n] co-located cells (a node's fields): placement
         starts at a fresh line boundary and the block ends aligned, so

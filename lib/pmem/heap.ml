@@ -18,7 +18,11 @@
     Every event is emitted once to the {!Dssq_memory.Persist_event}
     stream, tagged with the acting thread ([cur_tid]); with no subscriber
     each operation pays one load and one branch.  Cell names are forced
-    from their thunks only for an event actually emitted. *)
+    from their thunks only for an event actually emitted.
+
+    The heap indexes its dirty lines, so what a store, a write-back, a
+    crash and the model checker's dirty-line queries cost follows the
+    lines an execution dirtied, not the size of the heap. *)
 
 module PE = Dssq_memory.Persist_event
 module Line = Dssq_memory.Memory_intf.Line
@@ -45,20 +49,33 @@ type fifo = {
   mutable calls : int;
 }
 
+(* A line's member cells, most recent first: a list over cells of any
+   type, one block per member and no [Cell.Packed] box. *)
+type members = Nil | Cons : 'a Cell.t * members -> members
+
 type t = {
   mutable next_id : int;
   line_alloc : Line.Alloc.t;
-  mutable lines : Line.t array;
-      (* line id -> line.  [Line.Alloc] hands ids out densely and in
-         order, so slots [0, line_count) are exactly the lines in use;
-         the arrays grow by doubling. *)
-  mutable line_members : Cell.packed list array;
+  mutable line_members : members array;
       (* line id -> member cells, most recent first; flush persists all
-         dirty members.  A line's members are contiguous in allocation
-         order ([Packed] fills only the open line; [Isolated] and blocks
-         align), so walking line ids downwards and each line's members
-         in order visits every cell most recently allocated first. *)
+         dirty members.  [Line.Alloc] hands ids out densely and in order,
+         so slots [0, line_count) are exactly the lines in use (every
+         line has a member, which also gives the line itself); the table
+         grows by doubling.  A line's members are contiguous in
+         allocation order ([Packed] fills only the open line; [Isolated]
+         and blocks align), so walking line ids downwards and each line's
+         members in order visits every cell most recently allocated
+         first. *)
   mutable line_count : int;
+  mutable dirty : int array;
+  mutable ndirty : int;
+      (* The dirty-line index.  Invariant: slots [0, ndirty) hold the
+         ids of exactly the lines whose dirty flag is set, in no order,
+         and each such line's flag is its slot here ({!Line.slot}).  A
+         store to a clean line appends it, a write-back moves the last
+         entry into its slot, a crash empties it: O(1) each, and
+         allocation only when the array grows past the heap's peak dirty
+         count.  Ids, not lines, so no store pays a write barrier. *)
   stats : stats;
   mutable in_sim : bool;
       (* When true, memory operations must be routed through the scheduler
@@ -85,9 +102,10 @@ let create ?(line_size = 1) ?policy ?(combine = false) () =
   {
     next_id = 0;
     line_alloc = Line.Alloc.create ~size:line_size ();
-    lines = [||];
     line_members = [||];
     line_count = 0;
+    dirty = [||];
+    ndirty = 0;
     stats =
       {
         reads = 0;
@@ -112,19 +130,13 @@ let line_size t = Line.Alloc.line_size t.line_alloc
 
 (* Enter a freshly placed line: ids arrive densely and in order, so a
    new line's id is always [line_count]. *)
-let add_line t (line : Line.t) =
+let add_line t =
   let n = t.line_count in
-  if n = Array.length t.lines then begin
-    let cap = max 64 (2 * n) in
-    let grow a fill =
-      let a' = Array.make cap fill in
-      Array.blit a 0 a' 0 n;
-      a'
-    in
-    t.lines <- grow t.lines line;
-    t.line_members <- grow t.line_members []
+  if n = Array.length t.line_members then begin
+    let a = Array.make (max 64 (2 * n)) Nil in
+    Array.blit t.line_members 0 a 0 n;
+    t.line_members <- a
   end;
-  t.lines.(n) <- line;
   t.line_count <- n + 1
 
 (* A fresh cell on [line]: element [elem] of a block named [name], or a
@@ -143,8 +155,8 @@ let add_cell t ~name ~elem (line : Line.t) v =
   in
   t.next_id <- t.next_id + 1;
   let lid = line.Line.id in
-  if lid = t.line_count then add_line t line;
-  t.line_members.(lid) <- Cell.Packed cell :: t.line_members.(lid);
+  if lid = t.line_count then add_line t;
+  t.line_members.(lid) <- Cons (cell, t.line_members.(lid));
   if PE.is_on () then
     PE.emit Alloc ~tid:t.cur_tid ~cell:cell.Cell.id ~name:(Cell.name cell)
       ~line:lid ~dirty:false;
@@ -171,8 +183,64 @@ let alloc_block t ?(name = Name.none) vs =
   Line.Alloc.align t.line_alloc;
   cells
 
+let rec packed = function
+  | Nil -> []
+  | Cons (c, rest) -> Cell.Packed c :: packed rest
+
 let members t (l : Line.t) =
-  if l.Line.id < t.line_count then t.line_members.(l.Line.id) else []
+  if l.Line.id < t.line_count then packed t.line_members.(l.Line.id) else []
+
+(* A line is entered with its first member. *)
+let line_of t lid =
+  match t.line_members.(lid) with
+  | Cons (c, _) -> c.Cell.line
+  | Nil -> assert false
+
+let line t lid =
+  if lid < 0 || lid >= t.line_count then invalid_arg "Heap.line";
+  line_of t lid
+
+(* ------------------------------------------------------------------ *)
+(* The dirty-line index (see [t.dirty]). *)
+
+(* A store to [l]: enter it unless it is already dirty. *)
+let mark_dirty t (l : Line.t) =
+  if Line.slot l < 0 then begin
+    let n = t.ndirty in
+    if n = Array.length t.dirty then begin
+      let a = Array.make (max 8 (2 * n)) 0 in
+      Array.blit t.dirty 0 a 0 n;
+      t.dirty <- a
+    end;
+    t.dirty.(n) <- l.Line.id;
+    Line.set_slot l n;
+    t.ndirty <- n + 1
+  end
+
+(* A write-back of [l]: take it out, returning whether it was dirty. *)
+let take_dirty t (l : Line.t) =
+  let s = Line.slot l in
+  if s < 0 then false
+  else begin
+    let n = t.ndirty - 1 in
+    if s < n then begin
+      let last = t.dirty.(n) in
+      t.dirty.(s) <- last;
+      Line.set_slot (line_of t last) s
+    end;
+    t.ndirty <- n;
+    Line.set_slot l Line.clean;
+    true
+  end
+
+(* Ids of the indexed lines that satisfy [keep], ascending. *)
+let dirty_ids t ~keep =
+  let acc = ref [] in
+  for i = 0 to t.ndirty - 1 do
+    let lid = t.dirty.(i) in
+    if keep lid then acc := lid :: !acc
+  done;
+  List.sort Int.compare !acc
 
 (* A cell event, with the cell's dirtiness AFTER the event, so a trace
    shows exactly which lines a crash can lose.  Callers test
@@ -188,13 +256,16 @@ let emit_system t kind =
 (* Write the whole line back: every dirty member persists in the one
    write-back (CLWB acts on the full cache line). *)
 let persist_line t (l : Line.t) =
-  List.iter
-    (fun (Cell.Packed m) ->
-      if m.Cell.dirty then begin
-        m.Cell.persisted <- m.Cell.volatile;
-        m.Cell.dirty <- false
-      end)
-    (members t l)
+  let rec go = function
+    | Nil -> ()
+    | Cons (m, rest) ->
+        if m.Cell.dirty then begin
+          m.Cell.persisted <- m.Cell.volatile;
+          m.Cell.dirty <- false
+        end;
+        go rest
+  in
+  go t.line_members.(l.Line.id)
 
 (* ------------------------------------------------------------------ *)
 (* Per-thread persist buffers.  Defined before the plain operations
@@ -227,16 +298,16 @@ let to_tail (f : fifo) (line : Line.t) =
 (* A line leaving a persist buffer, reported under the line's most
    recently allocated member. *)
 let write_back t ~on ~adversary (line : Line.t) =
-  let effective = Line.take_dirty line in
+  let effective = take_dirty t line in
   if effective then begin
     t.stats.flushes <- t.stats.flushes + 1;
     persist_line t line
   end
   else t.stats.elided_flushes <- t.stats.elided_flushes + 1;
   if on then
-    match members t line with
-    | Cell.Packed m :: _ -> emit t (Write_back { effective; adversary }) m
-    | [] -> ()
+    match t.line_members.(line.Line.id) with
+    | Cons (m, _) -> emit t (Write_back { effective; adversary }) m
+    | Nil -> ()
 
 (* Buffered flush: record the cell's line in the current thread's FIFO
    instead of writing it back now.  A line already buffered is
@@ -350,7 +421,7 @@ let write t (c : 'a Cell.t) (v : 'a) =
   t.stats.pwrites <- t.stats.pwrites + 1;
   c.volatile <- v;
   c.dirty <- true;
-  Line.mark_dirty c.line;
+  mark_dirty t c.line;
   after_store t c.line;
   if on then emit t Write c
 
@@ -363,7 +434,7 @@ let cas t (c : 'a Cell.t) ~(expected : 'a) ~(desired : 'a) =
       t.stats.pwrites <- t.stats.pwrites + 1;
       c.volatile <- desired;
       c.dirty <- true;
-      Line.mark_dirty c.line;
+      mark_dirty t c.line;
       after_store t c.line;
       true
     end
@@ -372,8 +443,11 @@ let cas t (c : 'a Cell.t) ~(expected : 'a) ~(desired : 'a) =
   if on then emit t (Cas hit) c;
   hit
 
+(* At line size 1 every flush writes back, clean or not: the seed's
+   word-granular model charged each one ({!Line.flush_effective}). *)
 let flush_eager t (c : 'a Cell.t) : PE.flush =
-  if Line.flush_effective c.Cell.line then begin
+  let line = c.Cell.line in
+  if take_dirty t line || line.Line.size <= 1 then begin
     t.stats.flushes <- t.stats.flushes + 1;
     persist_line t c.Cell.line;
     Written_back
@@ -404,22 +478,20 @@ let fence t =
   end
 
 let dirty_count t =
+  let rec count n = function
+    | Nil -> n
+    | Cons (c, rest) -> count (if c.Cell.dirty then n + 1 else n) rest
+  in
   let n = ref 0 in
-  for lid = 0 to t.line_count - 1 do
-    List.iter (fun (Cell.Packed c) -> if c.dirty then incr n) t.line_members.(lid)
+  for i = 0 to t.ndirty - 1 do
+    n := count !n t.line_members.(t.dirty.(i))
   done;
   !n
 
 (** Ids of every line holding at least one dirty cell, ascending.  This
     is exactly the set over which a crash draws eviction verdicts — the
     model checker enumerates its subsets. *)
-let dirty_lines t =
-  let acc = ref [] in
-  for lid = t.line_count - 1 downto 0 do
-    if List.exists (fun (Cell.Packed c) -> c.Cell.dirty) t.line_members.(lid)
-    then acc := lid :: !acc
-  done;
-  !acc
+let dirty_lines t = dirty_ids t ~keep:(fun _ -> true)
 
 (** Lines eligible for a per-line eviction verdict at a crash.  Under
     [Eager] and [Coalesced] every dirty line qualifies.  Under [Px86] and
@@ -429,16 +501,10 @@ let dirty_lines t =
     buffer (stores issued and never flushed). *)
 let crash_candidate_lines t =
   if not (Policy.relaxed t.policy) then dirty_lines t
-  else begin
-    let in_buffer = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun _ f ->
-        List.iter
-          (fun (l : Line.t) -> Hashtbl.replace in_buffer l.Line.id ())
-          f.entries)
-      t.fifos;
-    List.filter (fun lid -> not (Hashtbl.mem in_buffer lid)) (dirty_lines t)
-  end
+  else
+    dirty_ids t ~keep:(fun lid ->
+        let l = line_of t lid in
+        not (Hashtbl.fold (fun _ f acc -> acc || buffered f l) t.fifos false))
 
 (* Shared crash core: [verdict lid] decides, per dirty line, whether the
    line was written back by cache eviction before power was lost ([true])
@@ -448,20 +514,25 @@ let crash_candidate_lines t =
    what recovery code and restarted threads observe. *)
 let crash_by_line t ~verdict =
   let on = PE.is_on () in
-  let settle (Cell.Packed c) =
-    if c.dirty then begin
-      let evicted = verdict c.line.Line.id in
-      if evicted then c.persisted <- c.volatile else c.volatile <- c.persisted;
-      c.dirty <- false;
-      if on then emit t (Verdict evicted) c
-    end
+  let rec settle = function
+    | Nil -> ()
+    | Cons (c, rest) ->
+        if c.Cell.dirty then begin
+          let evicted = verdict c.Cell.line.Line.id in
+          if evicted then c.persisted <- c.volatile
+          else c.volatile <- c.persisted;
+          c.dirty <- false;
+          if on then emit t (Verdict evicted) c
+        end;
+        settle rest
   in
-  (* Most recently allocated cell first (see [line_members]). *)
-  for lid = t.line_count - 1 downto 0 do
-    List.iter settle t.line_members.(lid);
-    let l = t.lines.(lid) in
-    if Line.is_dirty l then Atomic.set l.Line.dirty false
+  (* Most recently allocated cell first (see [line_members]): the dirty
+     lines by id descending; clean lines have no dirty member. *)
+  List.iter (fun lid -> settle t.line_members.(lid)) (List.rev (dirty_lines t));
+  for i = 0 to t.ndirty - 1 do
+    Line.set_slot (line_of t t.dirty.(i)) Line.clean
   done;
+  t.ndirty <- 0;
   (* Power loss wipes the persist buffers with the rest of volatile
      state: pending-but-undrained flushes are simply gone (their lines
      were still dirty, so the per-line verdicts above already decided

@@ -37,16 +37,23 @@ type fifo
 (** One thread's persist buffer: its buffered lines in FIFO order and the
     flush calls the next drain absorbs. *)
 
+type members
+(** One line's member cells, most recent first. *)
+
 type t = {
   mutable next_id : int;  (** cells allocated so far; the next cell's id *)
   line_alloc : Line.Alloc.t;
-  mutable lines : Line.t array;
-      (** line id -> line; ids are dense, slots [0, line_count) live *)
-  mutable line_members : Cell.packed list array;
-      (** line id -> member cells, most recent first.  A line's members
-          are contiguous in allocation order, so walking line ids
-          downwards visits every cell most recently allocated first. *)
+  mutable line_members : members array;
+      (** line id -> member cells; ids are dense, slots [0, line_count)
+          live.  A line's members are contiguous in allocation order, so
+          walking line ids downwards visits every cell most recently
+          allocated first. *)
   mutable line_count : int;
+  mutable dirty : int array;
+  mutable ndirty : int;
+      (** the dirty-line index: slots [0, ndirty) hold the ids of
+          exactly the lines whose dirty flag is set, each flag holding
+          its slot ({!Line.slot}) *)
   stats : stats;
   mutable in_sim : bool;
       (** when true, memory operations must go through the scheduler;
@@ -87,7 +94,11 @@ val alloc_block : t -> ?name:(unit -> string) -> 'a list -> 'a Cell.t list
     line. *)
 
 val members : t -> Line.t -> Cell.packed list
-(** All cells sharing the given line. *)
+(** All cells sharing the given line, most recently allocated first. *)
+
+val line : t -> int -> Line.t
+(** The line with the given id.
+    @raise Invalid_argument outside [0, line_count). *)
 
 (** Direct (non-scheduled) memory operations — initialization, recovery
     code, and the scheduler itself use these. *)
@@ -160,6 +171,7 @@ val crash_lines : t -> evict:(int -> bool) -> unit
     through this entry point. *)
 
 val dirty_count : t -> int
+(** Dirty cells. *)
 
 val dirty_lines : t -> int list
 (** Ids of every line holding at least one dirty cell, ascending — the

@@ -41,7 +41,16 @@
     is called: a fresh heap, fresh memory module, fresh object, fresh
     thread closures.  [check] is called at the end of every complete
     execution; a raise is converted into {!Violation} carrying the
-    replayable schedule of decisions that produced it. *)
+    replayable schedule of decisions that produced it.
+
+    What an execution costs follows what it changes.  The crash
+    adversary's questions ({!Heap.crash_candidate_lines}, the crash
+    itself) are answered from the heap's index of the lines dirty right
+    now, not by walking every cell, and [check] may answer from a cache:
+    the litmus corpus keeps each case's passing verdicts, keyed on the
+    whole history, and checks every other history afresh.  Neither
+    changes what is explored: counts, verdict draws and tokens are those
+    of a search that walks the heap and checks every history. *)
 
 open Dssq_pmem
 module Trace = Dssq_obs.Trace

@@ -5,9 +5,10 @@
     iterative deepening boundaries, per-line crash-adversary coverage,
     and the buffered (px86) persistency axis: the drain adversary's
     extra reach, its equivalence with sc under drain-at-every-
-    persistence-point programs, the report schema's v5 encoding, and
-    the live-handoff search pinned to the counts of the search that
-    replayed every node. *)
+    persistence-point programs, the report schema's v5 encoding, the
+    live-handoff search pinned to the counts of the search that
+    replayed every node, the whole corpus's counts at bound 1 pinned
+    to a golden file, and the per-case verdict cache. *)
 
 open Helpers
 
@@ -641,6 +642,126 @@ let test_chain_replays () =
         s.Explore.replays)
     [ "mid-alloc"; "mid-link" ]
 
+(* ----------------------- corpus golden counts ----------------------- *)
+
+(* The whole corpus at preemption bound 1 under every persist policy,
+   one line per case: status, executions, crash branches, crash points,
+   drain branches, replays.  The counts pin the search itself, so a
+   change that only makes executions cheaper must leave the file
+   byte-identical.  On a mismatch the rendering is written next to the
+   test binary as [explore-p1.actual]; copy it over the golden file only
+   for an intended change to what the explorer explores. *)
+let golden_p1 = "golden/explore-p1.expected"
+
+let render_p1 () =
+  let b = Buffer.create 8192 in
+  Buffer.add_string b
+    "# case status executions crash_branches crash_points drain_branches \
+     replays\n";
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun (c : Scenarios.case) ->
+          match c.Scenarios.run ~reduction:true with
+          | s ->
+              Printf.bprintf b "%s pass %d %d %d %d %d\n" c.Scenarios.name
+                s.Explore.executions s.Explore.crash_branches
+                s.Explore.crash_points s.Explore.drain_branches
+                s.Explore.replays
+          | exception Explore.Violation { schedule; _ } ->
+              Printf.bprintf b "%s fail %s\n" c.Scenarios.name
+                (Explore.schedule_to_string schedule))
+        (Scenarios.cases
+           ~params:
+             { Scenarios.default_params with policy; max_preemptions = 1 }
+           ()))
+    Heap.Policy.[ Eager; Coalesced; Px86; Combine ];
+  Buffer.contents b
+
+let test_corpus_golden_p1 () =
+  let expected = In_channel.with_open_bin golden_p1 In_channel.input_all in
+  let actual = render_p1 () in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "explore-p1.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+    let rec first_diff = function
+      | e :: es, a :: as_ -> if e = a then first_diff (es, as_) else (e, a)
+      | e :: _, [] -> (e, "<end of file>")
+      | [], a :: _ -> ("<end of file>", a)
+      | [], [] -> ("", "")
+    in
+    let e, a =
+      first_diff
+        (String.split_on_char '\n' expected, String.split_on_char '\n' actual)
+    in
+    Alcotest.failf "corpus counts differ from %s: expected %S, got %S (full \
+                    rendering in %s)"
+      golden_p1 e a
+      (Filename.concat (Sys.getcwd ()) "explore-p1.actual")
+  end
+
+(* --------------------------- verdict cache --------------------------- *)
+
+module Oracle = Dssq_checker.Oracle
+
+(* A case's verdict cache must answer only for histories it has seen pass:
+   a failing history raises however close it is to a cached one, and
+   histories that share a long prefix (every history of a case shares its
+   set-up) are told apart by events past it. *)
+let test_verdict_cache () =
+  let applied = ref 0 in
+  let spec = queue_spec ~nthreads:3 in
+  let spec =
+    {
+      spec with
+      Spec.apply =
+        (fun s ~tid op ->
+          incr applied;
+          spec.Spec.apply s ~tid op);
+    }
+  in
+  let cache = Oracle.cache spec in
+  let base uid op r =
+    [
+      History.Inv { uid; tid = 2; op = Dss_spec.Base op };
+      History.Res { uid; r = Dss_spec.Ret r };
+    ]
+  in
+  (* Ten enqueues: a 20-event prefix. *)
+  let prefix =
+    List.concat
+      (List.init 10 (fun i -> base i (Specs.Queue.Enqueue i) Specs.Queue.Ok))
+  in
+  let dequeues vs =
+    prefix
+    @ List.concat
+        (List.mapi
+           (fun i v -> base (10 + i) Specs.Queue.Dequeue (Specs.Queue.Value v))
+           vs)
+  in
+  let checked h =
+    let before = !applied in
+    Oracle.check_cached cache h;
+    !applied > before
+  in
+  let raises h =
+    match Oracle.check_cached cache h with
+    | () -> false
+    | exception Oracle.Not_linearizable _ -> true
+  in
+  Alcotest.(check bool) "a passing history is checked" true
+    (checked (dequeues [ 0 ]));
+  Alcotest.(check bool) "and then answered from the cache" false
+    (checked (dequeues [ 0 ]));
+  Alcotest.(check bool) "a different last response still fails" true
+    (raises (dequeues [ 1 ]));
+  Alcotest.(check bool) "every time" true (raises (dequeues [ 1 ]));
+  Alcotest.(check bool) "another history past the shared prefix is checked"
+    true
+    (checked (dequeues [ 0; 1 ]));
+  Alcotest.(check bool) "and its own failing variant fails" true
+    (raises (dequeues [ 0; 2 ]))
+
 (* --------------------------- explain -------------------------------- *)
 
 let test_explain_passing_schedule () =
@@ -695,4 +816,8 @@ let suite =
       test_handoff_same_search;
     Alcotest.test_case "single-thread chains replay once per round" `Quick
       test_chain_replays;
+    Alcotest.test_case "corpus counts at bound 1 match the golden file" `Slow
+      test_corpus_golden_p1;
+    Alcotest.test_case "verdict cache never masks a failure" `Quick
+      test_verdict_cache;
   ]

@@ -385,6 +385,137 @@ let prop_dense_line_table =
       && List.for_all (fun l -> not (Line.is_dirty l)) lines
       && Heap.dirty_lines h = [])
 
+(* The dirty-line index against a full walk of the line table, after
+   every step of random store/CAS/flush/drain/adversary-drain/crash
+   programs from three threads, at both line sizes and under every
+   policy: [dirty_lines], [crash_candidate_lines] and [dirty_count] must
+   equal the walk, and each line's dirty flag must be set exactly when a
+   member is dirty.  The program ends in a seeded [Heap.crash], whose
+   draws must land on the dirty lines in the walk's order: line ids
+   descending. *)
+type heap_step =
+  | Store of int * int * int  (** tid, cell, value *)
+  | Cas_step of int * int * bool  (** tid, cell, whether it should hit *)
+  | Flush_step of int * int  (** tid, cell *)
+  | Drain_step of int
+  | Adversary of int * int  (** tid, count *)
+  | Crash_step of int  (** verdict seed *)
+
+let arb_heap_program =
+  let step n =
+    QCheck.Gen.(
+      let tid = int_range 0 2 and cell = int_range 0 (n - 1) in
+      frequency
+        [
+          (4, map3 (fun t c v -> Store (t, c, v)) tid cell (int_range 1 99));
+          (2, map3 (fun t c hit -> Cas_step (t, c, hit)) tid cell bool);
+          (4, map2 (fun t c -> Flush_step (t, c)) tid cell);
+          (1, map (fun t -> Drain_step t) tid);
+          (1, map2 (fun t k -> Adversary (t, k)) tid (int_range 1 3));
+          (1, map (fun s -> Crash_step s) int);
+        ])
+  in
+  QCheck.make
+    ~print:(fun (ls, policy, n, steps, _) ->
+      Printf.sprintf "line size %d, %s, %d cells, %d steps" ls
+        (Heap.Policy.to_string policy) n (List.length steps))
+    QCheck.Gen.(
+      oneofl [ 1; 8 ] >>= fun ls ->
+      oneofl Heap.Policy.all >>= fun policy ->
+      int_range 1 24 >>= fun n ->
+      list_size (int_range 0 60) (step n) >>= fun steps ->
+      int >>= fun seed -> return (ls, policy, n, steps, seed))
+
+let prop_dirty_index =
+  QCheck.Test.make ~count:500 ~name:"dirty-line index = full walk"
+    arb_heap_program (fun (ls, policy, n, steps, seed) ->
+      let h = Heap.create ~line_size:ls ~policy () in
+      (* A mix of placements, so lines hold one or several cells. *)
+      let cells =
+        Array.init n (fun i ->
+            if i mod 5 = 4 then Heap.alloc h ~placement:Line.Isolated 0
+            else Heap.alloc h 0)
+      in
+      let lines () = List.init (Heap.line_count h) (Heap.line h) in
+      let dirty_members l =
+        List.filter (fun (Cell.Packed c) -> c.Cell.dirty) (Heap.members h l)
+      in
+      let walk_dirty () =
+        List.filter_map
+          (fun (l : Line.t) ->
+            if dirty_members l <> [] then Some l.Line.id else None)
+          (lines ())
+      in
+      let agrees () =
+        let dirty = walk_dirty () in
+        let buffered = List.concat_map snd (Heap.pending_fifos h) in
+        Heap.dirty_lines h = dirty
+        && Heap.crash_candidate_lines h
+           = List.filter (fun lid -> not (List.mem lid buffered)) dirty
+        && Heap.dirty_count h
+           = List.fold_left
+               (fun n l -> n + List.length (dirty_members l))
+               0 (lines ())
+        && List.for_all
+             (fun l -> Line.is_dirty l = (dirty_members l <> []))
+             (lines ())
+      in
+      let apply = function
+        | Store (tid, i, v) ->
+            h.Heap.cur_tid <- tid;
+            Heap.write h cells.(i) v
+        | Cas_step (tid, i, hit) ->
+            h.Heap.cur_tid <- tid;
+            let cur = Heap.read h cells.(i) in
+            ignore
+              (Heap.cas h cells.(i)
+                 ~expected:(if hit then cur else cur + 1)
+                 ~desired:(cur + 7))
+        | Flush_step (tid, i) ->
+            h.Heap.cur_tid <- tid;
+            Heap.flush h cells.(i)
+        | Drain_step tid ->
+            h.Heap.cur_tid <- tid;
+            Heap.drain h
+        | Adversary (tid, count) -> Heap.adversary_drain h ~tid ~count
+        | Crash_step s ->
+            Heap.crash_lines h ~evict:(fun lid -> Hashtbl.hash (s, lid) land 1 = 0)
+      in
+      let steps_agree =
+        List.for_all
+          (fun step ->
+            apply step;
+            agrees ())
+          steps
+      in
+      (* The closing seeded crash: draw k goes to the k-th dirty line in
+         descending id order, and decides all of that line's cells. *)
+      let order = List.rev (walk_dirty ()) in
+      let before =
+        Array.map (fun c -> (c.Cell.volatile, c.Cell.persisted)) cells
+      in
+      let rng = Random.State.make [| seed |] in
+      let draws = ref [] in
+      Heap.crash h ~evict:(fun () ->
+          let v = Random.State.bool rng in
+          draws := v :: !draws;
+          v);
+      let draws = List.rev !draws in
+      steps_agree
+      && List.length draws = List.length order
+      && (let fate = List.combine order draws in
+          Array.for_all2
+            (fun c (volatile, persisted) ->
+              let expect =
+                match List.assoc_opt (Cell.line_id c) fate with
+                | Some true -> volatile
+                | Some false | None -> persisted
+              in
+              c.Cell.persisted = expect && c.Cell.volatile = expect)
+            cells before)
+      && agrees ()
+      && Heap.dirty_lines h = [])
+
 let suite =
   [
     Alcotest.test_case "alloc: initial value persisted" `Quick
@@ -422,4 +553,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_full_eviction_preserves_volatile;
     QCheck_alcotest.to_alcotest prop_clean_flush_only_bumps_elision;
     QCheck_alcotest.to_alcotest prop_dense_line_table;
+    QCheck_alcotest.to_alcotest prop_dirty_index;
   ]

@@ -57,9 +57,8 @@ let test_direct_mode_outside_run () =
     (* Cell state: id, name and dirtiness from the line table; volatile
        values by direct reads, persisted ones by reads after a crash that
        evicts nothing. *)
-    let lines = Array.sub heap.Heap.lines 0 (Heap.line_count heap) in
     let tags =
-      Array.to_list lines
+      List.init (Heap.line_count heap) (Heap.line heap)
       |> List.concat_map (Heap.members heap)
       |> List.map (fun (Cell.Packed c) -> (c.Cell.id, Cell.name c, c.Cell.dirty))
     in
