@@ -23,7 +23,9 @@ let () =
   let module C = Dssq_core.Dss_cell.Make (M) in
   let store =
     Array.init nkeys (fun k ->
-        C.create ~name:(Printf.sprintf "key%d" k) ~nthreads:nclients 0)
+        C.create
+          ~name:(fun () -> Printf.sprintf "key%d" k)
+          ~nthreads:nclients 0)
   in
 
   (* Deterministic workload: client i applies deltas to keys round-robin. *)

@@ -118,10 +118,10 @@ module Make_any (M : Dssq_memory.Memory_intf.S) = struct
     mutable folded : int;  (** volatile telemetry: ops folded, total *)
   }
 
-  let create ?(name = "") ?placement ?init ?(combine = false) ~nthreads
-      (spec : ('s, 'op, 'r) Spec.t) =
+  let create ?(name = Dssq_memory.Memory_intf.Name.none) ?placement ?init
+      ?(combine = false) ~nthreads (spec : ('s, 'op, 'r) Spec.t) =
     let init = Option.value ~default:spec.Spec.init init in
-    let cname suffix = if name = "" then suffix else name ^ "." ^ suffix in
+    let cname suffix = match name () with "" -> suffix | n -> n ^ "." ^ suffix in
     let state =
       M.alloc ~name:(fun () -> cname "state") ?placement
         { s = init; writer = -1; seq = 0; resp = None; batch = []; e = 0 }
@@ -597,6 +597,9 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
      (Section 3.2, last paragraph).  Thread ids must stay below it. *)
   let nondet_mark = 1 lsl 20
 
+  (* The mark a removal by [tid] writes. *)
+  let mark ~detectable tid = if detectable then tid else tid lor nondet_mark
+
   module Announce = struct
     (** Everything detectability-related that queue and stack used to
         carry in their own records: the node pool, the announce words
@@ -635,14 +638,12 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
          is freed only after a grace period that outlasts that region —
          so the free of a pinned node always sees the pin. *)
       let free ~tid node =
-        let rec pinner i =
-          if i = nthreads then None
-          else if Atomic.get pins.(i) = node then Some i
-          else pinner (i + 1)
-        in
-        match pinner 0 with
-        | Some owner -> hand_over owner node
-        | None -> Pool.free pool ~tid node
+        (* scan down: the lowest pinning thread takes it *)
+        let owner = ref (-1) in
+        for i = nthreads - 1 downto 0 do
+          if Atomic.get pins.(i) = node then owner := i
+        done;
+        if !owner < 0 then Pool.free pool ~tid node else hand_over !owner node
       in
       {
         pool;
@@ -660,15 +661,20 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
         nthreads;
       }
 
+    let rec retire_all ebr ~tid = function
+      | [] -> ()
+      | n :: rest ->
+          Dssq_ebr.Ebr.retire ebr ~tid n;
+          retire_all ebr ~tid rest
+
     (* Retire the nodes whose reclamation was deferred while X[tid]
        still referenced them, and the pinned node if reclamation handed
        it over; called exactly when X[tid] is about to move on. *)
     let release_deferred a ~tid =
       if a.reclaim then begin
         Atomic.set a.pins.(tid) Tagged.null;
-        let retire n = Dssq_ebr.Ebr.retire a.ebr ~tid n in
-        List.iter retire !(a.deferred.(tid));
-        List.iter retire (Atomic.exchange a.handed.(tid) []);
+        retire_all a.ebr ~tid !(a.deferred.(tid));
+        retire_all a.ebr ~tid (Atomic.exchange a.handed.(tid) []);
         a.deferred.(tid) := []
       end
 
@@ -752,13 +758,11 @@ module Linked (M : Dssq_memory.Memory_intf.S) = struct
     (* Set of pool nodes reachable from [start] through [next] links. *)
     let reachable_from (a : Announce.t) start =
       let seen = Array.make (a.pool.Pool.capacity + 1) false in
-      let rec go n =
-        if n <> Tagged.null && not seen.(n) then begin
-          seen.(n) <- true;
-          go (M.read (Pool.next a.pool n))
-        end
-      in
-      go start;
+      let n = ref start in
+      while !n <> Tagged.null && not seen.(!n) do
+        seen.(!n) <- true;
+        n := M.read (Pool.next a.pool !n)
+      done;
       seen
 
     (* Complete the detectability state of effective insertions (queue
@@ -865,8 +869,9 @@ module Make (B : Dssq_spec.Dss_spec.S) (M : Dssq_memory.Memory_intf.S) :
   let name = B.spec.Spec.name
 
   let create ?name ?combine ?init ~nthreads () =
-    E.create ?name ~placement:Dssq_memory.Memory_intf.Line.Isolated ?combine
-      ?init ~nthreads B.spec
+    E.create ?name:(Option.map Fun.const name)
+      ~placement:Dssq_memory.Memory_intf.Line.Isolated ?combine ?init ~nthreads
+      B.spec
 
   let prep = E.prep
   let exec = E.exec

@@ -21,7 +21,7 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
     | Read_pending
     | Read_done of 'a
 
-  val create : ?name:string -> nthreads:int -> 'a -> 'a t
+  val create : ?name:Dssq_memory.Memory_intf.Name.t -> nthreads:int -> 'a -> 'a t
 
   (** {1 Non-detectable operations} *)
 

@@ -66,7 +66,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     {
       slots =
         Array.init nbuckets (fun i ->
-            C.create ~name:(Printf.sprintf "slot[%d]" i) ~nthreads empty_slot);
+            C.create ~name:(fun () -> Printf.sprintf "slot[%d]" i) ~nthreads empty_slot);
       ann =
         Array.init nthreads (fun i ->
             M.alloc

@@ -22,29 +22,33 @@
     [X] entry has its retirement deferred until [X] moves on, so that
     [resolve] never chases a recycled pointer. *)
 
+module Trace = Dssq_obs.Trace
+
+(* Operation-level trace events.  A payload is printed inside the guard,
+   never at the call site, so an op formats nothing while tracing is off.
+   Kept out of [Make], whose every application allocates a closure per
+   function.  [set_tid] pins the attribution for direct-mode callers. *)
+let trace_begin ~tid op show arg =
+  if Trace.is_on () then begin
+    Trace.set_tid tid;
+    Trace.op_begin op ~args:(show arg)
+  end
+
+let trace_end op show result =
+  if Trace.is_on () then Trace.op_end op ~result:(show result)
+
+let no_args () = "" and ok () = "ok"
+
+let deq_result v =
+  if v = Queue_intf.empty_value then "empty" else string_of_int v
+
 module Make (M : Dssq_memory.Memory_intf.S) = struct
   module L = Detectable.Linked (M)
   module Pool = L.Pool
   module A = L.Announce
-  module Trace = Dssq_obs.Trace
   module Profile = Dssq_obs.Profile
 
   let name = "dss-queue"
-
-  (* Operation-level trace events.  Guarded at each call site so argument
-     strings are never built when tracing is off; [set_tid] pins the
-     attribution for direct-mode (non-simulated) callers, where the
-     scheduler is not around to do it. *)
-  let trace_begin ~tid op args =
-    if Trace.is_on () then begin
-      Trace.set_tid tid;
-      Trace.op_begin op ~args
-    end
-
-  let trace_end op result = if Trace.is_on () then Trace.op_end op ~result
-
-  let deq_result v =
-    if v = Queue_intf.empty_value then "empty" else string_of_int v
 
   type t = {
     an : A.t; (* announce words + pool + reclamation (shared scaffolding) *)
@@ -105,7 +109,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     node
 
   let prep_enqueue t ~tid v =
-    trace_begin ~tid "prep-enqueue" (string_of_int v);
+    trace_begin ~tid "prep-enqueue" string_of_int v;
     let sp = Profile.begin_span ~tid Profile.Announce in
     A.release_deferred t.an ~tid;
     let node = make_node t ~tid v in
@@ -113,65 +117,66 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
        after prep must resolve to the prepared operation) *)
     A.announce t.an ~tid (Tagged.with_tag node Tagged.enq_prep);
     Profile.end_span ~tid sp;
-    trace_end "prep-enqueue" "ok"
+    trace_end "prep-enqueue" ok ()
 
-  (* Body shared by exec-enqueue and the non-detectable enqueue; the
-     latter omits every access to X (Section 3.1). *)
+  (* The link retry loop, shared by exec-enqueue and the non-detectable
+     enqueue; the latter omits every access to X (Section 3.1).  Op
+     loops are functor-level: a local one allocates a closure per call. *)
+  let rec link t ~tid ~detectable node =
+    let last = M.read t.tail in
+    let next = M.read (Pool.next (pool t) last) in
+    if last = M.read t.tail then
+      if next = Tagged.null then begin
+        (* at tail: line 11 *)
+        if
+          M.cas (Pool.next (pool t) last) ~expected:Tagged.null ~desired:node
+        then begin
+          M.flush (Pool.next (pool t) last) (* line 12 *);
+          (* px86 hardening: the link flush must be durable before the
+             completion tag can persist — the tag's write dirties X and
+             a crash can write X back (cache eviction) while the link
+             flush still sits in the persist buffer, persisting a
+             completion claim for a node that never became reachable.
+             No-op under sc (eager flushes already drained).  NOT
+             elidable under combine: buffered persistency orders
+             flushes of {e distinct} lines only through a drain (a
+             line writeback can overtake the FIFO), so the X line can
+             persist the completion tag while the link flush is lost —
+             durable Done evidence for a node that was never linked
+             (model-checker counterexample for the elision:
+             queue/enq-enq/crash/ls1/fc, recovered-structure check
+             "X[1] claims completion but node neither queued nor
+             dequeued"). *)
+          M.drain ();
+          if detectable then
+            A.tag t.an ~tid Tagged.enq_compl (* lines 13-14 *);
+          ignore (M.cas t.tail ~expected:last ~desired:node) (* line 15 *)
+        end
+        else link t ~tid ~detectable node
+      end
+      else begin
+        (* help another enqueuing thread: lines 18-19.  px86
+           hardening: the helped link must be durable before the tail
+           can advance — once tail moves, this thread links its own
+           node after [next], and a crash may persist that second link
+           while the first still sits in the helper's persist buffer,
+           leaving a persisted next-chain that skips into nodes the
+           recovered structure never linked (re-execution then links
+           them twice and the chain cycles).  No-op under sc. *)
+        M.flush (Pool.next (pool t) last);
+        (* Under combine: a helped link persisting early is harmless
+           (its owner's announce is already durable), and a lost one
+           truncates the recovered chain at worst — the owner retries
+           after stale-next normalization.  Elide the barrier. *)
+        if not t.combine then M.drain ();
+        ignore (M.cas t.tail ~expected:last ~desired:next);
+        link t ~tid ~detectable node
+      end
+    else link t ~tid ~detectable node
+
   let enqueue_node t ~tid ~detectable node =
     Dssq_ebr.Ebr.enter t.an.A.ebr ~tid;
-    let rec loop () =
-      let last = M.read t.tail in
-      let next = M.read (Pool.next (pool t) last) in
-      if last = M.read t.tail then
-        if next = Tagged.null then begin
-          (* at tail: line 11 *)
-          if
-            M.cas (Pool.next (pool t) last) ~expected:Tagged.null ~desired:node
-          then begin
-            M.flush (Pool.next (pool t) last) (* line 12 *);
-            (* px86 hardening: the link flush must be durable before the
-               completion tag can persist — the tag's write dirties X and
-               a crash can write X back (cache eviction) while the link
-               flush still sits in the persist buffer, persisting a
-               completion claim for a node that never became reachable.
-               No-op under sc (eager flushes already drained).  NOT
-               elidable under combine: buffered persistency orders
-               flushes of {e distinct} lines only through a drain (a
-               line writeback can overtake the FIFO), so the X line can
-               persist the completion tag while the link flush is lost —
-               durable Done evidence for a node that was never linked
-               (model-checker counterexample for the elision:
-               queue/enq-enq/crash/ls1/fc, recovered-structure check
-               "X[1] claims completion but node neither queued nor
-               dequeued"). *)
-            M.drain ();
-            if detectable then
-              A.tag t.an ~tid Tagged.enq_compl (* lines 13-14 *);
-            ignore (M.cas t.tail ~expected:last ~desired:node) (* line 15 *)
-          end
-          else loop ()
-        end
-        else begin
-          (* help another enqueuing thread: lines 18-19.  px86
-             hardening: the helped link must be durable before the tail
-             can advance — once tail moves, this thread links its own
-             node after [next], and a crash may persist that second link
-             while the first still sits in the helper's persist buffer,
-             leaving a persisted next-chain that skips into nodes the
-             recovered structure never linked (re-execution then links
-             them twice and the chain cycles).  No-op under sc. *)
-          M.flush (Pool.next (pool t) last);
-          (* Under combine: a helped link persisting early is harmless
-             (its owner's announce is already durable), and a lost one
-             truncates the recovered chain at worst — the owner retries
-             after stale-next normalization.  Elide the barrier. *)
-          if not t.combine then M.drain ();
-          ignore (M.cas t.tail ~expected:last ~desired:next);
-          loop ()
-        end
-      else loop ()
-    in
-    loop ();
+    link t ~tid ~detectable node;
     (* Persistence point: the operation's flushes (link, X completion)
        must land before the enqueue reports completion — and before the
        node can enter reclamation, so drain while still EBR-protected.
@@ -187,15 +192,15 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     Dssq_ebr.Ebr.exit t.an.A.ebr ~tid
 
   let exec_enqueue t ~tid =
-    trace_begin ~tid "exec-enqueue" "";
+    trace_begin ~tid "exec-enqueue" no_args ();
     let sp = Profile.begin_span ~tid Profile.Exec in
     let node = Tagged.idx (M.read (x t).(tid)) in
     enqueue_node t ~tid ~detectable:true node;
     Profile.end_span ~tid sp;
-    trace_end "exec-enqueue" "ok"
+    trace_end "exec-enqueue" ok ()
 
   let enqueue t ~tid v =
-    trace_begin ~tid "enqueue" (string_of_int v);
+    trace_begin ~tid "enqueue" string_of_int v;
     let sp = Profile.begin_span ~tid Profile.Exec in
     let node = make_node t ~tid v in
     (* px86 hardening: the detectable path gets this durability point
@@ -208,103 +213,102 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     M.drain ();
     enqueue_node t ~tid ~detectable:false node;
     Profile.end_span ~tid sp;
-    trace_end "enqueue" "ok"
+    trace_end "enqueue" ok ()
 
   (* ------------------------------------------------------------------ *)
   (* Dequeue (Figure 4)                                                  *)
   (* ------------------------------------------------------------------ *)
 
   let prep_dequeue t ~tid =
-    trace_begin ~tid "prep-dequeue" "";
+    trace_begin ~tid "prep-dequeue" no_args ();
     let sp = Profile.begin_span ~tid Profile.Announce in
     A.release_deferred t.an ~tid;
     (* lines 32-33; persistence point, as in prep_enqueue *)
     A.announce t.an ~tid Tagged.deq_prep;
     Profile.end_span ~tid sp;
-    trace_end "prep-dequeue" "ok"
+    trace_end "prep-dequeue" ok ()
 
-  (* Body shared by exec-dequeue and the non-detectable dequeue.  The
-     non-detectable variant omits X accesses and marks deqThreadID with
-     [tid lor nondet_mark] instead of the bare tid. *)
+  (* The claim retry loop, shared by exec-dequeue and the non-detectable
+     dequeue.  The non-detectable variant omits X accesses and marks
+     deqThreadID with {!L.mark}. *)
+  let rec claim t ~tid ~detectable =
+    let first = M.read t.head in
+    let last = M.read t.tail in
+    let next = M.read (Pool.next (pool t) first) in
+    if first = M.read t.head then
+      if first = last then
+        if next = Tagged.null then begin
+          (* empty queue: lines 40-43 *)
+          if detectable then A.tag t.an ~tid Tagged.empty;
+          Queue_intf.empty_value
+        end
+        else begin
+          (* tail is lagging: lines 44-45.  The flush guarantees that
+             any node reachable once tail moves has a persisted link;
+             px86 hardening: drain so the guarantee holds before the
+             advance (see the enqueue help path).  No-op under sc;
+             elided under combine like the enqueue help path. *)
+          M.flush (Pool.next (pool t) last);
+          if not t.combine then M.drain ();
+          ignore (M.cas t.tail ~expected:last ~desired:next);
+          claim t ~tid ~detectable
+        end
+      else begin
+        if detectable then begin
+          (* save predecessor of the node to be dequeued: lines 47-48 *)
+          A.post t.an ~tid (Tagged.with_tag first Tagged.deq_prep);
+          (* px86 hardening: the posted predecessor must be durable
+             before the claim mark can persist — the claim CAS dirties
+             deq_tid, and a crash can write that line back while the
+             X post's flush still sits in the persist buffer, leaving
+             a persisted claim that no announcement attributes (the
+             value is consumed by nobody).  No-op under sc. *)
+          M.drain ()
+        end;
+        if
+          M.cas (Pool.deq_tid (pool t) next) ~expected:(-1)
+            ~desired:(L.mark ~detectable tid) (* line 49 *)
+        then begin
+          M.flush (Pool.deq_tid (pool t) next) (* line 50 *);
+          (* resolve reads [next]'s claim mark through X[tid] -> first,
+             but the next dequeue retires [next]: pin it until X moves
+             on, or its free resets the mark and a completed dequeue
+             resolves as pending. *)
+          if detectable then A.pin t.an ~tid next;
+          (* px86 hardening: the claim mark must be durable before the
+             head advance can persist, or a crash strands a persisted
+             head past an unmarked node.  No-op under sc. *)
+          M.drain ();
+          ignore (M.cas t.head ~expected:first ~desired:next) (* line 51 *);
+          let v = M.read (Pool.value (pool t) next) in
+          (* Persist the head advance before the old sentinel can be
+             recycled, so a reused node is never reachable from the
+             persisted head (the paper's pseudocode omits reclamation;
+             this flush is what makes EBR reuse crash-safe — see
+             DESIGN.md deviations). *)
+          if t.an.A.reclaim then M.flush t.head;
+          (* The old sentinel [first] is now unreachable.  If X[tid]
+             references it (detectable path), resolve may still need
+             it, so defer its retirement until X moves on. *)
+          if detectable then A.defer_retire t.an ~tid first
+          else A.retire t.an ~tid first;
+          v
+        end
+        else if M.read t.head = first then begin
+          (* help another dequeuing thread: lines 53-55 (same
+             mark-before-head-advance ordering as above) *)
+          M.flush (Pool.deq_tid (pool t) next);
+          M.drain ();
+          ignore (M.cas t.head ~expected:first ~desired:next);
+          claim t ~tid ~detectable
+        end
+        else claim t ~tid ~detectable
+      end
+    else claim t ~tid ~detectable
+
   let dequeue_body t ~tid ~detectable =
     Dssq_ebr.Ebr.enter t.an.A.ebr ~tid;
-    let mark = if detectable then tid else tid lor L.nondet_mark in
-    let rec loop () =
-      let first = M.read t.head in
-      let last = M.read t.tail in
-      let next = M.read (Pool.next (pool t) first) in
-      if first = M.read t.head then
-        if first = last then
-          if next = Tagged.null then begin
-            (* empty queue: lines 40-43 *)
-            if detectable then A.tag t.an ~tid Tagged.empty;
-            Queue_intf.empty_value
-          end
-          else begin
-            (* tail is lagging: lines 44-45.  The flush guarantees that
-               any node reachable once tail moves has a persisted link;
-               px86 hardening: drain so the guarantee holds before the
-               advance (see the enqueue help path).  No-op under sc;
-               elided under combine like the enqueue help path. *)
-            M.flush (Pool.next (pool t) last);
-            if not t.combine then M.drain ();
-            ignore (M.cas t.tail ~expected:last ~desired:next);
-            loop ()
-          end
-        else begin
-          if detectable then begin
-            (* save predecessor of the node to be dequeued: lines 47-48 *)
-            A.post t.an ~tid (Tagged.with_tag first Tagged.deq_prep);
-            (* px86 hardening: the posted predecessor must be durable
-               before the claim mark can persist — the claim CAS dirties
-               deq_tid, and a crash can write that line back while the
-               X post's flush still sits in the persist buffer, leaving
-               a persisted claim that no announcement attributes (the
-               value is consumed by nobody).  No-op under sc. *)
-            M.drain ()
-          end;
-          if
-            M.cas (Pool.deq_tid (pool t) next) ~expected:(-1) ~desired:mark
-            (* line 49 *)
-          then begin
-            M.flush (Pool.deq_tid (pool t) next) (* line 50 *);
-            (* resolve reads [next]'s claim mark through X[tid] -> first,
-               but the next dequeue retires [next]: pin it until X moves
-               on, or its free resets the mark and a completed dequeue
-               resolves as pending. *)
-            if detectable then A.pin t.an ~tid next;
-            (* px86 hardening: the claim mark must be durable before the
-               head advance can persist, or a crash strands a persisted
-               head past an unmarked node.  No-op under sc. *)
-            M.drain ();
-            ignore (M.cas t.head ~expected:first ~desired:next) (* line 51 *);
-            let v = M.read (Pool.value (pool t) next) in
-            (* Persist the head advance before the old sentinel can be
-               recycled, so a reused node is never reachable from the
-               persisted head (the paper's pseudocode omits reclamation;
-               this flush is what makes EBR reuse crash-safe — see
-               DESIGN.md deviations). *)
-            if t.an.A.reclaim then M.flush t.head;
-            (* The old sentinel [first] is now unreachable.  If X[tid]
-               references it (detectable path), resolve may still need
-               it, so defer its retirement until X moves on. *)
-            if detectable then A.defer_retire t.an ~tid first
-            else A.retire t.an ~tid first;
-            v
-          end
-          else if M.read t.head = first then begin
-            (* help another dequeuing thread: lines 53-55 (same
-               mark-before-head-advance ordering as above) *)
-            M.flush (Pool.deq_tid (pool t) next);
-            M.drain ();
-            ignore (M.cas t.head ~expected:first ~desired:next);
-            loop ()
-          end
-          else loop ()
-        end
-      else loop ()
-    in
-    let v = loop () in
+    let v = claim t ~tid ~detectable in
     (* Persistence point — before [Ebr.exit], so the head-advance flush
        lands before the old sentinel can be recycled and reused. *)
     M.drain ();
@@ -312,19 +316,19 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     v
 
   let exec_dequeue t ~tid =
-    trace_begin ~tid "exec-dequeue" "";
+    trace_begin ~tid "exec-dequeue" no_args ();
     let sp = Profile.begin_span ~tid Profile.Exec in
     let v = dequeue_body t ~tid ~detectable:true in
     Profile.end_span ~tid sp;
-    trace_end "exec-dequeue" (deq_result v);
+    trace_end "exec-dequeue" deq_result v;
     v
 
   let dequeue t ~tid =
-    trace_begin ~tid "dequeue" "";
+    trace_begin ~tid "dequeue" no_args ();
     let sp = Profile.begin_span ~tid Profile.Exec in
     let v = dequeue_body t ~tid ~detectable:false in
     Profile.end_span ~tid sp;
-    trace_end "dequeue" (deq_result v);
+    trace_end "dequeue" deq_result v;
     v
 
   (* ------------------------------------------------------------------ *)
@@ -367,12 +371,20 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
 
   module R = L.Recovery
 
-  let last_reachable t start =
-    let rec go n =
-      let next = M.read (Pool.next (pool t) n) in
-      if next = Tagged.null then n else go next
-    in
-    go start
+  let rec last_reachable t n =
+    let next = M.read (Pool.next (pool t) n) in
+    if next = Tagged.null then n else last_reachable t next
+
+  let rec reaches t n d =
+    n = d || (n <> Tagged.null && reaches t (M.read (Pool.next (pool t) n)) d)
+
+  (* Skip the marked (dequeued) nodes after sentinel [n]: the sentinel
+     recovery installs. *)
+  let rec skip_marked t n =
+    let next = M.read (Pool.next (pool t) n) in
+    if next <> Tagged.null && M.read (Pool.deq_tid (pool t) next) <> -1 then
+      skip_marked t next
+    else n
 
   (** Drop all volatile runtime state (reclamation epochs and limbo
       lists, deferred retirements).  Models the process restart that
@@ -403,13 +415,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     M.write t.tail (last_reachable t old_head);
     M.flush t.tail;
     (* lines 67-69: advance head past the marked prefix *)
-    let rec advance n =
-      let next = M.read (Pool.next (pool t) n) in
-      if next <> Tagged.null && M.read (Pool.deq_tid (pool t) next) <> -1 then
-        advance next
-      else n
-    in
-    let new_head = advance old_head in
+    let new_head = skip_marked t old_head in
     M.write t.head new_head;
     M.flush t.head;
     (* lines 70-76: complete detectability state of effective enqueues —
@@ -447,8 +453,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     (* Rebuild the volatile free lists; beyond the X-referenced nodes the
        generic pass keeps, a DEQ-prepared X entry also pins its saved
        predecessor's successor (resolve-dequeue reads X->next). *)
-    R.rebuild t.an ~new_root:new_head ~extra:(fun ~defer i xw ->
-        extra_pins t ~defer i xw);
+    R.rebuild t.an ~new_root:new_head ~extra:(extra_pins t);
     M.drain ();
     Profile.end_span ~tid:(-1) sp;
     Trace.recovery_end ()
@@ -457,8 +462,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       — reachable from head, X-referenced, DEQ successors.  See
       {!Node_pool.audit_report}. *)
   let audit t =
-    R.audit t.an ~new_root:(M.read t.head) ~extra:(fun ~defer i xw ->
-        extra_pins t ~defer i xw)
+    R.audit t.an ~new_root:(M.read t.head) ~extra:(extra_pins t)
 
   (** Decentralized recovery (Section 3.3): thread [tid] repairs only its
       own X entry, with no centralized phase and no auxiliary state.
@@ -477,13 +481,9 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       let d = Tagged.idx xw in
       Dssq_ebr.Ebr.enter t.an.A.ebr ~tid;
       let marked () = M.read (Pool.deq_tid (pool t) d) <> -1 in
-      let in_list () =
-        let rec go n =
-          n = d || (n <> Tagged.null && go (M.read (Pool.next (pool t) n)))
-        in
-        go (M.read t.head)
+      let took_effect =
+        marked () || reaches t (M.read t.head) d || marked ()
       in
-      let took_effect = marked () || in_list () || marked () in
       Dssq_ebr.Ebr.exit t.an.A.ebr ~tid;
       if took_effect then A.post t.an ~tid (Tagged.with_tag xw Tagged.enq_compl)
     end;
@@ -536,18 +536,12 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     List.rev !violations
 
   let to_list t =
-    let rec skip_marked n =
-      let next = M.read (Pool.next (pool t) n) in
-      if next <> Tagged.null && M.read (Pool.deq_tid (pool t) next) <> -1 then
-        skip_marked next
-      else n
-    in
     let rec collect acc n =
       let next = M.read (Pool.next (pool t) n) in
       if next = Tagged.null then List.rev acc
       else collect (M.read (Pool.value (pool t) next) :: acc) next
     in
-    collect [] (skip_marked (M.read t.head))
+    collect [] (skip_marked t (M.read t.head))
 
   let free_count t = Pool.free_count (pool t)
 end

@@ -56,7 +56,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
 
   let create ?(init = 0) ~nthreads () =
     if init < 0 || init > value_mask then invalid_arg "Dss_register.create";
-    E.create ~name:"register"
+    E.create ~name:(fun () -> "register")
       ~placement:Dssq_memory.Memory_intf.Line.Isolated ~init ~nthreads
       (R.spec ())
 

@@ -93,42 +93,43 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     A.announce t.an ~tid (Tagged.with_tag node Tagged.enq_prep);
     Profile.end_span ~tid sp
 
+  (* The publication retry loop (functor-level, as in the queue). *)
+  let rec publish t ~tid ~detectable node =
+    let w = M.read t.top in
+    if claimed w then begin
+      help_complete t w;
+      publish t ~tid ~detectable node
+    end
+    else begin
+      M.write (Pool.next (pool t) node) (idx_of w);
+      M.flush (Pool.next (pool t) node);
+      (* px86 hardening: the link flush must be durable before the
+         publication can persist — the CAS dirties top, and a crash
+         can write top back while the node's next flush still sits in
+         the persist buffer, persisting a stack whose tail is lost.
+         No-op under sc. *)
+      M.drain ();
+      if M.cas t.top ~expected:w ~desired:node then begin
+        (* Persist the publication before reporting success. *)
+        M.flush t.top;
+        (* px86 hardening: the publication flush must be durable
+           before the completion tag can persist — a crash could
+           write the dirty X line back while top's flush still sits
+           in the persist buffer, claiming completion for a push that
+           never became reachable.  No-op under sc.  NOT elidable
+           under combine: buffered persistency orders distinct lines
+           only through a drain, so the X line can persist the
+           completion tag while top's flush is lost (see the queue's
+           link/tag barrier). *)
+        M.drain ();
+        if detectable then A.tag t.an ~tid Tagged.enq_compl
+      end
+      else publish t ~tid ~detectable node
+    end
+
   let push_node t ~tid ~detectable node =
     Dssq_ebr.Ebr.enter t.an.A.ebr ~tid;
-    let rec loop () =
-      let w = M.read t.top in
-      if claimed w then begin
-        help_complete t w;
-        loop ()
-      end
-      else begin
-        M.write (Pool.next (pool t) node) (idx_of w);
-        M.flush (Pool.next (pool t) node);
-        (* px86 hardening: the link flush must be durable before the
-           publication can persist — the CAS dirties top, and a crash
-           can write top back while the node's next flush still sits in
-           the persist buffer, persisting a stack whose tail is lost.
-           No-op under sc. *)
-        M.drain ();
-        if M.cas t.top ~expected:w ~desired:node then begin
-          (* Persist the publication before reporting success. *)
-          M.flush t.top;
-          (* px86 hardening: the publication flush must be durable
-             before the completion tag can persist — a crash could
-             write the dirty X line back while top's flush still sits
-             in the persist buffer, claiming completion for a push that
-             never became reachable.  No-op under sc.  NOT elidable
-             under combine: buffered persistency orders distinct lines
-             only through a drain, so the X line can persist the
-             completion tag while top's flush is lost (see the queue's
-             link/tag barrier). *)
-          M.drain ();
-          if detectable then A.tag t.an ~tid Tagged.enq_compl
-        end
-        else loop ()
-      end
-    in
-    loop ();
+    publish t ~tid ~detectable node;
     (* Persistence point, while still EBR-protected.  NOT elidable under
        combine: the push is complete to the caller once this returns, so
        its completion evidence must be durable here or a crash would
@@ -163,43 +164,43 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     A.announce t.an ~tid Tagged.deq_prep;
     Profile.end_span ~tid sp
 
+  let rec claim t ~tid ~detectable =
+    let w = M.read t.top in
+    if claimed w then begin
+      help_complete t w;
+      claim t ~tid ~detectable
+    end
+    else if idx_of w = Tagged.null then begin
+      if detectable then A.tag t.an ~tid Tagged.empty;
+      Queue_intf.empty_value
+    end
+    else begin
+      let node = idx_of w in
+      if detectable then begin
+        (* Save the node we are about to claim. *)
+        A.post t.an ~tid (Tagged.with_tag node Tagged.deq_prep);
+        (* px86 hardening: the posted claim target must be durable
+           before the claim (through the top word) can persist, or a
+           crash leaves a claimed node no announcement attributes.
+           No-op under sc. *)
+        M.drain ()
+      end;
+      (* Phase 1: claim through the top word — atomic with top-ness. *)
+      let mine = with_claim node (L.mark ~detectable tid) in
+      if M.cas t.top ~expected:w ~desired:mine then begin
+        (* Phases 2-3 (helpers may race us; all steps idempotent). *)
+        help_complete t mine;
+        let v = M.read (Pool.value (pool t) node) in
+        if detectable then A.defer_retire t.an ~tid node
+        else A.retire t.an ~tid node;
+        v
+      end
+      else claim t ~tid ~detectable
+    end
+
   let pop_body t ~tid ~detectable =
     Dssq_ebr.Ebr.enter t.an.A.ebr ~tid;
-    let mark = if detectable then tid else tid lor L.nondet_mark in
-    let rec loop () =
-      let w = M.read t.top in
-      if claimed w then begin
-        help_complete t w;
-        loop ()
-      end
-      else if idx_of w = Tagged.null then begin
-        if detectable then A.tag t.an ~tid Tagged.empty;
-        Queue_intf.empty_value
-      end
-      else begin
-        let node = idx_of w in
-        if detectable then begin
-          (* Save the node we are about to claim. *)
-          A.post t.an ~tid (Tagged.with_tag node Tagged.deq_prep);
-          (* px86 hardening: the posted claim target must be durable
-             before the claim (through the top word) can persist, or a
-             crash leaves a claimed node no announcement attributes.
-             No-op under sc. *)
-          M.drain ()
-        end;
-        (* Phase 1: claim through the top word — atomic with top-ness. *)
-        if M.cas t.top ~expected:w ~desired:(with_claim node mark) then begin
-          (* Phases 2-3 (helpers may race us; all steps idempotent). *)
-          help_complete t (with_claim node mark);
-          let v = M.read (Pool.value (pool t) node) in
-          if detectable then A.defer_retire t.an ~tid node
-          else A.retire t.an ~tid node;
-          v
-        end
-        else loop ()
-      end
-    in
-    let v = loop () in
+    let v = claim t ~tid ~detectable in
     M.drain () (* persistence point, while still EBR-protected *);
     Dssq_ebr.Ebr.exit t.an.A.ebr ~tid;
     v

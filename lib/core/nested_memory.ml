@@ -35,10 +35,7 @@ struct
      meaningful nested analogue and is ignored. *)
   let alloc ?name ?placement v =
     ignore placement;
-    (* A [Dss_cell] composes its inner cells' names from a string, so a
-       nested cell's name is built here, at allocation. *)
-    C.create ?name:(Option.map (fun name -> name ()) name)
-      ~nthreads:Config.nthreads v
+    C.create ?name ~nthreads:Config.nthreads v
 
   let alloc_block ?name vs =
     List.mapi

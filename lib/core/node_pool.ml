@@ -55,19 +55,18 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
 
   let home t i = (i - 1) mod t.nthreads
 
-  let push_free lists owner i =
-    let rec go () =
-      let cur = Padded.get lists.(owner) in
-      if not (Padded.compare_and_set lists.(owner) cur (i :: cur)) then go ()
-    in
-    go ()
+  let rec push_free lists owner i =
+    let cur = Padded.get lists.(owner) in
+    if not (Padded.compare_and_set lists.(owner) cur (i :: cur)) then
+      push_free lists owner i
 
+  (* The popped node, or [Tagged.null] when the list is empty. *)
   let rec pop_free lists owner =
     match Padded.get lists.(owner) with
-    | [] -> None
+    | [] -> Tagged.null
     | i :: rest as cur ->
         (* NB compare_and_set is physical equality: reuse the read value. *)
-        if Padded.compare_and_set lists.(owner) cur rest then Some i
+        if Padded.compare_and_set lists.(owner) cur rest then i
         else pop_free lists owner
 
   let create ?wal ?(pool_id = 0) ~capacity ~nthreads () =
@@ -129,13 +128,12 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       unreachable, and returns it to a free list — leaking it is
       impossible by construction. *)
   let alloc t ~tid ~value =
-    match pop_free t.free_lists tid with
-    | None -> raise (Pool_exhausted tid)
-    | Some i ->
-        log t ~tid Dssq_pmem.Wal.Codec.kind_alloc i;
-        M.write t.value.(i) value;
-        M.write t.next.(i) Tagged.null;
-        i
+    let i = pop_free t.free_lists tid in
+    if i = Tagged.null then raise (Pool_exhausted tid);
+    log t ~tid Dssq_pmem.Wal.Codec.kind_alloc i;
+    M.write t.value.(i) value;
+    M.write t.next.(i) Tagged.null;
+    i
 
   (** Like [alloc], but when the free list is momentarily dry because
       retired nodes are still waiting out their grace period (typical on

@@ -36,29 +36,33 @@ let create ?(advance_period = 8) ~nthreads ~free () =
     advance_period;
   }
 
+let rec free_all t ~tid = function
+  | [] -> ()
+  | x :: rest ->
+      t.free ~tid x;
+      free_all t ~tid rest
+
 let free_bucket t ~tid bucket =
-  List.iter (fun x -> t.free ~tid x) t.limbo.(tid).(bucket);
+  free_all t ~tid t.limbo.(tid).(bucket);
   t.limbo.(tid).(bucket) <- []
 
 (* Free the buckets of [tid] whose epoch is at least two behind [epoch]. *)
 let collect t ~tid ~epoch =
   for b = 0 to 2 do
     if
-      t.limbo.(tid).(b) <> []
+      t.limbo.(tid).(b) != []
       && t.limbo_epoch.(tid).(b) <= epoch - 2
     then free_bucket t ~tid b
   done
 
 let try_advance t =
   let e = Atomic.get t.global_epoch in
-  let all_caught_up =
-    Array.for_all
-      (fun a ->
-        let v = Atomic.get a in
-        v = -1 || v = e)
-      t.announcements
-  in
-  if all_caught_up then ignore (Atomic.compare_and_set t.global_epoch e (e + 1))
+  let behind = ref false in
+  for i = 0 to Array.length t.announcements - 1 do
+    let v = Atomic.get t.announcements.(i) in
+    if v <> -1 && v <> e then behind := true
+  done;
+  if not !behind then ignore (Atomic.compare_and_set t.global_epoch e (e + 1))
 
 (** Enter a reclamation-protected region.  Pointers read inside the region
     stay valid until [exit]. *)
@@ -76,7 +80,7 @@ let exit t ~tid = Atomic.set t.announcements.(tid) (-1)
 let retire t ~tid x =
   let e = Atomic.get t.global_epoch in
   let b = e mod 3 in
-  if t.limbo_epoch.(tid).(b) <> e && t.limbo.(tid).(b) <> [] then
+  if t.limbo_epoch.(tid).(b) <> e && t.limbo.(tid).(b) != [] then
     (* Bucket still holds items from epoch e-3: they are old enough. *)
     free_bucket t ~tid b;
   t.limbo_epoch.(tid).(b) <- e;

@@ -334,8 +334,60 @@ let test_explore_enqueue_vs_dequeue () =
           ()));
   ()
 
+(* ----------------------- per-op allocation (Native) ------------------ *)
+
+module Native_queue = Dssq_core.Dss_queue.Make (Dssq_memory.Native)
+module Native_stack = Dssq_core.Dss_stack.Make (Dssq_memory.Native)
+
+(* Minor words one detectable pair allocates, averaged over 10,000 pairs
+   after warm-up.  With tracing and profiling off an op may allocate
+   only what reclamation keeps: one list cell (3 words) each for the
+   deferred retirement, the limbo bucket and the free list. *)
+let words_per_pair pair =
+  Alcotest.(check bool) "tracing off" false (Dssq_obs.Trace.is_on ());
+  Alcotest.(check bool) "profiling off" false (Dssq_obs.Profile.is_on ());
+  for i = 1 to 1_000 do
+    pair i
+  done;
+  let pairs = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to pairs do
+    pair i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int pairs
+
+let test_native_pair_allocation () =
+  (* Without reclamation nothing is recycled: size the pool for every
+     enqueue the two loops make. *)
+  let check_words label ~reclaim ~within w =
+    if w > within then
+      Alcotest.failf "%s (reclaim %b): %.2f minor words per pair, limit %.0f"
+        label reclaim w within
+  in
+  List.iter
+    (fun (reclaim, within) ->
+      let q = Native_queue.create ~reclaim ~nthreads:1 ~capacity:12_000 () in
+      check_words "queue enqueue/dequeue" ~reclaim ~within
+        (words_per_pair (fun v ->
+             Native_queue.prep_enqueue q ~tid:0 v;
+             Native_queue.exec_enqueue q ~tid:0;
+             Native_queue.prep_dequeue q ~tid:0;
+             if Native_queue.exec_dequeue q ~tid:0 <> v then
+               Alcotest.fail "queue: wrong value"));
+      let s = Native_stack.create ~reclaim ~nthreads:1 ~capacity:12_000 () in
+      check_words "stack push/pop" ~reclaim ~within
+        (words_per_pair (fun v ->
+             Native_stack.prep_push s ~tid:0 v;
+             Native_stack.exec_push s ~tid:0;
+             Native_stack.prep_pop s ~tid:0;
+             if Native_stack.exec_pop s ~tid:0 <> v then
+               Alcotest.fail "stack: wrong value")))
+    [ (false, 0.); (true, 9.) ]
+
 let suite =
   [
+    Alcotest.test_case "native detectable pairs allocate nothing per call"
+      `Quick test_native_pair_allocation;
     Alcotest.test_case "fifo order" `Quick test_fifo;
     Alcotest.test_case "empty queue returns EMPTY" `Quick test_empty_queue;
     Alcotest.test_case "to_list reflects contents" `Quick test_to_list;
