@@ -1725,61 +1725,31 @@ let trace_cmd =
 
 (* ----------------------------- lincheck ------------------------------ *)
 
-(* A detectable queue as closures, for implementation-generic fuzzing. *)
-type qh = {
-  heap : Heap.t;
-  prep_enqueue : tid:int -> int -> unit;
-  exec_enqueue : tid:int -> unit;
-  prep_dequeue : tid:int -> unit;
-  exec_dequeue : tid:int -> int;
-  dequeue : tid:int -> int;
-  resolve : tid:int -> Dssq_core.Queue_intf.resolved;
-  recover : unit -> unit;
-}
-
-(* What [lincheck] needs of a detectable queue implementation. *)
-module type DETECTABLE_QUEUE = sig
-  type t
-
-  val prep_enqueue : t -> tid:int -> int -> unit
-  val exec_enqueue : t -> tid:int -> unit
-  val prep_dequeue : t -> tid:int -> unit
-  val exec_dequeue : t -> tid:int -> int
-  val dequeue : t -> tid:int -> int
-  val resolve : t -> tid:int -> Dssq_core.Queue_intf.resolved
-  val recover : t -> unit
-end
-
-let make_queue ~policy kind : qh =
+(* The queue under test, through its D<queue> adapter, with its heap and
+   its recover procedure. *)
+let make_queue ~policy kind =
   let heap = Heap.create ~policy () in
   let (module M) = Sim.memory heap in
-  let qh (type q) (module Q : DETECTABLE_QUEUE with type t = q) (q : q) =
-    {
-      heap;
-      prep_enqueue = Q.prep_enqueue q;
-      exec_enqueue = Q.exec_enqueue q;
-      prep_dequeue = Q.prep_dequeue q;
-      exec_dequeue = Q.exec_dequeue q;
-      dequeue = Q.dequeue q;
-      resolve = Q.resolve q;
-      recover = (fun () -> Q.recover q);
-    }
+  let adapt (type q)
+      (module Q : Dssq_core.Queue_intf.DETECTABLE_QUEUE with type t = q)
+      (q : q) =
+    (heap, Dssq_core.Queue_intf.adapter (module Q) q, fun () -> Q.recover q)
   in
   match kind with
   | `Dss ->
       let module Q = Dssq_core.Dss_queue.Make (M) in
-      qh
+      adapt
         (module Q)
         (Q.create ~nthreads:2 ~capacity:64 ~combine:(policy = Combine) ())
   | `Log ->
       let module Q = Dssq_baselines.Log_queue.Make (M) in
-      qh (module Q) (Q.create ~nthreads:2 ~capacity:64)
+      adapt (module Q) (Q.create ~nthreads:2 ~capacity:64)
   | `Fast ->
       let module Q = Dssq_baselines.Caswe_queue.Fast (M) in
-      qh (module Q) (Q.create ~nthreads:2 ~capacity:64 ())
+      adapt (module Q) (Q.create ~nthreads:2 ~capacity:64 ())
   | `General ->
       let module Q = Dssq_baselines.Caswe_queue.General (M) in
-      qh (module Q) (Q.create ~nthreads:2 ~capacity:64 ())
+      adapt (module Q) (Q.create ~nthreads:2 ~capacity:64 ())
 
 (* Randomized strict-linearizability testing: random schedules, random
    crash points, recovery, recorded resolves, checked against D<queue>.
@@ -1796,57 +1766,44 @@ let lincheck_run kind (policy : MI.Policy.t) iterations verbose trace_json =
   let crashes = ref 0 in
   for i = 1 to iterations do
     ignore (Trace.start () : Trace.t);
-    let q = make_queue ~policy kind in
-    let heap = q.heap in
+    let heap, q, recover = make_queue ~policy kind in
     let rec_ = Recorder.create () in
-    let record ~tid op f =
-      ignore (Recorder.record rec_ ~tid op f)
-    in
-    let deq_response v =
-      Dss_spec.Ret (Scenarios.removed Scenarios.queue_ops v)
-    in
-    let resolved_response r =
-      Scenarios.status (Scenarios.linked_resolved Scenarios.queue_ops r)
-    in
-    let enqueuer () =
-      record ~tid:0 (Dss_spec.Prep (Specs.Queue.Enqueue i)) (fun () ->
-          q.prep_enqueue ~tid:0 i;
+    let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
+    let detectable ~tid op () =
+      record ~tid (Dss_spec.Prep op) (fun () ->
+          q.prep ~tid op;
           Dss_spec.Ack);
-      record ~tid:0 (Dss_spec.Exec (Specs.Queue.Enqueue i)) (fun () ->
-          q.exec_enqueue ~tid:0;
-          Dss_spec.Ret Specs.Queue.Ok)
-    in
-    let dequeuer () =
-      record ~tid:1 (Dss_spec.Prep Specs.Queue.Dequeue) (fun () ->
-          q.prep_dequeue ~tid:1;
-          Dss_spec.Ack);
-      record ~tid:1 (Dss_spec.Exec Specs.Queue.Dequeue) (fun () ->
-          deq_response (q.exec_dequeue ~tid:1))
+      record ~tid (Dss_spec.Exec op) (fun () -> Dss_spec.Ret (q.exec ~tid op))
     in
     let outcome =
       Sim.run heap ~policy:(Sim.Random_seed i)
         ~crash:(Sim.Crash_at_step (5 + (i mod 45)))
-        ~threads:[ enqueuer; dequeuer ]
+        ~threads:
+          [
+            detectable ~tid:0 (Specs.Queue.Enqueue i);
+            detectable ~tid:1 Specs.Queue.Dequeue;
+          ]
     in
     if outcome.Sim.crashed then begin
       incr crashes;
       Recorder.crash rec_;
       Sim.apply_crash heap ~evict_p:(float_of_int (i mod 3) /. 2.) ~seed:i;
-      q.recover ();
-      record ~tid:0 Dss_spec.Resolve (fun () ->
-          resolved_response (q.resolve ~tid:0));
-      record ~tid:1 Dss_spec.Resolve (fun () ->
-          resolved_response (q.resolve ~tid:1))
+      recover ();
+      for tid = 0 to 1 do
+        record ~tid Dss_spec.Resolve (fun () ->
+            Scenarios.status (q.resolve ~tid))
+      done
     end;
     (* Drain so the final state is validated too. *)
     let rec drain guard =
-      if guard > 0 then begin
-        let v = ref 0 in
-        record ~tid:0 (Dss_spec.Base Specs.Queue.Dequeue) (fun () ->
-            v := q.dequeue ~tid:0;
-            deq_response !v);
-        if !v <> Dssq_core.Queue_intf.empty_value then drain (guard - 1)
-      end
+      let deq = Specs.Queue.Dequeue in
+      if guard > 0 then
+        match
+          Recorder.record rec_ ~tid:0 (Dss_spec.Base deq) (fun () ->
+              Dss_spec.Ret (q.base ~tid:0 deq))
+        with
+        | Dss_spec.Ret Specs.Queue.Empty -> ()
+        | _ -> drain (guard - 1)
     in
     drain 10;
     let history = Recorder.history rec_ in

@@ -167,7 +167,9 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     M.drain () (* persistence point, while still EBR-protected *);
     Dssq_ebr.Ebr.exit t.ebr ~tid
 
-  let prep_dequeue t ~tid = P.write_quiet t.p t.x.(tid) x_prep_deq
+  let prep_dequeue t ~tid =
+    P.write_quiet t.p t.x.(tid) x_prep_deq;
+    M.drain () (* persistence point: the announcement is durable *)
 
   let exec_dequeue t ~tid =
     Dssq_ebr.Ebr.enter t.ebr ~tid;

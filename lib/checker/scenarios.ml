@@ -21,7 +21,9 @@
     Every [D<T>] object goes through one builder ({!detectable_setup}):
     the protocol above is object-independent because [D<T>] gives every
     object the same surface.  An object supplies only its specification,
-    an {!adapter} onto that surface and a table of {!program}s.
+    its construction and recovery wiring, and a table of {!program}s;
+    the op-to-call mapping is the object's one
+    {!Dssq_core.Detectable_intf.adapter}, defined in [lib/core].
 
     The hash map has no prep/exec split — [put]/[remove] are single
     detectable calls — so its oracle is plain strict linearizability of
@@ -263,17 +265,6 @@ let finish rec_ verdicts ~retry ~observe ~crashed =
 (* ---------------------------------------------------------------------- *)
 (* The D<T> builder.                                                       *)
 
-(** An object's [D<T>] surface in one vocabulary: [prep] announces,
-    [exec] applies the announced op (passed in, so an object with one
-    exec per op kind can pick it), [base] is the plain op (Axiom 4), and
-    [resolve] answers [(A[p], R[p])]. *)
-type ('op, 'r) adapter = {
-  prep : tid:int -> 'op -> unit;
-  exec : tid:int -> 'op -> 'r;
-  base : tid:int -> 'op -> 'r;
-  resolve : tid:int -> ('op, 'r) Detectable_intf.resolved;
-}
-
 (** [resolve]'s answer as the [D<T>] [Resolve] response. *)
 let status : ('op, 'r) Detectable_intf.resolved -> ('op, 'r) Dss_spec.response
     = function
@@ -288,7 +279,8 @@ let detectable_setup (type op r) ~(params : params) ~verdicts
     ~(instantiate :
        combine:bool ->
        (module Dssq_memory.Memory_intf.S) ->
-       (op, r) adapter * (unit -> unit)) (p : (op, r) program) () =
+       (op, r) Detectable_intf.adapter * (unit -> unit))
+    (p : (op, r) program) () =
   let heap = heap ~params in
   let o, reattach =
     instantiate ~combine:(params.policy = Combine) (memory ~params heap)
@@ -331,47 +323,6 @@ let detectable_setup (type op r) ~(params : params) ~verdicts
   in
   { Explore.ctx = { finish; reattach }; heap; threads }
 
-(** The queue and stack answer [resolve] in {!Queue_intf.resolved} and a
-    remove with a raw int ({!Queue_intf.empty_value} for EMPTY).  This
-    is the one mapping of both onto a specification's alphabet. *)
-type ('op, 'r) linked = {
-  insert : int -> 'op;
-  remove : 'op;
-  ok : 'r;
-  empty : 'r;
-  value : int -> 'r;
-}
-
-let queue_ops : (Specs.Queue.op, Specs.Queue.response) linked =
-  {
-    insert = (fun v -> Enqueue v);
-    remove = Dequeue;
-    ok = Ok;
-    empty = Empty;
-    value = (fun v -> Value v);
-  }
-
-let stack_ops : (Specs.Stack.op, Specs.Stack.response) linked =
-  {
-    insert = (fun v -> Push v);
-    remove = Pop;
-    ok = Ok;
-    empty = Empty;
-    value = (fun v -> Value v);
-  }
-
-(** A remove's raw return as a response. *)
-let removed l v = if v = Queue_intf.empty_value then l.empty else l.value v
-
-let linked_resolved l : Queue_intf.resolved -> _ Detectable_intf.resolved =
-  function
-  | Nothing -> Nothing
-  | Enq_pending v -> Pending (l.insert v)
-  | Enq_done v -> Done (l.insert v, l.ok)
-  | Deq_pending -> Pending l.remove
-  | Deq_empty -> Done (l.remove, l.empty)
-  | Deq_done v -> Done (l.remove, l.value v)
-
 (* ---------------------------------------------------------------------- *)
 (* The objects: instance, then program table.                              *)
 
@@ -387,33 +338,11 @@ let queue_instance ~combine (module M : Dssq_memory.Memory_intf.S) =
     Q.create ~wal:(Sys.wal sys) ~pool_id:(Sys.fresh_pool_id sys)
       ~reclaim:false ~combine ~nthreads:3 ~capacity:8 ()
   in
-  let reattach =
+  ( Queue_intf.adapter (module Q) q,
     Sys.attach sys ~name:"queue"
       ~audit:(fun () -> Dssq_core.Recovery.audit_of_pool (Q.audit q))
       ~violations:(fun () -> Q.recovered_violations q)
-      (fun () -> Q.recover q)
-  in
-  let open Specs.Queue in
-  ( {
-      prep =
-        (fun ~tid -> function
-          | Enqueue v -> Q.prep_enqueue q ~tid v
-          | Dequeue -> Q.prep_dequeue q ~tid);
-      exec =
-        (fun ~tid -> function
-          | Enqueue _ ->
-              Q.exec_enqueue q ~tid;
-              Ok
-          | Dequeue -> removed queue_ops (Q.exec_dequeue q ~tid));
-      base =
-        (fun ~tid -> function
-          | Enqueue v ->
-              Q.enqueue q ~tid v;
-              Ok
-          | Dequeue -> removed queue_ops (Q.dequeue q ~tid));
-      resolve = (fun ~tid -> linked_resolved queue_ops (Q.resolve q ~tid));
-    },
-    reattach )
+      (fun () -> Q.recover q) )
 
 (* Every queue program seeds one element, so dequeues race over both
    list shapes (empty and non-empty), and drains the queue at the end. *)
@@ -445,31 +374,10 @@ let stack_instance ~combine (module M : Dssq_memory.Memory_intf.S) =
     S.create ~wal:(Sys.wal sys) ~pool_id:(Sys.fresh_pool_id sys)
       ~reclaim:false ~combine ~nthreads:3 ~capacity:8 ()
   in
-  let reattach =
+  ( Queue_intf.stack_adapter (module S) s,
     Sys.attach sys ~name:"stack"
       ~audit:(fun () -> Dssq_core.Recovery.audit_of_pool (S.audit s))
-      (fun () -> S.recover s)
-  in
-  let open Specs.Stack in
-  ( {
-      prep =
-        (fun ~tid -> function
-          | Push v -> S.prep_push s ~tid v | Pop -> S.prep_pop s ~tid);
-      exec =
-        (fun ~tid -> function
-          | Push _ ->
-              S.exec_push s ~tid;
-              Ok
-          | Pop -> removed stack_ops (S.exec_pop s ~tid));
-      base =
-        (fun ~tid -> function
-          | Push v ->
-              S.push s ~tid v;
-              Ok
-          | Pop -> removed stack_ops (S.pop s ~tid));
-      resolve = (fun ~tid -> linked_resolved stack_ops (S.resolve s ~tid));
-    },
-    reattach )
+      (fun () -> S.recover s) )
 
 let stack_progs =
   let open Specs.Stack in
@@ -487,34 +395,8 @@ let register_instance ~combine:_ (module M : Dssq_memory.Memory_intf.S) =
   let module Sys = System (M) in
   let sys = Sys.create ~wal_lane_capacity:8 in
   let r = R.create ~init:0 ~nthreads:3 () in
-  let reattach = Sys.attach sys ~name:"register" (fun () -> R.recover r) in
-  let open Specs.Register in
-  ( {
-      prep =
-        (fun ~tid -> function
-          | Write v -> R.prep_write r ~tid v | Read -> R.prep_read r ~tid);
-      exec =
-        (fun ~tid -> function
-          | Write _ ->
-              R.exec_write r ~tid;
-              Ok
-          | Read -> Value (R.exec_read r ~tid));
-      base =
-        (fun ~tid -> function
-          | Write v ->
-              R.write r ~tid v;
-              Ok
-          | Read -> Value (R.read r ~tid));
-      resolve =
-        (fun ~tid : (op, response) Detectable_intf.resolved ->
-          match R.resolve r ~tid with
-          | R.Nothing -> Nothing
-          | R.Write_pending v -> Pending (Write v)
-          | R.Write_done v -> Done (Write v, Ok)
-          | R.Read_pending -> Pending Read
-          | R.Read_done v -> Done (Read, Value v));
-    },
-    reattach )
+  ( Dssq_core.Dss_register.adapter (module R) r,
+    Sys.attach sys ~name:"register" (fun () -> R.recover r) )
 
 let register_progs =
   let open Specs.Register in
@@ -525,9 +407,9 @@ let register_progs =
       base_threads = [ (1, [ Read ]) ]; observe = Reads [ Read ] };
   ]
 
-(* The engine objects ({!Dssq_core.Detectable.Make}) already speak the
-   uniform vocabulary; [make] applies the object's functor.  Their
-   recovery system follows the object. *)
+(* The engine objects ({!Dssq_core.Detectable.Make}) share one adapter;
+   [make] applies the object's functor.  Their recovery system follows
+   the object. *)
 let engine (type op r) make ~combine mem =
   let (module M : Dssq_memory.Memory_intf.S) = mem in
   let (module O : Detectable_intf.GENERIC
@@ -538,14 +420,8 @@ let engine (type op r) make ~combine mem =
   let o = O.create ~combine ~nthreads:3 () in
   let module Sys = System (M) in
   let sys = Sys.create ~wal_lane_capacity:8 in
-  let reattach = Sys.attach sys ~name:O.name (fun () -> O.recover o) in
-  ( {
-      prep = O.prep o;
-      exec = (fun ~tid _ -> O.exec o ~tid);
-      base = O.base o;
-      resolve = O.resolve o;
-    },
-    reattach )
+  ( Detectable_intf.generic (module O) o,
+    Sys.attach sys ~name:O.name (fun () -> O.recover o) )
 
 let swap_progs =
   let open Specs.Swap in
@@ -594,27 +470,20 @@ let bcounter_progs =
 
 let map_spec = Specs.Map.spec ()
 
-let hashmap_setup ~(params : params) ~verdicts (p : (Specs.Map.op, _) program)
-    () =
-  let heap = heap ~params in
-  let (module M) = memory ~params heap in
+let hashmap_instance (module M : Dssq_memory.Memory_intf.S) =
   let module H = Dssq_core.Dss_hashmap.Make (M) in
   let module Sys = System (M) in
   let sys = Sys.create ~wal_lane_capacity:8 in
   let h = H.create ~nthreads:3 ~nbuckets:8 () in
-  let reattach = Sys.attach sys ~name:"hashmap" (fun () -> H.recover h) in
+  ( Dssq_core.Dss_hashmap.adapter (module H) h,
+    Sys.attach sys ~name:"hashmap" (fun () -> H.recover h) )
+
+let hashmap_setup ~(params : params) ~verdicts (p : (Specs.Map.op, _) program)
+    () =
+  let heap = heap ~params in
+  let o, reattach = hashmap_instance (memory ~params heap) in
   let rec_ = Recorder.create () in
-  let call ~tid op =
-    Recorder.record rec_ ~tid op (fun () ->
-        match op with
-        | Specs.Map.Put (k, v) ->
-            H.put h ~tid k v;
-            Specs.Map.Ok
-        | Remove k ->
-            H.remove h ~tid k;
-            Ok
-        | Find k -> ( match H.find h k with Some v -> Found v | None -> Absent))
-  in
+  let call ~tid op = Recorder.record rec_ ~tid op (fun () -> o.base ~tid op) in
   List.iter (fun op -> ignore (call ~tid:observer op)) p.seed;
   let threads =
     List.map
@@ -624,10 +493,9 @@ let hashmap_setup ~(params : params) ~verdicts (p : (Specs.Map.op, _) program)
   let retry () =
     List.iter
       (fun (tid, _) ->
-        match H.resolve h ~tid with
-        | H.Put_pending (k, v) -> ignore (call ~tid (Put (k, v)))
-        | H.Remove_pending k -> ignore (call ~tid (Remove k))
-        | H.Nothing | H.Put_done _ | H.Remove_done _ -> ())
+        match o.resolve ~tid with
+        | Pending op -> ignore (call ~tid op)
+        | Nothing | Done _ -> ())
       p.base_threads
   in
   let finish =

@@ -97,43 +97,31 @@ module type LINEARIZATION_HOOK = sig
   val took_effect : t -> node -> bool
 end
 
-(** The shared core of the linked-structure objects' interfaces — what
-    [dss_queue.mli] and [dss_stack.mli] used to duplicate.  The
-    operation quartet itself keeps its object vocabulary
-    (enqueue/dequeue vs push/pop) and lives in the per-object [.mli]
-    alongside this include. *)
-module type LINKED_CORE = sig
-  type t
+(** An object's [D<T>] surface in the vocabulary of its [lib/spec]
+    alphabet: [prep] announces, [exec] applies the announced op (passed
+    in, so an object with one exec per op kind can pick it), [base] is
+    the plain op (Axiom 4), and [resolve] answers [(A[p], R[p])].  Each
+    object's op-to-call mapping is written once, as one of these: the
+    engine objects share {!generic}, every detectable queue shares
+    {!Queue_intf.adapter}, and the stack, register and hash map define
+    theirs beside their functors.  Adapters take the object's module as
+    a value rather than living inside its functor, so building one costs
+    its four closures and nothing per functor application. *)
+type ('op, 'r) adapter = {
+  prep : tid:int -> 'op -> unit;
+  exec : tid:int -> 'op -> 'r;
+  base : tid:int -> 'op -> 'r;
+  resolve : tid:int -> ('op, 'r) resolved;
+}
 
-  type wal
-  (** The write-ahead log type of the object's node pool
-      ([Node_pool.Make(M).Wal.t]); passing one routes every node
-      alloc/free through the log-then-link discipline. *)
-
-  val name : string
-
-  val create :
-    ?wal:wal -> ?pool_id:int -> ?reclaim:bool -> ?combine:bool ->
-    nthreads:int -> capacity:int -> unit -> t
-  (** [combine] (default [false]) elides the per-operation hardening
-      drains that the flat-combining buffer order makes redundant, so
-      many operations share one persist epoch; see DESIGN.md §14. *)
-
-  val resolve : t -> tid:int -> Queue_intf.resolved
-  (** The [(A[p], R[p])] of the calling thread; total and idempotent. *)
-
-  val recover : t -> unit
-  (** Centralized single-threaded recovery (Figure 6 / Appendix A), run
-      after a crash and before threads resume. *)
-
-  val stats : t -> stats
-
-  val audit : t -> Node_pool.audit_report
-  (** Post-recovery leak audit (read-only): check the rebuilt free
-      lists and the kept node set partition the pool exactly. *)
-
-  (** {1 Introspection (quiescent use: tests, debugging)} *)
-
-  val to_list : t -> int list
-  val free_count : t -> int
-end
+(** The adapter of any {!GENERIC} object: the engine already speaks the
+    uniform vocabulary. *)
+let generic (type o r t)
+    (module O : GENERIC with type op = o and type response = r and type t = t)
+    (o : t) : (o, r) adapter =
+  {
+    prep = O.prep o;
+    exec = (fun ~tid _ -> O.exec o ~tid);
+    base = O.base o;
+    resolve = O.resolve o;
+  }

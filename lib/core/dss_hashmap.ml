@@ -20,6 +20,22 @@
 
 exception Full
 
+module type OPS = sig
+  type t
+
+  type resolved =
+    | Nothing
+    | Put_pending of int * int
+    | Put_done of int * int
+    | Remove_pending of int
+    | Remove_done of int
+
+  val find : t -> int -> int option
+  val put : t -> tid:int -> int -> int -> unit
+  val remove : t -> tid:int -> int -> unit
+  val resolve : t -> tid:int -> resolved
+end
+
 module Make (M : Dssq_memory.Memory_intf.S) = struct
   module C = Dss_cell.Make (M)
   module Profile = Dssq_obs.Profile
@@ -234,3 +250,30 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
 
   let length t = List.length (to_alist t)
 end
+
+let adapter (type h) (module H : OPS with type t = h) (h : h) :
+    (Dssq_spec.Specs.Map.op, Dssq_spec.Specs.Map.response)
+    Detectable_intf.adapter =
+  let open Dssq_spec.Specs.Map in
+  let call ~tid = function
+    | Put (k, v) ->
+        H.put h ~tid k v;
+        Ok
+    | Remove k ->
+        H.remove h ~tid k;
+        Ok
+    | Find k -> ( match H.find h k with Some v -> Found v | None -> Absent)
+  in
+  {
+    prep = (fun ~tid:_ _ -> ());
+    exec = call;
+    base = call;
+    resolve =
+      (fun ~tid : (op, response) Detectable_intf.resolved ->
+        match H.resolve h ~tid with
+        | H.Nothing -> Nothing
+        | H.Put_pending (k, v) -> Pending (Put (k, v))
+        | H.Put_done (k, v) -> Done (Put (k, v), Ok)
+        | H.Remove_pending k -> Pending (Remove k)
+        | H.Remove_done k -> Done (Remove k, Ok));
+  }

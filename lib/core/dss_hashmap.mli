@@ -9,7 +9,8 @@
 
 exception Full
 
-module Make (M : Dssq_memory.Memory_intf.S) : sig
+(** The map's calls, as {!adapter} needs them. *)
+module type OPS = sig
   type t
 
   type resolved =
@@ -19,12 +20,7 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
     | Remove_pending of int
     | Remove_done of int
 
-  val pp_resolved : Format.formatter -> resolved -> unit
-
-  val create : nthreads:int -> nbuckets:int -> unit -> t
-
   val find : t -> int -> int option
-  val mem : t -> int -> bool
 
   val put : t -> tid:int -> int -> int -> unit
   (** Detectable insert-or-update; retry exactly-once via {!resolve}.
@@ -34,6 +30,16 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
   (** Detectable removal; no-op if the key is absent. *)
 
   val resolve : t -> tid:int -> resolved
+end
+
+module Make (M : Dssq_memory.Memory_intf.S) : sig
+  include OPS
+
+  val pp_resolved : Format.formatter -> resolved -> unit
+
+  val create : nthreads:int -> nbuckets:int -> unit -> t
+
+  val mem : t -> int -> bool
 
   val recover : t -> unit
   (** No-op: announcements and cells are self-describing. *)
@@ -48,3 +54,13 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
 
   val length : t -> int
 end
+
+val adapter :
+  (module OPS with type t = 'h) ->
+  'h ->
+  (Dssq_spec.Specs.Map.op, Dssq_spec.Specs.Map.response)
+  Detectable_intf.adapter
+(** The map's surface over the specification's alphabet.  [put] and
+    [remove] are fused detectable calls with no prep/exec split, so
+    [prep] does nothing and [exec] is [base]; [resolve] names the
+    pending or completed mutation for an exactly-once retry. *)

@@ -15,9 +15,9 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
 
   (** The shared detectable-linked-structure core (name, [create],
       [resolve], [recover], [stats], introspection) — see
-      {!Detectable_intf.LINKED_CORE}. *)
+      {!Queue_intf.LINKED_CORE}. *)
   include
-    Detectable_intf.LINKED_CORE
+    Queue_intf.LINKED_CORE
       with type t := t
        and type wal := Pool.Wal.t
 

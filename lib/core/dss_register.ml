@@ -95,3 +95,33 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
   let recover = E.recover
   let stats = E.stats
 end
+
+let adapter (type r) (module R : S with type t = r) (r : r) :
+    (Dssq_spec.Specs.Register.op, Dssq_spec.Specs.Register.response)
+    Detectable_intf.adapter =
+  let open Dssq_spec.Specs.Register in
+  {
+    prep =
+      (fun ~tid -> function
+        | Write v -> R.prep_write r ~tid v | Read -> R.prep_read r ~tid);
+    exec =
+      (fun ~tid -> function
+        | Write _ ->
+            R.exec_write r ~tid;
+            Ok
+        | Read -> Value (R.exec_read r ~tid));
+    base =
+      (fun ~tid -> function
+        | Write v ->
+            R.write r ~tid v;
+            Ok
+        | Read -> Value (R.read r ~tid));
+    resolve =
+      (fun ~tid : (op, response) Detectable_intf.resolved ->
+        match R.resolve r ~tid with
+        | R.Nothing -> Nothing
+        | R.Write_pending v -> Pending (Write v)
+        | R.Write_done v -> Done (Write v, Ok)
+        | R.Read_pending -> Pending Read
+        | R.Read_done v -> Done (Read, Value v));
+  }

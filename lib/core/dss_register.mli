@@ -46,3 +46,11 @@ module type S = sig
 end
 
 module Make (M : Dssq_memory.Memory_intf.S) : S
+
+val adapter :
+  (module S with type t = 'r) ->
+  'r ->
+  (Dssq_spec.Specs.Register.op, Dssq_spec.Specs.Register.response)
+  Detectable_intf.adapter
+(** The register's [D<register>] surface over the specification's
+    alphabet ({!Detectable_intf.adapter}). *)

@@ -52,33 +52,38 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     | None -> ()
     | Some s -> ignore (Sys.register s ~name ?audit recover : int)
 
-  let dss ?system (cfg : Queue_intf.config) : Queue_intf.ops =
-    let wal = Option.map Sys.wal system in
-    let pool_id =
-      match system with Some s -> Some (Sys.fresh_pool_id s) | None -> None
-    in
-    let q = Dss.of_config ?wal ?pool_id cfg in
-    attach system ~name:"dss-queue"
-      ~audit:(fun () -> Recovery.audit_of_pool (Dss.audit q))
-      (fun () -> Dss.recover q);
+  (* The closure record of any detectable queue, rooted in [system]
+     under [name]. *)
+  let detectable (type q)
+      (module Q : Queue_intf.DETECTABLE_QUEUE with type t = q) ?system ~name
+      ?audit ?(stats = fun () -> []) (q : q) : Queue_intf.ops =
+    attach system ~name ?audit (fun () -> Q.recover q);
     {
-      name = "dss-queue";
-      enqueue = (fun ~tid v -> Dss.enqueue q ~tid v);
-      dequeue = (fun ~tid -> Dss.dequeue q ~tid);
+      name;
+      enqueue = Q.enqueue q;
+      dequeue = Q.dequeue q;
       d_enqueue =
         (fun ~tid v ->
-          Dss.prep_enqueue q ~tid v;
-          Dss.exec_enqueue q ~tid);
+          Q.prep_enqueue q ~tid v;
+          Q.exec_enqueue q ~tid);
       d_dequeue =
         (fun ~tid ->
-          Dss.prep_dequeue q ~tid;
-          Dss.exec_dequeue q ~tid);
-      recover = (fun () -> Dss.recover q);
-      resolve = (fun ~tid -> Dss.resolve q ~tid);
-      stats =
-        (fun () ->
-          [ ("capacity", cfg.capacity); ("pool_free", Dss.free_count q) ]);
+          Q.prep_dequeue q ~tid;
+          Q.exec_dequeue q ~tid);
+      recover = (fun () -> Q.recover q);
+      resolve = Q.resolve q;
+      stats;
     }
+
+  let dss ?system (cfg : Queue_intf.config) =
+    let wal = Option.map Sys.wal system in
+    let pool_id = Option.map Sys.fresh_pool_id system in
+    let q = Dss.of_config ?wal ?pool_id cfg in
+    detectable (module Dss) ?system ~name:"dss-queue"
+      ~audit:(fun () -> Recovery.audit_of_pool (Dss.audit q))
+      ~stats:(fun () ->
+        [ ("capacity", cfg.capacity); ("pool_free", Dss.free_count q) ])
+      q
 
   let fc ?system (cfg : Queue_intf.config) : Queue_intf.ops =
     let module Q = Dssq_spec.Specs.Queue in
@@ -163,65 +168,14 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       stats = (fun () -> []);
     }
 
-  let log ?system (cfg : Queue_intf.config) : Queue_intf.ops =
-    let q = Log.of_config cfg in
-    attach system ~name:"log-queue" (fun () -> Log.recover q);
-    {
-      name = "log-queue";
-      enqueue = (fun ~tid v -> Log.enqueue q ~tid v);
-      dequeue = (fun ~tid -> Log.dequeue q ~tid);
-      d_enqueue =
-        (fun ~tid v ->
-          Log.prep_enqueue q ~tid v;
-          Log.exec_enqueue q ~tid);
-      d_dequeue =
-        (fun ~tid ->
-          Log.prep_dequeue q ~tid;
-          Log.exec_dequeue q ~tid);
-      recover = (fun () -> Log.recover q);
-      resolve = (fun ~tid -> Log.resolve q ~tid);
-      stats = (fun () -> []);
-    }
+  let log ?system cfg =
+    detectable (module Log) ?system ~name:"log-queue" (Log.of_config cfg)
 
-  let general_caswe ?system (cfg : Queue_intf.config) : Queue_intf.ops =
-    let q = Gen.of_config cfg in
-    attach system ~name:"general-caswe" (fun () -> Gen.recover q);
-    {
-      name = "general-caswe";
-      enqueue = (fun ~tid v -> Gen.enqueue q ~tid v);
-      dequeue = (fun ~tid -> Gen.dequeue q ~tid);
-      d_enqueue =
-        (fun ~tid v ->
-          Gen.prep_enqueue q ~tid v;
-          Gen.exec_enqueue q ~tid);
-      d_dequeue =
-        (fun ~tid ->
-          Gen.prep_dequeue q ~tid;
-          Gen.exec_dequeue q ~tid);
-      recover = (fun () -> Gen.recover q);
-      resolve = (fun ~tid -> Gen.resolve q ~tid);
-      stats = (fun () -> []);
-    }
+  let general_caswe ?system cfg =
+    detectable (module Gen) ?system ~name:"general-caswe" (Gen.of_config cfg)
 
-  let fast_caswe ?system (cfg : Queue_intf.config) : Queue_intf.ops =
-    let q = Fast.of_config cfg in
-    attach system ~name:"fast-caswe" (fun () -> Fast.recover q);
-    {
-      name = "fast-caswe";
-      enqueue = (fun ~tid v -> Fast.enqueue q ~tid v);
-      dequeue = (fun ~tid -> Fast.dequeue q ~tid);
-      d_enqueue =
-        (fun ~tid v ->
-          Fast.prep_enqueue q ~tid v;
-          Fast.exec_enqueue q ~tid);
-      d_dequeue =
-        (fun ~tid ->
-          Fast.prep_dequeue q ~tid;
-          Fast.exec_dequeue q ~tid);
-      recover = (fun () -> Fast.recover q);
-      resolve = (fun ~tid -> Fast.resolve q ~tid);
-      stats = (fun () -> []);
-    }
+  let fast_caswe ?system cfg =
+    detectable (module Fast) ?system ~name:"fast-caswe" (Fast.of_config cfg)
 
   let all =
     [

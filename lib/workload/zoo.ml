@@ -47,225 +47,150 @@ let flushes_per_op r =
 
 (* Every workload: [pairs] iterations per thread, two detectable
    operations per iteration (a mutator and its inverse or a read), all
-   through the prep/exec pair so the announce protocol is on the
-   measured path.  Counters are reset after construction and prefill;
+   through the object's adapter prep/exec pair so the announce protocol
+   is on the measured path (the hash map's adapter runs its fused
+   detectable call as exec).  Counters are reset after construction;
    [ops] counts completed detectable operations. *)
 
 let nthreads = 2
 
-let objects =
+(* A zoo row: the object's constructor over a backend — its [D<T>]
+   adapter, static footprint and object-wide recovery — and the two
+   operations thread [tid] runs in iteration [i]. *)
+type entry =
+  | Entry : {
+      name : string;
+      make :
+        (module MI.S) ->
+        combine:bool ->
+        pairs:int ->
+        ('op, 'r) DI.adapter * (unit -> DI.stats) * (unit -> unit);
+      ops : pairs:int -> tid:int -> int -> 'op * 'op;
+    }
+      -> entry
+
+let entry name make ops = Entry { name; make; ops }
+let counted tid i = (tid * 1_000_000) + i
+let capacity ~pairs = 16 + (nthreads * (pairs + 8))
+
+let queue (module M : MI.S) ~combine ~pairs =
+  let module Q = Dssq_core.Dss_queue.Make (M) in
+  let q = Q.create ~combine ~nthreads ~capacity:(capacity ~pairs) () in
+  ( Dssq_core.Queue_intf.adapter (module Q) q,
+    (fun () -> Q.stats q),
+    fun () -> Q.recover q )
+
+let stack (module M : MI.S) ~combine ~pairs =
+  let module S = Dssq_core.Dss_stack.Make (M) in
+  let s = S.create ~combine ~nthreads ~capacity:(capacity ~pairs) () in
+  ( Dssq_core.Queue_intf.stack_adapter (module S) s,
+    (fun () -> S.stats s),
+    fun () -> S.recover s )
+
+(* Register and hash map have no combining mode. *)
+let register (module M : MI.S) ~combine:_ ~pairs:_ =
+  let module R = Dssq_core.Dss_register.Make (M) in
+  let r = R.create ~nthreads () in
+  ( Dssq_core.Dss_register.adapter (module R) r,
+    (fun () -> R.stats r),
+    fun () -> R.recover r )
+
+let hashmap (module M : MI.S) ~combine:_ ~pairs:_ =
+  let module H = Dssq_core.Dss_hashmap.Make (M) in
+  let h = H.create ~nthreads ~nbuckets:64 () in
+  ( Dssq_core.Dss_hashmap.adapter (module H) h,
+    (fun () -> H.stats h),
+    fun () -> H.recover h )
+
+(* The engine objects: [make] applies the object's functor. *)
+let engine (type op r)
+    (make :
+      (module MI.S) ->
+      (module DI.GENERIC with type op = op and type response = r)) mem
+    ~combine ~pairs:_ =
+  let (module O) = make mem in
+  let o = O.create ~combine ~nthreads () in
+  (DI.generic (module O) o, (fun () -> O.stats o), fun () -> O.recover o)
+
+let table =
+  let open Dssq_spec.Specs in
   [
-    "dss-queue"; "dss-stack"; "dss-register"; "dss-hashmap"; "dss-swap";
-    "dss-deque"; "dss-pqueue"; "dss-bcounter";
+    entry "dss-queue" queue (fun ~pairs:_ ~tid i ->
+        (Queue.Enqueue (counted tid i), Dequeue));
+    entry "dss-stack" stack (fun ~pairs:_ ~tid i ->
+        (Stack.Push (counted tid i), Pop));
+    entry "dss-register" register (fun ~pairs:_ ~tid i ->
+        (Register.Write (counted tid i), Read));
+    (* Disjoint key ranges per thread; keys must be >= 1. *)
+    entry "dss-hashmap" hashmap (fun ~pairs:_ ~tid i ->
+        let k = (tid * 4096) + (i mod 1024) + 1 in
+        (Map.Put (k, i), Remove k));
+    entry "dss-swap"
+      (engine (fun (module M) -> (module Dssq_core.Dss_swap.Make (M))))
+      (fun ~pairs ~tid i ->
+        (Swap.Swap (counted tid i), Swap (counted tid (i + pairs))));
+    (* Thread 0 works the front, thread 1 the back, so both ends of the
+       specification are on the measured path. *)
+    entry "dss-deque"
+      (engine (fun (module M) -> (module Dssq_core.Dss_deque.Make (M))))
+      (fun ~pairs:_ ~tid i ->
+        if tid = 0 then (Deque.Push_front (counted tid i), Pop_back)
+        else (Push_back (counted tid i), Pop_front));
+    (* Interleaved priorities so extract-min alternates winners. *)
+    entry "dss-pqueue"
+      (engine (fun (module M) -> (module Dssq_core.Dss_pqueue.Make (M))))
+      (fun ~pairs:_ ~tid i ->
+        (Pqueue.Insert ((i * nthreads) + tid), Extract_min));
+    entry "dss-bcounter"
+      (engine (fun (module M) -> (module Dssq_core.Dss_bcounter.Make (M))))
+      (fun ~pairs:_ ~tid:_ _ -> (Bcounter.Increment, Decrement));
   ]
 
-type runner = {
-  r_threads : (unit -> unit) list;
-  r_stats : unit -> DI.stats;
-  r_recover : unit -> unit;
-      (* object-wide recovery plus one resolve per thread — the
-         post-crash path the profiler attributes to the recovery phases *)
-}
+let objects = List.map (fun (Entry e) -> e.name) table
 
-let make_runner (module M : Dssq_memory.Memory_intf.S) ~policy ~pairs name :
-    runner =
-  let combine = policy = MI.Policy.Combine in
-  let counted tid i = (tid * 1_000_000) + i in
-  match name with
-  | "dss-queue" ->
-      let module Q = Dssq_core.Dss_queue.Make (M) in
-      let q =
-        Q.create ~combine ~nthreads ~capacity:(16 + (nthreads * (pairs + 8))) ()
-      in
-      let worker tid () =
-        for i = 1 to pairs do
-          Q.prep_enqueue q ~tid (counted tid i);
-          Q.exec_enqueue q ~tid;
-          Q.prep_dequeue q ~tid;
-          ignore (Q.exec_dequeue q ~tid)
-        done
-      in
-      {
-        r_threads = [ worker 0; worker 1 ];
-        r_stats = (fun () -> Q.stats q);
-        r_recover =
-          (fun () ->
-            Q.recover q;
-            for tid = 0 to nthreads - 1 do
-              ignore (Q.resolve q ~tid)
-            done);
-      }
-  | "dss-stack" ->
-      let module S = Dssq_core.Dss_stack.Make (M) in
-      let s =
-        S.create ~combine ~nthreads ~capacity:(16 + (nthreads * (pairs + 8))) ()
-      in
-      let worker tid () =
-        for i = 1 to pairs do
-          S.prep_push s ~tid (counted tid i);
-          S.exec_push s ~tid;
-          S.prep_pop s ~tid;
-          ignore (S.exec_pop s ~tid)
-        done
-      in
-      {
-        r_threads = [ worker 0; worker 1 ];
-        r_stats = (fun () -> S.stats s);
-        r_recover =
-          (fun () ->
-            S.recover s;
-            for tid = 0 to nthreads - 1 do
-              ignore (S.resolve s ~tid)
-            done);
-      }
-  | "dss-register" ->
-      let module R = Dssq_core.Dss_register.Make (M) in
-      let r = R.create ~nthreads () in
-      let worker tid () =
-        for i = 1 to pairs do
-          R.prep_write r ~tid (counted tid i);
-          R.exec_write r ~tid;
-          R.prep_read r ~tid;
-          ignore (R.exec_read r ~tid)
-        done
-      in
-      {
-        r_threads = [ worker 0; worker 1 ];
-        r_stats = (fun () -> R.stats r);
-        r_recover =
-          (fun () ->
-            R.recover r;
-            for tid = 0 to nthreads - 1 do
-              ignore (R.resolve r ~tid)
-            done);
-      }
-  | "dss-hashmap" ->
-      let module H = Dssq_core.Dss_hashmap.Make (M) in
-      let h = H.create ~nthreads ~nbuckets:64 () in
-      let worker tid () =
-        for i = 1 to pairs do
-          (* Disjoint key ranges per thread; keys must be >= 1. *)
-          let k = (tid * 4096) + (i mod 1024) + 1 in
-          H.put h ~tid k i;
-          H.remove h ~tid k
-        done
-      in
-      {
-        r_threads = [ worker 0; worker 1 ];
-        r_stats = (fun () -> H.stats h);
-        r_recover =
-          (fun () ->
-            H.recover h;
-            for tid = 0 to nthreads - 1 do
-              ignore (H.resolve h ~tid)
-            done);
-      }
-  | "dss-swap" ->
-      let module W = Dssq_core.Dss_swap.Make (M) in
-      let w = W.create ~combine ~nthreads () in
-      let worker tid () =
-        for i = 1 to pairs do
-          W.prep_swap w ~tid (counted tid i);
-          ignore (W.exec_swap w ~tid);
-          W.prep_swap w ~tid (counted tid (i + pairs));
-          ignore (W.exec_swap w ~tid)
-        done
-      in
-      {
-        r_threads = [ worker 0; worker 1 ];
-        r_stats = (fun () -> W.stats w);
-        r_recover =
-          (fun () ->
-            W.recover w;
-            for tid = 0 to nthreads - 1 do
-              ignore (W.resolve w ~tid)
-            done);
-      }
-  | "dss-deque" ->
-      let module D = Dssq_core.Dss_deque.Make (M) in
-      let d = D.create ~combine ~nthreads () in
-      (* Thread 0 works the front, thread 1 the back, so both ends of
-         the specification are on the measured path. *)
-      let worker tid () =
-        for i = 1 to pairs do
-          if tid = 0 then D.prep_push_front d ~tid (counted tid i)
-          else D.prep_push_back d ~tid (counted tid i);
-          ignore (D.exec d ~tid);
-          if tid = 0 then D.prep_pop_back d ~tid else D.prep_pop_front d ~tid;
-          ignore (D.exec d ~tid)
-        done
-      in
-      {
-        r_threads = [ worker 0; worker 1 ];
-        r_stats = (fun () -> D.stats d);
-        r_recover =
-          (fun () ->
-            D.recover d;
-            for tid = 0 to nthreads - 1 do
-              ignore (D.resolve d ~tid)
-            done);
-      }
-  | "dss-pqueue" ->
-      let module P = Dssq_core.Dss_pqueue.Make (M) in
-      let p = P.create ~combine ~nthreads () in
-      let worker tid () =
-        for i = 1 to pairs do
-          (* Interleaved priorities so extract-min alternates winners. *)
-          P.prep_insert p ~tid ((i * nthreads) + tid);
-          ignore (P.exec p ~tid);
-          P.prep_extract_min p ~tid;
-          ignore (P.exec p ~tid)
-        done
-      in
-      {
-        r_threads = [ worker 0; worker 1 ];
-        r_stats = (fun () -> P.stats p);
-        r_recover =
-          (fun () ->
-            P.recover p;
-            for tid = 0 to nthreads - 1 do
-              ignore (P.resolve p ~tid)
-            done);
-      }
-  | "dss-bcounter" ->
-      let module B = Dssq_core.Dss_bcounter.Make (M) in
-      let b = B.create ~combine ~nthreads () in
-      let worker tid () =
-        for _ = 1 to pairs do
-          B.prep_incr b ~tid;
-          ignore (B.exec b ~tid);
-          B.prep_decr b ~tid;
-          ignore (B.exec b ~tid)
-        done
-      in
-      {
-        r_threads = [ worker 0; worker 1 ];
-        r_stats = (fun () -> B.stats b);
-        r_recover =
-          (fun () ->
-            B.recover b;
-            for tid = 0 to nthreads - 1 do
-              ignore (B.resolve b ~tid)
-            done);
-      }
-  | other ->
+(* Every accounting run: build [name] over the counted backend, zero the
+   counters, and account the window in which [drive] runs the workers
+   and, given the post-crash path (object-wide recovery plus one resolve
+   per thread), whatever follows them. *)
+let row (module C : MI.COUNTED) ~policy ~pairs name drive =
+  match List.find_opt (fun (Entry e) -> e.name = name) table with
+  | None ->
       invalid_arg
-        (Printf.sprintf "Zoo: unknown object %s (known: %s)" other
+        (Printf.sprintf "Zoo: unknown object %s (known: %s)" name
            (String.concat ", " objects))
+  | Some (Entry e) ->
+      let a, stats, recover =
+        e.make (module C) ~combine:(policy = MI.Policy.Combine) ~pairs
+      in
+      let detectable ~tid op =
+        a.prep ~tid op;
+        ignore (a.exec ~tid op)
+      in
+      let worker tid () =
+        for i = 1 to pairs do
+          let x, y = e.ops ~pairs ~tid i in
+          detectable ~tid x;
+          detectable ~tid y
+        done
+      in
+      C.reset_counters ();
+      drive [ worker 0; worker 1 ] (fun () ->
+          recover ();
+          for tid = 0 to nthreads - 1 do
+            ignore (a.resolve ~tid)
+          done);
+      {
+        z_object = name;
+        (* two detectable ops per iteration per thread, by construction *)
+        z_ops = 2 * pairs * nthreads;
+        z_events = C.counters ();
+        z_stats = stats ();
+      }
 
 let run_one ?(pairs = 200) ?(line_size = 1) ?(policy = MI.Policy.Eager) name =
   let heap = Heap.create ~line_size ~policy () in
-  let (module M) = Sim.counted_memory heap in
-  let r = make_runner (module M) ~policy ~pairs name in
-  M.reset_counters ();
-  ignore (Sim.run heap ~threads:r.r_threads);
-  {
-    z_object = name;
-    (* two detectable ops per iteration per thread, by construction *)
-    z_ops = 2 * pairs * nthreads;
-    z_events = M.counters ();
-    z_stats = r.r_stats ();
-  }
+  row (Sim.counted_memory heap) ~policy ~pairs name (fun threads _ ->
+      ignore (Sim.run heap ~threads))
 
 let run_all ?pairs ?line_size ?policy () =
   List.map (fun name -> run_one ?pairs ?line_size ?policy name) objects
@@ -332,32 +257,29 @@ let with_attribution body =
       Profile.stop ())
     body
 
+(* The measured window starts clean: counts (not labels) are zeroed at
+   the same instant as the backend counters. *)
+let zero_attribution () =
+  Heatmap.reset_counts ();
+  Profile.reset ()
+
+let attributed p_row =
+  { p_row; p_phases = Profile.rows (); p_heat = Heatmap.rows () }
+
 let profile_one ?(pairs = 200) ?(line_size = 1) ?(policy = MI.Policy.Eager)
     ?(crash = false) name =
   with_attribution (fun () ->
       let heap = Heap.create ~line_size ~policy () in
-      let (module M) = Sim.counted_memory heap in
-      let r = make_runner (module M) ~policy ~pairs name in
-      M.reset_counters ();
-      Heatmap.reset_counts ();
-      Profile.reset ();
-      ignore (Sim.run heap ~threads:r.r_threads);
-      if crash then begin
-        Heap.crash_random heap ~evict_p:0.5
-          ~rng:(Random.State.make [| 0xF00D; 17 |]);
-        r.r_recover ()
-      end;
-      {
-        p_row =
-          {
-            z_object = name;
-            z_ops = 2 * pairs * nthreads;
-            z_events = M.counters ();
-            z_stats = r.r_stats ();
-          };
-        p_phases = Profile.rows ();
-        p_heat = Heatmap.rows ();
-      })
+      attributed
+        (row (Sim.counted_memory heap) ~policy ~pairs name
+           (fun threads recover ->
+             zero_attribution ();
+             ignore (Sim.run heap ~threads);
+             if crash then begin
+               Heap.crash_random heap ~evict_p:0.5
+                 ~rng:(Random.State.make [| 0xF00D; 17 |]);
+               recover ()
+             end)))
 
 let profile_one_native ?(pairs = 200) ?(line_size = 1)
     ?(policy = MI.Policy.Eager) name =
@@ -365,40 +287,28 @@ let profile_one_native ?(pairs = 200) ?(line_size = 1)
   let module PE = Dssq_memory.Persist_event in
   with_attribution (fun () ->
       Native.set_line_size line_size;
-      let measure (module C : MI.COUNTED) =
-        let r = make_runner (module C) ~policy ~pairs name in
-        C.reset_counters ();
-        Heatmap.reset_counts ();
-        Profile.reset ();
-        (* Workers run sequentially in this domain — attribution wants a
-           deterministic event stream, not a wall-clock benchmark; the
-           per-worker tid keeps the profiler's thread slots honest. *)
-        List.iteri
-          (fun tid th ->
-            PE.pin_tid tid;
-            th ())
-          r.r_threads;
-        PE.pin_tid (-1);
-        C.drain ();
-        r.r_recover ();
-        {
-          p_row =
-            {
-              z_object = name;
-              z_ops = 2 * pairs * nthreads;
-              z_events = C.counters ();
-              z_stats = r.r_stats ();
-            };
-          p_phases = Profile.rows ();
-          p_heat = Heatmap.rows ();
-        }
+      let module C =
+        Native.Make
+          (struct
+            let policy = policy
+          end)
+          ()
       in
-      measure
-        (module Native.Make
-                  (struct
-                    let policy = policy
-                  end)
-                  ()))
+      attributed
+        (row (module C) ~policy ~pairs name (fun threads recover ->
+             zero_attribution ();
+             (* Workers run sequentially in this domain — attribution
+                wants a deterministic event stream, not a wall-clock
+                benchmark; the per-worker tid keeps the profiler's
+                thread slots honest. *)
+             List.iteri
+               (fun tid th ->
+                 PE.pin_tid tid;
+                 th ())
+               threads;
+             PE.pin_tid (-1);
+             C.drain ();
+             recover ())))
 
 let profile_all ?pairs ?line_size ?policy ?crash () =
   List.map

@@ -27,14 +27,14 @@ let queue_spec ~nthreads :
   Dss_spec.make ~nthreads (Specs.Queue.spec ())
 
 (* A dequeue's integer return and a [resolve] answer as spec responses,
-   through the litmus corpus's one queue mapping. *)
+   through the one queue mapping in [Queue_intf]. *)
 module Scenarios = Dssq_checker.Scenarios
 
 let deq_response v : qresp =
-  Dss_spec.Ret (Scenarios.removed Scenarios.queue_ops v)
+  Dss_spec.Ret (Queue_intf.removed Queue_intf.queue_ops v)
 
 let resolved_response r : qresp =
-  Scenarios.status (Scenarios.linked_resolved Scenarios.queue_ops r)
+  Scenarios.status (Queue_intf.linked_resolved Queue_intf.queue_ops r)
 
 (** A detectable queue instance bundled as closures, together with its
     heap, so scenario code does not need the functor-generated types. *)

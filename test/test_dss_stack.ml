@@ -86,10 +86,10 @@ let test_recycling () =
 
 let dstack ~nthreads = Dss_spec.make ~nthreads (St.spec ())
 
-let pop_response v = Dss_spec.Ret (Scenarios.removed Scenarios.stack_ops v)
+let pop_response v = Dss_spec.Ret (Queue_intf.removed Queue_intf.stack_ops v)
 
 let resolved_response r =
-  Scenarios.status (Scenarios.linked_resolved Scenarios.stack_ops r)
+  Scenarios.status (Queue_intf.linked_resolved Queue_intf.stack_ops r)
 
 let check_stack_strict ~nthreads history =
   match Lincheck.check ~mode:Lincheck.Strict (dstack ~nthreads) history with
