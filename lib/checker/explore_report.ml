@@ -16,14 +16,19 @@
     - v5: the persist policy replaces the memory-model fields — every
       case and the run params carry one ["policy"] (eager, coalesced,
       px86 or combine) in place of ["coalesce"]/["combine"]/
-      ["persistency"], and ["coverage"] is keyed by policy. *)
+      ["persistency"], and ["coverage"] is keyed by policy.
+    - v6: crash branches are cold restarts, and stats gain
+      [skipped_points]/[skipped_branches] — the crash points (and their
+      branches) the search did not run because they repeat their
+      parent's — per case and in the coverage totals; [executions] and
+      [crash_branches] count only the branches run. *)
 
 module Json = Dssq_obs.Json
 module Explore = Dssq_sim.Explore
 module Policy = Dssq_pmem.Heap.Policy
 
 let schema = "dssq-explore-report"
-let version = 5
+let version = 6
 
 (** One corpus case's outcome under the reduced (and optionally the
     naive) search. *)
@@ -56,6 +61,8 @@ let stats_fields prefix = function
         (prefix ^ "drain_points", Json.Int s.drain_points);
         (prefix ^ "drain_branches", Json.Int s.drain_branches);
         (prefix ^ "replays", Json.Int s.replays);
+        (prefix ^ "skipped_points", Json.Int s.skipped_points);
+        (prefix ^ "skipped_branches", Json.Int s.skipped_branches);
         (prefix ^ "wall_s", Json.Float s.wall_s);
       ]
   | Error (sched, exn) ->
@@ -112,6 +119,9 @@ let coverage_json results =
         ("drain_points", Json.Int (tot (fun s -> s.Explore.drain_points)));
         ("drain_branches", Json.Int (tot (fun s -> s.Explore.drain_branches)));
         ("replays", Json.Int (tot (fun s -> s.Explore.replays)));
+        ("skipped_points", Json.Int (tot (fun s -> s.Explore.skipped_points)));
+        ( "skipped_branches",
+          Json.Int (tot (fun s -> s.Explore.skipped_branches)) );
       ]
   in
   Json.Obj

@@ -262,6 +262,18 @@ let finish rec_ verdicts ~retry ~observe ~crashed =
      Recorder.crash rec_);
   Oracle.check_cached verdicts (Recorder.history rec_)
 
+(* A world's side of a cold restart: its recorder, lent through [lent],
+   the one slot every world of a case shares. *)
+let history lent rec_ =
+  {
+    Explore.recorded = (fun () -> Recorder.length rec_);
+    lend = (fun () -> lent := Some rec_);
+    adopt =
+      (fun () ->
+        Option.iter (fun from -> Recorder.adopt rec_ ~from) !lent;
+        lent := None);
+  }
+
 (* ---------------------------------------------------------------------- *)
 (* The D<T> builder.                                                       *)
 
@@ -275,7 +287,7 @@ let status : ('op, 'r) Detectable_intf.resolved -> ('op, 'r) Dss_spec.response
 (* The one record/resolve/retry protocol for every D<T> object.
    [instantiate] builds the object and its recovery system over the
    scenario's memory and returns the adapter and the checked reattach. *)
-let detectable_setup (type op r) ~(params : params) ~verdicts
+let detectable_setup (type op r) ~(params : params) ~verdicts ~lent
     ~(instantiate :
        combine:bool ->
        (module Dssq_memory.Memory_intf.S) ->
@@ -321,7 +333,12 @@ let detectable_setup (type op r) ~(params : params) ~verdicts
   let finish =
     finish rec_ verdicts ~retry ~observe:(fun () -> observe base p.observe)
   in
-  { Explore.ctx = { finish; reattach }; heap; threads }
+  {
+    Explore.ctx = { finish; reattach };
+    heap;
+    threads;
+    history = history lent rec_;
+  }
 
 (* ---------------------------------------------------------------------- *)
 (* The objects: instance, then program table.                              *)
@@ -478,8 +495,8 @@ let hashmap_instance (module M : Dssq_memory.Memory_intf.S) =
   ( Dssq_core.Dss_hashmap.adapter (module H) h,
     Sys.attach sys ~name:"hashmap" (fun () -> H.recover h) )
 
-let hashmap_setup ~(params : params) ~verdicts (p : (Specs.Map.op, _) program)
-    () =
+let hashmap_setup ~(params : params) ~verdicts ~lent
+    (p : (Specs.Map.op, _) program) () =
   let heap = heap ~params in
   let o, reattach = hashmap_instance (memory ~params heap) in
   let rec_ = Recorder.create () in
@@ -501,7 +518,12 @@ let hashmap_setup ~(params : params) ~verdicts (p : (Specs.Map.op, _) program)
   let finish =
     finish rec_ verdicts ~retry ~observe:(fun () -> observe call p.observe)
   in
-  { Explore.ctx = { finish; reattach }; heap; threads }
+  {
+    Explore.ctx = { finish; reattach };
+    heap;
+    threads;
+    history = history lent rec_;
+  }
 
 (* No preps: the hash map's mutations are single detectable calls. *)
 let hashmap_progs =
@@ -530,8 +552,9 @@ type descriptor = {
 }
 
 (* Everything but the set-up itself derives from the program table.  A
-   set-up is [setup] applied to its program and to a fresh verdict
-   cache, so the cache lives as long as the set-up closure. *)
+   set-up is [setup] applied to its program, to a fresh verdict cache
+   and to the slot its worlds lend their histories through, so both
+   live as long as the set-up closure. *)
 let descriptor ~obj ~spec progs setup =
   let find prog =
     match List.find_opt (fun p -> p.prog = prog) progs with
@@ -550,7 +573,8 @@ let descriptor ~obj ~spec progs setup =
     d_setup =
       (fun ~params ~prog ->
         let p = find prog in
-        setup ~params ~verdicts:(Oracle.cache ~mode:params.mode spec) p);
+        setup ~params ~verdicts:(Oracle.cache ~mode:params.mode spec)
+          ~lent:(ref None) p);
   }
 
 let detectable ~obj ~spec ~instantiate progs =

@@ -17,6 +17,13 @@ val crash : ('op, 'r) t -> unit
 
 val history : ('op, 'r) t -> ('op, 'r) History.t
 
+val length : ('op, 'r) t -> int
+(** Events recorded so far. *)
+
+val adopt : ('op, 'r) t -> from:('op, 'r) t -> unit
+(** Replace [t]'s history with [from]'s, uids included, so [t] records on
+    where [from] stopped; [from] is left unchanged. *)
+
 val record : ('op, 'r) t -> tid:int -> 'op -> (unit -> 'r) -> 'r
 (** [record t ~tid op f] wraps [f] between an invocation and a response;
     if [f] is cut off by a crash the invocation stays pending. *)

@@ -142,16 +142,31 @@ let stop () =
   Option.iter PE.unsubscribe !subscription;
   subscription := None
 
+let attach t =
+  active_tracer := Some t;
+  sink := record t;
+  subscription := Some (PE.subscribe (observe t))
+
 let start ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Trace.start: capacity must be positive";
   stop ();
   let t =
     { capacity; rings = Array.make 8 None; seq = 0; lock = Mutex.create (); verdicts = [] }
   in
-  active_tracer := Some t;
-  sink := record t;
-  subscription := Some (PE.subscribe (observe t));
+  attach t;
   t
+
+let muted f =
+  match !active_tracer with
+  | None -> f ()
+  | Some t ->
+      let tid = !cur_tid in
+      stop ();
+      Fun.protect
+        ~finally:(fun () ->
+          attach t;
+          cur_tid := tid)
+        f
 
 (* ----------------------------- emitters ------------------------------- *)
 

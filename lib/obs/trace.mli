@@ -80,6 +80,11 @@ val capture : ?capacity:int -> (unit -> 'a) -> 'a * entry list
     the tracer is detached afterwards.  On raise the tracer is detached
     and the exception propagates. *)
 
+val muted : (unit -> 'a) -> 'a
+(** Run [f] with the active tracer (if any) detached, so nothing [f]
+    does is recorded; the tracer is re-attached afterwards, also on
+    raise. *)
+
 val recorded : t -> int
 (** Total events emitted (including dropped ones). *)
 

@@ -89,6 +89,18 @@ type t = {
       (* tid -> persist buffer.  Buffered lines stay dirty, so the crash
          adversary covers the whole flush-to-drain window. *)
   policy : Policy.t;
+  mutable version : int;
+      (* Bumped by every change to what a crash could leave behind: a
+         store, an effective write-back, a buffer enqueue, reorder or
+         drain, an allocation, a crash.  Reads, failed CASes without a
+         drain, elided flushes and empty fences leave it alone, so an
+         unchanged version means an unchanged crash state. *)
+  mutable logging : bool;
+  mutable persisted_log : int list;
+      (* While [logging]: the lines whose persisted words changed since
+         {!log_persists}, newest first, possibly repeated.  What a crash
+         leaves differs from the state at the mark only on these lines
+         and the dirty ones, so {!crash_into} loads just those. *)
 }
 
 let create ?(line_size = 1) ?policy ?(combine = false) () =
@@ -122,9 +134,14 @@ let create ?(line_size = 1) ?policy ?(combine = false) () =
     cur_tid = -1;
     fifos = Hashtbl.create 8;
     policy;
+    version = 0;
+    logging = false;
+    persisted_log = [];
   }
 
 let policy t = t.policy
+
+let touch t = t.version <- t.version + 1
 
 let line_size t = Line.Alloc.line_size t.line_alloc
 
@@ -154,6 +171,7 @@ let add_cell t ~name ~elem (line : Line.t) v =
     }
   in
   t.next_id <- t.next_id + 1;
+  touch t;
   let lid = line.Line.id in
   if lid = t.line_count then add_line t;
   t.line_members.(lid) <- Cons (cell, t.line_members.(lid));
@@ -253,19 +271,24 @@ let emit t kind (c : 'a Cell.t) =
 let emit_system t kind =
   PE.emit kind ~tid:t.cur_tid ~cell:(-1) ~name:"" ~line:(-1) ~dirty:false
 
+let log_persist t lid =
+  touch t;
+  if t.logging then t.persisted_log <- lid :: t.persisted_log
+
 (* Write the whole line back: every dirty member persists in the one
    write-back (CLWB acts on the full cache line). *)
 let persist_line t (l : Line.t) =
-  let rec go = function
-    | Nil -> ()
+  let rec go changed = function
+    | Nil -> changed
     | Cons (m, rest) ->
         if m.Cell.dirty then begin
           m.Cell.persisted <- m.Cell.volatile;
-          m.Cell.dirty <- false
-        end;
-        go rest
+          m.Cell.dirty <- false;
+          go true rest
+        end
+        else go changed rest
   in
-  go t.line_members.(l.Line.id)
+  if go false t.line_members.(l.Line.id) then log_persist t l.Line.id
 
 (* ------------------------------------------------------------------ *)
 (* Per-thread persist buffers.  Defined before the plain operations
@@ -292,8 +315,12 @@ let buffered (f : fifo) (line : Line.t) = List.memq line f.entries
    [Combine] the buffered entry persists the line's current contents, so
    its position must follow the line's last modification or a prefix
    drain could persist a value newer than entries behind it. *)
-let to_tail (f : fifo) (line : Line.t) =
-  f.entries <- line :: List.filter (fun l -> l != line) f.entries
+let to_tail t (f : fifo) (line : Line.t) =
+  match f.entries with
+  | l :: _ when l == line -> ()
+  | entries ->
+      f.entries <- line :: List.filter (fun l -> l != line) entries;
+      touch t
 
 (* A line leaving a persist buffer, reported under the line's most
    recently allocated member. *)
@@ -322,12 +349,13 @@ let flush_buffered t (c : 'a Cell.t) : PE.flush =
   if buffered f line then begin
     t.stats.coalesced_flushes <- t.stats.coalesced_flushes + 1;
     f.calls <- f.calls + 1;
-    if Policy.enqueues_stores t.policy then to_tail f line;
+    if Policy.enqueues_stores t.policy then to_tail t f line;
     Coalesced
   end
   else if Line.is_dirty line then begin
     f.entries <- line :: f.entries;
     f.calls <- f.calls + 1;
+    touch t;
     Buffered
   end
   else begin
@@ -347,6 +375,7 @@ let drain_fifo t ~on =
       let fifo = List.rev f.entries and calls = f.calls in
       f.entries <- [];
       f.calls <- 0;
+      touch t;
       List.iter (write_back t ~on ~adversary:false) fifo;
       t.stats.fences <- t.stats.fences + 1;
       t.stats.elided_fences <- t.stats.elided_fences + max 0 (calls - 1);
@@ -371,7 +400,7 @@ let before_store t ~on =
    adversary's free-form per-line verdicts cannot persist a store ahead
    of the stores before it. *)
 let after_store t (line : Line.t) =
-  if Policy.enqueues_stores t.policy then to_tail (fifo t t.cur_tid) line
+  if Policy.enqueues_stores t.policy then to_tail t (fifo t t.cur_tid) line
 
 (** Asynchronous write-back chosen by the crash adversary: persist the
     oldest [count] entries of thread [tid]'s persist buffer, in FIFO
@@ -389,7 +418,8 @@ let adversary_drain t ~tid ~count =
         (fun i line ->
           if i < count then write_back t ~on ~adversary:true line)
         fifo;
-      f.entries <- List.rev (List.filteri (fun i _ -> i >= count) fifo)
+      f.entries <- List.rev (List.filteri (fun i _ -> i >= count) fifo);
+      touch t
   | _ -> ()
 
 (** Per-thread persist-buffer contents, oldest first: [(tid, lines)]
@@ -421,6 +451,7 @@ let write t (c : 'a Cell.t) (v : 'a) =
   t.stats.pwrites <- t.stats.pwrites + 1;
   c.volatile <- v;
   c.dirty <- true;
+  touch t;
   mark_dirty t c.line;
   after_store t c.line;
   if on then emit t Write c
@@ -434,6 +465,7 @@ let cas t (c : 'a Cell.t) ~(expected : 'a) ~(desired : 'a) =
       t.stats.pwrites <- t.stats.pwrites + 1;
       c.volatile <- desired;
       c.dirty <- true;
+      touch t;
       mark_dirty t c.line;
       after_store t c.line;
       true
@@ -528,7 +560,11 @@ let crash_by_line t ~verdict =
   in
   (* Most recently allocated cell first (see [line_members]): the dirty
      lines by id descending; clean lines have no dirty member. *)
-  List.iter (fun lid -> settle t.line_members.(lid)) (List.rev (dirty_lines t));
+  List.iter
+    (fun lid ->
+      settle t.line_members.(lid);
+      log_persist t lid)
+    (List.rev (dirty_lines t));
   for i = 0 to t.ndirty - 1 do
     Line.set_slot (line_of t t.dirty.(i)) Line.clean
   done;
@@ -538,6 +574,7 @@ let crash_by_line t ~verdict =
      were still dirty, so the per-line verdicts above already decided
      their fate). *)
   Hashtbl.reset t.fifos;
+  touch t;
   if on then emit_system t Crashed
 
 (** Crash with one [evict] draw per dirty line, drawn in the order lines
@@ -566,6 +603,114 @@ let crash_lines t ~evict = crash_by_line t ~verdict:evict
     probability [evict_p], driven by [rng]. *)
 let crash_random t ~evict_p ~rng =
   crash t ~evict:(fun () -> Random.State.float rng 1.0 < evict_p)
+
+(* ------------------------------------------------------------------ *)
+(* Cold restart: a crash's image, loaded into a fresh heap. *)
+
+exception Layout_mismatch of string
+
+let mismatch fmt = Printf.ksprintf (fun m -> raise (Layout_mismatch m)) fmt
+
+(* The one value transfer between two heaps.  [s] and [d] hold the same
+   position in two set-ups of one case, so the same code allocated them
+   with the same type; [crash_into] has checked the position, but OCaml
+   cannot see that the two existential types are one. *)
+let transfer : type a b. a Cell.t -> b Cell.t -> a -> unit =
+ fun _s d v ->
+  let v : b = Obj.magic v in
+  if not (d.Cell.volatile == v && d.Cell.persisted == v) then begin
+    d.Cell.volatile <- v;
+    d.Cell.persisted <- v
+  end;
+  d.Cell.dirty <- false
+
+(* The lines the drain prefixes write back: each [(tid, count)] takes
+   the next [count] entries of [tid]'s buffer, as the same run of
+   {!adversary_drain} calls would. *)
+let drained_lines t ~on drains =
+  let taken = ref [] and drained = ref [] in
+  List.iter
+    (fun (tid, count) ->
+      match Hashtbl.find_opt t.fifos tid with
+      | None -> ()
+      | Some f ->
+          let off = Option.value ~default:0 (List.assoc_opt tid !taken) in
+          List.iteri
+            (fun i (l : Line.t) ->
+              if i >= off && i < off + count then begin
+                let lid = l.Line.id in
+                let effective =
+                  Line.is_dirty l && not (List.mem lid !drained)
+                in
+                drained := lid :: !drained;
+                if on then
+                  match t.line_members.(lid) with
+                  | Cons (m, _) ->
+                      PE.emit
+                        (Write_back { effective; adversary = true })
+                        ~tid:t.cur_tid ~cell:m.Cell.id ~name:(Cell.name m)
+                        ~line:lid ~dirty:false
+                  | Nil -> ()
+              end)
+            (List.rev f.entries);
+          taken := (tid, off + count) :: !taken)
+    drains;
+  !drained
+
+(* Load one line's image: [s] are the live heap's members, [d] the fresh
+   heap's; a dirty member survives when [persists]. *)
+let rec load_line t ~on ~lid ~persists ~drained s d =
+  match (s, d) with
+  | Nil, Nil -> ()
+  | Cons (c, srest), Cons (c', drest) ->
+      if c.Cell.id <> c'.Cell.id then
+        mismatch "line %d holds cell %d, the fresh heap's cell %d" lid c.Cell.id
+          c'.Cell.id;
+      if c.Cell.dirty then begin
+        if on && not drained then
+          PE.emit (Verdict persists) ~tid:t.cur_tid ~cell:c.Cell.id
+            ~name:(Cell.name c) ~line:lid ~dirty:false;
+        transfer c c' (if persists then c.Cell.volatile else c.Cell.persisted)
+      end
+      else transfer c c' c.Cell.persisted;
+      load_line t ~on ~lid ~persists ~drained srest drest
+  | _ -> mismatch "line %d holds a different number of cells" lid
+
+let crash_into t ~fresh ~drains ~evict =
+  if not t.logging then invalid_arg "Heap.crash_into: no log_persists mark";
+  if t.next_id <> fresh.next_id || t.line_count <> fresh.line_count then
+    mismatch "%d cells on %d lines, the fresh heap %d cells on %d lines"
+      t.next_id t.line_count fresh.next_id fresh.line_count;
+  let on = PE.is_on () in
+  let drained = if drains = [] then [] else drained_lines t ~on drains in
+  let load ~on lid =
+    let s = t.line_members.(lid) in
+    let drained = drained <> [] && List.mem lid drained in
+    let persists =
+      match s with
+      | Cons (c, _) when Line.is_dirty c.Cell.line -> drained || evict lid
+      | _ -> false
+    in
+    load_line t ~on ~lid ~persists ~drained s fresh.line_members.(lid)
+  in
+  for i = 0 to fresh.ndirty - 1 do
+    Line.set_slot (line_of fresh fresh.dirty.(i)) Line.clean
+  done;
+  fresh.ndirty <- 0;
+  Hashtbl.reset fresh.fifos;
+  touch fresh;
+  (* [fresh] holds [t]'s state at the mark, so only the lines [t] changed
+     since can differ: the dirty ones — most recently allocated first,
+     so the verdicts come out as {!crash} emits them — and the logged
+     ones.  A line dirty at the mark is dirty still, or was logged when
+     it persisted. *)
+  List.iter (load ~on) (List.rev (dirty_lines t));
+  List.iter (load ~on:false) t.persisted_log;
+  if on then emit_system t Crashed
+
+let log_persists t =
+  t.logging <- true;
+  t.persisted_log <- []
 
 let stats t = t.stats
 

@@ -64,6 +64,16 @@ type t = {
           per-thread persist buffers *)
   fifos : (int, fifo) Hashtbl.t;  (** tid -> persist buffer *)
   policy : Policy.t;
+  mutable version : int;
+      (** bumped by every change to what a crash could leave behind —
+          a store, an effective write-back, a persist-buffer enqueue,
+          reorder or drain, an allocation, a crash — and by nothing
+          else: reads, failed CASes, elided flushes and fences with
+          nothing buffered leave it alone *)
+  mutable logging : bool;
+  mutable persisted_log : int list;
+      (** while [logging], the lines whose persisted words changed since
+          {!log_persists} (see {!crash_into}) *)
 }
 
 val create : ?line_size:int -> ?policy:Policy.t -> ?combine:bool -> unit -> t
@@ -169,6 +179,34 @@ val crash_lines : t -> evict:(int -> bool) -> unit
     verdict for line [lid] (must be a pure function of the line id).
     The model checker enumerates eviction subsets of {!dirty_lines}
     through this entry point. *)
+
+(** {2 Cold restart} *)
+
+exception Layout_mismatch of string
+(** {!crash_into}'s two heaps do not hold the same cells on the same
+    lines: the live one allocated a cell after set-up. *)
+
+val crash_into :
+  t -> fresh:t -> drains:(int * int) list -> evict:(int -> bool) -> unit
+(** [crash_into t ~fresh ~drains ~evict] loads into [fresh] the image a
+    crash of [t] leaves in persistent memory, without changing [t]:
+    first each [(tid, count)] of [drains] writes back the next [count]
+    entries of [tid]'s persist buffer, as {!adversary_drain} would; then
+    every other dirty line survives when [evict lid] and is lost
+    otherwise, as under {!crash_lines}.  Afterwards every cell of [fresh] reads
+    [volatile = persisted = image], no line is dirty and no buffer is
+    pending.  Only the lines [t] changed since its {!log_persists} mark
+    are visited — its dirty lines and the logged ones — and only cells
+    whose value differs are written.  So [fresh] must come from a
+    set-up of the same case — the same cells, in the same order, on the
+    same lines — and hold the state [t] held at the mark.
+    @raise Invalid_argument when [t] has no mark.
+    @raise Layout_mismatch when the cell count, a line's members or
+    the line ids differ. *)
+
+val log_persists : t -> unit
+(** Mark the heap's state now, and from here on log each line whose
+    persisted words change, for {!crash_into}. *)
 
 val dirty_count : t -> int
 (** Dirty cells. *)

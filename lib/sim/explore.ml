@@ -6,10 +6,22 @@
     persist lines may survive to persistence (be evicted by the cache)
     while the rest is lost.  The search hands each node's live scenario
     to its first explored child, which advances it by one step; a fresh
-    replay of the scenario from scratch happens only where the live
-    state is already spent — for each later sibling (backtracking) and
-    for each crash branch, since a crash kills the threads and their
-    continuations are one-shot, so replay is how we fork.
+    replay of the scenario from scratch happens only for each later
+    sibling (backtracking), since thread continuations are one-shot.
+
+    A crash branch is a cold restart, as in the paper's failure model,
+    where a crash leaves only persistent state: a fresh [setup ()] is
+    loaded with the image the crash leaves of the live heap
+    ({!Heap.crash_into}, which leaves the live heap as it was) and
+    adopts the live world's recorded history, and recovery and the
+    check run on it.  Nothing volatile survives, and no prefix is
+    replayed.  So a branch's outcome is a function of (image, history),
+    which makes the skip below exact: a crash point whose incoming step
+    changed neither the heap's crash state ({!Machine.stepped.changed})
+    nor the recorded history, and whose verdicts are enumerated, has
+    exactly its parent's branches, and those were checked — in this
+    preemption round, or in an earlier one if the step preempted.  It is
+    counted ([skipped_points], [skipped_branches]) and not run.
 
     When the scenario's heap runs under buffered (px86) persistency, a
     crash point additionally enumerates adversary-chosen {e buffer-drain
@@ -39,7 +51,9 @@
 
     [setup] must build a fresh, fully independent scenario each time it
     is called: a fresh heap, fresh memory module, fresh object, fresh
-    thread closures.  [check] is called at the end of every complete
+    thread closures — and the same cells in the same order each time,
+    because a cold restart loads one set-up's image into another by
+    position.  [check] is called at the end of every complete
     execution; a raise is converted into {!Violation} carrying the
     replayable schedule of decisions that produced it.
 
@@ -103,14 +117,28 @@ type stats = {
       (** crash executions that carried at least one [Bdrain] decision *)
   replays : int;
       (** [setup] calls: one per round, per later sibling and per crash
-          branch *)
+          branch checked *)
+  skipped_points : int;
+      (** crash points among [crash_points] whose branches repeat their
+          parent's, so none was run *)
+  skipped_branches : int;
+      (** crash branches at those points: not in [executions] *)
   wall_s : float;  (** wall-clock seconds spent in [run] *)
 }
+
+type history = {
+  recorded : unit -> int;
+  lend : unit -> unit;
+  adopt : unit -> unit;
+}
+
+let no_history = { recorded = (fun () -> 0); lend = ignore; adopt = ignore }
 
 type 'ctx scenario = {
   ctx : 'ctx;
   heap : Heap.t;
   threads : (unit -> unit) list;
+  history : history;
 }
 
 type 'ctx t = {
@@ -147,6 +175,8 @@ type 'ctx t = {
   mutable drain_points : int;
   mutable drain_branches : int;
   mutable replays : int;
+  mutable skipped_points : int;
+  mutable skipped_branches : int;
 }
 
 let make ?(crashes = false) ?(adversary = `Per_line) ?(max_crash_lines = 4)
@@ -177,6 +207,8 @@ let make ?(crashes = false) ?(adversary = `Per_line) ?(max_crash_lines = 4)
     drain_points = 0;
     drain_branches = 0;
     replays = 0;
+    skipped_points = 0;
+    skipped_branches = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -250,54 +282,73 @@ let schedule_of_string s =
 (* ------------------------------------------------------------------ *)
 (* Replay.                                                             *)
 
-(* Replay [prefix] on a fresh scenario.  Returns the machine positioned
-   after the prefix, unless the prefix ends in a crash, in which case the
-   crash is applied and [`Crashed] is returned.  When a tracer is active
-   (see [explain]) each step is attributed to its thread. *)
-let replay t prefix =
-  t.replays <- t.replays + 1;
-  let scenario = t.setup () in
-  let machine = Machine.create scenario.heap scenario.threads in
-  scenario.heap.Heap.in_sim <- true;
-  let outcome =
-    try
-      List.iter
-        (fun d ->
-          match d with
-          | Sched tid ->
-              if Trace.is_on () then Trace.set_tid tid;
-              Machine.step machine tid
-          | Bdrain { tid; count } ->
-              (* Asynchronous write-back of the oldest [count] buffered
-                 lines of thread [tid] — no scheduling step, no fence. *)
-              Heap.adversary_drain scenario.heap ~tid ~count
-          | Crash vs ->
-              if Trace.is_on () then Trace.set_tid (-1);
-              Machine.kill_all machine;
-              scenario.heap.Heap.in_sim <- false;
-              let tbl = Hashtbl.create 8 in
-              List.iter (fun { line; evicted } -> Hashtbl.replace tbl line evicted) vs;
-              Heap.crash_lines scenario.heap ~evict:(fun lid ->
-                  match Hashtbl.find_opt tbl lid with
-                  | Some v -> v
-                  | None -> false (* line dirtied after the verdicts were drawn: lost *));
-              raise Exit)
-        prefix;
-      `Running
-    with Exit -> `Crashed
-  in
-  scenario.heap.Heap.in_sim <- false;
-  if Trace.is_on () then Trace.set_tid (-1);
-  (scenario, machine, outcome)
-
-(* Advance a live scenario by one scheduling step of [tid], bracketed
-   exactly as a [Sched] decision inside [replay]. *)
+(* Advance a live scenario by one scheduling step of [tid].  When a
+   tracer is active (see [explain]) the step is attributed to its
+   thread. *)
 let advance scenario machine tid =
   scenario.heap.Heap.in_sim <- true;
   if Trace.is_on () then Trace.set_tid tid;
   Machine.step machine tid;
   scenario.heap.Heap.in_sim <- false;
   if Trace.is_on () then Trace.set_tid (-1)
+
+let drain_counts =
+  List.filter_map (function
+    | Bdrain { tid; count } -> Some (tid, count)
+    | Sched _ | Crash _ -> None)
+
+(* A crash branch, run as a real restart runs it: a fresh set-up holding
+   the image the crash leaves of [live] — the buffer prefixes [drains]
+   names written back, each dirty line evicted or lost as [vs] says —
+   and [live]'s recorded history.  [live] is left as it was, so the
+   search goes on from it. *)
+let cold_restart t live ~drains vs =
+  t.replays <- t.replays + 1;
+  let fresh =
+    if Trace.is_on () then begin
+      Trace.set_tid (-1);
+      Trace.muted t.setup
+    end
+    else t.setup ()
+  in
+  Heap.crash_into live.heap ~fresh:fresh.heap ~drains:(drain_counts drains)
+    ~evict:(fun lid ->
+      match List.find_opt (fun v -> v.line = lid) vs with
+      | Some v -> v.evicted
+      | None -> false (* line dirtied after the verdicts were drawn: lost *));
+  live.history.lend ();
+  fresh.history.adopt ();
+  fresh
+
+(* Replay [prefix] on a fresh scenario.  Returns the machine positioned
+   after the prefix, unless the prefix ends in a crash: then the crash
+   branch's cold restart is returned with [`Crashed].  A [Bdrain] applies
+   to the live heap when a step follows it, and to the crash image when
+   the crash does. *)
+let replay t prefix =
+  t.replays <- t.replays + 1;
+  let scenario = t.setup () in
+  Heap.log_persists scenario.heap;
+  let machine = Machine.create scenario.heap scenario.threads in
+  let write_back drains =
+    List.iter
+      (fun (tid, count) -> Heap.adversary_drain scenario.heap ~tid ~count)
+      (drain_counts (List.rev drains))
+  in
+  let rec go drains = function
+    | [] ->
+        write_back drains;
+        (scenario, machine, `Running)
+    | Sched tid :: rest ->
+        write_back drains;
+        advance scenario machine tid;
+        go [] rest
+    | (Bdrain _ as d) :: rest -> go (d :: drains) rest
+    | Crash vs :: _ ->
+        let crashed = cold_restart t scenario ~drains:(List.rev drains) vs in
+        (crashed, machine, `Crashed)
+  in
+  go [] prefix
 
 let finish t schedule scenario ~crashed =
   t.executions <- t.executions + 1;
@@ -465,8 +516,11 @@ let joint_crash_choices t ~fifos ~candidates =
 let round_matches round preemptions =
   match round with None -> true | Some k -> preemptions = k
 
-(* [scenario] and [machine] are live and positioned after [prefix]. *)
-let rec dfs t scenario machine prefix depth ~sleep ~last ~preemptions ~round =
+(* [scenario] and [machine] are live and positioned after [prefix];
+   [changed] is false when the step that reached them changed neither
+   the heap's crash state nor the recorded history. *)
+let rec dfs t scenario machine prefix depth ~changed ~sleep ~last ~preemptions
+    ~round =
   if depth > t.max_steps then
     failwith "Explore: max_steps exceeded (livelock under exploration?)";
   (* Crash branches: at every reachable step boundary, try each
@@ -477,24 +531,34 @@ let rec dfs t scenario machine prefix depth ~sleep ~last ~preemptions ~round =
   (if t.crashes && round_matches round preemptions then begin
      let fifos = Heap.pending_fifos scenario.heap in
      let candidates = Heap.crash_candidate_lines scenario.heap in
-     let run_branch drains vs =
-       let schedule = prefix @ drains @ [ Crash vs ] in
-       let crashed_scenario, _, outcome = replay t schedule in
-       assert (outcome = `Crashed);
-       t.crash_branches <- t.crash_branches + 1;
-       if drains <> [] then t.drain_branches <- t.drain_branches + 1;
-       finish t schedule crashed_scenario ~crashed:true
+     let sampled = t.crash_sampled in
+     let choices =
+       if fifos = [] then
+         (* Empty buffers (always, under sc): verdicts only — branch
+            structure and schedules bit-for-bit the pre-px86 ones. *)
+         List.map (fun vs -> ([], vs)) (crash_choices t candidates)
+       else begin
+         t.drain_points <- t.drain_points + 1;
+         joint_crash_choices t ~fifos ~candidates
+       end
      in
-     if fifos = [] then
-       (* Empty buffers (always, under sc): verdicts only — branch
-          structure and schedules bit-for-bit the pre-px86 ones. *)
-       List.iter (fun vs -> run_branch [] vs) (crash_choices t candidates)
-     else begin
-       t.drain_points <- t.drain_points + 1;
-       List.iter
-         (fun (drains, vs) -> run_branch drains vs)
-         (joint_crash_choices t ~fifos ~candidates)
+     if (not changed) && t.crash_sampled = sampled then begin
+       (* A cold branch is a function of the image and the history.  The
+          step here changed neither, so the parent's point had these
+          very branches, enumerated the same way, and they were checked:
+          in this round, or in an earlier one if the step preempted. *)
+       t.skipped_points <- t.skipped_points + 1;
+       t.skipped_branches <- t.skipped_branches + List.length choices
      end
+     else
+       List.iter
+         (fun (drains, vs) ->
+           let schedule = prefix @ drains @ [ Crash vs ] in
+           let crashed = cold_restart t scenario ~drains vs in
+           t.crash_branches <- t.crash_branches + 1;
+           if drains <> [] then t.drain_branches <- t.drain_branches + 1;
+           finish t schedule crashed ~crashed:true)
+         choices
    end);
   match Machine.runnable machine with
   | [] ->
@@ -520,6 +584,7 @@ let rec dfs t scenario machine prefix depth ~sleep ~last ~preemptions ~round =
           runnable
       in
       let live = ref true in
+      let recorded = scenario.history.recorded () in
       let sleep = ref sleep in
       List.iter
         (fun (tid, access) ->
@@ -548,8 +613,12 @@ let rec dfs t scenario machine prefix depth ~sleep ~last ~preemptions ~round =
                   let scenario, machine, _ = replay t child in
                   (scenario, machine)
               in
-              dfs t scenario machine child (depth + 1) ~sleep:child_sleep
-                ~last:tid
+              let changed =
+                (Machine.last machine).changed
+                || scenario.history.recorded () <> recorded
+              in
+              dfs t scenario machine child (depth + 1) ~changed
+                ~sleep:child_sleep ~last:tid
                 ~preemptions:(if preempts then preemptions + 1 else preemptions)
                 ~round;
               sleep := (tid, access) :: !sleep
@@ -569,11 +638,14 @@ let run t =
   t.drain_points <- 0;
   t.drain_branches <- 0;
   t.replays <- 0;
+  t.skipped_points <- 0;
+  t.skipped_branches <- 0;
   t.rng <- Random.State.make [| t.seed; 0xD55 |];
   let t0 = Unix.gettimeofday () in
   let search round =
     let scenario, machine, _ = replay t [] in
-    dfs t scenario machine [] 0 ~sleep:[] ~last:(-1) ~preemptions:0 ~round
+    dfs t scenario machine [] 0 ~changed:true ~sleep:[] ~last:(-1)
+      ~preemptions:0 ~round
   in
   (match t.max_preemptions with
   | None -> search None
@@ -592,6 +664,8 @@ let run t =
     drain_points = t.drain_points;
     drain_branches = t.drain_branches;
     replays = t.replays;
+    skipped_points = t.skipped_points;
+    skipped_branches = t.skipped_branches;
     wall_s = Unix.gettimeofday () -. t0;
   }
 

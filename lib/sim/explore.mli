@@ -6,8 +6,13 @@
     {!Violation} carrying a replayable {!schedule}.
 
     Each node's live scenario passes to its first explored child; later
-    siblings and crash branches replay the scenario from scratch, so
-    [setup] must build a fresh, independent scenario each call. *)
+    siblings replay the scenario from scratch, and a crash branch is a
+    cold restart — a fresh scenario loaded with the crash's persistent
+    image and the crashed world's history.  So [setup] must build a
+    fresh, independent scenario each call, allocating the same cells in
+    the same order.  A crash point whose incoming step changed neither
+    the image nor the history repeats its parent's branches and is
+    skipped (see {!stats}). *)
 
 exception Too_many_executions of int
 
@@ -57,17 +62,42 @@ type stats = {
       (** crash executions carrying at least one [Bdrain] decision *)
   replays : int;
       (** [setup] calls: one per round, per later sibling and per crash
-          branch *)
+          branch checked *)
+  skipped_points : int;
+      (** crash points among [crash_points] whose branches were not run:
+          their verdicts were enumerated and the step into them changed
+          neither the heap's crash state nor the recorded history, so
+          every branch repeats one of the parent point's *)
+  skipped_branches : int;
+      (** crash branches at [skipped_points]; [executions] and
+          [crash_branches] leave them out *)
   wall_s : float;  (** wall-clock seconds spent in [run] *)
 }
 (** Coverage telemetry: [pruned /. (pruned + branches)] is the sleep-set
     hit rate, [crash_sampled > 0] flags incomplete eviction-subset
     coverage (see [max_crash_lines]). *)
 
+(** What a crash branch carries over from the crashed world besides
+    its persistent image: the history the scenario recorded. *)
+type history = {
+  recorded : unit -> int;  (** events recorded so far *)
+  lend : unit -> unit;
+      (** offer this world's history to the next [adopt] by a world of
+          the same [setup] *)
+  adopt : unit -> unit;
+      (** take over the history last lent, uids included, and record on
+          from there *)
+}
+
+val no_history : history
+(** For scenarios that record nothing: every crash branch starts from
+    its image alone. *)
+
 type 'ctx scenario = {
   ctx : 'ctx;
   heap : Dssq_pmem.Heap.t;
   threads : (unit -> unit) list;
+  history : history;
 }
 
 type 'ctx t
@@ -88,12 +118,17 @@ val make :
   unit ->
   'ctx t
 (** [check] runs at the end of every complete execution; a raise becomes
-    a {!Violation}.  [on_crash] (default no-op) runs on every crashed
-    execution after the per-line crash semantics are applied and before
-    [check] — the hook scenarios use to route every explored crash
-    through the system-level [Recovery.reattach].  [max_preemptions] bounds context switches away from
-    still-runnable threads and is searched by iterative deepening (round
-    [k] checks exactly the [k]-preemption executions).  [reduction]
+    a {!Violation}.  A crashed execution is a cold restart: a fresh
+    [setup ()] loaded with the crash's persistent image
+    ({!Dssq_pmem.Heap.crash_into}) that adopts the crashed world's
+    history; [on_crash] (default no-op) and [check] then run on it —
+    the hook scenarios use to route every explored crash through the
+    system-level [Recovery.reattach].  A world that allocated a cell
+    after set-up cannot be loaded: the search raises
+    {!Dssq_pmem.Heap.Layout_mismatch}.  [max_preemptions] bounds
+    context switches away from still-runnable threads and is searched by
+    iterative deepening (round [k] checks exactly the [k]-preemption
+    executions).  [reduction]
     (default true) enables sleep-set pruning keyed on cell/line identity.
     [max_crash_lines] (default 4) caps exhaustive eviction-subset
     enumeration at a crash point; above it, the two uniform verdicts
@@ -105,7 +140,8 @@ val run : 'ctx t -> stats
     execution, {!Too_many_executions} past [limit]. *)
 
 val replay_schedule : 'ctx t -> schedule -> [ `Completed | `Crashed ]
-(** Re-execute one recorded schedule on a fresh scenario and run the
+(** Re-execute one recorded schedule on a fresh scenario — a final
+    crash as the search runs it, by cold restart — and run the
     check.  Raises {!Violation} if the check fails, [Invalid_argument]
     if the schedule leaves runnable threads behind. *)
 

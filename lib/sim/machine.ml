@@ -24,12 +24,20 @@ type thread_state =
       -> thread_state
   | Completed of (unit, exn) result
 
+(* One record of what the last step did, refilled by every step. *)
+type stepped = {
+  mutable kind : Sim_op.kind;
+  mutable line : int;
+  mutable changed : bool;
+  mutable cas_failed : bool;
+  mutable flush_elided : bool;
+}
+
 type t = {
   heap : Heap.t;
   threads : thread_state array;
   mutable steps : int;
-  mutable cas_failed : bool;
-  mutable flush_elided : bool;
+  last : stepped;
 }
 
 type _ Effect.t += Mem : 'a Sim_op.t -> 'a Effect.t
@@ -53,8 +61,14 @@ let create heap bodies =
     heap;
     threads = Array.of_list (List.map (fun f -> Fresh f) bodies);
     steps = 0;
-    cas_failed = false;
-    flush_elided = false;
+    last =
+      {
+        kind = Sim_op.Yield;
+        line = -1;
+        changed = false;
+        cas_failed = false;
+        flush_elided = false;
+      };
   }
 
 let nthreads t = Array.length t.threads
@@ -70,17 +84,19 @@ let runnable t =
   !acc
 
 let steps t = t.steps
-let cas_failed t = t.cas_failed
-let flush_elided t = t.flush_elided
+let last t = t.last
 
-(* Apply the pending event [op] on behalf of [tid], record the facts a
-   cost model needs about it, and resume the thread to its next event. *)
+(* Apply the pending event [op] on behalf of [tid], record what it is and
+   what it did, and resume the thread to its next event. *)
 let resume : type a.
     t -> int -> a Sim_op.t -> (a, thread_state) Effect.Deep.continuation ->
     thread_state =
  fun t tid op k ->
+  let last = t.last in
+  last.kind <- Sim_op.kind op;
+  last.line <- Sim_op.line op;
   (* Line dirtiness must be read before the flush clears it. *)
-  t.flush_elided <-
+  last.flush_elided <-
     (match op with
     | Sim_op.Flush c -> not (Heap.flush_pending t.heap c)
     | _ -> false);
@@ -90,38 +106,29 @@ let resume : type a.
   t.heap.Heap.cur_tid <- tid;
   let result = Sim_op.apply t.heap op in
   t.heap.Heap.cur_tid <- -1;
-  t.cas_failed <- (match op with Sim_op.Cas _ -> not result | _ -> false);
+  last.cas_failed <- (match op with Sim_op.Cas _ -> not result | _ -> false);
   Effect.Deep.continue k result
 
 (** Execute one atomic step of thread [tid]: either start it (running it
     up to its first memory access) or apply its pending memory operation
-    and run it to the next one. *)
+    and run it to the next one.  A start runs closure code only, so it
+    reads as a [Yield] on no line. *)
 let step t tid =
-  match t.threads.(tid) with
+  let version = t.heap.Heap.version in
+  (match t.threads.(tid) with
   | Completed _ -> invalid_arg "Machine.step: thread already completed"
   | Fresh f ->
       t.steps <- t.steps + 1;
-      t.cas_failed <- false;
-      t.flush_elided <- false;
+      let last = t.last in
+      last.kind <- Sim_op.Yield;
+      last.line <- -1;
+      last.cas_failed <- false;
+      last.flush_elided <- false;
       t.threads.(tid) <- Effect.Deep.match_with f () handler
   | Waiting (op, k) ->
       t.steps <- t.steps + 1;
-      t.threads.(tid) <- resume t tid op k
-
-(** Cost class of the thread's next step, for the throughput model; a
-    fresh thread's first step runs closure code only, like a [Yield]. *)
-let next_kind t tid =
-  match t.threads.(tid) with
-  | Waiting (op, _) -> Sim_op.kind op
-  | Fresh _ -> Sim_op.Yield
-  | Completed _ -> invalid_arg "Machine.next_kind: thread already completed"
-
-(** Persist line the thread's next step targets, or -1 — the throughput
-    model serializes conflicting accesses per line. *)
-let next_line t tid =
-  match t.threads.(tid) with
-  | Waiting (op, _) -> Sim_op.line op
-  | Fresh _ | Completed _ -> -1
+      t.threads.(tid) <- resume t tid op k);
+  t.last.changed <- t.heap.Heap.version <> version
 
 (** Identity of the thread's next step, for the explorer's independence
     relation.  [Start] is a [Fresh] thread's first step — it runs

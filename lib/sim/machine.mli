@@ -31,21 +31,26 @@ val steps : t -> int
 
 val step : t -> int -> unit
 (** Execute one atomic step of the given thread: start it (running to its
-    first memory event) or apply its pending event and run to the next. *)
+    first memory event) or apply its pending event and run to the next.
+    The step fills {!last}. *)
 
-val cas_failed : t -> bool
-(** For cost models: the last {!step} applied a CAS that failed. *)
+(** What the last {!step} did: one record, refilled by every step. *)
+type stepped = private {
+  mutable kind : Sim_op.kind;
+      (** the event's cost class; a thread's start reads as [Yield] *)
+  mutable line : int;  (** the persist line it targeted, or -1 *)
+  mutable changed : bool;
+      (** it changed what a crash could leave behind (the heap's
+          {!Dssq_pmem.Heap.t.version} moved): false for a read, a failed
+          CAS, an elided flush, a fence or yield with nothing buffered
+          and a thread start *)
+  mutable cas_failed : bool;  (** it applied a CAS that failed *)
+  mutable flush_elided : bool;
+      (** it applied a flush of a clean line (elided — no write-back to
+          charge) *)
+}
 
-val flush_elided : t -> bool
-(** For cost models: the last {!step} applied a flush of a clean line
-    (elided — no write-back to charge). *)
-
-val next_kind : t -> int -> Sim_op.kind
-(** Cost class of the thread's next event; a fresh thread's first step
-    reads as [Yield].  @raise Invalid_argument once it has completed. *)
-
-val next_line : t -> int -> int
-(** Persist line the thread's next event targets, or -1 if none. *)
+val last : t -> stepped
 
 (** Identity of a thread's next step, for the explorer's independence
     relation: [Start] (a fresh thread's first step — arbitrary closure

@@ -83,8 +83,8 @@ let grow a size fill =
     per second.
 
     Cache-line contention model: line identity comes from the heap's
-    {!Dssq_memory.Memory_intf.Line} placement ([Machine.next_line] is
-    the persist-line id), so the contention unit here and the
+    {!Dssq_memory.Memory_intf.Line} placement (the step record's [line]
+    is the persist-line id), so the contention unit here and the
     persistence unit in the heap are one and the same module — at line
     size 1 every word is its own line, the original model.  Every
     write-class access (store, CAS, flush) to a line needs exclusive
@@ -119,6 +119,9 @@ let run ?(costs = default_costs) ?(seed = 1) ?clock ~horizon_ns ~heap ~threads
      this instead of paying per-flush round-trips *)
   let pending_done = Array.make n 0. in
   let rng = Random.State.make [| seed; 0xD15C |] in
+  let last = Machine.last machine in
+  (* Threads that have completed; each is marked the step it ends. *)
+  let finished = Array.make n false in
   heap.Heap.in_sim <- true;
   Fun.protect
     ~finally:(fun () -> heap.Heap.in_sim <- false)
@@ -130,7 +133,7 @@ let run ?(costs = default_costs) ?(seed = 1) ?clock ~horizon_ns ~heap ~threads
         let tid = ref (-1) and earliest = ref horizon_ns in
         for i = 0 to n - 1 do
           let c = clocks.(i) in
-          if c < !earliest && Machine.is_runnable machine i then begin
+          if c < !earliest && not finished.(i) then begin
             tid := i;
             earliest := c
           end
@@ -138,9 +141,9 @@ let run ?(costs = default_costs) ?(seed = 1) ?clock ~horizon_ns ~heap ~threads
         if !tid < 0 then continue_run := false
         else begin
           let tid = !tid in
-          let kind = Machine.next_kind machine tid in
-          let line = Machine.next_line machine tid in
           Machine.step machine tid;
+          if not (Machine.is_runnable machine tid) then finished.(tid) <- true;
+          let kind = last.Machine.kind and line = last.Machine.line in
           let jitter = 0.95 +. Random.State.float rng 0.1 in
           let cost = cost_of costs kind *. jitter in
           if line >= Array.length !line_free then begin
@@ -163,7 +166,7 @@ let run ?(costs = default_costs) ?(seed = 1) ?clock ~horizon_ns ~heap ~threads
               if owner = tid || owner < 0 then 0. else costs.transfer_ns
           in
           match kind with
-          | Sim_op.Flush when Machine.flush_elided machine ->
+          | Sim_op.Flush when last.Machine.flush_elided ->
               (* Clean line: the CLWB has nothing to write back.  No
                  device round-trip, no line occupancy — free. *)
               ()
@@ -181,7 +184,7 @@ let run ?(costs = default_costs) ?(seed = 1) ?clock ~horizon_ns ~heap ~threads
                  for completions. *)
               let start = Float.max clocks.(tid) free +. transfer in
               let line_cost =
-                if Machine.cas_failed machine then
+                if last.Machine.cas_failed then
                   costs.cas_fail_line_ns *. jitter
                 else cost
               in

@@ -143,7 +143,8 @@ let test_pmwcas_explore_race_with_crashes () =
             let read_after () = P.read p ~tid:0 a in
             let recover () = P.recover p in
             {
-              Explore.ctx = (read_after, recover);
+              Explore.history = Explore.no_history;
+              ctx = (read_after, recover);
               heap;
               threads =
                 [

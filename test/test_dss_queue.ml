@@ -287,7 +287,8 @@ let test_explore_two_enqueues () =
             q.prep_enqueue ~tid:0 1;
             q.prep_enqueue ~tid:1 2;
             {
-              Explore.ctx = q;
+              Explore.history = Explore.no_history;
+              ctx = q;
               heap = q.heap;
               threads =
                 [ (fun () -> q.exec_enqueue ~tid:0); (fun () -> q.exec_enqueue ~tid:1) ];
@@ -318,7 +319,8 @@ let test_explore_enqueue_vs_dequeue () =
             q.prep_dequeue ~tid:1;
             let out = ref min_int in
             {
-              Explore.ctx = (q, out);
+              Explore.history = Explore.no_history;
+              ctx = (q, out);
               heap = q.heap;
               threads =
                 [

@@ -365,14 +365,15 @@ let test_no_pool_exhaustion_across_crashes () =
 (* ---------------------------------------------------------------------- *)
 
 let test_explore_enqueue_crashes () =
-  let executions =
-    (Explore.run
+  let s =
+    Explore.run
        (Explore.make ~crashes:true
          ~setup:(fun () ->
            let q = dq ~nthreads:1 ~capacity:16 () in
            q.prep_enqueue ~tid:0 5;
            {
-             Explore.ctx = q;
+             Explore.history = Explore.no_history;
+             ctx = q;
              heap = q.heap;
              threads = [ (fun () -> q.exec_enqueue ~tid:0) ];
            })
@@ -397,9 +398,11 @@ let test_explore_enqueue_crashes () =
                 (q.resolve ~tid:0);
               Alcotest.check int_list "in queue" [ 5 ] (q.to_list ())
             end)
-          ()))
-      .Explore.executions
+          ())
   in
+  (* Skipped crash branches repeat checked ones, so they count as
+     explored. *)
+  let executions = s.Explore.executions + s.Explore.skipped_branches in
   Alcotest.(check bool) "explored crash points" true (executions > 10)
 
 let test_explore_dequeue_crashes () =
@@ -413,7 +416,8 @@ let test_explore_dequeue_crashes () =
             q.prep_dequeue ~tid:0;
             let out = ref min_int in
             {
-              Explore.ctx = (q, out);
+              Explore.history = Explore.no_history;
+              ctx = (q, out);
               heap = q.heap;
               threads = [ (fun () -> out := q.exec_dequeue ~tid:0) ];
             })

@@ -129,7 +129,7 @@ let explorer_of_scenario ?(reduction = true) (n, ncells, ops, bad) =
       let final () =
         Array.fold_left (fun acc c -> (2 * acc) + M.read c) 0 cells
       in
-      { Explore.ctx = final; heap; threads })
+      { Explore.history = Explore.no_history; ctx = final; heap; threads })
     ~check:(fun get _heap ~crashed:_ ->
       (* fail when the final state hits a random target *)
       if get () mod 8 = bad then failwith "bad final state")
@@ -161,7 +161,8 @@ let test_reduction_strictly_fewer () =
         let heap, (module M) = with_mem () in
         let a = M.alloc 0 and b = M.alloc 0 in
         {
-          Explore.ctx = ();
+          Explore.history = Explore.no_history;
+          ctx = ();
           heap;
           threads =
             [
@@ -195,7 +196,8 @@ let count_at ?max_preemptions () =
           let heap, (module M) = with_mem () in
           let c = M.alloc 0 in
           {
-            Explore.ctx = ();
+            Explore.history = Explore.no_history;
+            ctx = ();
             heap;
             threads = [ (fun () -> M.write c 1); (fun () -> M.write c 2) ];
           })
@@ -219,7 +221,8 @@ let crash_explorer ?max_crash_lines ?crash_samples ~adversary ~check () =
       let heap, (module M) = with_mem () in
       let data = M.alloc 0 and committed = M.alloc 0 in
       {
-        Explore.ctx = (fun () -> (M.read data, M.read committed));
+        Explore.history = Explore.no_history;
+        ctx = (fun () -> (M.read data, M.read committed));
         heap;
         threads =
           [
@@ -354,7 +357,8 @@ let px86_crash_explorer ?policy ~check () =
       let heap, (module M) = with_mem ?policy () in
       let data = M.alloc 0 and committed = M.alloc 0 in
       {
-        Explore.ctx = (fun () -> (M.read data, M.read committed));
+        Explore.history = Explore.no_history;
+        ctx = (fun () -> (M.read data, M.read committed));
         heap;
         threads =
           [
@@ -497,7 +501,8 @@ let crash_states ~policy prog =
           ]
         in
         {
-          Explore.ctx = (fun () -> Array.to_list (Array.map M.read cells));
+          Explore.history = Explore.no_history;
+          ctx = (fun () -> Array.to_list (Array.map M.read cells));
           heap;
           threads;
         })
@@ -521,13 +526,13 @@ let prop_px86_drained_equals_sc =
     (fun prog ->
       crash_states ~policy:Eager prog = crash_states ~policy:px86 prog)
 
-(* ------------- report schema: v5 carries replays and drains ---------- *)
+(* -------- report schema: v6 carries replays, drains and skips -------- *)
 
 module Explore_report = Dssq_checker.Explore_report
 module Scenarios = Dssq_checker.Scenarios
 module Json = Dssq_obs.Json
 
-let test_report_v5_encodes () =
+let test_report_v6_encodes () =
   let c =
     List.hd
       (Scenarios.cases ~objects:[ "queue" ] ~crash_modes:[ true ]
@@ -553,9 +558,13 @@ let test_report_v5_encodes () =
       Alcotest.(check bool) "coverage counts drain points" true
         (match List.assoc "drain_points" fields with
         | Json.Int n -> n > 0
+        | _ -> false);
+      Alcotest.(check bool) "coverage counts skipped branches" true
+        (match List.assoc "skipped_branches" fields with
+        | Json.Int n -> n > 0
         | _ -> false)
   | j -> Alcotest.failf "unexpected coverage object: %s" (Json.to_string j));
-  Alcotest.(check int) "version" 5 (Json.to_int (Json.member "version" doc));
+  Alcotest.(check int) "version" 6 (Json.to_int (Json.member "version" doc));
   match Json.to_list (Json.member "cases" doc) with
   | [ case ] ->
       let int k = Json.to_int (Json.member k case) in
@@ -568,7 +577,11 @@ let test_report_v5_encodes () =
       Alcotest.(check string) "status" "pass" (str "status");
       Alcotest.(check bool) "drain points encoded" true (int "drain_points" > 0);
       Alcotest.(check bool) "drain branches encoded" true
-        (int "drain_branches" > 0)
+        (int "drain_branches" > 0);
+      Alcotest.(check bool) "skipped points encoded" true
+        (int "skipped_points" > 0);
+      Alcotest.(check bool) "skipped branches encoded" true
+        (int "skipped_branches" >= int "skipped_points")
   | cs -> Alcotest.failf "expected one case, got %d" (List.length cs)
 
 (* ------------- live handoff: the same search, fewer replays ---------- *)
@@ -597,7 +610,8 @@ let run_pass (c : Scenarios.case) =
 (* Counts the search produced when every tree node replayed its prefix
    from scratch: executions, branches, pruned, crash points, drain
    points.  Handing live machines to first children must reproduce them
-   exactly. *)
+   exactly, with each skipped crash branch counted as the execution it
+   stands for. *)
 let recorded =
   [
     (corpus_case ~crashes:false "queue" "enq-deq", (35, 1453, 631, 0, 0));
@@ -615,7 +629,8 @@ let test_handoff_same_search () =
     (fun (c, (executions, branches, pruned, crash_points, drain_points)) ->
       let s = run_pass c in
       let n = c.Scenarios.name in
-      Alcotest.(check int) (n ^ " executions") executions s.Explore.executions;
+      Alcotest.(check int) (n ^ " executions") executions
+        (s.Explore.executions + s.Explore.skipped_branches);
       Alcotest.(check int) (n ^ " branches") branches s.Explore.branches;
       Alcotest.(check int) (n ^ " pruned") pruned s.Explore.pruned;
       Alcotest.(check int) (n ^ " crash points") crash_points
@@ -646,28 +661,32 @@ let test_chain_replays () =
 
 (* The whole corpus at preemption bound 1 under every persist policy,
    one line per case: status, executions, crash branches, crash points,
-   drain branches, replays.  The counts pin the search itself, so a
-   change that only makes executions cheaper must leave the file
-   byte-identical.  On a mismatch the rendering is written next to the
-   test binary as [explore-p1.actual]; copy it over the golden file only
-   for an intended change to what the explorer explores. *)
+   drain branches, replays, skipped crash branches.  The counts pin the
+   search itself, so a change that only makes executions cheaper must
+   leave the file byte-identical.  On a mismatch the rendering is written
+   next to the test binary as [explore-p1.actual]; copy it over the
+   golden file only for an intended change to what the explorer
+   explores. *)
 let golden_p1 = "golden/explore-p1.expected"
+
+(* The same corpus's counts before crash points were skipped, frozen. *)
+let unskipped_p1 = "golden/explore-p1-unskipped.expected"
 
 let render_p1 () =
   let b = Buffer.create 8192 in
   Buffer.add_string b
     "# case status executions crash_branches crash_points drain_branches \
-     replays\n";
+     replays skipped_branches\n";
   List.iter
     (fun policy ->
       List.iter
         (fun (c : Scenarios.case) ->
           match c.Scenarios.run ~reduction:true with
           | s ->
-              Printf.bprintf b "%s pass %d %d %d %d %d\n" c.Scenarios.name
+              Printf.bprintf b "%s pass %d %d %d %d %d %d\n" c.Scenarios.name
                 s.Explore.executions s.Explore.crash_branches
                 s.Explore.crash_points s.Explore.drain_branches
-                s.Explore.replays
+                s.Explore.replays s.Explore.skipped_branches
           | exception Explore.Violation { schedule; _ } ->
               Printf.bprintf b "%s fail %s\n" c.Scenarios.name
                 (Explore.schedule_to_string schedule))
@@ -678,9 +697,43 @@ let render_p1 () =
     Heap.Policy.[ Eager; Coalesced; Px86; Combine ];
   Buffer.contents b
 
+(* Case name -> the rest of its line, comments skipped. *)
+let rows text =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' line with
+         | name :: rest when name <> "" && name.[0] <> '#' -> Some (name, rest)
+         | _ -> None)
+
+(* A skipped branch stands for exactly one execution, one crash branch
+   and one set-up of the search that ran it, at the same crash points:
+   every case of every policy, against the frozen counts. *)
+let check_nothing_dropped actual =
+  let before =
+    rows (In_channel.with_open_bin unskipped_p1 In_channel.input_all)
+  in
+  let now = rows actual in
+  Alcotest.(check (list string)) "the same cases" (List.map fst before)
+    (List.map fst now);
+  List.iter2
+    (fun (name, was) (_, is) ->
+      match (was, is) with
+      | ( [ "pass"; ex; cb; cp; _; rp ],
+          [ "pass"; ex'; cb'; cp'; _; rp'; sk ] ) ->
+          let n = int_of_string and sk = int_of_string sk in
+          Alcotest.(check int) (name ^ " executions") (n ex) (n ex' + sk);
+          Alcotest.(check int) (name ^ " crash branches") (n cb) (n cb' + sk);
+          Alcotest.(check int) (name ^ " crash points") (n cp) (n cp');
+          Alcotest.(check int) (name ^ " set-ups") (n rp) (n rp' + sk)
+      | _ ->
+          Alcotest.failf "%s: %s, frozen %s" name (String.concat " " is)
+            (String.concat " " was))
+    before now
+
 let test_corpus_golden_p1 () =
   let expected = In_channel.with_open_bin golden_p1 In_channel.input_all in
   let actual = render_p1 () in
+  check_nothing_dropped actual;
   if actual <> expected then begin
     Out_channel.with_open_bin "explore-p1.actual" (fun oc ->
         Out_channel.output_string oc actual);
@@ -770,7 +823,12 @@ let test_explain_passing_schedule () =
       ~setup:(fun () ->
         let heap, (module M) = with_mem () in
         let c = M.alloc 0 in
-        { Explore.ctx = (); heap; threads = [ (fun () -> M.write c 1) ] })
+        {
+          Explore.history = Explore.no_history;
+          ctx = ();
+          heap;
+          threads = [ (fun () -> M.write c 1) ];
+        })
       ~check:(fun () _ ~crashed:_ -> ())
       ()
   in
@@ -782,6 +840,121 @@ let test_explain_passing_schedule () =
       Alcotest.(check bool) "trace recorded" true (trace <> [])
   | Explore.Passed `Crashed, _ -> Alcotest.fail "did not crash"
   | Explore.Failed e, _ -> Alcotest.failf "failed: %s" (Printexc.to_string e)
+
+(* ------------------------ cold restart ------------------------------ *)
+
+module Machine = Dssq_sim.Machine
+
+(* Cell by cell (volatile, persisted, dirty) and buffer by buffer.  A
+   loaded cell holds the crashed world's value or its own set-up's, so
+   values compare structurally. *)
+let same_heap a b =
+  Heap.cell_count a = Heap.cell_count b
+  && Heap.pending_fifos a = Heap.pending_fifos b
+  && Heap.dirty_lines a = Heap.dirty_lines b
+  && List.for_all
+       (fun lid ->
+         List.for_all2
+           (fun (Dssq_pmem.Cell.Packed x) (Dssq_pmem.Cell.Packed y) ->
+             x.id = y.id
+             && x.dirty = y.dirty
+             && Obj.repr x.volatile = Obj.repr y.volatile
+             && Obj.repr x.persisted = Obj.repr y.persisted)
+           (Heap.members a (Heap.line a lid))
+           (Heap.members b (Heap.line b lid)))
+       (List.init (Heap.line_count a) Fun.id)
+
+let crash_cases =
+  List.concat_map
+    (fun (d : Scenarios.descriptor) ->
+      List.concat_map
+        (fun prog ->
+          if d.d_nthreads prog > 2 then []
+          else
+            List.concat_map
+              (fun policy ->
+                List.map
+                  (fun line_size -> (d, prog, policy, line_size))
+                  [ 1; 8 ])
+              [ Heap.Policy.Eager; px86 ])
+        d.d_progs)
+    Scenarios.registry
+
+(* A random corpus case, a random schedule prefix and a random crash
+   token over what is dirty and buffered at its end.  The cold world
+   loaded from the crash must equal the crashed heap that the token's
+   write-backs and verdicts leave behind. *)
+let prop_cold_image =
+  QCheck.Test.make ~count:300 ~name:"a cold restart loads the crash's image"
+    QCheck.(
+      quad (int_bound (List.length crash_cases - 1))
+        (list_of_size Gen.(0 -- 40) (int_bound 5))
+        (int_bound 0xFFFF) (int_bound 0xFFFF))
+    (fun (i, picks, verdict_bits, drain_bits) ->
+      let d, prog, policy, line_size = List.nth crash_cases i in
+      let params =
+        { Scenarios.default_params with crashes = true; policy; line_size }
+      in
+      let setup = d.d_setup ~params ~prog in
+      let live = setup () in
+      Heap.log_persists live.heap;
+      let m = Machine.create live.heap live.threads in
+      List.iter
+        (fun p ->
+          match Machine.runnable m with
+          | [] -> ()
+          | r ->
+              live.heap.in_sim <- true;
+              Machine.step m (List.nth r (p mod List.length r));
+              live.heap.in_sim <- false)
+        picks;
+      let drains =
+        List.filter_map
+          (fun (tid, fifo) ->
+            match drain_bits lsr (3 * tid) mod (List.length fifo + 1) with
+            | 0 -> None
+            | count -> Some (tid, count))
+          (Heap.pending_fifos live.heap)
+      in
+      let candidates = Heap.crash_candidate_lines live.heap in
+      let evict lid =
+        List.mem lid candidates && (verdict_bits lsr (lid mod 16)) land 1 = 1
+      in
+      let cold = setup () in
+      Heap.crash_into live.heap ~fresh:cold.heap ~drains ~evict;
+      List.iter
+        (fun (tid, count) -> Heap.adversary_drain live.heap ~tid ~count)
+        drains;
+      Heap.crash_lines live.heap ~evict;
+      same_heap cold.heap live.heap)
+
+(* The image is transferred cell by cell between two set-ups, so a world
+   that allocated a cell after set-up cannot be loaded: the search
+   refuses it by name rather than load a shifted image. *)
+let test_alloc_in_step_refused () =
+  let t =
+    Explore.make ~crashes:true
+      ~setup:(fun () ->
+        let heap, (module M) = with_mem () in
+        let c = M.alloc 0 in
+        {
+          Explore.history = Explore.no_history;
+          ctx = ();
+          heap;
+          threads =
+            [
+              (fun () ->
+                let fresh = M.alloc 0 in
+                M.write fresh 1;
+                M.write c 1);
+            ];
+        })
+      ~check:(fun () _ ~crashed:_ -> ())
+      ()
+  in
+  match Explore.run t with
+  | _ -> Alcotest.fail "a world with a cell allocated in a step was loaded"
+  | exception Heap.Layout_mismatch _ -> ()
 
 let suite =
   [
@@ -810,8 +983,8 @@ let suite =
     Alcotest.test_case "px86 drain telemetry" `Quick test_px86_drain_telemetry;
     QCheck_alcotest.to_alcotest prop_replay_deterministic_px86;
     QCheck_alcotest.to_alcotest prop_px86_drained_equals_sc;
-    Alcotest.test_case "explore report v5 encodes replays and drains" `Quick
-      test_report_v5_encodes;
+    Alcotest.test_case "explore report v6 encodes replays, drains and skips"
+      `Quick test_report_v6_encodes;
     Alcotest.test_case "live handoff explores the recorded search" `Quick
       test_handoff_same_search;
     Alcotest.test_case "single-thread chains replay once per round" `Quick
@@ -820,4 +993,7 @@ let suite =
       test_corpus_golden_p1;
     Alcotest.test_case "verdict cache never masks a failure" `Quick
       test_verdict_cache;
+    QCheck_alcotest.to_alcotest prop_cold_image;
+    Alcotest.test_case "a cell allocated in a step is refused" `Quick
+      test_alloc_in_step_refused;
   ]

@@ -18,7 +18,8 @@ let test_store_buffering () =
             let x = M.alloc 0 and y = M.alloc 0 in
             let r0 = ref (-1) and r1 = ref (-1) in
             {
-              Explore.ctx = (r0, r1);
+              Explore.history = Explore.no_history;
+              ctx = (r0, r1);
               heap;
               threads =
                 [
@@ -46,7 +47,8 @@ let test_message_passing () =
             let data = M.alloc 0 and flag = M.alloc 0 in
             let seen = ref (-1) in
             {
-              Explore.ctx = seen;
+              Explore.history = Explore.no_history;
+              ctx = seen;
               heap;
               threads =
                 [
@@ -75,7 +77,8 @@ let test_coherence_rr () =
             let x = M.alloc 0 in
             let a = ref (-1) and b = ref (-1) in
             {
-              Explore.ctx = (a, b);
+              Explore.history = Explore.no_history;
+              ctx = (a, b);
               heap;
               threads =
                 [
@@ -102,7 +105,8 @@ let test_iriw () =
             let x = M.alloc 0 and y = M.alloc 0 in
             let r = Array.make 4 (-1) in
             {
-              Explore.ctx = r;
+              Explore.history = Explore.no_history;
+              ctx = r;
               heap;
               threads =
                 [
@@ -136,7 +140,8 @@ let test_persist_ordering () =
             let (module M) = Sim.memory heap in
             let data = M.alloc 0 and committed = M.alloc 0 in
             {
-              Explore.ctx = (fun () -> (M.read data, M.read committed));
+              Explore.history = Explore.no_history;
+              ctx = (fun () -> (M.read data, M.read committed));
               heap;
               threads =
                 [

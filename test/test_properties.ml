@@ -435,7 +435,8 @@ let prop_explore_counts =
                let (module M) = Sim.memory heap in
                let cells = Array.init n (fun _ -> M.alloc 0) in
                {
-                 Explore.ctx = ();
+                 Explore.history = Explore.no_history;
+                 ctx = ();
                  heap;
                  threads =
                    List.init n (fun i () -> M.write cells.(i) 1);

@@ -69,7 +69,8 @@ let test_mutual_exclusion_exhaustive () =
               end
             in
             {
-              Explore.ctx = violations;
+              Explore.history = Explore.no_history;
+              ctx = violations;
               heap;
               threads = [ worker ~tid:0; worker ~tid:1 ];
             })

@@ -263,7 +263,8 @@ let test_explore_counts_interleavings () =
            let c = M.alloc 0 in
            ignore c;
            {
-             Explore.ctx = ();
+             Explore.history = Explore.no_history;
+             ctx = ();
              heap;
              threads = [ (fun () -> M.write c 1); (fun () -> M.write c 2) ];
            })
@@ -288,7 +289,8 @@ let test_explore_finds_lost_update () =
             let c = M.alloc 0 in
             let body () = M.write c (M.read c + 1) in
             {
-              Explore.ctx = (fun () -> M.read c);
+              Explore.history = Explore.no_history;
+              ctx = (fun () -> M.read c);
               heap;
               threads = [ body; body ];
             })
@@ -305,12 +307,69 @@ let test_explore_crashes_branch () =
           ~setup:(fun () ->
             let heap, (module M) = with_mem () in
             let c = M.alloc 0 in
-            { Explore.ctx = (); heap; threads = [ (fun () -> M.write c 1) ] })
+            {
+              Explore.history = Explore.no_history;
+              ctx = ();
+              heap;
+              threads = [ (fun () -> M.write c 1) ];
+            })
           ~check:(fun () _ ~crashed ->
             if crashed then incr crashes else incr completes)
           ()));
   Alcotest.(check bool) "some crashing branches" true (!crashes > 0);
   Alcotest.(check bool) "some complete branches" true (!completes > 0)
+
+(* What each step did: the facts the throughput model prices and the
+   explorer's skip reads.  Only the store and the write-back change what
+   a crash could leave. *)
+let test_step_record () =
+  let heap = Heap.create ~line_size:8 () in
+  let (module M) = Sim.memory heap in
+  let c = M.alloc 0 in
+  let m =
+    Machine.create heap
+      [
+        (fun () ->
+          ignore (M.read c);
+          ignore (M.cas c ~expected:5 ~desired:6);
+          M.flush c;
+          M.fence ();
+          M.write c 1;
+          M.flush c);
+      ]
+  in
+  let steps = ref [] in
+  heap.Heap.in_sim <- true;
+  while Machine.runnable m <> [] do
+    Machine.step m 0;
+    let l = Machine.last m in
+    steps := (l.Machine.kind, l.Machine.line >= 0, l.Machine.changed) :: !steps
+  done;
+  heap.Heap.in_sim <- false;
+  Alcotest.(check (list (triple string bool bool)))
+    "kind, on a line, changed"
+    [
+      ("yield", false, false);
+      ("read", true, false);
+      ("cas", true, false);
+      ("flush", true, false);
+      ("fence", false, false);
+      ("write", true, true);
+      ("flush", true, true);
+    ]
+    (List.rev_map
+       (fun (k, on_line, changed) ->
+         ( (match k with
+           | Dssq_sim.Sim_op.Read -> "read"
+           | Write -> "write"
+           | Cas -> "cas"
+           | Flush -> "flush"
+           | Drain -> "drain"
+           | Fence -> "fence"
+           | Yield -> "yield"),
+           on_line,
+           changed ))
+       !steps)
 
 let suite =
   [
@@ -338,4 +397,6 @@ let suite =
       test_explore_finds_lost_update;
     Alcotest.test_case "explore: crash branches" `Quick
       test_explore_crashes_branch;
+    Alcotest.test_case "step record: kind, line and what changed" `Quick
+      test_step_record;
   ]
