@@ -1067,19 +1067,30 @@ let setup_cmd =
    non-zero whenever fsck reports an error — the CI negative tests
    assert exactly that. *)
 let fsck_run corrupt json =
+  let module World (M : MI.S) = struct
+    module R = Dssq_workload.Registry.Make (M)
+
+    let sys = R.Sys.create ~nthreads:1 ~wal_lane_capacity:128 ()
+
+    let ops =
+      R.setup ~system:sys ~mk:"dss-queue" ~init_nodes:4
+        (Dssq_core.Queue_intf.config ~nthreads:1 ~capacity:64 ())
+  end in
+  let live = Heap.create ~line_size:8 () in
+  let (module L) = Sim.memory live in
+  let module L = World (L) in
+  Heap.log_persists live;
+  for i = 1 to 24 do
+    L.ops.Dssq_core.Queue_intf.d_enqueue ~tid:0 i;
+    if i mod 3 = 0 then ignore (L.ops.Dssq_core.Queue_intf.d_dequeue ~tid:0)
+  done;
+  (* Restart cold: a fresh set-up loaded with the crash's image. *)
   let heap = Heap.create ~line_size:8 () in
   let (module M) = Sim.memory heap in
-  let module R = Dssq_workload.Registry.Make (M) in
-  let sys = R.Sys.create ~nthreads:1 ~wal_lane_capacity:128 () in
-  let ops =
-    R.setup ~system:sys ~mk:"dss-queue" ~init_nodes:4
-      (Dssq_core.Queue_intf.config ~nthreads:1 ~capacity:64 ())
-  in
-  for i = 1 to 24 do
-    ops.Dssq_core.Queue_intf.d_enqueue ~tid:0 i;
-    if i mod 3 = 0 then ignore (ops.Dssq_core.Queue_intf.d_dequeue ~tid:0)
-  done;
-  Sim.apply_crash heap ~evict_p:0.5 ~seed:11;
+  let module W = World (M) in
+  let module R = W.R in
+  let sys = W.sys in
+  Sim.restart live ~into:heap ~evict_p:0.5 ~seed:11;
   let wal = R.Sys.wal sys in
   (match corrupt with
   | "none" -> ()
@@ -1088,7 +1099,9 @@ let fsck_run corrupt json =
       R.Sys.Wal.corrupt_word wal ~lane:0 ~slot:2 ~word:1
         ~f:(fun a -> a lxor (1 lsl 13))
   | "torn" ->
-      (* the final record's checksum never made it: a torn tail *)
+      (* the final record's checksum never made it: a torn tail (the
+         append cursors are volatile; a replay restores them) *)
+      ignore (R.Sys.Wal.replay wal : Dssq_pmem.Wal.record list * int);
       R.Sys.Wal.corrupt_word wal ~lane:0
         ~slot:(R.Sys.Wal.appended wal - 1)
         ~word:3
@@ -1542,21 +1555,26 @@ let profile_cmd =
 (* ---------------------------- crash demo ----------------------------- *)
 
 let crash_demo step evict_p show_trace =
-  let heap = Heap.create () in
-  let (module M) = Sim.memory heap in
-  let module Q = Dssq_core.Dss_queue.Make (M) in
-  let q = Q.create ~nthreads:2 ~capacity:64 () in
-  List.iter (fun v -> Q.enqueue q ~tid:1 v) [ 1; 2; 3 ];
+  let module World (M : MI.S) = struct
+    module Q = Dssq_core.Dss_queue.Make (M)
+
+    let q = Q.create ~nthreads:2 ~capacity:64 ()
+    let () = List.iter (fun v -> Q.enqueue q ~tid:1 v) [ 1; 2; 3 ]
+  end in
+  let live = Heap.create () in
+  let (module L) = Sim.memory live in
+  let module L = World (L) in
+  Heap.log_persists live;
   Printf.printf "queue initialized with [1; 2; 3]\n";
   Printf.printf
     "thread 0 runs: prep-enqueue(42); exec-enqueue; prep-dequeue; exec-dequeue\n";
   let thread () =
-    Q.prep_enqueue q ~tid:0 42;
-    Q.exec_enqueue q ~tid:0;
-    Q.prep_dequeue q ~tid:0;
-    ignore (Q.exec_dequeue q ~tid:0)
+    L.Q.prep_enqueue L.q ~tid:0 42;
+    L.Q.exec_enqueue L.q ~tid:0;
+    L.Q.prep_dequeue L.q ~tid:0;
+    ignore (L.Q.exec_dequeue L.q ~tid:0)
   in
-  let run () = Sim.run heap ~crash:(Sim.Crash_at_step step) ~threads:[ thread ] in
+  let run () = Sim.run live ~crash:(Sim.Crash_at_step step) ~threads:[ thread ] in
   let outcome, entries = if show_trace then Trace.capture run else (run (), []) in
   Format.printf "%a" Trace.pp_timeline entries;
   if not outcome.Sim.crashed then
@@ -1564,11 +1582,17 @@ let crash_demo step evict_p show_trace =
       "no crash before the program finished (it takes fewer than %d steps);\n\
        final queue: [%s]\n"
       step
-      (String.concat "; " (List.map string_of_int (Q.to_list q)))
+      (String.concat "; " (List.map string_of_int (L.Q.to_list L.q)))
   else begin
     Printf.printf "CRASH injected before memory event #%d (evict_p = %.2f)\n"
       step evict_p;
-    Sim.apply_crash heap ~evict_p ~seed:step;
+    (* Restart cold: a fresh set-up loaded with the crash's image. *)
+    let heap = Heap.create () in
+    let (module M) = Sim.memory heap in
+    let module W = World (M) in
+    let module Q = W.Q in
+    let q = W.q in
+    Sim.restart live ~into:heap ~evict_p ~seed:step;
     Q.recover q;
     Printf.printf "recovery complete; queue now: [%s]\n"
       (String.concat "; " (List.map string_of_int (Q.to_list q)));
@@ -1604,25 +1628,30 @@ let crash_demo_cmd =
    outcome.  The file loads directly into https://ui.perfetto.dev or
    chrome://tracing. *)
 let trace_run out step evict_p seed capacity timeline =
-  let heap = Heap.create () in
-  let (module M) = Sim.memory heap in
-  let module Q = Dssq_core.Dss_queue.Make (M) in
-  let q = Q.create ~nthreads:2 ~capacity:64 () in
-  List.iter (fun v -> Q.enqueue q ~tid:0 v) [ 1; 2; 3 ];
+  let module World (M : MI.S) = struct
+    module Q = Dssq_core.Dss_queue.Make (M)
+
+    let q = Q.create ~nthreads:2 ~capacity:64 ()
+    let () = List.iter (fun v -> Q.enqueue q ~tid:0 v) [ 1; 2; 3 ]
+  end in
+  let live = Heap.create () in
+  let (module L) = Sim.memory live in
+  let module L = World (L) in
+  Heap.log_persists live;
   let tracer = Trace.start ~capacity () in
   (* Persist barrier between setup and the traced run (and the trace's
      guaranteed fence event). *)
-  Heap.fence heap;
+  Heap.fence live;
   let enqueuer () =
-    Q.prep_enqueue q ~tid:0 42;
-    Q.exec_enqueue q ~tid:0
+    L.Q.prep_enqueue L.q ~tid:0 42;
+    L.Q.exec_enqueue L.q ~tid:0
   in
   let dequeuer () =
-    Q.prep_dequeue q ~tid:1;
-    ignore (Q.exec_dequeue q ~tid:1)
+    L.Q.prep_dequeue L.q ~tid:1;
+    ignore (L.Q.exec_dequeue L.q ~tid:1)
   in
   let outcome =
-    Sim.run heap ~policy:(Sim.Random_seed seed)
+    Sim.run live ~policy:(Sim.Random_seed seed)
       ~crash:(Sim.Crash_at_step step)
       ~threads:[ enqueuer; dequeuer ]
   in
@@ -1630,10 +1659,19 @@ let trace_run out step evict_p seed capacity timeline =
     Printf.printf
       "note: the program finished before step %d; crashing at quiescence\n"
       step;
-  Sim.apply_crash heap ~evict_p ~seed;
-  Q.recover q;
-  let r0 = Q.resolve q ~tid:0 in
-  let r1 = Q.resolve q ~tid:1 in
+  (* Restart cold: a fresh set-up, untraced, loaded with the crash's
+     image. *)
+  let heap = Heap.create () in
+  let (module M) = Sim.memory heap in
+  let recover, resolve =
+    Trace.muted (fun () ->
+        let module W = World (M) in
+        ((fun () -> W.Q.recover W.q), fun ~tid -> W.Q.resolve W.q ~tid))
+  in
+  Sim.restart live ~into:heap ~evict_p ~seed;
+  recover ();
+  let r0 = resolve ~tid:0 in
+  let r1 = resolve ~tid:1 in
   Trace.stop ();
   let entries = Trace.entries tracer in
   (match Trace.write_chrome out entries with
@@ -1725,14 +1763,16 @@ let trace_cmd =
 
 (* ----------------------------- lincheck ------------------------------ *)
 
-(* The queue under test, through its D<queue> adapter, with its heap and
-   its recover procedure. *)
+(* The queue under test, through its D<queue> adapter, with its heap
+   (marked at the end of set-up, for a cold restart) and its recover
+   procedure. *)
 let make_queue ~policy kind =
   let heap = Heap.create ~policy () in
   let (module M) = Sim.memory heap in
   let adapt (type q)
       (module Q : Dssq_core.Queue_intf.DETECTABLE_QUEUE with type t = q)
       (q : q) =
+    Heap.log_persists heap;
     (heap, Dssq_core.Queue_intf.adapter (module Q) q, fun () -> Q.recover q)
   in
   match kind with
@@ -1766,14 +1806,14 @@ let lincheck_run kind (policy : MI.Policy.t) iterations verbose trace_json =
   let crashes = ref 0 in
   for i = 1 to iterations do
     ignore (Trace.start () : Trace.t);
-    let heap, q, recover = make_queue ~policy kind in
+    let heap, live, _ = make_queue ~policy kind in
     let rec_ = Recorder.create () in
     let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
     let detectable ~tid op () =
       record ~tid (Dss_spec.Prep op) (fun () ->
-          q.prep ~tid op;
+          live.prep ~tid op;
           Dss_spec.Ack);
-      record ~tid (Dss_spec.Exec op) (fun () -> Dss_spec.Ret (q.exec ~tid op))
+      record ~tid (Dss_spec.Exec op) (fun () -> Dss_spec.Ret (live.exec ~tid op))
     in
     let outcome =
       Sim.run heap ~policy:(Sim.Random_seed i)
@@ -1784,16 +1824,26 @@ let lincheck_run kind (policy : MI.Policy.t) iterations verbose trace_json =
             detectable ~tid:1 Specs.Queue.Dequeue;
           ]
     in
-    if outcome.Sim.crashed then begin
-      incr crashes;
-      Recorder.crash rec_;
-      Sim.apply_crash heap ~evict_p:(float_of_int (i mod 3) /. 2.) ~seed:i;
-      recover ();
-      for tid = 0 to 1 do
-        record ~tid Dss_spec.Resolve (fun () ->
-            Scenarios.status (q.resolve ~tid))
-      done
-    end;
+    let q =
+      if not outcome.Sim.crashed then live
+      else begin
+        incr crashes;
+        Recorder.crash rec_;
+        (* Restart cold: a fresh set-up, untraced, loaded with the
+           crash's image. *)
+        let heap', q, recover =
+          Trace.muted (fun () -> make_queue ~policy kind)
+        in
+        Sim.restart heap ~into:heap' ~evict_p:(float_of_int (i mod 3) /. 2.)
+          ~seed:i;
+        recover ();
+        for tid = 0 to 1 do
+          record ~tid Dss_spec.Resolve (fun () ->
+              Scenarios.status (q.resolve ~tid))
+        done;
+        q
+      end
+    in
     (* Drain so the final state is validated too. *)
     let rec drain guard =
       let deq = Specs.Queue.Dequeue in

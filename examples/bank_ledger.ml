@@ -29,7 +29,20 @@ let decode v =
   let v = v mod 1_000_000 in
   ((v / 1000 / accounts, v / 1000 mod accounts), v mod 1000)
 
-let () =
+(* One world: a heap, the queue and the balances on it, set up the same
+   way every time.  A crash restarts cold, into a fresh world loaded
+   with the image the crash left in persistent memory. *)
+type world = {
+  heap : Heap.t;
+  enqueue : tid:int -> int -> unit;  (** detectable: prep + exec *)
+  dequeue : tid:int -> int;  (** detectable: prep + exec *)
+  resolve : tid:int -> resolved;
+  recover : unit -> unit;
+  balance : int -> int;
+  apply_transfer : int -> unit;
+}
+
+let world () =
   let heap = Heap.create () in
   let (module M) = Sim.memory heap in
   let module Q = Dssq_core.Dss_queue.Make (M) in
@@ -50,6 +63,25 @@ let () =
     M.write balances.(dst) (M.read balances.(dst) + amount);
     M.flush balances.(dst)
   in
+  Heap.log_persists heap;
+  {
+    heap;
+    enqueue =
+      (fun ~tid v ->
+        Q.prep_enqueue q ~tid v;
+        Q.exec_enqueue q ~tid);
+    dequeue =
+      (fun ~tid ->
+        Q.prep_dequeue q ~tid;
+        Q.exec_dequeue q ~tid);
+    resolve = (fun ~tid -> Q.resolve q ~tid);
+    recover = (fun () -> Q.recover q);
+    balance = (fun i -> M.read balances.(i));
+    apply_transfer;
+  }
+
+let () =
+  let w = ref (world ()) in
 
   let rng = Random.State.make [| 2026 |] in
   let transfers =
@@ -70,17 +102,15 @@ let () =
     match !producer_queue with
     | [] -> false
     | v :: rest ->
-        Q.prep_enqueue q ~tid v;
-        Q.exec_enqueue q ~tid;
+        !w.enqueue ~tid v;
         submitted := v :: !submitted;
         producer_queue := rest;
         true
   in
   let consume_one ~tid =
-    Q.prep_dequeue q ~tid;
-    let v = Q.exec_dequeue q ~tid in
+    let v = !w.dequeue ~tid in
     if v <> empty_value then begin
-      apply_transfer v;
+      !w.apply_transfer v;
       applied := v :: !applied
     end;
     v <> empty_value
@@ -88,7 +118,7 @@ let () =
 
   (* Recovery logic per thread: decide redo/skip from resolve. *)
   let recover_producer () =
-    match Q.resolve q ~tid:0 with
+    match !w.resolve ~tid:0 with
     | Enq_done v ->
         (* Took effect before the crash but we may not have logged it. *)
         if not (List.mem v !submitted) then begin
@@ -102,12 +132,12 @@ let () =
     | _ -> ()
   in
   let recover_consumer () =
-    match Q.resolve q ~tid:1 with
+    match !w.resolve ~tid:1 with
     | Deq_done v ->
         if not (List.mem v !applied) then begin
           (* Dequeued before the crash, application not logged: redo the
              balance update exactly once. *)
-          apply_transfer v;
+          !w.apply_transfer v;
           applied := v :: !applied
         end
     | Deq_pending | Deq_empty | Nothing -> ()
@@ -130,7 +160,7 @@ let () =
       done
     in
     let outcome =
-      Sim.run heap
+      Sim.run !w.heap
         ~policy:(Sim.Random_seed !epoch)
         ~crash:(Sim.Crash_prob (0.004, !epoch))
         ~threads:[ producer; consumer ]
@@ -140,8 +170,10 @@ let () =
       (* NB: volatile logs survive in this process, but the in-flight
          operation's fate is genuinely unknown — exactly the ambiguity
          resolve removes. *)
-      Sim.apply_crash heap ~evict_p:0.3 ~seed:!epoch;
-      Q.recover q;
+      let fresh = world () in
+      Sim.restart !w.heap ~into:fresh.heap ~evict_p:0.3 ~seed:!epoch;
+      w := fresh;
+      !w.recover ();
       recover_producer ();
       recover_consumer ()
     end
@@ -152,10 +184,10 @@ let () =
   (* Verification: every transfer applied exactly once, money conserved. *)
   let sorted l = List.sort compare l in
   assert (sorted !applied = sorted transfers);
-  let total = Array.fold_left (fun acc b -> acc + M.read b) 0 balances in
+  let balances = List.init accounts !w.balance in
+  let total = List.fold_left ( + ) 0 balances in
   Printf.printf "final balances: [%s] (total %d)\n"
-    (String.concat "; "
-       (Array.to_list (Array.map (fun b -> string_of_int (M.read b)) balances)))
+    (String.concat "; " (List.map string_of_int balances))
     total;
   assert (total = accounts * 1000);
   print_endline "every transfer applied exactly once; money conserved"

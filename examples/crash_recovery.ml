@@ -19,21 +19,37 @@ let section title =
 (* Part 1: Figure 2 on D<register>                                   *)
 (* ---------------------------------------------------------------- *)
 
+(* The world Figure 2 runs in: one detectable register over the
+   universal construction.  A crash restarts cold: a second copy of the
+   world, set up the same way, is loaded with the image the crash left
+   in persistent memory, and nothing volatile survives. *)
+module Register_world (M : Dssq_memory.Memory_intf.S) = struct
+  module U = Dssq_universal.Universal.Make (M)
+
+  let u = U.create ~nthreads:1 ~capacity:16 (Reg.spec ())
+end
+
 (* Run "prep-write(1); exec-write(1)" and crash at [crash_step]
    (or run to completion if the step is beyond the program).  Returns
    the post-recovery resolution. *)
 let figure2_run ~crash_step ~evict_p =
-  let heap = Heap.create () in
-  let (module M) = Sim.memory heap in
-  let module U = Dssq_universal.Universal.Make (M) in
-  let u = U.create ~nthreads:1 ~capacity:16 (Reg.spec ()) in
+  let live = Heap.create () in
+  let (module L) = Sim.memory live in
+  let module L = Register_world (L) in
+  Heap.log_persists live;
   let thread () =
-    U.prep u ~tid:0 (Reg.Write 1);
-    ignore (U.exec u ~tid:0 (Reg.Write 1))
+    L.U.prep L.u ~tid:0 (Reg.Write 1);
+    ignore (L.U.exec L.u ~tid:0 (Reg.Write 1))
   in
-  let outcome = Sim.run heap ~crash:(Sim.Crash_at_step crash_step) ~threads:[ thread ] in
-  if outcome.Sim.crashed then Sim.apply_crash heap ~evict_p ~seed:crash_step;
-  (outcome.Sim.crashed, U.resolve u ~tid:0)
+  let outcome = Sim.run live ~crash:(Sim.Crash_at_step crash_step) ~threads:[ thread ] in
+  if not outcome.Sim.crashed then (false, L.U.resolve L.u ~tid:0)
+  else begin
+    let heap = Heap.create () in
+    let (module M) = Sim.memory heap in
+    let module W = Register_world (M) in
+    Sim.restart live ~into:heap ~evict_p ~seed:crash_step;
+    (true, W.U.resolve W.u ~tid:0)
+  end
 
 let pp_reg_resolution (a, r) =
   let op = function
@@ -75,23 +91,34 @@ let () =
 
 let () =
   section "DSS queue: crash mid-enqueue, recover, resolve, retry";
-  let heap = Heap.create () in
-  let (module M) = Sim.memory heap in
-  let module Q = Dssq_core.Dss_queue.Make (M) in
-  let q = Q.create ~nthreads:2 ~capacity:64 () in
-  Q.enqueue q ~tid:1 7 (* pre-existing state *);
+  let module World (M : Dssq_memory.Memory_intf.S) = struct
+    module Q = Dssq_core.Dss_queue.Make (M)
+
+    let q = Q.create ~nthreads:2 ~capacity:64 ()
+    let () = Q.enqueue q ~tid:1 7 (* pre-existing state *)
+  end in
+  let live = Heap.create () in
+  let (module L) = Sim.memory live in
+  let module L = World (L) in
+  Heap.log_persists live;
 
   (* Thread 0 prepares and starts applying enqueue(42); the system
      crashes somewhere in the middle. *)
   let thread () =
-    Q.prep_enqueue q ~tid:0 42;
-    Q.exec_enqueue q ~tid:0
+    L.Q.prep_enqueue L.q ~tid:0 42;
+    L.Q.exec_enqueue L.q ~tid:0
   in
-  let outcome = Sim.run heap ~crash:(Sim.Crash_at_step 9) ~threads:[ thread ] in
+  let outcome = Sim.run live ~crash:(Sim.Crash_at_step 9) ~threads:[ thread ] in
   Printf.printf "system crashed: %b\n" outcome.Sim.crashed;
 
-  (* Power comes back: unflushed cache lines are gone. *)
-  Sim.apply_crash heap ~evict_p:0.0 ~seed:1;
+  (* Power comes back: unflushed cache lines are gone, and so is every
+     volatile structure.  A fresh world starts from what persisted. *)
+  let heap = Heap.create () in
+  let (module M) = Sim.memory heap in
+  let module W = World (M) in
+  let module Q = W.Q in
+  let q = W.q in
+  Sim.restart live ~into:heap ~evict_p:0.0 ~seed:1;
   Q.recover q;
 
   (* The thread resumes under the same id and asks what happened. *)
@@ -123,20 +150,30 @@ let () =
   let outcomes = Hashtbl.create 8 in
   let step = ref 0 in
   let running = ref true in
+  let module World (M : Dssq_memory.Memory_intf.S) = struct
+    module Q = Dssq_core.Dss_queue.Make (M)
+
+    let q = Q.create ~nthreads:1 ~capacity:64 ()
+    let () = List.iter (fun v -> Q.enqueue q ~tid:0 v) [ 1; 2; 3 ]
+  end in
   while !running do
-    let heap = Heap.create () in
-    let (module M) = Sim.memory heap in
-    let module Q = Dssq_core.Dss_queue.Make (M) in
-    let q = Q.create ~nthreads:1 ~capacity:64 () in
-    List.iter (fun v -> Q.enqueue q ~tid:0 v) [ 1; 2; 3 ];
+    let live = Heap.create () in
+    let (module L) = Sim.memory live in
+    let module L = World (L) in
+    Heap.log_persists live;
     let thread () =
-      Q.prep_dequeue q ~tid:0;
-      ignore (Q.exec_dequeue q ~tid:0)
+      L.Q.prep_dequeue L.q ~tid:0;
+      ignore (L.Q.exec_dequeue L.q ~tid:0)
     in
-    let outcome = Sim.run heap ~crash:(Sim.Crash_at_step !step) ~threads:[ thread ] in
+    let outcome = Sim.run live ~crash:(Sim.Crash_at_step !step) ~threads:[ thread ] in
     if not outcome.Sim.crashed then running := false
     else begin
-      Sim.apply_crash heap ~evict_p:0.5 ~seed:!step;
+      let heap = Heap.create () in
+      let (module M) = Sim.memory heap in
+      let module W = World (M) in
+      let module Q = W.Q in
+      let q = W.q in
+      Sim.restart live ~into:heap ~evict_p:0.5 ~seed:!step;
       Q.recover q;
       let status =
         match Q.resolve q ~tid:0 with

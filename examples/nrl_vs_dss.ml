@@ -27,39 +27,60 @@ let () =
   in
   let steps = ref 0 in
   let running = ref true in
+  (* Each side's world, set up the same way every time: a crash
+     restarts cold, into a fresh copy loaded with the image the crash
+     left in persistent memory. *)
+  let module Dss_world (M : Dssq_memory.Memory_intf.S) = struct
+    module R = Dssq_core.Dss_register.Make (M)
+
+    let r = R.create ~nthreads:1 ()
+  end in
+  let module Nrl_world (M : Dssq_memory.Memory_intf.S) = struct
+    module N = Dssq_nrl.Nrl.Make (M)
+
+    let sys = N.System.create ~nthreads:1 ~max_depth:4
+    let nr = N.Register.create ~sys ~obj_id:1 ~nthreads:1 ()
+  end in
   while !running do
     (* --- DSS --- *)
-    let heap = Heap.create () in
-    let (module M) = Sim.memory heap in
-    let module R = Dssq_core.Dss_register.Make (M) in
-    let r = R.create ~nthreads:1 () in
+    let live = Heap.create () in
+    let (module L) = Sim.memory live in
+    let module L = Dss_world (L) in
+    Heap.log_persists live;
     let t () =
-      R.prep_write r ~tid:0 5;
-      R.exec_write r ~tid:0
+      L.R.prep_write L.r ~tid:0 5;
+      L.R.exec_write L.r ~tid:0
     in
-    let outcome = Sim.run heap ~crash:(Sim.Crash_at_step !steps) ~threads:[ t ] in
+    let outcome = Sim.run live ~crash:(Sim.Crash_at_step !steps) ~threads:[ t ] in
     if not outcome.Sim.crashed then running := false
     else begin
-      Sim.apply_crash heap ~evict_p:0.0 ~seed:!steps;
-      (match R.resolve r ~tid:0 with
+      let heap = Heap.create () in
+      let (module M) = Sim.memory heap in
+      let module W = Dss_world (M) in
+      let module R = W.R in
+      Sim.restart live ~into:heap ~evict_p:0.0 ~seed:!steps;
+      (match R.resolve W.r ~tid:0 with
       | R.Write_done _ -> bump dss_outcomes "resolve: took effect — app may skip redo"
       | R.Write_pending _ -> bump dss_outcomes "resolve: no effect — app decides (redo or drop)"
       | R.Nothing -> bump dss_outcomes "resolve: nothing prepared"
       | _ -> ());
       (* --- NRL, same crash point --- *)
-      let heap2 = Heap.create () in
-      let (module M2) = Sim.memory heap2 in
-      let module N = Dssq_nrl.Nrl.Make (M2) in
-      let sys = N.System.create ~nthreads:1 ~max_depth:4 in
-      let nr = N.Register.create ~sys ~obj_id:1 ~nthreads:1 () in
-      let t2 () = N.Register.write nr ~tid:0 5 in
-      let o2 = Sim.run heap2 ~crash:(Sim.Crash_at_step !steps) ~threads:[ t2 ] in
+      let live2 = Heap.create () in
+      let (module L2) = Sim.memory live2 in
+      let module L2 = Nrl_world (L2) in
+      Heap.log_persists live2;
+      let t2 () = L2.N.Register.write L2.nr ~tid:0 5 in
+      let o2 = Sim.run live2 ~crash:(Sim.Crash_at_step !steps) ~threads:[ t2 ] in
       if o2.Sim.crashed then begin
-        Sim.apply_crash heap2 ~evict_p:0.0 ~seed:!steps;
-        match N.System.recover_process sys ~tid:0 with
+        let heap2 = Heap.create () in
+        let (module M2) = Sim.memory heap2 in
+        let module W2 = Nrl_world (M2) in
+        let module N = W2.N in
+        Sim.restart live2 ~into:heap2 ~evict_p:0.0 ~seed:!steps;
+        match N.System.recover_process W2.sys ~tid:0 with
         | [] -> bump nrl_outcomes "no pending frame (op never started or finished)"
         | _ ->
-            assert (N.Register.read nr = 5);
+            assert (N.Register.read W2.nr = 5);
             bump nrl_outcomes "recovery COMPLETED the write (register = 5)"
       end
     end;

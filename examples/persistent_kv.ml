@@ -17,7 +17,19 @@ let nkeys = 4
 let updates_per_client = 12
 let nclients = 2
 
-let () =
+(* One world: a heap and the store's detectable cells, set up the same
+   way every time.  A crash restarts cold, into a fresh world loaded
+   with the image the crash left in persistent memory. *)
+type world = {
+  heap : Heap.t;
+  read : int -> int;
+  prep_cas : int -> tid:int -> expected:int -> desired:int -> unit;
+  exec_cas : int -> tid:int -> bool;
+  landed : int -> tid:int -> bool;
+      (** whether [tid]'s last prepared CAS on the key took effect *)
+}
+
+let world () =
   let heap = Heap.create () in
   let (module M) = Sim.memory heap in
   let module C = Dssq_core.Dss_cell.Make (M) in
@@ -27,6 +39,21 @@ let () =
           ~name:(fun () -> Printf.sprintf "key%d" k)
           ~nthreads:nclients 0)
   in
+  Heap.log_persists heap;
+  {
+    heap;
+    read = (fun k -> C.read store.(k));
+    prep_cas = (fun k -> C.prep_cas store.(k));
+    exec_cas = (fun k -> C.exec_cas store.(k));
+    landed =
+      (fun k ~tid ->
+        match C.resolve store.(k) ~tid with
+        | C.Cas_done (_, _, ok) -> ok
+        | _ -> false);
+  }
+
+let () =
+  let w = ref (world ()) in
 
   (* Deterministic workload: client i applies deltas to keys round-robin. *)
   let plan tid =
@@ -42,10 +69,10 @@ let () =
   let apply_one ~tid (key, delta) =
     (* Detectable read-modify-write: CAS from the current value. *)
     let rec attempt () =
-      let cur = C.read store.(key) in
-      C.prep_cas store.(key) ~tid ~expected:cur ~desired:(cur + delta);
+      let cur = !w.read key in
+      !w.prep_cas key ~tid ~expected:cur ~desired:(cur + delta);
       in_flight.(tid) <- Some (key, delta);
-      if C.exec_cas store.(key) ~tid then begin
+      if !w.exec_cas key ~tid then begin
         in_flight.(tid) <- None;
         applied.(tid) <- applied.(tid) + 1
       end
@@ -57,17 +84,13 @@ let () =
   let resolve_in_flight ~tid =
     match in_flight.(tid) with
     | None -> ()
-    | Some (key, delta) -> (
-        ignore delta;
-        match C.resolve store.(key) ~tid with
-        | C.Cas_done (_, _, true) ->
-            (* Landed before the crash: count it, do not redo. *)
-            in_flight.(tid) <- None;
-            applied.(tid) <- applied.(tid) + 1
-        | C.Cas_done (_, _, false) | C.Cas_pending _ | C.Nothing ->
-            (* Did not land: the main loop will redo it. *)
-            ()
-        | _ -> ())
+    | Some (key, _) ->
+        if !w.landed key ~tid then begin
+          (* Landed before the crash: count it, do not redo. *)
+          in_flight.(tid) <- None;
+          applied.(tid) <- applied.(tid) + 1
+        end
+    (* Otherwise it did not land: the main loop will redo it. *)
   in
 
   let crashes = ref 0 in
@@ -85,18 +108,20 @@ let () =
                attempt's fresh read). *)
             match upd with key, delta -> apply_one ~tid (key, delta))
         | None -> apply_one ~tid (List.nth (plan tid) applied.(tid)));
-        Sim.yield heap
+        Sim.yield !w.heap
       done
     in
     let outcome =
-      Sim.run heap
+      Sim.run !w.heap
         ~policy:(Sim.Random_seed !epoch)
         ~crash:(Sim.Crash_prob (0.01, !epoch))
         ~threads:(List.init nclients (fun tid -> client ~tid))
     in
     if outcome.Sim.crashed then begin
       incr crashes;
-      Sim.apply_crash heap ~evict_p:0.4 ~seed:!epoch;
+      let fresh = world () in
+      Sim.restart !w.heap ~into:fresh.heap ~evict_p:0.4 ~seed:!epoch;
+      w := fresh;
       for tid = 0 to nclients - 1 do
         resolve_in_flight ~tid
       done
@@ -109,7 +134,7 @@ let () =
     |> List.concat |> List.fold_left ( + ) 0
   in
   let total =
-    Array.fold_left (fun acc cell -> acc + C.read cell) 0 store
+    List.fold_left (fun acc k -> acc + !w.read k) 0 (List.init nkeys Fun.id)
   in
   Printf.printf
     "applied %d updates across %d clients and %d crashes; store total = %d \

@@ -21,13 +21,21 @@ module Sim = Dssq_sim.Sim
 module Spec = Dssq_spec.Spec
 module Cnt = Dssq_spec.Specs.Counter
 
-let () =
-  let total_increments = 10 in
+(* One world: a heap and the counter on it, set up the same way every
+   time.  A crash restarts cold, into a fresh world loaded with the image
+   the crash left in persistent memory. *)
+let world () =
   let heap = Heap.create () in
   let (module M) = Sim.memory heap in
   let module U = Dssq_universal.Universal.Make (M) in
   (* with_aux: operations become (op, serial); delta ignores serial. *)
   let u = U.create ~nthreads:2 ~capacity:32768 (Spec.with_aux (Cnt.spec ())) in
+  Heap.log_persists heap;
+  (heap, U.prep u, U.exec u, U.resolve u, U.apply u)
+
+let () =
+  let total_increments = 10 in
+  let live = ref (world ()) in
 
   (* Two threads each perform detectable increments; the system keeps
      crashing; on restart each thread resolves and counts or retries.
@@ -37,11 +45,12 @@ let () =
   let epoch = ref 0 in
   while done_count.(0) + done_count.(1) < 2 * total_increments do
     incr epoch;
+    let heap, prep, exec, _, _ = !live in
     let worker ~tid () =
       while done_count.(tid) < total_increments do
         let serial = done_count.(tid) in
-        U.prep u ~tid (Cnt.Increment, serial);
-        (match U.exec u ~tid (Cnt.Increment, serial) with
+        prep ~tid (Cnt.Increment, serial);
+        (match exec ~tid (Cnt.Increment, serial) with
         | Some Cnt.Ok -> done_count.(tid) <- done_count.(tid) + 1
         | Some (Cnt.Value _) | None -> ());
         Sim.yield heap
@@ -55,13 +64,15 @@ let () =
     in
     if outcome.Sim.crashed then begin
       incr crashes;
-      Sim.apply_crash heap ~evict_p:0.4 ~seed:!epoch;
+      let ((heap', _, _, resolve, _) as fresh) = world () in
+      Sim.restart heap ~into:heap' ~evict_p:0.4 ~seed:!epoch;
+      live := fresh;
       (* On restart, each thread resolves its in-flight increment.  The
          serial number disambiguates: only an increment whose serial
          equals the local progress counter is both completed and not yet
          accounted for. *)
       for tid = 0 to 1 do
-        match U.resolve u ~tid with
+        match resolve ~tid with
         | Some (Cnt.Increment, serial), Some Cnt.Ok
           when serial = done_count.(tid) ->
             done_count.(tid) <- done_count.(tid) + 1
@@ -70,7 +81,8 @@ let () =
     end
   done;
 
-  (match U.apply u ~tid:0 (Cnt.Get, 0) with
+  let _, _, _, _, apply = !live in
+  (match apply ~tid:0 (Cnt.Get, 0) with
   | Some (Cnt.Value v) ->
       Printf.printf
         "intended %d increments, survived %d crashes, counter reads %d\n"

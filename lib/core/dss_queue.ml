@@ -387,9 +387,8 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     else n
 
   (** Drop all volatile runtime state (reclamation epochs and limbo
-      lists, deferred retirements).  Models the process restart that
-      precedes any recovery; [recover] calls it, call it directly before
-      decentralized [recover_thread]-style recovery. *)
+      lists, deferred retirements): a crash recovered in place keeps
+      it, and [recover] must not. *)
   let reset_volatile t = A.reset_volatile t.an
 
   (* The extra-pin closure recovery hands to [R.rebuild]; the audit must
@@ -464,8 +463,15 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
   let audit t =
     R.audit t.an ~new_root:(M.read t.head) ~extra:(extra_pins t)
 
+  (** Rebuild the volatile free lists a crash lost, keeping what
+      [recover] keeps; decentralized recovery runs after it. *)
+  let recover_pool t =
+    R.rebuild t.an ~new_root:(M.read t.head) ~extra:(extra_pins t);
+    M.drain ()
+
   (** Decentralized recovery (Section 3.3): thread [tid] repairs only its
-      own X entry, with no centralized phase and no auxiliary state.
+      own X entry, with no auxiliary state beyond a rebuilt allocator
+      ({!recover_pool}).
       Safe to run concurrently with other threads' recovery and normal
       operations (the thread is EBR-protected while it scans). *)
   let recover_thread t ~tid =

@@ -40,13 +40,16 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
 
   val recover_thread : t -> tid:int -> unit
   (** Decentralized variant (Section 3.3): repairs only [tid]'s own
-      detectability state; needs no centralized phase and may run
-      concurrently with other threads. *)
+      detectability state and may run concurrently with other threads.
+      It presumes a recovered allocator: after a restart, run
+      {!recover_pool} once first. *)
 
-  val reset_volatile : t -> unit
-  (** Drop volatile runtime state (EBR, deferred retirements) — models
-      process restart; {!recover} calls it, call it directly before
-      [recover_thread]-style recovery. *)
+  val recover_pool : t -> unit
+  (** The allocator's recovery that decentralized recovery presumes: a
+      crash loses the volatile free lists, so rebuild them from the
+      persistent state, keeping every node reachable from head or held
+      by an X entry.  Single-threaded; run once, before
+      {!recover_thread}. *)
 
   val recovered_violations : t -> string list
   (** Structural invariants that must hold right after {!recover};

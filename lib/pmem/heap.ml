@@ -538,83 +538,18 @@ let crash_candidate_lines t =
         let l = line_of t lid in
         not (Hashtbl.fold (fun _ f acc -> acc || buffered f l) t.fifos false))
 
-(* Shared crash core: [verdict lid] decides, per dirty line, whether the
-   line was written back by cache eviction before power was lost ([true])
-   or discarded ([false]) — the verdict applies to all the line's dirty
-   words as a unit, exactly as a real cache evicts whole lines.
-   Afterwards volatile state equals persisted state everywhere, which is
-   what recovery code and restarted threads observe. *)
-let crash_by_line t ~verdict =
-  let on = PE.is_on () in
-  let rec settle = function
-    | Nil -> ()
-    | Cons (c, rest) ->
-        if c.Cell.dirty then begin
-          let evicted = verdict c.Cell.line.Line.id in
-          if evicted then c.persisted <- c.volatile
-          else c.volatile <- c.persisted;
-          c.dirty <- false;
-          if on then emit t (Verdict evicted) c
-        end;
-        settle rest
-  in
-  (* Most recently allocated cell first (see [line_members]): the dirty
-     lines by id descending; clean lines have no dirty member. *)
-  List.iter
-    (fun lid ->
-      settle t.line_members.(lid);
-      log_persist t lid)
-    (List.rev (dirty_lines t));
-  for i = 0 to t.ndirty - 1 do
-    Line.set_slot (line_of t t.dirty.(i)) Line.clean
-  done;
-  t.ndirty <- 0;
-  (* Power loss wipes the persist buffers with the rest of volatile
-     state: pending-but-undrained flushes are simply gone (their lines
-     were still dirty, so the per-line verdicts above already decided
-     their fate). *)
-  Hashtbl.reset t.fifos;
-  touch t;
-  if on then emit_system t Crashed
-
-(** Crash with one [evict] draw per dirty line, drawn in the order lines
-    are first encountered walking the cells most recently allocated
-    first (line ids descending, each line's members most recent first);
-    at line size 1 this degenerates to the original independent-per-cell
-    draw sequence, keeping seeded crashes reproducible across
-    refactors. *)
-let crash t ~evict =
-  let memo : (int, bool) Hashtbl.t = Hashtbl.create 16 in
-  crash_by_line t ~verdict:(fun lid ->
-      match Hashtbl.find_opt memo lid with
-      | Some v -> v
-      | None ->
-          let v = evict () in
-          Hashtbl.add memo lid v;
-          v)
-
-(** Crash under an explicit per-line adversary: [evict lid] is the
-    verdict for line [lid] (queried once per dirty cell, so it must be a
-    pure function of the line id).  This is the entry point the model
-    checker uses to enumerate eviction subsets over {!dirty_lines}. *)
-let crash_lines t ~evict = crash_by_line t ~verdict:evict
-
-(** Convenience: crash where each dirty line independently persists with
-    probability [evict_p], driven by [rng]. *)
-let crash_random t ~evict_p ~rng =
-  crash t ~evict:(fun () -> Random.State.float rng 1.0 < evict_p)
-
 (* ------------------------------------------------------------------ *)
-(* Cold restart: a crash's image, loaded into a fresh heap. *)
+(* A crash: its image, loaded into a fresh heap or into the crashed one. *)
 
 exception Layout_mismatch of string
 
 let mismatch fmt = Printf.ksprintf (fun m -> raise (Layout_mismatch m)) fmt
 
 (* The one value transfer between two heaps.  [s] and [d] hold the same
-   position in two set-ups of one case, so the same code allocated them
-   with the same type; [crash_into] has checked the position, but OCaml
-   cannot see that the two existential types are one. *)
+   position in two set-ups of one case (or are one cell), so the same
+   code allocated them with the same type; [crash_into] has checked the
+   position, but OCaml cannot see that the two existential types are
+   one. *)
 let transfer : type a b. a Cell.t -> b Cell.t -> a -> unit =
  fun _s d v ->
   let v : b = Obj.magic v in
@@ -657,14 +592,14 @@ let drained_lines t ~on drains =
     drains;
   !drained
 
-(* Load one line's image: [s] are the live heap's members, [d] the fresh
-   heap's; a dirty member survives when [persists]. *)
+(* Load one line's image: [s] are the crashed heap's members, [d] the
+   target's; a dirty member survives when [persists]. *)
 let rec load_line t ~on ~lid ~persists ~drained s d =
   match (s, d) with
   | Nil, Nil -> ()
   | Cons (c, srest), Cons (c', drest) ->
       if c.Cell.id <> c'.Cell.id then
-        mismatch "line %d holds cell %d, the fresh heap's cell %d" lid c.Cell.id
+        mismatch "line %d holds cell %d, the target heap's cell %d" lid c.Cell.id
           c'.Cell.id;
       if c.Cell.dirty then begin
         if on && not drained then
@@ -676,12 +611,17 @@ let rec load_line t ~on ~lid ~persists ~drained s d =
       load_line t ~on ~lid ~persists ~drained srest drest
   | _ -> mismatch "line %d holds a different number of cells" lid
 
-let crash_into t ~fresh ~drains ~evict =
-  if not t.logging then invalid_arg "Heap.crash_into: no log_persists mark";
-  if t.next_id <> fresh.next_id || t.line_count <> fresh.line_count then
-    mismatch "%d cells on %d lines, the fresh heap %d cells on %d lines"
-      t.next_id t.line_count fresh.next_id fresh.line_count;
+let crash_into t ~into ~drains ~evict =
+  let cold = into != t in
+  if cold then begin
+    if not t.logging then invalid_arg "Heap.crash_into: no log_persists mark";
+    if t.next_id <> into.next_id || t.line_count <> into.line_count then
+      mismatch "%d cells on %d lines, the target heap %d cells on %d lines"
+        t.next_id t.line_count into.next_id into.line_count
+  end;
   let on = PE.is_on () in
+  (* Read before [into]'s index is cleared: in place, [into] is [t]. *)
+  let dirty = List.rev (dirty_lines t) in
   let drained = if drains = [] then [] else drained_lines t ~on drains in
   let load ~on lid =
     let s = t.line_members.(lid) in
@@ -691,21 +631,28 @@ let crash_into t ~fresh ~drains ~evict =
       | Cons (c, _) when Line.is_dirty c.Cell.line -> drained || evict lid
       | _ -> false
     in
-    load_line t ~on ~lid ~persists ~drained s fresh.line_members.(lid)
+    load_line t ~on ~lid ~persists ~drained s into.line_members.(lid);
+    if into.logging then into.persisted_log <- lid :: into.persisted_log
   in
-  for i = 0 to fresh.ndirty - 1 do
-    Line.set_slot (line_of fresh fresh.dirty.(i)) Line.clean
+  (* Only the lines [t] changed since its mark can differ from [into]:
+     the dirty ones — most recently allocated first, one verdict each,
+     in the order seeded crashes have always drawn them — and, cold,
+     the logged ones.  A line dirty at the mark is dirty still, or was
+     logged when it persisted. *)
+  List.iter (load ~on) dirty;
+  if cold then
+    List.iter
+      (fun lid -> if not (Line.is_dirty (line_of t lid)) then load ~on:false lid)
+      t.persisted_log;
+  for i = 0 to into.ndirty - 1 do
+    Line.set_slot (line_of into into.dirty.(i)) Line.clean
   done;
-  fresh.ndirty <- 0;
-  Hashtbl.reset fresh.fifos;
-  touch fresh;
-  (* [fresh] holds [t]'s state at the mark, so only the lines [t] changed
-     since can differ: the dirty ones — most recently allocated first,
-     so the verdicts come out as {!crash} emits them — and the logged
-     ones.  A line dirty at the mark is dirty still, or was logged when
-     it persisted. *)
-  List.iter (load ~on) (List.rev (dirty_lines t));
-  List.iter (load ~on:false) t.persisted_log;
+  into.ndirty <- 0;
+  (* Power loss wipes the persist buffers with the rest of volatile
+     state: a buffered line that missed its drain prefix was still
+     dirty, so its verdict above decided its fate. *)
+  Hashtbl.reset into.fifos;
+  touch into;
   if on then emit_system t Crashed
 
 let log_persists t =

@@ -163,50 +163,40 @@ val crash_candidate_lines : t -> int list
     buffer (buffered lines persist only via {!adversary_drain}
     prefixes). *)
 
-val crash : t -> evict:(unit -> bool) -> unit
-(** Crash the machine: for every dirty {e line}, [evict ()] decides
-    whether the line was written back by cache eviction before power
-    loss ([true]) or lost ([false]); the verdict applies to all the
-    line's dirty words as a unit.  Afterwards volatile = persisted
-    everywhere. *)
-
-val crash_random : t -> evict_p:float -> rng:Random.State.t -> unit
-(** {!crash} where each dirty line independently persists with
-    probability [evict_p]. *)
-
-val crash_lines : t -> evict:(int -> bool) -> unit
-(** {!crash} under an explicit per-line adversary: [evict lid] is the
-    verdict for line [lid] (must be a pure function of the line id).
-    The model checker enumerates eviction subsets of {!dirty_lines}
-    through this entry point. *)
-
-(** {2 Cold restart} *)
+(** {2 Crash} *)
 
 exception Layout_mismatch of string
 (** {!crash_into}'s two heaps do not hold the same cells on the same
-    lines: the live one allocated a cell after set-up. *)
+    lines: the crashed one allocated a cell after set-up. *)
 
 val crash_into :
-  t -> fresh:t -> drains:(int * int) list -> evict:(int -> bool) -> unit
-(** [crash_into t ~fresh ~drains ~evict] loads into [fresh] the image a
-    crash of [t] leaves in persistent memory, without changing [t]:
-    first each [(tid, count)] of [drains] writes back the next [count]
-    entries of [tid]'s persist buffer, as {!adversary_drain} would; then
-    every other dirty line survives when [evict lid] and is lost
-    otherwise, as under {!crash_lines}.  Afterwards every cell of [fresh] reads
+  t -> into:t -> drains:(int * int) list -> evict:(int -> bool) -> unit
+(** [crash_into t ~into ~drains ~evict] crashes [t] and loads the image
+    the crash leaves in persistent memory into [into]: first each
+    [(tid, count)] of [drains] writes back the next [count] entries of
+    [tid]'s persist buffer, as {!adversary_drain} would; then every
+    other dirty {e line} survives (cache eviction before power loss)
+    when [evict lid] and is lost otherwise, as a unit.  [evict] is asked
+    once per such line, most recently allocated line first — the order
+    seeded crashes draw in.  Afterwards every cell of [into] reads
     [volatile = persisted = image], no line is dirty and no buffer is
-    pending.  Only the lines [t] changed since its {!log_persists} mark
-    are visited — its dirty lines and the logged ones — and only cells
-    whose value differs are written.  So [fresh] must come from a
-    set-up of the same case — the same cells, in the same order, on the
-    same lines — and hold the state [t] held at the mark.
-    @raise Invalid_argument when [t] has no mark.
+    pending.
+
+    [into] is [t] itself (the crash in place) or a fresh set-up of the
+    same case (a cold restart, which leaves [t] as it was).  A cold
+    restart visits only the lines [t] changed since its {!log_persists}
+    mark — its dirty lines and the logged ones — and writes only cells
+    whose value differs, so [into] must hold the same cells, in the same
+    order, on the same lines, and the state [t] held at the mark.  A
+    marked [into] logs every line loaded, so a later crash of [into]
+    keeps this image.
+    @raise Invalid_argument when a cold restart's [t] has no mark.
     @raise Layout_mismatch when the cell count, a line's members or
     the line ids differ. *)
 
 val log_persists : t -> unit
 (** Mark the heap's state now, and from here on log each line whose
-    persisted words change, for {!crash_into}. *)
+    persisted words change, for a cold {!crash_into}. *)
 
 val dirty_count : t -> int
 (** Dirty cells. *)

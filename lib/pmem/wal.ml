@@ -209,8 +209,9 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     M.read s.s_sum = 0 && M.read s.s_b = 0 && M.read s.s_a = 0
     && M.read s.s_kind = 0
 
-  (* Scan one lane: the valid prefix, then what follows it.  Always the
-     whole lane, never bounded by the extent: this scan is the check
+  (* Scan one lane: the valid prefix, then what follows it, and the
+     lane's extent (just past its last nonzero slot).  Always the whole
+     lane, never bounded by the volatile extent: this scan is the check
      that refuses a nonzero word past the last record. *)
   let scan_lane t lane =
     let records = ref [] in
@@ -227,28 +228,34 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       | Codec.Invalid -> stop := `Invalid_at
     done;
     let valid = List.length !records in
-    let rest_all_empty from =
-      let ok = ref true in
+    (* the last nonzero slot at or past [from], or -1 *)
+    let last_nonzero from =
+      let last = ref (-1) in
       for j = from to t.lane_capacity - 1 do
-        if !ok && not (is_empty t ~lane j) then ok := false
+        if not (is_empty t ~lane j) then last := j
       done;
-      !ok
+      !last
     in
-    let state =
+    let state, extent =
       match !stop with
-      | `Clean -> Clean valid
-      | `Empty_at ->
-          if rest_all_empty (!i + 1) then Clean valid
-          else Corrupt { at = !i }
-      | `Invalid_at ->
-          if rest_all_empty (!i + 1) then Torn { valid; at = !i }
-          else Corrupt { at = !i }
+      | `Clean -> (Clean valid, valid)
+      | `Empty_at -> (
+          match last_nonzero (!i + 1) with
+          | -1 -> (Clean valid, valid)
+          | last -> (Corrupt { at = !i }, last + 1))
+      | `Invalid_at -> (
+          match last_nonzero (!i + 1) with
+          | -1 -> (Torn { valid; at = !i }, !i + 1)
+          | last -> (Corrupt { at = !i }, last + 1))
     in
-    (state, List.rev !records)
+    (state, List.rev !records, extent)
 
   (** Classify every lane without mutating anything — the strict
       validation pass behind [dssq fsck]. *)
-  let states t = List.init t.lanes (fun lane -> fst (scan_lane t lane))
+  let states t =
+    List.init t.lanes (fun lane ->
+        let state, _, _ = scan_lane t lane in
+        state)
 
   (** Strict verification: [Ok n] with the total record count only if
       every lane is clean.  A torn tail — legal for {!replay} to drop —
@@ -257,14 +264,14 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     let rec go lane acc =
       if lane >= t.lanes then Ok acc
       else
-        match fst (scan_lane t lane) with
-        | Clean n -> go (lane + 1) (acc + n)
-        | Torn { valid; at } ->
+        match scan_lane t lane with
+        | Clean n, _, _ -> go (lane + 1) (acc + n)
+        | Torn { valid; at }, _, _ ->
             Error
               (Printf.sprintf
                  "%s: lane %d has a torn record at slot %d (after %d valid)"
                  t.name lane at valid)
-        | Corrupt { at } ->
+        | Corrupt { at }, _, _ ->
             Error
               (Printf.sprintf
                  "%s: lane %d is corrupt at slot %d (nonzero data follows \
@@ -277,28 +284,31 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       lane-major and in append order within each lane, together with
       the number of torn tail records dropped.  Restores the volatile
       append cursors to the end of each lane's valid prefix, so the
-      log is appendable again, and each lane's extent to just past its
-      last nonzero slot (the torn record, if any).  Read-only on
-      persistent state — replaying twice returns the same records and
-      leaves the same heap (the idempotence property test_wal checks).
-      @raise Corrupted on a lane whose invalid record is not a tail. *)
+      log is appendable again, and every lane's extent to just past its
+      last nonzero slot — a refused log's lanes too, since a restart
+      loses the extents and {!truncate} must still wipe what is there.
+      Read-only on persistent state — replaying twice returns the same
+      records and leaves the same heap (the idempotence property
+      test_wal checks).
+      @raise Corrupted on the first lane whose invalid record is not a
+      tail. *)
   let replay t =
-    let torn = ref 0 in
+    let torn = ref 0 and corrupt = ref None in
     let records =
       List.concat
         (List.init t.lanes (fun lane ->
-             let state, records = scan_lane t lane in
+             let state, records, extent = scan_lane t lane in
+             t.extents.(lane) <- extent;
              (match state with
-             | Clean n ->
-                 t.cursors.(lane) <- n;
-                 t.extents.(lane) <- n
+             | Clean n -> t.cursors.(lane) <- n
              | Torn { valid; at = _ } ->
                  incr torn;
-                 t.cursors.(lane) <- valid;
-                 t.extents.(lane) <- valid + 1
-             | Corrupt { at } -> raise (Corrupted { lane; slot = at }));
+                 t.cursors.(lane) <- valid
+             | Corrupt { at } ->
+                 if !corrupt = None then corrupt := Some (lane, at));
              records))
     in
+    Option.iter (fun (lane, slot) -> raise (Corrupted { lane; slot })) !corrupt;
     Metrics.incr m_replays;
     (records, !torn)
 

@@ -311,7 +311,7 @@ let cold_restart t live ~drains vs =
     end
     else t.setup ()
   in
-  Heap.crash_into live.heap ~fresh:fresh.heap ~drains:(drain_counts drains)
+  Heap.crash_into live.heap ~into:fresh.heap ~drains:(drain_counts drains)
     ~evict:(fun lid ->
       match List.find_opt (fun v -> v.line = lid) vs with
       | Some v -> v.evicted

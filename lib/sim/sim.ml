@@ -1,22 +1,6 @@
-(** Deterministic simulator for persistent-memory algorithms.
-
-    Usage pattern (see the tests and [examples/crash_recovery.ml]):
-    {[
-      let heap = Heap.create () in
-      let (module M) = Sim.memory heap in
-      let module Q = Dssq_core.Dss_queue.Make (M) in
-      let q = Q.create ~nthreads:2 ~capacity:64 in      (* direct mode *)
-      let outcome =
-        Sim.run heap
-          ~policy:(Sim.Random_seed 42)
-          ~crash:(Sim.Crash_at_step 17)
-          ~threads:[ (fun () -> ...); (fun () -> ...) ]
-      in
-      if outcome.crashed then begin
-        Sim.apply_crash heap ~evict_p:0.5 ~seed:7;
-        Q.recover q                                      (* direct mode *)
-      end
-    ]}
+(** Deterministic simulator for persistent-memory algorithms; the usage
+    pattern (a crash restarts cold, into a fresh copy of the world) is in
+    sim.mli, and the tests and [examples/crash_recovery.ml] follow it.
 
     Code executed outside {!run} (initialization, the single-threaded
     recovery phase) applies memory operations directly; code inside [run]
@@ -186,36 +170,38 @@ let run ?(policy = Round_robin) ?(crash = No_crash) ?(max_steps = 1_000_000)
               | r -> r);
       })
 
-(** Apply crash semantics to the heap: every dirty line independently
-    persists with probability [evict_p] (cache eviction at power loss)
-    or reverts to its last flushed value — each line as a unit.  Under
-    the px86 and combine policies the draw respects the buffered model: each thread's persist
-    buffer first writes back a random FIFO {e prefix} (the adversary's
-    asynchronous drain), and the free-form per-line verdicts then range
-    only over the dirty lines outside every buffer — a buffered line
-    that missed its prefix is lost, never evicted out of order. *)
-let apply_crash heap ~evict_p ~seed =
+(** Crash [live] and load the image into [into] (see {!Heap.crash_into}):
+    every dirty line independently persists with probability [evict_p]
+    (cache eviction at power loss) or reverts to its last flushed value
+    — each line as a unit.  Under the px86 and combine policies the draw
+    respects the buffered model: each thread's persist buffer first
+    writes back a random FIFO {e prefix} (the adversary's asynchronous
+    drain), and the free-form per-line verdicts then range only over
+    the dirty lines outside every buffer — a buffered line that missed
+    its prefix is lost, never evicted out of order.  A fresh [into] is
+    marked first, so the lines loaded are logged and a later restart of
+    [into] keeps this image. *)
+let restart live ~into ~evict_p ~seed =
   let rng = Random.State.make [| seed; 0xC7A5 |] in
-  match Heap.pending_fifos heap with
-  | [] -> Heap.crash_random heap ~evict_p ~rng
-  | fifos ->
-      List.iter
-        (fun (tid, entries) ->
-          Heap.adversary_drain heap ~tid
-            ~count:(Random.State.int rng (List.length entries + 1)))
-        fifos;
-      let candidates = Heap.crash_candidate_lines heap in
-      let memo : (int, bool) Hashtbl.t = Hashtbl.create 16 in
-      Heap.crash_lines heap ~evict:(fun lid ->
-          match Hashtbl.find_opt memo lid with
-          | Some v -> v
-          | None ->
-              let v =
-                List.mem lid candidates
-                && Random.State.float rng 1.0 < evict_p
-              in
-              Hashtbl.add memo lid v;
-              v)
+  let fifos = Heap.pending_fifos live in
+  let drains =
+    List.map
+      (fun (tid, entries) ->
+        (tid, Random.State.int rng (List.length entries + 1)))
+      fifos
+  in
+  (* The lines still buffered after their thread's prefix: lost. *)
+  let buffered =
+    List.concat_map
+      (fun (tid, entries) ->
+        List.filteri (fun i _ -> i >= List.assoc tid drains) entries)
+      fifos
+  in
+  if into != live then Heap.log_persists into;
+  Heap.crash_into live ~into ~drains ~evict:(fun lid ->
+      (not (List.mem lid buffered)) && Random.State.float rng 1.0 < evict_p)
+
+let apply_crash heap ~evict_p ~seed = restart heap ~into:heap ~evict_p ~seed
 
 (** Re-raise the first non-[Killed] exception a thread died with, so test
     failures inside simulated threads are not silently swallowed. *)

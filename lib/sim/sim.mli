@@ -1,19 +1,28 @@
 (** Deterministic simulator for persistent-memory algorithms.
 
     {[
-      let heap = Heap.create () in
-      let (module M) = Sim.memory heap in
-      let module Q = Dssq_core.Dss_queue.Make (M) in
-      let q = Q.create ~nthreads:2 ~capacity:64 () in      (* direct mode *)
+      module World (M : Dssq_memory.Memory_intf.S) = struct
+        module Q = Dssq_core.Dss_queue.Make (M)
+        let q = Q.create ~nthreads:2 ~capacity:64 ()      (* direct mode *)
+      end
+
+      let live = Heap.create () in
+      let (module L) = Sim.memory live in
+      let module L = World (L) in
+      Heap.log_persists live;                            (* end of set-up *)
       let outcome =
-        Sim.run heap
+        Sim.run live
           ~policy:(Sim.Random_seed 42)
           ~crash:(Sim.Crash_at_step 17)
           ~threads:[ (fun () -> ...); (fun () -> ...) ]
       in
       if outcome.crashed then begin
-        Sim.apply_crash heap ~evict_p:0.5 ~seed:7;
-        Q.recover q                                        (* direct mode *)
+        (* a cold restart: a fresh world loaded with the crash's image *)
+        let heap = Heap.create () in
+        let (module M) = Sim.memory heap in
+        let module W = World (M) in
+        Sim.restart live ~into:heap ~evict_p:0.5 ~seed:7;
+        W.Q.recover W.q                                  (* direct mode *)
       end
     ]}
 
@@ -68,10 +77,23 @@ val run :
     exceeding it raises, catching livelocks).  Each step's events are
     attributed to the stepped thread in an active [Dssq_obs.Trace]. *)
 
+val restart : Heap.t -> into:Heap.t -> evict_p:float -> seed:int -> unit
+(** [restart live ~into ~evict_p ~seed] crashes [live] and loads the
+    image it leaves into [into] ({!Heap.crash_into}): every dirty line
+    independently persists with probability [evict_p] (cache eviction
+    at power loss) or reverts to its last flushed value; under px86 and
+    combine each persist buffer first writes back a random FIFO prefix
+    and the lines left buffered are lost.  [into] is a fresh set-up of
+    the same world, whose objects then recover from the image alone (a
+    cold restart, as in the paper's failure model; [live] needs a
+    {!Heap.log_persists} mark at the end of that set-up) or [live]
+    itself.  A fresh [into] is marked before the load, so a later
+    restart of [into] keeps this image. *)
+
 val apply_crash : Heap.t -> evict_p:float -> seed:int -> unit
-(** Apply crash semantics to the heap: every dirty cell independently
-    persists (cache eviction at power loss) with probability [evict_p],
-    or reverts to its last flushed value. *)
+(** [restart heap ~into:heap]: the crash in place, whose caller recovers
+    the crashed objects themselves.  Only the [restart] benchmark uses
+    it. *)
 
 val check_thread_errors : outcome -> unit
 (** Re-raise the first non-[Killed] exception a thread died with. *)

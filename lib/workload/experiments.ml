@@ -128,6 +128,15 @@ let ablate_demand ?(nthreads = 8) ?(percents = [ 0; 25; 50; 75; 100 ])
     };
   ]
 
+(* A heap's memory events at the modelled costs, in ns. *)
+let modelled_ns (s : Heap.stats) =
+  let c = Sim_throughput.default_costs in
+  (c.read_ns *. float_of_int s.reads)
+  +. (c.write_ns *. float_of_int s.writes)
+  +. (c.cas_ns *. float_of_int s.cases)
+  +. (c.flush_ns *. float_of_int s.flushes)
+  +. (c.fence_ns *. float_of_int s.fences)
+
 (* ---------------------------------------------------------------------- *)
 (* Ablation: recovery styles (memory events to recover vs. queue length)   *)
 (* ---------------------------------------------------------------------- *)
@@ -138,24 +147,37 @@ let ablate_demand ?(nthreads = 8) ?(percents = [ 0; 25; 50; 75; 100 ])
 let ablate_recovery ?(lengths = [ 0; 16; 64; 256; 1024 ]) ?(nthreads = 8)
     ?(line_size = 1) () : Report.series list =
   let run_one ~style ~len =
-    let heap = Heap.create ~line_size () in
-    let (module M) = Sim.memory heap in
-    let module Q = Dssq_core.Dss_queue.Make (M) in
-    let q = Q.create ~nthreads ~capacity:(len + 64) () in
-    for i = 1 to len do
-      Q.enqueue q ~tid:(i mod nthreads) i
-    done;
-    (* Leave one detectable operation of each kind in flight. *)
-    Q.prep_enqueue q ~tid:0 424242;
-    if len > 0 then Q.prep_dequeue q ~tid:1;
-    Heap.crash heap ~evict:(fun () -> false);
+    (* One world: the queue's set-up, marked for a cold restart. *)
+    let world () =
+      let heap = Heap.create ~line_size () in
+      let (module M) = Sim.memory heap in
+      let module Q = Dssq_core.Dss_queue.Make (M) in
+      let q = Q.create ~nthreads ~capacity:(len + 64) () in
+      Heap.log_persists heap;
+      let fill () =
+        for i = 1 to len do
+          Q.enqueue q ~tid:(i mod nthreads) i
+        done;
+        (* Leave one detectable operation of each kind in flight. *)
+        Q.prep_enqueue q ~tid:0 424242;
+        if len > 0 then Q.prep_dequeue q ~tid:1
+      in
+      let recover () =
+        match style with
+        | `Centralized -> Q.recover q
+        | `Decentralized ->
+            for tid = 0 to nthreads - 1 do
+              Q.recover_thread q ~tid
+            done
+      in
+      (heap, fill, recover)
+    in
+    let live, fill, _ = world () in
+    fill ();
+    let heap, _, recover = world () in
+    Sim.restart live ~into:heap ~evict_p:0.0 ~seed:0;
     Heap.reset_stats heap;
-    (match style with
-    | `Centralized -> Q.recover q
-    | `Decentralized ->
-        for tid = 0 to nthreads - 1 do
-          Q.recover_thread q ~tid
-        done);
+    recover ();
     let s = Heap.stats heap in
     float_of_int (s.reads + s.writes + s.cases + s.flushes + s.fences)
   in
@@ -247,25 +269,29 @@ let ablate_linesize ?(nthreads = 8) ?(line_sizes = [ 1; 2; 4; 8; 16 ])
 (* The paper evaluates failure-free runs only.  This experiment measures
    end-to-end throughput when the system actually crashes: run for one
    mean-time-between-failures of simulated time, crash (losing a random
-   half of the unflushed cache), run recovery (charged at model costs),
-   resolve every thread, and continue on the SAME persistent queue.
+   half of the unflushed cache), restart cold into a fresh set-up loaded
+   with the crash's image, run recovery (charged at model costs),
+   resolve every thread, and continue on the restarted queue.
    Effective throughput counts total completed operations over total time
    including recovery. *)
 let crash_cycles ?(line_size = 1) ~seed ~mtbf_ns ~cycles ~mk ~nthreads ~det_pct
     () =
   let costs = Sim_throughput.default_costs in
-  let heap = Heap.create ~line_size () in
-  let (module M) = Sim.memory heap in
   let capacity = 16 + 8 + (nthreads * 192) in
-  let ops =
-    Registry.setup
-      (module M)
-      ~mk ~init_nodes:16
-      (Dssq_core.Queue_intf.config ~line_size ~nthreads ~capacity ())
+  let world () =
+    let heap = Heap.create ~line_size () in
+    let ops =
+      Registry.setup (Sim.memory heap) ~mk ~init_nodes:16
+        (Dssq_core.Queue_intf.config ~line_size ~nthreads ~capacity ())
+    in
+    Heap.log_persists heap;
+    (heap, ops)
   in
   let counters = Array.init nthreads (fun _ -> ref 0) in
   let total_time = ref 0. in
+  let live = ref (world ()) in
   for cycle = 1 to cycles do
+    let heap, ops = !live in
     let threads =
       Array.init nthreads (fun tid ->
           Sim_throughput.pair_worker ops ~tid ~counter:counters.(tid) ~det_pct)
@@ -277,23 +303,18 @@ let crash_cycles ?(line_size = 1) ~seed ~mtbf_ns ~cycles ~mk ~nthreads ~det_pct
          ());
     total_time := !total_time +. mtbf_ns;
     if cycle < cycles then begin
-      (* Crash, recover (charging its memory events at model costs),
-         resolve every thread; in-flight operations are abandoned. *)
-      Sim.apply_crash heap ~evict_p:0.5 ~seed:(seed + cycle);
-      Dssq_pmem.Heap.reset_stats heap;
-      ops.Dssq_core.Queue_intf.recover ();
+      (* Crash, restart cold, recover (charging its memory events at
+         model costs), resolve every thread; in-flight operations are
+         abandoned. *)
+      let (heap', ops') as fresh = world () in
+      Sim.restart heap ~into:heap' ~evict_p:0.5 ~seed:(seed + cycle);
+      Heap.reset_stats heap';
+      ops'.Dssq_core.Queue_intf.recover ();
       for tid = 0 to nthreads - 1 do
-        ignore (ops.Dssq_core.Queue_intf.resolve ~tid)
+        ignore (ops'.Dssq_core.Queue_intf.resolve ~tid)
       done;
-      let s = Dssq_pmem.Heap.stats heap in
-      let recovery_ns =
-        (costs.Sim_throughput.read_ns *. float_of_int s.Dssq_pmem.Heap.reads)
-        +. (costs.Sim_throughput.write_ns *. float_of_int s.Dssq_pmem.Heap.writes)
-        +. (costs.Sim_throughput.cas_ns *. float_of_int s.Dssq_pmem.Heap.cases)
-        +. (costs.Sim_throughput.flush_ns *. float_of_int s.Dssq_pmem.Heap.flushes)
-        +. (costs.Sim_throughput.fence_ns *. float_of_int s.Dssq_pmem.Heap.fences)
-      in
-      total_time := !total_time +. recovery_ns
+      total_time := !total_time +. modelled_ns (Heap.stats heap');
+      live := fresh
     end
   done;
   let total_ops = Array.fold_left (fun acc c -> acc + !c) 0 counters in
@@ -326,15 +347,7 @@ let ablate_crash_mtbf ?(mtbfs_us = [ 20; 50; 100; 250; 1000 ]) ?(nthreads = 8)
 
 let ablate_pmwcas ?(widths = [ 1; 2; 3; 4 ]) ?(line_size = 1) () :
     Report.series list =
-  let costs = Sim_throughput.default_costs in
-  let model_ns (s : Heap.stats) ops =
-    (costs.read_ns *. float_of_int s.reads
-    +. costs.write_ns *. float_of_int s.writes
-    +. costs.cas_ns *. float_of_int s.cases
-    +. costs.flush_ns *. float_of_int s.flushes
-    +. costs.fence_ns *. float_of_int s.fences)
-    /. float_of_int ops
-  in
+  let model_ns s ops = modelled_ns s /. float_of_int ops in
   let run_one ~priv ~width =
     let heap = Heap.create ~line_size () in
     let (module M) = Sim.memory heap in
@@ -438,15 +451,7 @@ let regress ?(quick = false) () : Dssq_obs.Run_report.series list =
 
 let op_latency ?(queues = [ "ms-queue"; "dss-queue"; "log-queue"; "fast-caswe"; "general-caswe" ])
     () : (string * float * float) list =
-  let costs = Sim_throughput.default_costs in
-  let model_ns (s : Heap.stats) ops =
-    (costs.read_ns *. float_of_int s.reads
-    +. costs.write_ns *. float_of_int s.writes
-    +. costs.cas_ns *. float_of_int s.cases
-    +. costs.flush_ns *. float_of_int s.flushes
-    +. costs.fence_ns *. float_of_int s.fences)
-    /. float_of_int ops
-  in
+  let model_ns s ops = modelled_ns s /. float_of_int ops in
   List.map
     (fun mk ->
       let heap = Heap.create () in
@@ -509,30 +514,27 @@ let recovery_latency ?(quick = false) () :
     }
   in
   let sim mk =
-    let heap = Heap.create ~line_size:8 () in
-    let (module M) = Sim.memory heap in
-    let module R = Registry.Make (M) in
-    let sys =
-      R.Sys.create ~nthreads:1 ~wal_lane_capacity:((2 * ops_count) + 32) ()
+    let world () =
+      let heap = Heap.create ~line_size:8 () in
+      let (module M) = Sim.memory heap in
+      let module R = Registry.Make (M) in
+      let sys =
+        R.Sys.create ~nthreads:1 ~wal_lane_capacity:((2 * ops_count) + 32) ()
+      in
+      let ops =
+        R.setup ~system:sys ~mk ~init_nodes:8
+          (Dssq_core.Queue_intf.config ~nthreads:1 ~capacity:(ops_count + 64) ())
+      in
+      Heap.log_persists heap;
+      (heap, ops, fun () -> R.Sys.reattach sys)
     in
-    let ops =
-      R.setup ~system:sys ~mk ~init_nodes:8
-        (Dssq_core.Queue_intf.config ~nthreads:1 ~capacity:(ops_count + 64) ())
-    in
+    let live, ops, _ = world () in
     workload ops;
-    Sim.apply_crash heap ~evict_p:0.5 ~seed:7;
+    let heap, _, reattach = world () in
+    Sim.restart live ~into:heap ~evict_p:0.5 ~seed:7;
     Heap.reset_stats heap;
-    let rep = R.Sys.reattach sys in
-    let s = Heap.stats heap in
-    let costs = Sim_throughput.default_costs in
-    let ns =
-      (costs.read_ns *. float_of_int s.reads)
-      +. (costs.write_ns *. float_of_int s.writes)
-      +. (costs.cas_ns *. float_of_int s.cases)
-      +. (costs.flush_ns *. float_of_int s.flushes)
-      +. (costs.fence_ns *. float_of_int s.fences)
-    in
-    point ~mk ~backend:"sim" ~ms:(ns /. 1e6) rep
+    let rep = reattach () in
+    point ~mk ~backend:"sim" ~ms:(modelled_ns (Heap.stats heap) /. 1e6) rep
   in
   let native mk =
     let module R = Registry.Make (Dssq_memory.Native) in

@@ -148,20 +148,27 @@ let table =
 
 let objects = List.map (fun (Entry e) -> e.name) table
 
-(* Every accounting run: build [name] over the counted backend, zero the
-   counters, and account the window in which [drive] runs the workers
-   and, given the post-crash path (object-wide recovery plus one resolve
-   per thread), whatever follows them. *)
-let row (module C : MI.COUNTED) ~policy ~pairs name drive =
+(* Every accounting run: build [name] over each counted backend of
+   [mems] — the live one first, then, for a crash, the fresh world it
+   restarts into — zero the counters, and account the window in which
+   [drive] runs the workers on the first and, given the post-crash path
+   (object-wide recovery plus one resolve per thread, on the last),
+   whatever follows them. *)
+let row mems ~policy ~pairs name drive =
   match List.find_opt (fun (Entry e) -> e.name = name) table with
   | None ->
       invalid_arg
         (Printf.sprintf "Zoo: unknown object %s (known: %s)" name
            (String.concat ", " objects))
   | Some (Entry e) ->
-      let a, stats, recover =
-        e.make (module C) ~combine:(policy = MI.Policy.Combine) ~pairs
+      let built =
+        List.map
+          (fun (module C : MI.COUNTED) ->
+            e.make (module C) ~combine:(policy = MI.Policy.Combine) ~pairs)
+          mems
       in
+      let a, _, _ = List.hd built in
+      let a', stats, recover = List.nth built (List.length built - 1) in
       let detectable ~tid op =
         a.prep ~tid op;
         ignore (a.exec ~tid op)
@@ -173,23 +180,26 @@ let row (module C : MI.COUNTED) ~policy ~pairs name drive =
           detectable ~tid y
         done
       in
-      C.reset_counters ();
+      List.iter (fun (module C : MI.COUNTED) -> C.reset_counters ()) mems;
       drive [ worker 0; worker 1 ] (fun () ->
           recover ();
           for tid = 0 to nthreads - 1 do
-            ignore (a.resolve ~tid)
+            ignore (a'.resolve ~tid)
           done);
       {
         z_object = name;
         (* two detectable ops per iteration per thread, by construction *)
         z_ops = 2 * pairs * nthreads;
-        z_events = C.counters ();
+        z_events =
+          List.fold_left
+            (fun acc (module C : MI.COUNTED) -> MI.Counters.add acc (C.counters ()))
+            MI.Counters.zero mems;
         z_stats = stats ();
       }
 
 let run_one ?(pairs = 200) ?(line_size = 1) ?(policy = MI.Policy.Eager) name =
   let heap = Heap.create ~line_size ~policy () in
-  row (Sim.counted_memory heap) ~policy ~pairs name (fun threads _ ->
+  row [ Sim.counted_memory heap ] ~policy ~pairs name (fun threads _ ->
       ignore (Sim.run heap ~threads))
 
 let run_all ?pairs ?line_size ?policy () =
@@ -270,14 +280,18 @@ let profile_one ?(pairs = 200) ?(line_size = 1) ?(policy = MI.Policy.Eager)
     ?(crash = false) name =
   with_attribution (fun () ->
       let heap = Heap.create ~line_size ~policy () in
+      let fresh = Heap.create ~line_size ~policy () in
+      let mems =
+        Sim.counted_memory heap
+        :: (if crash then [ Sim.counted_memory fresh ] else [])
+      in
       attributed
-        (row (Sim.counted_memory heap) ~policy ~pairs name
-           (fun threads recover ->
+        (row mems ~policy ~pairs name (fun threads recover ->
+             Heap.log_persists heap;
              zero_attribution ();
              ignore (Sim.run heap ~threads);
              if crash then begin
-               Heap.crash_random heap ~evict_p:0.5
-                 ~rng:(Random.State.make [| 0xF00D; 17 |]);
+               Sim.restart heap ~into:fresh ~evict_p:0.5 ~seed:17;
                recover ()
              end)))
 
@@ -295,7 +309,7 @@ let profile_one_native ?(pairs = 200) ?(line_size = 1)
           ()
       in
       attributed
-        (row (module C) ~policy ~pairs name (fun threads recover ->
+        (row [ (module C) ] ~policy ~pairs name (fun threads recover ->
              zero_attribution ();
              (* Workers run sequentially in this domain — attribution
                 wants a deterministic event stream, not a wall-clock

@@ -49,10 +49,10 @@ type dq = {
   resolve : tid:int -> Queue_intf.resolved;
   recover : unit -> unit;
   recover_thread : tid:int -> unit;
+  recover_pool : unit -> unit;
   to_list : unit -> int list;
   free_count : unit -> int;
   recovered_violations : unit -> string list;
-  reset_volatile : unit -> unit;
 }
 
 let make_dss_queue ?(reclaim = true) ~nthreads ~capacity () : dq =
@@ -60,6 +60,7 @@ let make_dss_queue ?(reclaim = true) ~nthreads ~capacity () : dq =
   let (module M) = Sim.memory heap in
   let module Q = Dssq_core.Dss_queue.Make (M) in
   let q = Q.create ~reclaim ~nthreads ~capacity () in
+  Heap.log_persists heap;
   {
     heap;
     prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
@@ -71,10 +72,10 @@ let make_dss_queue ?(reclaim = true) ~nthreads ~capacity () : dq =
     resolve = (fun ~tid -> Q.resolve q ~tid);
     recover = (fun () -> Q.recover q);
     recover_thread = (fun ~tid -> Q.recover_thread q ~tid);
+    recover_pool = (fun () -> Q.recover_pool q);
     to_list = (fun () -> Q.to_list q);
     free_count = (fun () -> Q.free_count q);
     recovered_violations = (fun () -> Q.recovered_violations q);
-    reset_volatile = (fun () -> Q.reset_volatile q);
   }
 
 (* The same closure bundle for the detectable baselines, so crash and
@@ -87,6 +88,7 @@ let make_log_queue ~nthreads ~capacity () : dq =
   let (module M) = Sim.memory heap in
   let module Q = Dssq_baselines.Log_queue.Make (M) in
   let q = Q.create ~nthreads ~capacity in
+  Heap.log_persists heap;
   {
     heap;
     prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
@@ -98,10 +100,10 @@ let make_log_queue ~nthreads ~capacity () : dq =
     resolve = (fun ~tid -> Q.resolve q ~tid);
     recover = (fun () -> Q.recover q);
     recover_thread = (fun ~tid:_ -> Q.recover q);
+    recover_pool = ignore;
     to_list = (fun () -> Q.to_list q);
     free_count = (fun () -> 0);
     recovered_violations = (fun () -> []);
-    reset_volatile = (fun () -> ());
   }
 
 let make_caswe_queue ~variant ~nthreads ~capacity () : dq =
@@ -111,6 +113,7 @@ let make_caswe_queue ~variant ~nthreads ~capacity () : dq =
   | `General ->
       let module Q = Dssq_baselines.Caswe_queue.General (M) in
       let q = Q.create ~nthreads ~capacity () in
+      Heap.log_persists heap;
       {
         heap;
         prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
@@ -122,14 +125,15 @@ let make_caswe_queue ~variant ~nthreads ~capacity () : dq =
         resolve = (fun ~tid -> Q.resolve q ~tid);
         recover = (fun () -> Q.recover q);
         recover_thread = (fun ~tid:_ -> Q.recover q);
+        recover_pool = ignore;
         to_list = (fun () -> Q.to_list q);
         free_count = (fun () -> 0);
         recovered_violations = (fun () -> []);
-        reset_volatile = (fun () -> ());
       }
   | `Fast ->
       let module Q = Dssq_baselines.Caswe_queue.Fast (M) in
       let q = Q.create ~nthreads ~capacity () in
+      Heap.log_persists heap;
       {
         heap;
         prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
@@ -141,11 +145,51 @@ let make_caswe_queue ~variant ~nthreads ~capacity () : dq =
         resolve = (fun ~tid -> Q.resolve q ~tid);
         recover = (fun () -> Q.recover q);
         recover_thread = (fun ~tid:_ -> Q.recover q);
+        recover_pool = ignore;
         to_list = (fun () -> Q.to_list q);
         free_count = (fun () -> 0);
         recovered_violations = (fun () -> []);
-        reset_volatile = (fun () -> ());
       }
+
+(** A crash, as the paper's failure model has it: a fresh world from
+    [setup] — the set-up [live] came from, which marks its heap
+    ({!Heap.log_persists}) at its end — loaded with the image a crash of
+    [live] leaves ({!Sim.restart}).  Nothing volatile of [live]
+    survives; recovery and every later operation run on the world
+    returned. *)
+let restart ~setup ~heap live ~evict_p ~seed =
+  let fresh = setup () in
+  Sim.restart (heap live) ~into:(heap fresh) ~evict_p ~seed;
+  fresh
+
+(** Crash at every step until the run completes.  For [step] = 0, 1, …:
+    [run ~step w] gets a fresh world [w] from [setup], does its own
+    preparation on it and returns its threads and [after]; the threads
+    run with a crash before [step], and [after outcome]
+    receives [Some w'] when they crashed — [w'] is the cold restart
+    ({!restart}, drawn with [evict_p] and [seed step]) — and [None]
+    when they completed, which ends the sweep.  Returns the number of
+    crashed runs. *)
+let sweep_crashes ~setup ~heap ~evict_p ~seed run =
+  let rec go step =
+    let w = setup () in
+    let threads, after = run ~step w in
+    let outcome =
+      Sim.run (heap w) ~crash:(Sim.Crash_at_step step) ~threads
+    in
+    if outcome.Sim.crashed then begin
+      after outcome
+        (Some (restart ~setup ~heap w ~evict_p ~seed:(seed step)));
+      go (step + 1)
+    end
+    else begin
+      after outcome None;
+      step
+    end
+  in
+  go 0
+
+let dq_heap (q : dq) = q.heap
 
 (** Recorded, detectable operation wrappers: invocation goes into the
     history before the operation runs; if a crash cuts the operation off

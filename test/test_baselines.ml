@@ -92,6 +92,7 @@ let make_durable ~nthreads ~capacity : dur =
   let (module M) = Sim.memory heap in
   let module Q = Dssq_baselines.Durable_queue.Make (M) in
   let q = Q.create ~nthreads ~capacity in
+  Heap.log_persists heap;
   {
     b =
       {
@@ -112,63 +113,60 @@ let test_durable_concurrent () =
       ~nthreads:3 ~seed
   done
 
+let durable_setup () = make_durable ~nthreads:1 ~capacity:32
+let dur_heap (d : dur) = d.b.heap
+
 let test_durable_crash_preserves_contents () =
   (* Crash at every step of an enqueue+dequeue pair: after recovery the
      queue holds a sensible subset/superset per effects, and no value is
      duplicated. *)
-  let finished = ref false in
-  let step = ref 0 in
-  while not !finished do
-    let d = make_durable ~nthreads:1 ~capacity:32 in
-    List.iter (fun v -> d.b.enqueue ~tid:0 v) [ 1; 2 ];
-    let t () =
-      d.b.enqueue ~tid:0 3;
-      ignore (d.b.dequeue ~tid:0)
-    in
-    let outcome = Sim.run d.b.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ] in
-    if not outcome.Sim.crashed then finished := true
-    else begin
-      Sim.apply_crash d.b.heap ~evict_p:0.5 ~seed:!step;
-      d.recover ();
-      let contents = d.b.to_list () in
-      let sorted = List.sort compare contents in
-      Alcotest.(check bool)
-        (Printf.sprintf "no duplicates after crash at %d" !step)
-        true
-        (List.sort_uniq compare sorted = sorted);
-      (* 2 must still be present unless dequeued... 1 is the only
-         possibly-dequeued value; 3 present only if its enqueue stuck. *)
-      Alcotest.(check bool) "2 never lost" true (List.mem 2 contents)
-    end;
-    incr step
-  done
+  ignore
+  @@ sweep_crashes ~setup:durable_setup ~heap:dur_heap ~evict_p:0.5 ~seed:Fun.id
+       (fun ~step d ->
+         List.iter (fun v -> d.b.enqueue ~tid:0 v) [ 1; 2 ];
+         let t () =
+           d.b.enqueue ~tid:0 3;
+           ignore (d.b.dequeue ~tid:0)
+         in
+         ( [ t ],
+           fun _ -> function
+             | None -> ()
+             | Some d ->
+                 d.recover ();
+                 let contents = d.b.to_list () in
+                 let sorted = List.sort compare contents in
+                 Alcotest.(check bool)
+                   (Printf.sprintf "no duplicates after crash at %d" step)
+                   true
+                   (List.sort_uniq compare sorted = sorted);
+                 (* 2 must still be present unless dequeued... 1 is the
+                    only possibly-dequeued value; 3 present only if its
+                    enqueue stuck. *)
+                 Alcotest.(check bool) "2 never lost" true (List.mem 2 contents) ))
 
 let test_durable_recovery_publishes_pending_dequeue () =
   (* Find a crash point where the dequeue marked the node but the value
      was not yet returned: recovery must publish it in returnedValues. *)
   let observed_published = ref false in
-  let finished = ref false in
-  let step = ref 0 in
-  while not !finished do
-    let d = make_durable ~nthreads:1 ~capacity:32 in
-    d.b.enqueue ~tid:0 7;
-    let t () = ignore (d.b.dequeue ~tid:0) in
-    let outcome = Sim.run d.b.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ] in
-    if not outcome.Sim.crashed then finished := true
-    else begin
-      Sim.apply_crash d.b.heap ~evict_p:1.0 ~seed:!step;
-      d.recover ();
-      (match d.returned_value ~tid:0 with
-      | Some 7 ->
-          observed_published := true;
-          Alcotest.check int_list "value consumed" [] (d.b.to_list ())
-      | Some v when v = Queue_intf.empty_value ->
-          Alcotest.fail "queue was not empty"
-      | Some v -> Alcotest.failf "unexpected returned value %d" v
-      | None -> Alcotest.check int_list "value still queued" [ 7 ] (d.b.to_list ()))
-    end;
-    incr step
-  done;
+  ignore
+  @@ sweep_crashes ~setup:durable_setup ~heap:dur_heap ~evict_p:1.0 ~seed:Fun.id
+       (fun ~step:_ d ->
+         d.b.enqueue ~tid:0 7;
+         ( [ (fun () -> ignore (d.b.dequeue ~tid:0)) ],
+           fun _ -> function
+             | None -> ()
+             | Some d -> (
+                 d.recover ();
+                 match d.returned_value ~tid:0 with
+                 | Some 7 ->
+                     observed_published := true;
+                     Alcotest.check int_list "value consumed" [] (d.b.to_list ())
+                 | Some v when v = Queue_intf.empty_value ->
+                     Alcotest.fail "queue was not empty"
+                 | Some v -> Alcotest.failf "unexpected returned value %d" v
+                 | None ->
+                     Alcotest.check int_list "value still queued" [ 7 ]
+                       (d.b.to_list ())) ));
   Alcotest.(check bool) "some crash point exercised publication" true
     !observed_published
 
@@ -189,6 +187,7 @@ let make_log ~nthreads ~capacity : lq =
   let (module M) = Sim.memory heap in
   let module Q = Dssq_baselines.Log_queue.Make (M) in
   let q = Q.create ~nthreads ~capacity in
+  Heap.log_persists heap;
   {
     b =
       {
@@ -230,66 +229,61 @@ let test_log_detectable_lifecycle () =
   Alcotest.(check int) "empty" Queue_intf.empty_value (l.exec_dequeue ~tid:1);
   Alcotest.check resolved "deq empty" Queue_intf.Deq_empty (l.resolve ~tid:1)
 
+let log_setup () = make_log ~nthreads:1 ~capacity:32
+let log_heap (l : lq) = l.b.heap
+
 let test_log_crash_detectability_enqueue () =
-  let finished = ref false in
-  let step = ref 0 in
-  while not !finished do
-    let l = make_log ~nthreads:1 ~capacity:32 in
-    let t () =
-      l.prep_enqueue ~tid:0 5;
-      l.exec_enqueue ~tid:0
-    in
-    let outcome = Sim.run l.b.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ] in
-    if not outcome.Sim.crashed then finished := true
-    else begin
-      Sim.apply_crash l.b.heap ~evict_p:0.0 ~seed:!step;
-      l.recover ();
-      (match l.resolve ~tid:0 with
-      | Queue_intf.Enq_done 5 ->
-          Alcotest.check int_list "done => queued" [ 5 ] (l.b.to_list ())
-      | Queue_intf.Enq_pending 5 ->
-          Alcotest.check int_list "pending => absent" [] (l.b.to_list ());
-          l.exec_enqueue ~tid:0;
-          Alcotest.check int_list "retry lands once" [ 5 ] (l.b.to_list ())
-      | Queue_intf.Nothing ->
-          Alcotest.check int_list "nothing prepared => absent" []
-            (l.b.to_list ())
-      | r ->
-          Alcotest.failf "unexpected resolution: %s"
-            (Format.asprintf "%a" Queue_intf.pp_resolved r));
-      ()
-    end;
-    incr step
-  done
+  ignore
+  @@ sweep_crashes ~setup:log_setup ~heap:log_heap ~evict_p:0.0 ~seed:Fun.id
+       (fun ~step:_ l ->
+         let t () =
+           l.prep_enqueue ~tid:0 5;
+           l.exec_enqueue ~tid:0
+         in
+         ( [ t ],
+           fun _ -> function
+             | None -> ()
+             | Some l -> (
+                 l.recover ();
+                 match l.resolve ~tid:0 with
+                 | Queue_intf.Enq_done 5 ->
+                     Alcotest.check int_list "done => queued" [ 5 ] (l.b.to_list ())
+                 | Queue_intf.Enq_pending 5 ->
+                     Alcotest.check int_list "pending => absent" [] (l.b.to_list ());
+                     l.exec_enqueue ~tid:0;
+                     Alcotest.check int_list "retry lands once" [ 5 ]
+                       (l.b.to_list ())
+                 | Queue_intf.Nothing ->
+                     Alcotest.check int_list "nothing prepared => absent" []
+                       (l.b.to_list ())
+                 | r ->
+                     Alcotest.failf "unexpected resolution: %s"
+                       (Format.asprintf "%a" Queue_intf.pp_resolved r)) ))
 
 let test_log_crash_detectability_dequeue () =
-  let finished = ref false in
-  let step = ref 0 in
-  while not !finished do
-    let l = make_log ~nthreads:1 ~capacity:32 in
-    l.b.enqueue ~tid:0 1;
-    l.b.enqueue ~tid:0 2;
-    let t () =
-      l.prep_dequeue ~tid:0;
-      ignore (l.exec_dequeue ~tid:0)
-    in
-    let outcome = Sim.run l.b.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ] in
-    if not outcome.Sim.crashed then finished := true
-    else begin
-      Sim.apply_crash l.b.heap ~evict_p:1.0 ~seed:!step;
-      l.recover ();
-      (match l.resolve ~tid:0 with
-      | Queue_intf.Deq_done 1 ->
-          Alcotest.check int_list "1 consumed" [ 2 ] (l.b.to_list ())
-      | Queue_intf.Deq_pending | Queue_intf.Nothing ->
-          Alcotest.check int_list "nothing consumed" [ 1; 2 ] (l.b.to_list ())
-      | r ->
-          Alcotest.failf "unexpected resolution: %s"
-            (Format.asprintf "%a" Queue_intf.pp_resolved r));
-      ()
-    end;
-    incr step
-  done
+  ignore
+  @@ sweep_crashes ~setup:log_setup ~heap:log_heap ~evict_p:1.0 ~seed:Fun.id
+       (fun ~step:_ l ->
+         l.b.enqueue ~tid:0 1;
+         l.b.enqueue ~tid:0 2;
+         let t () =
+           l.prep_dequeue ~tid:0;
+           ignore (l.exec_dequeue ~tid:0)
+         in
+         ( [ t ],
+           fun _ -> function
+             | None -> ()
+             | Some l -> (
+                 l.recover ();
+                 match l.resolve ~tid:0 with
+                 | Queue_intf.Deq_done 1 ->
+                     Alcotest.check int_list "1 consumed" [ 2 ] (l.b.to_list ())
+                 | Queue_intf.Deq_pending | Queue_intf.Nothing ->
+                     Alcotest.check int_list "nothing consumed" [ 1; 2 ]
+                       (l.b.to_list ())
+                 | r ->
+                     Alcotest.failf "unexpected resolution: %s"
+                       (Format.asprintf "%a" Queue_intf.pp_resolved r)) ))
 
 let suite =
   [

@@ -24,6 +24,7 @@ let make ~variant ~nthreads ~capacity : cq =
   | `General ->
       let module Q = Dssq_baselines.Caswe_queue.General (M) in
       let q = Q.create ~nthreads ~capacity () in
+      Heap.log_persists heap;
       {
         heap;
         enqueue = (fun ~tid v -> Q.enqueue q ~tid v);
@@ -39,6 +40,7 @@ let make ~variant ~nthreads ~capacity : cq =
   | `Fast ->
       let module Q = Dssq_baselines.Caswe_queue.Fast (M) in
       let q = Q.create ~nthreads ~capacity () in
+      Heap.log_persists heap;
       {
         heap;
         enqueue = (fun ~tid v -> Q.enqueue q ~tid v);
@@ -130,79 +132,71 @@ let test_concurrent_conservation =
    the list but unrecorded in X, or vice versa. *)
 let test_crash_atomic_detectability =
   for_variants (fun name v ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let q = make ~variant:v ~nthreads:1 ~capacity:32 in
-        let t () =
-          q.prep_enqueue ~tid:0 5;
-          q.exec_enqueue ~tid:0
-        in
-        let outcome =
-          Sim.run q.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then finished := true
-        else begin
-          Sim.apply_crash q.heap ~evict_p:0.5 ~seed:(!step * 7);
-          q.recover ();
-          let in_list = List.mem 5 (q.to_list ()) in
-          (match q.resolve ~tid:0 with
-          | Queue_intf.Enq_done 5 ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: done <=> queued (step %d)" name !step)
-                true in_list
-          | Queue_intf.Enq_pending 5 ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: pending <=> absent (step %d)" name !step)
-                false in_list;
-              q.exec_enqueue ~tid:0;
-              Alcotest.(check bool) (name ^ ": retry lands") true
-                (List.mem 5 (q.to_list ()))
-          | Queue_intf.Nothing ->
-              Alcotest.(check bool) (name ^ ": nothing => absent") false in_list
-          | r ->
-              Alcotest.failf "%s: unexpected resolution: %s" name
-                (Format.asprintf "%a" Queue_intf.pp_resolved r));
-          ()
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes
+           ~setup:(fun () -> make ~variant:v ~nthreads:1 ~capacity:32)
+           ~heap:(fun q -> q.heap) ~evict_p:0.5 ~seed:(fun step -> step * 7)
+           (fun ~step q ->
+             let t () =
+               q.prep_enqueue ~tid:0 5;
+               q.exec_enqueue ~tid:0
+             in
+             ( [ t ],
+               fun _ -> function
+                 | None -> ()
+                 | Some q -> (
+                     q.recover ();
+                     let in_list = List.mem 5 (q.to_list ()) in
+                     match q.resolve ~tid:0 with
+                     | Queue_intf.Enq_done 5 ->
+                         Alcotest.(check bool)
+                           (Printf.sprintf "%s: done <=> queued (step %d)" name step)
+                           true in_list
+                     | Queue_intf.Enq_pending 5 ->
+                         Alcotest.(check bool)
+                           (Printf.sprintf "%s: pending <=> absent (step %d)" name
+                              step)
+                           false in_list;
+                         q.exec_enqueue ~tid:0;
+                         Alcotest.(check bool) (name ^ ": retry lands") true
+                           (List.mem 5 (q.to_list ()))
+                     | Queue_intf.Nothing ->
+                         Alcotest.(check bool) (name ^ ": nothing => absent") false
+                           in_list
+                     | r ->
+                         Alcotest.failf "%s: unexpected resolution: %s" name
+                           (Format.asprintf "%a" Queue_intf.pp_resolved r)) )))
 
 let test_crash_atomic_dequeue =
   for_variants (fun name v ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let q = make ~variant:v ~nthreads:1 ~capacity:32 in
-        q.enqueue ~tid:0 1;
-        q.enqueue ~tid:0 2;
-        let t () =
-          q.prep_dequeue ~tid:0;
-          ignore (q.exec_dequeue ~tid:0)
-        in
-        let outcome =
-          Sim.run q.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then finished := true
-        else begin
-          Sim.apply_crash q.heap ~evict_p:0.5 ~seed:(!step * 13);
-          q.recover ();
-          (match q.resolve ~tid:0 with
-          | Queue_intf.Deq_done 1 ->
-              Alcotest.check int_list
-                (Printf.sprintf "%s: consumed (step %d)" name !step)
-                [ 2 ] (q.to_list ())
-          | Queue_intf.Deq_pending | Queue_intf.Nothing ->
-              Alcotest.check int_list
-                (Printf.sprintf "%s: untouched (step %d)" name !step)
-                [ 1; 2 ] (q.to_list ())
-          | r ->
-              Alcotest.failf "%s: unexpected resolution: %s" name
-                (Format.asprintf "%a" Queue_intf.pp_resolved r));
-          ()
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes
+           ~setup:(fun () -> make ~variant:v ~nthreads:1 ~capacity:32)
+           ~heap:(fun q -> q.heap) ~evict_p:0.5 ~seed:(fun step -> step * 13)
+           (fun ~step q ->
+             q.enqueue ~tid:0 1;
+             q.enqueue ~tid:0 2;
+             let t () =
+               q.prep_dequeue ~tid:0;
+               ignore (q.exec_dequeue ~tid:0)
+             in
+             ( [ t ],
+               fun _ -> function
+                 | None -> ()
+                 | Some q -> (
+                     q.recover ();
+                     match q.resolve ~tid:0 with
+                     | Queue_intf.Deq_done 1 ->
+                         Alcotest.check int_list
+                           (Printf.sprintf "%s: consumed (step %d)" name step)
+                           [ 2 ] (q.to_list ())
+                     | Queue_intf.Deq_pending | Queue_intf.Nothing ->
+                         Alcotest.check int_list
+                           (Printf.sprintf "%s: untouched (step %d)" name step)
+                           [ 1; 2 ] (q.to_list ())
+                     | r ->
+                         Alcotest.failf "%s: unexpected resolution: %s" name
+                           (Format.asprintf "%a" Queue_intf.pp_resolved r)) )))
 
 let test_fast_uses_fewer_events () =
   (* The Fast variant's private-X optimization must show up as strictly

@@ -13,21 +13,26 @@ module Cnt = Specs.Counter
 
 let test_universal_concurrent_crash_lincheck () =
   let spec = Dss_spec.make ~nthreads:2 (Cnt.spec ()) in
+  let world () =
+    let heap = Heap.create () in
+    let (module M) = Sim.memory heap in
+    let module U = Dssq_universal.Universal.Make (M) in
+    let u = U.create ~nthreads:2 ~capacity:128 (Cnt.spec ()) in
+    Heap.log_persists heap;
+    (heap, U.prep u, U.exec u, U.resolve u, U.apply u)
+  in
   for seed = 1 to 10 do
     for crash_step = 3 to 48 do
       if (crash_step + seed) mod 4 = 0 then begin
-        let heap = Heap.create () in
-        let (module M) = Sim.memory heap in
-        let module U = Dssq_universal.Universal.Make (M) in
-        let u = U.create ~nthreads:2 ~capacity:128 (Cnt.spec ()) in
+        let ((heap, prep, exec, _, _) as live) = world () in
         let rec_ = Recorder.create () in
         let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
         let prog ~tid () =
           record ~tid (Dss_spec.Prep Cnt.Increment) (fun () ->
-              U.prep u ~tid Cnt.Increment;
+              prep ~tid Cnt.Increment;
               Dss_spec.Ack);
           record ~tid (Dss_spec.Exec Cnt.Increment) (fun () ->
-              match U.exec u ~tid Cnt.Increment with
+              match exec ~tid Cnt.Increment with
               | Some r -> Dss_spec.Ret r
               | None -> Dss_spec.Ret Cnt.Ok (* unreachable: prep precedes *))
         in
@@ -37,19 +42,26 @@ let test_universal_concurrent_crash_lincheck () =
             ~crash:(Sim.Crash_at_step crash_step)
             ~threads:[ prog ~tid:0; prog ~tid:1 ]
         in
-        if outcome.Sim.crashed then begin
-          Recorder.crash rec_;
-          Sim.apply_crash heap ~evict_p:(float_of_int (seed mod 3) /. 2.) ~seed;
-          record ~tid:0 Dss_spec.Resolve (fun () ->
-              let a, r = U.resolve u ~tid:0 in
-              Dss_spec.Status (a, r));
-          record ~tid:1 Dss_spec.Resolve (fun () ->
-              let a, r = U.resolve u ~tid:1 in
-              Dss_spec.Status (a, r))
-        end;
+        let _, _, _, _, apply =
+          if not outcome.Sim.crashed then live
+          else begin
+            Recorder.crash rec_;
+            let ((heap', _, _, resolve, _) as fresh) = world () in
+            Sim.restart heap ~into:heap'
+              ~evict_p:(float_of_int (seed mod 3) /. 2.)
+              ~seed;
+            record ~tid:0 Dss_spec.Resolve (fun () ->
+                let a, r = resolve ~tid:0 in
+                Dss_spec.Status (a, r));
+            record ~tid:1 Dss_spec.Resolve (fun () ->
+                let a, r = resolve ~tid:1 in
+                Dss_spec.Status (a, r));
+            fresh
+          end
+        in
         (* Observe the final count so the checker pins the state. *)
         record ~tid:0 (Dss_spec.Base Cnt.Get) (fun () ->
-            match U.apply u ~tid:0 Cnt.Get with
+            match apply ~tid:0 Cnt.Get with
             | Some r -> Dss_spec.Ret r
             | None -> Dss_spec.Ret (Cnt.Value (-1)));
         match
@@ -71,10 +83,11 @@ let test_decentralized_recovery_concurrent () =
      a second simulated phase — no centralized recovery at all
      (Section 3.3: "allow threads to recover independently...").  The
      final state must conserve values exactly once. *)
+  let setup () = make_dss_queue ~reclaim:true ~nthreads:2 ~capacity:64 () in
   for seed = 1 to 10 do
     for crash_step = 5 to 50 do
       if (crash_step + seed) mod 5 = 0 then begin
-        let q = make_dss_queue ~reclaim:true ~nthreads:2 ~capacity:64 () in
+        let q = setup () in
         q.enqueue ~tid:0 90;
         let t0 () =
           q.prep_enqueue ~tid:0 10;
@@ -90,9 +103,14 @@ let test_decentralized_recovery_concurrent () =
             ~crash:(Sim.Crash_at_step crash_step) ~threads:[ t0; t1 ]
         in
         if outcome.Sim.crashed then begin
-          Sim.apply_crash q.heap ~evict_p:0.5 ~seed:(seed * 77 + crash_step);
           (* Process restart: volatile runtime state is gone... *)
-          q.reset_volatile ();
+          let q =
+            restart ~setup ~heap:dq_heap q ~evict_p:0.5
+              ~seed:((seed * 77) + crash_step)
+          in
+          (* ...the allocator rebuilds its free lists from persistent
+             state... *)
+          q.recover_pool ();
           (* ...and each thread recovers for itself, concurrently, then
              completes its own operation per its own resolution and
              moves on to another operation. *)

@@ -21,99 +21,87 @@ let for_kinds f () = List.iter (fun (name, mk) -> f name mk) kinds
    exactly-once; validate the final state through the checker. *)
 let test_enqueue_sweep =
   for_kinds (fun name mk ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let q = mk () in
-        let rec_ = Recorder.create () in
-        Record.enqueue rec_ q ~tid:1 90;
-        let t () =
-          Record.prep_enqueue rec_ q ~tid:0 5;
-          Record.exec_enqueue rec_ q ~tid:0 5
-        in
-        let outcome =
-          Sim.run q.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then begin
-          Sim.check_thread_errors outcome;
-          finished := true
-        end
-        else begin
-          Recorder.crash rec_;
-          Sim.apply_crash q.heap ~evict_p:0.5 ~seed:(100_000 + !step);
-          q.recover ();
-          Record.resolve rec_ q ~tid:0;
-          (match q.resolve ~tid:0 with
-          | Queue_intf.Enq_done 5 -> ()
-          | Queue_intf.Enq_pending 5 -> Record.exec_enqueue rec_ q ~tid:0 5
-          | Queue_intf.Nothing ->
-              Record.prep_enqueue rec_ q ~tid:0 5;
-              Record.exec_enqueue rec_ q ~tid:0 5
-          | r ->
-              Alcotest.failf "%s: unexpected resolution at step %d: %s" name
-                !step
-                (Format.asprintf "%a" Queue_intf.pp_resolved r));
-          let fives = List.filter (( = ) 5) (q.to_list ()) in
-          Alcotest.(check int)
-            (Printf.sprintf "%s: exactly one 5 (crash step %d)" name !step)
-            1 (List.length fives);
-          (* Validate final abstract state via recorded drain. *)
-          let rec drain guard =
-            if guard > 0 then begin
-              let v = ref 0 in
-              ignore
-                (Recorder.record rec_ ~tid:1 (Dss_spec.Base Specs.Queue.Dequeue)
-                   (fun () ->
-                     v := q.dequeue ~tid:1;
-                     deq_response !v));
-              if !v <> Queue_intf.empty_value then drain (guard - 1)
-            end
-          in
-          drain 20;
-          check_strict ~nthreads:2 (Recorder.history rec_)
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes ~setup:mk ~heap:dq_heap ~evict_p:0.5
+           ~seed:(fun step -> 100_000 + step)
+           (fun ~step q ->
+             let rec_ = Recorder.create () in
+             Record.enqueue rec_ q ~tid:1 90;
+             let t () =
+               Record.prep_enqueue rec_ q ~tid:0 5;
+               Record.exec_enqueue rec_ q ~tid:0 5
+             in
+             ( [ t ],
+               fun outcome -> function
+                 | None -> Sim.check_thread_errors outcome
+                 | Some q ->
+                     Recorder.crash rec_;
+                     q.recover ();
+                     Record.resolve rec_ q ~tid:0;
+                     (match q.resolve ~tid:0 with
+                     | Queue_intf.Enq_done 5 -> ()
+                     | Queue_intf.Enq_pending 5 -> Record.exec_enqueue rec_ q ~tid:0 5
+                     | Queue_intf.Nothing ->
+                         Record.prep_enqueue rec_ q ~tid:0 5;
+                         Record.exec_enqueue rec_ q ~tid:0 5
+                     | r ->
+                         Alcotest.failf "%s: unexpected resolution at step %d: %s"
+                           name step
+                           (Format.asprintf "%a" Queue_intf.pp_resolved r));
+                     let fives = List.filter (( = ) 5) (q.to_list ()) in
+                     Alcotest.(check int)
+                       (Printf.sprintf "%s: exactly one 5 (crash step %d)" name step)
+                       1 (List.length fives);
+                     (* Validate final abstract state via recorded drain. *)
+                     let rec drain guard =
+                       if guard > 0 then begin
+                         let v = ref 0 in
+                         ignore
+                           (Recorder.record rec_ ~tid:1
+                              (Dss_spec.Base Specs.Queue.Dequeue) (fun () ->
+                                v := q.dequeue ~tid:1;
+                                deq_response !v));
+                         if !v <> Queue_intf.empty_value then drain (guard - 1)
+                       end
+                     in
+                     drain 20;
+                     check_strict ~nthreads:2 (Recorder.history rec_) )))
 
 (* Crash at every step of a detectable dequeue; exactly-once. *)
 let test_dequeue_sweep =
   for_kinds (fun name mk ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let q = mk () in
-        List.iter (fun v -> q.enqueue ~tid:1 v) [ 1; 2; 3 ];
-        let t () =
-          q.prep_dequeue ~tid:0;
-          ignore (q.exec_dequeue ~tid:0)
-        in
-        let outcome =
-          Sim.run q.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then finished := true
-        else begin
-          Sim.apply_crash q.heap ~evict_p:0.5 ~seed:(200_000 + !step);
-          q.recover ();
-          let dequeued =
-            match q.resolve ~tid:0 with
-            | Queue_intf.Deq_done v -> v
-            | Queue_intf.Deq_pending -> q.exec_dequeue ~tid:0
-            | Queue_intf.Nothing ->
-                q.prep_dequeue ~tid:0;
-                q.exec_dequeue ~tid:0
-            | r ->
-                Alcotest.failf "%s: unexpected resolution: %s" name
-                  (Format.asprintf "%a" Queue_intf.pp_resolved r)
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "%s: head dequeued exactly once (step %d)" name !step)
-            1 dequeued;
-          Alcotest.check int_list
-            (Printf.sprintf "%s: remaining (step %d)" name !step)
-            [ 2; 3 ] (q.to_list ())
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes ~setup:mk ~heap:dq_heap ~evict_p:0.5
+           ~seed:(fun step -> 200_000 + step)
+           (fun ~step q ->
+             List.iter (fun v -> q.enqueue ~tid:1 v) [ 1; 2; 3 ];
+             let t () =
+               q.prep_dequeue ~tid:0;
+               ignore (q.exec_dequeue ~tid:0)
+             in
+             ( [ t ],
+               fun _ -> function
+                 | None -> ()
+                 | Some q ->
+                     q.recover ();
+                     let dequeued =
+                       match q.resolve ~tid:0 with
+                       | Queue_intf.Deq_done v -> v
+                       | Queue_intf.Deq_pending -> q.exec_dequeue ~tid:0
+                       | Queue_intf.Nothing ->
+                           q.prep_dequeue ~tid:0;
+                           q.exec_dequeue ~tid:0
+                       | r ->
+                           Alcotest.failf "%s: unexpected resolution: %s" name
+                             (Format.asprintf "%a" Queue_intf.pp_resolved r)
+                     in
+                     Alcotest.(check int)
+                       (Printf.sprintf "%s: head dequeued exactly once (step %d)"
+                          name step)
+                       1 dequeued;
+                     Alcotest.check int_list
+                       (Printf.sprintf "%s: remaining (step %d)" name step)
+                       [ 2; 3 ] (q.to_list ()) )))
 
 (* Randomized concurrent crashes, strict linearizability. *)
 let test_concurrent_crash_lincheck =
@@ -142,9 +130,11 @@ let test_concurrent_crash_lincheck =
             in
             if outcome.Sim.crashed then begin
               Recorder.crash rec_;
-              Sim.apply_crash q.heap
-                ~evict_p:(float_of_int (crash_step mod 3) /. 2.)
-                ~seed:(seed + crash_step);
+              let q =
+                restart ~setup:mk ~heap:dq_heap q
+                  ~evict_p:(float_of_int (crash_step mod 3) /. 2.)
+                  ~seed:(seed + crash_step)
+              in
               q.recover ();
               Record.resolve rec_ q ~tid:0;
               Record.resolve rec_ q ~tid:1;

@@ -65,13 +65,16 @@ let arb_schedule =
 type reg_pack = Pack : (module Reg.S with type t = 'a) * 'a -> reg_pack
 
 (* Run [steps] sequentially and return the observation trace: every
-   response, every resolve rendering, and the final value. *)
-let interp ~crash (Pack ((module R), r)) steps : string list =
+   response, every resolve rendering, and the final value.  [crash seed]
+   returns the register a crash leaves: a cold restart of it. *)
+let interp ~crash pack steps : string list =
   let obs = ref [] in
   let push s = obs := s :: !obs in
-  let resolved tid = Format.asprintf "%a" R.pp_resolved (R.resolve r ~tid) in
+  let cur = ref pack in
   List.iter
     (fun step ->
+      let (Pack ((module R), r)) = !cur in
+      let resolved tid = Format.asprintf "%a" R.pp_resolved (R.resolve r ~tid) in
       match step with
       | SWrite (tid, v) -> R.write r ~tid v
       | SRead tid -> push (Printf.sprintf "r=%d" (R.read r ~tid))
@@ -85,10 +88,11 @@ let interp ~crash (Pack ((module R), r)) steps : string list =
       | SPrepRead tid -> R.prep_read r ~tid
       | SResolve tid -> push (resolved tid)
       | SCrash seed ->
-          crash seed;
+          cur := crash seed;
+          let (Pack ((module R), r)) = !cur in
           R.recover r;
           for tid = 0 to 1 do
-            push (resolved tid);
+            push (Format.asprintf "%a" R.pp_resolved (R.resolve r ~tid));
             (* Exactly-once retry of whatever the crash left pending. *)
             match R.resolve r ~tid with
             | R.Write_pending _ -> R.exec_write r ~tid
@@ -97,22 +101,35 @@ let interp ~crash (Pack ((module R), r)) steps : string list =
             | _ -> ()
           done)
     steps;
+  let (Pack ((module R), r)) = !cur in
   push (Printf.sprintf "final=%d" (R.read r ~tid:0));
   List.rev !obs
 
-(* Build both registers on the given backend and compare traces. *)
+(* Build both registers on the given backend and compare traces; a
+   crash restarts cold, into a fresh register. *)
 let sim_pair ~line_size impl =
-  let heap = Heap.create ~line_size () in
-  let (module M) = Sim.memory heap in
-  let crash seed = Sim.apply_crash heap ~evict_p:0.5 ~seed in
-  let pack =
-    match impl with
-    | `Engine ->
-        let module R = Reg.Make (M) in
-        Pack ((module R), R.create ~nthreads:2 ())
-    | `Packed ->
-        let module R = Packed_register.Make (M) in
-        Pack ((module R), R.create ~nthreads:2 ())
+  let world () =
+    let heap = Heap.create ~line_size () in
+    let (module M) = Sim.memory heap in
+    let pack =
+      match impl with
+      | `Engine ->
+          let module R = Reg.Make (M) in
+          Pack ((module R), R.create ~nthreads:2 ())
+      | `Packed ->
+          let module R = Packed_register.Make (M) in
+          Pack ((module R), R.create ~nthreads:2 ())
+    in
+    Heap.log_persists heap;
+    (heap, pack)
+  in
+  let live, pack = world () in
+  let live = ref live in
+  let crash seed =
+    let heap, pack = world () in
+    Sim.restart !live ~into:heap ~evict_p:0.5 ~seed;
+    live := heap;
+    pack
   in
   (pack, crash)
 
@@ -120,7 +137,6 @@ let native_pair impl =
   (* Crashes cannot be exercised natively; a crash step degrades to
      recover + resolve + retry, which must still agree. *)
   let module M = Dssq_memory.Native.Counted () in
-  let crash _seed = () in
   let pack =
     match impl with
     | `Engine ->
@@ -130,7 +146,7 @@ let native_pair impl =
         let module R = Packed_register.Make (M) in
         Pack ((module R), R.create ~nthreads:2 ())
   in
-  (pack, crash)
+  (pack, fun _seed -> pack)
 
 let equivalence_prop ~name mk =
   QCheck.Test.make ~count:200 ~name arb_schedule (fun steps ->
@@ -175,20 +191,59 @@ let test_swap_sequential () =
       | r -> Alcotest.failf "unexpected resolution %a" W.pp_resolved r)
 
 let test_swap_crash_retry () =
-  with_sim (fun (module M) heap ->
-      let module W = Dssq_core.Dss_swap.Make (M) in
-      let w = W.create ~init:1 ~nthreads:2 () in
-      W.prep_swap w ~tid:0 5;
-      Sim.apply_crash heap ~evict_p:0.5 ~seed:42;
-      W.recover w;
-      (match W.resolve w ~tid:0 with
-      | DI.Pending (Specs.Swap.Swap 5) -> ()
-      | r -> Alcotest.failf "expected pending swap, got %a" W.pp_resolved r);
-      Alcotest.(check int) "retry displaces init" 1 (W.exec_swap w ~tid:0);
-      (match W.resolve w ~tid:0 with
-      | DI.Done (Specs.Swap.Swap 5, Specs.Swap.Value 1) -> ()
-      | r -> Alcotest.failf "expected done swap, got %a" W.pp_resolved r);
-      Alcotest.(check int) "state" 5 (W.peek w))
+  let module World (M : Dssq_memory.Memory_intf.S) = struct
+    module W = Dssq_core.Dss_swap.Make (M)
+
+    let w = W.create ~init:1 ~nthreads:2 ()
+  end in
+  let live = Heap.create () in
+  let (module L) = Sim.memory live in
+  let module L = World (L) in
+  Heap.log_persists live;
+  L.W.prep_swap L.w ~tid:0 5;
+  (* Restart cold: a fresh swap object holding the crash's image. *)
+  let heap = Heap.create () in
+  let (module M) = Sim.memory heap in
+  let module S = World (M) in
+  let module W = S.W in
+  let w = S.w in
+  Sim.restart live ~into:heap ~evict_p:0.5 ~seed:42;
+  W.recover w;
+  (match W.resolve w ~tid:0 with
+  | DI.Pending (Specs.Swap.Swap 5) -> ()
+  | r -> Alcotest.failf "expected pending swap, got %a" W.pp_resolved r);
+  Alcotest.(check int) "retry displaces init" 1 (W.exec_swap w ~tid:0);
+  (match W.resolve w ~tid:0 with
+  | DI.Done (Specs.Swap.Swap 5, Specs.Swap.Value 1) -> ()
+  | r -> Alcotest.failf "expected done swap, got %a" W.pp_resolved r);
+  Alcotest.(check int) "state" 5 (W.peek w)
+
+(* The sequence counters that tell a thread's operations apart are
+   volatile, so a cold restart begins them at 0 and [recover] must
+   restore them from the persisted announce records: otherwise a prep
+   after the restart reuses the completed swap(7)'s sequence number and
+   resolve takes the new swap(9) for done. *)
+let test_swap_prep_after_restart () =
+  let module World (M : Dssq_memory.Memory_intf.S) = struct
+    module W = Dssq_core.Dss_swap.Make (M)
+
+    let w = W.create ~init:1 ~nthreads:2 ()
+  end in
+  let live = Heap.create () in
+  let (module L) = Sim.memory live in
+  let module L = World (L) in
+  Heap.log_persists live;
+  L.W.prep_swap L.w ~tid:0 7;
+  ignore (L.W.exec_swap L.w ~tid:0 : int);
+  let heap = Heap.create () in
+  let (module M) = Sim.memory heap in
+  let module S = World (M) in
+  Sim.restart live ~into:heap ~evict_p:0.5 ~seed:7;
+  S.W.recover S.w;
+  S.W.prep_swap S.w ~tid:0 9;
+  match S.W.resolve S.w ~tid:0 with
+  | DI.Pending (Specs.Swap.Swap 9) -> ()
+  | r -> Alcotest.failf "expected pending swap(9), got %a" S.W.pp_resolved r
 
 (* Deque: both ends, empty responses through the read-only path. *)
 let test_deque_sequential () =
@@ -400,6 +455,8 @@ let suite =
         test_swap_sequential;
       Alcotest.test_case "swap crash retry exactly-once" `Quick
         test_swap_crash_retry;
+      Alcotest.test_case "swap prep after a cold restart is pending" `Quick
+        test_swap_prep_after_restart;
       Alcotest.test_case "deque sequential + resolve" `Quick
         test_deque_sequential;
       Alcotest.test_case "pqueue sequential" `Quick test_pqueue_sequential;

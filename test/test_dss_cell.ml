@@ -44,6 +44,7 @@ let make ~nthreads (init : 'a) : 'a dc =
     | C.Read_pending -> `Read_pending
     | C.Read_done v -> `Read_done v
   in
+  Heap.log_persists heap;
   {
     heap;
     read = (fun () -> C.read c);
@@ -130,71 +131,63 @@ let test_detectable_read () =
 
 (* ---------------------------- crash sweeps ------------------------- *)
 
+let setup () = make ~nthreads:1 0
+let dc_heap c = c.heap
+
 let test_crash_sweep_cas () =
   List.iter
     (fun evict_p ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let c = make ~nthreads:1 0 in
-        let t () =
-          c.prep_cas ~tid:0 ~expected:0 ~desired:1;
-          ignore (c.exec_cas ~tid:0)
-        in
-        let outcome =
-          Sim.run c.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then finished := true
-        else begin
-          Sim.apply_crash c.heap ~evict_p ~seed:!step;
-          (match c.resolve_kind ~tid:0 with
-          | `Cas_done true ->
-              Alcotest.(check int)
-                (Printf.sprintf "done => applied (step %d)" !step)
-                1 (c.read ())
-          | `Cas_pending ->
-              Alcotest.(check int)
-                (Printf.sprintf "pending => not applied (step %d)" !step)
-                0 (c.read ());
-              Alcotest.(check bool) "retry lands once" true (c.exec_cas ~tid:0);
-              Alcotest.(check int) "applied exactly once" 1 (c.read ())
-          | `Nothing -> Alcotest.(check int) "prep lost" 0 (c.read ())
-          | _ ->
-              Alcotest.failf "unexpected resolution at step %d: %s" !step
-                (c.resolve ~tid:0));
-          ()
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes ~setup ~heap:dc_heap ~evict_p ~seed:Fun.id
+           (fun ~step c ->
+             let t () =
+               c.prep_cas ~tid:0 ~expected:0 ~desired:1;
+               ignore (c.exec_cas ~tid:0)
+             in
+             ( [ t ],
+               fun _ -> function
+                 | None -> ()
+                 | Some c -> (
+                     match c.resolve_kind ~tid:0 with
+                     | `Cas_done true ->
+                         Alcotest.(check int)
+                           (Printf.sprintf "done => applied (step %d)" step)
+                           1 (c.read ())
+                     | `Cas_pending ->
+                         Alcotest.(check int)
+                           (Printf.sprintf "pending => not applied (step %d)" step)
+                           0 (c.read ());
+                         Alcotest.(check bool) "retry lands once" true
+                           (c.exec_cas ~tid:0);
+                         Alcotest.(check int) "applied exactly once" 1 (c.read ())
+                     | `Nothing -> Alcotest.(check int) "prep lost" 0 (c.read ())
+                     | _ ->
+                         Alcotest.failf "unexpected resolution at step %d: %s"
+                           step (c.resolve ~tid:0)) )))
     [ 0.0; 1.0; 0.5 ]
 
 let test_crash_sweep_write () =
-  let finished = ref false in
-  let step = ref 0 in
-  while not !finished do
-    let c = make ~nthreads:1 0 in
-    let t () =
-      c.prep_write ~tid:0 5;
-      c.exec_write ~tid:0
-    in
-    let outcome = Sim.run c.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ] in
-    if not outcome.Sim.crashed then finished := true
-    else begin
-      Sim.apply_crash c.heap ~evict_p:0.5 ~seed:!step;
-      (match c.resolve_kind ~tid:0 with
-      | `Write_done -> Alcotest.(check int) "done => present" 5 (c.read ())
-      | `Write_pending ->
-          Alcotest.(check int) "pending => absent" 0 (c.read ());
-          c.exec_write ~tid:0;
-          Alcotest.(check int) "retry lands" 5 (c.read ())
-      | `Nothing -> Alcotest.(check int) "prep lost" 0 (c.read ())
-      | _ ->
-          Alcotest.failf "unexpected resolution at step %d: %s" !step
-            (c.resolve ~tid:0));
-      ()
-    end;
-    incr step
-  done
+  ignore
+  @@ sweep_crashes ~setup ~heap:dc_heap ~evict_p:0.5 ~seed:Fun.id
+       (fun ~step c ->
+         let t () =
+           c.prep_write ~tid:0 5;
+           c.exec_write ~tid:0
+         in
+         ( [ t ],
+           fun _ -> function
+             | None -> ()
+             | Some c -> (
+                 match c.resolve_kind ~tid:0 with
+                 | `Write_done -> Alcotest.(check int) "done => present" 5 (c.read ())
+                 | `Write_pending ->
+                     Alcotest.(check int) "pending => absent" 0 (c.read ());
+                     c.exec_write ~tid:0;
+                     Alcotest.(check int) "retry lands" 5 (c.read ())
+                 | `Nothing -> Alcotest.(check int) "prep lost" 0 (c.read ())
+                 | _ ->
+                     Alcotest.failf "unexpected resolution at step %d: %s" step
+                       (c.resolve ~tid:0)) ))
 
 let test_concurrent_cas_agreement () =
   (* Two detectable CASes with the same expectation: exactly one wins,

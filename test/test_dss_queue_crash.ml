@@ -19,6 +19,7 @@ let recover_with style (q : dq) ~nthreads =
   match style with
   | Centralized -> q.recover ()
   | Per_thread ->
+      q.recover_pool ();
       for tid = 0 to nthreads - 1 do
         q.recover_thread ~tid
       done
@@ -57,154 +58,135 @@ let drain_recorded rec_ (q : dq) ~tid =
 (* ---------------------------------------------------------------------- *)
 
 let sweep_enqueue ~evict_p ~style () =
-  let steps_seen = ref 0 in
-  let finished = ref false in
-  let step = ref 0 in
-  while not !finished do
-    let q = dq () in
-    let rec_ = Recorder.create () in
-    (* Non-empty start so both list shapes are exercised; recorded so the
-       checker knows the abstract state. *)
-    Record.enqueue rec_ q ~tid:1 90;
-    let thread () =
-      Record.prep_enqueue rec_ q ~tid:0 5;
-      Record.exec_enqueue rec_ q ~tid:0 5
-    in
-    let outcome =
-      Sim.run q.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ thread ]
-    in
-    if not outcome.Sim.crashed then begin
-      (* Program ran to completion: the sweep covered every step. *)
-      Sim.check_thread_errors outcome;
-      check_strict ~nthreads:2 (Recorder.history rec_);
-      finished := true
-    end
-    else begin
-      Recorder.crash rec_;
-      Sim.apply_crash q.heap ~evict_p ~seed:(1000 + !step);
-      recover_with style q ~nthreads:2;
-      post_recovery_checks ~style q;
-      Record.resolve rec_ q ~tid:0;
-      (* Exactly-once completion: retry based on the resolution. *)
-      (match q.resolve ~tid:0 with
-      | Queue_intf.Enq_done 5 -> ()
-      | Queue_intf.Enq_pending 5 ->
-          Record.exec_enqueue rec_ q ~tid:0 5
-      | Queue_intf.Nothing ->
+  let crashed =
+    sweep_crashes ~setup:(fun () -> dq ()) ~heap:dq_heap ~evict_p
+      ~seed:(fun step -> 1000 + step)
+      (fun ~step q ->
+        let rec_ = Recorder.create () in
+        (* Non-empty start so both list shapes are exercised; recorded so
+           the checker knows the abstract state. *)
+        Record.enqueue rec_ q ~tid:1 90;
+        let thread () =
           Record.prep_enqueue rec_ q ~tid:0 5;
           Record.exec_enqueue rec_ q ~tid:0 5
-      | r ->
-          Alcotest.failf "unexpected resolution after enqueue crash: %s"
-            (Format.asprintf "%a" Queue_intf.pp_resolved r));
-      let fives = List.filter (( = ) 5) (q.to_list ()) in
-      Alcotest.(check int)
-        (Printf.sprintf "exactly one 5 after crash at step %d" !step)
-        1 (List.length fives);
-      drain_recorded rec_ q ~tid:1;
-      check_strict ~nthreads:2 (Recorder.history rec_);
-      incr steps_seen
-    end;
-    incr step
-  done;
+        in
+        ( [ thread ],
+          fun outcome -> function
+            | None ->
+                (* Program ran to completion: the sweep covered every
+                   step. *)
+                Sim.check_thread_errors outcome;
+                check_strict ~nthreads:2 (Recorder.history rec_)
+            | Some q ->
+                Recorder.crash rec_;
+                recover_with style q ~nthreads:2;
+                post_recovery_checks ~style q;
+                Record.resolve rec_ q ~tid:0;
+                (* Exactly-once completion: retry based on the
+                   resolution. *)
+                (match q.resolve ~tid:0 with
+                | Queue_intf.Enq_done 5 -> ()
+                | Queue_intf.Enq_pending 5 ->
+                    Record.exec_enqueue rec_ q ~tid:0 5
+                | Queue_intf.Nothing ->
+                    Record.prep_enqueue rec_ q ~tid:0 5;
+                    Record.exec_enqueue rec_ q ~tid:0 5
+                | r ->
+                    Alcotest.failf "unexpected resolution after enqueue crash: %s"
+                      (Format.asprintf "%a" Queue_intf.pp_resolved r));
+                let fives = List.filter (( = ) 5) (q.to_list ()) in
+                Alcotest.(check int)
+                  (Printf.sprintf "exactly one 5 after crash at step %d" step)
+                  1 (List.length fives);
+                drain_recorded rec_ q ~tid:1;
+                check_strict ~nthreads:2 (Recorder.history rec_) ))
+  in
   Alcotest.(check bool) "sweep covered at least 10 crash points" true
-    (!steps_seen >= 10)
+    (crashed >= 10)
 
 (* ---------------------------------------------------------------------- *)
 (* Crash at every step: detectable dequeue                                 *)
 (* ---------------------------------------------------------------------- *)
 
 let sweep_dequeue ~evict_p ~style () =
-  let finished = ref false in
-  let step = ref 0 in
-  while not !finished do
-    let q = dq () in
-    let rec_ = Recorder.create () in
-    List.iter (fun v -> Record.enqueue rec_ q ~tid:1 v) [ 1; 2; 3 ];
-    let thread () =
-      Record.prep_dequeue rec_ q ~tid:0;
-      Record.exec_dequeue rec_ q ~tid:0
-    in
-    let outcome =
-      Sim.run q.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ thread ]
-    in
-    if not outcome.Sim.crashed then begin
-      Sim.check_thread_errors outcome;
-      check_strict ~nthreads:2 (Recorder.history rec_);
-      finished := true
-    end
-    else begin
-      Recorder.crash rec_;
-      Sim.apply_crash q.heap ~evict_p ~seed:(2000 + !step);
-      recover_with style q ~nthreads:2;
-      post_recovery_checks ~style q;
-      Record.resolve rec_ q ~tid:0;
-      (* Retry until the dequeue has happened exactly once. *)
-      let dequeued =
-        match q.resolve ~tid:0 with
-        | Queue_intf.Deq_done v -> v
-        | Queue_intf.Deq_pending ->
-            let v = ref 0 in
-            ignore
-              (Recorder.record rec_ ~tid:0 (Dss_spec.Exec Specs.Queue.Dequeue)
-                 (fun () ->
-                   v := q.exec_dequeue ~tid:0;
-                   deq_response !v));
-            !v
-        | Queue_intf.Nothing ->
-            Record.prep_dequeue rec_ q ~tid:0;
-            let v = ref 0 in
-            ignore
-              (Recorder.record rec_ ~tid:0 (Dss_spec.Exec Specs.Queue.Dequeue)
-                 (fun () ->
-                   v := q.exec_dequeue ~tid:0;
-                   deq_response !v));
-            !v
-        | r ->
-            Alcotest.failf "unexpected resolution after dequeue crash: %s"
-              (Format.asprintf "%a" Queue_intf.pp_resolved r)
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "dequeued head exactly once (crash step %d)" !step)
-        1 dequeued;
-      Alcotest.check int_list "remaining values" [ 2; 3 ] (q.to_list ());
-      drain_recorded rec_ q ~tid:1;
-      check_strict ~nthreads:2 (Recorder.history rec_)
-    end;
-    incr step
-  done
+  ignore
+  @@ sweep_crashes ~setup:(fun () -> dq ()) ~heap:dq_heap ~evict_p
+       ~seed:(fun step -> 2000 + step)
+       (fun ~step q ->
+         let rec_ = Recorder.create () in
+         List.iter (fun v -> Record.enqueue rec_ q ~tid:1 v) [ 1; 2; 3 ];
+         let thread () =
+           Record.prep_dequeue rec_ q ~tid:0;
+           Record.exec_dequeue rec_ q ~tid:0
+         in
+         ( [ thread ],
+           fun outcome -> function
+             | None ->
+                 Sim.check_thread_errors outcome;
+                 check_strict ~nthreads:2 (Recorder.history rec_)
+             | Some q ->
+                 Recorder.crash rec_;
+                 recover_with style q ~nthreads:2;
+                 post_recovery_checks ~style q;
+                 Record.resolve rec_ q ~tid:0;
+                 (* Retry until the dequeue has happened exactly once. *)
+                 let exec () =
+                   let v = ref 0 in
+                   ignore
+                     (Recorder.record rec_ ~tid:0
+                        (Dss_spec.Exec Specs.Queue.Dequeue) (fun () ->
+                          v := q.exec_dequeue ~tid:0;
+                          deq_response !v));
+                   !v
+                 in
+                 let dequeued =
+                   match q.resolve ~tid:0 with
+                   | Queue_intf.Deq_done v -> v
+                   | Queue_intf.Deq_pending -> exec ()
+                   | Queue_intf.Nothing ->
+                       Record.prep_dequeue rec_ q ~tid:0;
+                       exec ()
+                   | r ->
+                       Alcotest.failf "unexpected resolution after dequeue crash: %s"
+                         (Format.asprintf "%a" Queue_intf.pp_resolved r)
+                 in
+                 Alcotest.(check int)
+                   (Printf.sprintf "dequeued head exactly once (crash step %d)"
+                      step)
+                   1 dequeued;
+                 Alcotest.check int_list "remaining values" [ 2; 3 ] (q.to_list ());
+                 drain_recorded rec_ q ~tid:1;
+                 check_strict ~nthreads:2 (Recorder.history rec_) ))
 
 (* ---------------------------------------------------------------------- *)
 (* Crash at every step: detectable dequeue on an empty queue               *)
 (* ---------------------------------------------------------------------- *)
 
 let sweep_dequeue_empty ~evict_p () =
-  let finished = ref false in
-  let step = ref 0 in
-  while not !finished do
-    let q = dq () in
-    let rec_ = Recorder.create () in
-    let thread () =
-      Record.prep_dequeue rec_ q ~tid:0;
-      Record.exec_dequeue rec_ q ~tid:0
-    in
-    let outcome =
-      Sim.run q.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ thread ]
-    in
-    if not outcome.Sim.crashed then finished := true
-    else begin
-      Recorder.crash rec_;
-      Sim.apply_crash q.heap ~evict_p ~seed:(3000 + !step);
-      q.recover ();
-      Record.resolve rec_ q ~tid:0;
-      (match q.resolve ~tid:0 with
-      | Queue_intf.Deq_empty | Queue_intf.Deq_pending | Queue_intf.Nothing -> ()
-      | r ->
-          Alcotest.failf "unexpected resolution on empty queue: %s"
-            (Format.asprintf "%a" Queue_intf.pp_resolved r));
-      check_strict ~nthreads:2 (Recorder.history rec_)
-    end;
-    incr step
-  done
+  ignore
+  @@ sweep_crashes ~setup:(fun () -> dq ()) ~heap:dq_heap ~evict_p
+       ~seed:(fun step -> 3000 + step)
+       (fun ~step:_ q ->
+         let rec_ = Recorder.create () in
+         let thread () =
+           Record.prep_dequeue rec_ q ~tid:0;
+           Record.exec_dequeue rec_ q ~tid:0
+         in
+         ( [ thread ],
+           fun _ -> function
+             | None -> ()
+             | Some q ->
+                 Recorder.crash rec_;
+                 q.recover ();
+                 Record.resolve rec_ q ~tid:0;
+                 (match q.resolve ~tid:0 with
+                 | Queue_intf.Deq_empty | Queue_intf.Deq_pending
+                 | Queue_intf.Nothing ->
+                     ()
+                 | r ->
+                     Alcotest.failf "unexpected resolution on empty queue: %s"
+                       (Format.asprintf "%a" Queue_intf.pp_resolved r));
+                 check_strict ~nthreads:2 (Recorder.history rec_) ))
 
 (* ---------------------------------------------------------------------- *)
 (* Randomized concurrent crash tests                                       *)
@@ -212,12 +194,12 @@ let sweep_dequeue_empty ~evict_p () =
 
 let test_concurrent_crash_lincheck () =
   let nthreads = 2 in
+  let setup () = dq ~nthreads ~capacity:64 () in
   List.iter
     (fun evict_p ->
       for seed = 1 to 12 do
         for crash_step = 1 to 40 do
-          if true then begin
-            let q = dq ~nthreads ~capacity:64 () in
+          let q = setup () in
           let rec_ = Recorder.create () in
           Record.enqueue rec_ q ~tid:0 50;
           let programs =
@@ -238,16 +220,18 @@ let test_concurrent_crash_lincheck () =
           in
           if outcome.Sim.crashed then begin
             Recorder.crash rec_;
-            Sim.apply_crash q.heap ~evict_p ~seed:(seed * 100 + crash_step);
+            let q =
+              restart ~setup ~heap:dq_heap q ~evict_p
+                ~seed:((seed * 100) + crash_step)
+            in
             q.recover ();
             post_recovery_checks q;
             Record.resolve rec_ q ~tid:0;
             Record.resolve rec_ q ~tid:1;
             drain_recorded rec_ q ~tid:0
           end
-            else Sim.check_thread_errors outcome;
-            check_strict ~nthreads (Recorder.history rec_)
-          end
+          else Sim.check_thread_errors outcome;
+          check_strict ~nthreads (Recorder.history rec_)
         done
       done)
     [ 0.0; 1.0; 0.5 ]
@@ -257,8 +241,9 @@ let test_concurrent_crash_lincheck () =
 (* ---------------------------------------------------------------------- *)
 
 let test_double_crash () =
+  let setup () = dq () in
   for crash1 = 1 to 12 do
-    let q = dq () in
+    let q = setup () in
     let rec_ = Recorder.create () in
     let thread () =
       Record.prep_enqueue rec_ q ~tid:0 7;
@@ -269,7 +254,7 @@ let test_double_crash () =
     in
     if outcome.Sim.crashed then begin
       Recorder.crash rec_;
-      Sim.apply_crash q.heap ~evict_p:0.5 ~seed:crash1;
+      let q = restart ~setup ~heap:dq_heap q ~evict_p:0.5 ~seed:crash1 in
       q.recover ();
       Record.resolve rec_ q ~tid:0;
       (* A second crash before the thread does anything else: resolve
@@ -277,7 +262,7 @@ let test_double_crash () =
          inputs are persistent). *)
       let before = q.resolve ~tid:0 in
       Recorder.crash rec_;
-      Sim.apply_crash q.heap ~evict_p:0.0 ~seed:(crash1 + 777);
+      let q = restart ~setup ~heap:dq_heap q ~evict_p:0.0 ~seed:(crash1 + 777) in
       q.recover ();
       Record.resolve rec_ q ~tid:0;
       let after = q.resolve ~tid:0 in
@@ -288,8 +273,9 @@ let test_double_crash () =
   done
 
 let test_recover_idempotent () =
+  let setup () = dq () in
   for crash_step = 1 to 20 do
-    let q = dq () in
+    let q = setup () in
     List.iter (fun v -> q.enqueue ~tid:1 v) [ 1; 2 ];
     let thread () =
       q.prep_enqueue ~tid:0 9;
@@ -301,7 +287,7 @@ let test_recover_idempotent () =
       Sim.run q.heap ~crash:(Sim.Crash_at_step crash_step) ~threads:[ thread ]
     in
     if outcome.Sim.crashed then begin
-      Sim.apply_crash q.heap ~evict_p:0.5 ~seed:crash_step;
+      let q = restart ~setup ~heap:dq_heap q ~evict_p:0.5 ~seed:crash_step in
       q.recover ();
       let r1 = q.resolve ~tid:0 in
       let l1 = q.to_list () in
@@ -320,45 +306,49 @@ let test_recover_idempotent () =
 let test_no_pool_exhaustion_across_crashes () =
   (* A small pool must survive many crash/recover/retry cycles: recovery
      rebuilds the free lists, so leaks cannot accumulate beyond the few
-     nodes pinned by X references. *)
-  let q = dq ~nthreads:1 ~capacity:24 () in
+     nodes pinned by X references.  Each crash restarts cold, so every
+     round runs on the image the previous rounds left. *)
+  let setup () = dq ~nthreads:1 ~capacity:24 () in
+  let q = ref (setup ()) in
   for round = 1 to 60 do
+    let live = !q in
     let thread () =
-      q.prep_enqueue ~tid:0 round;
-      q.exec_enqueue ~tid:0;
-      q.prep_dequeue ~tid:0;
-      ignore (q.exec_dequeue ~tid:0)
+      live.prep_enqueue ~tid:0 round;
+      live.exec_enqueue ~tid:0;
+      live.prep_dequeue ~tid:0;
+      ignore (live.exec_dequeue ~tid:0)
     in
     let outcome =
-      Sim.run q.heap
+      Sim.run live.heap
         ~crash:(Sim.Crash_at_step (3 + (round mod 25)))
         ~threads:[ thread ]
     in
     if outcome.Sim.crashed then begin
-      Sim.apply_crash q.heap ~evict_p:0.3 ~seed:round;
-      q.recover ();
+      let q' = restart ~setup ~heap:dq_heap live ~evict_p:0.3 ~seed:round in
+      q := q';
+      q'.recover ();
       (* Complete the interrupted pair so the queue drains. *)
-      (match q.resolve ~tid:0 with
+      match q'.resolve ~tid:0 with
       | Queue_intf.Enq_pending _ ->
-          q.exec_enqueue ~tid:0;
-          q.prep_dequeue ~tid:0;
-          ignore (q.exec_dequeue ~tid:0)
+          q'.exec_enqueue ~tid:0;
+          q'.prep_dequeue ~tid:0;
+          ignore (q'.exec_dequeue ~tid:0)
       | Queue_intf.Enq_done _ | Queue_intf.Deq_pending ->
-          q.prep_dequeue ~tid:0;
-          ignore (q.exec_dequeue ~tid:0)
+          q'.prep_dequeue ~tid:0;
+          ignore (q'.exec_dequeue ~tid:0)
       | Queue_intf.Nothing ->
-          q.prep_enqueue ~tid:0 round;
-          q.exec_enqueue ~tid:0;
-          q.prep_dequeue ~tid:0;
-          ignore (q.exec_dequeue ~tid:0)
-      | Queue_intf.Deq_done _ | Queue_intf.Deq_empty -> ())
+          q'.prep_enqueue ~tid:0 round;
+          q'.exec_enqueue ~tid:0;
+          q'.prep_dequeue ~tid:0;
+          ignore (q'.exec_dequeue ~tid:0)
+      | Queue_intf.Deq_done _ | Queue_intf.Deq_empty -> ()
     end;
     (* Drain anything left over so rounds stay bounded. *)
-    while q.dequeue ~tid:0 <> Queue_intf.empty_value do
+    while !q.dequeue ~tid:0 <> Queue_intf.empty_value do
       ()
     done
   done;
-  Alcotest.(check bool) "pool did not run dry" true (q.free_count () > 0)
+  Alcotest.(check bool) "pool did not run dry" true (!q.free_count () > 0)
 
 (* ---------------------------------------------------------------------- *)
 (* Exhaustive: every interleaving x every crash point, tiny scenario       *)

@@ -38,6 +38,7 @@ let make ?(init = 0) ~nthreads () : dr =
     | R.Read_pending -> RRead_pending
     | R.Read_done v -> RRead_done v
   in
+  Heap.log_persists heap;
   {
     heap;
     read = (fun ~tid -> R.read r ~tid);
@@ -114,64 +115,59 @@ let test_repeated_same_value_disambiguated () =
 
 (* ------------------------- crash sweeps --------------------------- *)
 
+let setup () = make ~nthreads:2 ()
+let dr_heap r = r.heap
+
 let test_crash_sweep_write () =
   List.iter
     (fun evict_p ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let r = make ~nthreads:2 () in
-        let t () =
-          r.prep_write ~tid:0 5;
-          r.exec_write ~tid:0
-        in
-        let outcome =
-          Sim.run r.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then begin
-          Alcotest.check resolved_reg "complete run resolves done"
-            (RWrite_done 5) (r.resolve_raw ~tid:0);
-          finished := true
-        end
-        else begin
-          Sim.apply_crash r.heap ~evict_p ~seed:!step;
-          (* No recovery procedure exists or is needed. *)
-          (match r.resolve_raw ~tid:0 with
-          | RWrite_done 5 ->
-              Alcotest.(check int)
-                (Printf.sprintf "done => value present (step %d)" !step)
-                5 (r.read ~tid:1)
-          | RWrite_pending 5 ->
-              Alcotest.(check int)
-                (Printf.sprintf "pending => value absent (step %d)" !step)
-                0 (r.read ~tid:1);
-              (* exactly-once retry *)
-              r.exec_write ~tid:0;
-              Alcotest.(check int) "retry lands" 5 (r.read ~tid:1)
-          | RNothing -> Alcotest.(check int) "prep lost" 0 (r.read ~tid:1)
-          | _ ->
-              Alcotest.failf "unexpected resolution at step %d: %s" !step
-                (r.resolve ~tid:0));
-          (* Resolution must be stable across further resolves. *)
-          Alcotest.check resolved_reg "resolve idempotent"
-            (r.resolve_raw ~tid:0) (r.resolve_raw ~tid:0)
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes ~setup ~heap:dr_heap ~evict_p ~seed:Fun.id
+           (fun ~step r ->
+             let t () =
+               r.prep_write ~tid:0 5;
+               r.exec_write ~tid:0
+             in
+             ( [ t ],
+               fun _ -> function
+                 | None ->
+                     Alcotest.check resolved_reg "complete run resolves done"
+                       (RWrite_done 5) (r.resolve_raw ~tid:0)
+                 | Some r ->
+                     (* No recovery procedure exists or is needed. *)
+                     (match r.resolve_raw ~tid:0 with
+                     | RWrite_done 5 ->
+                         Alcotest.(check int)
+                           (Printf.sprintf "done => value present (step %d)" step)
+                           5 (r.read ~tid:1)
+                     | RWrite_pending 5 ->
+                         Alcotest.(check int)
+                           (Printf.sprintf "pending => value absent (step %d)" step)
+                           0 (r.read ~tid:1);
+                         (* exactly-once retry *)
+                         r.exec_write ~tid:0;
+                         Alcotest.(check int) "retry lands" 5 (r.read ~tid:1)
+                     | RNothing -> Alcotest.(check int) "prep lost" 0 (r.read ~tid:1)
+                     | _ ->
+                         Alcotest.failf "unexpected resolution at step %d: %s"
+                           step (r.resolve ~tid:0));
+                     (* Resolution must be stable across further resolves. *)
+                     Alcotest.check resolved_reg "resolve idempotent"
+                       (r.resolve_raw ~tid:0) (r.resolve_raw ~tid:0) )))
     [ 0.0; 1.0; 0.5 ]
 
 let test_crash_then_overwrite_detection_survives () =
   (* Crash mid-write; whatever resolve says first must not change after
      other threads overwrite the register. *)
   for step = 0 to 20 do
-    let r = make ~nthreads:2 () in
+    let r = setup () in
     let t () =
       r.prep_write ~tid:0 5;
       r.exec_write ~tid:0
     in
     let outcome = Sim.run r.heap ~crash:(Sim.Crash_at_step step) ~threads:[ t ] in
     if outcome.Sim.crashed then begin
-      Sim.apply_crash r.heap ~evict_p:0.5 ~seed:step;
+      let r = restart ~setup ~heap:dr_heap r ~evict_p:0.5 ~seed:step in
       let first = r.resolve_raw ~tid:0 in
       r.write ~tid:1 77;
       r.prep_write ~tid:1 78;
@@ -221,7 +217,7 @@ let test_concurrent_crash_lincheck () =
   let spec = dreg ~nthreads:2 in
   for seed = 1 to 20 do
     for crash_step = 1 to 25 do
-      let r = make ~nthreads:2 () in
+      let r = setup () in
       let rec_ = Recorder.create () in
       let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
       let writer v ~tid () =
@@ -237,9 +233,14 @@ let test_concurrent_crash_lincheck () =
           ~crash:(Sim.Crash_at_step crash_step)
           ~threads:[ writer 10 ~tid:0; writer 20 ~tid:1 ]
       in
+      let r =
+        if not outcome.Sim.crashed then r
+        else
+          restart ~setup ~heap:dr_heap r
+            ~evict_p:(float_of_int (seed mod 3) /. 2.) ~seed
+      in
       if outcome.Sim.crashed then begin
         Recorder.crash rec_;
-        Sim.apply_crash r.heap ~evict_p:(float_of_int (seed mod 3) /. 2.) ~seed;
         let resolved_resp ~tid =
           match r.resolve_raw ~tid with
           | RNothing -> Dss_spec.Status (None, None)

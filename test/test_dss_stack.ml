@@ -24,6 +24,7 @@ let make ?(reclaim = true) ~nthreads ~capacity () : ds =
   let (module M) = Sim.memory heap in
   let module S = Dssq_core.Dss_stack.Make (M) in
   let s = S.create ~reclaim ~nthreads ~capacity () in
+  Heap.log_persists heap;
   {
     heap;
     push = (fun ~tid v -> S.push s ~tid v);
@@ -125,82 +126,76 @@ let test_concurrent_lincheck () =
 
 (* ------------------------- crash sweeps ---------------------------- *)
 
+let setup () = make ~nthreads:2 ~capacity:48 ()
+let ds_heap s = s.heap
+
 let test_crash_sweep_push () =
   List.iter
     (fun evict_p ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let s = make ~nthreads:2 ~capacity:48 () in
-        s.push ~tid:1 90;
-        let t () =
-          s.prep_push ~tid:0 5;
-          s.exec_push ~tid:0
-        in
-        let outcome =
-          Sim.run s.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then finished := true
-        else begin
-          Sim.apply_crash s.heap ~evict_p ~seed:(7000 + !step);
-          s.recover ();
-          (match s.resolve ~tid:0 with
-          | Queue_intf.Enq_done 5 -> ()
-          | Queue_intf.Enq_pending 5 -> s.exec_push ~tid:0
-          | Queue_intf.Nothing ->
-              s.prep_push ~tid:0 5;
-              s.exec_push ~tid:0
-          | r ->
-              Alcotest.failf "unexpected resolution: %s"
-                (Format.asprintf "%a" Queue_intf.pp_resolved r));
-          let fives = List.filter (( = ) 5) (s.to_list ()) in
-          Alcotest.(check int)
-            (Printf.sprintf "exactly one 5 (crash step %d)" !step)
-            1 (List.length fives);
-          Alcotest.(check bool) "90 never lost" true
-            (List.mem 90 (s.to_list ()))
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes ~setup ~heap:ds_heap ~evict_p
+           ~seed:(fun step -> 7000 + step)
+           (fun ~step s ->
+             s.push ~tid:1 90;
+             let t () =
+               s.prep_push ~tid:0 5;
+               s.exec_push ~tid:0
+             in
+             ( [ t ],
+               fun _ -> function
+                 | None -> ()
+                 | Some s ->
+                     s.recover ();
+                     (match s.resolve ~tid:0 with
+                     | Queue_intf.Enq_done 5 -> ()
+                     | Queue_intf.Enq_pending 5 -> s.exec_push ~tid:0
+                     | Queue_intf.Nothing ->
+                         s.prep_push ~tid:0 5;
+                         s.exec_push ~tid:0
+                     | r ->
+                         Alcotest.failf "unexpected resolution: %s"
+                           (Format.asprintf "%a" Queue_intf.pp_resolved r));
+                     let fives = List.filter (( = ) 5) (s.to_list ()) in
+                     Alcotest.(check int)
+                       (Printf.sprintf "exactly one 5 (crash step %d)" step)
+                       1 (List.length fives);
+                     Alcotest.(check bool) "90 never lost" true
+                       (List.mem 90 (s.to_list ())) )))
     [ 0.0; 1.0; 0.5 ]
 
 let test_crash_sweep_pop () =
   List.iter
     (fun evict_p ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let s = make ~nthreads:2 ~capacity:48 () in
-        List.iter (fun v -> s.push ~tid:1 v) [ 1; 2; 3 ];
-        let t () =
-          s.prep_pop ~tid:0;
-          ignore (s.exec_pop ~tid:0)
-        in
-        let outcome =
-          Sim.run s.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then finished := true
-        else begin
-          Sim.apply_crash s.heap ~evict_p ~seed:(8000 + !step);
-          s.recover ();
-          let popped =
-            match s.resolve ~tid:0 with
-            | Queue_intf.Deq_done v -> v
-            | Queue_intf.Deq_pending -> s.exec_pop ~tid:0
-            | Queue_intf.Nothing ->
-                s.prep_pop ~tid:0;
-                s.exec_pop ~tid:0
-            | r ->
-                Alcotest.failf "unexpected resolution: %s"
-                  (Format.asprintf "%a" Queue_intf.pp_resolved r)
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "popped the top exactly once (crash step %d)" !step)
-            3 popped;
-          Alcotest.check int_list "remaining" [ 2; 1 ] (s.to_list ())
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes ~setup ~heap:ds_heap ~evict_p
+           ~seed:(fun step -> 8000 + step)
+           (fun ~step s ->
+             List.iter (fun v -> s.push ~tid:1 v) [ 1; 2; 3 ];
+             let t () =
+               s.prep_pop ~tid:0;
+               ignore (s.exec_pop ~tid:0)
+             in
+             ( [ t ],
+               fun _ -> function
+                 | None -> ()
+                 | Some s ->
+                     s.recover ();
+                     let popped =
+                       match s.resolve ~tid:0 with
+                       | Queue_intf.Deq_done v -> v
+                       | Queue_intf.Deq_pending -> s.exec_pop ~tid:0
+                       | Queue_intf.Nothing ->
+                           s.prep_pop ~tid:0;
+                           s.exec_pop ~tid:0
+                       | r ->
+                           Alcotest.failf "unexpected resolution: %s"
+                             (Format.asprintf "%a" Queue_intf.pp_resolved r)
+                     in
+                     Alcotest.(check int)
+                       (Printf.sprintf "popped the top exactly once (crash step %d)"
+                          step)
+                       3 popped;
+                     Alcotest.check int_list "remaining" [ 2; 1 ] (s.to_list ()) )))
     [ 0.0; 1.0; 0.5 ]
 
 let test_values_conserved_concurrent () =

@@ -845,25 +845,6 @@ let test_explain_passing_schedule () =
 
 module Machine = Dssq_sim.Machine
 
-(* Cell by cell (volatile, persisted, dirty) and buffer by buffer.  A
-   loaded cell holds the crashed world's value or its own set-up's, so
-   values compare structurally. *)
-let same_heap a b =
-  Heap.cell_count a = Heap.cell_count b
-  && Heap.pending_fifos a = Heap.pending_fifos b
-  && Heap.dirty_lines a = Heap.dirty_lines b
-  && List.for_all
-       (fun lid ->
-         List.for_all2
-           (fun (Dssq_pmem.Cell.Packed x) (Dssq_pmem.Cell.Packed y) ->
-             x.id = y.id
-             && x.dirty = y.dirty
-             && Obj.repr x.volatile = Obj.repr y.volatile
-             && Obj.repr x.persisted = Obj.repr y.persisted)
-           (Heap.members a (Heap.line a lid))
-           (Heap.members b (Heap.line b lid)))
-       (List.init (Heap.line_count a) Fun.id)
-
 let crash_cases =
   List.concat_map
     (fun (d : Scenarios.descriptor) ->
@@ -881,9 +862,12 @@ let crash_cases =
     Scenarios.registry
 
 (* A random corpus case, a random schedule prefix and a random crash
-   token over what is dirty and buffered at its end.  The cold world
-   loaded from the crash must equal the crashed heap that the token's
-   write-backs and verdicts leave behind. *)
+   token over what is dirty and buffered at its end.  The image a crash
+   leaves is computed here, cell by cell, from the crashed heap alone: a
+   cell keeps its volatile value when it is dirty and its line was
+   drained or evicted, and its persisted value otherwise.  Both targets
+   of the crash must hold exactly that image, clean: a fresh set-up, and
+   then the crashed heap itself. *)
 let prop_cold_image =
   QCheck.Test.make ~count:300 ~name:"a cold restart loads the crash's image"
     QCheck.(
@@ -908,25 +892,58 @@ let prop_cold_image =
               Machine.step m (List.nth r (p mod List.length r));
               live.heap.in_sim <- false)
         picks;
+      let fifos = Heap.pending_fifos live.heap in
       let drains =
         List.filter_map
           (fun (tid, fifo) ->
             match drain_bits lsr (3 * tid) mod (List.length fifo + 1) with
             | 0 -> None
             | count -> Some (tid, count))
-          (Heap.pending_fifos live.heap)
+          fifos
+      in
+      let drained =
+        List.concat_map
+          (fun (tid, count) ->
+            List.filteri (fun k _ -> k < count) (List.assoc tid fifos))
+          drains
       in
       let candidates = Heap.crash_candidate_lines live.heap in
       let evict lid =
         List.mem lid candidates && (verdict_bits lsr (lid mod 16)) land 1 = 1
       in
+      let cells h =
+        List.init (Heap.line_count h) (fun lid ->
+            (lid, Heap.members h (Heap.line h lid)))
+      in
+      let image =
+        List.map
+          (fun (lid, members) ->
+            List.map
+              (fun (Dssq_pmem.Cell.Packed c) ->
+                if c.dirty && (List.mem lid drained || evict lid) then
+                  Obj.repr c.volatile
+                else Obj.repr c.persisted)
+              members)
+          (cells live.heap)
+      in
+      let holds_image h =
+        Heap.dirty_lines h = []
+        && Heap.pending_fifos h = []
+        && List.for_all2
+             (fun (_, members) expected ->
+               List.for_all2
+                 (fun (Dssq_pmem.Cell.Packed c) v ->
+                   (not c.dirty)
+                   && Obj.repr c.volatile = v
+                   && Obj.repr c.persisted = v)
+                 members expected)
+             (cells h) image
+      in
       let cold = setup () in
-      Heap.crash_into live.heap ~fresh:cold.heap ~drains ~evict;
-      List.iter
-        (fun (tid, count) -> Heap.adversary_drain live.heap ~tid ~count)
-        drains;
-      Heap.crash_lines live.heap ~evict;
-      same_heap cold.heap live.heap)
+      Heap.crash_into live.heap ~into:cold.heap ~drains ~evict;
+      let cold_ok = holds_image cold.heap in
+      Heap.crash_into live.heap ~into:live.heap ~drains ~evict;
+      cold_ok && holds_image live.heap)
 
 (* The image is transferred cell by cell between two set-ups, so a world
    that allocated a cell after set-up cannot be loaded: the search

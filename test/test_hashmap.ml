@@ -27,6 +27,7 @@ let make ~nthreads ~nbuckets () : hm =
   let (module M) = Sim.memory heap in
   let module H = Dssq_core.Dss_hashmap.Make (M) in
   let h = H.create ~nthreads ~nbuckets () in
+  Heap.log_persists heap;
   {
     heap;
     put = (fun ~tid k v -> H.put h ~tid k v);
@@ -128,76 +129,74 @@ let prop_matches_model =
 
 (* ---------------------------- crash sweeps ------------------------- *)
 
+let setup () = make ~nthreads:1 ~nbuckets:16 ()
+let hm_heap h = h.heap
+
 let test_crash_sweep_put () =
   List.iter
     (fun evict_p ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let h = make ~nthreads:1 ~nbuckets:16 () in
-        h.put ~tid:0 3 30;
-        let t () = h.put ~tid:0 7 70 in
-        let outcome =
-          Sim.run h.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then finished := true
-        else begin
-          Sim.apply_crash h.heap ~evict_p ~seed:(300_000 + !step);
-          (match h.resolve_kind ~tid:0 with
-          | `Put_done (7, 70) ->
-              Alcotest.(check (option int))
-                (Printf.sprintf "done => stored (step %d)" !step)
-                (Some 70) (h.find 7)
-          | `Put_pending (7, 70) ->
-              Alcotest.(check (option int))
-                (Printf.sprintf "pending => absent (step %d)" !step)
-                None (h.find 7);
-              h.put ~tid:0 7 70;
-              Alcotest.(check (option int)) "retry lands" (Some 70) (h.find 7)
-          | `Put_done (3, 30) | `Nothing ->
-              (* The announcement itself was lost: previous op (or none)
-                 is reported; 7 cannot be present. *)
-              Alcotest.(check (option int)) "ann lost => absent" None (h.find 7)
-          | _ ->
-              Alcotest.failf "unexpected resolution at step %d: %s" !step
-                (h.resolve ~tid:0));
-          Alcotest.(check (option int)) "pre-existing key survives" (Some 30)
-            (h.find 3)
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes ~setup ~heap:hm_heap ~evict_p
+           ~seed:(fun step -> 300_000 + step)
+           (fun ~step h ->
+             h.put ~tid:0 3 30;
+             ( [ (fun () -> h.put ~tid:0 7 70) ],
+               fun _ -> function
+                 | None -> ()
+                 | Some h ->
+                     (match h.resolve_kind ~tid:0 with
+                     | `Put_done (7, 70) ->
+                         Alcotest.(check (option int))
+                           (Printf.sprintf "done => stored (step %d)" step)
+                           (Some 70) (h.find 7)
+                     | `Put_pending (7, 70) ->
+                         Alcotest.(check (option int))
+                           (Printf.sprintf "pending => absent (step %d)" step)
+                           None (h.find 7);
+                         h.put ~tid:0 7 70;
+                         Alcotest.(check (option int)) "retry lands" (Some 70)
+                           (h.find 7)
+                     | `Put_done (3, 30) | `Nothing ->
+                         (* The announcement itself was lost: previous op (or
+                            none) is reported; 7 cannot be present. *)
+                         Alcotest.(check (option int)) "ann lost => absent" None
+                           (h.find 7)
+                     | _ ->
+                         Alcotest.failf "unexpected resolution at step %d: %s"
+                           step (h.resolve ~tid:0));
+                     Alcotest.(check (option int)) "pre-existing key survives"
+                       (Some 30) (h.find 3) )))
     [ 0.0; 1.0; 0.5 ]
 
 let test_crash_sweep_remove () =
-  let finished = ref false in
-  let step = ref 0 in
-  while not !finished do
-    let h = make ~nthreads:1 ~nbuckets:16 () in
-    h.put ~tid:0 3 30;
-    h.put ~tid:0 7 70;
-    let t () = h.remove ~tid:0 7 in
-    let outcome = Sim.run h.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ] in
-    if not outcome.Sim.crashed then finished := true
-    else begin
-      Sim.apply_crash h.heap ~evict_p:0.5 ~seed:(400_000 + !step);
-      (match h.resolve_kind ~tid:0 with
-      | `Remove_done 7 ->
-          Alcotest.(check (option int)) "done => gone" None (h.find 7)
-      | `Remove_pending 7 ->
-          (if h.mem 7 then begin
-             h.remove ~tid:0 7;
-             Alcotest.(check (option int)) "retry removes" None (h.find 7)
-           end)
-      | `Put_done (7, 70) | `Nothing ->
-          (* announcement lost; remove never started *)
-          Alcotest.(check (option int)) "still present" (Some 70) (h.find 7)
-      | _ ->
-          Alcotest.failf "unexpected resolution at step %d: %s" !step
-            (h.resolve ~tid:0));
-      Alcotest.(check (option int)) "other key survives" (Some 30) (h.find 3)
-    end;
-    incr step
-  done
+  ignore
+  @@ sweep_crashes ~setup ~heap:hm_heap ~evict_p:0.5
+       ~seed:(fun step -> 400_000 + step)
+       (fun ~step h ->
+         h.put ~tid:0 3 30;
+         h.put ~tid:0 7 70;
+         ( [ (fun () -> h.remove ~tid:0 7) ],
+           fun _ -> function
+             | None -> ()
+             | Some h ->
+                 (match h.resolve_kind ~tid:0 with
+                 | `Remove_done 7 ->
+                     Alcotest.(check (option int)) "done => gone" None (h.find 7)
+                 | `Remove_pending 7 ->
+                     if h.mem 7 then begin
+                       h.remove ~tid:0 7;
+                       Alcotest.(check (option int)) "retry removes" None
+                         (h.find 7)
+                     end
+                 | `Put_done (7, 70) | `Nothing ->
+                     (* announcement lost; remove never started *)
+                     Alcotest.(check (option int)) "still present" (Some 70)
+                       (h.find 7)
+                 | _ ->
+                     Alcotest.failf "unexpected resolution at step %d: %s" step
+                       (h.resolve ~tid:0));
+                 Alcotest.(check (option int)) "other key survives" (Some 30)
+                   (h.find 3) ))
 
 let test_concurrent_disjoint_keys () =
   for seed = 1 to 20 do

@@ -25,14 +25,20 @@ let test_net_basics () =
   Alcotest.(check (list string)) "separate boxes" [ "c" ] (Net.recv_all net ~me:2)
 
 let test_net_messages_are_volatile () =
-  let heap = Heap.create () in
-  let (module M) = Sim.memory heap in
-  let module Net = Dssq_msgpass.Net.Make (M) in
-  let net = Net.create ~nprocs:2 in
-  Net.send net ~dst:1 "in-flight";
-  Heap.crash heap ~evict:(fun () -> false);
+  let world () =
+    let heap = Heap.create () in
+    let (module M) = Sim.memory heap in
+    let module Net = Dssq_msgpass.Net.Make (M) in
+    let net = Net.create ~nprocs:2 in
+    Heap.log_persists heap;
+    (heap, Net.send net, Net.recv_all net)
+  in
+  let live, send, _ = world () in
+  send ~dst:1 "in-flight";
+  let heap, _, recv_all = world () in
+  Sim.restart live ~into:heap ~evict_p:0.0 ~seed:0;
   Alcotest.(check (list string)) "crash drops in-flight messages" []
-    (Net.recv_all net ~me:1)
+    (recv_all ~me:1)
 
 (* Helper: a fresh ABD world.  [nservers] servers, [nclients] clients. *)
 let make_abd ~nservers ~nclients =
@@ -40,6 +46,7 @@ let make_abd ~nservers ~nclients =
   let (module M) = Sim.memory heap in
   let module A = Dssq_msgpass.Abd.Make (M) in
   let a = A.create ~nservers ~nclients in
+  Heap.log_persists heap;
   let servers ~until =
     A.reset_done a;
     List.init nservers (fun sid -> A.server a ~sid ~until)
@@ -59,6 +66,8 @@ let make_abd ~nservers ~nclients =
 
       method finished = A.client_finished a
     end )
+
+let abd_heap (heap, _, _) = heap
 
 let test_failure_free_write_read () =
   let _heap, servers, a = make_abd ~nservers:3 ~nclients:1 in
@@ -107,91 +116,86 @@ let test_failure_free_linearizable () =
    linearizable. *)
 let test_crash_sweep_resolve () =
   let spec = Dss_spec.make ~nthreads:1 (Reg.spec ()) in
+  let setup () = make_abd ~nservers:3 ~nclients:1 in
   List.iter
     (fun evict_p ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let heap, servers, a = make_abd ~nservers:3 ~nclients:1 in
-        let rec_ = Recorder.create () in
-        let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
-        let client () =
-          record ~tid:0 (Dss_spec.Prep (Reg.Write 5)) (fun () ->
-              a#prep_write ~ci:0 5;
-              Dss_spec.Ack);
-          record ~tid:0 (Dss_spec.Exec (Reg.Write 5)) (fun () ->
-              a#exec_write ~ci:0;
-              Dss_spec.Ret Reg.Ok);
-          a#finished
-        in
-        let outcome =
-          Sim.run heap
-            ~crash:(Sim.Crash_at_step !step)
-            ~threads:(servers ~until:1 @ [ client ])
-        in
-        if not outcome.Sim.crashed then begin
-          Sim.check_thread_errors outcome;
-          finished := true
-        end
-        else begin
-          Recorder.crash rec_;
-          Sim.apply_crash heap ~evict_p ~seed:(800_000 + !step);
-          (* Restart: fresh server incarnations, client resolves then
-             reads; messages from before the crash are gone. *)
-          let verdict = ref `Nothing in
-          let observed = ref (-1) in
-          let client2 () =
-            record ~tid:0 Dss_spec.Resolve (fun () ->
-                let r = a#resolve ~ci:0 in
-                verdict := r;
-                match r with
-                | `Nothing -> Dss_spec.Status (None, None)
-                | `Pending v ->
-                    Dss_spec.Status (Some (Reg.Write v), None)
-                | `Done v ->
-                    Dss_spec.Status (Some (Reg.Write v), Some Reg.Ok));
-            record ~tid:0 (Dss_spec.Base Reg.Read) (fun () ->
-                let v = a#read ~ci:0 in
-                observed := v;
-                Dss_spec.Ret (Reg.Value v));
-            a#finished
-          in
-          let outcome2 =
-            Sim.run heap ~policy:(Sim.Random_seed !step)
-              ~threads:(servers ~until:1 @ [ client2 ])
-          in
-          Sim.check_thread_errors outcome2;
-          (* Verdict/observation consistency (single writer): *)
-          (match !verdict with
-          | `Done 5 ->
-              Alcotest.(check int)
-                (Printf.sprintf "done => readable (step %d)" !step)
-                5 !observed
-          | `Pending 5 | `Nothing ->
-              Alcotest.(check int)
-                (Printf.sprintf "pending => sealed forever (step %d)" !step)
-                0 !observed
-          | _ -> Alcotest.failf "odd verdict at step %d" !step);
-          (* Full history: recoverable linearizability (persistent
-             atomicity), the paper's condition for this model. *)
-          match
-            Lincheck.check ~mode:Lincheck.Recoverable spec
-              (Recorder.history rec_)
-          with
-          | Lincheck.Linearizable _ -> ()
-          | Lincheck.Not_linearizable _ ->
-              Alcotest.failf "step %d: not recoverable-linearizable" !step
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes ~setup ~heap:abd_heap ~evict_p
+           ~seed:(fun step -> 800_000 + step)
+           (fun ~step (_, servers, a) ->
+             let rec_ = Recorder.create () in
+             let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
+             let client () =
+               record ~tid:0 (Dss_spec.Prep (Reg.Write 5)) (fun () ->
+                   a#prep_write ~ci:0 5;
+                   Dss_spec.Ack);
+               record ~tid:0 (Dss_spec.Exec (Reg.Write 5)) (fun () ->
+                   a#exec_write ~ci:0;
+                   Dss_spec.Ret Reg.Ok);
+               a#finished
+             in
+             ( servers ~until:1 @ [ client ],
+               fun outcome -> function
+                 | None -> Sim.check_thread_errors outcome
+                 | Some (heap, servers, a) -> (
+                     Recorder.crash rec_;
+                     (* Restart: fresh server incarnations, client resolves
+                        then reads; messages from before the crash are
+                        gone. *)
+                     let verdict = ref `Nothing in
+                     let observed = ref (-1) in
+                     let client2 () =
+                       record ~tid:0 Dss_spec.Resolve (fun () ->
+                           let r = a#resolve ~ci:0 in
+                           verdict := r;
+                           match r with
+                           | `Nothing -> Dss_spec.Status (None, None)
+                           | `Pending v ->
+                               Dss_spec.Status (Some (Reg.Write v), None)
+                           | `Done v ->
+                               Dss_spec.Status (Some (Reg.Write v), Some Reg.Ok));
+                       record ~tid:0 (Dss_spec.Base Reg.Read) (fun () ->
+                           let v = a#read ~ci:0 in
+                           observed := v;
+                           Dss_spec.Ret (Reg.Value v));
+                       a#finished
+                     in
+                     let outcome2 =
+                       Sim.run heap ~policy:(Sim.Random_seed step)
+                         ~threads:(servers ~until:1 @ [ client2 ])
+                     in
+                     Sim.check_thread_errors outcome2;
+                     (* Verdict/observation consistency (single writer): *)
+                     (match !verdict with
+                     | `Done 5 ->
+                         Alcotest.(check int)
+                           (Printf.sprintf "done => readable (step %d)" step)
+                           5 !observed
+                     | `Pending 5 | `Nothing ->
+                         Alcotest.(check int)
+                           (Printf.sprintf "pending => sealed forever (step %d)"
+                              step)
+                           0 !observed
+                     | _ -> Alcotest.failf "odd verdict at step %d" step);
+                     (* Full history: recoverable linearizability
+                        (persistent atomicity), the paper's condition for
+                        this model. *)
+                     match
+                       Lincheck.check ~mode:Lincheck.Recoverable spec
+                         (Recorder.history rec_)
+                     with
+                     | Lincheck.Linearizable _ -> ()
+                     | Lincheck.Not_linearizable _ ->
+                         Alcotest.failf "step %d: not recoverable-linearizable"
+                           step) )))
     [ 0.0; 0.5 ]
 
 let test_double_crash_stable_verdict () =
   (* Crash during the RESOLUTION too: once any resolve has returned a
      verdict, later resolves agree. *)
+  let setup () = make_abd ~nservers:3 ~nclients:1 in
   for step1 = 4 to 40 do
-   if true then begin
-    let heap, servers, a = make_abd ~nservers:3 ~nclients:1 in
+    let ((heap, servers, a) as live) = setup () in
     let client () =
       a#prep_write ~ci:0 5;
       a#exec_write ~ci:0;
@@ -202,7 +206,9 @@ let test_double_crash_stable_verdict () =
         ~threads:(servers ~until:1 @ [ client ])
     in
     if o1.Sim.crashed then begin
-      Sim.apply_crash heap ~evict_p:0.5 ~seed:step1;
+      let ((heap, servers, a) as restarted) =
+        restart ~setup ~heap:abd_heap live ~evict_p:0.5 ~seed:step1
+      in
       (* First resolution attempt, itself crashed somewhere. *)
       let r1 = ref None in
       let resolver () =
@@ -214,7 +220,11 @@ let test_double_crash_stable_verdict () =
           ~crash:(Sim.Crash_at_step (step1 mod 17 * 3))
           ~threads:(servers ~until:1 @ [ resolver ])
       in
-      if o2.Sim.crashed then Sim.apply_crash heap ~evict_p:0.5 ~seed:(step1 + 1);
+      let heap, servers, a =
+        if o2.Sim.crashed then
+          restart ~setup ~heap:abd_heap restarted ~evict_p:0.5 ~seed:(step1 + 1)
+        else restarted
+      in
       (* Second resolution runs to completion. *)
       let r2 = ref None in
       let resolver2 () =
@@ -234,7 +244,6 @@ let test_double_crash_stable_verdict () =
       | _, Some _ -> () (* first resolve was cut before returning *)
       | _ -> Alcotest.fail "second resolve did not finish"
     end
-   end
   done
 
 let suite =

@@ -185,28 +185,40 @@ let combine_suite =
    ("wal[i][j]") and every root entry ("roots.name[i]") as well as the
    object word "obj[0]" drops only the object's flush. *)
 let test_infra_exempt () =
-  let heap = Heap.create () in
-  let (module W) =
+  let module World (W : Dssq_memory.Memory_intf.S) = struct
+    module Wal = Dssq_pmem.Wal.Make (W)
+    module Roots = Dssq_pmem.Roots.Make (W)
+
+    let wal = Wal.create ~lanes:1 ~lane_capacity:2 ()
+    let roots = Roots.create ~capacity:1 ()
+    let obj = W.alloc ~name:(fun () -> "obj[0]") 0
+  end in
+  let mutated heap =
     Mutants.wrap ~policy:(Heap.policy heap) (Mutants.Skip_flush "[")
       (Sim.memory heap)
   in
-  let module Wal = Dssq_pmem.Wal.Make (W) in
-  let module Roots = Dssq_pmem.Roots.Make (W) in
-  let wal = Wal.create ~lanes:1 ~lane_capacity:2 () in
-  let roots = Roots.create ~capacity:1 () in
-  let obj = W.alloc ~name:(fun () -> "obj[0]") 0 in
-  Wal.append wal ~lane:0 ~kind:Dssq_pmem.Wal.Codec.kind_alloc ~a:1 ~b:2;
-  ignore (Roots.register roots ~name:"queue" ~value:5 : int);
-  W.write obj 9;
-  W.flush obj;
-  W.drain ();
+  let live = Heap.create () in
+  let (module L) = mutated live in
+  let module L = struct
+    include World (L)
+    include L
+  end in
+  Heap.log_persists live;
+  L.Wal.append L.wal ~lane:0 ~kind:Dssq_pmem.Wal.Codec.kind_alloc ~a:1 ~b:2;
+  ignore (L.Roots.register L.roots ~name:"queue" ~value:5 : int);
+  L.write L.obj 9;
+  L.flush L.obj;
+  L.drain ();
   (* Power loss that keeps only what was written back. *)
-  Heap.crash heap ~evict:(fun () -> false);
+  let heap = Heap.create () in
+  let (module W) = mutated heap in
+  let module R = World (W) in
+  Sim.restart live ~into:heap ~evict_p:0.0 ~seed:0;
   Alcotest.(check int) "the WAL record survived" 1
-    (List.length (fst (Wal.replay wal)));
+    (List.length (fst (R.Wal.replay R.wal)));
   Alcotest.(check (option int)) "the root survived" (Some 5)
-    (Roots.lookup roots "queue");
-  Alcotest.(check int) "the object's flush was dropped" 0 (W.read obj)
+    (R.Roots.lookup R.roots "queue");
+  Alcotest.(check int) "the object's flush was dropped" 0 (W.read R.obj)
 
 let suite =
   (Alcotest.test_case "mutants exempt the WAL and root directory" `Quick

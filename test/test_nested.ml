@@ -21,6 +21,7 @@ let make_nested ?(reclaim = true) ~capacity () =
   let module NM = Dssq_core.Nested_memory.Make ((val (module B : Dssq_memory.Memory_intf.S))) (Config2) in
   let module Q = Dssq_core.Dss_queue.Make (NM) in
   let q = Q.create ~reclaim ~nthreads:2 ~capacity () in
+  Heap.log_persists heap;
   ( heap,
     {
       heap;
@@ -33,10 +34,10 @@ let make_nested ?(reclaim = true) ~capacity () =
       resolve = (fun ~tid -> Q.resolve q ~tid);
       recover = (fun () -> Q.recover q);
       recover_thread = (fun ~tid -> Q.recover_thread q ~tid);
+      recover_pool = (fun () -> Q.recover_pool q);
       to_list = (fun () -> Q.to_list q);
       free_count = (fun () -> Q.free_count q);
       recovered_violations = (fun () -> Q.recovered_violations q);
-      reset_volatile = (fun () -> Q.reset_volatile q);
     } )
 
 let test_fifo_over_nested_memory () =
@@ -80,10 +81,11 @@ let test_concurrent_lincheck_nested () =
 let test_crash_sweep_nested () =
   (* The crash sweep on the nested instantiation, sampled (every step is
      slow: each queue word is a full detectable object). *)
+  let setup () = snd (make_nested ~capacity:48 ()) in
   let step = ref 0 in
   let finished = ref false in
   while not !finished do
-    let _, q = make_nested ~capacity:48 () in
+    let q = setup () in
     let rec_ = Recorder.create () in
     Record.enqueue rec_ q ~tid:1 90;
     let t () =
@@ -97,7 +99,7 @@ let test_crash_sweep_nested () =
     end
     else begin
       Recorder.crash rec_;
-      Sim.apply_crash q.heap ~evict_p:0.5 ~seed:(9000 + !step);
+      let q = restart ~setup ~heap:dq_heap q ~evict_p:0.5 ~seed:(9000 + !step) in
       q.recover ();
       Record.resolve rec_ q ~tid:0;
       (match q.resolve ~tid:0 with
@@ -122,32 +124,39 @@ let test_both_levels_detectable () =
   (* A thread uses the queue detectably while another uses a raw
      detectable cell — and after a crash both resolve correctly:
      detection composes. *)
+  let module World (B : Dssq_memory.Memory_intf.S) = struct
+    module NM = Dssq_core.Nested_memory.Make (B) (Config2)
+    module Q = Dssq_core.Dss_queue.Make (NM)
+    module C = Dssq_core.Dss_cell.Make (B)
+
+    let q = Q.create ~nthreads:2 ~capacity:48 ()
+    let c = C.create ~nthreads:2 0
+  end in
   for crash_step = 2 to 40 do
-    let heap = Heap.create () in
-    let (module B) = Sim.memory heap in
-    let module NM =
-      Dssq_core.Nested_memory.Make
-        ((val (module B : Dssq_memory.Memory_intf.S)))
-        (Config2)
-    in
-    let module Q = Dssq_core.Dss_queue.Make (NM) in
-    let module C = Dssq_core.Dss_cell.Make (B) in
-    let q = Q.create ~nthreads:2 ~capacity:48 () in
-    let c = C.create ~nthreads:2 0 in
+    let live = Heap.create () in
+    let (module L) = Sim.memory live in
+    let module L = World (L) in
+    Heap.log_persists live;
     let t0 () =
-      Q.prep_enqueue q ~tid:0 5;
-      Q.exec_enqueue q ~tid:0
+      L.Q.prep_enqueue L.q ~tid:0 5;
+      L.Q.exec_enqueue L.q ~tid:0
     in
     let t1 () =
-      C.prep_write c ~tid:1 7;
-      C.exec_write c ~tid:1
+      L.C.prep_write L.c ~tid:1 7;
+      L.C.exec_write L.c ~tid:1
     in
     let outcome =
-      Sim.run heap ~policy:(Sim.Random_seed crash_step)
+      Sim.run live ~policy:(Sim.Random_seed crash_step)
         ~crash:(Sim.Crash_at_step crash_step) ~threads:[ t0; t1 ]
     in
     if outcome.Sim.crashed then begin
-      Sim.apply_crash heap ~evict_p:0.5 ~seed:crash_step;
+      let heap = Heap.create () in
+      let (module B) = Sim.memory heap in
+      let module W = World (B) in
+      let module Q = W.Q in
+      let module C = W.C in
+      let q = W.q and c = W.c in
+      Sim.restart live ~into:heap ~evict_p:0.5 ~seed:crash_step;
       Q.recover q;
       (* Queue-level detection. *)
       (match Q.resolve q ~tid:0 with

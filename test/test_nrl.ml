@@ -19,6 +19,51 @@ let test_register_failure_free () =
   Alcotest.(check int) "no pending frames" 0
     (List.length (N.System.recover_process sys ~tid:0))
 
+(* A crash restarts cold: a second copy of the world, set up the same
+   way, is loaded with the image the crash left. *)
+module Register_world (M : Dssq_memory.Memory_intf.S) = struct
+  module N = Dssq_nrl.Nrl.Make (M)
+
+  let sys = N.System.create ~nthreads:1 ~max_depth:4
+  let r = N.Register.create ~sys ~obj_id:1 ~nthreads:1 ()
+end
+
+module Counter_world (M : Dssq_memory.Memory_intf.S) = struct
+  module N = Dssq_nrl.Nrl.Make (M)
+
+  let sys = N.System.create ~nthreads:1 ~max_depth:4
+  let c = N.Counter.create ~sys ~obj_id:2 ~nthreads:1 ()
+end
+
+(* Composite object 50: write (arg) to r1 and (arg2) to r2, with
+   recovery hooks that log the order they run in. *)
+module Nested_world (M : Dssq_memory.Memory_intf.S) = struct
+  module N = Dssq_nrl.Nrl.Make (M)
+
+  let sys = N.System.create ~nthreads:1 ~max_depth:4
+  let r1 = N.Register.create ~sys ~obj_id:1 ~nthreads:1 ()
+  let r2 = N.Register.create ~sys ~obj_id:2 ~nthreads:1 ()
+  let order = ref []
+
+  let () =
+    N.System.register sys ~obj_id:50 ~recover:(fun ~tid frame ->
+        order := `Outer :: !order;
+        N.Register.write r1 ~tid frame.N.System.arg;
+        N.Register.write r2 ~tid frame.N.System.arg2;
+        0);
+    (* Track inner recoveries through wrappers. *)
+    N.System.register sys ~obj_id:1 ~recover:(fun ~tid frame ->
+        order := `Inner1 :: !order;
+        if N.Register.read r1 <> frame.N.System.arg then
+          N.Register.write r1 ~tid frame.N.System.arg;
+        0);
+    N.System.register sys ~obj_id:2 ~recover:(fun ~tid frame ->
+        order := `Inner2 :: !order;
+        if N.Register.read r2 <> frame.N.System.arg then
+          N.Register.write r2 ~tid frame.N.System.arg;
+        0)
+end
+
 let test_register_crash_sweep () =
   (* NRL semantics: after ANY crash, recovery completes the interrupted
      write — the register must contain the value afterwards, always
@@ -29,19 +74,22 @@ let test_register_crash_sweep () =
       let finished = ref false in
       let step = ref 0 in
       while not !finished do
-        let heap = Heap.create () in
-        let (module M) = Sim.memory heap in
-        let module N = Dssq_nrl.Nrl.Make (M) in
-        let sys = N.System.create ~nthreads:1 ~max_depth:4 in
-        let r = N.Register.create ~sys ~obj_id:1 ~nthreads:1 () in
-        let t () = N.Register.write r ~tid:0 5 in
+        let live = Heap.create () in
+        let (module L) = Sim.memory live in
+        let module L = Register_world (L) in
+        Heap.log_persists live;
+        let t () = L.N.Register.write L.r ~tid:0 5 in
         let outcome =
-          Sim.run heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
+          Sim.run live ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
         in
         if not outcome.Sim.crashed then finished := true
         else begin
-          Sim.apply_crash heap ~evict_p ~seed:(500_000 + !step);
-          let recovered = N.System.recover_process sys ~tid:0 in
+          let heap = Heap.create () in
+          let (module M) = Sim.memory heap in
+          let module W = Register_world (M) in
+          let module N = W.N in
+          Sim.restart live ~into:heap ~evict_p ~seed:(500_000 + !step);
+          let recovered = N.System.recover_process W.sys ~tid:0 in
           (match recovered with
           | [] ->
               (* No pending frame: either the crash preceded the frame
@@ -50,18 +98,18 @@ let test_register_crash_sweep () =
               Alcotest.(check bool)
                 (Printf.sprintf "no frame => all-or-nothing (step %d)" !step)
                 true
-                (let v = N.Register.read r in
+                (let v = N.Register.read W.r in
                  v = 0 || v = 5)
           | [ (frame, resp) ] ->
               Alcotest.(check int) "recovered write arg" 5 frame.N.System.arg;
               Alcotest.(check int) "response OK" 0 resp;
               Alcotest.(check int)
                 (Printf.sprintf "write completed by recovery (step %d)" !step)
-                5 (N.Register.read r)
+                5 (N.Register.read W.r)
           | _ -> Alcotest.fail "unexpected frame count");
           (* Recovery is idempotent: nothing left pending. *)
           Alcotest.(check int) "stack empty after recovery" 0
-            (List.length (N.System.recover_process sys ~tid:0))
+            (List.length (N.System.recover_process W.sys ~tid:0))
         end;
         incr step
       done)
@@ -73,28 +121,31 @@ let test_counter_crash_sweep_exactly_once () =
       let finished = ref false in
       let step = ref 0 in
       while not !finished do
-        let heap = Heap.create () in
-        let (module M) = Sim.memory heap in
-        let module N = Dssq_nrl.Nrl.Make (M) in
-        let sys = N.System.create ~nthreads:1 ~max_depth:4 in
-        let c = N.Counter.create ~sys ~obj_id:2 ~nthreads:1 () in
+        let live = Heap.create () in
+        let (module L) = Sim.memory live in
+        let module L = Counter_world (L) in
+        Heap.log_persists live;
         let t () =
-          N.Counter.add c ~tid:0 3;
-          N.Counter.add c ~tid:0 4
+          L.N.Counter.add L.c ~tid:0 3;
+          L.N.Counter.add L.c ~tid:0 4
         in
         let outcome =
-          Sim.run heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
+          Sim.run live ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
         in
         if not outcome.Sim.crashed then begin
-          Alcotest.(check int) "both adds" 7 (N.Counter.get c);
+          Alcotest.(check int) "both adds" 7 (L.N.Counter.get L.c);
           finished := true
         end
         else begin
-          Sim.apply_crash heap ~evict_p ~seed:(600_000 + !step);
-          let recovered = N.System.recover_process sys ~tid:0 in
+          let heap = Heap.create () in
+          let (module M) = Sim.memory heap in
+          let module W = Counter_world (M) in
+          let module N = W.N in
+          Sim.restart live ~into:heap ~evict_p ~seed:(600_000 + !step);
+          let recovered = N.System.recover_process W.sys ~tid:0 in
           (* The interrupted add (if its frame persisted) completed
              exactly once; the total must be a prefix sum. *)
-          let v = N.Counter.get c in
+          let v = N.Counter.get W.c in
           let legal =
             match recovered with
             (* no pending frame: before the first add, between the adds,
@@ -120,50 +171,35 @@ let test_nested_recovery_innermost_first () =
   let finished = ref false in
   let step = ref 0 in
   while not !finished do
-    let heap = Heap.create () in
-    let (module M) = Sim.memory heap in
-    let module N = Dssq_nrl.Nrl.Make (M) in
-    let sys = N.System.create ~nthreads:1 ~max_depth:4 in
-    let r1 = N.Register.create ~sys ~obj_id:1 ~nthreads:1 () in
-    let r2 = N.Register.create ~sys ~obj_id:2 ~nthreads:1 () in
-    (* Composite object 50: write (arg) to r1 and (arg2) to r2. *)
-    let order = ref [] in
-    N.System.register sys ~obj_id:50 ~recover:(fun ~tid frame ->
-        order := `Outer :: !order;
-        N.Register.write r1 ~tid frame.N.System.arg;
-        N.Register.write r2 ~tid frame.N.System.arg2;
-        0);
-    (* Track inner recoveries through wrappers. *)
-    N.System.register sys ~obj_id:1 ~recover:(fun ~tid frame ->
-        order := `Inner1 :: !order;
-        if N.Register.read r1 <> frame.N.System.arg then
-          N.Register.write r1 ~tid frame.N.System.arg;
-        0);
-    N.System.register sys ~obj_id:2 ~recover:(fun ~tid frame ->
-        order := `Inner2 :: !order;
-        if N.Register.read r2 <> frame.N.System.arg then
-          N.Register.write r2 ~tid frame.N.System.arg;
-        0);
+    let live = Heap.create () in
+    let (module L) = Sim.memory live in
+    let module L = Nested_world (L) in
+    Heap.log_persists live;
     let t () =
       ignore
-        (N.System.call sys ~tid:0 ~obj_id:50 ~opcode:9 ~arg:7 ~arg2:8 (fun () ->
-             N.Register.write r1 ~tid:0 7;
-             N.Register.write r2 ~tid:0 8;
+        (L.N.System.call L.sys ~tid:0 ~obj_id:50 ~opcode:9 ~arg:7 ~arg2:8
+           (fun () ->
+             L.N.Register.write L.r1 ~tid:0 7;
+             L.N.Register.write L.r2 ~tid:0 8;
              0))
     in
-    let outcome = Sim.run heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ] in
+    let outcome = Sim.run live ~crash:(Sim.Crash_at_step !step) ~threads:[ t ] in
     if not outcome.Sim.crashed then begin
-      Alcotest.(check int) "r1" 7 (N.Register.read r1);
-      Alcotest.(check int) "r2" 8 (N.Register.read r2);
+      Alcotest.(check int) "r1" 7 (L.N.Register.read L.r1);
+      Alcotest.(check int) "r2" 8 (L.N.Register.read L.r2);
       finished := true
     end
     else begin
-      Sim.apply_crash heap ~evict_p:0.5 ~seed:(700_000 + !step);
-      let recovered = N.System.recover_process sys ~tid:0 in
+      let heap = Heap.create () in
+      let (module M) = Sim.memory heap in
+      let module W = Nested_world (M) in
+      let module N = W.N in
+      Sim.restart live ~into:heap ~evict_p:0.5 ~seed:(700_000 + !step);
+      let recovered = N.System.recover_process W.sys ~tid:0 in
       if recovered <> [] then begin
         (* If both an inner and the outer frame were pending, the inner
            ran first. *)
-        (match List.rev !order with
+        (match List.rev !(W.order) with
         | `Outer :: rest ->
             Alcotest.(check bool) "outer recovered without pending inner" true
               (rest = [] || not (List.mem `Outer rest))
@@ -178,10 +214,10 @@ let test_nested_recovery_innermost_first () =
         then begin
           Alcotest.(check int)
             (Printf.sprintf "r1 complete (step %d)" !step)
-            7 (N.Register.read r1);
+            7 (N.Register.read W.r1);
           Alcotest.(check int)
             (Printf.sprintf "r2 complete (step %d)" !step)
-            8 (N.Register.read r2)
+            8 (N.Register.read W.r2)
         end
       end
     end;

@@ -4,6 +4,9 @@
 open Helpers
 module Cell = Dssq_pmem.Cell
 
+(* The crash in place: each dirty line survives when [evict lid]. *)
+let crash h ~evict = Heap.crash_into h ~into:h ~drains:[] ~evict
+
 let test_alloc_initial_persisted () =
   let h = Heap.create () in
   let c = Heap.alloc h ~name:(fun () -> "c") 7 in
@@ -34,7 +37,7 @@ let test_crash_drops_unflushed () =
   Heap.write h c1 10;
   Heap.write h c2 20;
   Heap.flush h c1;
-  Heap.crash h ~evict:(fun () -> false);
+  crash h ~evict:(fun _ -> false);
   Alcotest.(check int) "flushed survives" 10 (Heap.read h c1);
   Alcotest.(check int) "unflushed reverts" 2 (Heap.read h c2)
 
@@ -42,7 +45,7 @@ let test_crash_eviction_persists () =
   let h = Heap.create () in
   let c = Heap.alloc h 0 in
   Heap.write h c 5;
-  Heap.crash h ~evict:(fun () -> true);
+  crash h ~evict:(fun _ -> true);
   Alcotest.(check int) "evicted line persisted" 5 (Heap.read h c);
   Alcotest.(check int) "persisted too" 5 c.Cell.persisted
 
@@ -50,7 +53,7 @@ let test_crash_clears_dirty () =
   let h = Heap.create () in
   let c = Heap.alloc h 0 in
   Heap.write h c 5;
-  Heap.crash h ~evict:(fun () -> false);
+  crash h ~evict:(fun _ -> false);
   Alcotest.(check bool) "clean after crash" false (Cell.is_dirty c);
   Alcotest.(check int) "no dirty cells" 0 (Heap.dirty_count h)
 
@@ -67,18 +70,18 @@ let test_cas_marks_dirty () =
   let c = Heap.alloc h 3 in
   ignore (Heap.cas h c ~expected:3 ~desired:4);
   Alcotest.(check bool) "dirty after cas" true (Cell.is_dirty c);
-  Heap.crash h ~evict:(fun () -> false);
+  crash h ~evict:(fun _ -> false);
   Alcotest.(check int) "cas result dropped" 3 (Heap.read h c)
 
 let test_polymorphic_cells () =
   let h = Heap.create () in
   let c = Heap.alloc h None in
   Heap.write h c (Some "x");
-  Heap.crash h ~evict:(fun () -> false);
+  crash h ~evict:(fun _ -> false);
   Alcotest.(check bool) "boxed value reverts" true (Heap.read h c = None);
   Heap.write h c (Some "y");
   Heap.flush h c;
-  Heap.crash h ~evict:(fun () -> false);
+  crash h ~evict:(fun _ -> false);
   Alcotest.(check bool) "boxed value persisted" true (Heap.read h c = Some "y")
 
 let test_stats_counting () =
@@ -98,23 +101,25 @@ let test_stats_counting () =
   Heap.reset_stats h;
   Alcotest.(check int) "reset" 0 (Heap.stats h).Heap.reads
 
+(* A seeded crash in place ([Sim.restart heap ~into:heap]) at the two
+   extreme eviction probabilities. *)
 let test_crash_random_extremes () =
   let h = Heap.create () in
   let cells = List.init 10 (fun i -> Heap.alloc h i) in
   List.iter (fun c -> Heap.write h c 99) cells;
-  let rng = Random.State.make [| 1 |] in
-  Heap.crash_random h ~evict_p:1.0 ~rng;
+  Sim.restart h ~into:h ~evict_p:1.0 ~seed:1;
   List.iter
     (fun c -> Alcotest.(check int) "all evicted" 99 (Heap.read h c))
     cells;
   List.iter (fun c -> Heap.write h c 77) cells;
-  Heap.crash_random h ~evict_p:0.0 ~rng;
+  Sim.restart h ~into:h ~evict_p:0.0 ~seed:1;
   List.iter
     (fun c -> Alcotest.(check int) "none evicted" 99 (Heap.read h c))
     cells
 
-(* A fixed RNG seed must give the same evicted/lost verdict per cell on
-   every run — crash injection is reproducible from a reported seed. *)
+(* A fixed seed must give [Sim.restart] the same evicted/lost verdict per
+   cell on every run — crash injection is reproducible from a reported
+   seed. *)
 let test_crash_random_deterministic () =
   let run () =
     let h = Heap.create () in
@@ -123,8 +128,7 @@ let test_crash_random_deterministic () =
           Heap.alloc h ~name:(fun () -> Printf.sprintf "c%d" i) i)
     in
     List.iter (fun c -> Heap.write h c 1_000) cells;
-    let rng = Random.State.make [| 42 |] in
-    Heap.crash_random h ~evict_p:0.5 ~rng;
+    Sim.restart h ~into:h ~evict_p:0.5 ~seed:42;
     Alcotest.(check int) "heap clean after crash" 0 (Heap.dirty_count h);
     List.map (Heap.read h) cells
   in
@@ -216,7 +220,7 @@ let test_crash_evicts_line_as_unit () =
   (* One verdict per dirty line, drawn in most-recent-first cell order:
      the newer block's line gets the first draw. *)
   let draws = ref 0 in
-  Heap.crash h ~evict:(fun () ->
+  crash h ~evict:(fun _ ->
       incr draws;
       !draws = 1);
   Alcotest.(check int) "one draw per dirty line, not per cell" 2 !draws;
@@ -271,8 +275,7 @@ let prop_full_eviction_preserves_volatile =
     arb_heap_program (fun prog ->
       let h, cells = build_and_run prog in
       let before = Array.map (Heap.read h) cells in
-      let rng = Random.State.make [| 7 |] in
-      Heap.crash_random h ~evict_p:1.0 ~rng;
+      Sim.restart h ~into:h ~evict_p:1.0 ~seed:7;
       Array.for_all2
         (fun v c -> Heap.read h c = v && c.Cell.persisted = v)
         before cells
@@ -307,7 +310,7 @@ let prop_clean_flush_only_bumps_elision =
    own allocation list: random mixes of packed, isolated and block
    allocations, at the legacy word-granular size and at cache-line size,
    then random stores and a per-line crash.  The crash must ask for its
-   verdicts in most-recent-first dirty-cell order — the order seeded
+   verdicts once per line, in most-recent-first dirty-cell order — the order seeded
    crashes draw in — so the walk over the line table is pinned here. *)
 let arb_alloc_program =
   QCheck.make
@@ -371,7 +374,7 @@ let prop_dense_line_table =
       let rng = Random.State.make [| seed |] in
       let verdicts = Hashtbl.create 16 in
       let asked = ref [] in
-      Heap.crash_lines h ~evict:(fun lid ->
+      crash h ~evict:(fun lid ->
           asked := lid :: !asked;
           match Hashtbl.find_opt verdicts lid with
           | Some v -> v
@@ -379,8 +382,15 @@ let prop_dense_line_table =
               let v = Random.State.bool rng in
               Hashtbl.add verdicts lid v;
               v);
+      (* Asked once per dirty line, in first-dirty-cell order. *)
+      let first_seen =
+        List.fold_left
+          (fun acc lid -> if List.mem lid acc then acc else lid :: acc)
+          [] dirty_recent_first
+        |> List.rev
+      in
       members_match && dirty_lines_match
-      && List.rev !asked = dirty_recent_first
+      && List.rev !asked = first_seen
       && Heap.line_count h = List.length lines
       && List.for_all (fun l -> not (Line.is_dirty l)) lines
       && Heap.dirty_lines h = [])
@@ -390,7 +400,7 @@ let prop_dense_line_table =
    programs from three threads, at both line sizes and under every
    policy: [dirty_lines], [crash_candidate_lines] and [dirty_count] must
    equal the walk, and each line's dirty flag must be set exactly when a
-   member is dirty.  The program ends in a seeded [Heap.crash], whose
+   member is dirty.  The program ends in a seeded crash, whose
    draws must land on the dirty lines in the walk's order: line ids
    descending. *)
 type heap_step =
@@ -479,7 +489,7 @@ let prop_dirty_index =
             Heap.drain h
         | Adversary (tid, count) -> Heap.adversary_drain h ~tid ~count
         | Crash_step s ->
-            Heap.crash_lines h ~evict:(fun lid -> Hashtbl.hash (s, lid) land 1 = 0)
+            crash h ~evict:(fun lid -> Hashtbl.hash (s, lid) land 1 = 0)
       in
       let steps_agree =
         List.for_all
@@ -496,7 +506,7 @@ let prop_dirty_index =
       in
       let rng = Random.State.make [| seed |] in
       let draws = ref [] in
-      Heap.crash h ~evict:(fun () ->
+      crash h ~evict:(fun _ ->
           let v = Random.State.bool rng in
           draws := v :: !draws;
           v);

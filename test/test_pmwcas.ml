@@ -18,6 +18,7 @@ let make ?(nthreads = 2) ?(nwords = 16) () : pm =
   let (module M) = Sim.memory heap in
   let module P = Dssq_pmwcas.Pmwcas.Make (M) in
   let p = P.create ~nwords ~nthreads () in
+  Heap.log_persists heap;
   {
     heap;
     alloc = (fun v -> P.alloc p v);
@@ -165,71 +166,67 @@ let test_reader_never_sees_descriptor () =
 
 (* -------------------------- crash recovery --------------------------- *)
 
+let setup () = make ~nthreads:1 ()
+let pm_heap p = p.heap
+
 let test_crash_recovery_every_step () =
   (* Crash a 2-word pmwcas at every step, with full and zero eviction;
      after recovery both words agree: either both old or both new. *)
   List.iter
     (fun evict_p ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let p = make ~nthreads:1 () in
-        let a = p.alloc 0 and b = p.alloc 0 in
-        let t () = ignore (p.pmwcas ~tid:0 [ (a, 0, 1, `Shared); (b, 0, 1, `Shared) ]) in
-        let outcome =
-          Sim.run p.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then finished := true
-        else begin
-          Sim.apply_crash p.heap ~evict_p ~seed:(4000 + !step);
-          p.recover ();
-          let va = p.read ~tid:0 a and vb = p.read ~tid:0 b in
-          Alcotest.(check bool)
-            (Printf.sprintf "atomic after crash at step %d (evict %.1f)" !step
-               evict_p)
-            true
-            ((va = 0 && vb = 0) || (va = 1 && vb = 1))
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes ~setup ~heap:pm_heap ~evict_p
+           ~seed:(fun step -> 4000 + step)
+           (fun ~step p ->
+             let a = p.alloc 0 and b = p.alloc 0 in
+             let t () =
+               ignore (p.pmwcas ~tid:0 [ (a, 0, 1, `Shared); (b, 0, 1, `Shared) ])
+             in
+             ( [ t ],
+               fun _ -> function
+                 | None -> ()
+                 | Some p ->
+                     p.recover ();
+                     let va = p.read ~tid:0 a and vb = p.read ~tid:0 b in
+                     Alcotest.(check bool)
+                       (Printf.sprintf "atomic after crash at step %d (evict %.1f)"
+                          step evict_p)
+                       true
+                       ((va = 0 && vb = 0) || (va = 1 && vb = 1)) )))
     [ 0.0; 1.0; 0.5 ]
 
 let test_crash_recovery_private_word () =
   List.iter
     (fun evict_p ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let p = make ~nthreads:1 () in
-        let a = p.alloc 0 and priv = p.alloc 0 in
-        let t () =
-          ignore (p.pmwcas ~tid:0 [ (a, 0, 1, `Shared); (priv, 0, 1, `Private) ])
-        in
-        let outcome =
-          Sim.run p.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then finished := true
-        else begin
-          Sim.apply_crash p.heap ~evict_p ~seed:(5000 + !step);
-          p.recover ();
-          let va = p.read ~tid:0 a and vp = p.read ~tid:0 priv in
-          Alcotest.(check bool)
-            (Printf.sprintf
-               "private word atomic with shared after crash at %d" !step)
-            true
-            ((va = 0 && vp = 0) || (va = 1 && vp = 1))
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes ~setup ~heap:pm_heap ~evict_p
+           ~seed:(fun step -> 5000 + step)
+           (fun ~step p ->
+             let a = p.alloc 0 and priv = p.alloc 0 in
+             let t () =
+               ignore
+                 (p.pmwcas ~tid:0 [ (a, 0, 1, `Shared); (priv, 0, 1, `Private) ])
+             in
+             ( [ t ],
+               fun _ -> function
+                 | None -> ()
+                 | Some p ->
+                     p.recover ();
+                     let va = p.read ~tid:0 a and vp = p.read ~tid:0 priv in
+                     Alcotest.(check bool)
+                       (Printf.sprintf
+                          "private word atomic with shared after crash at %d" step)
+                       true
+                       ((va = 0 && vp = 0) || (va = 1 && vp = 1)) )))
     [ 0.0; 1.0 ]
 
 let test_recovery_is_idempotent () =
-  let p = make ~nthreads:1 () in
+  let p = setup () in
   let a = p.alloc 0 and b = p.alloc 0 in
   let t () = ignore (p.pmwcas ~tid:0 [ (a, 0, 1, `Shared); (b, 0, 1, `Shared) ]) in
   let outcome = Sim.run p.heap ~crash:(Sim.Crash_at_step 12) ~threads:[ t ] in
   Alcotest.(check bool) "crashed mid-operation" true outcome.Sim.crashed;
-  Sim.apply_crash p.heap ~evict_p:0.5 ~seed:99;
+  let p = restart ~setup ~heap:pm_heap p ~evict_p:0.5 ~seed:99 in
   p.recover ();
   let va = p.read ~tid:0 a and vb = p.read ~tid:0 b in
   p.recover ();

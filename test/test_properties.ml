@@ -167,7 +167,8 @@ let prop_crash_recovery_linearizable =
   in
   QCheck.Test.make ~count:150 ~name:"random crash: strictly linearizable" arb
     (fun (crash_step, seed, evict_p, preload) ->
-      let q = make_dss_queue ~nthreads:2 ~capacity:64 () in
+      let setup () = make_dss_queue ~nthreads:2 ~capacity:64 () in
+      let q = setup () in
       let rec_ = Recorder.create () in
       for i = 1 to preload do
         Record.enqueue rec_ q ~tid:0 i
@@ -188,13 +189,17 @@ let prop_crash_recovery_linearizable =
           ~crash:(Sim.Crash_at_step crash_step)
           ~threads:programs
       in
-      if outcome.Sim.crashed then begin
-        Recorder.crash rec_;
-        Sim.apply_crash q.heap ~evict_p ~seed:(seed + 1);
-        q.recover ();
-        Record.resolve rec_ q ~tid:0;
-        Record.resolve rec_ q ~tid:1
-      end;
+      let q =
+        if not outcome.Sim.crashed then q
+        else begin
+          Recorder.crash rec_;
+          let q = restart ~setup ~heap:dq_heap q ~evict_p ~seed:(seed + 1) in
+          q.recover ();
+          Record.resolve rec_ q ~tid:0;
+          Record.resolve rec_ q ~tid:1;
+          q
+        end
+      in
       let rec drain guard =
         if guard = 0 then ()
         else
@@ -576,39 +581,53 @@ let prop_combine_matches_eager =
     arb
     (fun (ops, crash_at, after_prep, evict_p) ->
       let run ~combine =
-        let heap = Heap.create ~combine () in
-        let (module M) = Sim.memory heap in
-        let module O = Dssq_core.Dss_swap.Make (M) in
-        let o = O.create ~combine ~nthreads:2 () in
+        (* One world: the swap object, its operations as closures.  A
+           crash restarts cold, into a fresh world. *)
+        let world () =
+          let heap = Heap.create ~combine () in
+          let (module M) = Sim.memory heap in
+          let module O = Dssq_core.Dss_swap.Make (M) in
+          let o = O.create ~combine ~nthreads:2 () in
+          Heap.log_persists heap;
+          let exec ~tid =
+            let (Sw.Value v) = O.exec o ~tid in
+            v
+          in
+          let resolved ~tid =
+            ( Format.asprintf "%a" O.pp_resolved (O.resolve o ~tid),
+              match O.resolve o ~tid with Pending _ -> true | _ -> false )
+          in
+          (heap, O.prep o, exec, resolved, (fun () -> O.recover o), fun () ->
+            O.peek o)
+        in
+        let live = ref (world ()) in
         let obs = ref [] in
         let note x = obs := x :: !obs in
-        let resolved ~tid =
-          Format.asprintf "%a" O.pp_resolved (O.resolve o ~tid)
-        in
         let crash () =
-          Sim.apply_crash heap ~evict_p ~seed:42;
-          O.recover o;
+          let heap, _, _, _, _, _ = !live in
+          let ((heap', _, exec, resolved, recover, _) as fresh) = world () in
+          Sim.restart heap ~into:heap' ~evict_p ~seed:42;
+          live := fresh;
+          recover ();
           for tid = 0 to 1 do
-            note (resolved ~tid);
-            match O.resolve o ~tid with
-            | Pending _ ->
-                let (Sw.Value v) = O.exec o ~tid in
-                note (Printf.sprintf "retry:%d" v)
-            | _ -> ()
+            let verdict, pending = resolved ~tid in
+            note verdict;
+            if pending then note (Printf.sprintf "retry:%d" (exec ~tid))
           done
         in
         List.iteri
           (fun i (tid, op) ->
             let boundary = i = crash_at in
-            O.prep o ~tid op;
+            let _, prep, exec, _, _, _ = !live in
+            prep ~tid op;
             if boundary && after_prep then crash ()
             else begin
-              let (Sw.Value v) = O.exec o ~tid in
-              note (Printf.sprintf "resp:%d" v);
+              note (Printf.sprintf "resp:%d" (exec ~tid));
               if boundary then crash ()
             end)
           ops;
-        note (Printf.sprintf "final:%d" (O.peek o));
+        let _, _, _, _, _, peek = !live in
+        note (Printf.sprintf "final:%d" (peek ()));
         List.rev !obs
       in
       run ~combine:false = run ~combine:true)

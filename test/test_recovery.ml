@@ -74,23 +74,34 @@ let test_log_then_link () =
 
 (* ---------------------- system-level reattach ------------------------- *)
 
-(* A crashed dss-queue comes back through the one system entry point:
-   WAL replayed, root directory re-attached, recover run, audit clean. *)
-let test_reattach_end_to_end () =
+(* A dss-queue rooted in a recovery system: one world, set up the same
+   way every time.  A crash restarts cold, into a fresh one. *)
+let queue_system ?reclaim ~nthreads ~lane_capacity ~init_nodes ~capacity () =
   let heap = Heap.create ~line_size:8 () in
   let (module M) = Sim.memory heap in
   let module R = Dssq_workload.Registry.Make (M) in
-  let sys = R.Sys.create ~nthreads:1 ~wal_lane_capacity:128 () in
+  let sys = R.Sys.create ~nthreads ~wal_lane_capacity:lane_capacity () in
   let ops =
-    R.setup ~system:sys ~mk:"dss-queue" ~init_nodes:2
-      (Queue_intf.config ~nthreads:1 ~capacity:64 ())
+    R.setup ~system:sys ~mk:"dss-queue" ~init_nodes
+      (Queue_intf.config ?reclaim ~nthreads ~capacity ())
   in
+  Heap.log_persists heap;
+  (heap, ops, fun () -> R.Sys.reattach sys)
+
+(* A crashed dss-queue comes back through the one system entry point:
+   WAL replayed, root directory re-attached, recover run, audit clean. *)
+let test_reattach_end_to_end () =
+  let world =
+    queue_system ~nthreads:1 ~lane_capacity:128 ~init_nodes:2 ~capacity:64
+  in
+  let live, ops, _ = world () in
   for i = 1 to 20 do
     ops.Queue_intf.d_enqueue ~tid:0 (100 + i);
     if i mod 2 = 0 then ignore (ops.Queue_intf.d_dequeue ~tid:0)
   done;
-  Sim.apply_crash heap ~evict_p:0.5 ~seed:3;
-  let rep = R.Sys.reattach sys in
+  let heap, ops, reattach = world () in
+  Sim.restart live ~into:heap ~evict_p:0.5 ~seed:3;
+  let rep = reattach () in
   Alcotest.(check int) "zero leaked nodes" 0 rep.Recovery.leaked_total;
   Alcotest.(check int) "one root attached" 1 rep.Recovery.roots_attached;
   Alcotest.(check (list string))
@@ -101,7 +112,9 @@ let test_reattach_end_to_end () =
       rep.Recovery.replayed;
   (* reattach truncated the log: a fresh crash replays only new intents *)
   ops.Queue_intf.d_enqueue ~tid:0 999;
-  let rep2 = R.Sys.reattach sys in
+  let heap', ops, reattach = world () in
+  Sim.restart heap ~into:heap' ~evict_p:0.5 ~seed:4;
+  let rep2 = reattach () in
   Alcotest.(check int) "zero leaks after second crash" 0
     rep2.Recovery.leaked_total;
   if rep2.Recovery.replayed >= rep.Recovery.replayed then
@@ -117,7 +130,8 @@ let test_reattach_end_to_end () =
   let drained = drain [] in
   if not (List.mem 7 drained) then
     Alcotest.failf "post-recovery enqueue lost (drained %d values)"
-      (List.length drained)
+      (List.length drained);
+  Alcotest.(check bool) "999 survived both crashes" true (List.mem 999 drained)
 
 (* Random programs: whatever the pre-crash history, reattach reports
    zero leaks, every drained value was enqueued, and no value is
@@ -132,14 +146,10 @@ let prop_reattach_no_leaks =
                (List.map (function true -> "E" | false -> "D") ops))
            Gen.(list_size (int_range 1 40) bool)))
     (fun (seed, prog) ->
-      let heap = Heap.create ~line_size:8 () in
-      let (module M) = Sim.memory heap in
-      let module R = Dssq_workload.Registry.Make (M) in
-      let sys = R.Sys.create ~nthreads:1 ~wal_lane_capacity:256 () in
-      let ops =
-        R.setup ~system:sys ~mk:"dss-queue" ~init_nodes:0
-          (Queue_intf.config ~nthreads:1 ~capacity:64 ())
+      let world =
+        queue_system ~nthreads:1 ~lane_capacity:256 ~init_nodes:0 ~capacity:64
       in
+      let live, ops, _ = world () in
       let enqueued = ref [] in
       let dequeued = ref [] in
       let next = ref 0 in
@@ -155,8 +165,9 @@ let prop_reattach_no_leaks =
             | v when v = Queue_intf.empty_value -> ()
             | v -> dequeued := v :: !dequeued)
         prog;
-      Sim.apply_crash heap ~evict_p:0.5 ~seed;
-      let rep = R.Sys.reattach sys in
+      let heap, ops, reattach = world () in
+      Sim.restart live ~into:heap ~evict_p:0.5 ~seed;
+      let rep = reattach () in
       let rec drain acc =
         match ops.Queue_intf.dequeue ~tid:0 with
         | v when v = Queue_intf.empty_value -> acc
@@ -172,14 +183,11 @@ let prop_reattach_no_leaks =
    in-flight count: the free is logged on the freeing thread's lane, so
    the count must key on the node, not on the lane. *)
 let test_in_flight_cross_thread_free () =
-  let heap = Heap.create ~line_size:8 () in
-  let (module M) = Sim.memory heap in
-  let module R = Dssq_workload.Registry.Make (M) in
-  let sys = R.Sys.create ~nthreads:2 ~wal_lane_capacity:128 () in
-  let ops =
-    R.setup ~system:sys ~mk:"dss-queue" ~init_nodes:0
-      (Queue_intf.config ~reclaim:true ~nthreads:2 ~capacity:32 ())
+  let world =
+    queue_system ~reclaim:true ~nthreads:2 ~lane_capacity:128 ~init_nodes:0
+      ~capacity:32
   in
+  let live, ops, _ = world () in
   for i = 1 to 24 do
     ops.Queue_intf.enqueue ~tid:0 i;
     ignore (ops.Queue_intf.dequeue ~tid:1 : int)
@@ -190,8 +198,9 @@ let test_in_flight_cross_thread_free () =
      23 frees t1 logged cancelled none of t0's 25 intents. *)
   let outside = 32 - List.assoc "pool_free" (ops.Queue_intf.stats ()) in
   Alcotest.(check int) "nodes outside the free lists" 2 outside;
-  Sim.apply_crash heap ~evict_p:0. ~seed:1;
-  let rep = R.Sys.reattach sys in
+  let heap, _, reattach = world () in
+  Sim.restart live ~into:heap ~evict_p:0. ~seed:1;
+  let rep = reattach () in
   Alcotest.(check int) "zero leaks" 0 rep.Recovery.leaked_total;
   Alcotest.(check int) "exact in-flight count" outside rep.Recovery.in_flight
 
@@ -204,81 +213,95 @@ let test_in_flight_cross_thread_free () =
 let test_rebuild_elision_durable () =
   let module Policy = Dssq_memory.Memory_intf.Policy in
   let run ~obj policy =
-    let heap = Heap.create ~line_size:8 ~policy () in
-    let (module M) = Sim.memory heap in
-    let module Sys = Recovery.Make (M) in
-    let module Q = Dssq_core.Dss_queue.Make (M) in
-    let module S = Dssq_core.Dss_stack.Make (M) in
     let what = obj ^ "/" ^ Policy.to_string policy in
-    let sys = Sys.create ~nthreads:2 ~wal_lane_capacity:128 () in
-    let wal = Sys.wal sys and pool_id = Sys.fresh_pool_id sys in
     let combine = policy = Policy.Combine in
-    (* the pool, the two clients' pairs, recover and audit *)
-    let pool, client, recover, audit =
-      if obj = "queue" then
-        let q = Q.create ~wal ~pool_id ~combine ~nthreads:2 ~capacity:24 () in
-        for v = 1 to 6 do
-          Q.enqueue q ~tid:0 v
-        done;
-        ( Q.pool q,
-          (fun tid v ->
-            Q.prep_enqueue q ~tid v;
-            Q.exec_enqueue q ~tid;
-            Q.prep_dequeue q ~tid;
-            ignore (Q.exec_dequeue q ~tid : int)),
-          (fun () -> Q.recover q),
-          fun () -> Q.audit q )
-      else
-        let s = S.create ~wal ~pool_id ~combine ~nthreads:2 ~capacity:24 () in
-        for v = 1 to 6 do
-          S.push s ~tid:0 v
-        done;
-        ( S.pool s,
-          (fun tid v ->
-            S.prep_push s ~tid v;
-            S.exec_push s ~tid;
-            S.prep_pop s ~tid;
-            ignore (S.exec_pop s ~tid : int)),
-          (fun () -> S.recover s),
-          fun () -> S.audit s )
-    in
-    ignore
-      (Sys.register sys ~name:obj
-         ~audit:(fun () -> Recovery.audit_of_pool (audit ()))
-         recover
-        : int);
+    (* One world; each crash restarts cold, into a fresh one. *)
+    let module World (M : Dssq_memory.Memory_intf.S) = struct
+      module Sys = Recovery.Make (M)
+      module Q = Dssq_core.Dss_queue.Make (M)
+      module S = Dssq_core.Dss_stack.Make (M)
+
+      let sys = Sys.create ~nthreads:2 ~wal_lane_capacity:128 ()
+      let wal = Sys.wal sys and pool_id = Sys.fresh_pool_id sys
+
+      (* the pool, the two clients' pairs, recover and audit *)
+      let pool, client, recover, audit =
+        if obj = "queue" then
+          let q = Q.create ~wal ~pool_id ~combine ~nthreads:2 ~capacity:24 () in
+          for v = 1 to 6 do
+            Q.enqueue q ~tid:0 v
+          done;
+          ( Q.pool q,
+            (fun tid v ->
+              Q.prep_enqueue q ~tid v;
+              Q.exec_enqueue q ~tid;
+              Q.prep_dequeue q ~tid;
+              ignore (Q.exec_dequeue q ~tid : int)),
+            (fun () -> Q.recover q),
+            fun () -> Q.audit q )
+        else
+          let s = S.create ~wal ~pool_id ~combine ~nthreads:2 ~capacity:24 () in
+          for v = 1 to 6 do
+            S.push s ~tid:0 v
+          done;
+          ( S.pool s,
+            (fun tid v ->
+              S.prep_push s ~tid v;
+              S.exec_push s ~tid;
+              S.prep_pop s ~tid;
+              ignore (S.exec_pop s ~tid : int)),
+            (fun () -> S.recover s),
+            fun () -> S.audit s )
+
+      let () =
+        ignore
+          (Sys.register sys ~name:obj
+             ~audit:(fun () -> Recovery.audit_of_pool (audit ()))
+             recover
+            : int)
+    end in
+    let live = Heap.create ~line_size:8 ~policy () in
+    let (module L) = Sim.memory live in
+    let module L = World (L) in
+    Heap.log_persists live;
     let threads =
       List.init 2 (fun tid () ->
           for i = 1 to 4 do
-            client tid ((10 * tid) + i)
+            L.client tid ((10 * tid) + i)
           done)
     in
     ignore
-      (Sim.run heap ~policy:(Sim.Random_seed 3) ~crash:(Sim.Crash_at_step 90)
+      (Sim.run live ~policy:(Sim.Random_seed 3) ~crash:(Sim.Crash_at_step 90)
          ~threads
         : Sim.outcome);
-    Sim.apply_crash heap ~evict_p:0.5 ~seed:5;
-    let rep = Sys.reattach sys in
+    let heap = Heap.create ~line_size:8 ~policy () in
+    let (module B) = Sim.memory heap in
+    let module B = World (B) in
+    Sim.restart live ~into:heap ~evict_p:0.5 ~seed:5;
+    let rep = B.Sys.reattach B.sys in
     Alcotest.(check int) (what ^ ": zero leaks") 0 rep.Recovery.leaked_total;
-    Sim.apply_crash heap ~evict_p:0. ~seed:0;
     let free =
       Array.fold_left
         (fun acc l -> Dssq_memory.Memory_intf.Padded.get l @ acc)
-        [] pool.Q.Pool.free_lists
+        [] B.pool.B.Q.Pool.free_lists
     in
     if free = [] then Alcotest.failf "%s: no free nodes to check" what;
+    let heap' = Heap.create ~line_size:8 ~policy () in
+    let (module M) = Sim.memory heap' in
+    let module C = World (M) in
+    Sim.restart heap ~into:heap' ~evict_p:0. ~seed:0;
     List.iter
       (fun i ->
         Alcotest.(check int)
           (Printf.sprintf "%s: node %d persisted deq_tid" what i)
           (-1)
-          (M.read (Q.Pool.deq_tid pool i));
+          (M.read (C.Q.Pool.deq_tid C.pool i));
         Alcotest.(check int)
           (Printf.sprintf "%s: node %d persisted next" what i)
           Dssq_core.Tagged.null
-          (M.read (Q.Pool.next pool i)))
+          (M.read (C.Q.Pool.next C.pool i)))
       free;
-    let rep2 = Sys.reattach sys in
+    let rep2 = C.Sys.reattach C.sys in
     Alcotest.(check int) (what ^ ": zero leaks after the second crash") 0
       rep2.Recovery.leaked_total
   in

@@ -19,6 +19,7 @@ let make ~nthreads () : lk =
   let (module M) = Sim.memory heap in
   let module L = Dssq_core.Rme_lock.Make (M) in
   let l = L.create ~nthreads () in
+  Heap.log_persists heap;
   {
     heap;
     acquire = (fun ~tid -> L.acquire l ~tid);
@@ -83,33 +84,34 @@ let test_crash_recovery_ownership () =
   (* Crash at every step of acquire-CS-release: recover reports Held
      exactly when the lock word says so, and releasing un-wedges the
      lock for everyone else. *)
-  let finished = ref false in
-  let step = ref 0 in
-  while not !finished do
-    let l = make ~nthreads:2 () in
-    let t () =
-      l.acquire ~tid:0;
-      l.release ~tid:0
-    in
-    let outcome = Sim.run l.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ] in
-    if not outcome.Sim.crashed then finished := true
-    else begin
-      Sim.apply_crash l.heap ~evict_p:0.5 ~seed:(900_000 + !step);
-      (match l.recover ~tid:0 with
-      | `Held ->
-          Alcotest.(check (option int)) "word agrees" (Some 0) (l.holder ());
-          l.release ~tid:0
-      | `Not_held ->
-          Alcotest.(check bool) "word agrees" true (l.holder () <> Some 0));
-      (* No deadlock: someone else can take the lock now. *)
-      Alcotest.(check bool)
-        (Printf.sprintf "lock available after recovery (step %d)" !step)
-        true
-        (l.try_acquire ~tid:1);
-      l.release ~tid:1
-    end;
-    incr step
-  done
+  ignore
+  @@ sweep_crashes
+       ~setup:(fun () -> make ~nthreads:2 ())
+       ~heap:(fun l -> l.heap) ~evict_p:0.5
+       ~seed:(fun step -> 900_000 + step)
+       (fun ~step l ->
+         let t () =
+           l.acquire ~tid:0;
+           l.release ~tid:0
+         in
+         ( [ t ],
+           fun _ -> function
+             | None -> ()
+             | Some l ->
+                 (match l.recover ~tid:0 with
+                 | `Held ->
+                     Alcotest.(check (option int)) "word agrees" (Some 0)
+                       (l.holder ());
+                     l.release ~tid:0
+                 | `Not_held ->
+                     Alcotest.(check bool) "word agrees" true
+                       (l.holder () <> Some 0));
+                 (* No deadlock: someone else can take the lock now. *)
+                 Alcotest.(check bool)
+                   (Printf.sprintf "lock available after recovery (step %d)" step)
+                   true
+                   (l.try_acquire ~tid:1);
+                 l.release ~tid:1 ))
 
 let test_protected_invariant_across_crashes () =
   (* The classic RME workload: a lock-protected non-atomic counter
@@ -117,11 +119,27 @@ let test_protected_invariant_across_crashes () =
      holder recovers, repairs the counter idempotently and releases.
      The invariant: the counter equals the number of completed
      increments, and never tears. *)
-  let heap = Heap.create () in
-  let (module M) = Sim.memory heap in
-  let module L = Dssq_core.Rme_lock.Make (M) in
-  let l = L.create ~nthreads:2 () in
-  let counter = M.alloc ~name:(fun () -> "protected") 0 in
+  (* One world: the lock and the counter it protects, as closures.  A
+     crash restarts cold, into a fresh world. *)
+  let world () =
+    let heap = Heap.create () in
+    let (module M) = Sim.memory heap in
+    let module L = Dssq_core.Rme_lock.Make (M) in
+    let l = L.create ~nthreads:2 () in
+    let counter = M.alloc ~name:(fun () -> "protected") 0 in
+    Heap.log_persists heap;
+    let store v =
+      M.write counter v;
+      M.flush counter
+    in
+    ( heap,
+      L.acquire l,
+      L.release l,
+      L.recover l,
+      (fun () -> M.read counter),
+      store )
+  in
+  let live = ref (world ()) in
   let completed = Array.make 2 0 in
   let intent = Array.make 2 (-1) in
   (* target value each thread is installing; volatile *)
@@ -130,16 +148,16 @@ let test_protected_invariant_across_crashes () =
   let epoch = ref 0 in
   while completed.(0) + completed.(1) < total_target do
     incr epoch;
+    let heap, acquire, release, _, read, store = !live in
     let worker ~tid () =
       while completed.(0) + completed.(1) < total_target do
-        L.acquire l ~tid;
-        let v = M.read counter in
+        acquire ~tid;
+        let v = read () in
         intent.(tid) <- v + 1;
-        M.write counter (v + 1);
-        M.flush counter;
+        store (v + 1);
         completed.(tid) <- completed.(tid) + 1;
         intent.(tid) <- -1;
-        L.release l ~tid;
+        release ~tid;
         Sim.yield heap
       done
     in
@@ -151,28 +169,28 @@ let test_protected_invariant_across_crashes () =
     in
     if outcome.Sim.crashed then begin
       incr crashes;
-      Sim.apply_crash heap ~evict_p:0.5 ~seed:!epoch;
+      let ((heap', _, release, recover, read, store) as fresh) = world () in
+      Sim.restart heap ~into:heap' ~evict_p:0.5 ~seed:!epoch;
+      live := fresh;
       for tid = 0 to 1 do
-        match L.recover l ~tid with
+        match recover ~tid with
         | `Held ->
             (* Recovery section: finish the interrupted increment
                idempotently, then release. *)
             (if intent.(tid) <> -1 then begin
-               if M.read counter < intent.(tid) then begin
-                 M.write counter intent.(tid);
-                 M.flush counter
-               end;
+               if read () < intent.(tid) then store intent.(tid);
                completed.(tid) <- completed.(tid) + 1;
                intent.(tid) <- -1
              end);
-            L.release l ~tid
+            release ~tid
         | `Not_held -> intent.(tid) <- -1
       done
     end
   done;
+  let _, _, _, _, read, _ = !live in
   Alcotest.(check int) "counter = completed increments"
     (completed.(0) + completed.(1))
-    (M.read counter);
+    (read ());
   Alcotest.(check bool) "survived some crashes" true (!crashes >= 0)
 
 let suite =

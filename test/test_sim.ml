@@ -63,7 +63,7 @@ let test_direct_mode_outside_run () =
       |> List.map (fun (Cell.Packed c) -> (c.Cell.id, Cell.name c, c.Cell.dirty))
     in
     let volatile = List.map M.read cells in
-    Heap.crash_lines heap ~evict:(fun _ -> false);
+    Heap.crash_into heap ~into:heap ~drains:[] ~evict:(fun _ -> false);
     (counters, tags, volatile, List.map M.read cells, List.rev !events)
   in
   List.iter
@@ -136,19 +136,25 @@ let test_cas_through_sim () =
   Alcotest.(check int) "exactly one cas wins" 1 !winners
 
 let test_crash_at_step () =
-  let heap, (module M) = with_mem () in
-  let c = M.alloc 0 in
-  let body () =
-    M.write c 1;
-    M.flush c;
-    M.write c 2;
-    M.flush c
+  let world () =
+    let heap, (module M) = with_mem () in
+    let c = M.alloc 0 in
+    Heap.log_persists heap;
+    let body () =
+      M.write c 1;
+      M.flush c;
+      M.write c 2;
+      M.flush c
+    in
+    (heap, body, fun () -> M.read c)
   in
+  let heap, body, _ = world () in
   (* Steps: 0:start->write pending... crash before the second flush. *)
   let outcome = Sim.run heap ~crash:(Sim.Crash_at_step 3) ~threads:[ body ] in
   Alcotest.(check bool) "crashed" true outcome.Sim.crashed;
-  Sim.apply_crash heap ~evict_p:0.0 ~seed:1;
-  Alcotest.(check int) "only first write persisted" 1 (M.read c)
+  let heap', _, read = world () in
+  Sim.restart heap ~into:heap' ~evict_p:0.0 ~seed:1;
+  Alcotest.(check int) "only first write persisted" 1 (read ())
 
 let test_crash_kills_all_threads () =
   let heap, (module M) = with_mem () in
@@ -371,6 +377,44 @@ let test_step_record () =
            changed ))
        !steps)
 
+(* A restart into a fresh world marks it and logs the lines it loads,
+   so a second restart from that world keeps the first one's image:
+   A -> B -> C, with B writing between the two restarts, and C reads
+   B's image, not the set-up state. *)
+let test_chained_restarts () =
+  let world () =
+    let heap = Heap.create () in
+    let cells = Array.init 8 (fun i -> Heap.alloc heap i) in
+    Heap.log_persists heap;
+    (heap, cells)
+  in
+  let a, ca = world () in
+  (* A: every cell written, the even ones flushed. *)
+  Array.iteri
+    (fun i c ->
+      Heap.write a c (100 + i);
+      if i mod 2 = 0 then Heap.flush a c)
+    ca;
+  let b, cb = world () in
+  Sim.restart a ~into:b ~evict_p:0.0 ~seed:1;
+  (* B: cell 1 written and flushed, cell 2 written and left dirty. *)
+  Heap.write b cb.(1) 201;
+  Heap.flush b cb.(1);
+  Heap.write b cb.(2) 202;
+  let c, cc = world () in
+  Sim.restart b ~into:c ~evict_p:0.0 ~seed:2;
+  let expected i =
+    if i = 1 then 201 else if i mod 2 = 0 then 100 + i else i
+  in
+  Array.iteri
+    (fun i cell ->
+      Alcotest.(check int) (Printf.sprintf "C reads B's image, cell %d" i)
+        (expected i) (Heap.read c cell);
+      Alcotest.(check int) (Printf.sprintf "cell %d persisted" i) (expected i)
+        cell.Dssq_pmem.Cell.persisted)
+    cc;
+  Alcotest.(check (list int)) "C is clean" [] (Heap.dirty_lines c)
+
 let suite =
   [
     Alcotest.test_case "direct mode outside run" `Quick
@@ -399,4 +443,6 @@ let suite =
       test_explore_crashes_branch;
     Alcotest.test_case "step record: kind, line and what changed" `Quick
       test_step_record;
+    Alcotest.test_case "restart: a chained restart keeps the image" `Quick
+      test_chained_restarts;
   ]

@@ -89,7 +89,7 @@ let test_heap_emission_and_crash_verdicts () =
   ignore (Heap.read h a);
   ignore (Heap.cas h a ~expected:1 ~desired:3) (* a dirty again *);
   Heap.fence h;
-  Heap.crash h ~evict:(fun () -> true);
+  Heap.crash_into h ~into:h ~drains:[] ~evict:(fun _ -> true);
   Trace.stop ();
   let es = events t in
   (match
@@ -122,30 +122,44 @@ let test_heap_emission_and_crash_verdicts () =
 (* The acceptance workload: a crash-injecting simulated run followed by
    recovery and resolve, traced end to end. *)
 let run_crashy_workload () =
-  let heap = Heap.create () in
-  let (module M) = Sim.memory heap in
-  let module Q = Dssq_core.Dss_queue.Make (M) in
-  let q = Q.create ~nthreads:2 ~capacity:64 () in
-  List.iter (fun v -> Q.enqueue q ~tid:0 v) [ 1; 2 ];
+  let module World (M : Dssq_memory.Memory_intf.S) = struct
+    module Q = Dssq_core.Dss_queue.Make (M)
+
+    let q = Q.create ~nthreads:2 ~capacity:64 ()
+    let () = List.iter (fun v -> Q.enqueue q ~tid:0 v) [ 1; 2 ]
+  end in
+  let live = Heap.create () in
+  let (module L) = Sim.memory live in
+  let module L = World (L) in
+  Heap.log_persists live;
   let t = Trace.start () in
-  Heap.fence heap;
+  Heap.fence live;
   let enq () =
-    Q.prep_enqueue q ~tid:0 7;
-    Q.exec_enqueue q ~tid:0
+    L.Q.prep_enqueue L.q ~tid:0 7;
+    L.Q.exec_enqueue L.q ~tid:0
   in
   let deq () =
-    Q.prep_dequeue q ~tid:1;
-    ignore (Q.exec_dequeue q ~tid:1)
+    L.Q.prep_dequeue L.q ~tid:1;
+    ignore (L.Q.exec_dequeue L.q ~tid:1)
   in
   let outcome =
-    Sim.run heap ~policy:(Sim.Random_seed 3) ~crash:(Sim.Crash_at_step 20)
+    Sim.run live ~policy:(Sim.Random_seed 3) ~crash:(Sim.Crash_at_step 20)
       ~threads:[ enq; deq ]
   in
   Alcotest.(check bool) "the run crashed" true outcome.Sim.crashed;
-  Sim.apply_crash heap ~evict_p:0.5 ~seed:3;
-  Q.recover q;
-  ignore (Q.resolve q ~tid:0);
-  ignore (Q.resolve q ~tid:1);
+  (* Restart cold: a fresh set-up, untraced, loaded with the crash's
+     image. *)
+  let heap = Heap.create () in
+  let (module M) = Sim.memory heap in
+  let recover, resolve =
+    Trace.muted (fun () ->
+        let module W = World (M) in
+        ((fun () -> W.Q.recover W.q), fun ~tid -> W.Q.resolve W.q ~tid))
+  in
+  Sim.restart live ~into:heap ~evict_p:0.5 ~seed:3;
+  recover ();
+  ignore (resolve ~tid:0);
+  ignore (resolve ~tid:1);
   Trace.stop ();
   t
 

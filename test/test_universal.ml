@@ -20,6 +20,7 @@ let make_u ~nthreads ~capacity spec =
   let (module M) = Sim.memory heap in
   let module U = Dssq_universal.Universal.Make (M) in
   let u = U.create ~nthreads ~capacity spec in
+  Heap.log_persists heap;
   {
     heap;
     prep = (fun ~tid op -> U.prep u ~tid op);
@@ -90,42 +91,40 @@ let test_crash_every_step () =
      exactly-once semantics. *)
   List.iter
     (fun evict_p ->
-      let finished = ref false in
-      let step = ref 0 in
-      while not !finished do
-        let u = make_u ~nthreads:1 ~capacity:64 (Cnt.spec ()) in
-        let t () =
-          u.prep ~tid:0 Cnt.Increment;
-          ignore (u.exec ~tid:0 Cnt.Increment)
-        in
-        let outcome =
-          Sim.run u.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ]
-        in
-        if not outcome.Sim.crashed then finished := true
-        else begin
-          Sim.apply_crash u.heap ~evict_p ~seed:!step;
-          (match u.resolve ~tid:0 with
-          | Some Cnt.Increment, Some Cnt.Ok -> ()
-          | Some Cnt.Increment, None -> ignore (u.exec ~tid:0 Cnt.Increment)
-          | None, None ->
-              u.prep ~tid:0 Cnt.Increment;
-              ignore (u.exec ~tid:0 Cnt.Increment)
-          | _ -> Alcotest.fail "unexpected resolution");
-          Alcotest.(check bool)
-            (Printf.sprintf "exactly one increment (step %d)" !step)
-            true
-            (u.apply ~tid:0 Cnt.Get = Some (Cnt.Value 1))
-        end;
-        incr step
-      done)
+      ignore
+      @@ sweep_crashes
+           ~setup:(fun () -> make_u ~nthreads:1 ~capacity:64 (Cnt.spec ()))
+           ~heap:(fun u -> u.heap) ~evict_p ~seed:Fun.id
+           (fun ~step u ->
+             let t () =
+               u.prep ~tid:0 Cnt.Increment;
+               ignore (u.exec ~tid:0 Cnt.Increment)
+             in
+             ( [ t ],
+               fun _ -> function
+                 | None -> ()
+                 | Some u ->
+                     (match u.resolve ~tid:0 with
+                     | Some Cnt.Increment, Some Cnt.Ok -> ()
+                     | Some Cnt.Increment, None ->
+                         ignore (u.exec ~tid:0 Cnt.Increment)
+                     | None, None ->
+                         u.prep ~tid:0 Cnt.Increment;
+                         ignore (u.exec ~tid:0 Cnt.Increment)
+                     | _ -> Alcotest.fail "unexpected resolution");
+                     Alcotest.(check bool)
+                       (Printf.sprintf "exactly one increment (step %d)" step)
+                       true
+                       (u.apply ~tid:0 Cnt.Get = Some (Cnt.Value 1)) )))
     [ 0.0; 1.0; 0.5 ]
 
 let test_log_prefix_property () =
   (* After any crash the persisted log has no holes: replay never skips
      a slot.  We check this by crashing at random points under a random
      schedule and verifying the state equals replaying some prefix. *)
+  let setup () = make_u ~nthreads:2 ~capacity:128 (Cnt.spec ()) in
   for seed = 1 to 15 do
-    let u = make_u ~nthreads:2 ~capacity:128 (Cnt.spec ()) in
+    let u = setup () in
     let program ~tid () =
       for _ = 1 to 3 do
         ignore (u.apply ~tid Cnt.Increment)
@@ -138,7 +137,7 @@ let test_log_prefix_property () =
         ~threads:[ program ~tid:0; program ~tid:1 ]
     in
     if outcome.Sim.crashed then begin
-      Sim.apply_crash u.heap ~evict_p:0.5 ~seed;
+      let u = restart ~setup ~heap:(fun u -> u.heap) u ~evict_p:0.5 ~seed in
       let n = u.length () in
       match u.apply ~tid:0 Cnt.Get with
       | Some (Cnt.Value v) ->

@@ -287,37 +287,54 @@ let prop_truncate_after_crash =
               (int_range 0 62)))
         bool)
     (fun (rss, torn, damage, wide) ->
-      let heap = Heap.create ~line_size:(if wide then 8 else 1) () in
-      let (module M) = Sim.memory heap in
-      let module W = Wal.Make (M) in
-      let t = W.create ~lanes ~lane_capacity:cap () in
+      (* One log world; a crash restarts cold, into a fresh one. *)
+      let world () =
+        let heap = Heap.create ~line_size:(if wide then 8 else 1) () in
+        let (module M) = Sim.memory heap in
+        let module W = Wal.Make (M) in
+        let t = W.create ~lanes ~lane_capacity:cap () in
+        Heap.log_persists heap;
+        ( heap,
+          W.append t,
+          W.corrupt_word t,
+          (fun () -> W.states t),
+          (fun () -> W.replay t),
+          (fun () -> W.truncate t),
+          fun () -> W.appended t )
+      in
+      let ((live, append, _, _, _, _, _) as w) = world () in
       List.iteri
         (fun lane rs ->
-          List.iter (fun r -> W.append t ~lane ~kind:r.kind ~a:r.a ~b:r.b) rs)
+          List.iter (fun r -> append ~lane ~kind:r.kind ~a:r.a ~b:r.b) rs)
         rss;
       (* slots each lane has written, a torn append's included *)
       let written = Array.of_list (List.map List.length rss) in
-      Option.iter
-        (fun (lane, step, seed) ->
-          ignore
-            (Sim.run heap ~crash:(Sim.Crash_at_step step)
-               ~threads:[ (fun () -> W.append t ~lane ~kind:1 ~a:seed ~b:0) ]
-              : Sim.outcome);
-          Sim.apply_crash heap ~evict_p:0.5 ~seed;
-          written.(lane) <- written.(lane) + 1)
-        torn;
+      let w =
+        match torn with
+        | None -> w
+        | Some (lane, step, seed) ->
+            ignore
+              (Sim.run live ~crash:(Sim.Crash_at_step step)
+                 ~threads:[ (fun () -> append ~lane ~kind:1 ~a:seed ~b:0) ]
+                : Sim.outcome);
+            let ((heap, _, _, _, _, _, _) as fresh) = world () in
+            Sim.restart live ~into:heap ~evict_p:0.5 ~seed;
+            written.(lane) <- written.(lane) + 1;
+            fresh
+      in
+      let heap, _, corrupt_word, states, replay, truncate, appended = w in
       Option.iter
         (fun (lane, pick, word, bit) ->
           if written.(lane) > 0 then
-            W.corrupt_word t ~lane ~slot:(pick mod written.(lane)) ~word
+            corrupt_word ~lane ~slot:(pick mod written.(lane)) ~word
               ~f:(fun w -> w lxor (1 lsl bit)))
         damage;
-      let states = W.states t in
+      let states' = states () in
       let corrupt =
-        List.exists (function Wal.Corrupt _ -> true | _ -> false) states
+        List.exists (function Wal.Corrupt _ -> true | _ -> false) states'
       in
       let refused =
-        match W.replay t with _ -> false | exception Wal.Corrupted _ -> true
+        match replay () with _ -> false | exception Wal.Corrupted _ -> true
       in
       let bound =
         if corrupt then Array.fold_left ( + ) 0 written
@@ -327,16 +344,17 @@ let prop_truncate_after_crash =
               | Wal.Clean n -> acc + n
               | Wal.Torn { valid; _ } -> acc + valid + 1
               | Wal.Corrupt _ -> assert false)
-            0 states
+            0 states'
       in
       let before = (Heap.counters heap).reads in
-      W.truncate t;
+      truncate ();
       let reads = (Heap.counters heap).reads - before in
-      let clean () = W.states t = List.init lanes (fun _ -> Wal.Clean 0) in
-      let clean_now = clean () in
+      let clean states = states () = List.init lanes (fun _ -> Wal.Clean 0) in
+      let clean_now = clean states in
       (* the wipe is durable: nothing unflushed survives this crash *)
-      Sim.apply_crash heap ~evict_p:0. ~seed:0;
-      refused = corrupt && clean_now && clean () && W.appended t = 0
+      let heap', _, _, after, _, _, _ = world () in
+      Sim.restart heap ~into:heap' ~evict_p:0. ~seed:0;
+      refused = corrupt && clean_now && clean after && appended () = 0
       && reads <= 4 * bound)
 
 let suite =
