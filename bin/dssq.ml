@@ -1836,7 +1836,16 @@ let lincheck_run kind (policy : MI.Policy.t) iterations verbose trace_json =
         in
         Sim.restart heap ~into:heap' ~evict_p:(float_of_int (i mod 3) /. 2.)
           ~seed:i;
-        recover ();
+        (try recover ()
+         with Dssq_pmwcas.Pmwcas.Unresolved_word a ->
+           (* The PMwCAS baselines are not hardened for buffered
+              persistency: an install can persist without its
+              descriptor. *)
+           Printf.printf
+             "iteration %d: RECOVERY FAILED: PMwCAS word %d points at a \
+              descriptor with no slot for it\n"
+             i a;
+           exit 1);
         for tid = 0 to 1 do
           record ~tid Dss_spec.Resolve (fun () ->
               Scenarios.status (q.resolve ~tid))
@@ -1995,6 +2004,13 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
     List.iter (fun (c : Scenarios.case) -> print_endline c.Scenarios.name) cases;
     exit 0
   end;
+  (* A world whose set-up raises ends the run, naming the case. *)
+  let or_setup_failed f =
+    try f ()
+    with Scenarios.Setup_failed _ as e ->
+      Printf.eprintf "dssq: %s\n" (Printexc.to_string e);
+      exit 1
+  in
   match replay with
   | Some token ->
       let name =
@@ -2012,7 +2028,9 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
         | s -> s
         | exception Invalid_argument m -> fail "bad replay token: %s" m
       in
-      let outcome, trace = c.Scenarios.explain sched in
+      let outcome, trace =
+        or_setup_failed (fun () -> c.Scenarios.explain sched)
+      in
       Printf.printf "replaying %s under token %s\n" c.Scenarios.name token;
       if trace <> [] then
         Format.printf "event timeline:@.%a" Trace.pp_timeline trace;
@@ -2028,9 +2046,12 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
       let results =
         List.map
           (fun (c : Scenarios.case) ->
-            let verdict = run_case c ~reduction:true in
+            let verdict =
+              or_setup_failed (fun () -> run_case c ~reduction:true)
+            in
             let naive =
-              if compare_naive then Some (run_case c ~reduction:false)
+              if compare_naive then
+                Some (or_setup_failed (fun () -> run_case c ~reduction:false))
               else None
             in
             let show = function

@@ -87,8 +87,16 @@ let default_params =
    invokes on every crashed execution (before [finish]) — the
    system-level [Recovery.reattach] that replays the WAL, re-attaches
    the root directory, runs every registered recover, and raises if
-   the post-recovery audit finds a leaked node. *)
-type world = { finish : crashed:bool -> unit; reattach : unit -> unit }
+   the post-recovery audit finds a leaked node.  [log_size] is the
+   world's recovery log as (lanes, slots per lane). *)
+type world = {
+  finish : crashed:bool -> unit;
+  reattach : unit -> unit;
+  log_size : int * int;
+}
+
+(* What an object's recovery system hands its world. *)
+type attached = { checked_reattach : unit -> unit; size : int * int }
 
 type case = {
   name : string;  (** e.g. ["queue/enq-deq/crash/ls1/px86"] *)
@@ -132,14 +140,31 @@ let policy_suffix : Heap.Policy.t -> string = function
   | Px86 -> "/px86"
   | Combine -> "/fc"
 
+exception Setup_failed of { case : string; exn : exn }
+(** Building one of [case]'s worlds raised [exn]: no execution ran. *)
+
+let () =
+  Printexc.register_printer (function
+    | Setup_failed { case; exn } ->
+        Some
+          (Printf.sprintf "%s: set-up raised %s" case (Printexc.to_string exn))
+    | _ -> None)
+
 (* [setup ()] builds the case's set-up, and with it a fresh verdict
    cache: each run, replay and explain builds its own, so a run's cache
-   is freed when the run ends rather than when the corpus is. *)
+   is freed when the run ends rather than when the corpus is.  Each
+   world the set-up builds raises as {!Setup_failed}, so the case is
+   named. *)
 let case_of_setup ~(params : params) ~obj ~prog ~nthreads setup =
   let name =
     Printf.sprintf "%s/%s/%s/ls%d%s" obj prog
       (if params.crashes then "crash" else "nocrash")
       params.line_size (policy_suffix params.policy)
+  in
+  let setup () =
+    let build = setup () in
+    fun () ->
+      try build () with exn -> raise (Setup_failed { case = name; exn })
   in
   {
     name;
@@ -189,16 +214,24 @@ let memory ~(params : params) heap =
     object creates the system where its heap layout always had it —
     before the object for queue, stack, register and hash map, after it
     for the engine objects — because cell and line ids appear in replay
-    tokens. *)
+    tokens.
+
+    The log is sized to the program: [lanes] is the number of threads
+    that append to it and [lane_capacity] the most records one of them
+    appends between two truncations (set-up, then each [reattach]).
+    Every object registers one root.  A slot no program writes is never
+    dirty, so it adds no crash branch and removing it removes none; an
+    undersized lane raises [Wal.Full] in the appending thread, which the
+    explorer reports as that execution's failure. *)
 module System (M : Dssq_memory.Memory_intf.S) = struct
   include Dssq_core.Recovery.Make (M)
 
-  let create ~wal_lane_capacity =
-    create ~nthreads:3 ~wal_lane_capacity ~root_capacity:4 ()
+  let create ~lanes ~lane_capacity =
+    create ~nthreads:lanes ~wal_lane_capacity:lane_capacity ~root_capacity:1 ()
 
   let attach t ~name ?audit ?(violations = fun () -> []) recover =
     ignore (register t ~name ?audit recover : int);
-    fun () ->
+    let checked_reattach () =
       let r = reattach t in
       if r.Dssq_core.Recovery.leaked_total > 0 then
         failwith
@@ -210,6 +243,8 @@ module System (M : Dssq_memory.Memory_intf.S) = struct
           failwith
             (name ^ ": recovered-structure violations: "
            ^ String.concat "; " vs)
+    in
+    { checked_reattach; size = (Wal.lanes (wal t), Wal.lane_capacity (wal t)) }
 end
 
 (** The direct-mode read-back that anchors the final state in the
@@ -286,15 +321,16 @@ let status : ('op, 'r) Detectable_intf.resolved -> ('op, 'r) Dss_spec.response
 
 (* The one record/resolve/retry protocol for every D<T> object.
    [instantiate] builds the object and its recovery system over the
-   scenario's memory and returns the adapter and the checked reattach. *)
+   scenario's memory and returns the adapter and its recovery system's
+   {!attached}. *)
 let detectable_setup (type op r) ~(params : params) ~verdicts ~lent
     ~(instantiate :
        combine:bool ->
        (module Dssq_memory.Memory_intf.S) ->
-       (op, r) Detectable_intf.adapter * (unit -> unit))
+       (op, r) Detectable_intf.adapter * attached)
     (p : (op, r) program) () =
   let heap = heap ~params in
-  let o, reattach =
+  let o, sys =
     instantiate ~combine:(params.policy = Combine) (memory ~params heap)
   in
   let rec_ = Recorder.create () in
@@ -334,7 +370,8 @@ let detectable_setup (type op r) ~(params : params) ~verdicts ~lent
     finish rec_ verdicts ~retry ~observe:(fun () -> observe base p.observe)
   in
   {
-    Explore.ctx = { finish; reattach };
+    Explore.ctx =
+      { finish; reattach = sys.checked_reattach; log_size = sys.size };
     heap;
     threads;
     history = history lent rec_;
@@ -350,7 +387,11 @@ let detectable_setup (type op r) ~(params : params) ~verdicts ~lent
 let queue_instance ~combine (module M : Dssq_memory.Memory_intf.S) =
   let module Q = Dssq_core.Dss_queue.Make (M) in
   let module Sys = System (M) in
-  let sys = Sys.create ~wal_lane_capacity:16 in
+  (* Lane [tid] logs thread [tid]'s allocations.  Lane 0 is the busiest:
+     the root record, the sentinel and thread 0's one enqueue node.
+     Dequeues free nothing ([reclaim:false]), and a retried exec reuses
+     the node its prep allocated. *)
+  let sys = Sys.create ~lanes:3 ~lane_capacity:3 in
   let q =
     Q.create ~wal:(Sys.wal sys) ~pool_id:(Sys.fresh_pool_id sys)
       ~reclaim:false ~combine ~nthreads:3 ~capacity:8 ()
@@ -386,7 +427,9 @@ let queue_progs =
 let stack_instance ~combine (module M : Dssq_memory.Memory_intf.S) =
   let module S = Dssq_core.Dss_stack.Make (M) in
   let module Sys = System (M) in
-  let sys = Sys.create ~wal_lane_capacity:16 in
+  (* As the queue's log, less the sentinel: lane 0 holds the root
+     record and thread 0's one push node. *)
+  let sys = Sys.create ~lanes:3 ~lane_capacity:2 in
   let s =
     S.create ~wal:(Sys.wal sys) ~pool_id:(Sys.fresh_pool_id sys)
       ~reclaim:false ~combine ~nthreads:3 ~capacity:8 ()
@@ -410,7 +453,8 @@ let stack_progs =
 let register_instance ~combine:_ (module M : Dssq_memory.Memory_intf.S) =
   let module R = Dssq_core.Dss_register.Make (M) in
   let module Sys = System (M) in
-  let sys = Sys.create ~wal_lane_capacity:8 in
+  (* The root record is the only record: a register allocates nothing. *)
+  let sys = Sys.create ~lanes:1 ~lane_capacity:1 in
   let r = R.create ~init:0 ~nthreads:3 () in
   ( Dssq_core.Dss_register.adapter (module R) r,
     Sys.attach sys ~name:"register" (fun () -> R.recover r) )
@@ -436,7 +480,8 @@ let engine (type op r) make ~combine mem =
   in
   let o = O.create ~combine ~nthreads:3 () in
   let module Sys = System (M) in
-  let sys = Sys.create ~wal_lane_capacity:8 in
+  (* The root record is the only record: the engine allocates nothing. *)
+  let sys = Sys.create ~lanes:1 ~lane_capacity:1 in
   ( Detectable_intf.generic (module O) o,
     Sys.attach sys ~name:O.name (fun () -> O.recover o) )
 
@@ -490,7 +535,8 @@ let map_spec = Specs.Map.spec ()
 let hashmap_instance (module M : Dssq_memory.Memory_intf.S) =
   let module H = Dssq_core.Dss_hashmap.Make (M) in
   let module Sys = System (M) in
-  let sys = Sys.create ~wal_lane_capacity:8 in
+  (* The root record is the only record: the map logs no allocation. *)
+  let sys = Sys.create ~lanes:1 ~lane_capacity:1 in
   let h = H.create ~nthreads:3 ~nbuckets:8 () in
   ( Dssq_core.Dss_hashmap.adapter (module H) h,
     Sys.attach sys ~name:"hashmap" (fun () -> H.recover h) )
@@ -498,7 +544,7 @@ let hashmap_instance (module M : Dssq_memory.Memory_intf.S) =
 let hashmap_setup ~(params : params) ~verdicts ~lent
     (p : (Specs.Map.op, _) program) () =
   let heap = heap ~params in
-  let o, reattach = hashmap_instance (memory ~params heap) in
+  let o, sys = hashmap_instance (memory ~params heap) in
   let rec_ = Recorder.create () in
   let call ~tid op = Recorder.record rec_ ~tid op (fun () -> o.base ~tid op) in
   List.iter (fun op -> ignore (call ~tid:observer op)) p.seed;
@@ -519,7 +565,8 @@ let hashmap_setup ~(params : params) ~verdicts ~lent
     finish rec_ verdicts ~retry ~observe:(fun () -> observe call p.observe)
   in
   {
-    Explore.ctx = { finish; reattach };
+    Explore.ctx =
+      { finish; reattach = sys.checked_reattach; log_size = sys.size };
     heap;
     threads;
     history = history lent rec_;

@@ -40,6 +40,7 @@ let succeeded = 1
 let failed = 2
 
 exception Descriptor_pool_exhausted of int
+exception Unresolved_word of int
 
 module Make (M : Dssq_memory.Memory_intf.S) = struct
   type t = {
@@ -372,6 +373,28 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
         done;
         M.write t.meta.(d) (count_of meta);
         M.flush t.meta.(d)
+      end
+    done;
+    (* A word can still hold a pointer to a descriptor that is not
+       active: under buffered persistency the install's line can be
+       evicted while the meta word that made the descriptor active sits
+       in the persist buffer.  That operation never durably began, so
+       the word rolls back to the expected value of the descriptor slot
+       that targets it.  Left alone, the pointer would make every later
+       read of the word help a finished descriptor and read it again,
+       forever. *)
+    for a = 0 to t.next_word - 1 do
+      let v = M.read t.words.(a) in
+      if is_rdcss v || is_desc v then begin
+        let d = if is_rdcss v then fst (rdcss_of t v) else desc_of v in
+        let rec expected_of k =
+          if k = t.max_width then raise (Unresolved_word a)
+          else
+            let target, expected, _, priv = M.read (slot t d k) in
+            if target = a && not priv then expected else expected_of (k + 1)
+        in
+        M.write t.words.(a) (expected_of 0);
+        M.flush t.words.(a)
       end
     done;
     (* Reset volatile descriptor free lists. *)

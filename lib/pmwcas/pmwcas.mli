@@ -15,6 +15,11 @@ val failed : int
 
 exception Descriptor_pool_exhausted of int
 
+exception Unresolved_word of int
+(** Raised by {!Make.recover}: the managed word at this address holds a
+    pointer to a descriptor none of whose slots targets it, so no value
+    can be restored. *)
+
 module Make (M : Dssq_memory.Memory_intf.S) : sig
   type t
 
@@ -52,6 +57,8 @@ module Make (M : Dssq_memory.Memory_intf.S) : sig
 
   val recover : t -> unit
   (** Post-crash, single-threaded: roll every active descriptor forward
-      (Succeeded) or back, including private-word redo; resets the
-      volatile descriptor pools. *)
+      (Succeeded) or back, including private-word redo; roll back every
+      word still pointing at a descriptor that is not active; reset the
+      volatile descriptor pools.
+      @raise Unresolved_word when such a word has no descriptor slot. *)
 end

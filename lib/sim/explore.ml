@@ -350,9 +350,26 @@ let replay t prefix =
   in
   go [] prefix
 
-let finish t schedule scenario ~crashed =
+(* The exception an explored thread of [machine] raised, lowest thread
+   first.  [Machine.Killed] is a crash's, not the thread's own. *)
+let raised machine =
+  let rec go tid =
+    if tid = Machine.nthreads machine then None
+    else
+      match Machine.result machine tid with
+      | Some (Error Machine.Killed) | Some (Ok ()) | None -> go (tid + 1)
+      | Some (Error e) -> Some e
+  in
+  go 0
+
+(* A thread's exception ([raised], read off the machine that ran the
+   execution) fails the execution before recovery or the check run: a
+   crash would otherwise mark the thread's operation pending and mask
+   it. *)
+let finish t schedule scenario ~raised ~crashed =
   t.executions <- t.executions + 1;
   if t.executions > t.limit then raise (Too_many_executions t.executions);
+  Option.iter (fun exn -> raise (Violation { schedule; exn })) raised;
   try
     if crashed then t.on_crash scenario.ctx scenario.heap;
     t.check scenario.ctx scenario.heap ~crashed
@@ -542,11 +559,15 @@ let rec dfs t scenario machine prefix depth ~changed ~sleep ~last ~preemptions
          joint_crash_choices t ~fifos ~candidates
        end
      in
-     if (not changed) && t.crash_sampled = sampled then begin
+     let raised = raised machine in
+     if (not changed) && t.crash_sampled = sampled && Option.is_none raised
+     then begin
        (* A cold branch is a function of the image and the history.  The
           step here changed neither, so the parent's point had these
           very branches, enumerated the same way, and they were checked:
-          in this round, or in an earlier one if the step preempted. *)
+          in this round, or in an earlier one if the step preempted.  A
+          thread that raised in that step makes these branches fail
+          where the parent's passed, so they run. *)
        t.skipped_points <- t.skipped_points + 1;
        t.skipped_branches <- t.skipped_branches + List.length choices
      end
@@ -557,13 +578,13 @@ let rec dfs t scenario machine prefix depth ~changed ~sleep ~last ~preemptions
            let crashed = cold_restart t scenario ~drains vs in
            t.crash_branches <- t.crash_branches + 1;
            if drains <> [] then t.drain_branches <- t.drain_branches + 1;
-           finish t schedule crashed ~crashed:true)
+           finish t schedule crashed ~raised ~crashed:true)
          choices
    end);
   match Machine.runnable machine with
   | [] ->
       if round_matches round preemptions then
-        finish t prefix scenario ~crashed:false
+        finish t prefix scenario ~raised:(raised machine) ~crashed:false
   | runnable ->
       (* Sleep-set reduction: [sleep] holds (tid, access) pairs whose
          step is covered by an already-explored sibling branch; entries
@@ -675,6 +696,9 @@ let run t =
 let replay_schedule t schedule =
   let scenario, machine, outcome = replay t schedule in
   let check ~crashed =
+    Option.iter
+      (fun exn -> raise (Violation { schedule; exn }))
+      (raised machine);
     try
       if crashed then t.on_crash scenario.ctx scenario.heap;
       t.check scenario.ctx scenario.heap ~crashed

@@ -218,6 +218,56 @@ let test_fast_uses_fewer_events () =
     (Printf.sprintf "fast (%d) < general (%d)" fast general)
     true (fast < general)
 
+(* [dssq lincheck --queue general-caswe --policy px86], iteration 30
+   alone: thread 0 prepares and executes an enqueue, thread 1 a dequeue
+   of the empty queue, under random schedule 30 with a crash before step
+   35; the crash image is drawn with evict_p 0 and seed 30.  The image
+   holds X[1] mid-install — an RDCSS pointer of thread 1's descriptor —
+   while the meta word that would make the descriptor active was still
+   buffered.  Recovery used to skip the inactive descriptor, and
+   thread 1's resolve then spun in [Pmwcas.read] forever. *)
+let test_px86_iteration_30 () =
+  let i = 30 in
+  let make () =
+    let heap = Heap.create ~policy:Heap.Policy.Px86 () in
+    let (module M) = Sim.memory heap in
+    let module Q = Dssq_baselines.Caswe_queue.General (M) in
+    let q = Q.create ~nthreads:2 ~capacity:64 () in
+    Heap.log_persists heap;
+    let x1 () = M.read (Q.P.cell q.Q.p q.Q.x.(1)) in
+    let run ~tid = function
+      | `Enq v ->
+          Q.prep_enqueue q ~tid v;
+          Q.exec_enqueue q ~tid
+      | `Deq ->
+          Q.prep_dequeue q ~tid;
+          ignore (Q.exec_dequeue q ~tid : int)
+    in
+    (heap, run, x1, (fun () -> Q.recover q), fun ~tid -> Q.resolve q ~tid)
+  in
+  let heap, run, _, _, _ = make () in
+  let outcome =
+    Sim.run heap ~policy:(Sim.Random_seed i)
+      ~crash:(Sim.Crash_at_step (5 + (i mod 45)))
+      ~threads:[ (fun () -> run ~tid:0 (`Enq i)); (fun () -> run ~tid:1 `Deq) ]
+  in
+  Alcotest.(check bool) "crashed" true outcome.Sim.crashed;
+  let fresh, _, x1, recover, resolve = make () in
+  Sim.restart heap ~into:fresh ~evict_p:(float_of_int (i mod 3) /. 2.) ~seed:i;
+  Alcotest.(check bool)
+    "X[1] persisted mid-install" true
+    (Tagged.has (x1 ()) Tagged.pmwcas_rdcss);
+  recover ();
+  Alcotest.(check bool)
+    "X[1] rolled back to thread 1's announcement" true
+    (x1 () = Tagged.deq_prep);
+  (match resolve ~tid:0 with
+  | Queue_intf.Nothing | Queue_intf.Enq_pending _ -> ()
+  | _ -> Alcotest.fail "thread 0's enqueue resolved as something else");
+  match resolve ~tid:1 with
+  | Queue_intf.Deq_pending -> ()
+  | _ -> Alcotest.fail "thread 1's dequeue did not resolve as pending"
+
 let suite =
   [
     Alcotest.test_case "fifo (both variants)" `Quick test_fifo;
@@ -231,4 +281,6 @@ let suite =
       test_crash_atomic_dequeue;
     Alcotest.test_case "fast variant does fewer CAS+flush" `Quick
       test_fast_uses_fewer_events;
+    Alcotest.test_case "px86 lincheck iteration 30: both resolves return"
+      `Quick test_px86_iteration_30;
   ]

@@ -973,6 +973,72 @@ let test_alloc_in_step_refused () =
   | _ -> Alcotest.fail "a world with a cell allocated in a step was loaded"
   | exception Heap.Layout_mismatch _ -> ()
 
+(* An explored thread's exception fails its execution, by name.  The
+   world's log has one slot and set-up fills it with the root record,
+   so thread 0's allocation record raises [Wal.Full]; thread 1 runs on
+   after the raise, so crash points follow it.  [check] passes every
+   execution: only the thread's own exception can fail one. *)
+let undersized_log ~crashes =
+  Explore.make ~crashes
+    ~setup:(fun () ->
+      let heap, (module M) = with_mem () in
+      let module W = Dssq_pmem.Wal.Make (M) in
+      let kind_alloc = Dssq_pmem.Wal.Codec.kind_alloc in
+      let wal = W.create ~lanes:1 ~lane_capacity:1 () in
+      W.append wal ~lane:0 ~kind:Dssq_pmem.Wal.Codec.kind_root ~a:0 ~b:0;
+      let c = M.alloc 0 in
+      {
+        Explore.history = Explore.no_history;
+        ctx = ();
+        heap;
+        threads =
+          [
+            (fun () -> W.append wal ~lane:0 ~kind:kind_alloc ~a:1 ~b:0);
+            (fun () ->
+              M.write c 1;
+              M.flush c);
+          ];
+      })
+    ~check:(fun () _ ~crashed:_ -> ())
+    ()
+
+let test_thread_exception_fails () =
+  List.iter
+    (fun crashes ->
+      let what = if crashes then "crash branch" else "completed leaf" in
+      match Explore.run (undersized_log ~crashes) with
+      | (_ : Explore.stats) -> Alcotest.failf "%s: Wal.Full passed" what
+      | exception Explore.Violation { schedule; exn } -> (
+          (match exn with
+          | Dssq_pmem.Wal.Full { lane = 0 } -> ()
+          | e ->
+              Alcotest.failf "%s: failed with %s" what (Printexc.to_string e));
+          Alcotest.(check bool)
+            (what ^ ": the failing schedule ends in a crash")
+            crashes
+            (List.exists
+               (function Explore.Crash _ -> true | _ -> false)
+               schedule);
+          match Explore.replay_schedule (undersized_log ~crashes) schedule with
+          | _ -> Alcotest.failf "%s: the token did not reproduce" what
+          | exception
+              Explore.Violation { exn = Dssq_pmem.Wal.Full { lane = 0 }; _ } ->
+              ()))
+    [ false; true ]
+
+(* A corpus case whose set-up raises names itself. *)
+exception No_world
+
+let test_setup_failure_named () =
+  let c =
+    Scenarios.case_of_setup ~params:Scenarios.default_params ~obj:"probe"
+      ~prog:"raise" ~nthreads:1 (fun () () -> raise No_world)
+  in
+  match c.Scenarios.run ~reduction:true with
+  | _ -> Alcotest.fail "a set-up that raises ran"
+  | exception Scenarios.Setup_failed { case; exn = No_world } ->
+      Alcotest.(check string) "case" "probe/raise/nocrash/ls1" case
+
 let suite =
   [
     Alcotest.test_case "schedule token examples" `Quick test_token_examples;
@@ -1013,4 +1079,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cold_image;
     Alcotest.test_case "a cell allocated in a step is refused" `Quick
       test_alloc_in_step_refused;
+    Alcotest.test_case "a thread's exception fails its execution" `Quick
+      test_thread_exception_fails;
+    Alcotest.test_case "a set-up that raises names its case" `Quick
+      test_setup_failure_named;
   ]

@@ -225,9 +225,50 @@ let px86_alloc_window_suite =
        ~params:{ Scenarios.default_params with policy = Px86 }
        ())
 
+(* Each corpus world's size, pinned per object (first program) at line
+   sizes 1 and 8: persist lines, cells, and the recovery log's lanes x
+   slots per lane.  Every set-up builds one such world, so a capacity
+   bump is a visible diff here. *)
+let world_sizes =
+  [
+    "queue ls1: 71 lines, 71 cells, log 3x3";
+    "queue ls8: 24 lines, 71 cells, log 3x3";
+    "stack ls1: 58 lines, 58 cells, log 3x2";
+    "stack ls8: 20 lines, 58 cells, log 3x2";
+    "register ls1: 12 lines, 12 cells, log 1x1";
+    "register ls8: 7 lines, 12 cells, log 1x1";
+    "hashmap ls1: 50 lines, 50 cells, log 1x1";
+    "hashmap ls8: 10 lines, 50 cells, log 1x1";
+    "swap ls1: 12 lines, 12 cells, log 1x1";
+    "swap ls8: 7 lines, 12 cells, log 1x1";
+    "deque ls1: 12 lines, 12 cells, log 1x1";
+    "deque ls8: 7 lines, 12 cells, log 1x1";
+    "pqueue ls1: 12 lines, 12 cells, log 1x1";
+    "pqueue ls8: 7 lines, 12 cells, log 1x1";
+    "bcounter ls1: 12 lines, 12 cells, log 1x1";
+    "bcounter ls8: 7 lines, 12 cells, log 1x1";
+  ]
+
+let test_world_sizes () =
+  let row (d : Scenarios.descriptor) line_size =
+    let w =
+      d.d_setup
+        ~params:{ Scenarios.default_params with line_size }
+        ~prog:(List.hd d.d_progs) ()
+    in
+    let lanes, slots = w.Explore.ctx.Scenarios.log_size in
+    Printf.sprintf "%s ls%d: %d lines, %d cells, log %dx%d" d.d_obj line_size
+      (Heap.line_count w.heap) (Heap.cell_count w.heap) lanes slots
+  in
+  Alcotest.(check (list string))
+    "corpus world sizes" world_sizes
+    (List.concat_map (fun d -> List.map (row d) [ 1; 8 ]) Scenarios.registry)
+
 let suite =
   corpus_suite @ px86_alloc_window_suite
   @ [
+    Alcotest.test_case "corpus world sizes are pinned" `Quick
+      test_world_sizes;
     Alcotest.test_case "SB: store buffering forbidden" `Quick
       test_store_buffering;
     Alcotest.test_case "MP: message passing" `Quick test_message_passing;

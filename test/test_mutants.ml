@@ -53,21 +53,21 @@ let assert_flagged ?(structural = false) ~name = function
 let first_flagged =
   [
     ( "skip-flush-link",
-      ("queue/enq-deq/crash/ls1", "c205d,211d,214d,229d,232d") );
+      ("queue/enq-deq/crash/ls1", "c43d,49d,52d,67d,70d") );
     ( "skip-flush-mark",
       ( "queue/enq-deq/crash/ls1",
-        "t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.t1.t1.t1.t1.t1.t1.t1.t1.t1.c212d,231e,232d"
+        "t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.t1.t1.t1.t1.t1.t1.t1.t1.t1.c50d,69e,70d"
       ) );
     ( "stale-announce",
-      ("queue/enq-deq/crash/ls1", "t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.c232d") );
+      ("queue/enq-deq/crash/ls1", "t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.c70d") );
     ( "unfenced",
       ( "queue/enq-deq/crash/ls1",
-        "c204d,205d,210d,211d,213d,214d,228d,229d,232d" ) );
+        "c42d,43d,48d,49d,51d,52d,66d,67d,70d" ) );
     ( "skip-drain",
-      ("queue/enq-deq/crash/ls1/px86", "t0.t0.t0.t0.t0.t0.t0.t0.t0.c228e,232d")
+      ("queue/enq-deq/crash/ls1/px86", "t0.t0.t0.t0.t0.t0.t0.t0.t0.c66e,70d")
     );
-    ("short-drain", ("queue/enq-deq/crash/ls1/px86", "c232d"));
-    ("drop-drain", ("queue/enq-deq/crash/ls1/co", "c229d,232d"));
+    ("short-drain", ("queue/enq-deq/crash/ls1/px86", "c70d"));
+    ("drop-drain", ("queue/enq-deq/crash/ls1/co", "c67d,70d"));
     ( "lost-batch",
       ( "swap/swap-swap/crash/ls1/fc",
         "t0.t0.t0.t0.t0.t0.t0.t0.t0.t1.t1.t1.t1.t1.b1:1.c" ) );
