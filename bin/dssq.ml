@@ -214,6 +214,22 @@ let provenance ?threads ~line_size ~policy () =
   (match threads with None -> [] | Some t -> [ ("threads", t) ])
   @ [ ("line_size", line_size); ("policy", MI.Policy.to_string policy) ]
 
+(* A native measurement charges DESIGN.md §1's 150 ns per flush (and a
+   fifth of that per fence): the spin loop is calibrated once per
+   process, the first time a command measures on Native.  The returned
+   provenance entry records the charge. *)
+let native_persist_cost =
+  lazy
+    (Dssq_memory.Persist_cost.calibrate ();
+     Dssq_memory.Persist_cost.configure ~flush:150 ())
+
+let charge_native_persists () =
+  Lazy.force native_persist_cost;
+  [
+    ( "native_flush_ns",
+      string_of_int (Dssq_memory.Persist_cost.current_flush_ns ()) );
+  ]
+
 (* ------------------------------ figures ------------------------------ *)
 
 (* One Figure 5 panel: the [queues] over every thread count, printed,
@@ -221,6 +237,10 @@ let provenance ?threads ~line_size ~policy () =
 let fig_cmd name ~doc ~title queues =
   let run backend threads repeats horizon_us duration line_size policy csv
       json =
+    let charge =
+      if backend = Experiments.Native_domains then charge_native_persists ()
+      else []
+    in
     let series =
       Experiments.sweep ~backend ~threads ~repeats
         ~horizon_ns:(horizon_us *. 1e3) ~duration ~line_size ~policy
@@ -240,7 +260,8 @@ let fig_cmd name ~doc ~title queues =
            ]
          ~provenance:
            (provenance ~threads:(ints threads)
-              ~line_size:(string_of_int line_size) ~policy ())
+              ~line_size:(string_of_int line_size) ~policy ()
+           @ charge)
          series)
       json
   in
@@ -745,6 +766,8 @@ let bench_diff_cmd =
 (* The sweep behind the checked-in BENCH_*.json baselines; compare a
    fresh report against one with `dssq bench-diff`. *)
 let regress quick json =
+  (* The quick sweep is sim-only; the full one measures native points. *)
+  let charge = if quick then [] else charge_native_persists () in
   let series = Experiments.regress ~quick () in
   let recovery = Experiments.recovery_latency ~quick () in
   render
@@ -758,7 +781,8 @@ let regress quick json =
        ~y_label:"Mops/s"
        ~params:[ ("quick", string_of_bool quick); ("line_size", "1") ]
        ~provenance:
-         [ ("line_size", "1"); ("policy", "eager+coalesced+combine") ]
+         ([ ("line_size", "1"); ("policy", "eager+coalesced+combine") ]
+         @ charge)
        ~recovery series);
   let mean = Dssq_workload.Stats.mean in
   let find label =
@@ -952,8 +976,7 @@ let bechamel_ns test =
    Test.make per queue implementation and detectability mode. *)
 let bechamel () =
   let open Bechamel in
-  Dssq_memory.Persist_cost.calibrate ();
-  Dssq_memory.Persist_cost.configure ~flush:150 ();
+  ignore (charge_native_persists () : (string * string) list);
   let module R = Dssq_workload.Registry.Make (Dssq_memory.Native) in
   let mk_test (name, mk) =
     let ops : Dssq_core.Queue_intf.ops =
@@ -1115,7 +1138,7 @@ let fsck_run corrupt json =
   | other ->
       Printf.eprintf "dssq: fsck: unknown --corrupt %S\n" other;
       exit 2);
-  let emit ~ok ~error (rep : Dssq_core.Recovery.report option) =
+  let emit ~ok ~error (rep : Dssq_core.Recovery.fsck_report option) =
     Option.iter
       (fun file ->
         write_json ~what:"fsck verdict" file
@@ -1127,11 +1150,11 @@ let fsck_run corrupt json =
              @
              match rep with
              | None -> []
-             | Some r ->
+             | Some { Dssq_core.Recovery.recovery = r; in_flight } ->
                  [
                    ("replayed", Json.Int r.Dssq_core.Recovery.replayed);
                    ("torn_dropped", Json.Int r.torn_dropped);
-                   ("in_flight", Json.Int r.in_flight);
+                   ("in_flight", Json.Int in_flight);
                    ("roots_attached", Json.Int r.roots_attached);
                    ("leaked", Json.Int r.leaked_total);
                  ])))
@@ -1139,7 +1162,8 @@ let fsck_run corrupt json =
   in
   match R.Sys.fsck sys with
   | Ok rep ->
-      Format.printf "fsck: clean@.%a@." Dssq_core.Recovery.pp_report rep;
+      Format.printf "fsck: clean@.%a@.alloc intents in flight: %d@."
+        Dssq_core.Recovery.pp_report rep.recovery rep.in_flight;
       emit ~ok:true ~error:None (Some rep)
   | Error e ->
       Printf.printf "fsck: FAILED: %s\n" e;

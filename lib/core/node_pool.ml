@@ -189,7 +189,9 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       dirty line persists the value, a clean one already holds it
       durably, and the heap elides that flush at line sizes >= 2. *)
   let rebuild_free_lists t ~keep =
-    Array.iter (fun l -> Padded.set l []) t.free_lists;
+    (* Each owner's list is built locally and published once, not one
+       atomic set per node. *)
+    let lists = Array.make t.nthreads [] in
     for i = t.capacity downto 1 do
       if not (keep i) then begin
         reset t.deq_tid.(i) (-1);
@@ -197,9 +199,10 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
         reset t.next.(i) Tagged.null;
         M.flush t.next.(i);
         let owner = home t i in
-        Padded.set t.free_lists.(owner) (i :: Padded.get t.free_lists.(owner))
+        lists.(owner) <- i :: lists.(owner)
       end
     done;
+    Array.iteri (fun owner l -> Padded.set t.free_lists.(owner) l) lists;
     M.drain ()
 
   (** Check that [keep] and the current free lists partition

@@ -16,13 +16,14 @@
     - a registration list pairing each named object with its [recover]
       procedure and a post-recovery leak [audit].
 
-    {!Make.reattach} is the crash-to-running path: replay the WAL
-    (dropping a detectably-torn tail, refusing corruption), re-attach
-    the root directory, run every object's [recover] in registration
-    order, then audit every pool and fail loudly on a leak.
-    {!Make.fsck} is the strict read-mostly variant behind [dssq fsck]:
-    verification errors — including torn tails — become reportable
-    errors instead of silent repairs. *)
+    {!Make.reattach} is the crash-to-running path, and does recovery
+    work only: replay the WAL (dropping a detectably-torn tail, refusing
+    corruption), re-attach the root directory, run every object's
+    [recover] in registration order, then audit every pool and fail
+    loudly on a leak.  {!Make.fsck} is the strict read-mostly variant
+    behind [dssq fsck]: verification errors — including torn tails —
+    become reportable errors instead of silent repairs, and it alone
+    counts the allocation intents still in flight. *)
 
 module Metrics = Dssq_obs.Metrics
 
@@ -45,17 +46,20 @@ type object_report = { o_name : string; o_audit : audit }
 type report = {
   replayed : int;  (** valid WAL records replayed *)
   torn_dropped : int;  (** torn tail records detected and dropped *)
-  in_flight : int;  (** logged alloc intents with no matching free *)
   roots_attached : int;  (** durable root-directory entries found *)
   objects : object_report list;  (** per-object recovery + audit *)
   leaked_total : int;  (** sum of per-object leaks — must be 0 *)
 }
 
+(** What {!Make.fsck} found on a clean system: the recovery it ran,
+    and the logged alloc intents with no matching free. *)
+type fsck_report = { recovery : report; in_flight : int }
+
 let pp_report ppf r =
   Format.fprintf ppf
-    "@[<v>wal: %d records replayed, %d torn dropped, %d alloc intents \
-     in flight@,roots: %d attached@,%a@,leaked nodes: %d@]"
-    r.replayed r.torn_dropped r.in_flight r.roots_attached
+    "@[<v>wal: %d records replayed, %d torn dropped@,roots: %d attached@,\
+     %a@,leaked nodes: %d@]"
+    r.replayed r.torn_dropped r.roots_attached
     (Format.pp_print_list (fun ppf o ->
          Format.fprintf ppf "  %-16s live %d  free %d  leaked %d" o.o_name
            o.o_audit.live o.o_audit.free o.o_audit.leaked))
@@ -116,8 +120,9 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
   (* Alloc intents that never saw a matching free: the crash landed
      between the logged intent and the node's retirement.  Recovery
      handles them by construction (the rebuild returns unreachable
-     nodes to the free lists); the count is reported so the corpus can
-     see crashes really do land mid-alloc.  Keyed on (pool, node), not
+     nodes to the free lists), so [reattach] never counts them; [fsck]
+     reports the count, so a reader can see crashes really do land
+     mid-alloc.  Keyed on (pool, node), not
      on the lane: a free is logged on the freeing thread's lane, which
      need not be the allocating one's.  The table is sized to the log,
      so a short replay allocates a small one. *)
@@ -148,16 +153,9 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       records;
     Table.fold (fun _ n acc -> acc + max 0 n) tbl 0
 
-  (** The single crash-to-running entry point.  Raises
-      [Dssq_pmem.Wal.Corrupted] on a corrupt log and [Failure] on a
-      corrupt root directory; a successful return with
-      [leaked_total = 0] certifies no node was lost.  When [truncate]
-      (default) the WAL is persistently reset afterwards — the rebuilt
-      free lists are a checkpoint superseding the old intents — which
-      also makes a second crash during normal operation replay only
-      post-recovery records. *)
-  let reattach ?(truncate = true) t =
-    let records, torn_dropped = Wal.replay t.wal in
+  (* Recovery proper, from a replay's result: roots, every object's
+     recover and audit, then the truncate. *)
+  let recover_replayed ~truncate t (records, torn_dropped) =
     let roots_attached = Roots.reattach t.roots in
     let objects =
       List.rev_map
@@ -176,17 +174,28 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     {
       replayed = List.length records;
       torn_dropped;
-      in_flight = count_in_flight records;
       roots_attached;
       objects;
       leaked_total;
     }
 
+  (** The single crash-to-running entry point.  Raises
+      [Dssq_pmem.Wal.Corrupted] on a corrupt log and [Failure] on a
+      corrupt root directory; a successful return with
+      [leaked_total = 0] certifies no node was lost.  When [truncate]
+      (default) the WAL is persistently reset afterwards — the rebuilt
+      free lists are a checkpoint superseding the old intents — which
+      also makes a second crash during normal operation replay only
+      post-recovery records. *)
+  let reattach ?(truncate = true) t =
+    recover_replayed ~truncate t (Wal.replay t.wal)
+
   (** Validate-and-report, the strict mode behind [dssq fsck]: any WAL
       irregularity (torn tail included), root-directory damage, or
       post-recovery leak is an [Error] instead of a repair.  On a
       clean log this still runs the full recovery (without truncating)
-      so the report carries real audit numbers. *)
+      so the report carries real audit numbers, and counts the
+      in-flight intents from that recovery's own replay. *)
   let fsck t =
     match Wal.verify t.wal with
     | Error e -> Error e
@@ -194,16 +203,20 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
         match Roots.verify t.roots with
         | Error e -> Error e
         | Ok _ -> (
-            match reattach ~truncate:false t with
+            match
+              let ((records, _) as replayed) = Wal.replay t.wal in
+              (recover_replayed ~truncate:false t replayed, records)
+            with
             | exception Dssq_pmem.Wal.Corrupted { lane; slot } ->
                 Error
                   (Printf.sprintf "wal: lane %d corrupt at slot %d" lane slot)
             | exception Failure e -> Error e
-            | r ->
+            | r, records ->
                 if r.leaked_total > 0 then
                   Error
                     (Printf.sprintf
                        "audit: %d node(s) leaked after recovery"
                        r.leaked_total)
-                else Ok r))
+                else
+                  Ok { recovery = r; in_flight = count_in_flight records }))
 end

@@ -68,24 +68,12 @@ module Line = struct
       the operation applies. *)
   let flush_pending l = l.size <= 1 || is_dirty l
 
-  (** Whether flushing this line performs a write-back, clearing its
-      dirtiness either way.  At size 1 the answer is always [true]: the
-      seed's word-granular model charged every flush unconditionally, and
-      line size 1 must reproduce those numbers exactly (the regression
-      anchor).  At sizes >= 2 a clean line's flush is elided. *)
-  let flush_effective l =
-    if l.size <= 1 then begin
-      Atomic.set l.dirty clean;
-      true
-    end
-    else Atomic.exchange l.dirty clean >= 0
-
   (** Clear the line's dirtiness, returning whether it {e was} dirty —
-      i.e. whether a write-back happens.  Unlike {!flush_effective} there
-      is no size-1 special case: that rule exists only to reproduce the
-      legacy always-charge cost model on the eager path, whereas a
-      coalescing drain writes back exactly the lines that hold unpersisted
-      stores, at any line size. *)
+      i.e. whether a write-back happens.  There is no size-1 special
+      case here: the legacy always-charge rule at line size 1 is the
+      eager paths' own ({!flush_pending}), whereas a coalescing drain
+      writes back exactly the lines that hold unpersisted stores, at
+      any line size. *)
   let take_dirty l = Atomic.exchange l.dirty clean >= 0
 
   (** Sequential placement of cells into lines.  Not thread-safe: the

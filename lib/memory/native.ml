@@ -11,7 +11,10 @@
     Cells carry their persist {!Memory_intf.Line}: stores and CAS mark
     the line dirty, [flush] pays the write-back cost only when the line
     is dirty (clean-line elision) — except at line size 1, the legacy
-    word-granular model, where every flush pays. *)
+    word-granular model, where every flush pays.  Since nothing on this
+    plain eager path reads the flag there, at line size 1 it neither
+    sets nor clears it; {!Make}, whose buffering policies and
+    subscribers do read it, marks every line. *)
 
 module Line = Memory_intf.Line
 
@@ -82,23 +85,30 @@ let alloc_block ?(name = Memory_intf.Name.none) vs =
 let line_id c = c.line.Line.id
 let read c = Atomic.get c.v
 
+(* Line size 1, the legacy word-granular model: every eager flush
+   writes back, so the plain path keeps no dirty flag there. *)
+let word_granular c = c.line.Line.size <= 1
+
 let write c v =
   Atomic.set c.v v;
-  Line.mark_dirty c.line
+  if not (word_granular c) then Line.mark_dirty c.line
 
 let cas c ~expected ~desired =
   let hit = Atomic.compare_and_set c.v expected desired in
-  if hit then Line.mark_dirty c.line;
+  if hit && not (word_granular c) then Line.mark_dirty c.line;
   hit
+
+(* Force the store buffer to drain in the model: read back then pay. *)
+let write_back c =
+  ignore (Sys.opaque_identity (Atomic.get c.v));
+  Persist_cost.pay_flush ()
 
 (** Flush the cell's line, paying the calibrated persist cost only for
     an actual write-back; returns whether one happened.  (At line size 1
     — the legacy model — every flush pays.) *)
 let flush_line c =
-  if Line.flush_effective c.line then begin
-    (* Force the store buffer to drain in the model: read back then pay. *)
-    ignore (Sys.opaque_identity (Atomic.get c.v));
-    Persist_cost.pay_flush ();
+  if word_granular c || Line.take_dirty c.line then begin
+    write_back c;
     true
   end
   else false
@@ -236,12 +246,16 @@ end)
     if PE.is_on () then emit_cell Read c;
     read c
 
+  (* Every store marks its line, at any line size: a buffering policy's
+     flush and drain read the flag, and so does every subscriber's
+     [dirty] payload. *)
   let write c v =
     let on = PE.is_on () in
     before_store ~on;
     P.incr c_writes;
     P.incr c_pwrites;
-    write c v;
+    Atomic.set c.v v;
+    Line.mark_dirty c.line;
     after_store c;
     if on then emit_cell Write c
 
@@ -249,8 +263,9 @@ end)
     let on = PE.is_on () in
     before_store ~on;
     P.incr c_cases;
-    let hit = cas c ~expected ~desired in
+    let hit = Atomic.compare_and_set c.v expected desired in
     if hit then begin
+      Line.mark_dirty c.line;
       P.incr c_pwrites;
       after_store c
     end;
@@ -278,7 +293,9 @@ end)
   let flush c =
     let outcome : PE.flush =
       if not eager then flush_buffered c
-      else if flush_line c then begin
+        (* [take_dirty] first: the flag is cleared at every line size. *)
+      else if Line.take_dirty c.line || word_granular c then begin
+        write_back c;
         P.incr c_flushes;
         Written_back
       end

@@ -42,6 +42,12 @@ val write : 'a cell -> 'a -> unit
 val cas : 'a cell -> expected:'a -> desired:'a -> bool
 
 val flush : 'a cell -> unit
+
+val flush_line : 'a cell -> bool
+(** [flush], returning whether it wrote the line back (and paid the
+    persist cost): always at line size 1, where this plain path keeps
+    no dirty flag; otherwise only when the line was dirty. *)
+
 val fence : unit -> unit
 
 val drain : unit -> unit

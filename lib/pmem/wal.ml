@@ -82,16 +82,16 @@ module Codec = struct
   let checksum ~slot ~kind ~a ~b =
     mix (mix (mix (mix (slot + 0x9E3779B9) lxor kind) lxor a) lxor b)
 
-  (** How a stored slot reads back. *)
+  (** How a stored slot reads back.  Constant constructors: the caller
+      already holds the words, so classifying allocates nothing. *)
   type classified =
     | Empty  (** all four words zero: never written *)
-    | Valid of { kind : int; a : int; b : int }
+    | Valid
     | Invalid  (** nonzero but checksum (or kind) does not validate *)
 
   let classify ~slot ~kind ~a ~b ~sum =
     if kind = 0 && a = 0 && b = 0 && sum = 0 then Empty
-    else if kind >= 1 && sum = checksum ~slot ~kind ~a ~b then
-      Valid { kind; a; b }
+    else if kind >= 1 && sum = checksum ~slot ~kind ~a ~b then Valid
     else Invalid
 end
 
@@ -194,68 +194,68 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
     t.cursors.(lane) <- i + 1;
     Metrics.incr m_appends
 
-  let read_slot t ~lane i =
-    let slot = abs_slot t ~lane i in
-    let s = t.slots.(slot) in
-    Codec.classify ~slot ~kind:(M.read s.s_kind) ~a:(M.read s.s_a)
-      ~b:(M.read s.s_b) ~sum:(M.read s.s_sum)
-
   (* Whether all four words of a slot are zero, without classifying it:
-     no checksum, no allocation.  Reads in [read_slot]'s order (OCaml
-     evaluates its arguments right to left: sum, b, a, kind) and stops
-     at the first nonzero word. *)
+     no checksum, no allocation.  Reads in [walk]'s order (sum,
+     b, a, kind) and stops at the first nonzero word. *)
   let is_empty t ~lane i =
     let s = t.slots.(abs_slot t ~lane i) in
     M.read s.s_sum = 0 && M.read s.s_b = 0 && M.read s.s_a = 0
     && M.read s.s_kind = 0
 
-  (* Scan one lane: the valid prefix, then what follows it, and the
-     lane's extent (just past its last nonzero slot).  Always the whole
-     lane, never bounded by the volatile extent: this scan is the check
-     that refuses a nonzero word past the last record. *)
-  let scan_lane t lane =
-    let records = ref [] in
-    let i = ref 0 in
-    (* the first non-valid slot, if any: `Empty_at or `Invalid_at *)
-    let stop = ref `Clean in
-    while !stop == `Clean && !i < t.lane_capacity do
-      match read_slot t ~lane !i with
-      | Codec.Valid { kind; a; b } ->
-          records := { r_lane = lane; r_kind = kind; r_a = a; r_b = b }
-                     :: !records;
-          incr i
-      | Codec.Empty -> stop := `Empty_at
-      | Codec.Invalid -> stop := `Invalid_at
+  (* Walk lanes [lane .. last] from slot [i] of the first: each lane's
+     valid records, in append order (none unless [collect]), one list
+     for all the lanes.  The first slot [j] of a lane that does not hold
+     a valid record ends it with [on_lane lane status j] ([Empty] at
+     [j] = the capacity).  Each slot is read once (sum, b, a, kind) and
+     classified without allocating; tail-mod-cons builds the list front
+     to back, so the only allocation is the records returned. *)
+  let[@tail_mod_cons] rec walk t ~collect ~on_lane ~last lane i =
+    if lane > last then []
+    else if i >= t.lane_capacity then begin
+      on_lane lane Codec.Empty i;
+      walk t ~collect ~on_lane ~last (lane + 1) 0
+    end
+    else
+      let slot = abs_slot t ~lane i in
+      let s = t.slots.(slot) in
+      let sum = M.read s.s_sum in
+      let b = M.read s.s_b in
+      let a = M.read s.s_a in
+      let kind = M.read s.s_kind in
+      match Codec.classify ~slot ~kind ~a ~b ~sum with
+      | Codec.Valid when collect ->
+          { r_lane = lane; r_kind = kind; r_a = a; r_b = b }
+          :: walk t ~collect ~on_lane ~last lane (i + 1)
+      | Codec.Valid -> walk t ~collect ~on_lane ~last lane (i + 1)
+      | (Codec.Empty | Codec.Invalid) as status ->
+          on_lane lane status i;
+          walk t ~collect ~on_lane ~last (lane + 1) 0
+
+  (* The verdict on [lane] whose valid prefix ends at slot [i] with
+     [status], and the lane's extent (just past its last nonzero slot).
+     Looks past the prefix to the lane's end, never bounded by the
+     volatile extent: this is the check that refuses a nonzero word
+     past the last record. *)
+  let lane_end t ~lane status i =
+    let last = ref (-1) in
+    for j = i + 1 to t.lane_capacity - 1 do
+      if not (is_empty t ~lane j) then last := j
     done;
-    let valid = List.length !records in
-    (* the last nonzero slot at or past [from], or -1 *)
-    let last_nonzero from =
-      let last = ref (-1) in
-      for j = from to t.lane_capacity - 1 do
-        if not (is_empty t ~lane j) then last := j
-      done;
-      !last
-    in
-    let state, extent =
-      match !stop with
-      | `Clean -> (Clean valid, valid)
-      | `Empty_at -> (
-          match last_nonzero (!i + 1) with
-          | -1 -> (Clean valid, valid)
-          | last -> (Corrupt { at = !i }, last + 1))
-      | `Invalid_at -> (
-          match last_nonzero (!i + 1) with
-          | -1 -> (Torn { valid; at = !i }, !i + 1)
-          | last -> (Corrupt { at = !i }, last + 1))
-    in
-    (state, List.rev !records, extent)
+    match (status, !last) with
+    | Codec.Invalid, -1 -> (Torn { valid = i; at = i }, i + 1)
+    | _, -1 -> (Clean i, i)
+    | _, last -> (Corrupt { at = i }, last + 1)
+
+  (* One lane's verdict; collects no records. *)
+  let scan_lane t lane =
+    let verdict = ref (Clean 0) in
+    let on_lane lane status i = verdict := fst (lane_end t ~lane status i) in
+    ignore (walk t ~collect:false ~on_lane ~last:lane lane 0 : record list);
+    !verdict
 
   (** Classify every lane without mutating anything — the strict
       validation pass behind [dssq fsck]. *)
-  let states t =
-    List.init t.lanes (fun lane ->
-        let state, _, _ = scan_lane t lane in
-        state)
+  let states t = List.init t.lanes (scan_lane t)
 
   (** Strict verification: [Ok n] with the total record count only if
       every lane is clean.  A torn tail — legal for {!replay} to drop —
@@ -265,13 +265,13 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       if lane >= t.lanes then Ok acc
       else
         match scan_lane t lane with
-        | Clean n, _, _ -> go (lane + 1) (acc + n)
-        | Torn { valid; at }, _, _ ->
+        | Clean n -> go (lane + 1) (acc + n)
+        | Torn { valid; at } ->
             Error
               (Printf.sprintf
                  "%s: lane %d has a torn record at slot %d (after %d valid)"
                  t.name lane at valid)
-        | Corrupt { at }, _, _ ->
+        | Corrupt { at } ->
             Error
               (Printf.sprintf
                  "%s: lane %d is corrupt at slot %d (nonzero data follows \
@@ -294,20 +294,17 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       tail. *)
   let replay t =
     let torn = ref 0 and corrupt = ref None in
-    let records =
-      List.concat
-        (List.init t.lanes (fun lane ->
-             let state, records, extent = scan_lane t lane in
-             t.extents.(lane) <- extent;
-             (match state with
-             | Clean n -> t.cursors.(lane) <- n
-             | Torn { valid; at = _ } ->
-                 incr torn;
-                 t.cursors.(lane) <- valid
-             | Corrupt { at } ->
-                 if !corrupt = None then corrupt := Some (lane, at));
-             records))
+    let on_lane lane status i =
+      let state, extent = lane_end t ~lane status i in
+      t.extents.(lane) <- extent;
+      match state with
+      | Clean n -> t.cursors.(lane) <- n
+      | Torn { valid; at = _ } ->
+          incr torn;
+          t.cursors.(lane) <- valid
+      | Corrupt { at } -> if !corrupt = None then corrupt := Some (lane, at)
     in
+    let records = walk t ~collect:true ~on_lane ~last:(t.lanes - 1) 0 0 in
     Option.iter (fun (lane, slot) -> raise (Corrupted { lane; slot })) !corrupt;
     Metrics.incr m_replays;
     (records, !torn)

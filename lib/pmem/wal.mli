@@ -24,10 +24,13 @@ module Codec : sig
   (** Slot-bound record checksum; any single-bit flip of any covered
       word (or of the stored sum) is detected deterministically. *)
 
-  type classified = Empty | Valid of { kind : int; a : int; b : int } | Invalid
+  type classified = Empty | Valid | Invalid
 
   val classify :
     slot:int -> kind:int -> a:int -> b:int -> sum:int -> classified
+  (** How a slot holding these four words reads back: all zero, a
+      record that validates at [slot], or neither.  Allocates nothing;
+      replay, [verify]/[states] and the tests all classify through it. *)
 end
 
 type record = { r_lane : int; r_kind : int; r_a : int; r_b : int }

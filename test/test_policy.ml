@@ -14,10 +14,13 @@ module PE = Dssq_memory.Persist_event
    re-flushed line (coalesced), a store behind a buffered flush (drained
    first under [Coalesced]), a flush of a clean line (elided), stores
    never flushed but fenced (enqueued under [Combine]), a fence with
-   lines pending (one barrier, not two) and fences with none. *)
+   lines pending (one barrier, not two) and fences with none, then a
+   store flushed twice and drained: at line size 1 the eager second
+   flush still writes back, the buffered one coalesces. *)
 let program (module M : MI.COUNTED) =
   let a = M.alloc ~name:(fun () -> "a") ~placement:MI.Line.Isolated 0 in
   let b = M.alloc ~name:(fun () -> "b") ~placement:MI.Line.Isolated 0 in
+  let c = M.alloc ~name:(fun () -> "c") ~placement:MI.Line.Isolated 0 in
   M.reset_counters ();
   M.write a 1;
   ignore (M.read a : int);
@@ -35,6 +38,10 @@ let program (module M : MI.COUNTED) =
   M.fence ();
   ignore (M.cas a ~expected:2 ~desired:3 : bool);
   M.flush a;
+  M.drain ();
+  M.write c 1;
+  M.flush c;
+  M.flush c;
   M.drain ();
   let c = M.counters () in
   [
@@ -60,12 +67,13 @@ let kind_label : PE.kind -> string = function
   | Crashed -> "crashed"
   | Alloc -> "alloc"
 
-(* The program's counters, then its event counts per kind from a stream
-   subscriber. *)
+(* The program's counters, then its event counts per kind and [dirty]
+   payload from a stream subscriber.  Every cell has a line of its own,
+   so the sim's per-cell payload and the native per-line one agree. *)
 let measure m =
   let counts = Hashtbl.create 16 in
   let bump (ev : PE.t) =
-    let k = kind_label ev.kind in
+    let k = Printf.sprintf "%s dirty=%b" (kind_label ev.kind) ev.dirty in
     Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
   in
   let sub = PE.subscribe bump in
@@ -97,6 +105,37 @@ let test_parity policy () =
         sim native)
     [ 1; 8 ]
 
+(* The plain eager path at line size 1 keeps no dirty flag, yet every
+   flush still writes back (the legacy word-granular model); at line
+   size 8 a clean line's flush is elided.  The counted backends, which
+   mark every line, are held to the sim heap by [test_parity], dirty
+   payloads included. *)
+let test_native_word_granular () =
+  let flushes line_size =
+    Fun.protect
+      ~finally:(fun () -> Native.set_line_size 1)
+      (fun () ->
+        Native.set_line_size line_size;
+        let a = Native.alloc 0 in
+        let before = Native.flush_line a in
+        Native.write a 1;
+        let first = Native.flush_line a in
+        let second = Native.flush_line a in
+        let cas = Native.cas a ~expected:1 ~desired:2 in
+        let after_cas = Native.flush_line a in
+        let missed = Native.cas a ~expected:1 ~desired:3 in
+        let after_miss = Native.flush_line a in
+        [ before; first; second; cas; after_cas; missed; after_miss ])
+  in
+  Alcotest.(check (list bool))
+    "line size 1: every flush writes back"
+    [ true; true; true; true; true; false; true ]
+    (flushes 1);
+  Alcotest.(check (list bool))
+    "line size 8: a clean line's flush is elided"
+    [ false; true; false; true; true; false; false ]
+    (flushes 8)
+
 let test_of_string () =
   List.iter
     (fun p ->
@@ -120,6 +159,8 @@ let test_combine_shorthand () =
 
 let suite =
   Alcotest.test_case "of_string inverts to_string" `Quick test_of_string
+  :: Alcotest.test_case "native line size 1: every eager flush writes back"
+       `Quick test_native_word_granular
   :: Alcotest.test_case "~combine:true with another policy is refused" `Quick
        test_combine_shorthand
   :: List.map

@@ -86,7 +86,7 @@ let queue_system ?reclaim ~nthreads ~lane_capacity ~init_nodes ~capacity () =
       (Queue_intf.config ?reclaim ~nthreads ~capacity ())
   in
   Heap.log_persists heap;
-  (heap, ops, fun () -> R.Sys.reattach sys)
+  (heap, ops, (fun () -> R.Sys.reattach sys), fun () -> R.Sys.fsck sys)
 
 (* A crashed dss-queue comes back through the one system entry point:
    WAL replayed, root directory re-attached, recover run, audit clean. *)
@@ -94,12 +94,12 @@ let test_reattach_end_to_end () =
   let world =
     queue_system ~nthreads:1 ~lane_capacity:128 ~init_nodes:2 ~capacity:64
   in
-  let live, ops, _ = world () in
+  let live, ops, _, _ = world () in
   for i = 1 to 20 do
     ops.Queue_intf.d_enqueue ~tid:0 (100 + i);
     if i mod 2 = 0 then ignore (ops.Queue_intf.d_dequeue ~tid:0)
   done;
-  let heap, ops, reattach = world () in
+  let heap, ops, reattach, _ = world () in
   Sim.restart live ~into:heap ~evict_p:0.5 ~seed:3;
   let rep = reattach () in
   Alcotest.(check int) "zero leaked nodes" 0 rep.Recovery.leaked_total;
@@ -112,7 +112,7 @@ let test_reattach_end_to_end () =
       rep.Recovery.replayed;
   (* reattach truncated the log: a fresh crash replays only new intents *)
   ops.Queue_intf.d_enqueue ~tid:0 999;
-  let heap', ops, reattach = world () in
+  let heap', ops, reattach, _ = world () in
   Sim.restart heap ~into:heap' ~evict_p:0.5 ~seed:4;
   let rep2 = reattach () in
   Alcotest.(check int) "zero leaks after second crash" 0
@@ -149,7 +149,7 @@ let prop_reattach_no_leaks =
       let world =
         queue_system ~nthreads:1 ~lane_capacity:256 ~init_nodes:0 ~capacity:64
       in
-      let live, ops, _ = world () in
+      let live, ops, _, _ = world () in
       let enqueued = ref [] in
       let dequeued = ref [] in
       let next = ref 0 in
@@ -165,7 +165,7 @@ let prop_reattach_no_leaks =
             | v when v = Queue_intf.empty_value -> ()
             | v -> dequeued := v :: !dequeued)
         prog;
-      let heap, ops, reattach = world () in
+      let heap, ops, reattach, _ = world () in
       Sim.restart live ~into:heap ~evict_p:0.5 ~seed;
       let rep = reattach () in
       let rec drain acc =
@@ -181,13 +181,14 @@ let prop_reattach_no_leaks =
 
 (* A node that one thread allocates and another frees cancels in the
    in-flight count: the free is logged on the freeing thread's lane, so
-   the count must key on the node, not on the lane. *)
+   the count must key on the node, not on the lane.  The count is
+   fsck's: reattach does recovery work only. *)
 let test_in_flight_cross_thread_free () =
   let world =
     queue_system ~reclaim:true ~nthreads:2 ~lane_capacity:128 ~init_nodes:0
       ~capacity:32
   in
-  let live, ops, _ = world () in
+  let live, ops, _, _ = world () in
   for i = 1 to 24 do
     ops.Queue_intf.enqueue ~tid:0 i;
     ignore (ops.Queue_intf.dequeue ~tid:1 : int)
@@ -198,11 +199,13 @@ let test_in_flight_cross_thread_free () =
      23 frees t1 logged cancelled none of t0's 25 intents. *)
   let outside = 32 - List.assoc "pool_free" (ops.Queue_intf.stats ()) in
   Alcotest.(check int) "nodes outside the free lists" 2 outside;
-  let heap, _, reattach = world () in
+  let heap, _, _, fsck = world () in
   Sim.restart live ~into:heap ~evict_p:0. ~seed:1;
-  let rep = reattach () in
-  Alcotest.(check int) "zero leaks" 0 rep.Recovery.leaked_total;
-  Alcotest.(check int) "exact in-flight count" outside rep.Recovery.in_flight
+  match fsck () with
+  | Error e -> Alcotest.failf "fsck of a clean crash failed: %s" e
+  | Ok r ->
+      Alcotest.(check int) "zero leaks" 0 r.Recovery.recovery.leaked_total;
+      Alcotest.(check int) "exact in-flight count" outside r.Recovery.in_flight
 
 (* The free-list rebuild stores a word only when it differs from its
    reset value, but flushes it either way.  Durable either way: after
@@ -325,7 +328,7 @@ let test_fsck_rejects_corruption () =
   done;
   (* clean heap: fsck passes and reports real numbers *)
   (match R.Sys.fsck sys with
-  | Ok rep ->
+  | Ok { Recovery.recovery = rep; _ } ->
       if rep.Recovery.leaked_total <> 0 then
         Alcotest.failf "clean fsck reports %d leaks" rep.Recovery.leaked_total
   | Error e -> Alcotest.failf "clean fsck failed: %s" e);
