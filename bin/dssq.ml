@@ -2227,8 +2227,8 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
          specifications\n\
          coverage: %d executions, %d branches, %d pruned, %d crash points \
          (%d enumerated, %d sampled), %d replays, %.2fs\n\
-         skipped: %d crash points repeating their parent's, %d crash \
-         branches\n"
+         skipped: %d crash branches whose image the parent point \
+         produced, %d crash points with every branch skipped\n"
         (List.length results) mode_name
         (tot (fun s -> s.Explore.executions))
         (tot (fun s -> s.Explore.branches))
@@ -2238,8 +2238,8 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
         (tot (fun s -> s.Explore.crash_sampled))
         (tot (fun s -> s.Explore.replays))
         wall
-        (tot (fun s -> s.Explore.skipped_points))
-        (tot (fun s -> s.Explore.skipped_branches));
+        (tot (fun s -> s.Explore.skipped_branches))
+        (tot (fun s -> s.Explore.skipped_points));
       if MI.Policy.relaxed policy then
         Printf.printf
           "%s coverage: %d drain points, %d crash executions with adversary \

@@ -18,9 +18,10 @@
       px86 or combine) in place of ["coalesce"]/["combine"]/
       ["persistency"], and ["coverage"] is keyed by policy.
     - v6: crash branches are cold restarts, and stats gain
-      [skipped_points]/[skipped_branches] — the crash points (and their
-      branches) the search did not run because they repeat their
-      parent's — per case and in the coverage totals; [executions] and
+      [skipped_branches] — the crash branches the search did not run
+      because the parent crash point produced their image — and
+      [skipped_points], the crash points with every branch skipped, per
+      case and in the coverage totals; [executions] and
       [crash_branches] count only the branches run. *)
 
 module Json = Dssq_obs.Json

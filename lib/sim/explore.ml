@@ -16,12 +16,20 @@
     adopts the live world's recorded history, and recovery and the
     check run on it.  Nothing volatile survives, and no prefix is
     replayed.  So a branch's outcome is a function of (image, history),
-    which makes the skip below exact: a crash point whose incoming step
-    changed neither the heap's crash state ({!Machine.stepped.changed})
-    nor the recorded history, and whose verdicts are enumerated, has
-    exactly its parent's branches, and those were checked — in this
-    preemption round, or in an earlier one if the step preempted.  It is
-    counted ([skipped_points], [skipped_branches]) and not run.
+    which makes the skip below exact: a crash point runs only the
+    choices whose image its parent point did not already produce.  The
+    step record ({!Machine.last}) decides which those are, when the
+    step recorded no history event, allocated no cell and raised in no
+    thread, and the choices are enumerated.  A step that changed no
+    crash state ({!Machine.stepped.changed}) repeats every choice of the
+    parent's.  Under the per-line adversary with no persist buffer
+    pending at either point, a store to line [l] repeats every choice
+    that drops [l], and a write-back that changes no volatile word (a
+    flush, a drain, a fence that drains, a failed CAS's leading drain)
+    repeats every choice.  The parent's choices were checked — in this
+    preemption round, or in an earlier one if the step preempted.  A
+    repeated choice is counted ([skipped_branches], and [skipped_points]
+    when it is all of a point's) and not run.
 
     When the scenario's heap runs under buffered (px86) persistency, a
     crash point additionally enumerates adversary-chosen {e buffer-drain
@@ -119,10 +127,10 @@ type stats = {
       (** [setup] calls: one per round, per later sibling and per crash
           branch checked *)
   skipped_points : int;
-      (** crash points among [crash_points] whose branches repeat their
-          parent's, so none was run *)
+      (** crash points among [crash_points] with every branch skipped *)
   skipped_branches : int;
-      (** crash branches at those points: not in [executions] *)
+      (** crash branches whose image the parent point produced, so they
+          were not run: not in [executions] *)
   wall_s : float;  (** wall-clock seconds spent in [run] *)
 }
 
@@ -533,20 +541,64 @@ let joint_crash_choices t ~fifos ~candidates =
 let round_matches round preemptions =
   match round with None -> true | Some k -> preemptions = k
 
+(* Which of a crash point's choices are new: [`All] of them, [`None], or
+   [`Evicting l], those whose verdicts evict line [l].  A cold branch is
+   a function of its image and the history, so a choice is old when the
+   parent point had a choice with the same image and the same history,
+   and that choice was checked — at the parent, or further up — in this
+   round, or in an earlier one if the step preempted.  [parent] says
+   what the parent point offers this one: [`None] when the step into it
+   recorded a history event or allocated a cell (or it is the root);
+   [`Point] when the step left the history alone; [`Plain] when, in
+   addition, the parent's choices were every subset of its dirty lines
+   (per-line adversary, no persist buffer pending, enumerated).  [plain]
+   says the same of this point.  DESIGN.md §8 has the argument per step
+   kind. *)
+let new_choices ~parent ~plain (s : Machine.stepped) =
+  match parent with
+  | `None -> `All
+  | `Point | `Plain when not s.changed ->
+      (* The image and its lines are the parent's: every choice is one
+         of the parent's. *)
+      `None
+  | `Point -> `All
+  | `Plain when not plain -> `All
+  | `Plain -> (
+      match s.kind with
+      (* A store to line [l], after (coalesced) a drain that only wrote
+         lines back.  A choice that drops [l] leaves the parent's image
+         under the parent's verdicts on the other lines, with [l]
+         dropped there, or evicted if the drain wrote it back, or either
+         if it was clean. *)
+      | Sim_op.Write -> `Evicting s.line
+      | Sim_op.Cas when not s.cas_failed -> `Evicting s.line
+      | Sim_op.Cas | Sim_op.Flush | Sim_op.Drain | Sim_op.Fence ->
+          (* Write-backs that change no volatile word: each choice is
+             the parent's with the written-back lines evicted. *)
+          `None
+      | Sim_op.Read | Sim_op.Yield -> `All)
+
+let is_new fresh vs =
+  match fresh with
+  | `All -> true
+  | `None -> false
+  | `Evicting l -> List.exists (fun v -> v.line = l && v.evicted) vs
+
 (* [scenario] and [machine] are live and positioned after [prefix];
-   [changed] is false when the step that reached them changed neither
-   the heap's crash state nor the recorded history. *)
-let rec dfs t scenario machine prefix depth ~changed ~sleep ~last ~preemptions
+   [parent] is what the parent crash point offers this one (see
+   [new_choices]). *)
+let rec dfs t scenario machine prefix depth ~parent ~sleep ~last ~preemptions
     ~round =
   if depth > t.max_steps then
     failwith "Explore: max_steps exceeded (livelock under exploration?)";
+  let fifos = if t.crashes then Heap.pending_fifos scenario.heap else [] in
   (* Crash branches: at every reachable step boundary, try each
      per-line eviction choice over the lines dirty right now — under
      px86, crossed with each adversary buffer-drain prefix combination
      (the drains target buffered lines, the verdicts the rest, so the
-     two choice axes are independent). *)
+     two choice axes are independent) — except those whose image and
+     history the parent point already had. *)
   (if t.crashes && round_matches round preemptions then begin
-     let fifos = Heap.pending_fifos scenario.heap in
      let candidates = Heap.crash_candidate_lines scenario.heap in
      let sampled = t.crash_sampled in
      let choices =
@@ -560,26 +612,31 @@ let rec dfs t scenario machine prefix depth ~changed ~sleep ~last ~preemptions
        end
      in
      let raised = raised machine in
-     if (not changed) && t.crash_sampled = sampled && Option.is_none raised
-     then begin
-       (* A cold branch is a function of the image and the history.  The
-          step here changed neither, so the parent's point had these
-          very branches, enumerated the same way, and they were checked:
-          in this round, or in an earlier one if the step preempted.  A
-          thread that raised in that step makes these branches fail
-          where the parent's passed, so they run. *)
-       t.skipped_points <- t.skipped_points + 1;
-       t.skipped_branches <- t.skipped_branches + List.length choices
-     end
-     else
-       List.iter
-         (fun (drains, vs) ->
+     (* A sampled point draws choices its parent need not have had; a
+        thread that raised in the step makes these branches fail where
+        the parent's passed.  Either way every choice runs. *)
+     let parent =
+       if t.crash_sampled <> sampled || Option.is_some raised then `None
+       else parent
+     in
+     let fresh =
+       new_choices ~parent ~plain:(fifos = []) (Machine.last machine)
+     in
+     let skipped = ref 0 in
+     List.iter
+       (fun (drains, vs) ->
+         if not (is_new fresh vs) then incr skipped
+         else begin
            let schedule = prefix @ drains @ [ Crash vs ] in
            let crashed = cold_restart t scenario ~drains vs in
            t.crash_branches <- t.crash_branches + 1;
            if drains <> [] then t.drain_branches <- t.drain_branches + 1;
-           finish t schedule crashed ~raised ~crashed:true)
-         choices
+           finish t schedule crashed ~raised ~crashed:true
+         end)
+       choices;
+     t.skipped_branches <- t.skipped_branches + !skipped;
+     if !skipped = List.length choices then
+       t.skipped_points <- t.skipped_points + 1
    end);
   match Machine.runnable machine with
   | [] ->
@@ -606,6 +663,13 @@ let rec dfs t scenario machine prefix depth ~changed ~sleep ~last ~preemptions
       in
       let live = ref true in
       let recorded = scenario.history.recorded () in
+      let cells = Heap.cell_count scenario.heap in
+      let here =
+        match (t.adversary, fifos) with
+        | `Per_line, [] when scenario.heap.Heap.ndirty <= t.max_crash_lines ->
+            `Plain
+        | _ -> `Point
+      in
       let sleep = ref sleep in
       List.iter
         (fun (tid, access) ->
@@ -634,11 +698,14 @@ let rec dfs t scenario machine prefix depth ~changed ~sleep ~last ~preemptions
                   let scenario, machine, _ = replay t child in
                   (scenario, machine)
               in
-              let changed =
-                (Machine.last machine).changed
-                || scenario.history.recorded () <> recorded
+              let parent =
+                if
+                  scenario.history.recorded () <> recorded
+                  || Heap.cell_count scenario.heap <> cells
+                then `None
+                else here
               in
-              dfs t scenario machine child (depth + 1) ~changed
+              dfs t scenario machine child (depth + 1) ~parent
                 ~sleep:child_sleep ~last:tid
                 ~preemptions:(if preempts then preemptions + 1 else preemptions)
                 ~round;
@@ -665,7 +732,7 @@ let run t =
   let t0 = Unix.gettimeofday () in
   let search round =
     let scenario, machine, _ = replay t [] in
-    dfs t scenario machine [] 0 ~changed:true ~sleep:[] ~last:(-1)
+    dfs t scenario machine [] 0 ~parent:`None ~sleep:[] ~last:(-1)
       ~preemptions:0 ~round
   in
   (match t.max_preemptions with

@@ -10,9 +10,8 @@
     cold restart — a fresh scenario loaded with the crash's persistent
     image and the crashed world's history.  So [setup] must build a
     fresh, independent scenario each call, allocating the same cells in
-    the same order.  A crash point whose incoming step changed neither
-    the image nor the history repeats its parent's branches and is
-    skipped (see {!stats}). *)
+    the same order.  A crash point runs only the branches whose image
+    its parent point did not already produce (see {!stats}). *)
 
 exception Too_many_executions of int
 
@@ -64,13 +63,14 @@ type stats = {
       (** [setup] calls: one per round, per later sibling and per crash
           branch checked *)
   skipped_points : int;
-      (** crash points among [crash_points] whose branches were not run:
-          their verdicts were enumerated and the step into them changed
-          neither the heap's crash state nor the recorded history, so
-          every branch repeats one of the parent point's *)
+      (** crash points among [crash_points] with every branch skipped *)
   skipped_branches : int;
-      (** crash branches at [skipped_points]; [executions] and
-          [crash_branches] leave them out *)
+      (** crash branches not run because their image (and history) the
+          parent point already produced: the step into the point changed
+          no crash state, or, under the per-line adversary with no
+          persist buffer pending, the branch drops the line the step
+          stored to, or the step only wrote lines back.  [executions]
+          and [crash_branches] leave them out *)
   wall_s : float;  (** wall-clock seconds spent in [run] *)
 }
 (** Coverage telemetry: [pruned /. (pruned + branches)] is the sleep-set

@@ -239,11 +239,16 @@ let test_per_line_enumerates_more () =
   let aon =
     Explore.run (crash_explorer ~adversary:`All_or_nothing ~check:nop ())
   in
+  (* Branches drawn: a skipped branch was drawn, and its image checked,
+     at a parent point. *)
+  let drawn (s : Explore.stats) =
+    s.Explore.crash_branches + s.Explore.skipped_branches
+  in
   Alcotest.(check bool)
     (Printf.sprintf "per-line crash branches %d > all-or-nothing %d"
-       per_line.Explore.crash_branches aon.Explore.crash_branches)
+       (drawn per_line) (drawn aon))
     true
-    (per_line.Explore.crash_branches > aon.Explore.crash_branches)
+    (drawn per_line > drawn aon)
 
 let test_per_line_finds_mixed_eviction () =
   (* Unflushed commit marker: data and marker written back-to-back with
@@ -949,29 +954,40 @@ let prop_cold_image =
    that allocated a cell after set-up cannot be loaded: the search
    refuses it by name rather than load a shifted image. *)
 let test_alloc_in_step_refused () =
-  let t =
-    Explore.make ~crashes:true
-      ~setup:(fun () ->
-        let heap, (module M) = with_mem () in
-        let c = M.alloc 0 in
-        {
-          Explore.history = Explore.no_history;
-          ctx = ();
-          heap;
-          threads =
-            [
-              (fun () ->
+  (* At the thread's start, and after a flush, whose crash point would
+     otherwise repeat its parent's choices. *)
+  List.iter
+    (fun after_flush ->
+      let t =
+        Explore.make ~crashes:true
+          ~setup:(fun () ->
+            let heap, (module M) = with_mem () in
+            let c = M.alloc 0 in
+            let thread () =
+              if after_flush then begin
+                M.write c 1;
+                M.flush c;
+                ignore (M.alloc 0)
+              end
+              else begin
                 let fresh = M.alloc 0 in
                 M.write fresh 1;
-                M.write c 1);
-            ];
-        })
-      ~check:(fun () _ ~crashed:_ -> ())
-      ()
-  in
-  match Explore.run t with
-  | _ -> Alcotest.fail "a world with a cell allocated in a step was loaded"
-  | exception Heap.Layout_mismatch _ -> ()
+                M.write c 1
+              end
+            in
+            {
+              Explore.history = Explore.no_history;
+              ctx = ();
+              heap;
+              threads = [ thread ];
+            })
+          ~check:(fun () _ ~crashed:_ -> ())
+          ()
+      in
+      match Explore.run t with
+      | _ -> Alcotest.fail "a world with a cell allocated in a step was loaded"
+      | exception Heap.Layout_mismatch _ -> ())
+    [ false; true ]
 
 (* An explored thread's exception fails its execution, by name.  The
    world's log has one slot and set-up fills it with the root record,
@@ -1039,6 +1055,266 @@ let test_setup_failure_named () =
   | exception Scenarios.Setup_failed { case; exn = No_world } ->
       Alcotest.(check string) "case" "probe/raise/nocrash/ls1" case
 
+(* ------------- new images only: which crash branches run ------------- *)
+
+(* One thread's program over a few cells.  [Event] records a history
+   event; [Raise] fails the thread. *)
+type instr =
+  | W of int * int
+  | C of int * int * int  (** cell, expected, desired *)
+  | F of int
+  | Fence
+  | Event
+  | Raise
+
+let instr_to_string = function
+  | W (c, v) -> Printf.sprintf "x%d:=%d" c v
+  | C (c, e, d) -> Printf.sprintf "cas(x%d,%d,%d)" c e d
+  | F c -> Printf.sprintf "flush(x%d)" c
+  | Fence -> "fence"
+  | Event -> "event"
+  | Raise -> "raise"
+
+(* Every crash image [on_crash] sees, in the order the search runs the
+   branches, and the run's stats. *)
+let images ?(policy = Heap.Policy.Eager) ?(line_size = 1)
+    ?(adversary = `Per_line) ?max_crash_lines ~ncells prog =
+  let seen = ref [] in
+  let t =
+    Explore.make ~crashes:true ~adversary ?max_crash_lines
+      ~setup:(fun () ->
+        let heap = Heap.create ~line_size ~policy () in
+        let (module M) = Sim.memory heap in
+        let cells = Array.init ncells (fun _ -> M.alloc 0) in
+        let events = ref 0 in
+        let run = function
+          | W (c, v) -> M.write cells.(c) v
+          | C (c, expected, desired) ->
+              ignore (M.cas cells.(c) ~expected ~desired)
+          | F c -> M.flush cells.(c)
+          | Fence -> M.fence ()
+          | Event -> incr events
+          | Raise -> raise Exit
+        in
+        {
+          Explore.history =
+            {
+              Explore.recorded = (fun () -> !events);
+              lend = ignore;
+              adopt = ignore;
+            };
+          ctx = (fun () -> Array.to_list (Array.map M.read cells));
+          heap;
+          threads = [ (fun () -> List.iter run prog) ];
+        })
+      ~on_crash:(fun get _ -> seen := get () :: !seen)
+      ~check:(fun _ _ ~crashed:_ -> ())
+      ()
+  in
+  let s = Explore.run t in
+  (List.rev !seen, s)
+
+let image_list = Alcotest.(list (list int))
+
+let test_store_runs_evicting () =
+  (* Points: the root, the start (unchanged), then one per store.  After
+     [x0:=1] only x0 evicted is new; after [x1:=1], the two that evict
+     x1; after [x0:=2], the two that evict x0 again. *)
+  let seen, s = images ~ncells:2 [ W (0, 1); W (1, 1); W (0, 2) ] in
+  Alcotest.check image_list "the images that evict the stored line"
+    [ [ 0; 0 ]; [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ]; [ 2; 0 ]; [ 2; 1 ] ]
+    seen;
+  Alcotest.(check int) "crash branches" 6 s.Explore.crash_branches;
+  Alcotest.(check int) "skipped: the start's one, then 1 + 2 + 2" 6
+    s.Explore.skipped_branches;
+  Alcotest.(check int) "only the start's point skips every branch" 1
+    s.Explore.skipped_points
+
+let test_write_back_runs_none () =
+  (* An eager flush, and under coalescing a flush that enqueues and a
+     fence that drains: each point after them runs nothing. *)
+  List.iter
+    (fun (policy, prog, skipped_points) ->
+      let seen, s = images ~policy ~ncells:2 prog in
+      let n = Heap.Policy.to_string policy in
+      Alcotest.check image_list (n ^ ": no image after the write-back")
+        [ [ 0; 0 ]; [ 1; 0 ] ] seen;
+      Alcotest.(check int) (n ^ ": skipped points") skipped_points
+        s.Explore.skipped_points)
+    [
+      (Heap.Policy.Eager, [ W (0, 1); F 0 ], 2);
+      (Heap.Policy.Coalesced, [ W (0, 1); F 0; Fence ], 3);
+    ]
+
+let test_event_runs_all () =
+  (* The same programs, recording a history event in the step: every
+     branch of that point runs. *)
+  let seen, _ = images ~ncells:2 [ W (0, 1); Event; W (1, 1) ] in
+  Alcotest.check image_list "a store that records: both of its branches"
+    [ [ 0; 0 ]; [ 0; 0 ]; [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ]
+    seen;
+  let seen, _ = images ~ncells:2 [ W (0, 1); F 0; Event ] in
+  Alcotest.check image_list "a write-back that records: its branch"
+    [ [ 0; 0 ]; [ 1; 0 ]; [ 1; 0 ] ]
+    seen
+
+let test_raise_runs_all () =
+  (* The flush step raises.  Its point would run nothing, and the
+     execution would fail at its end; instead the point's branch runs
+     and fails first. *)
+  match images ~ncells:1 [ W (0, 1); F 0; Raise ] with
+  | _ -> Alcotest.fail "a raising thread passed"
+  | exception Explore.Violation { schedule; exn = Exit } ->
+      Alcotest.(check string) "fails at the raising step's crash point"
+        "t0.t0.t0.c"
+        (Explore.schedule_to_string schedule)
+
+let test_sampled_parent_runs_all () =
+  (* One line enumerated at most: the point after [x1:=1] samples, so
+     the flush's point, back to one dirty line, runs both branches. *)
+  let seen, s =
+    images ~max_crash_lines:1 ~ncells:2 [ W (0, 1); W (1, 1); F 1 ]
+  in
+  Alcotest.(check bool) "the parent sampled" true (s.Explore.crash_sampled > 0);
+  Alcotest.check image_list "both branches after the flush"
+    [ [ 0; 1 ]; [ 1; 1 ] ]
+    (List.filteri (fun i _ -> i >= List.length seen - 2) seen);
+  Alcotest.(check int) "only the start's point skips every branch" 1
+    s.Explore.skipped_points
+
+let test_pending_buffer_runs_all () =
+  (* Under px86 x0's flush only buffers it, so the store to x1 lands
+     beside a pending buffer: all four (drain prefix, x1 verdict)
+     branches run, not just the two that evict x1. *)
+  let seen, _ = images ~policy:px86 ~ncells:2 [ W (0, 1); F 0; W (1, 1) ] in
+  Alcotest.check image_list "every branch after the store"
+    [ [ 0; 0 ]; [ 0; 1 ]; [ 1; 0 ]; [ 1; 1 ] ]
+    (List.filteri (fun i _ -> i >= List.length seen - 4) seen);
+  (* A combine store enqueues its line, so its fate is a drain prefix,
+     not a verdict: the write-back that persists it must still run. *)
+  let seen, _ = images ~policy:Heap.Policy.Combine ~ncells:1 [ W (0, 1) ] in
+  Alcotest.check image_list "a combine store: both of its branches"
+    [ [ 0 ]; [ 0 ]; [ 1 ] ] seen
+
+let test_all_or_nothing_runs_all () =
+  (* After the flush of x0 the all-dropped branch leaves x0 = 1, x1 = 0:
+     not one of the parent's two images, (0, 0) and (1, 1), nor any
+     earlier point's. *)
+  let prog = [ W (1, 1); W (0, 1); F 0 ] in
+  let seen, _ = images ~adversary:`All_or_nothing ~ncells:2 prog in
+  Alcotest.check image_list "both branches after the flush"
+    [ [ 1; 0 ]; [ 1; 1 ] ]
+    (List.filteri (fun i _ -> i >= List.length seen - 2) seen);
+  let _, s = images ~ncells:2 prog in
+  Alcotest.(check int) "per-line: the flush's point skips" 2
+    s.Explore.skipped_points
+
+(* The images a single-thread program can leave, from a sequential
+   model: at every step boundary, every subset of the dirty lines
+   persisted.  Under coalescing a flush enqueues a dirty line, and a
+   store, a CAS (hit or miss) or a fence first writes the buffer back. *)
+let reference_images ~policy ~line_size ~ncells prog =
+  let vol = Array.make ncells 0
+  and per = Array.make ncells 0
+  and dirty = Array.make ncells false in
+  let line c = c / line_size in
+  let buffer = ref [] and images = ref [] in
+  let persist l =
+    Array.iteri
+      (fun c d ->
+        if d && line c = l then begin
+          per.(c) <- vol.(c);
+          dirty.(c) <- false
+        end)
+      dirty
+  in
+  let drain () =
+    List.iter persist !buffer;
+    buffer := []
+  in
+  let coalesced = policy = Heap.Policy.Coalesced in
+  let store c v =
+    if coalesced then drain ();
+    Option.iter
+      (fun v ->
+        vol.(c) <- v;
+        dirty.(c) <- true)
+      v
+  in
+  let rec subsets = function
+    | [] -> [ [] ]
+    | l :: ls ->
+        let rest = subsets ls in
+        rest @ List.map (fun s -> l :: s) rest
+  in
+  let point () =
+    let cells = List.init ncells Fun.id in
+    let dirty_lines =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun c -> if dirty.(c) then Some (line c) else None)
+           cells)
+    in
+    List.iter
+      (fun evicted ->
+        images :=
+          List.map
+            (fun c ->
+              if dirty.(c) && List.mem (line c) evicted then vol.(c)
+              else per.(c))
+            cells
+          :: !images)
+      (subsets dirty_lines)
+  in
+  point ();
+  List.iter
+    (fun instr ->
+      (match instr with
+      | W (c, v) -> store c (Some v)
+      | C (c, e, d) -> store c (if vol.(c) = e then Some d else None)
+      | F c ->
+          let l = line c in
+          if not coalesced then persist l
+          else if
+            (not (List.mem l !buffer))
+            && Array.exists Fun.id
+                 (Array.mapi (fun c' d -> d && line c' = l) dirty)
+          then buffer := l :: !buffer
+      | Fence -> drain ()
+      | Event | Raise -> ());
+      point ())
+    prog;
+  List.sort_uniq compare !images
+
+let prop_images_exact =
+  QCheck.Test.make ~count:150
+    ~name:"crash branches run see exactly the reachable images"
+    QCheck.(
+      make
+        ~print:(fun (ncells, prog) ->
+          Printf.sprintf "cells=%d %s" ncells
+            (String.concat ";" (List.map instr_to_string prog)))
+        Gen.(
+          int_range 3 4 >>= fun ncells ->
+          let cell = int_range 0 (ncells - 1) and v = int_range 1 3 in
+          list_size (int_range 1 8)
+            (frequency
+               [
+                 (3, map2 (fun c v -> W (c, v)) cell v);
+                 ( 2,
+                   map3 (fun c e d -> C (c, e, d)) cell (int_range 0 3) v );
+                 (3, map (fun c -> F c) cell);
+                 (1, return Fence);
+               ])
+          >>= fun prog -> return (ncells, prog)))
+    (fun (ncells, prog) ->
+      List.for_all
+        (fun (policy, line_size) ->
+          let seen, _ = images ~policy ~line_size ~ncells prog in
+          List.sort_uniq compare seen
+          = reference_images ~policy ~line_size ~ncells prog)
+        Heap.Policy.[ (Eager, 1); (Eager, 2); (Coalesced, 1); (Coalesced, 2) ])
+
 let suite =
   [
     Alcotest.test_case "schedule token examples" `Quick test_token_examples;
@@ -1083,4 +1359,19 @@ let suite =
       test_thread_exception_fails;
     Alcotest.test_case "a set-up that raises names its case" `Quick
       test_setup_failure_named;
+    Alcotest.test_case "a store point runs its line-evicting branches" `Quick
+      test_store_runs_evicting;
+    Alcotest.test_case "a write-back point runs no branch" `Quick
+      test_write_back_runs_none;
+    Alcotest.test_case "a step that records runs every branch" `Quick
+      test_event_runs_all;
+    Alcotest.test_case "a step that raises runs every branch" `Quick
+      test_raise_runs_all;
+    Alcotest.test_case "a sampled parent's child runs every branch" `Quick
+      test_sampled_parent_runs_all;
+    Alcotest.test_case "a pending px86 buffer runs every branch" `Quick
+      test_pending_buffer_runs_all;
+    Alcotest.test_case "all-or-nothing runs every branch" `Quick
+      test_all_or_nothing_runs_all;
+    QCheck_alcotest.to_alcotest prop_images_exact;
   ]
