@@ -1378,18 +1378,17 @@ let zoo_cmd =
 (* ------------------------------ profile ------------------------------ *)
 
 module Zoo = Dssq_workload.Zoo
-module Heatmap = Dssq_obs.Heatmap
-module Profile = Dssq_obs.Profile
+module Attrib = Dssq_obs.Attrib
 module Prom = Dssq_obs.Prom
 
-(* Attribution-grade profiling of the detectable-object zoo: the
-   per-line persistence heatmap (which persist lines absorb the writes,
-   flushes, elisions and coalesces, labeled by allocation site) and the
-   phase-attributed profiler (the same events plus span latency, scoped
-   by announce / exec / resolve / recovery phase).  The cross-check
-   printed under each table — per-phase events summing exactly to the
+(* Attribution-grade profiling of the detectable-object zoo: one table
+   charges every persist event to a (protocol phase, persist line) cell,
+   and the per-phase table (events plus span latency, scoped by announce
+   / exec / resolve / recovery phase) and the per-line persistence
+   heatmap (labeled by allocation site) are its projections.  The check
+   printed under each table — every projection summing exactly to the
    backend counter deltas — is the invariant the whole attribution rests
-   on; the test suite asserts it across every object. *)
+   on; the test suite asserts the same function across every object. *)
 let profile_run object_ backend pairs line_size policy crash with_heatmap top
     json prom =
   let fail fmt =
@@ -1426,39 +1425,25 @@ let profile_run object_ backend pairs line_size policy crash with_heatmap top
       Printf.printf "== %s  backend: %s%s  ops: %d  line size: %d%s ==\n" name
         backend_name (policy_banner policy) r.Zoo.z_ops line_size
         (if crash then "  (with crash + recovery)" else "");
-      Format.printf "%a@?" Profile.pp_rows p.Zoo.p_phases;
-      let sum f =
-        List.fold_left
-          (fun acc (ph : Profile.phase_row) -> acc + f ph)
-          0 p.Zoo.p_phases
-      in
-      let checks =
-        [
-          ("pwrites", sum (fun ph -> ph.Profile.ph_pwrites), c.MI.pwrites);
-          ("flushes", sum (fun ph -> ph.Profile.ph_flushes), c.MI.flushes);
-          ("elided", sum (fun ph -> ph.Profile.ph_elides), c.MI.elided_flushes);
-          ( "coalesced",
-            sum (fun ph -> ph.Profile.ph_coalesces),
-            c.MI.coalesced_flushes );
-          ("fences", sum (fun ph -> ph.Profile.ph_fences), c.MI.fences);
-        ]
-      in
-      Printf.printf "attribution check (phase sums / backend totals): %s\n"
+      let t = p.Zoo.p_attrib in
+      Format.printf "%a@?" Attrib.pp_phases t.Attrib.phases;
+      let checks = Attrib.sums t c in
+      Printf.printf "attribution check (sums / backend totals): %s\n"
         (String.concat "  "
            (List.map (fun (k, a, b) -> Printf.sprintf "%s %d/%d" k a b) checks));
-      (* The invariant the attribution rests on: a sum mismatch means
-         some persist event escaped its phase, so fail loudly — CI
-         treats a non-zero exit as a lost-attribution regression. *)
+      (* A sum mismatch means some persist event escaped its cell, so
+         fail loudly — CI treats a non-zero exit as a lost-attribution
+         regression. *)
       List.iter
         (fun (k, a, b) ->
           if a <> b then
-            fail "%s: attribution lost %s events (phase sum %d, backend total %d)"
+            fail "%s: attribution lost events (%s sum %d, backend total %d)"
               name k a b)
         checks;
       if with_heatmap then begin
         Printf.printf "\npersistence heatmap (top %d of %d lines):\n" top
-          (List.length p.Zoo.p_heat);
-        Format.printf "%a@?" Heatmap.pp_rows (Heatmap.top ~n:top p.Zoo.p_heat)
+          (List.length t.Attrib.lines);
+        Format.printf "%a@?" Attrib.pp_lines (Attrib.top ~n:top t.Attrib.lines)
       end;
       print_newline ())
     profiles;
@@ -1490,18 +1475,17 @@ let profile_run object_ backend pairs line_size policy crash with_heatmap top
                 (List.map
                    (fun (name, (p : Zoo.profile)) ->
                      Json.Obj
-                       [
-                         ("object", Json.String name);
-                         ("ops", Json.Int p.Zoo.p_row.Zoo.z_ops);
-                         ( "counters",
-                           Json.Obj
-                             (List.map
-                                (fun (k, v) -> (k, Json.Int v))
-                                (MI.Counters.to_assoc p.Zoo.p_row.Zoo.z_events))
-                         );
-                         ("phases", Profile.rows_to_json p.Zoo.p_phases);
-                         ("heatmap", Heatmap.rows_to_json p.Zoo.p_heat);
-                       ])
+                       ([
+                          ("object", Json.String name);
+                          ("ops", Json.Int p.Zoo.p_row.Zoo.z_ops);
+                          ( "counters",
+                            Json.Obj
+                              (List.map
+                                 (fun (k, v) -> (k, Json.Int v))
+                                 (MI.Counters.to_assoc
+                                    p.Zoo.p_row.Zoo.z_events)) );
+                        ]
+                       @ Attrib.to_json p.Zoo.p_attrib))
                    profiles) );
           ]
       in
@@ -1517,8 +1501,7 @@ let profile_run object_ backend pairs line_size policy crash with_heatmap top
             List.map
               (fun (s : Prom.sample) ->
                 { s with Prom.s_labels = ("workload", name) :: s.Prom.s_labels })
-              (Prom.phase_samples p.Zoo.p_phases
-              @ Prom.heatmap_samples p.Zoo.p_heat))
+              (Attrib.samples p.Zoo.p_attrib))
           profiles
       in
       match Prom.write file samples with

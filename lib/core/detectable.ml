@@ -39,7 +39,7 @@
     {!Recovery} scaffolding below instead. *)
 
 module Spec = Dssq_spec.Spec
-module Profile = Dssq_obs.Profile
+module Profile = Dssq_obs.Attrib
 
 (** Checker hook for the [lost-batch] mutant: when set, a combining
     install publishes its batch's completions durably {e before} the

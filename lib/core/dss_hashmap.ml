@@ -38,7 +38,7 @@ end
 
 module Make (M : Dssq_memory.Memory_intf.S) = struct
   module C = Dss_cell.Make (M)
-  module Profile = Dssq_obs.Profile
+  module Profile = Dssq_obs.Attrib
 
   let key_bits = 20
   let key_mask = (1 lsl key_bits) - 1

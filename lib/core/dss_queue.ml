@@ -46,7 +46,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
   module L = Detectable.Linked (M)
   module Pool = L.Pool
   module A = L.Announce
-  module Profile = Dssq_obs.Profile
+  module Profile = Dssq_obs.Attrib
 
   let name = "dss-queue"
 

@@ -24,7 +24,7 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
   module Pool = L.Pool
   module A = L.Announce
   module R = L.Recovery
-  module Profile = Dssq_obs.Profile
+  module Profile = Dssq_obs.Attrib
 
   let name = "dss-stack"
 

@@ -2,8 +2,8 @@
     either backend, in one vocabulary, fanned out to subscribers.
 
     Backends (the sim heap, [Native.Make]) emit each event once;
-    observers (the tracer, the persistence heatmap, the phase profiler)
-    subscribe and fold the stream into their own views.  Emit sites are
+    observers (the tracer, the attribution table) subscribe and fold
+    the stream into their own views.  Emit sites are
     guarded by {!is_on}, so with no subscriber each costs one load and
     one branch and builds nothing. *)
 

@@ -1,6 +1,6 @@
 (** Prometheus text exposition format (version 0.0.4) for the
-    observability layer: metrics registry snapshots, persistence-heatmap
-    rows and phase-profiler rows rendered as labeled samples, e.g.
+    observability layer: labeled samples, such as the attribution
+    table's ({!Attrib.samples}), e.g.
 
     {v
     dssq_heatmap_flushes{line="3",label="q.state",object="q"} 128
@@ -95,83 +95,6 @@ let sample_to_string s =
 
 let render samples =
   String.concat "" (List.map (fun s -> sample_to_string s ^ "\n") samples)
-
-(* ------------------------- source adapters ---------------------------- *)
-
-let metric_samples metrics =
-  List.map
-    (fun (name, v) ->
-      { s_name = "dssq_" ^ name; s_labels = []; s_value = float_of_int v })
-    metrics
-
-let heatmap_samples rows =
-  List.concat_map
-    (fun (r : Heatmap.row) ->
-      let labels =
-        [
-          ("line", string_of_int r.Heatmap.h_line);
-          ("label", r.Heatmap.h_label);
-          ("object", r.Heatmap.h_object);
-        ]
-      in
-      List.map
-        (fun (field, v) ->
-          {
-            s_name = "dssq_heatmap_" ^ field;
-            s_labels = labels;
-            s_value = float_of_int v;
-          })
-        [
-          ("writes", r.Heatmap.h_writes);
-          ("flushes", r.Heatmap.h_flushes);
-          ("elided_flushes", r.Heatmap.h_elides);
-          ("coalesced_flushes", r.Heatmap.h_coalesces);
-          ("evicted_lines", r.Heatmap.h_evicts);
-          ("dropped_lines", r.Heatmap.h_drops);
-        ])
-    rows
-
-let phase_samples rows =
-  List.concat_map
-    (fun (r : Profile.phase_row) ->
-      let labels = [ ("phase", r.Profile.ph_phase) ] in
-      let counts =
-        List.map
-          (fun (field, v) ->
-            {
-              s_name = "dssq_profile_" ^ field;
-              s_labels = labels;
-              s_value = float_of_int v;
-            })
-          [
-            ("spans", r.Profile.ph_ops);
-            ("pwrites", r.Profile.ph_pwrites);
-            ("flushes", r.Profile.ph_flushes);
-            ("elided_flushes", r.Profile.ph_elides);
-            ("coalesced_flushes", r.Profile.ph_coalesces);
-            ("fences", r.Profile.ph_fences);
-            ("elided_fences", r.Profile.ph_elided_fences);
-          ]
-      in
-      let h = r.Profile.ph_latency in
-      let lat =
-        if Histogram.total h = 0 then []
-        else
-          List.map
-            (fun (q, v) ->
-              {
-                s_name = "dssq_profile_latency_ns";
-                s_labels = labels @ [ ("quantile", q) ];
-                s_value = v;
-              })
-            [
-              ("0.5", Histogram.p50 h);
-              ("0.9", Histogram.p90 h);
-              ("0.99", Histogram.p99 h);
-            ]
-      in
-      counts @ lat)
-    rows
 
 let write path samples =
   let oc = open_out path in

@@ -1,8 +1,7 @@
 (** Prometheus text exposition (format 0.0.4) for the observability
-    layer: metrics snapshots, heatmap rows and phase-profiler rows as
-    labeled samples.  Names are sanitized to the legal character set;
-    label values use the format's backslash escaping, with an exact
-    inverse for round-trip testing. *)
+    layer: labeled samples, one per line.  Names are sanitized to the
+    legal character set; label values use the format's backslash
+    escaping, with an exact inverse for round-trip testing. *)
 
 type sample = {
   s_name : string;  (** sanitized on render *)
@@ -28,16 +27,6 @@ val sample_to_string : sample -> string
 
 val render : sample list -> string
 (** All samples, one line each, newline-terminated. *)
-
-val metric_samples : (string * int) list -> sample list
-(** A {!Metrics.snapshot} as [dssq_<name>] samples. *)
-
-val heatmap_samples : Heatmap.row list -> sample list
-(** [dssq_heatmap_*] samples labeled by line / label / object. *)
-
-val phase_samples : Profile.phase_row list -> sample list
-(** [dssq_profile_*] samples labeled by phase, including p50/p90/p99
-    latency quantiles for non-empty phases. *)
 
 val write : string -> sample list -> unit
 (** {!render} to a file.  @raise Sys_error on I/O failure. *)

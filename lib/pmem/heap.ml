@@ -561,7 +561,8 @@ let transfer : type a b. a Cell.t -> b Cell.t -> a -> unit =
 
 (* The lines the drain prefixes write back: each [(tid, count)] takes
    the next [count] entries of [tid]'s buffer, as the same run of
-   {!adversary_drain} calls would. *)
+   {!adversary_drain} calls would, and counts as [write_back] does: an
+   effective flush when the line was dirty, an elided one otherwise. *)
 let drained_lines t ~on drains =
   let taken = ref [] and drained = ref [] in
   List.iter
@@ -577,6 +578,8 @@ let drained_lines t ~on drains =
                 let effective =
                   Line.is_dirty l && not (List.mem lid !drained)
                 in
+                if effective then t.stats.flushes <- t.stats.flushes + 1
+                else t.stats.elided_flushes <- t.stats.elided_flushes + 1;
                 drained := lid :: !drained;
                 if on then
                   match t.line_members.(lid) with

@@ -150,7 +150,9 @@ val pending_for : t -> tid:int -> bool
 val adversary_drain : t -> tid:int -> count:int -> unit
 (** Persist the oldest [count] entries of thread [tid]'s buffer, in FIFO
     order, with no fence — the adversary's asynchronous write-back.
-    Degrades to a no-op / shorter prefix when the buffer is smaller. *)
+    Each drained line counts as a flush: effective when it was still
+    dirty, elided otherwise.  Degrades to a no-op / shorter prefix when
+    the buffer is smaller. *)
 
 val pending_fifos : t -> (int * int list) list
 (** Per-thread buffer contents, oldest first, sorted by thread id.
@@ -174,7 +176,9 @@ val crash_into :
 (** [crash_into t ~into ~drains ~evict] crashes [t] and loads the image
     the crash leaves in persistent memory into [into]: first each
     [(tid, count)] of [drains] writes back the next [count] entries of
-    [tid]'s persist buffer, as {!adversary_drain} would; then every
+    [tid]'s persist buffer, as {!adversary_drain} would, each drained
+    line counting as a flush of [t] (effective when still dirty, elided
+    otherwise); then every
     other dirty {e line} survives (cache eviction before power loss)
     when [evict lid] and is lost otherwise, as a unit.  [evict] is asked
     once per such line, most recently allocated line first — the order
@@ -183,7 +187,8 @@ val crash_into :
     pending.
 
     [into] is [t] itself (the crash in place) or a fresh set-up of the
-    same case (a cold restart, which leaves [t] as it was).  A cold
+    same case (a cold restart, which leaves [t]'s cells as they
+    were).  A cold
     restart visits only the lines [t] changed since its {!log_persists}
     mark — its dirty lines and the logged ones — and writes only cells
     whose value differs, so [into] must hold the same cells, in the same

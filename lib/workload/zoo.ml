@@ -20,15 +20,14 @@
     for archiving (the words-per-op CI artifact).
 
     [profile_one]/[profile_all] run the same workloads with the
-    persistence heatmap and phase profiler attached, producing the
-    attribution tables behind [dssq profile]. *)
+    attribution table ({!Dssq_obs.Attrib}) attached, producing the
+    per-phase and per-line tables behind [dssq profile]. *)
 
 open Dssq_pmem
 open Dssq_sim
 module MI = Dssq_memory.Memory_intf
 module DI = Dssq_core.Detectable_intf
-module Heatmap = Dssq_obs.Heatmap
-module Profile = Dssq_obs.Profile
+module Attrib = Dssq_obs.Attrib
 
 type row = {
   z_object : string;
@@ -245,36 +244,15 @@ let combine_rows ?(batches = [ 1; 2; 4; 8 ]) ?(nthreads = 8) () =
 
 (* ------------------------- attributed profiling ------------------------ *)
 
-type profile = {
-  p_row : row;
-  p_phases : Profile.phase_row list;
-  p_heat : Heatmap.row list;
-}
+type profile = { p_row : row; p_attrib : Attrib.t }
 
-(* Shared shell: enable both aggregators around [body], always detach.
-   The aggregators are started before construction so allocation-site
-   labels are captured, then the counts (not the labels) are zeroed at
-   the same instant as the backend counters — which is what keeps the
-   per-phase and per-line sums equal to the counter deltas. *)
+(* The table is started before construction so allocation-site labels
+   are captured, and always detached afterwards. *)
 let with_attribution body =
-  Heatmap.reset ();
-  Profile.reset ();
-  Heatmap.start ();
-  Profile.start ();
-  Fun.protect
-    ~finally:(fun () ->
-      Heatmap.stop ();
-      Profile.stop ())
-    body
+  Attrib.start ();
+  Fun.protect ~finally:Attrib.stop body
 
-(* The measured window starts clean: counts (not labels) are zeroed at
-   the same instant as the backend counters. *)
-let zero_attribution () =
-  Heatmap.reset_counts ();
-  Profile.reset ()
-
-let attributed p_row =
-  { p_row; p_phases = Profile.rows (); p_heat = Heatmap.rows () }
+let attributed p_row = { p_row; p_attrib = Attrib.snapshot () }
 
 let profile_one ?(pairs = 200) ?(line_size = 1) ?(policy = MI.Policy.Eager)
     ?(crash = false) name =
@@ -288,7 +266,10 @@ let profile_one ?(pairs = 200) ?(line_size = 1) ?(policy = MI.Policy.Eager)
       attributed
         (row mems ~policy ~pairs name (fun threads recover ->
              Heap.log_persists heap;
-             zero_attribution ();
+             (* Counts, not labels, are zeroed at the same instant as
+                the backend counters: that keeps every projection's sum
+                equal to the counter deltas. *)
+             Attrib.reset ();
              ignore (Sim.run heap ~threads);
              if crash then begin
                Sim.restart heap ~into:fresh ~evict_p:0.5 ~seed:17;
@@ -310,11 +291,11 @@ let profile_one_native ?(pairs = 200) ?(line_size = 1)
       in
       attributed
         (row [ (module C) ] ~policy ~pairs name (fun threads recover ->
-             zero_attribution ();
+             Attrib.reset ();
              (* Workers run sequentially in this domain — attribution
                 wants a deterministic event stream, not a wall-clock
-                benchmark; the per-worker tid keeps the profiler's
-                thread slots honest. *)
+                benchmark; the per-worker tid keeps the table's
+                thread phases honest. *)
              List.iteri
                (fun tid th ->
                  PE.pin_tid tid;

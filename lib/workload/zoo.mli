@@ -63,10 +63,8 @@ val combine_rows : ?batches:int list -> ?nthreads:int -> unit -> fc_row list
 
 type profile = {
   p_row : row;
-  p_phases : Dssq_obs.Profile.phase_row list;
-      (** per-phase persist events and span latency *)
-  p_heat : Dssq_obs.Heatmap.row list;
-      (** per-line persistence heatmap, labeled by allocation site *)
+  p_attrib : Dssq_obs.Attrib.t;
+      (** per-phase and per-line persist events, per-phase span latency *)
 }
 
 val profile_one :
@@ -76,7 +74,7 @@ val profile_one :
   ?crash:bool ->
   string ->
   profile
-(** {!run_one} with the heatmap and phase profiler attached (simulator
+(** {!run_one} with the attribution table attached (simulator
     backend).  [crash] additionally injects a seeded random crash after
     the workload and runs recovery plus per-thread resolve, so the
     recovery phases appear in the attribution.  Per-phase and per-line

@@ -1,122 +1,162 @@
-(** Attribution-grade profiling: the persistence heatmap's aggregation
+(** Attribution-grade profiling: the attribution table's aggregation
     invariants (QCheck), the Prometheus exporter's escaping round-trip,
     and the end-to-end accounting identities the `dssq profile` tables
     rest on — per-phase and per-line event sums equal to the backend
     counter deltas across the whole zoo, and event streams bit-identical
     with profiling on or off. *)
 
-module Heatmap = Dssq_obs.Heatmap
-module Profile = Dssq_obs.Profile
+module Attrib = Dssq_obs.Attrib
 module Prom = Dssq_obs.Prom
 module Zoo = Dssq_workload.Zoo
 module MI = Dssq_memory.Memory_intf
 module PE = Dssq_memory.Persist_event
 
-(* --------------------------- heatmap invariants ----------------------- *)
+(* ---------------------------- table invariants ------------------------- *)
 
-let emit ?(name = "") kind ~line =
-  PE.emit kind ~tid:0 ~cell:(-1) ~name ~line ~dirty:false
+let emit ?(name = "") ?(tid = 0) kind ~line =
+  PE.emit kind ~tid ~cell:(-1) ~name ~line ~dirty:false
 
-(* Index-coded events so QCheck can print counterexamples. *)
-let line_events =
+(* Index-coded events so QCheck can print counterexamples, and the
+   column each one counts in. *)
+let events =
   PE.[| Write; Flush Written_back; Flush Elided; Flush Coalesced;
-        Verdict true; Verdict false |]
+        Verdict true; Verdict false; Fence 3 |]
+
+let columns (k : Attrib.counts) =
+  Attrib.[| k.writes; k.flushes; k.elides; k.coalesces; k.evicts; k.drops;
+            k.fences |]
+
+let fence = 6
 
 let prop_heatmap_sums =
   QCheck.Test.make ~count:200
-    ~name:"heatmap: per-line sums equal the event totals"
+    ~name:"heatmap: per-line sums equal the fed counts, per-phase sums too"
     QCheck.(
       list_of_size (Gen.int_range 0 200)
-        (pair (int_range 0 8) (int_range 0 (Array.length line_events - 1))))
+        (quad (int_range 0 2)
+           (int_range 0 (List.length Attrib.phases - 1))
+           (int_range (-1) 8)
+           (int_range 0 (Array.length events - 1))))
     (fun evs ->
-      Heatmap.reset ();
-      Heatmap.start ();
-      (* every verdict closes its own crash: within one crash the
-         heatmap counts a line's verdict once *)
+      Attrib.start ();
+      (* each event in its own span of a random phase on a random thread;
+         fences carry no line, as on the stream; every verdict closes its
+         own crash: within one crash a line's verdict counts once *)
       List.iter
-        (fun (line, i) ->
-          emit line_events.(i) ~line;
-          if i >= 4 then emit Crashed ~line:(-1))
+        (fun (tid, p, line, i) ->
+          let sp = Attrib.begin_span ~tid (List.nth Attrib.phases p) in
+          emit events.(i) ~tid ~line:(if i = fence then -1 else line);
+          if i = 4 || i = 5 then emit Crashed ~tid ~line:(-1);
+          Attrib.end_span ~tid sp)
         evs;
-      Heatmap.stop ();
-      let rows = Heatmap.rows () in
-      let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-      let count i = List.length (List.filter (fun (_, j) -> j = i) evs) in
-      sum (fun r -> r.Heatmap.h_writes) = count 0
-      && sum (fun r -> r.Heatmap.h_flushes) = count 1
-      && sum (fun r -> r.Heatmap.h_elides) = count 2
-      && sum (fun r -> r.Heatmap.h_coalesces) = count 3
-      && sum (fun r -> r.Heatmap.h_evicts) = count 4
-      && sum (fun r -> r.Heatmap.h_drops) = count 5)
+      Attrib.stop ();
+      let t = Attrib.snapshot () in
+      let count keep = List.length (List.filter keep evs) in
+      let line_sum i =
+        List.fold_left (fun acc r -> acc + (columns r.Attrib.h_counts).(i))
+          0 t.Attrib.lines
+      in
+      List.for_all
+        (fun i ->
+          line_sum i
+          = count (fun (_, _, line, j) -> j = i && i <> fence && line >= 0))
+        (List.init (Array.length events) Fun.id)
+      && List.for_all
+           (fun (p, (r : Attrib.phase_row)) ->
+             let k = r.Attrib.ph_counts in
+             r.Attrib.ph_ops = count (fun (_, q, _, _) -> q = p)
+             && k.Attrib.elided_fences = 2 * k.Attrib.fences
+             && List.for_all
+                  (fun i ->
+                    (columns k).(i) = count (fun (_, q, _, j) -> q = p && j = i))
+                  (List.init (Array.length events) Fun.id))
+           (List.mapi (fun p r -> (p, r)) t.Attrib.phases))
 
 let test_heatmap_labels () =
-  Heatmap.reset ();
-  Heatmap.start ();
+  Attrib.start ();
   emit Alloc ~line:3 ~name:"";
   emit Alloc ~line:3 ~name:"queue.head";
   emit Alloc ~line:3 ~name:"later-loser";
   emit Write ~line:3;
-  (* fences count nothing and negative lines have no identity: both are
-     ignored rather than aggregated *)
+  (* a fence is not a flush, and line -1 (fences, crash markers) has no
+     row of its own *)
   emit (Fence 0) ~line:3;
   emit (Flush Written_back) ~line:(-1);
   (* one crash dropping two cells of line 3 is one dropped line *)
   emit (Verdict false) ~line:3;
   emit (Verdict false) ~line:3;
   emit Crashed ~line:(-1);
-  Heatmap.stop ();
-  (match Heatmap.rows () with
+  (match (Attrib.snapshot ()).Attrib.lines with
   | [ r ] ->
       Alcotest.(check string)
-        "first non-empty name wins" "queue.head" r.Heatmap.h_label;
-      Alcotest.(check string) "bucketed by owner" "queue" r.Heatmap.h_object;
-      Alcotest.(check int) "one write" 1 r.Heatmap.h_writes;
-      Alcotest.(check int) "fence not aggregated" 0 r.Heatmap.h_flushes;
-      Alcotest.(check int) "one verdict per line per crash" 1 r.Heatmap.h_drops
+        "first non-empty name wins" "queue.head" r.Attrib.h_label;
+      Alcotest.(check string) "bucketed by owner" "queue" r.Attrib.h_object;
+      Alcotest.(check int) "one write" 1 r.Attrib.h_counts.writes;
+      Alcotest.(check int) "fence not aggregated" 0 r.Attrib.h_counts.flushes;
+      Alcotest.(check int) "one verdict per line per crash" 1
+        r.Attrib.h_counts.drops
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
-  Alcotest.(check string) "bucket strips index" "ann" (Heatmap.bucket "ann[0]");
-  Alcotest.(check string) "bucket of empty label" "?" (Heatmap.bucket "");
-  (* reset_counts keeps the allocation-site labels (the
-     post-construction measurement-window reset) *)
-  Heatmap.start ();
-  Heatmap.reset_counts ();
+  Alcotest.(check string) "bucket strips index" "ann" (Attrib.bucket "ann[0]");
+  Alcotest.(check string) "bucket of empty label" "?" (Attrib.bucket "");
+  (* reset keeps the allocation-site labels (the post-construction
+     measurement-window reset) *)
+  Attrib.reset ();
   emit (Flush Written_back) ~line:3;
-  Heatmap.stop ();
-  match List.filter (fun r -> r.Heatmap.h_line = 3) (Heatmap.rows ()) with
+  Attrib.stop ();
+  match
+    List.filter (fun r -> r.Attrib.h_line = 3) (Attrib.snapshot ()).Attrib.lines
+  with
   | [ r ] ->
-      Alcotest.(check string) "label survives" "queue.head" r.Heatmap.h_label;
-      Alcotest.(check int) "counts were zeroed" 0 r.Heatmap.h_writes;
-      Alcotest.(check int) "new window counts" 1 r.Heatmap.h_flushes;
-      Heatmap.reset ()
+      Alcotest.(check string) "label survives" "queue.head" r.Attrib.h_label;
+      Alcotest.(check int) "counts were zeroed" 0 r.Attrib.h_counts.writes;
+      Alcotest.(check int) "new window counts" 1 r.Attrib.h_counts.flushes
   | rows -> Alcotest.failf "expected line 3, got %d rows" (List.length rows)
 
+(* A crash that stops before its [Crashed] marker (a set-up that raises
+   mid-load) leaves its verdict marks behind; a reset must forget them,
+   or they swallow the next crash's first verdicts. *)
+let test_reset_forgets_verdicts () =
+  Attrib.start ();
+  emit (Verdict true) ~line:5;
+  Attrib.reset ();
+  emit (Verdict true) ~line:5;
+  emit Crashed ~line:(-1);
+  Attrib.stop ();
+  match (Attrib.snapshot ()).Attrib.lines with
+  | [ r ] -> Alcotest.(check int) "one verdict" 1 r.Attrib.h_counts.evicts
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+
 let test_heatmap_off_is_noop () =
-  Heatmap.reset ();
+  Attrib.start ();
+  Attrib.stop ();
   emit Write ~line:1;
   emit Alloc ~line:1 ~name:"ghost";
   Alcotest.(check int) "nothing aggregated while off" 0
-    (List.length (Heatmap.rows ()))
+    (List.length (Attrib.snapshot ()).Attrib.lines)
 
 let test_heatmap_top_ranking () =
   let mk line flushes writes =
     {
-      Heatmap.h_line = line;
+      Attrib.h_line = line;
       h_label = "";
       h_object = "?";
-      h_writes = writes;
-      h_flushes = flushes;
-      h_elides = 0;
-      h_coalesces = 0;
-      h_evicts = 0;
-      h_drops = 0;
+      h_counts =
+        {
+          Attrib.writes;
+          flushes;
+          elides = 0;
+          coalesces = 0;
+          fences = 0;
+          elided_fences = 0;
+          evicts = 0;
+          drops = 0;
+        };
     }
   in
   let rows = [ mk 1 2 9; mk 2 5 0; mk 3 2 1; mk 4 0 50 ] in
   Alcotest.(check (list int))
     "flushes desc, writes break ties" [ 2; 1; 3 ]
-    (List.map
-       (fun r -> r.Heatmap.h_line)
-       (Heatmap.top ~n:3 rows))
+    (List.map (fun r -> r.Attrib.h_line) (Attrib.top ~n:3 rows))
 
 (* ------------------------ Prometheus exporter ------------------------- *)
 
@@ -146,45 +186,15 @@ let test_prom_rendering () =
 
 (* -------------------- end-to-end accounting identities ----------------- *)
 
-let counters_of (p : Zoo.profile) = p.Zoo.p_row.Zoo.z_events
-
-let phase_sum f (p : Zoo.profile) =
-  List.fold_left
-    (fun acc (ph : Profile.phase_row) -> acc + f ph)
-    0 p.Zoo.p_phases
-
-let heat_sum f (p : Zoo.profile) =
-  List.fold_left (fun acc r -> acc + f r) 0 p.Zoo.p_heat
-
-(* The identity the whole attribution rests on: for every zoo object,
-   per-phase event counts and per-line heatmap counts each sum exactly
-   to the backend's counter deltas — nothing double-counted, nothing
-   unattributed. *)
+(* The identity the whole attribution rests on, as `dssq profile`
+   checks it: for every zoo object, per-phase and per-line event counts
+   each sum exactly to the backend's counter deltas — nothing
+   double-counted, nothing unattributed. *)
 let check_attribution_sums ~ctx (p : Zoo.profile) =
-  let c = counters_of p in
-  let chk what a b =
-    Alcotest.(check int) (Printf.sprintf "%s: %s" ctx what) b a
-  in
-  chk "phase pwrites" (phase_sum (fun r -> r.Profile.ph_pwrites) p) c.MI.pwrites;
-  chk "phase flushes" (phase_sum (fun r -> r.Profile.ph_flushes) p) c.MI.flushes;
-  chk "phase elided"
-    (phase_sum (fun r -> r.Profile.ph_elides) p)
-    c.MI.elided_flushes;
-  chk "phase coalesced"
-    (phase_sum (fun r -> r.Profile.ph_coalesces) p)
-    c.MI.coalesced_flushes;
-  chk "phase fences" (phase_sum (fun r -> r.Profile.ph_fences) p) c.MI.fences;
-  chk "phase elided fences"
-    (phase_sum (fun r -> r.Profile.ph_elided_fences) p)
-    c.MI.elided_fences;
-  chk "heatmap writes" (heat_sum (fun r -> r.Heatmap.h_writes) p) c.MI.pwrites;
-  chk "heatmap flushes" (heat_sum (fun r -> r.Heatmap.h_flushes) p) c.MI.flushes;
-  chk "heatmap elided"
-    (heat_sum (fun r -> r.Heatmap.h_elides) p)
-    c.MI.elided_flushes;
-  chk "heatmap coalesced"
-    (heat_sum (fun r -> r.Heatmap.h_coalesces) p)
-    c.MI.coalesced_flushes
+  List.iter
+    (fun (what, sum, total) ->
+      Alcotest.(check int) (Printf.sprintf "%s: %s" ctx what) total sum)
+    (Attrib.sums p.Zoo.p_attrib p.Zoo.p_row.Zoo.z_events)
 
 let test_zoo_attribution_sums () =
   List.iter
@@ -192,23 +202,29 @@ let test_zoo_attribution_sums () =
       check_attribution_sums ~ctx:name (Zoo.profile_one ~pairs:40 name))
     Zoo.objects
 
+(* Under every policy: a buffered policy's crash adversary drains
+   persist buffers, and each drained line is a flush. *)
 let test_zoo_attribution_sums_crash () =
   List.iter
-    (fun name ->
-      let p = Zoo.profile_one ~pairs:40 ~crash:true name in
-      check_attribution_sums ~ctx:(name ^ "+crash") p;
-      (* the crash arm must put work into the recovery phases *)
-      let recovery_spans =
-        List.fold_left
-          (fun acc (r : Profile.phase_row) ->
-            if r.Profile.ph_phase = "recovery-scan" then acc + r.Profile.ph_ops
-            else acc)
-          0 p.Zoo.p_phases
-      in
-      Alcotest.(check bool)
-        (name ^ ": recovery-scan spans recorded")
-        true (recovery_spans > 0))
-    Zoo.objects
+    (fun policy ->
+      List.iter
+        (fun name ->
+          let ctx = Printf.sprintf "%s+crash/%s" name (MI.Policy.to_string policy) in
+          let p = Zoo.profile_one ~pairs:40 ~policy ~crash:true name in
+          check_attribution_sums ~ctx p;
+          (* the crash arm must put work into the recovery phases *)
+          let recovery_spans =
+            List.fold_left
+              (fun acc (r : Attrib.phase_row) ->
+                if r.Attrib.ph_phase = "recovery-scan" then acc + r.Attrib.ph_ops
+                else acc)
+              0 p.Zoo.p_attrib.Attrib.phases
+          in
+          Alcotest.(check bool)
+            (ctx ^ ": recovery-scan spans recorded")
+            true (recovery_spans > 0))
+        Zoo.objects)
+    MI.Policy.all
 
 let test_zoo_attribution_sums_coalesce () =
   List.iter
@@ -244,8 +260,7 @@ let test_profiling_transparent () =
         plain.Zoo.z_ops profiled.Zoo.p_row.Zoo.z_ops)
     Zoo.objects;
   (* and the aggregators are really off again afterwards *)
-  Alcotest.(check bool) "heatmap off" false (Heatmap.is_on ());
-  Alcotest.(check bool) "profiler off" false (Profile.is_on ())
+  Alcotest.(check bool) "attribution off" false (Attrib.is_on ())
 
 (* Both zoo entry points build the heap from the same policy, so they
    count the same events under each — a policy dropped on one path shows
@@ -274,8 +289,8 @@ let test_profile_heat_labeled () =
   let p = Zoo.profile_one ~pairs:40 "dss-queue" in
   let labels =
     List.filter_map
-      (fun r -> if r.Heatmap.h_label = "" then None else Some r.Heatmap.h_label)
-      p.Zoo.p_heat
+      (fun r -> if r.Attrib.h_label = "" then None else Some r.Attrib.h_label)
+      p.Zoo.p_attrib.Attrib.lines
   in
   Alcotest.(check bool) "some lines are labeled" true (labels <> []);
   Alcotest.(check bool)
@@ -288,6 +303,8 @@ let suite =
   @ [
       Alcotest.test_case "heatmap labels and buckets" `Quick
         test_heatmap_labels;
+      Alcotest.test_case "reset forgets an unfinished crash's verdicts"
+        `Quick test_reset_forgets_verdicts;
       Alcotest.test_case "heatmap off is a no-op" `Quick
         test_heatmap_off_is_noop;
       Alcotest.test_case "heatmap top ranking" `Quick test_heatmap_top_ranking;

@@ -347,7 +347,7 @@ module Native_stack = Dssq_core.Dss_stack.Make (Dssq_memory.Native)
    deferred retirement, the limbo bucket and the free list. *)
 let words_per_pair pair =
   Alcotest.(check bool) "tracing off" false (Dssq_obs.Trace.is_on ());
-  Alcotest.(check bool) "profiling off" false (Dssq_obs.Profile.is_on ());
+  Alcotest.(check bool) "profiling off" false (Dssq_obs.Attrib.is_on ());
   for i = 1 to 1_000 do
     pair i
   done;
