@@ -44,6 +44,7 @@ let int_in ~lo ?(hi = max_int) what =
   Arg.conv (parse, Format.pp_print_int)
 
 let pos_int = int_in ~lo:1 "a positive integer"
+let nonneg_int = int_in ~lo:0 "a non-negative integer"
 
 let backend_arg =
   let backends = [ Experiments.Sim_model; Experiments.Native_domains ] in
@@ -2011,12 +2012,17 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
     List.iter (fun (c : Scenarios.case) -> print_endline c.Scenarios.name) cases;
     exit 0
   end;
-  (* A world whose set-up raises ends the run, naming the case. *)
-  let or_setup_failed f =
-    try f ()
-    with Scenarios.Setup_failed _ as e ->
-      Printf.eprintf "dssq: %s\n" (Printexc.to_string e);
-      exit 1
+  (* A world whose set-up raises, or a search past [--limit], ends the
+     run, naming the case. *)
+  let or_failed (c : Scenarios.case) f =
+    try f () with
+    | Scenarios.Setup_failed _ as e ->
+        Printf.eprintf "dssq: %s\n" (Printexc.to_string e);
+        exit 1
+    | Explore.Too_many_executions _ ->
+        Printf.eprintf "dssq: %s: more than %d executions (--limit)\n"
+          c.Scenarios.name limit;
+        exit 1
   in
   match replay with
   | Some token ->
@@ -2036,7 +2042,7 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
         | exception Invalid_argument m -> fail "bad replay token: %s" m
       in
       let outcome, trace =
-        or_setup_failed (fun () -> c.Scenarios.explain sched)
+        or_failed c (fun () -> c.Scenarios.explain sched)
       in
       Printf.printf "replaying %s under token %s\n" c.Scenarios.name token;
       if trace <> [] then
@@ -2054,11 +2060,11 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
         List.map
           (fun (c : Scenarios.case) ->
             let verdict =
-              or_setup_failed (fun () -> run_case c ~reduction:true)
+              or_failed c (fun () -> run_case c ~reduction:true)
             in
             let naive =
               if compare_naive then
-                Some (or_setup_failed (fun () -> run_case c ~reduction:false))
+                Some (or_failed c (fun () -> run_case c ~reduction:false))
               else None
             in
             let show = function
@@ -2271,13 +2277,13 @@ let explore_cmd =
   in
   let max_preemptions =
     Arg.(
-      value & opt int 1
+      value & opt nonneg_int 1
       & info [ "max-preemptions" ]
           ~doc:"CHESS preemption bound (iterative deepening)")
   in
   let max_crash_lines =
     Arg.(
-      value & opt pos_int 4
+      value & opt (int_in ~lo:1 ~hi:30 "an integer from 1 to 30") 4
       & info [ "max-crash-lines" ]
           ~doc:
             "cap on exhaustive eviction-subset enumeration per crash point; \
@@ -2285,7 +2291,7 @@ let explore_cmd =
   in
   let crash_samples =
     Arg.(
-      value & opt int 6
+      value & opt nonneg_int 6
       & info [ "crash-samples" ]
           ~doc:"sampled eviction subsets past the enumeration cap")
   in
@@ -2301,7 +2307,7 @@ let explore_cmd =
   in
   let limit =
     Arg.(
-      value & opt int 2_000_000
+      value & opt pos_int 2_000_000
       & info [ "limit" ] ~doc:"abort past this many executions")
   in
   let compare_naive =

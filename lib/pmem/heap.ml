@@ -402,26 +402,6 @@ let before_store t ~on =
 let after_store t (line : Line.t) =
   if Policy.enqueues_stores t.policy then to_tail t (fifo t t.cur_tid) line
 
-(** Asynchronous write-back chosen by the crash adversary: persist the
-    oldest [count] entries of thread [tid]'s persist buffer, in FIFO
-    order, with no fence — modelling CLWBs that happened to complete
-    before power failed.  Counted as effective flushes.  Out-of-range
-    targets (unknown thread, empty buffer, count past the end) degrade to
-    persisting what is there, so replaying a token prefix against a heap
-    whose buffers evolved differently stays total. *)
-let adversary_drain t ~tid ~count =
-  match Hashtbl.find_opt t.fifos tid with
-  | Some f when count > 0 ->
-      let fifo = List.rev f.entries in
-      let on = PE.is_on () in
-      List.iteri
-        (fun i line ->
-          if i < count then write_back t ~on ~adversary:true line)
-        fifo;
-      f.entries <- List.rev (List.filteri (fun i _ -> i >= count) fifo);
-      touch t
-  | _ -> ()
-
 (** Per-thread persist-buffer contents, oldest first: [(tid, lines)]
     sorted by thread id — the FIFOs the crash adversary draws drain
     prefixes over.  Empty unless the policy is {!Policy.relaxed}: under
@@ -559,10 +539,12 @@ let transfer : type a b. a Cell.t -> b Cell.t -> a -> unit =
   end;
   d.Cell.dirty <- false
 
-(* The lines the drain prefixes write back: each [(tid, count)] takes
-   the next [count] entries of [tid]'s buffer, as the same run of
-   {!adversary_drain} calls would, and counts as [write_back] does: an
-   effective flush when the line was dirty, an elided one otherwise. *)
+(* The one write-back of the crash adversary's drain prefixes, the
+   CLWBs that happened to complete before power failed: each
+   [(tid, count)] takes the next [count] entries of [tid]'s buffer, in
+   FIFO order (fewer when the buffer is shorter), and counts as
+   [write_back] does: an effective flush when the line was dirty, an
+   elided one otherwise. *)
 let drained_lines t ~on drains =
   let taken = ref [] and drained = ref [] in
   List.iter

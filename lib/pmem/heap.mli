@@ -143,16 +143,9 @@ val pending_for : t -> tid:int -> bool
 (** {2 The crash adversary's view of the buffers}
 
     Under [Px86] and [Combine] buffers outlive stores, and a crash may
-    first write back an adversary-chosen FIFO {e prefix} per thread.
-    Under [Eager] and [Coalesced] every dirty line is a free per-line
-    verdict. *)
-
-val adversary_drain : t -> tid:int -> count:int -> unit
-(** Persist the oldest [count] entries of thread [tid]'s buffer, in FIFO
-    order, with no fence — the adversary's asynchronous write-back.
-    Each drained line counts as a flush: effective when it was still
-    dirty, elided otherwise.  Degrades to a no-op / shorter prefix when
-    the buffer is smaller. *)
+    first write back an adversary-chosen FIFO {e prefix} per thread
+    ({!crash_into}'s [drains]).  Under [Eager] and [Coalesced] every
+    dirty line is a free per-line verdict. *)
 
 val pending_fifos : t -> (int * int list) list
 (** Per-thread buffer contents, oldest first, sorted by thread id.
@@ -162,7 +155,7 @@ val crash_candidate_lines : t -> int list
 (** Dirty lines eligible for free-form eviction verdicts at a crash:
     all of {!dirty_lines} under [Eager] and [Coalesced]; under [Px86]
     and [Combine], the dirty lines not sitting in any thread's persist
-    buffer (buffered lines persist only via {!adversary_drain}
+    buffer (buffered lines persist only through {!crash_into}'s drain
     prefixes). *)
 
 (** {2 Crash} *)
@@ -176,8 +169,10 @@ val crash_into :
 (** [crash_into t ~into ~drains ~evict] crashes [t] and loads the image
     the crash leaves in persistent memory into [into]: first each
     [(tid, count)] of [drains] writes back the next [count] entries of
-    [tid]'s persist buffer, as {!adversary_drain} would, each drained
-    line counting as a flush of [t] (effective when still dirty, elided
+    [tid]'s persist buffer in FIFO order (fewer when the buffer is
+    shorter), with no fence — the one write-back of the crash
+    adversary's drain prefixes — each drained entry counting as one
+    flush of [t] (effective when its line is still dirty, elided
     otherwise); then every
     other dirty {e line} survives (cache eviction before power loss)
     when [evict lid] and is lost otherwise, as a unit.  [evict] is asked

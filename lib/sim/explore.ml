@@ -31,13 +31,14 @@
     repeated choice is counted ([skipped_branches], and [skipped_points]
     when it is all of a point's) and not run.
 
-    When the scenario's heap runs under buffered (px86) persistency, a
-    crash point additionally enumerates adversary-chosen {e buffer-drain
-    prefixes}: for each thread, any FIFO prefix of its persist buffer
-    may have been written back asynchronously before power was lost.
-    These appear as {!Bdrain} decisions (token [b<tid>:<count>]) right
-    before the [Crash], so relaxed counterexamples replay byte-for-byte
-    like everything else.
+    Every crash point draws its choices through one enumerator.  Under
+    buffered (px86) persistency a choice also names an adversary-chosen
+    {e buffer-drain prefix} per thread: any FIFO prefix of its persist
+    buffer may have been written back asynchronously before power was
+    lost.  These appear as {!Bdrain} decisions (token [b<tid>:<count>])
+    directly before the [Crash], so relaxed counterexamples replay
+    byte-for-byte like everything else.  Strict persistency is the case
+    with every buffer empty: no choice carries a drain.
 
     Two complementary bounding techniques keep the search tractable:
 
@@ -88,8 +89,8 @@ type decision =
   | Sched of int
   | Bdrain of { tid : int; count : int }
       (** adversary buffer write-back (px86): persist the oldest [count]
-          entries of thread [tid]'s persist-buffer FIFO.  Emitted
-          immediately before a [Crash]; replay accepts it anywhere. *)
+          entries of thread [tid]'s persist-buffer FIFO.  Only directly
+          before a crash; anything else is a bad token. *)
   | Crash of verdict list
 (** One branch choice: step thread [tid], or crash with the given
     per-dirty-line verdicts (under px86, preceded by adversary-chosen
@@ -255,37 +256,44 @@ let schedule_of_string s =
     | 'd' -> { line; evicted = false }
     | _ -> fail tok
   in
-  String.split_on_char '.' s
-  |> List.filter (fun tok -> tok <> "")
-  |> List.map (fun tok ->
-         if String.length tok < 1 then fail tok
-         else
-           match tok.[0] with
-           | 't' -> (
-               match int_of_string_opt (String.sub tok 1 (String.length tok - 1)) with
-               | Some tid when tid >= 0 -> Sched tid
-               | _ -> fail tok)
-           | 'b' -> (
-               let rest = String.sub tok 1 (String.length tok - 1) in
-               match String.index_opt rest ':' with
-               | Some i -> (
-                   let tid = int_of_string_opt (String.sub rest 0 i) in
-                   let count =
-                     int_of_string_opt
-                       (String.sub rest (i + 1) (String.length rest - i - 1))
-                   in
-                   match (tid, count) with
-                   | Some tid, Some count when tid >= 0 && count >= 1 ->
-                       Bdrain { tid; count }
-                   | _ -> fail tok)
-               | None -> fail tok)
-           | 'c' ->
-               let rest = String.sub tok 1 (String.length tok - 1) in
-               if rest = "" then Crash []
-               else
-                 Crash
-                   (String.split_on_char ',' rest |> List.map (verdict tok))
-           | _ -> fail tok)
+  let decision tok =
+    let rest = String.sub tok 1 (String.length tok - 1) in
+    match tok.[0] with
+    | 't' -> (
+        match int_of_string_opt rest with
+        | Some tid when tid >= 0 -> Sched tid
+        | _ -> fail tok)
+    | 'b' -> (
+        match String.index_opt rest ':' with
+        | Some i -> (
+            let tid = int_of_string_opt (String.sub rest 0 i) in
+            let count =
+              int_of_string_opt
+                (String.sub rest (i + 1) (String.length rest - i - 1))
+            in
+            match (tid, count) with
+            | Some tid, Some count when tid >= 0 && count >= 1 ->
+                Bdrain { tid; count }
+            | _ -> fail tok)
+        | None -> fail tok)
+    | 'c' ->
+        if rest = "" then Crash []
+        else Crash (String.split_on_char ',' rest |> List.map (verdict tok))
+    | _ -> fail tok
+  in
+  let parsed =
+    String.split_on_char '.' s
+    |> List.filter (fun tok -> tok <> "")
+    |> List.map (fun tok -> (tok, decision tok))
+  in
+  (* A drain is the crash's: only another drain or the crash follows it. *)
+  let rec drains_precede_crash = function
+    | (tok, Bdrain _) :: ([] | (_, Sched _) :: _) -> fail tok
+    | _ :: rest -> drains_precede_crash rest
+    | [] -> ()
+  in
+  drains_precede_crash parsed;
+  List.map snd parsed
 
 (* ------------------------------------------------------------------ *)
 (* Replay.                                                             *)
@@ -330,31 +338,23 @@ let cold_restart t live ~drains vs =
 
 (* Replay [prefix] on a fresh scenario.  Returns the machine positioned
    after the prefix, unless the prefix ends in a crash: then the crash
-   branch's cold restart is returned with [`Crashed].  A [Bdrain] applies
-   to the live heap when a step follows it, and to the crash image when
-   the crash does. *)
+   branch's cold restart, its image written back through the drains
+   just before the crash, is returned with [`Crashed]. *)
 let replay t prefix =
   t.replays <- t.replays + 1;
   let scenario = t.setup () in
   Heap.log_persists scenario.heap;
   let machine = Machine.create scenario.heap scenario.threads in
-  let write_back drains =
-    List.iter
-      (fun (tid, count) -> Heap.adversary_drain scenario.heap ~tid ~count)
-      (drain_counts (List.rev drains))
-  in
   let rec go drains = function
-    | [] ->
-        write_back drains;
-        (scenario, machine, `Running)
-    | Sched tid :: rest ->
-        write_back drains;
+    | [] when drains = [] -> (scenario, machine, `Running)
+    | Sched tid :: rest when drains = [] ->
         advance scenario machine tid;
         go [] rest
     | (Bdrain _ as d) :: rest -> go (d :: drains) rest
     | Crash vs :: _ ->
         let crashed = cold_restart t scenario ~drains:(List.rev drains) vs in
         (crashed, machine, `Crashed)
+    | _ -> invalid_arg "Explore.replay: a drain not directly before a crash"
   in
   go [] prefix
 
@@ -416,63 +416,48 @@ let independent (a : Machine.access) (b : Machine.access) =
           x.cell <> y.cell)
 
 (* ------------------------------------------------------------------ *)
-(* Crash adversary: eviction-verdict choices over the dirty lines.     *)
+(* Crash adversary: the choices at one crash point.                    *)
 
-let crash_choices t dirty =
-  t.crash_points <- t.crash_points + 1;
-  let uniform evicted = List.map (fun line -> { line; evicted }) dirty in
-  match t.adversary with
-  | `All_or_nothing ->
-      t.crash_enumerated <- t.crash_enumerated + 1;
-      if dirty = [] then [ [] ] else [ uniform false; uniform true ]
-  | `Per_line ->
-      let k = List.length dirty in
-      if k <= t.max_crash_lines then begin
-        t.crash_enumerated <- t.crash_enumerated + 1;
-        List.init (1 lsl k) (fun mask ->
-            List.mapi
-              (fun i line -> { line; evicted = mask land (1 lsl i) <> 0 })
-              dirty)
-      end
-      else begin
-        (* Too many dirty lines to enumerate 2^k subsets: keep the two
-           extremes (sound for whole-state loss/survival) plus seeded
-           random subsets.  This fallback samples — it can miss a
-           verdict combination, which is the checker's one source of
-           incompleteness above the cap (documented in DESIGN.md). *)
-        t.crash_sampled <- t.crash_sampled + 1;
-        let samples =
-          List.init t.crash_samples (fun _ ->
-              List.map
-                (fun line -> { line; evicted = Random.State.bool t.rng })
-                dirty)
-        in
-        List.sort_uniq compare (uniform false :: uniform true :: samples)
-      end
+(* Whether the per-line adversary enumerates a crash point in full: a
+   FIFO write-back prefix per pending buffer of [fifos] crossed with a
+   verdict per subset of the [k] unbuffered dirty lines, the
+   [Π (len_t + 1) × 2^k] choices, fits one budget of [2^max_crash_lines]
+   for the whole point.  [k] is tested before anything is shifted, so
+   with no buffer pending (always, under sc) this is exactly
+   [k <= max_crash_lines]. *)
+let enumerates t ~fifos k =
+  let room = t.max_crash_lines - k in
+  t.adversary = `Per_line
+  && room >= 0
+  && (room >= Sys.int_size - 1
+     || List.fold_left (fun acc (_, f) -> acc * (List.length f + 1)) 1 fifos
+        <= 1 lsl room)
 
-(* Joint px86 crash adversary: pick a FIFO write-back prefix per thread
-   {e and} a per-line verdict over the unbuffered dirty lines.  The two
-   axes are independent (drains target buffered lines, verdicts the
-   rest), so the joint space is [Π (len_t + 1) × 2^k]; it is enumerated
-   exhaustively while it fits the same [2^max_crash_lines] budget the
-   verdict adversary uses per crash point — one budget for the whole
-   point, not per axis, which is what keeps the px86 corpus within a
-   small constant of the sc corpus cost.  Above the budget we keep the
-   four extremes (nothing/everything drained × everything lost/written
-   back) plus [crash_samples] seeded random (prefix, verdict) picks —
-   the same sampling discipline, and the same single source of
-   incompleteness, as {!crash_choices}.  Count-0 prefixes emit no
-   decision, so drain-free branches carry pre-px86 schedules. *)
-let joint_crash_choices t ~fifos ~candidates =
+(* A crash point's choices, and whether it enumerated them.  Each is a
+   drain prefix per thread and a verdict per unbuffered dirty line
+   ([candidates]); the two axes are independent, since the drains write
+   back buffered lines and the verdicts decide the rest.  Strict
+   persistency is the case with no buffer pending: every choice then
+   carries no drain.  Where {!enumerates} holds, every choice is drawn.
+   Above the budget, and under [`All_or_nothing], the four extremes
+   (nothing/everything drained × everything lost/written back) stand in,
+   with [crash_samples] seeded random picks above the budget — the
+   checker's one source of incompleteness (DESIGN.md §8).  A count-0
+   prefix emits no decision, so drain-free branches carry plain
+   schedules. *)
+let crash_choices t ~fifos candidates =
   t.crash_points <- t.crash_points + 1;
+  if fifos <> [] then t.drain_points <- t.drain_points + 1;
   let drains_of choice =
     List.filter_map
       (fun (tid, c) -> if c = 0 then None else Some (Bdrain { tid; count = c }))
       choice
   in
-  let full = drains_of (List.map (fun (tid, f) -> (tid, List.length f)) fifos) in
-  let uniform evicted = List.map (fun line -> { line; evicted }) candidates in
-  let extremes =
+  let extremes () =
+    let full =
+      drains_of (List.map (fun (tid, f) -> (tid, List.length f)) fifos)
+    in
+    let uniform evicted = List.map (fun line -> { line; evicted }) candidates in
     List.sort_uniq compare
       [
         ([], uniform false);
@@ -481,56 +466,49 @@ let joint_crash_choices t ~fifos ~candidates =
         (full, uniform true);
       ]
   in
+  let k = List.length candidates in
   match t.adversary with
   | `All_or_nothing ->
       t.crash_enumerated <- t.crash_enumerated + 1;
-      extremes
-  | `Per_line ->
-      let k = List.length candidates in
-      let dtotal =
-        List.fold_left (fun acc (_, f) -> acc * (List.length f + 1)) 1 fifos
+      (extremes (), true)
+  | `Per_line when enumerates t ~fifos k ->
+      t.crash_enumerated <- t.crash_enumerated + 1;
+      let prefix_choices =
+        List.fold_left
+          (fun acc (tid, fifo) ->
+            List.concat_map
+              (fun partial ->
+                List.init (List.length fifo + 1) (fun c ->
+                    partial @ [ (tid, c) ]))
+              acc)
+          [ [] ] fifos
       in
-      if dtotal * (1 lsl k) <= 1 lsl t.max_crash_lines then begin
-        t.crash_enumerated <- t.crash_enumerated + 1;
-        let prefix_choices =
-          List.fold_left
-            (fun acc (tid, fifo) ->
-              List.concat_map
-                (fun partial ->
-                  List.init (List.length fifo + 1) (fun c ->
-                      partial @ [ (tid, c) ]))
-                acc)
-            [ [] ] fifos
-        in
-        List.concat_map
+      ( List.concat_map
           (fun choice ->
             let drains = drains_of choice in
             List.init (1 lsl k) (fun mask ->
                 ( drains,
                   List.mapi
-                    (fun i line ->
-                      { line; evicted = mask land (1 lsl i) <> 0 })
+                    (fun i line -> { line; evicted = mask land (1 lsl i) <> 0 })
                     candidates )))
-          prefix_choices
-      end
-      else begin
-        t.crash_sampled <- t.crash_sampled + 1;
-        let samples =
-          List.init t.crash_samples (fun _ ->
-              let choice =
-                List.map
-                  (fun (tid, f) ->
-                    (tid, Random.State.int t.rng (List.length f + 1)))
-                  fifos
-              in
-              ( drains_of choice,
-                List.map
-                  (fun line ->
-                    { line; evicted = Random.State.bool t.rng })
-                  candidates ))
-        in
-        List.sort_uniq compare (extremes @ samples)
-      end
+          prefix_choices,
+        true )
+  | `Per_line ->
+      t.crash_sampled <- t.crash_sampled + 1;
+      let samples =
+        List.init t.crash_samples (fun _ ->
+            let choice =
+              List.map
+                (fun (tid, f) ->
+                  (tid, Random.State.int t.rng (List.length f + 1)))
+                fifos
+            in
+            ( drains_of choice,
+              List.map
+                (fun line -> { line; evicted = Random.State.bool t.rng })
+                candidates ))
+      in
+      (List.sort_uniq compare (extremes () @ samples), false)
 
 (* ------------------------------------------------------------------ *)
 (* Search.                                                             *)
@@ -592,36 +570,24 @@ let rec dfs t scenario machine prefix depth ~parent ~sleep ~last ~preemptions
   if depth > t.max_steps then
     failwith "Explore: max_steps exceeded (livelock under exploration?)";
   let fifos = if t.crashes then Heap.pending_fifos scenario.heap else [] in
-  (* Crash branches: at every reachable step boundary, try each
-     per-line eviction choice over the lines dirty right now — under
-     px86, crossed with each adversary buffer-drain prefix combination
-     (the drains target buffered lines, the verdicts the rest, so the
-     two choice axes are independent) — except those whose image and
-     history the parent point already had. *)
+  (* Whether this point's choices are every subset of its dirty lines:
+     what it offers its children as a parent ([`Plain]). *)
+  let plain = fifos = [] && enumerates t ~fifos scenario.heap.Heap.ndirty in
+  (* Crash branches: at every reachable step boundary, try each choice
+     of drain prefixes and per-line verdicts ({!crash_choices}) except
+     those whose image and history the parent point already had. *)
   (if t.crashes && round_matches round preemptions then begin
-     let candidates = Heap.crash_candidate_lines scenario.heap in
-     let sampled = t.crash_sampled in
-     let choices =
-       if fifos = [] then
-         (* Empty buffers (always, under sc): verdicts only — branch
-            structure and schedules bit-for-bit the pre-px86 ones. *)
-         List.map (fun vs -> ([], vs)) (crash_choices t candidates)
-       else begin
-         t.drain_points <- t.drain_points + 1;
-         joint_crash_choices t ~fifos ~candidates
-       end
+     let choices, enumerated =
+       crash_choices t ~fifos (Heap.crash_candidate_lines scenario.heap)
      in
      let raised = raised machine in
      (* A sampled point draws choices its parent need not have had; a
         thread that raised in the step makes these branches fail where
         the parent's passed.  Either way every choice runs. *)
      let parent =
-       if t.crash_sampled <> sampled || Option.is_some raised then `None
-       else parent
+       if (not enumerated) || Option.is_some raised then `None else parent
      in
-     let fresh =
-       new_choices ~parent ~plain:(fifos = []) (Machine.last machine)
-     in
+     let fresh = new_choices ~parent ~plain (Machine.last machine) in
      let skipped = ref 0 in
      List.iter
        (fun (drains, vs) ->
@@ -664,12 +630,6 @@ let rec dfs t scenario machine prefix depth ~parent ~sleep ~last ~preemptions
       let live = ref true in
       let recorded = scenario.history.recorded () in
       let cells = Heap.cell_count scenario.heap in
-      let here =
-        match (t.adversary, fifos) with
-        | `Per_line, [] when scenario.heap.Heap.ndirty <= t.max_crash_lines ->
-            `Plain
-        | _ -> `Point
-      in
       let sleep = ref sleep in
       List.iter
         (fun (tid, access) ->
@@ -703,7 +663,8 @@ let rec dfs t scenario machine prefix depth ~parent ~sleep ~last ~preemptions
                   scenario.history.recorded () <> recorded
                   || Heap.cell_count scenario.heap <> cells
                 then `None
-                else here
+                else if plain then `Plain
+                else `Point
               in
               dfs t scenario machine child (depth + 1) ~parent
                 ~sleep:child_sleep ~last:tid
@@ -762,24 +723,11 @@ let run t =
 
 let replay_schedule t schedule =
   let scenario, machine, outcome = replay t schedule in
-  let check ~crashed =
-    Option.iter
-      (fun exn -> raise (Violation { schedule; exn }))
-      (raised machine);
-    try
-      if crashed then t.on_crash scenario.ctx scenario.heap;
-      t.check scenario.ctx scenario.heap ~crashed
-    with e -> raise (Violation { schedule; exn = e })
-  in
-  match outcome with
-  | `Crashed ->
-      check ~crashed:true;
-      `Crashed
-  | `Running ->
-      if Machine.runnable machine <> [] then
-        invalid_arg "Explore.replay_schedule: schedule is incomplete";
-      check ~crashed:false;
-      `Completed
+  let crashed = outcome = `Crashed in
+  if (not crashed) && Machine.runnable machine <> [] then
+    invalid_arg "Explore.replay_schedule: schedule is incomplete";
+  finish t schedule scenario ~raised:(raised machine) ~crashed;
+  if crashed then `Crashed else `Completed
 
 type outcome = Passed of [ `Completed | `Crashed ] | Failed of exn
 

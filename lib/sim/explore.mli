@@ -24,8 +24,8 @@ type decision =
   | Bdrain of { tid : int; count : int }
       (** adversary buffer write-back (px86): persist the oldest [count]
           entries of thread [tid]'s persist-buffer FIFO — no fence, no
-          scheduling step.  The search emits these immediately before a
-          [Crash]; replay accepts them anywhere. *)
+          scheduling step.  Only directly before a crash; anything else
+          is a bad token. *)
   | Crash of verdict list
 (** One branch choice: step thread [tid], or crash with the given
     per-dirty-line verdicts (under px86, after adversary-chosen
@@ -142,8 +142,9 @@ val run : 'ctx t -> stats
 val replay_schedule : 'ctx t -> schedule -> [ `Completed | `Crashed ]
 (** Re-execute one recorded schedule on a fresh scenario — a final
     crash as the search runs it, by cold restart — and run the
-    check.  Raises {!Violation} if the check fails, [Invalid_argument]
-    if the schedule leaves runnable threads behind. *)
+    check, as the search finishes an execution.  Raises {!Violation} if
+    the check fails, [Invalid_argument] if the schedule leaves runnable
+    threads behind or has a drain not directly before a crash. *)
 
 type outcome = Passed of [ `Completed | `Crashed ] | Failed of exn
 (** [Failed] carries the {!Violation}. *)
@@ -162,4 +163,5 @@ val schedule_to_string : schedule -> string
 
 val schedule_of_string : string -> schedule
 (** Inverse of {!schedule_to_string}.
-    @raise Invalid_argument on a malformed token. *)
+    @raise Invalid_argument on a malformed token, or on a drain token
+    not followed by another drain or the crash. *)

@@ -19,27 +19,31 @@ let with_mem ?policy () =
 
 (* ------------------------- token round-trip ------------------------- *)
 
-let decision_gen =
+(* Well-formed schedules only: every run of drains ends in a crash. *)
+let decisions_gen =
   QCheck.Gen.(
     oneof
       [
-        map (fun t -> Explore.Sched t) (int_range 0 7);
-        map
-          (fun (tid, count) -> Explore.Bdrain { tid; count })
-          (pair (int_range 0 3) (int_range 1 4));
-        map
-          (fun vs ->
-            Explore.Crash
-              (List.map
-                 (fun (line, evicted) -> { Explore.line; evicted })
-                 vs))
+        map (fun t -> [ Explore.Sched t ]) (int_range 0 7);
+        map2
+          (fun drains vs ->
+            List.map
+              (fun (tid, count) -> Explore.Bdrain { tid; count })
+              drains
+            @ [
+                Explore.Crash
+                  (List.map
+                     (fun (line, evicted) -> { Explore.line; evicted })
+                     vs);
+              ])
+          (list_size (int_range 0 2) (pair (int_range 0 3) (int_range 1 4)))
           (list_size (int_range 0 5) (pair (int_range 0 40) bool));
       ])
 
 let schedule_arb =
   QCheck.make
     ~print:(fun s -> Explore.schedule_to_string s)
-    QCheck.Gen.(list_size (int_range 0 12) decision_gen)
+    QCheck.Gen.(map List.concat (list_size (int_range 0 12) decisions_gen))
 
 let prop_token_roundtrip =
   QCheck.Test.make ~count:500 ~name:"schedule token round-trips" schedule_arb
@@ -90,7 +94,15 @@ let test_token_examples () =
         (Invalid_argument
            (Printf.sprintf "Explore.schedule_of_string: bad token %S" tok))
         (fun () -> ignore (Explore.schedule_of_string ("t0." ^ tok))))
-    [ "b0" (* no colon *); "b0:0" (* count < 1 *); "b-1:2" (* negative tid *) ]
+    [ "b0" (* no colon *); "b0:0" (* count < 1 *); "b-1:2" (* negative tid *) ];
+  (* A drain is the crash's: a step after it, or none, is refused. *)
+  List.iter
+    (fun token ->
+      Alcotest.check_raises
+        (Printf.sprintf "drain not before a crash %S rejected" token)
+        (Invalid_argument "Explore.schedule_of_string: bad token \"b0:1\"")
+        (fun () -> ignore (Explore.schedule_of_string token)))
+    [ "t0.b0:1.t1.c"; "t0.b0:1" ]
 
 (* ------------------- reduction: sound and effective ------------------ *)
 
@@ -1116,6 +1128,9 @@ let images ?(policy = Heap.Policy.Eager) ?(line_size = 1)
 
 let image_list = Alcotest.(list (list int))
 
+(* The last [n] images: those of the last crash points. *)
+let last n seen = List.filteri (fun i _ -> i >= List.length seen - n) seen
+
 let test_store_runs_evicting () =
   (* Points: the root, the start (unchanged), then one per store.  After
      [x0:=1] only x0 evicted is new; after [x1:=1], the two that evict
@@ -1178,7 +1193,7 @@ let test_sampled_parent_runs_all () =
   Alcotest.(check bool) "the parent sampled" true (s.Explore.crash_sampled > 0);
   Alcotest.check image_list "both branches after the flush"
     [ [ 0; 1 ]; [ 1; 1 ] ]
-    (List.filteri (fun i _ -> i >= List.length seen - 2) seen);
+    (last 2 seen);
   Alcotest.(check int) "only the start's point skips every branch" 1
     s.Explore.skipped_points
 
@@ -1189,12 +1204,42 @@ let test_pending_buffer_runs_all () =
   let seen, _ = images ~policy:px86 ~ncells:2 [ W (0, 1); F 0; W (1, 1) ] in
   Alcotest.check image_list "every branch after the store"
     [ [ 0; 0 ]; [ 0; 1 ]; [ 1; 0 ]; [ 1; 1 ] ]
-    (List.filteri (fun i _ -> i >= List.length seen - 4) seen);
+    (last 4 seen);
   (* A combine store enqueues its line, so its fate is a drain prefix,
      not a verdict: the write-back that persists it must still run. *)
   let seen, _ = images ~policy:Heap.Policy.Combine ~ncells:1 [ W (0, 1) ] in
   Alcotest.check image_list "a combine store: both of its branches"
     [ [ 0 ]; [ 0 ]; [ 1 ] ] seen
+
+let test_budget_boundary () =
+  (* One one-entry FIFO doubles a point's choices.  Under px86 the
+     flush of x0 only buffers it, so at [max_crash_lines = 2] a point
+     with one unflushed line has 2 x 2^1 choices, within the budget of
+     2^2, and is enumerated; with two it has 2 x 2^2 and samples. *)
+  let budget = images ~policy:px86 ~max_crash_lines:2 ~ncells:3 in
+  let buffered = [ W (0, 1); F 0; W (1, 1); W (1, 2) ] in
+  let seen, s = budget buffered in
+  Alcotest.(check int) "k = max - 1 enumerates" 0 s.Explore.crash_sampled;
+  (* The second store to x1 follows a point with the buffer pending,
+     which offers no plain parent: all four (drain prefix, x1 verdict)
+     branches run, not only the one that evicts x1. *)
+  Alcotest.check image_list "every branch after a buffered parent"
+    [ [ 0; 0; 0 ]; [ 0; 2; 0 ]; [ 1; 0; 0 ]; [ 1; 2; 0 ] ]
+    (last 4 seen);
+  let _, s = budget (buffered @ [ W (2, 1) ]) in
+  Alcotest.(check int) "k = max samples" 1 s.Explore.crash_sampled;
+  (* A fence drains the buffer first.  With no buffer pending the
+     budget is [k <= max]: the point with two unflushed lines is
+     enumerated too, and each store's parent is plain, so each store
+     runs only the branches that evict its line. *)
+  let seen, s =
+    budget [ W (0, 1); F 0; Fence; W (1, 1); W (1, 2); W (2, 1) ]
+  in
+  Alcotest.(check int) "k = max enumerates with no buffer" 0
+    s.Explore.crash_sampled;
+  Alcotest.check image_list "the branches that evict the stored line"
+    [ [ 1; 1; 0 ]; [ 1; 2; 0 ]; [ 1; 0; 1 ]; [ 1; 2; 1 ] ]
+    (last 4 seen)
 
 let test_all_or_nothing_runs_all () =
   (* After the flush of x0 the all-dropped branch leaves x0 = 1, x1 = 0:
@@ -1204,7 +1249,7 @@ let test_all_or_nothing_runs_all () =
   let seen, _ = images ~adversary:`All_or_nothing ~ncells:2 prog in
   Alcotest.check image_list "both branches after the flush"
     [ [ 1; 0 ]; [ 1; 1 ] ]
-    (List.filteri (fun i _ -> i >= List.length seen - 2) seen);
+    (last 2 seen);
   let _, s = images ~ncells:2 prog in
   Alcotest.(check int) "per-line: the flush's point skips" 2
     s.Explore.skipped_points
@@ -1371,6 +1416,8 @@ let suite =
       test_sampled_parent_runs_all;
     Alcotest.test_case "a pending px86 buffer runs every branch" `Quick
       test_pending_buffer_runs_all;
+    Alcotest.test_case "one buffer entry at the budget boundary" `Quick
+      test_budget_boundary;
     Alcotest.test_case "all-or-nothing runs every branch" `Quick
       test_all_or_nothing_runs_all;
     QCheck_alcotest.to_alcotest prop_images_exact;

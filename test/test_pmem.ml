@@ -4,8 +4,9 @@
 open Helpers
 module Cell = Dssq_pmem.Cell
 
-(* The crash in place: each dirty line survives when [evict lid]. *)
-let crash h ~evict = Heap.crash_into h ~into:h ~drains:[] ~evict
+(* The crash in place: after the drain prefixes [drains], each dirty line
+   survives when [evict lid]. *)
+let crash ?(drains = []) h ~evict = Heap.crash_into h ~into:h ~drains ~evict
 
 let test_alloc_initial_persisted () =
   let h = Heap.create () in
@@ -396,20 +397,21 @@ let prop_dense_line_table =
       && Heap.dirty_lines h = [])
 
 (* The dirty-line index against a full walk of the line table, after
-   every step of random store/CAS/flush/drain/adversary-drain/crash
-   programs from three threads, at both line sizes and under every
-   policy: [dirty_lines], [crash_candidate_lines] and [dirty_count] must
-   equal the walk, and each line's dirty flag must be set exactly when a
-   member is dirty.  The program ends in a seeded crash, whose
-   draws must land on the dirty lines in the walk's order: line ids
-   descending. *)
+   every step of random store/CAS/flush/drain/crash programs from three
+   threads, at both line sizes and under every policy: [dirty_lines],
+   [crash_candidate_lines] and [dirty_count] must equal the walk, and
+   each line's dirty flag must be set exactly when a member is dirty.
+   A crash step writes back drain prefixes of the pending buffers first,
+   as the explorer draws them, and each drained entry must count exactly
+   one flush, effective or elided.  The program ends in a seeded crash,
+   whose draws must land on the dirty lines in the walk's order: line
+   ids descending. *)
 type heap_step =
   | Store of int * int * int  (** tid, cell, value *)
   | Cas_step of int * int * bool  (** tid, cell, whether it should hit *)
   | Flush_step of int * int  (** tid, cell *)
   | Drain_step of int
-  | Adversary of int * int  (** tid, count *)
-  | Crash_step of int  (** verdict seed *)
+  | Crash_step of int  (** verdict and drain-prefix seed *)
 
 let arb_heap_program =
   let step n =
@@ -421,7 +423,6 @@ let arb_heap_program =
           (2, map3 (fun t c hit -> Cas_step (t, c, hit)) tid cell bool);
           (4, map2 (fun t c -> Flush_step (t, c)) tid cell);
           (1, map (fun t -> Drain_step t) tid);
-          (1, map2 (fun t k -> Adversary (t, k)) tid (int_range 1 3));
           (1, map (fun s -> Crash_step s) int);
         ])
   in
@@ -470,33 +471,47 @@ let prop_dirty_index =
              (fun l -> Line.is_dirty l = (dirty_members l <> []))
              (lines ())
       in
+      let flushes () = (Heap.stats h).flushes + (Heap.stats h).elided_flushes in
+      (* Whether the step's drained entries, if any, each counted one
+         flush. *)
       let apply = function
         | Store (tid, i, v) ->
             h.Heap.cur_tid <- tid;
-            Heap.write h cells.(i) v
+            Heap.write h cells.(i) v;
+            true
         | Cas_step (tid, i, hit) ->
             h.Heap.cur_tid <- tid;
             let cur = Heap.read h cells.(i) in
             ignore
               (Heap.cas h cells.(i)
                  ~expected:(if hit then cur else cur + 1)
-                 ~desired:(cur + 7))
+                 ~desired:(cur + 7));
+            true
         | Flush_step (tid, i) ->
             h.Heap.cur_tid <- tid;
-            Heap.flush h cells.(i)
+            Heap.flush h cells.(i);
+            true
         | Drain_step tid ->
             h.Heap.cur_tid <- tid;
-            Heap.drain h
-        | Adversary (tid, count) -> Heap.adversary_drain h ~tid ~count
+            Heap.drain h;
+            true
         | Crash_step s ->
-            crash h ~evict:(fun lid -> Hashtbl.hash (s, lid) land 1 = 0)
+            (* A prefix of each buffer the adversary sees, as the
+               explorer draws them. *)
+            let drains =
+              List.map
+                (fun (tid, f) ->
+                  (tid, Hashtbl.hash (s, tid) mod (List.length f + 1)))
+                (Heap.pending_fifos h)
+            in
+            let before = flushes () in
+            crash h ~drains ~evict:(fun lid ->
+                Hashtbl.hash (s, lid) land 1 = 0);
+            flushes () - before
+            = List.fold_left (fun n (_, c) -> n + c) 0 drains
       in
       let steps_agree =
-        List.for_all
-          (fun step ->
-            apply step;
-            agrees ())
-          steps
+        List.for_all (fun step -> apply step && agrees ()) steps
       in
       (* The closing seeded crash: draw k goes to the k-th dirty line in
          descending id order, and decides all of that line's cells. *)
