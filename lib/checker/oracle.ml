@@ -10,6 +10,7 @@
 module Spec = Dssq_spec.Spec
 module History = Dssq_history.History
 module Lincheck = Dssq_lincheck.Lincheck
+module Recorder = Dssq_history.Recorder
 
 exception Not_linearizable of string
 (** Carries the pretty-printed failing history (the trace timeline is
@@ -53,8 +54,9 @@ let assert_linearizable ?(mode = Lincheck.Strict) (spec : _ Spec.t) history =
 type ('s, 'op, 'r) cache = {
   spec : ('s, 'op, 'r) Spec.t;
   mode : Lincheck.mode;
-  passed : (int, ('op, 'r) History.t list) Hashtbl.t;
-      (* history hash -> the passing histories with that hash *)
+  passed : (int, ('op, 'r) History.event list list) Hashtbl.t;
+      (* {!hash_history} -> the passing histories with that hash, newest
+         event first *)
 }
 
 let cache ?(mode = Lincheck.Strict) spec =
@@ -62,18 +64,22 @@ let cache ?(mode = Lincheck.Strict) spec =
 
 (* A hash over every event.  [Hashtbl.hash] of the list itself would
    stop after a bounded prefix, and every history of a case shares its
-   set-up prefix. *)
+   set-up prefix.  {!Recorder.hash} keeps it as events are recorded. *)
 let hash_history history =
   List.fold_left (fun h e -> (h * 31) + Hashtbl.hash e) 0 history
 
-(** {!assert_linearizable} through [cache]: a history structurally equal
-    to one that passed before passes at once. *)
-let check_cached c history =
-  let key = hash_history history in
+(** {!assert_linearizable} of [recorder]'s history through [cache]: a
+    history structurally equal to one that passed before passes at once.
+    The key is the recorder's running hash, and the histories compare
+    newest event first, where a case's histories differ; the history is
+    put oldest first only when it reaches the checker. *)
+let check_cached c recorder =
+  let key = Recorder.hash recorder
+  and events = Recorder.newest_first recorder in
   let seen = Option.value ~default:[] (Hashtbl.find_opt c.passed key) in
-  if not (List.mem history seen) then begin
-    assert_linearizable ~mode:c.mode c.spec history;
-    Hashtbl.replace c.passed key (history :: seen)
+  if not (List.mem events seen) then begin
+    assert_linearizable ~mode:c.mode c.spec (List.rev events);
+    Hashtbl.replace c.passed key (events :: seen)
   end
 
 let () =

@@ -14,9 +14,14 @@
     condition.
 
     Detectable operations are split direct-mode prep / explored exec:
-    preps run (and are recorded) during setup, the scheduler interleaves
-    the exec phases.  This keeps per-thread step counts near ten, which
-    is what makes exhaustive crash enumeration affordable in CI.
+    preps run (and are recorded) in the scenario's prologue, the
+    scheduler interleaves the exec phases.  A set-up builds the layout
+    (heap, object, recovery system, root registration, recorder); the
+    prologue (seed operations, preps) runs on live worlds only, so a
+    crash branch's restart world holds the layout and the crash's image
+    and nothing the prologue left in volatile state.  The split keeps
+    per-thread step counts near ten, which is what makes exhaustive
+    crash enumeration affordable in CI.
 
     Every [D<T>] object goes through one builder ({!detectable_setup}):
     the protocol above is object-independent because [D<T>] gives every
@@ -153,7 +158,7 @@ let () =
 (* [setup ()] builds the case's set-up, and with it a fresh verdict
    cache: each run, replay and explain builds its own, so a run's cache
    is freed when the run ends rather than when the corpus is.  Each
-   world the set-up builds raises as {!Setup_failed}, so the case is
+   world's layout and prologue raise as {!Setup_failed}, so the case is
    named. *)
 let case_of_setup ~(params : params) ~obj ~prog ~nthreads setup =
   let name =
@@ -161,10 +166,14 @@ let case_of_setup ~(params : params) ~obj ~prog ~nthreads setup =
       (if params.crashes then "crash" else "nocrash")
       params.line_size (policy_suffix params.policy)
   in
+  let named f =
+    try f () with exn -> raise (Setup_failed { case = name; exn })
+  in
   let setup () =
     let build = setup () in
     fun () ->
-      try build () with exn -> raise (Setup_failed { case = name; exn })
+      let w = named build in
+      { w with Explore.prologue = (fun () -> named w.Explore.prologue) }
   in
   {
     name;
@@ -255,7 +264,7 @@ type ('op, 'r) observe =
 
 (** A small explored program, as plain data.  Seeds and the read-back
     run in direct mode as thread {!observer}; each [preps] entry is
-    prepped in setup and its exec explored as one thread; each
+    prepped in the prologue and its exec explored as one thread; each
     [base_threads] entry is one explored thread of plain (Axiom 4)
     calls.  After a crash every prepped thread resolves and retries. *)
 type ('op, 'r) program = {
@@ -295,7 +304,7 @@ let finish rec_ verdicts ~retry ~observe ~crashed =
         so the truncated history is still checkable.  This only adds
         linearization freedom, so a violation found here is genuine. *)
      Recorder.crash rec_);
-  Oracle.check_cached verdicts (Recorder.history rec_)
+  Oracle.check_cached verdicts rec_
 
 (* A world's side of a cold restart: its recorder, lent through [lent],
    the one slot every world of a case shares. *)
@@ -344,26 +353,31 @@ let detectable_setup (type op r) ~(params : params) ~verdicts ~lent
     Recorder.response rec_ ~uid (Dss_spec.Ret r);
     r
   in
-  List.iter (fun op -> ignore (base ~tid:observer op)) p.seed;
-  List.iter
-    (fun (tid, op) ->
-      record ~tid (Dss_spec.Prep op) (fun () ->
-          o.prep ~tid op;
-          Dss_spec.Ack))
-    p.preps;
+  let prologue () =
+    List.iter (fun op -> ignore (base ~tid:observer op)) p.seed;
+    List.iter
+      (fun (tid, op) ->
+        record ~tid (Dss_spec.Prep op) (fun () ->
+            o.prep ~tid op;
+            Dss_spec.Ack))
+      p.preps
+  in
   let threads =
     List.map (fun (tid, op) () -> exec ~tid op) p.preps
     @ List.map
         (fun (tid, ops) () -> List.iter (fun op -> ignore (base ~tid op)) ops)
         p.base_threads
   in
+  (* The recorded answer decides the re-exec: one [resolve] per thread. *)
   let retry () =
     List.iter
       (fun (tid, _) ->
-        record ~tid Dss_spec.Resolve (fun () -> status (o.resolve ~tid));
-        match o.resolve ~tid with
-        | Pending op -> exec ~tid op
-        | Nothing | Done _ -> ())
+        match
+          Recorder.record rec_ ~tid Dss_spec.Resolve (fun () ->
+              status (o.resolve ~tid))
+        with
+        | Dss_spec.Status (Some op, None) -> exec ~tid op
+        | _ -> ())
       p.preps
   in
   let finish =
@@ -375,6 +389,7 @@ let detectable_setup (type op r) ~(params : params) ~verdicts ~lent
     heap;
     threads;
     history = history lent rec_;
+    prologue;
   }
 
 (* ---------------------------------------------------------------------- *)
@@ -547,7 +562,9 @@ let hashmap_setup ~(params : params) ~verdicts ~lent
   let o, sys = hashmap_instance (memory ~params heap) in
   let rec_ = Recorder.create () in
   let call ~tid op = Recorder.record rec_ ~tid op (fun () -> o.base ~tid op) in
-  List.iter (fun op -> ignore (call ~tid:observer op)) p.seed;
+  let prologue () =
+    List.iter (fun op -> ignore (call ~tid:observer op)) p.seed
+  in
   let threads =
     List.map
       (fun (tid, ops) () -> List.iter (fun op -> ignore (call ~tid op)) ops)
@@ -570,6 +587,7 @@ let hashmap_setup ~(params : params) ~verdicts ~lent
     heap;
     threads;
     history = history lent rec_;
+    prologue;
   }
 
 (* No preps: the hash map's mutations are single detectable calls. *)

@@ -8,14 +8,16 @@
 type ('op, 'r) t = {
   mutable events : ('op, 'r) History.event list; (* newest first *)
   mutable length : int;
+  mutable hash : int; (* over [events], oldest first *)
   mutable next_uid : int;
 }
 
-let create () = { events = []; length = 0; next_uid = 0 }
+let create () = { events = []; length = 0; hash = 0; next_uid = 0 }
 
 let push t e =
   t.events <- e :: t.events;
-  t.length <- t.length + 1
+  t.length <- t.length + 1;
+  t.hash <- (t.hash * 31) + Hashtbl.hash e
 
 (** Record an invocation; returns the uid to pass to [response]. *)
 let invoke t ~tid op =
@@ -27,13 +29,16 @@ let invoke t ~tid op =
 let response t ~uid r = push t (History.Res { uid; r })
 let crash t = push t History.Crash
 let history t : ('op, 'r) History.t = List.rev t.events
+let newest_first t = t.events
 let length t = t.length
+let hash t = t.hash
 
 (* The events are an immutable list, newest first: [t] shares [from]'s
    and conses its own in front, leaving [from] as it was. *)
 let adopt t ~from =
   t.events <- from.events;
   t.length <- from.length;
+  t.hash <- from.hash;
   t.next_uid <- from.next_uid
 
 (** Record a complete operation around [f].  If [f] is cut off by a crash

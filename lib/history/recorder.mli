@@ -17,12 +17,21 @@ val crash : ('op, 'r) t -> unit
 
 val history : ('op, 'r) t -> ('op, 'r) History.t
 
+val newest_first : ('op, 'r) t -> ('op, 'r) History.event list
+(** The events recorded so far, newest first: {!history} reversed,
+    without the reversal. *)
+
 val length : ('op, 'r) t -> int
 (** Events recorded so far. *)
 
+val hash : ('op, 'r) t -> int
+(** A hash over every event recorded so far, kept as they are recorded:
+    the fold [h * 31 + Hashtbl.hash e] over {!history}, oldest first,
+    from 0. *)
+
 val adopt : ('op, 'r) t -> from:('op, 'r) t -> unit
-(** Replace [t]'s history with [from]'s, uids included, so [t] records on
-    where [from] stopped; [from] is left unchanged. *)
+(** Replace [t]'s history with [from]'s, uids and hash included, so [t]
+    records on where [from] stopped; [from] is left unchanged. *)
 
 val record : ('op, 'r) t -> tid:int -> 'op -> (unit -> 'r) -> 'r
 (** [record t ~tid op f] wraps [f] between an invocation and a response;

@@ -10,23 +10,26 @@
     sibling (backtracking), since thread continuations are one-shot.
 
     A crash branch is a cold restart, as in the paper's failure model,
-    where a crash leaves only persistent state: a fresh [setup ()] is
-    loaded with the image the crash leaves of the live heap
-    ({!Heap.crash_into}, which leaves the live heap as it was) and
-    adopts the live world's recorded history, and recovery and the
-    check run on it.  Nothing volatile survives, and no prefix is
-    replayed.  So a branch's outcome is a function of (image, history),
-    which makes the skip below exact: a crash point runs only the
-    choices whose image its parent point did not already produce.  The
-    step record ({!Machine.last}) decides which those are, when the
-    step recorded no history event, allocated no cell and raised in no
-    thread, and the choices are enumerated.  A step that changed no
-    crash state ({!Machine.stepped.changed}) repeats every choice of the
-    parent's.  Under the per-line adversary with no persist buffer
-    pending at either point, a store to line [l] repeats every choice
-    that drops [l], and a write-back that changes no volatile word (a
-    flush, a drain, a fence that drains, a failed CAS's leading drain)
-    repeats every choice.  The parent's choices were checked — in this
+    where a crash leaves only persistent state: a fresh layout
+    ([setup ()] without its prologue) is loaded with the image the crash
+    leaves of the live heap ({!Heap.crash_into}, which leaves the live
+    heap as it was) and adopts the live world's recorded history, and
+    recovery and the check run on it.  Nothing volatile survives, and
+    neither the prologue nor a prefix is replayed.  So a branch's
+    outcome is a function of (image, history), which makes the skip
+    below exact: a crash point runs only the choices whose image its
+    parent point did not already produce.  The step record
+    ({!Machine.last}) decides which those are, when the step recorded
+    no history event, allocated no cell and raised in no thread, and
+    the choices are enumerated.  A step that changed no crash state
+    ({!Machine.stepped.changed}) repeats every choice of the parent's.
+    Under the per-line adversary with no persist buffer pending at the
+    parent, a write-back that changes no volatile word (a flush, a
+    drain, a fence that drains, a failed CAS's leading drain) repeats
+    every choice, when the point has no buffer pending either or its
+    one buffer holds only the flushed line; with none pending at the
+    point, a store to line [l] repeats every choice that drops [l].
+    The parent's choices were checked — in this
     preemption round, or in an earlier one if the step preempted.  A
     repeated choice is counted ([skipped_branches], and [skipped_points]
     when it is all of a point's) and not run.
@@ -62,9 +65,12 @@
     is called: a fresh heap, fresh memory module, fresh object, fresh
     thread closures — and the same cells in the same order each time,
     because a cold restart loads one set-up's image into another by
-    position.  [check] is called at the end of every complete
-    execution; a raise is converted into {!Violation} carrying the
-    replayable schedule of decisions that produced it.
+    position.  It builds the layout only; the scenario's [prologue]
+    (seed operations, preps) runs on live worlds, after the mark a cold
+    restart loads from, and allocates no cell.  [check] is called at
+    the end of every complete execution; a raise is converted into
+    {!Violation} carrying the replayable schedule of decisions that
+    produced it.
 
     What an execution costs follows what it changes.  The crash
     adversary's questions ({!Heap.crash_candidate_lines}, the crash
@@ -126,7 +132,7 @@ type stats = {
       (** crash executions that carried at least one [Bdrain] decision *)
   replays : int;
       (** [setup] calls: one per round, per later sibling and per crash
-          branch checked *)
+          branch checked; all but the crash branches' run the prologue *)
   skipped_points : int;
       (** crash points among [crash_points] with every branch skipped *)
   skipped_branches : int;
@@ -148,6 +154,7 @@ type 'ctx scenario = {
   heap : Heap.t;
   threads : (unit -> unit) list;
   history : history;
+  prologue : unit -> unit;
 }
 
 type 'ctx t = {
@@ -313,11 +320,12 @@ let drain_counts =
     | Bdrain { tid; count } -> Some (tid, count)
     | Sched _ | Crash _ -> None)
 
-(* A crash branch, run as a real restart runs it: a fresh set-up holding
+(* A crash branch, run as a real restart runs it: a fresh layout holding
    the image the crash leaves of [live] — the buffer prefixes [drains]
    names written back, each dirty line evicted or lost as [vs] says —
-   and [live]'s recorded history.  [live] is left as it was, so the
-   search goes on from it. *)
+   and [live]'s recorded history.  The prologue does not run: what it
+   persisted is in the image, and nothing volatile it left survives a
+   crash.  [live] is left as it was, so the search goes on from it. *)
 let cold_restart t live ~drains vs =
   t.replays <- t.replays + 1;
   let fresh =
@@ -336,7 +344,8 @@ let cold_restart t live ~drains vs =
   fresh.history.adopt ();
   fresh
 
-(* Replay [prefix] on a fresh scenario.  Returns the machine positioned
+(* Replay [prefix] on a fresh scenario: its layout, the mark a cold
+   restart loads from, then its prologue.  Returns the machine positioned
    after the prefix, unless the prefix ends in a crash: then the crash
    branch's cold restart, its image written back through the drains
    just before the crash, is returned with [`Crashed]. *)
@@ -344,6 +353,7 @@ let replay t prefix =
   t.replays <- t.replays + 1;
   let scenario = t.setup () in
   Heap.log_persists scenario.heap;
+  scenario.prologue ();
   let machine = Machine.create scenario.heap scenario.threads in
   let rec go drains = function
     | [] when drains = [] -> (scenario, machine, `Running)
@@ -530,9 +540,9 @@ let round_matches round preemptions =
    [`Point] when the step left the history alone; [`Plain] when, in
    addition, the parent's choices were every subset of its dirty lines
    (per-line adversary, no persist buffer pending, enumerated).  [plain]
-   says the same of this point.  DESIGN.md §8 has the argument per step
-   kind. *)
-let new_choices ~parent ~plain (s : Machine.stepped) =
+   says the same of this point, and [fifos] are its pending buffers.
+   DESIGN.md §8 has the argument per step kind. *)
+let new_choices ~parent ~plain ~fifos (s : Machine.stepped) =
   match parent with
   | `None -> `All
   | `Point | `Plain when not s.changed ->
@@ -540,7 +550,15 @@ let new_choices ~parent ~plain (s : Machine.stepped) =
          of the parent's. *)
       `None
   | `Point -> `All
-  | `Plain when not plain -> `All
+  | `Plain when not plain -> (
+      match (s.kind, fifos) with
+      | Sim_op.Flush, [ (_, [ l ]) ] when l = s.line ->
+          (* A buffered flush into empty buffers: the one entry's two
+             drain prefixes write [l] back or leave it lost, the
+             parent's two verdicts on [l], over the same volatile
+             words. *)
+          `None
+      | _ -> `All)
   | `Plain -> (
       match s.kind with
       (* A store to line [l], after (coalesced) a drain that only wrote
@@ -587,7 +605,7 @@ let rec dfs t scenario machine prefix depth ~parent ~sleep ~last ~preemptions
      let parent =
        if (not enumerated) || Option.is_some raised then `None else parent
      in
-     let fresh = new_choices ~parent ~plain (Machine.last machine) in
+     let fresh = new_choices ~parent ~plain ~fifos (Machine.last machine) in
      let skipped = ref 0 in
      List.iter
        (fun (drains, vs) ->

@@ -7,9 +7,9 @@
 
     Each node's live scenario passes to its first explored child; later
     siblings replay the scenario from scratch, and a crash branch is a
-    cold restart — a fresh scenario loaded with the crash's persistent
+    cold restart — a fresh layout loaded with the crash's persistent
     image and the crashed world's history.  So [setup] must build a
-    fresh, independent scenario each call, allocating the same cells in
+    fresh, independent layout each call, allocating the same cells in
     the same order.  A crash point runs only the branches whose image
     its parent point did not already produce (see {!stats}). *)
 
@@ -61,7 +61,7 @@ type stats = {
       (** crash executions carrying at least one [Bdrain] decision *)
   replays : int;
       (** [setup] calls: one per round, per later sibling and per crash
-          branch checked *)
+          branch checked; all but the crash branches' run the prologue *)
   skipped_points : int;
       (** crash points among [crash_points] with every branch skipped *)
   skipped_branches : int;
@@ -69,8 +69,9 @@ type stats = {
           parent point already produced: the step into the point changed
           no crash state, or, under the per-line adversary with no
           persist buffer pending, the branch drops the line the step
-          stored to, or the step only wrote lines back.  [executions]
-          and [crash_branches] leave them out *)
+          stored to, or the step only wrote lines back (under px86, a
+          flush that leaves one buffer holding only its line).
+          [executions] and [crash_branches] leave them out *)
   wall_s : float;  (** wall-clock seconds spent in [run] *)
 }
 (** Coverage telemetry: [pruned /. (pruned + branches)] is the sleep-set
@@ -98,6 +99,12 @@ type 'ctx scenario = {
   heap : Dssq_pmem.Heap.t;
   threads : (unit -> unit) list;
   history : history;
+  prologue : unit -> unit;
+      (** what a live world runs after its layout and before its
+          threads (seed operations, preps): after the heap's
+          {!Dssq_pmem.Heap.log_persists} mark, so a crash's image holds
+          what it persisted.  A cold restart does not run it.  It must
+          allocate no cell.  [ignore] when there is none. *)
 }
 
 type 'ctx t
@@ -118,8 +125,9 @@ val make :
   unit ->
   'ctx t
 (** [check] runs at the end of every complete execution; a raise becomes
-    a {!Violation}.  A crashed execution is a cold restart: a fresh
-    [setup ()] loaded with the crash's persistent image
+    a {!Violation}.  A live world is [setup ()], marked, then its
+    [prologue].  A crashed execution is a cold restart: a fresh
+    [setup ()], with no prologue, loaded with the crash's persistent image
     ({!Dssq_pmem.Heap.crash_into}) that adopts the crashed world's
     history; [on_crash] (default no-op) and [check] then run on it —
     the hook scenarios use to route every explored crash through the

@@ -83,11 +83,12 @@ val restart : Heap.t -> into:Heap.t -> evict_p:float -> seed:int -> unit
     independently persists with probability [evict_p] (cache eviction
     at power loss) or reverts to its last flushed value; under px86 and
     combine each persist buffer first writes back a random FIFO prefix
-    and the lines left buffered are lost.  [into] is a fresh set-up of
-    the same world, whose objects then recover from the image alone (a
-    cold restart, as in the paper's failure model; [live] needs a
-    {!Heap.log_persists} mark at the end of that set-up) or [live]
-    itself.  A fresh [into] is marked before the load, so a later
+    and the lines left buffered are lost.  [into] is a fresh copy of
+    the same layout — the cells [live] was built with, in the same
+    order, with none of the operations [live] ran after it — whose
+    objects then recover from the image alone (a cold restart, as in
+    the paper's failure model; [live] needs a {!Heap.log_persists} mark
+    at the end of that layout), or [live] itself.  A fresh [into] is marked before the load, so a later
     restart of [into] keeps this image. *)
 
 val apply_crash : Heap.t -> evict_p:float -> seed:int -> unit

@@ -152,9 +152,9 @@ let make_caswe_queue ~variant ~nthreads ~capacity () : dq =
       }
 
 (** A crash, as the paper's failure model has it: a fresh world from
-    [setup] — the set-up [live] came from, which marks its heap
-    ({!Heap.log_persists}) at its end — loaded with the image a crash of
-    [live] leaves ({!Sim.restart}).  Nothing volatile of [live]
+    [setup] — the same layout [live] was built with, which marks its
+    heap ({!Heap.log_persists}) at its end — loaded with the image a
+    crash of [live] leaves ({!Sim.restart}).  Nothing volatile of [live]
     survives; recovery and every later operation run on the world
     returned. *)
 let restart ~setup ~heap live ~evict_p ~seed =

@@ -162,6 +162,7 @@ let test_pmwcas_explore_race_with_crashes () =
             let recover () = P.recover p in
             {
               Explore.history = Explore.no_history;
+              prologue = ignore;
               ctx = (read_after, recover);
               heap;
               threads =

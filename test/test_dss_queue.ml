@@ -288,6 +288,7 @@ let test_explore_two_enqueues () =
             q.prep_enqueue ~tid:1 2;
             {
               Explore.history = Explore.no_history;
+              prologue = ignore;
               ctx = q;
               heap = q.heap;
               threads =
@@ -320,6 +321,7 @@ let test_explore_enqueue_vs_dequeue () =
             let out = ref min_int in
             {
               Explore.history = Explore.no_history;
+              prologue = ignore;
               ctx = (q, out);
               heap = q.heap;
               threads =

@@ -363,6 +363,7 @@ let test_explore_enqueue_crashes () =
            q.prep_enqueue ~tid:0 5;
            {
              Explore.history = Explore.no_history;
+             prologue = ignore;
              ctx = q;
              heap = q.heap;
              threads = [ (fun () -> q.exec_enqueue ~tid:0) ];
@@ -407,6 +408,7 @@ let test_explore_dequeue_crashes () =
             let out = ref min_int in
             {
               Explore.history = Explore.no_history;
+              prologue = ignore;
               ctx = (q, out);
               heap = q.heap;
               threads = [ (fun () -> out := q.exec_dequeue ~tid:0) ];

@@ -141,7 +141,8 @@ let explorer_of_scenario ?(reduction = true) (n, ncells, ops, bad) =
       let final () =
         Array.fold_left (fun acc c -> (2 * acc) + M.read c) 0 cells
       in
-      { Explore.history = Explore.no_history; ctx = final; heap; threads })
+      { Explore.history = Explore.no_history; prologue = ignore; ctx = final;
+        heap; threads })
     ~check:(fun get _heap ~crashed:_ ->
       (* fail when the final state hits a random target *)
       if get () mod 8 = bad then failwith "bad final state")
@@ -174,6 +175,7 @@ let test_reduction_strictly_fewer () =
         let a = M.alloc 0 and b = M.alloc 0 in
         {
           Explore.history = Explore.no_history;
+          prologue = ignore;
           ctx = ();
           heap;
           threads =
@@ -209,6 +211,7 @@ let count_at ?max_preemptions () =
           let c = M.alloc 0 in
           {
             Explore.history = Explore.no_history;
+            prologue = ignore;
             ctx = ();
             heap;
             threads = [ (fun () -> M.write c 1); (fun () -> M.write c 2) ];
@@ -234,6 +237,7 @@ let crash_explorer ?max_crash_lines ?crash_samples ~adversary ~check () =
       let data = M.alloc 0 and committed = M.alloc 0 in
       {
         Explore.history = Explore.no_history;
+        prologue = ignore;
         ctx = (fun () -> (M.read data, M.read committed));
         heap;
         threads =
@@ -375,6 +379,7 @@ let px86_crash_explorer ?policy ~check () =
       let data = M.alloc 0 and committed = M.alloc 0 in
       {
         Explore.history = Explore.no_history;
+        prologue = ignore;
         ctx = (fun () -> (M.read data, M.read committed));
         heap;
         threads =
@@ -519,6 +524,7 @@ let crash_states ~policy prog =
         in
         {
           Explore.history = Explore.no_history;
+          prologue = ignore;
           ctx = (fun () -> Array.to_list (Array.map M.read cells));
           heap;
           threads;
@@ -774,6 +780,17 @@ let test_corpus_golden_p1 () =
 
 module Oracle = Dssq_checker.Oracle
 
+(* The recorder that recorded [h], whose uids count up from 0. *)
+let recorded h =
+  let r = Recorder.create () in
+  List.iter
+    (function
+      | History.Inv { tid; op; _ } -> ignore (Recorder.invoke r ~tid op)
+      | History.Res { uid; r = resp } -> Recorder.response r ~uid resp
+      | History.Crash -> Recorder.crash r)
+    h;
+  r
+
 (* A case's verdict cache must answer only for histories it has seen pass:
    a failing history raises however close it is to a cached one, and
    histories that share a long prefix (every history of a case shares its
@@ -811,11 +828,11 @@ let test_verdict_cache () =
   in
   let checked h =
     let before = !applied in
-    Oracle.check_cached cache h;
+    Oracle.check_cached cache (recorded h);
     !applied > before
   in
   let raises h =
-    match Oracle.check_cached cache h with
+    match Oracle.check_cached cache (recorded h) with
     | () -> false
     | exception Oracle.Not_linearizable _ -> true
   in
@@ -832,6 +849,109 @@ let test_verdict_cache () =
   Alcotest.(check bool) "and its own failing variant fails" true
     (raises (dequeues [ 0; 2 ]))
 
+(* The recorder's running hash is the cache key {!Oracle.hash_history}
+   computes from its history, through every push, crash and adoption;
+   an adopter recording on leaves the lender's hash its own. *)
+let prop_recorder_hash =
+  let action =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun tid op -> `Inv (tid, op)) (int_range 0 2) small_nat);
+          (3, map (fun r -> `Res r) small_nat);
+          (1, return `Crash);
+          (1, map (fun junk -> `Adopt junk) (int_range 0 2));
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"a recorder's running hash is its history's"
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) action))
+    (fun actions ->
+      let agrees r = Recorder.hash r = Oracle.hash_history (Recorder.history r) in
+      let r = ref (Recorder.create ()) and lenders = ref [] in
+      List.for_all
+        (fun a ->
+          (match a with
+          | `Inv (tid, op) -> ignore (Recorder.invoke !r ~tid op)
+          | `Res v -> Recorder.response !r ~uid:(v mod 4) v
+          | `Crash -> Recorder.crash !r
+          | `Adopt junk ->
+              (* The adopter's own events are replaced, as a restart
+                 world's are. *)
+              let fresh = Recorder.create () in
+              for i = 1 to junk do
+                ignore (Recorder.invoke fresh ~tid:0 i)
+              done;
+              Recorder.adopt fresh ~from:!r;
+              lenders := !r :: !lenders;
+              r := fresh);
+          agrees !r && List.for_all agrees !lenders)
+        actions)
+
+(* A scenario whose prologue counts its calls, sets a flag outside the
+   heap, persists one cell and leaves another dirty; two threads store
+   to a third.  [ctx] reads the flag and the three cells. *)
+let prologue_explorer ~on_crash =
+  let calls = ref 0 in
+  let t =
+    Explore.make ~crashes:true ~max_preemptions:1
+      ~setup:(fun () ->
+        let heap = Heap.create () in
+        let (module M) = Sim.memory heap in
+        let persisted = M.alloc 0 and unflushed = M.alloc 0 in
+        let stored = M.alloc 0 in
+        let seeded = ref false in
+        {
+          Explore.history = Explore.no_history;
+          ctx =
+            (fun () ->
+              (!seeded, M.read persisted, M.read unflushed, M.read stored));
+          heap;
+          threads =
+            [
+              (fun () ->
+                M.write stored 1;
+                M.flush stored);
+              (fun () -> M.write stored 2);
+            ];
+          prologue =
+            (fun () ->
+              incr calls;
+              seeded := true;
+              M.write persisted 1;
+              M.flush persisted;
+              M.write unflushed 1);
+        })
+      ~on_crash ~check:(fun _ _ ~crashed:_ -> ()) ()
+  in
+  (t, calls)
+
+let test_prologue_live_only () =
+  let t, calls = prologue_explorer ~on_crash:(fun _ _ -> ()) in
+  let s = Explore.run t in
+  Alcotest.(check bool) "crash branches ran" true (s.Explore.crash_branches > 0);
+  Alcotest.(check int) "prologue calls = replays - crash branches"
+    (s.Explore.replays - s.Explore.crash_branches)
+    !calls
+
+let test_prologue_state_not_restarted () =
+  (* A restart world holds what the prologue persisted and nothing else
+     of it: its flag is down, and the unflushed store is the crash's
+     verdict (both fates occur), not the prologue's value. *)
+  let restarts = ref [] in
+  let t, _ =
+    prologue_explorer ~on_crash:(fun get _ -> restarts := get () :: !restarts)
+  in
+  ignore (Explore.run t : Explore.stats);
+  Alcotest.(check bool) "restart worlds ran" true (!restarts <> []);
+  List.iter
+    (fun (seeded, persisted, _, _) ->
+      Alcotest.(check bool) "the prologue's flag is not set" false seeded;
+      Alcotest.(check int) "the prologue's persisted cell is in the image" 1
+        persisted)
+    !restarts;
+  Alcotest.(check (list int)) "the unflushed cell: lost or evicted" [ 0; 1 ]
+    (List.sort_uniq compare (List.map (fun (_, _, u, _) -> u) !restarts))
+
 (* --------------------------- explain -------------------------------- *)
 
 let test_explain_passing_schedule () =
@@ -842,6 +962,7 @@ let test_explain_passing_schedule () =
         let c = M.alloc 0 in
         {
           Explore.history = Explore.no_history;
+          prologue = ignore;
           ctx = ();
           heap;
           threads = [ (fun () -> M.write c 1) ];
@@ -989,6 +1110,7 @@ let test_alloc_in_step_refused () =
             in
             {
               Explore.history = Explore.no_history;
+              prologue = ignore;
               ctx = ();
               heap;
               threads = [ thread ];
@@ -1017,6 +1139,7 @@ let undersized_log ~crashes =
       let c = M.alloc 0 in
       {
         Explore.history = Explore.no_history;
+        prologue = ignore;
         ctx = ();
         heap;
         threads =
@@ -1064,8 +1187,30 @@ let test_setup_failure_named () =
   in
   match c.Scenarios.run ~reduction:true with
   | _ -> Alcotest.fail "a set-up that raises ran"
-  | exception Scenarios.Setup_failed { case; exn = No_world } ->
-      Alcotest.(check string) "case" "probe/raise/nocrash/ls1" case
+  | exception Scenarios.Setup_failed { case; exn = No_world } -> (
+      Alcotest.(check string) "case" "probe/raise/nocrash/ls1" case;
+      (* A prologue that raises names its case too. *)
+      let c =
+        Scenarios.case_of_setup ~params:Scenarios.default_params ~obj:"probe"
+          ~prog:"prologue" ~nthreads:0 (fun () () ->
+            {
+              Explore.ctx =
+                {
+                  Scenarios.finish = (fun ~crashed:_ -> ());
+                  reattach = ignore;
+                  log_size = (0, 0);
+                };
+              heap = Heap.create ();
+              threads = [];
+              history = Explore.no_history;
+              prologue = (fun () -> raise No_world);
+            })
+      in
+      match c.Scenarios.run ~reduction:true with
+      | _ -> Alcotest.fail "a prologue that raises ran"
+      | exception Scenarios.Setup_failed { case; exn = No_world } ->
+          Alcotest.(check string) "prologue's case" "probe/prologue/nocrash/ls1"
+            case)
 
 (* ------------- new images only: which crash branches run ------------- *)
 
@@ -1115,6 +1260,7 @@ let images ?(policy = Heap.Policy.Eager) ?(line_size = 1)
               lend = ignore;
               adopt = ignore;
             };
+          prologue = ignore;
           ctx = (fun () -> Array.to_list (Array.map M.read cells));
           heap;
           threads = [ (fun () -> List.iter run prog) ];
@@ -1240,6 +1386,36 @@ let test_budget_boundary () =
   Alcotest.check image_list "the branches that evict the stored line"
     [ [ 1; 1; 0 ]; [ 1; 2; 0 ]; [ 1; 0; 1 ]; [ 1; 2; 1 ] ]
     (last 4 seen)
+
+let test_one_entry_flush_runs_none () =
+  (* Under px86 a flush into empty buffers leaves one entry, the flushed
+     line: its two drain prefixes are the parent's two verdicts on that
+     line, so the point runs nothing.  Points: the root, the start, x0's
+     store (x0 evicted), x1's store (x1 evicted, two images), x0's
+     flush (none). *)
+  let seen, s = images ~policy:px86 ~ncells:2 [ W (0, 1); W (1, 1); F 0 ] in
+  Alcotest.check image_list "no image after the flush"
+    [ [ 0; 0 ]; [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ]
+    seen;
+  Alcotest.(check int) "the start's and the flush's points skip" 2
+    s.Explore.skipped_points;
+  (* A second entry: the parent had a buffer pending, so its choices
+     were not every subset, and all three drain prefixes run. *)
+  let seen, _ =
+    images ~policy:px86 ~ncells:2 [ W (0, 1); W (1, 1); F 0; F 1 ]
+  in
+  Alcotest.check image_list "every prefix of a two-entry buffer"
+    [ [ 0; 0 ]; [ 1; 0 ]; [ 1; 1 ] ]
+    (last 3 seen);
+  (* A combine store buffers its line too, but it is a store: the
+     volatile word changed, and both of its prefixes run. *)
+  let seen, s =
+    images ~policy:Heap.Policy.Combine ~ncells:2 [ W (0, 1); W (1, 1) ]
+  in
+  Alcotest.(check int) "a combine store's point skips nothing" 1
+    s.Explore.skipped_points;
+  Alcotest.(check bool) "its drained image runs" true
+    (List.mem [ 1; 1 ] seen)
 
 let test_all_or_nothing_runs_all () =
   (* After the flush of x0 the all-dropped branch leaves x0 = 1, x1 = 0:
@@ -1397,6 +1573,12 @@ let suite =
       test_corpus_golden_p1;
     Alcotest.test_case "verdict cache never masks a failure" `Quick
       test_verdict_cache;
+    QCheck_alcotest.to_alcotest prop_recorder_hash;
+    Alcotest.test_case "crash branches never run the prologue" `Quick
+      test_prologue_live_only;
+    Alcotest.test_case "a restart world holds only what the prologue \
+                        persisted"
+      `Quick test_prologue_state_not_restarted;
     QCheck_alcotest.to_alcotest prop_cold_image;
     Alcotest.test_case "a cell allocated in a step is refused" `Quick
       test_alloc_in_step_refused;
@@ -1418,6 +1600,8 @@ let suite =
       test_pending_buffer_runs_all;
     Alcotest.test_case "one buffer entry at the budget boundary" `Quick
       test_budget_boundary;
+    Alcotest.test_case "a one-entry buffer after a flush runs no branch"
+      `Quick test_one_entry_flush_runs_none;
     Alcotest.test_case "all-or-nothing runs every branch" `Quick
       test_all_or_nothing_runs_all;
     QCheck_alcotest.to_alcotest prop_images_exact;

@@ -59,7 +59,8 @@ let first_flagged =
         "t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.t1.t1.t1.t1.t1.t1.t1.t1.t1.c50d,69e,70d"
       ) );
     ( "stale-announce",
-      ("queue/enq-deq/crash/ls1", "t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.c70d") );
+      ( "queue/enq-deq/crash/ls1",
+        "t0.t0.t0.t0.t0.t0.t0.t0.t0.t0.t1.t1.t1.t1.t1.t1.t1.c50e,70d" ) );
     ( "unfenced",
       ( "queue/enq-deq/crash/ls1",
         "c42d,43d,48d,49d,51d,52d,66d,67d,70d" ) );

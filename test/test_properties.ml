@@ -441,6 +441,7 @@ let prop_explore_counts =
                let cells = Array.init n (fun _ -> M.alloc 0) in
                {
                  Explore.history = Explore.no_history;
+                 prologue = ignore;
                  ctx = ();
                  heap;
                  threads =

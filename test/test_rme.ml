@@ -71,6 +71,7 @@ let test_mutual_exclusion_exhaustive () =
             in
             {
               Explore.history = Explore.no_history;
+              prologue = ignore;
               ctx = violations;
               heap;
               threads = [ worker ~tid:0; worker ~tid:1 ];

@@ -270,6 +270,7 @@ let test_explore_counts_interleavings () =
            ignore c;
            {
              Explore.history = Explore.no_history;
+             prologue = ignore;
              ctx = ();
              heap;
              threads = [ (fun () -> M.write c 1); (fun () -> M.write c 2) ];
@@ -296,6 +297,7 @@ let test_explore_finds_lost_update () =
             let body () = M.write c (M.read c + 1) in
             {
               Explore.history = Explore.no_history;
+              prologue = ignore;
               ctx = (fun () -> M.read c);
               heap;
               threads = [ body; body ];
@@ -315,6 +317,7 @@ let test_explore_crashes_branch () =
             let c = M.alloc 0 in
             {
               Explore.history = Explore.no_history;
+              prologue = ignore;
               ctx = ();
               heap;
               threads = [ (fun () -> M.write c 1) ];
