@@ -20,13 +20,13 @@ module Sim = Dssq_sim.Sim
 module Spec = Dssq_spec.Spec
 module Dss_spec = Dssq_spec.Dss_spec
 module Specs = Dssq_spec.Specs
-module Recorder = Dssq_history.Recorder
 module Lincheck = Dssq_lincheck.Lincheck
 module Trace = Dssq_obs.Trace
 module Json = Dssq_obs.Json
 module Run_report = Dssq_obs.Run_report
 module MI = Dssq_memory.Memory_intf
 module Scenarios = Dssq_checker.Scenarios
+module Trial = Dssq_trial.Trial
 open Cmdliner
 
 (* ------------------------------- flags ------------------------------- *)
@@ -247,8 +247,7 @@ let fig_cmd name ~doc ~title queues =
         ~horizon_ns:(horizon_us *. 1e3) ~duration ~line_size ~policy
         ~instrument:(Option.is_some json) queues
     in
-    render ~title ~x_label:"threads" ~y_label:"Mops/s" ~csv
-      (Report.of_run series);
+    render ~title ~x_label:"threads" ~y_label:"Mops/s" ~csv series;
     Option.iter
       (write_report ~backend ~experiment:name ~x_label:"threads"
          ~y_label:"Mops/s"
@@ -300,7 +299,7 @@ type ablation = {
   x_label : string;
   y_label : string;
   reads_knobs : bool;
-  experiment : knobs -> line_size:int -> Report.series list;
+  experiment : knobs -> line_size:int -> Run_report.series list;
 }
 
 let run_ablation a k line_size csv json =
@@ -320,7 +319,7 @@ let run_ablation a k line_size csv json =
        ~params:(knob_params @ [ ("line_size", string_of_int line_size) ])
        ~provenance:
          (provenance ~line_size:(string_of_int line_size) ~policy:Eager ())
-       (Report.to_run series))
+       series)
     json
 
 let ablate_cmd a =
@@ -416,7 +415,7 @@ let ablate_linesize sizes ({ nthreads; repeats; _ } as k) csv json anchor =
   in
   render
     ~title:(Printf.sprintf "Ablation: persist-line size (%d threads)" nthreads)
-    ~x_label:"line_size" ~y_label:"Mops/s" ~csv (Report.of_run series);
+    ~x_label:"line_size" ~y_label:"Mops/s" ~csv series;
   let per_op ops n = float_of_int n /. float_of_int (max 1 ops) in
   Printf.printf "%-12s%10s%14s%14s\n" "queue" "line_size" "flushes/op"
     "elided/op";
@@ -775,7 +774,7 @@ let regress quick json =
     ~title:
       "Benchmark regression sweep: flush coalescing off vs on (line size 1; \
        compare reports with `dssq bench-diff`)"
-    ~x_label:"threads" ~y_label:"Mops/s" ~csv:false (Report.of_run series);
+    ~x_label:"threads" ~y_label:"Mops/s" ~csv:false series;
   write_run_report
     (Option.value json ~default:"regress.json")
     (Run_report.make ~backend:"mixed" ~experiment:"regress" ~x_label:"threads"
@@ -1780,120 +1779,64 @@ let trace_cmd =
 
 (* ----------------------------- lincheck ------------------------------ *)
 
-(* The queue under test, through its D<queue> adapter, with its heap
-   (marked at the end of set-up, for a cold restart) and its recover
-   procedure. *)
-let make_queue ~policy kind =
-  let heap = Heap.create ~policy () in
-  let (module M) = Sim.memory heap in
-  let adapt (type q)
-      (module Q : Dssq_core.Queue_intf.DETECTABLE_QUEUE with type t = q)
-      (q : q) =
-    Heap.log_persists heap;
-    (heap, Dssq_core.Queue_intf.adapter (module Q) q, fun () -> Q.recover q)
-  in
-  match kind with
-  | `Dss ->
-      let module Q = Dssq_core.Dss_queue.Make (M) in
-      adapt
-        (module Q)
-        (Q.create ~nthreads:2 ~capacity:64 ~combine:(policy = Combine) ())
-  | `Log ->
-      let module Q = Dssq_baselines.Log_queue.Make (M) in
-      adapt (module Q) (Q.create ~nthreads:2 ~capacity:64)
-  | `Fast ->
-      let module Q = Dssq_baselines.Caswe_queue.Fast (M) in
-      adapt (module Q) (Q.create ~nthreads:2 ~capacity:64 ())
-  | `General ->
-      let module Q = Dssq_baselines.Caswe_queue.General (M) in
-      adapt (module Q) (Q.create ~nthreads:2 ~capacity:64 ())
-
 (* Randomized strict-linearizability testing: random schedules, random
-   crash points, recovery, recorded resolves, checked against D<queue>.
-   Every execution runs under an event tracer, so a violation is reported
-   with the exact interleaving of stores, flushes, crash and resolves
-   that produced it — as a timeline, and optionally as Perfetto JSON. *)
+   crash points, recovery, recorded resolves, checked against D<queue>
+   ({!Trial.run}).  Every execution runs under an event tracer, so a
+   violation is reported with the exact interleaving of stores, flushes,
+   crash and resolves that produced it — as a timeline, and optionally
+   as Perfetto JSON. *)
 let lincheck_run kind (policy : MI.Policy.t) iterations verbose trace_json =
   if policy = Combine && kind <> `Dss then begin
     Printf.eprintf "dssq: --policy combine only applies to the dss queue\n";
     exit 2
   end;
   let spec = Dss_spec.make ~nthreads:2 (Specs.Queue.spec ()) in
-  let checked = ref 0 in
   let crashes = ref 0 in
   for i = 1 to iterations do
     ignore (Trace.start () : Trace.t);
-    let heap, live, _ = make_queue ~policy kind in
-    let rec_ = Recorder.create () in
-    let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
-    let detectable ~tid op () =
-      record ~tid (Dss_spec.Prep op) (fun () ->
-          live.prep ~tid op;
-          Dss_spec.Ack);
-      record ~tid (Dss_spec.Exec op) (fun () -> Dss_spec.Ret (live.exec ~tid op))
+    let program =
+      {
+        Trial.spec;
+        base = [];
+        threads = [ Specs.Queue.Enqueue i; Specs.Queue.Dequeue ];
+        drain = (Specs.Queue.Dequeue, Specs.Queue.Empty);
+      }
     in
-    let outcome =
-      Sim.run heap ~policy:(Sim.Random_seed i)
-        ~crash:(Sim.Crash_at_step (5 + (i mod 45)))
-        ~threads:
-          [
-            detectable ~tid:0 (Specs.Queue.Enqueue i);
-            detectable ~tid:1 Specs.Queue.Dequeue;
-          ]
+    let inputs =
+      {
+        Trial.seed = i;
+        crash_step = 5 + (i mod 45);
+        evict_p = float_of_int (i mod 3) /. 2.;
+        restart_seed = i;
+      }
     in
-    let q =
-      if not outcome.Sim.crashed then live
-      else begin
-        incr crashes;
-        Recorder.crash rec_;
-        (* Restart cold: a fresh set-up, untraced, loaded with the
-           crash's image. *)
-        let heap', q, recover =
-          Trace.muted (fun () -> make_queue ~policy kind)
-        in
-        Sim.restart heap ~into:heap' ~evict_p:(float_of_int (i mod 3) /. 2.)
-          ~seed:i;
-        (try recover ()
-         with Dssq_pmwcas.Pmwcas.Unresolved_word a ->
-           (* The PMwCAS baselines are not hardened for buffered
-              persistency: an install can persist without its
-              descriptor. *)
-           Printf.printf
-             "iteration %d: RECOVERY FAILED: PMwCAS word %d points at a \
-              descriptor with no slot for it\n"
-             i a;
-           exit 1);
-        for tid = 0 to 1 do
-          record ~tid Dss_spec.Resolve (fun () ->
-              Scenarios.status (q.resolve ~tid))
-        done;
-        q
-      end
+    let r =
+      try Trial.run (Trial.queue ~policy kind) program inputs with
+      | Trial.Thread_raised e ->
+          Printf.printf "iteration %d: THREAD RAISED: %s\n" i
+            (Printexc.to_string e);
+          exit 1
+      | Dssq_pmwcas.Pmwcas.Unresolved_word a ->
+          (* The PMwCAS baselines are not hardened for buffered
+             persistency: an install can persist without its
+             descriptor. *)
+          Printf.printf
+            "iteration %d: RECOVERY FAILED: PMwCAS word %d points at a \
+             descriptor with no slot for it\n"
+            i a;
+          exit 1
     in
-    (* Drain so the final state is validated too. *)
-    let rec drain guard =
-      let deq = Specs.Queue.Dequeue in
-      if guard > 0 then
-        match
-          Recorder.record rec_ ~tid:0 (Dss_spec.Base deq) (fun () ->
-              Dss_spec.Ret (q.base ~tid:0 deq))
-        with
-        | Dss_spec.Ret Specs.Queue.Empty -> ()
-        | _ -> drain (guard - 1)
-    in
-    drain 10;
-    let history = Recorder.history rec_ in
-    (match Lincheck.check ~mode:Lincheck.Strict spec history with
+    if r.crashed then incr crashes;
+    (match r.verdict with
     | Lincheck.Linearizable w ->
-        if verbose then begin
+        if verbose then
           Printf.printf "iteration %d: linearizable (%d ops)\n" i (List.length w)
-        end
     | Lincheck.Not_linearizable trace ->
         Printf.printf "iteration %d: VIOLATION\n" i;
         Format.printf "%a"
           (Dssq_history.History.pp ~pp_op:spec.Spec.pp_op
              ~pp_response:spec.Spec.pp_response)
-          history;
+          r.history;
         if trace <> [] then
           Format.printf "recorded event timeline:@.%a" Trace.pp_timeline trace;
         Option.iter
@@ -1903,27 +1846,15 @@ let lincheck_run kind (policy : MI.Policy.t) iterations verbose trace_json =
               (List.length trace))
           trace_json;
         exit 1);
-    Trace.stop ();
-    incr checked
+    Trace.stop ()
   done;
   Printf.printf
     "checked %d random executions (%d with crashes): all strictly linearizable \
      w.r.t. D<queue>\n"
-    !checked !crashes
+    iterations !crashes
 
 let lincheck_cmd =
-  let kind =
-    queue_arg
-      Arg.(
-        enum
-          [
-            ("dss", `Dss);
-            ("log", `Log);
-            ("fast-caswe", `Fast);
-            ("general-caswe", `General);
-          ])
-      `Dss
-  in
+  let kind = queue_arg Arg.(enum Trial.queues) `Dss in
   let iterations =
     Arg.(value & opt int 500 & info [ "n" ] ~doc:"number of random executions")
   in
@@ -2207,19 +2138,7 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
           | _ -> ())
         results;
       if failures <> [] || mismatches <> [] then exit 1;
-      let tot f =
-        List.fold_left
-          (fun acc r -> match r.verdict with Ok s -> acc + f s | Error _ -> acc)
-          0 results
-      in
-      let wall =
-        List.fold_left
-          (fun acc r ->
-            match r.verdict with
-            | Ok s -> acc +. s.Explore.wall_s
-            | Error _ -> acc)
-          0. results
-      in
+      let t = Explore_report.totals results in
       Printf.printf
         "explored %d case(s): all executions %s-linearizable w.r.t. their \
          specifications\n\
@@ -2227,24 +2146,15 @@ let explore_run object_ crash_mode line_sizes policy mutant mode_name
          (%d enumerated, %d sampled), %d replays, %.2fs\n\
          skipped: %d crash branches whose image the parent point \
          produced, %d crash points with every branch skipped\n"
-        (List.length results) mode_name
-        (tot (fun s -> s.Explore.executions))
-        (tot (fun s -> s.Explore.branches))
-        (tot (fun s -> s.Explore.pruned))
-        (tot (fun s -> s.Explore.crash_points))
-        (tot (fun s -> s.Explore.crash_enumerated))
-        (tot (fun s -> s.Explore.crash_sampled))
-        (tot (fun s -> s.Explore.replays))
-        wall
-        (tot (fun s -> s.Explore.skipped_branches))
-        (tot (fun s -> s.Explore.skipped_points));
+        (List.length results) mode_name t.executions t.branches t.pruned
+        t.crash_points t.crash_enumerated t.crash_sampled t.replays t.wall_s
+        t.skipped_branches t.skipped_points;
       if MI.Policy.relaxed policy then
         Printf.printf
           "%s coverage: %d drain points, %d crash executions with adversary \
            drains\n"
           (MI.Policy.to_string policy)
-          (tot (fun s -> s.Explore.drain_points))
-          (tot (fun s -> s.Explore.drain_branches))
+          t.drain_points t.drain_branches
 
 let explore_cmd =
   let object_ =

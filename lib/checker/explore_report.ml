@@ -96,16 +96,34 @@ let case_json (r : case_result) =
           Json.String (match n with Ok _ -> "pass" | Error _ -> "fail") )
         :: stats_fields "naive_" n)
 
+(** The passing cases' stats summed field by field: the coverage totals
+    below and [dssq explore]'s closing summary. *)
+let totals results : Explore.stats =
+  let ok = List.filter_map (fun r -> Result.to_option r.verdict) results in
+  let sum f = List.fold_left (fun acc (s : Explore.stats) -> acc + f s) 0 ok in
+  {
+    executions = sum (fun s -> s.executions);
+    pruned = sum (fun s -> s.pruned);
+    crash_branches = sum (fun s -> s.crash_branches);
+    branches = sum (fun s -> s.branches);
+    crash_points = sum (fun s -> s.crash_points);
+    crash_enumerated = sum (fun s -> s.crash_enumerated);
+    crash_sampled = sum (fun s -> s.crash_sampled);
+    drain_points = sum (fun s -> s.drain_points);
+    drain_branches = sum (fun s -> s.drain_branches);
+    replays = sum (fun s -> s.replays);
+    skipped_points = sum (fun s -> s.skipped_points);
+    skipped_branches = sum (fun s -> s.skipped_branches);
+    wall_s =
+      List.fold_left (fun acc (s : Explore.stats) -> acc +. s.wall_s) 0. ok;
+  }
+
 (** Branch/crash-point totals of the passing cases, grouped by
     persist policy — the at-a-glance answer to "how much of the relaxed
     state space did this run actually cover?". *)
 let coverage_json results =
   let totals rs =
-    let tot f =
-      List.fold_left
-        (fun acc r -> match r.verdict with Ok s -> acc + f s | Error _ -> acc)
-        0 rs
-    in
+    let t = totals rs in
     let failures =
       List.filter (fun r -> Result.is_error r.verdict) rs |> List.length
     in
@@ -113,16 +131,15 @@ let coverage_json results =
       [
         ("cases", Json.Int (List.length rs));
         ("failures", Json.Int failures);
-        ("executions", Json.Int (tot (fun s -> s.Explore.executions)));
-        ("branches", Json.Int (tot (fun s -> s.Explore.branches)));
-        ("crash_branches", Json.Int (tot (fun s -> s.Explore.crash_branches)));
-        ("crash_points", Json.Int (tot (fun s -> s.Explore.crash_points)));
-        ("drain_points", Json.Int (tot (fun s -> s.Explore.drain_points)));
-        ("drain_branches", Json.Int (tot (fun s -> s.Explore.drain_branches)));
-        ("replays", Json.Int (tot (fun s -> s.Explore.replays)));
-        ("skipped_points", Json.Int (tot (fun s -> s.Explore.skipped_points)));
-        ( "skipped_branches",
-          Json.Int (tot (fun s -> s.Explore.skipped_branches)) );
+        ("executions", Json.Int t.executions);
+        ("branches", Json.Int t.branches);
+        ("crash_branches", Json.Int t.crash_branches);
+        ("crash_points", Json.Int t.crash_points);
+        ("drain_points", Json.Int t.drain_points);
+        ("drain_branches", Json.Int t.drain_branches);
+        ("replays", Json.Int t.replays);
+        ("skipped_points", Json.Int t.skipped_points);
+        ("skipped_branches", Json.Int t.skipped_branches);
       ]
   in
   Json.Obj

@@ -78,30 +78,19 @@ let fig5b_queues =
 (* ---------------------------------------------------------------------- *)
 
 let ablate_flush ?(nthreads = 8) ?(flush_costs = [ 0; 50; 140; 300; 600 ])
-    ?(repeats = 3) ?(horizon_ns = 300_000.) ?line_size () : Report.series list =
+    ?(repeats = 3) ?(horizon_ns = 300_000.) ?line_size () :
+    Dssq_obs.Run_report.series list =
   List.map
     (fun q ->
-      {
-        Report.label = q.label;
-        points =
-          List.map
-            (fun flush_ns ->
-              let costs =
-                {
-                  Sim_throughput.default_costs with
-                  flush_ns = float_of_int flush_ns;
-                }
-              in
-              {
-                Report.x = flush_ns;
-                samples =
-                  List.init repeats (fun r ->
-                      (Sim_throughput.measure ~costs ~seed:(1 + r) ~horizon_ns
-                         ?line_size ~mk:q.mk ~det_pct:q.det_pct ~nthreads ())
-                        .mops);
-              })
-            flush_costs;
-      })
+      Report.figure ~label:q.label
+        (fun flush_ns ->
+          let flush_ns = float_of_int flush_ns in
+          let costs = { Sim_throughput.default_costs with flush_ns } in
+          List.init repeats (fun r ->
+              (Sim_throughput.measure ~costs ~seed:(1 + r) ~horizon_ns
+                 ?line_size ~mk:q.mk ~det_pct:q.det_pct ~nthreads ())
+                .mops))
+        flush_costs)
     fig5a_queues
 
 (* ---------------------------------------------------------------------- *)
@@ -109,23 +98,16 @@ let ablate_flush ?(nthreads = 8) ?(flush_costs = [ 0; 50; 140; 300; 600 ])
 (* ---------------------------------------------------------------------- *)
 
 let ablate_demand ?(nthreads = 8) ?(percents = [ 0; 25; 50; 75; 100 ])
-    ?(repeats = 3) ?(horizon_ns = 300_000.) ?line_size () : Report.series list =
+    ?(repeats = 3) ?(horizon_ns = 300_000.) ?line_size () :
+    Dssq_obs.Run_report.series list =
   [
-    {
-      Report.label = "dss-queue";
-      points =
-        List.map
-          (fun pct ->
-            {
-              Report.x = pct;
-              samples =
-                List.init repeats (fun r ->
-                    (Sim_throughput.measure ~seed:(1 + r) ~horizon_ns
-                       ?line_size ~mk:"dss-queue" ~det_pct:pct ~nthreads ())
-                      .mops);
-            })
-          percents;
-    };
+    Report.figure ~label:"dss-queue"
+      (fun pct ->
+        List.init repeats (fun r ->
+            (Sim_throughput.measure ~seed:(1 + r) ~horizon_ns ?line_size
+               ~mk:"dss-queue" ~det_pct:pct ~nthreads ())
+              .mops))
+      percents;
   ]
 
 (* A heap's memory events at the modelled costs, in ns. *)
@@ -145,7 +127,7 @@ let modelled_ns (s : Heap.stats) =
    time: the simulated heap counts every read/write/flush the recovery
    procedure performs. *)
 let ablate_recovery ?(lengths = [ 0; 16; 64; 256; 1024 ]) ?(nthreads = 8)
-    ?(line_size = 1) () : Report.series list =
+    ?(line_size = 1) () : Dssq_obs.Run_report.series list =
   let run_one ~style ~len =
     (* One world: the queue's set-up, marked for a cold restart. *)
     let world () =
@@ -183,13 +165,7 @@ let ablate_recovery ?(lengths = [ 0; 16; 64; 256; 1024 ]) ?(nthreads = 8)
   in
   List.map
     (fun (label, style) ->
-      {
-        Report.label;
-        points =
-          List.map
-            (fun len -> { Report.x = len; samples = [ run_one ~style ~len ] })
-            lengths;
-      })
+      Report.figure ~label (fun len -> [ run_one ~style ~len ]) lengths)
     [ ("centralized", `Centralized); ("per-thread", `Decentralized) ]
 
 (* ---------------------------------------------------------------------- *)
@@ -201,25 +177,17 @@ let ablate_recovery ?(lengths = [ 0; 16; 64; 256; 1024 ]) ?(nthreads = 8)
    dequeuers collide on the same sentinel region (and dequeues hit the
    EMPTY path); with a deep queue, the head and tail lines decouple. *)
 let ablate_depth ?(nthreads = 8) ?(depths = [ 0; 4; 16; 64; 256; 1024 ])
-    ?(repeats = 3) ?(horizon_ns = 300_000.) ?line_size () : Report.series list =
+    ?(repeats = 3) ?(horizon_ns = 300_000.) ?line_size () :
+    Dssq_obs.Run_report.series list =
   List.map
     (fun q ->
-      {
-        Report.label = q.label;
-        points =
-          List.map
-            (fun depth ->
-              {
-                Report.x = depth;
-                samples =
-                  List.init repeats (fun r ->
-                      (Sim_throughput.measure ~seed:(1 + r) ~horizon_ns
-                         ?line_size ~init_nodes:depth ~mk:q.mk
-                         ~det_pct:q.det_pct ~nthreads ())
-                        .mops);
-              })
-            depths;
-      })
+      Report.figure ~label:q.label
+        (fun depth ->
+          List.init repeats (fun r ->
+              (Sim_throughput.measure ~seed:(1 + r) ~horizon_ns ?line_size
+                 ~init_nodes:depth ~mk:q.mk ~det_pct:q.det_pct ~nthreads ())
+                .mops))
+        depths)
     fig5a_queues
 
 (* ---------------------------------------------------------------------- *)
@@ -321,24 +289,17 @@ let crash_cycles ?(line_size = 1) ~seed ~mtbf_ns ~cycles ~mk ~nthreads ~det_pct
   float_of_int total_ops /. (!total_time /. 1e9) /. 1e6
 
 let ablate_crash_mtbf ?(mtbfs_us = [ 20; 50; 100; 250; 1000 ]) ?(nthreads = 8)
-    ?(cycles = 6) ?(repeats = 2) ?line_size () : Report.series list =
+    ?(cycles = 6) ?(repeats = 2) ?line_size () :
+    Dssq_obs.Run_report.series list =
   List.map
     (fun (label, mk) ->
-      {
-        Report.label;
-        points =
-          List.map
-            (fun mtbf_us ->
-              {
-                Report.x = mtbf_us;
-                samples =
-                  List.init repeats (fun r ->
-                      crash_cycles ?line_size ~seed:(1 + (r * 37)) ~cycles
-                        ~mtbf_ns:(float_of_int mtbf_us *. 1000.)
-                        ~mk ~nthreads ~det_pct:100 ());
-              })
-            mtbfs_us;
-      })
+      Report.figure ~label
+        (fun mtbf_us ->
+          List.init repeats (fun r ->
+              crash_cycles ?line_size ~seed:(1 + (r * 37)) ~cycles
+                ~mtbf_ns:(float_of_int mtbf_us *. 1000.)
+                ~mk ~nthreads ~det_pct:100 ()))
+        mtbfs_us)
     [ ("dss-det", "dss-queue"); ("log", "log-queue") ]
 
 (* ---------------------------------------------------------------------- *)
@@ -346,7 +307,7 @@ let ablate_crash_mtbf ?(mtbfs_us = [ 20; 50; 100; 250; 1000 ]) ?(nthreads = 8)
 (* ---------------------------------------------------------------------- *)
 
 let ablate_pmwcas ?(widths = [ 1; 2; 3; 4 ]) ?(line_size = 1) () :
-    Report.series list =
+    Dssq_obs.Run_report.series list =
   let model_ns s ops = modelled_ns s /. float_of_int ops in
   let run_one ~priv ~width =
     let heap = Heap.create ~line_size () in
@@ -370,13 +331,7 @@ let ablate_pmwcas ?(widths = [ 1; 2; 3; 4 ]) ?(line_size = 1) () :
   in
   List.map
     (fun (label, priv) ->
-      {
-        Report.label;
-        points =
-          List.map
-            (fun w -> { Report.x = w; samples = [ run_one ~priv ~width:w ] })
-            widths;
-      })
+      Report.figure ~label (fun w -> [ run_one ~priv ~width:w ]) widths)
     [ ("all-shared", false); ("private-rest", true) ]
 
 (* ---------------------------------------------------------------------- *)

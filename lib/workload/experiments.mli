@@ -57,7 +57,7 @@ val ablate_flush :
   ?horizon_ns:float ->
   ?line_size:int ->
   unit ->
-  Report.series list
+  Dssq_obs.Run_report.series list
 (** Persist-instruction latency sweep. *)
 
 val ablate_demand :
@@ -67,7 +67,7 @@ val ablate_demand :
   ?horizon_ns:float ->
   ?line_size:int ->
   unit ->
-  Report.series list
+  Dssq_obs.Run_report.series list
 (** Fraction of operations requesting detectability. *)
 
 val ablate_recovery :
@@ -75,7 +75,7 @@ val ablate_recovery :
   ?nthreads:int ->
   ?line_size:int ->
   unit ->
-  Report.series list
+  Dssq_obs.Run_report.series list
 (** Centralized (Figure 6) vs per-thread recovery: memory events vs
     queue length (deterministic). *)
 
@@ -86,7 +86,7 @@ val ablate_depth :
   ?horizon_ns:float ->
   ?line_size:int ->
   unit ->
-  Report.series list
+  Dssq_obs.Run_report.series list
 (** Initial queue depth sweep. *)
 
 val ablate_linesize :
@@ -121,11 +121,11 @@ val ablate_crash_mtbf :
   ?repeats:int ->
   ?line_size:int ->
   unit ->
-  Report.series list
+  Dssq_obs.Run_report.series list
 (** Effective throughput vs crash MTBF, recovery charged. *)
 
 val ablate_pmwcas :
-  ?widths:int list -> ?line_size:int -> unit -> Report.series list
+  ?widths:int list -> ?line_size:int -> unit -> Dssq_obs.Run_report.series list
 (** PMwCAS modelled ns/op vs word count, all-shared vs private-rest. *)
 
 val regress : ?quick:bool -> unit -> Dssq_obs.Run_report.series list

@@ -1,46 +1,27 @@
 (** Plain-text and CSV rendering of benchmark series, one column per
     implementation — the same rows the paper plots in its figures. *)
 
-type point = { x : int; samples : float list }
-type series = { label : string; points : point list }
+open Dssq_obs.Run_report
 
-(** Drop the observability payload of a run-report series, keeping the
-    figure data (x, throughput samples) this module renders. *)
-let of_run (rs : Dssq_obs.Run_report.series list) : series list =
-  List.map
-    (fun (s : Dssq_obs.Run_report.series) ->
-      {
-        label = s.Dssq_obs.Run_report.label;
-        points =
-          List.map
-            (fun (p : Dssq_obs.Run_report.point) ->
-              { x = p.Dssq_obs.Run_report.x; samples = p.samples })
-            s.points;
-      })
-    rs
+(** A series of figure data only (no events, no latency): one point per
+    x, its samples [samples x]. *)
+let figure ~label samples xs : series =
+  {
+    label;
+    points =
+      List.map
+        (fun x ->
+          {
+            x;
+            samples = samples x;
+            ops = 0;
+            events = Dssq_memory.Memory_intf.Counters.zero;
+            latency = None;
+          })
+        xs;
+  }
 
-(** Lift plain figure series into run-report series (no events, no
-    latency), for experiments that predate the observability layer. *)
-let to_run (all : series list) : Dssq_obs.Run_report.series list =
-  List.map
-    (fun s ->
-      {
-        Dssq_obs.Run_report.label = s.label;
-        points =
-          List.map
-            (fun p ->
-              {
-                Dssq_obs.Run_report.x = p.x;
-                samples = p.samples;
-                ops = 0;
-                events = Dssq_memory.Memory_intf.Counters.zero;
-                latency = None;
-              })
-            s.points;
-      })
-    all
-
-let mean_at series x =
+let mean_at (series : series) x =
   match List.find_opt (fun p -> p.x = x) series.points with
   | Some p -> Some (Stats.mean p.samples)
   | None -> None
@@ -102,8 +83,8 @@ let to_csv ~x_label (all : series list) =
 
 (** Compact ASCII rendering of the series as a scalability chart, so the
     figure's shape is visible straight from a terminal. *)
-let print_chart ?(out = Format.std_formatter) ?(height = 12) (all : series list)
-    =
+let print_chart ?(out = Format.std_formatter) ?(height = 12)
+    (all : series list) =
   let xs = xs_of all in
   let maxv =
     List.fold_left

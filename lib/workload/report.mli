@@ -1,29 +1,25 @@
 (** Plain-text, chart and CSV rendering of benchmark series — the same
     rows the paper plots in its figures. *)
 
-type point = { x : int; samples : float list }
-type series = { label : string; points : point list }
+val figure :
+  label:string -> (int -> float list) -> int list -> Dssq_obs.Run_report.series
+(** [figure ~label samples xs]: a series of figure data only (no events,
+    no latency), one point per x of [xs] with the samples [samples x]. *)
 
-val of_run : Dssq_obs.Run_report.series list -> series list
-(** Keep only the figure data (x, throughput samples) of a run report. *)
-
-val to_run : series list -> Dssq_obs.Run_report.series list
-(** Lift plain series into run-report series with empty observability
-    payloads (zero events, no latency). *)
-
-val mean_at : series -> int -> float option
-val xs_of : series list -> int list
+val mean_at : Dssq_obs.Run_report.series -> int -> float option
+val xs_of : Dssq_obs.Run_report.series list -> int list
 
 val print_table :
   ?out:Format.formatter ->
   title:string ->
   x_label:string ->
   y_label:string ->
-  series list ->
+  Dssq_obs.Run_report.series list ->
   unit
 
-val to_csv : x_label:string -> series list -> string
+val to_csv : x_label:string -> Dssq_obs.Run_report.series list -> string
 
-val print_chart : ?out:Format.formatter -> ?height:int -> series list -> unit
+val print_chart :
+  ?out:Format.formatter -> ?height:int -> Dssq_obs.Run_report.series list -> unit
 (** Compact ASCII scalability chart, so the figure's shape is visible in
     a terminal. *)

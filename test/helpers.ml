@@ -55,101 +55,73 @@ type dq = {
   recovered_violations : unit -> string list;
 }
 
-let make_dss_queue ?(reclaim = true) ~nthreads ~capacity () : dq =
-  let heap = Heap.create () in
-  let (module M) = Sim.memory heap in
+(** The bundle of any detectable queue [q] just built on [heap], with
+    its [to_list]; marks the heap at the end of that layout.  The DSS
+    queue passes in its per-thread recovery, pool gauge and invariants;
+    a baseline recovers a thread with [recover] and has neither a gauge
+    nor invariants. *)
+let dq_of (type q) (module Q : Queue_intf.DETECTABLE_QUEUE with type t = q)
+    ~to_list ?recover_thread ?(recover_pool = ignore)
+    ?(free_count = fun () -> 0) ?(recovered_violations = fun () -> []) heap
+    (q : q) : dq =
+  Heap.log_persists heap;
+  {
+    heap;
+    prep_enqueue = Q.prep_enqueue q;
+    exec_enqueue = Q.exec_enqueue q;
+    prep_dequeue = Q.prep_dequeue q;
+    exec_dequeue = Q.exec_dequeue q;
+    enqueue = Q.enqueue q;
+    dequeue = Q.dequeue q;
+    resolve = Q.resolve q;
+    recover = (fun () -> Q.recover q);
+    recover_thread =
+      Option.value recover_thread ~default:(fun ~tid:_ -> Q.recover q);
+    recover_pool;
+    to_list = (fun () -> to_list q);
+    free_count;
+    recovered_violations;
+  }
+
+let dss_dq ?(reclaim = true) heap (module M : Dssq_memory.Memory_intf.S)
+    ~nthreads ~capacity =
   let module Q = Dssq_core.Dss_queue.Make (M) in
   let q = Q.create ~reclaim ~nthreads ~capacity () in
-  Heap.log_persists heap;
-  {
-    heap;
-    prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-    exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-    prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-    exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-    enqueue = (fun ~tid v -> Q.enqueue q ~tid v);
-    dequeue = (fun ~tid -> Q.dequeue q ~tid);
-    resolve = (fun ~tid -> Q.resolve q ~tid);
-    recover = (fun () -> Q.recover q);
-    recover_thread = (fun ~tid -> Q.recover_thread q ~tid);
-    recover_pool = (fun () -> Q.recover_pool q);
-    to_list = (fun () -> Q.to_list q);
-    free_count = (fun () -> Q.free_count q);
-    recovered_violations = (fun () -> Q.recovered_violations q);
-  }
+  dq_of (module Q) ~to_list:Q.to_list heap q
+    ~recover_thread:(Q.recover_thread q)
+    ~recover_pool:(fun () -> Q.recover_pool q)
+    ~free_count:(fun () -> Q.free_count q)
+    ~recovered_violations:(fun () -> Q.recovered_violations q)
 
-(* The same closure bundle for the detectable baselines, so crash and
-   lincheck scenarios run unchanged across implementations.  Structural
-   invariant checking and per-thread recovery are DSS-queue-specific and
-   stubbed here. *)
+(** The DSS queue, over [memory] of its heap (default: the heap's own). *)
+let make_dss_queue ?reclaim ?(memory = Sim.memory) ~nthreads ~capacity () =
+  let heap = Heap.create () in
+  dss_dq ?reclaim heap (memory heap) ~nthreads ~capacity
 
-let make_log_queue ~nthreads ~capacity () : dq =
+(** Any detectable queue of {!Dssq_trial.Trial.queues}: the DSS queue or
+    the log or a CASWE baseline. *)
+let make_queue kind ~nthreads ~capacity () =
   let heap = Heap.create () in
   let (module M) = Sim.memory heap in
-  let module Q = Dssq_baselines.Log_queue.Make (M) in
-  let q = Q.create ~nthreads ~capacity in
-  Heap.log_persists heap;
-  {
-    heap;
-    prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-    exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-    prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-    exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-    enqueue = (fun ~tid v -> Q.enqueue q ~tid v);
-    dequeue = (fun ~tid -> Q.dequeue q ~tid);
-    resolve = (fun ~tid -> Q.resolve q ~tid);
-    recover = (fun () -> Q.recover q);
-    recover_thread = (fun ~tid:_ -> Q.recover q);
-    recover_pool = ignore;
-    to_list = (fun () -> Q.to_list q);
-    free_count = (fun () -> 0);
-    recovered_violations = (fun () -> []);
-  }
-
-let make_caswe_queue ~variant ~nthreads ~capacity () : dq =
-  let heap = Heap.create () in
-  let (module M) = Sim.memory heap in
-  match variant with
-  | `General ->
-      let module Q = Dssq_baselines.Caswe_queue.General (M) in
-      let q = Q.create ~nthreads ~capacity () in
-      Heap.log_persists heap;
-      {
-        heap;
-        prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-        exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-        prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-        exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-        enqueue = (fun ~tid v -> Q.enqueue q ~tid v);
-        dequeue = (fun ~tid -> Q.dequeue q ~tid);
-        resolve = (fun ~tid -> Q.resolve q ~tid);
-        recover = (fun () -> Q.recover q);
-        recover_thread = (fun ~tid:_ -> Q.recover q);
-        recover_pool = ignore;
-        to_list = (fun () -> Q.to_list q);
-        free_count = (fun () -> 0);
-        recovered_violations = (fun () -> []);
-      }
+  match kind with
+  | `Dss -> dss_dq heap (module M) ~nthreads ~capacity
+  | `Log ->
+      let module Q = Dssq_baselines.Log_queue.Make (M) in
+      dq_of (module Q) ~to_list:Q.to_list heap (Q.create ~nthreads ~capacity)
   | `Fast ->
       let module Q = Dssq_baselines.Caswe_queue.Fast (M) in
-      let q = Q.create ~nthreads ~capacity () in
-      Heap.log_persists heap;
-      {
-        heap;
-        prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-        exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-        prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-        exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-        enqueue = (fun ~tid v -> Q.enqueue q ~tid v);
-        dequeue = (fun ~tid -> Q.dequeue q ~tid);
-        resolve = (fun ~tid -> Q.resolve q ~tid);
-        recover = (fun () -> Q.recover q);
-        recover_thread = (fun ~tid:_ -> Q.recover q);
-        recover_pool = ignore;
-        to_list = (fun () -> Q.to_list q);
-        free_count = (fun () -> 0);
-        recovered_violations = (fun () -> []);
-      }
+      dq_of (module Q) ~to_list:Q.to_list heap
+        (Q.create ~nthreads ~capacity ())
+  | `General ->
+      let module Q = Dssq_baselines.Caswe_queue.General (M) in
+      dq_of (module Q) ~to_list:Q.to_list heap
+        (Q.create ~nthreads ~capacity ())
+
+(** Every detectable queue, for two threads. *)
+let queues ~capacity =
+  List.map
+    (fun (name, kind) -> (name, make_queue kind ~nthreads:2 ~capacity))
+    Dssq_trial.Trial.queues
 
 (** A crash, as the paper's failure model has it: a fresh world from
     [setup] — the same layout [live] was built with, which marks its
@@ -258,6 +230,21 @@ let check_strict ~nthreads history =
         fmt history;
       Format.pp_print_flush fmt ();
       Alcotest.failf "history not strictly linearizable:@.%s" (Buffer.contents buf)
+
+(* ---------------------------------------------------------------------- *)
+(* Randomized crash trials ({!Dssq_trial.Trial}) of the queues.           *)
+
+module Trial = Dssq_trial.Trial
+
+(** Thread 0 enqueues [base], then enqueues [v] detectably while thread
+    1 dequeues detectably. *)
+let queue_trial ~base v : _ Trial.program =
+  {
+    spec = queue_spec ~nthreads:2;
+    base = List.map (fun v -> Specs.Queue.Enqueue v) base;
+    threads = [ Specs.Queue.Enqueue v; Specs.Queue.Dequeue ];
+    drain = (Specs.Queue.Dequeue, Specs.Queue.Empty);
+  }
 
 (* Convenient Alcotest testables *)
 let resolved : Queue_intf.resolved Alcotest.testable =

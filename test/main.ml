@@ -23,7 +23,7 @@ let () =
       ("dss-cell", Test_dss_cell.suite);
       ("dss-stack", Test_dss_stack.suite);
       ("nested", Test_nested.suite);
-      ("cross-queue", Test_cross_queue.suite);
+      ("cross-queue", Test_dss_queue_crash.cross_queue_suite);
       ("hashmap", Test_hashmap.suite);
       ("nrl", Test_nrl.suite);
       ("msgpass", Test_msgpass.suite);

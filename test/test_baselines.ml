@@ -172,44 +172,23 @@ let test_durable_recovery_publishes_pending_dequeue () =
 
 (* ------------------------------ log queue ----------------------------- *)
 
-type lq = {
-  b : bq;
-  prep_enqueue : tid:int -> int -> unit;
-  exec_enqueue : tid:int -> unit;
-  prep_dequeue : tid:int -> unit;
-  exec_dequeue : tid:int -> int;
-  resolve : tid:int -> Queue_intf.resolved;
-  recover : unit -> unit;
-}
+let make_log ~nthreads ~capacity = make_queue `Log ~nthreads ~capacity ()
 
-let make_log ~nthreads ~capacity : lq =
-  let heap = Heap.create () in
-  let (module M) = Sim.memory heap in
-  let module Q = Dssq_baselines.Log_queue.Make (M) in
-  let q = Q.create ~nthreads ~capacity in
-  Heap.log_persists heap;
+let bq (l : dq) : bq =
   {
-    b =
-      {
-        heap;
-        enqueue = (fun ~tid v -> Q.enqueue q ~tid v);
-        dequeue = (fun ~tid -> Q.dequeue q ~tid);
-        to_list = (fun () -> Q.to_list q);
-      };
-    prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-    exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-    prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-    exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-    resolve = (fun ~tid -> Q.resolve q ~tid);
-    recover = (fun () -> Q.recover q);
+    heap = l.heap;
+    enqueue = l.enqueue;
+    dequeue = l.dequeue;
+    to_list = l.to_list;
   }
 
-let test_log_fifo () = fifo_smoke (make_log ~nthreads:2 ~capacity:64).b
+let test_log_fifo () = fifo_smoke (bq (make_log ~nthreads:2 ~capacity:64))
 
 let test_log_concurrent () =
   for seed = 1 to 15 do
-    concurrency_conservation (make_log ~nthreads:3 ~capacity:256).b ~nthreads:3
-      ~seed
+    concurrency_conservation
+      (bq (make_log ~nthreads:3 ~capacity:256))
+      ~nthreads:3 ~seed
   done
 
 let test_log_detectable_lifecycle () =
@@ -230,11 +209,10 @@ let test_log_detectable_lifecycle () =
   Alcotest.check resolved "deq empty" Queue_intf.Deq_empty (l.resolve ~tid:1)
 
 let log_setup () = make_log ~nthreads:1 ~capacity:32
-let log_heap (l : lq) = l.b.heap
 
 let test_log_crash_detectability_enqueue () =
   ignore
-  @@ sweep_crashes ~setup:log_setup ~heap:log_heap ~evict_p:0.0 ~seed:Fun.id
+  @@ sweep_crashes ~setup:log_setup ~heap:dq_heap ~evict_p:0.0 ~seed:Fun.id
        (fun ~step:_ l ->
          let t () =
            l.prep_enqueue ~tid:0 5;
@@ -247,25 +225,25 @@ let test_log_crash_detectability_enqueue () =
                  l.recover ();
                  match l.resolve ~tid:0 with
                  | Queue_intf.Enq_done 5 ->
-                     Alcotest.check int_list "done => queued" [ 5 ] (l.b.to_list ())
+                     Alcotest.check int_list "done => queued" [ 5 ] (l.to_list ())
                  | Queue_intf.Enq_pending 5 ->
-                     Alcotest.check int_list "pending => absent" [] (l.b.to_list ());
+                     Alcotest.check int_list "pending => absent" [] (l.to_list ());
                      l.exec_enqueue ~tid:0;
                      Alcotest.check int_list "retry lands once" [ 5 ]
-                       (l.b.to_list ())
+                       (l.to_list ())
                  | Queue_intf.Nothing ->
                      Alcotest.check int_list "nothing prepared => absent" []
-                       (l.b.to_list ())
+                       (l.to_list ())
                  | r ->
                      Alcotest.failf "unexpected resolution: %s"
                        (Format.asprintf "%a" Queue_intf.pp_resolved r)) ))
 
 let test_log_crash_detectability_dequeue () =
   ignore
-  @@ sweep_crashes ~setup:log_setup ~heap:log_heap ~evict_p:1.0 ~seed:Fun.id
+  @@ sweep_crashes ~setup:log_setup ~heap:dq_heap ~evict_p:1.0 ~seed:Fun.id
        (fun ~step:_ l ->
-         l.b.enqueue ~tid:0 1;
-         l.b.enqueue ~tid:0 2;
+         l.enqueue ~tid:0 1;
+         l.enqueue ~tid:0 2;
          let t () =
            l.prep_dequeue ~tid:0;
            ignore (l.exec_dequeue ~tid:0)
@@ -277,10 +255,10 @@ let test_log_crash_detectability_dequeue () =
                  l.recover ();
                  match l.resolve ~tid:0 with
                  | Queue_intf.Deq_done 1 ->
-                     Alcotest.check int_list "1 consumed" [ 2 ] (l.b.to_list ())
+                     Alcotest.check int_list "1 consumed" [ 2 ] (l.to_list ())
                  | Queue_intf.Deq_pending | Queue_intf.Nothing ->
                      Alcotest.check int_list "nothing consumed" [ 1; 2 ]
-                       (l.b.to_list ())
+                       (l.to_list ())
                  | r ->
                      Alcotest.failf "unexpected resolution: %s"
                        (Format.asprintf "%a" Queue_intf.pp_resolved r)) ))

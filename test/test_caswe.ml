@@ -4,55 +4,8 @@
 
 open Helpers
 
-type cq = {
-  heap : Heap.t;
-  enqueue : tid:int -> int -> unit;
-  dequeue : tid:int -> int;
-  prep_enqueue : tid:int -> int -> unit;
-  exec_enqueue : tid:int -> unit;
-  prep_dequeue : tid:int -> unit;
-  exec_dequeue : tid:int -> int;
-  resolve : tid:int -> Queue_intf.resolved;
-  recover : unit -> unit;
-  to_list : unit -> int list;
-}
-
-let make ~variant ~nthreads ~capacity : cq =
-  let heap = Heap.create () in
-  let (module M) = Sim.memory heap in
-  match variant with
-  | `General ->
-      let module Q = Dssq_baselines.Caswe_queue.General (M) in
-      let q = Q.create ~nthreads ~capacity () in
-      Heap.log_persists heap;
-      {
-        heap;
-        enqueue = (fun ~tid v -> Q.enqueue q ~tid v);
-        dequeue = (fun ~tid -> Q.dequeue q ~tid);
-        prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-        exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-        prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-        exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-        resolve = (fun ~tid -> Q.resolve q ~tid);
-        recover = (fun () -> Q.recover q);
-        to_list = (fun () -> Q.to_list q);
-      }
-  | `Fast ->
-      let module Q = Dssq_baselines.Caswe_queue.Fast (M) in
-      let q = Q.create ~nthreads ~capacity () in
-      Heap.log_persists heap;
-      {
-        heap;
-        enqueue = (fun ~tid v -> Q.enqueue q ~tid v);
-        dequeue = (fun ~tid -> Q.dequeue q ~tid);
-        prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-        exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-        prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-        exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-        resolve = (fun ~tid -> Q.resolve q ~tid);
-        recover = (fun () -> Q.recover q);
-        to_list = (fun () -> Q.to_list q);
-      }
+let make ~variant ~nthreads ~capacity =
+  make_queue variant ~nthreads ~capacity ()
 
 let variants = [ ("general", `General); ("fast", `Fast) ]
 

@@ -1,12 +1,16 @@
-(** Crash-recovery tests for the DSS queue: a crash is injected at
-    {e every} step of sequential detectable programs (with the cache
+(** Crash-recovery tests for the detectable queues: a crash is injected
+    at {e every} step of sequential detectable programs (with the cache
     either fully lost or fully evicted, plus a randomized mix), recovery
     runs, the interrupted operation is resolved and — where the
     application wants exactly-once semantics — retried.  Every recorded
     history, including the post-crash [resolve] responses, is checked for
     strict linearizability against [D<queue>]; structural invariants are
-    checked after every recovery.  Randomized concurrent crash tests and
-    multi-crash scenarios follow. *)
+    checked after every recovery.  The sweeps and the randomized
+    concurrent crash trials run on every detectable queue (the DSS queue
+    and the log and CASWE baselines): what Theorem 1 claims for the DSS
+    queue holds for the baselines too.  Multi-crash and exhaustive
+    scenarios of the DSS queue follow.  [cross_queue_suite] runs the same
+    sweeps and trials on their cross-queue inputs. *)
 
 open Helpers
 
@@ -53,15 +57,27 @@ let drain_recorded rec_ (q : dq) ~tid =
   in
   go 100
 
+(* A sweep runs on every detectable queue once per (capacity, seed0)
+   run, restarting step [s] with seed [seed0 + s]. *)
+let sweep ~runs ~evict_p run =
+  List.iter
+    (fun (capacity, seed0) ->
+      List.iter
+        (fun (name, setup) ->
+          run name
+            (sweep_crashes ~setup ~heap:dq_heap ~evict_p ~seed:(fun step ->
+                 seed0 + step)))
+        (queues ~capacity))
+    runs
+
 (* ---------------------------------------------------------------------- *)
 (* Crash at every step: detectable enqueue                                 *)
 (* ---------------------------------------------------------------------- *)
 
-let sweep_enqueue ~evict_p ~style () =
+let sweep_enqueue ?(runs = [ (48, 1000) ]) ~evict_p ~style () =
+  sweep ~runs ~evict_p @@ fun name sweep_crashes ->
   let crashed =
-    sweep_crashes ~setup:(fun () -> dq ()) ~heap:dq_heap ~evict_p
-      ~seed:(fun step -> 1000 + step)
-      (fun ~step q ->
+    sweep_crashes (fun ~step q ->
         let rec_ = Recorder.create () in
         (* Non-empty start so both list shapes are exercised; recorded so
            the checker knows the abstract state. *)
@@ -92,27 +108,29 @@ let sweep_enqueue ~evict_p ~style () =
                     Record.prep_enqueue rec_ q ~tid:0 5;
                     Record.exec_enqueue rec_ q ~tid:0 5
                 | r ->
-                    Alcotest.failf "unexpected resolution after enqueue crash: %s"
+                    Alcotest.failf
+                      "%s: unexpected resolution after enqueue crash: %s" name
                       (Format.asprintf "%a" Queue_intf.pp_resolved r));
                 let fives = List.filter (( = ) 5) (q.to_list ()) in
                 Alcotest.(check int)
-                  (Printf.sprintf "exactly one 5 after crash at step %d" step)
+                  (Printf.sprintf "%s: exactly one 5 after crash at step %d"
+                     name step)
                   1 (List.length fives);
                 drain_recorded rec_ q ~tid:1;
                 check_strict ~nthreads:2 (Recorder.history rec_) ))
   in
-  Alcotest.(check bool) "sweep covered at least 10 crash points" true
-    (crashed >= 10)
+  Alcotest.(check bool)
+    (name ^ ": sweep covered at least 10 crash points")
+    true (crashed >= 10)
 
 (* ---------------------------------------------------------------------- *)
 (* Crash at every step: detectable dequeue                                 *)
 (* ---------------------------------------------------------------------- *)
 
-let sweep_dequeue ~evict_p ~style () =
+let sweep_dequeue ?(runs = [ (48, 2000) ]) ~evict_p ~style () =
+  sweep ~runs ~evict_p @@ fun name sweep_crashes ->
   ignore
-  @@ sweep_crashes ~setup:(fun () -> dq ()) ~heap:dq_heap ~evict_p
-       ~seed:(fun step -> 2000 + step)
-       (fun ~step q ->
+  @@ sweep_crashes (fun ~step q ->
          let rec_ = Recorder.create () in
          List.iter (fun v -> Record.enqueue rec_ q ~tid:1 v) [ 1; 2; 3 ];
          let thread () =
@@ -147,14 +165,17 @@ let sweep_dequeue ~evict_p ~style () =
                        Record.prep_dequeue rec_ q ~tid:0;
                        exec ()
                    | r ->
-                       Alcotest.failf "unexpected resolution after dequeue crash: %s"
+                       Alcotest.failf
+                         "%s: unexpected resolution after dequeue crash: %s"
+                         name
                          (Format.asprintf "%a" Queue_intf.pp_resolved r)
                  in
                  Alcotest.(check int)
-                   (Printf.sprintf "dequeued head exactly once (crash step %d)"
-                      step)
+                   (Printf.sprintf "%s: dequeued head exactly once (step %d)"
+                      name step)
                    1 dequeued;
-                 Alcotest.check int_list "remaining values" [ 2; 3 ] (q.to_list ());
+                 Alcotest.check int_list (name ^ ": remaining values") [ 2; 3 ]
+                   (q.to_list ());
                  drain_recorded rec_ q ~tid:1;
                  check_strict ~nthreads:2 (Recorder.history rec_) ))
 
@@ -163,10 +184,9 @@ let sweep_dequeue ~evict_p ~style () =
 (* ---------------------------------------------------------------------- *)
 
 let sweep_dequeue_empty ~evict_p () =
+  sweep ~runs:[ (48, 3000) ] ~evict_p @@ fun name sweep_crashes ->
   ignore
-  @@ sweep_crashes ~setup:(fun () -> dq ()) ~heap:dq_heap ~evict_p
-       ~seed:(fun step -> 3000 + step)
-       (fun ~step:_ q ->
+  @@ sweep_crashes (fun ~step:_ q ->
          let rec_ = Recorder.create () in
          let thread () =
            Record.prep_dequeue rec_ q ~tid:0;
@@ -184,57 +204,110 @@ let sweep_dequeue_empty ~evict_p () =
                  | Queue_intf.Nothing ->
                      ()
                  | r ->
-                     Alcotest.failf "unexpected resolution on empty queue: %s"
+                     Alcotest.failf
+                       "%s: unexpected resolution on empty queue: %s" name
                        (Format.asprintf "%a" Queue_intf.pp_resolved r));
                  check_strict ~nthreads:2 (Recorder.history rec_) ))
 
 (* ---------------------------------------------------------------------- *)
-(* Randomized concurrent crash tests                                       *)
+(* Randomized concurrent crash trials                                      *)
 (* ---------------------------------------------------------------------- *)
 
-let test_concurrent_crash_lincheck () =
-  let nthreads = 2 in
-  let setup () = dq ~nthreads ~capacity:64 () in
+(* Over a preloaded 50, thread 0 enqueues 60 while thread 1 dequeues
+   ({!Trial.queue} worlds).  [inputs trial] calls [trial queue inputs]
+   once per trial; [expected] is how many trials run and crash. *)
+let concurrent_trials expected inputs () =
+  let program = queue_trial ~base:[ 50 ] 60 in
+  let trials = ref 0 and crashed = ref 0 in
+  let trial (name, kind) (i : Trial.inputs) =
+    let r = Trial.run (Trial.queue ~policy:Eager kind) program i in
+    incr trials;
+    if r.crashed then incr crashed;
+    match r.verdict with
+    | Lincheck.Linearizable _ -> ()
+    | Lincheck.Not_linearizable _ ->
+        Alcotest.failf
+          "%s: seed %d crash %d evict %.1f: not strictly linearizable:@.%a"
+          name i.seed i.crash_step i.evict_p
+          (History.pp ~pp_op:program.spec.pp_op
+             ~pp_response:program.spec.pp_response)
+          r.history
+  in
+  inputs trial;
+  Alcotest.(check (pair int int))
+    "trials, crashed trials" expected (!trials, !crashed)
+
+(* The DSS queue: three eviction probabilities x 12 seeds x crash steps
+   1-40. *)
+let test_concurrent_crash_lincheck =
+  concurrent_trials (1440, 1080) @@ fun trial ->
   List.iter
     (fun evict_p ->
       for seed = 1 to 12 do
         for crash_step = 1 to 40 do
-          let q = setup () in
-          let rec_ = Recorder.create () in
-          Record.enqueue rec_ q ~tid:0 50;
-          let programs =
-            [
-              (fun () ->
-                Record.prep_enqueue rec_ q ~tid:0 60;
-                Record.exec_enqueue rec_ q ~tid:0 60);
-              (fun () ->
-                Record.prep_dequeue rec_ q ~tid:1;
-                Record.exec_dequeue rec_ q ~tid:1);
-            ]
-          in
-          let outcome =
-            Sim.run q.heap
-              ~policy:(Sim.Random_seed seed)
-              ~crash:(Sim.Crash_at_step crash_step)
-              ~threads:programs
-          in
-          if outcome.Sim.crashed then begin
-            Recorder.crash rec_;
-            let q =
-              restart ~setup ~heap:dq_heap q ~evict_p
-                ~seed:((seed * 100) + crash_step)
-            in
-            q.recover ();
-            post_recovery_checks q;
-            Record.resolve rec_ q ~tid:0;
-            Record.resolve rec_ q ~tid:1;
-            drain_recorded rec_ q ~tid:0
-          end
-          else Sim.check_thread_errors outcome;
-          check_strict ~nthreads (Recorder.history rec_)
+          trial ("dss", `Dss)
+            {
+              seed;
+              crash_step;
+              evict_p;
+              restart_seed = (seed * 100) + crash_step;
+            }
         done
       done)
     [ 0.0; 1.0; 0.5 ]
+
+(* Every queue: 6 seeds x every other crash step from 5 to 60, with the
+   eviction probability cycling through 0, 0.5 and 1. *)
+let test_cross_queue_concurrent =
+  concurrent_trials (672, 540) @@ fun trial ->
+  List.iter
+    (fun queue ->
+      for seed = 1 to 6 do
+        for crash_step = 5 to 60 do
+          if crash_step mod 2 = seed mod 2 then
+            trial queue
+              {
+                seed;
+                crash_step;
+                evict_p = float_of_int (crash_step mod 3) /. 2.;
+                restart_seed = seed + crash_step;
+              }
+        done
+      done)
+    Trial.queues
+
+(* A thread's exception fails the trial, crash or no crash.  The world's
+   exec-dequeue raises; its exec-enqueue first yields 100 times, so a
+   crash at step 50 lands after thread 1 raised and before thread 0
+   finished. *)
+let test_trial_thread_raises () =
+  let reported step =
+    let enqueued = ref false in
+    let world () =
+      let w = Trial.queue ~policy:Eager `Dss () in
+      let exec ~tid op =
+        match op with
+        | Specs.Queue.Dequeue -> failwith "exec-dequeue"
+        | Specs.Queue.Enqueue _ ->
+            for _ = 1 to 100 do
+              Sim.yield w.heap
+            done;
+            let r = w.obj.exec ~tid op in
+            enqueued := true;
+            r
+      in
+      { w with obj = { w.obj with exec } }
+    in
+    match
+      Trial.run world (queue_trial ~base:[] 60)
+        { seed = 1; crash_step = step; evict_p = 0.; restart_seed = 1 }
+    with
+    | _ -> Alcotest.failf "crash step %d: the exception went unreported" step
+    | exception Trial.Thread_raised (Failure _) -> !enqueued
+  in
+  Alcotest.(check bool) "no crash: reported after thread 0 finished" true
+    (reported max_int);
+  Alcotest.(check bool) "crash: reported, thread 0 cut off" false (reported 50)
 
 (* ---------------------------------------------------------------------- *)
 (* Multiple crashes and repeated resolution                                 *)
@@ -458,6 +531,8 @@ let suite =
       (sweep_dequeue_empty ~evict_p:0.5);
     Alcotest.test_case "concurrent crashes strictly linearizable" `Slow
       test_concurrent_crash_lincheck;
+    Alcotest.test_case "trial: a thread's exception fails it" `Quick
+      test_trial_thread_raises;
     Alcotest.test_case "double crash: stable resolution" `Quick
       test_double_crash;
     Alcotest.test_case "recovery is idempotent" `Quick test_recover_idempotent;
@@ -467,4 +542,15 @@ let suite =
       test_explore_enqueue_crashes;
     Alcotest.test_case "explore: dequeue crash points exhaustively" `Quick
       test_explore_dequeue_crashes;
+  ]
+
+(* Capacity 64 and restart seeds 100000+step / 200000+step. *)
+let cross_queue_suite =
+  [
+    Alcotest.test_case "enqueue crash sweep (all detectable queues)" `Quick
+      (sweep_enqueue ~runs:[ (64, 100_000) ] ~evict_p:0.5 ~style:Centralized);
+    Alcotest.test_case "dequeue crash sweep (all detectable queues)" `Quick
+      (sweep_dequeue ~runs:[ (64, 200_000) ] ~evict_p:0.5 ~style:Centralized);
+    Alcotest.test_case "concurrent crashes (all detectable queues)" `Slow
+      test_cross_queue_concurrent;
   ]

@@ -15,30 +15,14 @@ module Config2 = struct
   let nthreads = 2
 end
 
-let make_nested ?(reclaim = true) ~capacity () =
-  let heap = Heap.create () in
-  let (module B) = Sim.memory heap in
-  let module NM = Dssq_core.Nested_memory.Make ((val (module B : Dssq_memory.Memory_intf.S))) (Config2) in
-  let module Q = Dssq_core.Dss_queue.Make (NM) in
-  let q = Q.create ~reclaim ~nthreads:2 ~capacity () in
-  Heap.log_persists heap;
-  ( heap,
-    {
-      heap;
-      prep_enqueue = (fun ~tid v -> Q.prep_enqueue q ~tid v);
-      exec_enqueue = (fun ~tid -> Q.exec_enqueue q ~tid);
-      prep_dequeue = (fun ~tid -> Q.prep_dequeue q ~tid);
-      exec_dequeue = (fun ~tid -> Q.exec_dequeue q ~tid);
-      enqueue = (fun ~tid v -> Q.enqueue q ~tid v);
-      dequeue = (fun ~tid -> Q.dequeue q ~tid);
-      resolve = (fun ~tid -> Q.resolve q ~tid);
-      recover = (fun () -> Q.recover q);
-      recover_thread = (fun ~tid -> Q.recover_thread q ~tid);
-      recover_pool = (fun () -> Q.recover_pool q);
-      to_list = (fun () -> Q.to_list q);
-      free_count = (fun () -> Q.free_count q);
-      recovered_violations = (fun () -> Q.recovered_violations q);
-    } )
+let make_nested ?reclaim ~capacity () =
+  let memory heap =
+    let (module B) = Sim.memory heap in
+    (module Dssq_core.Nested_memory.Make (B) (Config2)
+    : Dssq_memory.Memory_intf.S)
+  in
+  let q = make_dss_queue ?reclaim ~memory ~nthreads:2 ~capacity () in
+  (q.heap, q)
 
 let test_fifo_over_nested_memory () =
   let _, q = make_nested ~capacity:64 () in

@@ -167,52 +167,15 @@ let prop_crash_recovery_linearizable =
   in
   QCheck.Test.make ~count:150 ~name:"random crash: strictly linearizable" arb
     (fun (crash_step, seed, evict_p, preload) ->
-      let setup () = make_dss_queue ~nthreads:2 ~capacity:64 () in
-      let q = setup () in
-      let rec_ = Recorder.create () in
-      for i = 1 to preload do
-        Record.enqueue rec_ q ~tid:0 i
-      done;
-      let programs =
-        [
-          (fun () ->
-            Record.prep_enqueue rec_ q ~tid:0 10;
-            Record.exec_enqueue rec_ q ~tid:0 10);
-          (fun () ->
-            Record.prep_dequeue rec_ q ~tid:1;
-            Record.exec_dequeue rec_ q ~tid:1);
-        ]
+      let r =
+        Trial.run
+          (Trial.queue ~policy:Eager `Dss)
+          (queue_trial ~base:(List.init preload (fun i -> i + 1)) 10)
+          { seed; crash_step; evict_p; restart_seed = seed + 1 }
       in
-      let outcome =
-        Sim.run q.heap
-          ~policy:(Sim.Random_seed seed)
-          ~crash:(Sim.Crash_at_step crash_step)
-          ~threads:programs
-      in
-      let q =
-        if not outcome.Sim.crashed then q
-        else begin
-          Recorder.crash rec_;
-          let q = restart ~setup ~heap:dq_heap q ~evict_p ~seed:(seed + 1) in
-          q.recover ();
-          Record.resolve rec_ q ~tid:0;
-          Record.resolve rec_ q ~tid:1;
-          q
-        end
-      in
-      let rec drain guard =
-        if guard = 0 then ()
-        else
-          let v = ref 0 in
-          ignore
-            (Recorder.record rec_ ~tid:0 (Dss_spec.Base Q.Dequeue) (fun () ->
-                 v := q.dequeue ~tid:0;
-                 deq_response !v));
-          if !v <> Queue_intf.empty_value then drain (guard - 1)
-      in
-      drain 20;
-      Lincheck.is_linearizable ~mode:Lincheck.Strict (queue_spec ~nthreads:2)
-        (Recorder.history rec_))
+      match r.verdict with
+      | Lincheck.Linearizable _ -> true
+      | Lincheck.Not_linearizable _ -> false)
 
 (* 7. Universal construction agrees with direct application of D<T>. *)
 let prop_universal_matches_spec =

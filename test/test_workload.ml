@@ -222,11 +222,8 @@ let test_native_throughput_smoke () =
 let test_report_rendering () =
   let series =
     [
-      {
-        Report.label = "a";
-        points = [ { Report.x = 1; samples = [ 1.0; 1.1 ] } ];
-      };
-      { Report.label = "b"; points = [ { Report.x = 1; samples = [ 2.0 ] } ] };
+      Report.figure ~label:"a" (fun _ -> [ 1.0; 1.1 ]) [ 1 ];
+      Report.figure ~label:"b" (fun _ -> [ 2.0 ]) [ 1 ];
     ]
   in
   let csv = Report.to_csv ~x_label:"threads" series in
@@ -261,7 +258,7 @@ let test_ablate_recovery_scaling () =
   Alcotest.(check int) "two styles" 2 (List.length series);
   (* Centralized recovery scans the list: cost grows with length. *)
   let centralized = List.hd series in
-  match centralized.Report.points with
+  match centralized.Dssq_obs.Run_report.points with
   | [ p0; p64 ] ->
       Alcotest.(check bool) "recovery cost grows with queue length" true
         (Dssq_workload.Stats.mean p64.samples
@@ -271,11 +268,11 @@ let test_ablate_recovery_scaling () =
 let test_ablate_pmwcas_scaling () =
   let series = Experiments.ablate_pmwcas ~widths:[ 1; 3 ] () in
   List.iter
-    (fun s ->
-      match s.Report.points with
+    (fun (s : Dssq_obs.Run_report.series) ->
+      match s.points with
       | [ p1; p3 ] ->
           Alcotest.(check bool)
-            (s.Report.label ^ ": wider is costlier")
+            (s.label ^ ": wider is costlier")
             true
             (Stats.mean p3.samples > Stats.mean p1.samples)
       | _ -> Alcotest.fail "expected two points")
@@ -289,15 +286,15 @@ let test_ablate_crash_mtbf () =
       ~repeats:1 ()
   in
   List.iter
-    (fun s ->
-      match s.Report.points with
+    (fun (s : Dssq_obs.Run_report.series) ->
+      match s.points with
       | [ p50; p500 ] ->
           Alcotest.(check bool)
-            (s.Report.label ^ ": longer MTBF, higher throughput")
+            (s.label ^ ": longer MTBF, higher throughput")
             true
             (Stats.mean p500.samples > Stats.mean p50.samples);
           Alcotest.(check bool)
-            (s.Report.label ^ ": positive throughput")
+            (s.label ^ ": positive throughput")
             true
             (Stats.mean p50.samples > 0.)
       | _ -> Alcotest.fail "expected two points")
