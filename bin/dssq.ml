@@ -1799,7 +1799,7 @@ let lincheck_run kind (policy : MI.Policy.t) iterations verbose trace_json =
         Trial.spec;
         base = [];
         threads = [ Specs.Queue.Enqueue i; Specs.Queue.Dequeue ];
-        drain = (Specs.Queue.Dequeue, Specs.Queue.Empty);
+        observe = Drain (Specs.Queue.Dequeue, Specs.Queue.Empty);
       }
     in
     let inputs =

@@ -3,10 +3,13 @@
     each thread preps and execs its operation under a seeded random
     schedule with a crash before a chosen step.  A crashed run restarts
     cold: a fresh world of the same layout, loaded with the crash's
-    image, recovers, and each thread's [resolve] is recorded.  Thread 0
-    then drains the object, and the strict checker judges the whole
-    history.  [dssq lincheck] and the queue tests are loops over their
-    own inputs around {!run}. *)
+    image, recovers, and each thread follows the corpus's post-crash
+    protocol ({!Dssq_checker.Scenarios.detectable_setup}): it records
+    its [resolve], then re-executes a pending operation once, or
+    re-prepares and executes one whose prep was lost.  Thread 0 then
+    reads the object back, and the strict checker judges the whole
+    history.  [dssq lincheck] and every crash test of a [D<T>] object
+    are loops over their own inputs around {!run}. *)
 
 module Heap = Dssq_pmem.Heap
 module Sim = Dssq_sim.Sim
@@ -30,14 +33,14 @@ type ('s, 'op, 'r) spec =
   Spec.t
 
 (** What runs: [base] by thread 0 before the threads start; thread [i]
-    preps and execs the [i]th of [threads]; at the end thread 0 repeats
-    [fst drain] until it answers [snd drain].  [spec] is the [D<T>] the
-    history is judged against, for as many threads as [threads]. *)
+    preps and execs the [i]th of [threads]; at the end thread 0 runs the
+    read-back [observe], as a corpus program does.  [spec] is the [D<T>]
+    the history is judged against, for as many threads as [threads]. *)
 type ('s, 'op, 'r) program = {
   spec : ('s, 'op, 'r) spec;
   base : 'op list;
   threads : 'op list;
-  drain : 'op * 'r;
+  observe : ('op, 'r) Dssq_checker.Scenarios.observe;
 }
 
 (** The random choices: the schedule's seed, the step the crash lands
@@ -59,29 +62,33 @@ exception Thread_raised of exn
 (** An explored thread raised, crash or no crash: the trial fails before
     recovery, which would otherwise mark the operation pending. *)
 
-(* The drain stops here if the object never answers [snd drain]. *)
-let drain_limit = 20
-
 (** [run setup p i]: [setup] builds a world and is called again, with
     the tracer muted, for the restart world.  The tracer, if any, is the
-    caller's.  An exception from [recover] propagates. *)
+    caller's.  An exception from [recover] or from a retried operation
+    propagates. *)
 let run setup p i =
   let live = setup () in
   let rec_ = Recorder.create () in
-  let record ~tid op f = Recorder.record rec_ ~tid op f in
-  let base w op =
-    record ~tid:0 (Dss_spec.Base op) (fun () ->
-        Dss_spec.Ret (w.obj.base ~tid:0 op))
+  let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
+  (* Every base operation, the read-back's included, is thread 0's. *)
+  let base w ~tid:_ op =
+    let uid = Recorder.invoke rec_ ~tid:0 (Dss_spec.Base op) in
+    let r = w.obj.base ~tid:0 op in
+    Recorder.response rec_ ~uid (Dss_spec.Ret r);
+    r
   in
-  List.iter (fun op -> ignore (base live op)) p.base;
+  let prep w ~tid op =
+    record ~tid (Dss_spec.Prep op) (fun () ->
+        w.obj.prep ~tid op;
+        Dss_spec.Ack)
+  in
+  let exec w ~tid op =
+    record ~tid (Dss_spec.Exec op) (fun () -> Dss_spec.Ret (w.obj.exec ~tid op))
+  in
+  List.iter (fun op -> ignore (base live ~tid:0 op)) p.base;
   let thread tid op () =
-    ignore
-      (record ~tid (Dss_spec.Prep op) (fun () ->
-           live.obj.prep ~tid op;
-           Dss_spec.Ack));
-    ignore
-      (record ~tid (Dss_spec.Exec op) (fun () ->
-           Dss_spec.Ret (live.obj.exec ~tid op)))
+    prep live ~tid op;
+    exec live ~tid op
   in
   let outcome =
     Sim.run live.heap ~policy:(Sim.Random_seed i.seed)
@@ -97,20 +104,24 @@ let run setup p i =
       Sim.restart live.heap ~into:fresh.heap ~evict_p:i.evict_p
         ~seed:i.restart_seed;
       fresh.recover ();
+      (* The recorded answer decides the retry: a pending operation is
+         executed once, a lost prep is prepared again first. *)
       List.iteri
-        (fun tid _ ->
-          ignore
-            (record ~tid Dss_spec.Resolve (fun () ->
-                 Dssq_checker.Scenarios.status (fresh.obj.resolve ~tid))))
+        (fun tid op ->
+          match
+            Recorder.record rec_ ~tid Dss_spec.Resolve (fun () ->
+                Dssq_checker.Scenarios.status (fresh.obj.resolve ~tid))
+          with
+          | Dss_spec.Status (Some pending, None) -> exec fresh ~tid pending
+          | Dss_spec.Status (None, _) ->
+              prep fresh ~tid op;
+              exec fresh ~tid op
+          | _ -> ())
         p.threads;
       fresh
     end
   in
-  let op, final = p.drain in
-  let rec drain n =
-    if n > 0 && base w op <> Dss_spec.Ret final then drain (n - 1)
-  in
-  drain drain_limit;
+  Dssq_checker.Scenarios.observe (base w) p.observe;
   let history = Recorder.history rec_ in
   {
     crashed = outcome.crashed;

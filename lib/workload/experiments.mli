@@ -14,16 +14,6 @@ val fig5a_queues : queue_config list
 val fig5b_queues : queue_config list
 (** DSS vs log vs Fast/General CASWithEffect, all detectable (Figure 5b). *)
 
-val linesize_queues : queue_config list
-(** Union of {!fig5a_queues} and {!fig5b_queues}, deduplicated by label —
-    the set swept by {!ablate_linesize}. *)
-
-val fc_queues : queue_config list
-(** The flat-combining comparison pair: the engine-backed FC queue
-    (["dss-det"], registry ["dss-fc"]) and the linked DSS queue
-    (["dss-linked"]), both fully detectable — the set [regress] sweeps
-    with combine on (the ["sim+fc/"] series). *)
-
 val backend_name : backend -> string
 (** ["sim"] or ["native"]: the name a run report and a [--backend] flag
     give the backend. *)
@@ -96,23 +86,11 @@ val ablate_linesize :
   ?horizon_ns:float ->
   unit ->
   Dssq_obs.Run_report.series list
-(** Persist-line-size sweep over {!linesize_queues}, always instrumented
+(** Persist-line-size sweep over the union of {!fig5a_queues} and
+    {!fig5b_queues}, deduplicated by label, always instrumented
     so each point's event payload carries the [flushes] and
     [elided_flushes] deltas.  Size 1 reproduces the legacy word-granular
     harness exactly and serves as the regression anchor. *)
-
-val crash_cycles :
-  ?line_size:int ->
-  seed:int ->
-  mtbf_ns:float ->
-  cycles:int ->
-  mk:string ->
-  nthreads:int ->
-  det_pct:int ->
-  unit ->
-  float
-(** One failure-full measurement: run, crash, recover (charged), repeat
-    on the same persistent queue; effective Mops/s. *)
 
 val ablate_crash_mtbf :
   ?mtbfs_us:int list ->
@@ -130,8 +108,10 @@ val ablate_pmwcas :
 
 val regress : ?quick:bool -> unit -> Dssq_obs.Run_report.series list
 (** The benchmark-regression sweep behind [dssq regress] /
-    [BENCH_*.json]: {!linesize_queues} with coalescing off and on, plus
-    {!fc_queues} with combine on, instrumented, at line size 1.  Series
+    [BENCH_*.json]: {!ablate_linesize}'s queues with coalescing off and
+    on, plus the flat-combining pair (the engine-backed FC queue
+    ["dss-det"], registry ["dss-fc"], and the linked DSS queue
+    ["dss-linked"]) with combine on, instrumented, at line size 1.  Series
     labels are prefixed ["sim/"], ["sim+co/"], ["sim+fc/"], ["native/"],
     ["native+co/"]; x is the thread count.  [quick] (the CI smoke) is
     sim-only, threads 1/4/8 (plus 16 where the host is wide enough), one
@@ -140,16 +120,12 @@ val regress : ?quick:bool -> unit -> Dssq_obs.Run_report.series list
 val op_latency : ?queues:string list -> unit -> (string * float * float) list
 (** Modelled single-thread (queue, plain ns/op, detectable ns/op). *)
 
-val recovery_objects : string list
-(** The registry names measured by {!recovery_latency}:
-    ["dss-queue"] (allocator routed through the system WAL),
-    ["log-queue"], ["durable-queue"]. *)
-
 val recovery_latency :
   ?quick:bool -> unit -> Dssq_obs.Run_report.recovery_point list
-(** Crash-to-reattach latency per registered object, through the
-    whole-system {!Dssq_core.Recovery} path (WAL replay, root
-    directory re-attachment, object recover, leak audit).  Sim points
+(** Crash-to-reattach latency of ["dss-queue"] (allocator routed
+    through the system WAL), ["log-queue"] and ["durable-queue"],
+    through the whole-system {!Dssq_core.Recovery} path (WAL replay,
+    root directory re-attachment, object recover, leak audit).  Sim points
     are modelled nanoseconds over a deterministic workload — stable
     across machines, so they belong in a bench-diff baseline; native
     points (full mode only; [quick] omits them) are wall-clock. *)

@@ -6,9 +6,6 @@ val figure :
 (** [figure ~label samples xs]: a series of figure data only (no events,
     no latency), one point per x of [xs] with the samples [samples x]. *)
 
-val mean_at : Dssq_obs.Run_report.series -> int -> float option
-val xs_of : Dssq_obs.Run_report.series list -> int list
-
 val print_table :
   ?out:Format.formatter ->
   title:string ->

@@ -19,9 +19,9 @@
     commits; [to_report] packages them as a {!Dssq_obs.Run_report.t}
     for archiving (the words-per-op CI artifact).
 
-    [profile_one]/[profile_all] run the same workloads with the
-    attribution table ({!Dssq_obs.Attrib}) attached, producing the
-    per-phase and per-line tables behind [dssq profile]. *)
+    [profile_one] runs the same workloads with the attribution table
+    ({!Dssq_obs.Attrib}) attached, producing the per-phase and per-line
+    tables behind [dssq profile]. *)
 
 open Dssq_pmem
 open Dssq_sim
@@ -304,11 +304,6 @@ let profile_one_native ?(pairs = 200) ?(line_size = 1)
              PE.pin_tid (-1);
              C.drain ();
              recover ())))
-
-let profile_all ?pairs ?line_size ?policy ?crash () =
-  List.map
-    (fun name -> profile_one ?pairs ?line_size ?policy ?crash name)
-    objects
 
 (* ------------------------------ reporting ------------------------------ *)
 

@@ -91,15 +91,6 @@ val profile_one_native :
     workers run sequentially for a deterministic event stream.  No crash
     arm: crash semantics are simulator-only. *)
 
-val profile_all :
-  ?pairs:int ->
-  ?line_size:int ->
-  ?policy:Dssq_memory.Memory_intf.Policy.t ->
-  ?crash:bool ->
-  unit ->
-  profile list
-(** {!profile_one} over all of {!objects}, in order. *)
-
 val to_report :
   ?pairs:int -> ?line_size:int -> row list -> Dssq_obs.Run_report.t
 (** Package rows as a run report (current schema version): one series

@@ -208,60 +208,19 @@ let test_log_detectable_lifecycle () =
   Alcotest.(check int) "empty" Queue_intf.empty_value (l.exec_dequeue ~tid:1);
   Alcotest.check resolved "deq empty" Queue_intf.Deq_empty (l.resolve ~tid:1)
 
-let log_setup () = make_log ~nthreads:1 ~capacity:32
+(* The log queue's world, for a crash at every step of one detectable
+   operation, restarting step [s] with seed [s]. *)
+let log = [ ("log", Trial.queue ~policy:Eager `Log) ]
 
-let test_log_crash_detectability_enqueue () =
-  ignore
-  @@ sweep_crashes ~setup:log_setup ~heap:dq_heap ~evict_p:0.0 ~seed:Fun.id
-       (fun ~step:_ l ->
-         let t () =
-           l.prep_enqueue ~tid:0 5;
-           l.exec_enqueue ~tid:0
-         in
-         ( [ t ],
-           fun _ -> function
-             | None -> ()
-             | Some l -> (
-                 l.recover ();
-                 match l.resolve ~tid:0 with
-                 | Queue_intf.Enq_done 5 ->
-                     Alcotest.check int_list "done => queued" [ 5 ] (l.to_list ())
-                 | Queue_intf.Enq_pending 5 ->
-                     Alcotest.check int_list "pending => absent" [] (l.to_list ());
-                     l.exec_enqueue ~tid:0;
-                     Alcotest.check int_list "retry lands once" [ 5 ]
-                       (l.to_list ())
-                 | Queue_intf.Nothing ->
-                     Alcotest.check int_list "nothing prepared => absent" []
-                       (l.to_list ())
-                 | r ->
-                     Alcotest.failf "unexpected resolution: %s"
-                       (Format.asprintf "%a" Queue_intf.pp_resolved r)) ))
+let test_log_crash_detectability_enqueue =
+  sweep (28, 27) log
+    (queue_program ~base:[] Specs.Queue.[ Enqueue 5 ])
+    ~evictions:[ 0.0 ] ~seed:Fun.id
 
-let test_log_crash_detectability_dequeue () =
-  ignore
-  @@ sweep_crashes ~setup:log_setup ~heap:dq_heap ~evict_p:1.0 ~seed:Fun.id
-       (fun ~step:_ l ->
-         l.enqueue ~tid:0 1;
-         l.enqueue ~tid:0 2;
-         let t () =
-           l.prep_dequeue ~tid:0;
-           ignore (l.exec_dequeue ~tid:0)
-         in
-         ( [ t ],
-           fun _ -> function
-             | None -> ()
-             | Some l -> (
-                 l.recover ();
-                 match l.resolve ~tid:0 with
-                 | Queue_intf.Deq_done 1 ->
-                     Alcotest.check int_list "1 consumed" [ 2 ] (l.to_list ())
-                 | Queue_intf.Deq_pending | Queue_intf.Nothing ->
-                     Alcotest.check int_list "nothing consumed" [ 1; 2 ]
-                       (l.to_list ())
-                 | r ->
-                     Alcotest.failf "unexpected resolution: %s"
-                       (Format.asprintf "%a" Queue_intf.pp_resolved r)) ))
+let test_log_crash_detectability_dequeue =
+  sweep (21, 20) log
+    (queue_program ~base:[ 1; 2 ] Specs.Queue.[ Dequeue ])
+    ~evictions:[ 1.0 ] ~seed:Fun.id
 
 let suite =
   [

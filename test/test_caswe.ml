@@ -82,74 +82,23 @@ let test_concurrent_conservation =
 
 (* The headline property of CASWithEffect: because the structure and X
    change in one PMwCAS, a crash can never leave an enqueue visible in
-   the list but unrecorded in X, or vice versa. *)
+   the list but unrecorded in X, or vice versa.  A crash at every step
+   of one detectable operation on each variant's world, restarting step
+   [s] with seed [7 s] (enqueue) or [13 s] (dequeue). *)
+let worlds =
+  List.map (fun (name, kind) -> (name, Trial.queue ~policy:Eager kind)) variants
+
 let test_crash_atomic_detectability =
-  for_variants (fun name v ->
-      ignore
-      @@ sweep_crashes
-           ~setup:(fun () -> make ~variant:v ~nthreads:1 ~capacity:32)
-           ~heap:(fun q -> q.heap) ~evict_p:0.5 ~seed:(fun step -> step * 7)
-           (fun ~step q ->
-             let t () =
-               q.prep_enqueue ~tid:0 5;
-               q.exec_enqueue ~tid:0
-             in
-             ( [ t ],
-               fun _ -> function
-                 | None -> ()
-                 | Some q -> (
-                     q.recover ();
-                     let in_list = List.mem 5 (q.to_list ()) in
-                     match q.resolve ~tid:0 with
-                     | Queue_intf.Enq_done 5 ->
-                         Alcotest.(check bool)
-                           (Printf.sprintf "%s: done <=> queued (step %d)" name step)
-                           true in_list
-                     | Queue_intf.Enq_pending 5 ->
-                         Alcotest.(check bool)
-                           (Printf.sprintf "%s: pending <=> absent (step %d)" name
-                              step)
-                           false in_list;
-                         q.exec_enqueue ~tid:0;
-                         Alcotest.(check bool) (name ^ ": retry lands") true
-                           (List.mem 5 (q.to_list ()))
-                     | Queue_intf.Nothing ->
-                         Alcotest.(check bool) (name ^ ": nothing => absent") false
-                           in_list
-                     | r ->
-                         Alcotest.failf "%s: unexpected resolution: %s" name
-                           (Format.asprintf "%a" Queue_intf.pp_resolved r)) )))
+  sweep (95, 93) worlds
+    (queue_program ~base:[] Specs.Queue.[ Enqueue 5 ])
+    ~evictions:[ 0.5 ]
+    ~seed:(fun step -> step * 7)
 
 let test_crash_atomic_dequeue =
-  for_variants (fun name v ->
-      ignore
-      @@ sweep_crashes
-           ~setup:(fun () -> make ~variant:v ~nthreads:1 ~capacity:32)
-           ~heap:(fun q -> q.heap) ~evict_p:0.5 ~seed:(fun step -> step * 13)
-           (fun ~step q ->
-             q.enqueue ~tid:0 1;
-             q.enqueue ~tid:0 2;
-             let t () =
-               q.prep_dequeue ~tid:0;
-               ignore (q.exec_dequeue ~tid:0)
-             in
-             ( [ t ],
-               fun _ -> function
-                 | None -> ()
-                 | Some q -> (
-                     q.recover ();
-                     match q.resolve ~tid:0 with
-                     | Queue_intf.Deq_done 1 ->
-                         Alcotest.check int_list
-                           (Printf.sprintf "%s: consumed (step %d)" name step)
-                           [ 2 ] (q.to_list ())
-                     | Queue_intf.Deq_pending | Queue_intf.Nothing ->
-                         Alcotest.check int_list
-                           (Printf.sprintf "%s: untouched (step %d)" name step)
-                           [ 1; 2 ] (q.to_list ())
-                     | r ->
-                         Alcotest.failf "%s: unexpected resolution: %s" name
-                           (Format.asprintf "%a" Queue_intf.pp_resolved r)) )))
+  sweep (87, 85) worlds
+    (queue_program ~base:[ 1; 2 ] Specs.Queue.[ Dequeue ])
+    ~evictions:[ 0.5 ]
+    ~seed:(fun step -> step * 13)
 
 let test_fast_uses_fewer_events () =
   (* The Fast variant's private-X optimization must show up as strictly

@@ -7,71 +7,24 @@
     - exhaustive exploration of a PMwCAS race with crash injection. *)
 
 open Helpers
-module Cnt = Specs.Counter
 
 (* ------------------ universal construction, crashes ------------------ *)
 
 let test_universal_concurrent_crash_lincheck () =
-  let spec = Dss_spec.make ~nthreads:2 (Cnt.spec ()) in
-  let world () =
-    let heap = Heap.create () in
-    let (module M) = Sim.memory heap in
-    let module U = Dssq_universal.Universal.Make (M) in
-    let u = U.create ~nthreads:2 ~capacity:128 (Cnt.spec ()) in
-    Heap.log_persists heap;
-    (heap, U.prep u, U.exec u, U.resolve u, U.apply u)
-  in
+  trials (115, 80) @@ fun trial ->
   for seed = 1 to 10 do
     for crash_step = 3 to 48 do
-      if (crash_step + seed) mod 4 = 0 then begin
-        let ((heap, prep, exec, _, _) as live) = world () in
-        let rec_ = Recorder.create () in
-        let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
-        let prog ~tid () =
-          record ~tid (Dss_spec.Prep Cnt.Increment) (fun () ->
-              prep ~tid Cnt.Increment;
-              Dss_spec.Ack);
-          record ~tid (Dss_spec.Exec Cnt.Increment) (fun () ->
-              match exec ~tid Cnt.Increment with
-              | Some r -> Dss_spec.Ret r
-              | None -> Dss_spec.Ret Cnt.Ok (* unreachable: prep precedes *))
-        in
-        let outcome =
-          Sim.run heap
-            ~policy:(Sim.Random_seed seed)
-            ~crash:(Sim.Crash_at_step crash_step)
-            ~threads:[ prog ~tid:0; prog ~tid:1 ]
-        in
-        let _, _, _, _, apply =
-          if not outcome.Sim.crashed then live
-          else begin
-            Recorder.crash rec_;
-            let ((heap', _, _, resolve, _) as fresh) = world () in
-            Sim.restart heap ~into:heap'
-              ~evict_p:(float_of_int (seed mod 3) /. 2.)
-              ~seed;
-            record ~tid:0 Dss_spec.Resolve (fun () ->
-                let a, r = resolve ~tid:0 in
-                Dss_spec.Status (a, r));
-            record ~tid:1 Dss_spec.Resolve (fun () ->
-                let a, r = resolve ~tid:1 in
-                Dss_spec.Status (a, r));
-            fresh
-          end
-        in
-        (* Observe the final count so the checker pins the state. *)
-        record ~tid:0 (Dss_spec.Base Cnt.Get) (fun () ->
-            match apply ~tid:0 Cnt.Get with
-            | Some r -> Dss_spec.Ret r
-            | None -> Dss_spec.Ret (Cnt.Value (-1)));
-        match
-          Lincheck.check ~mode:Lincheck.Strict spec (Recorder.history rec_)
-        with
-        | Lincheck.Linearizable _ -> ()
-        | Lincheck.Not_linearizable _ ->
-            Alcotest.failf "universal: seed %d crash %d not linearizable" seed
-              crash_step
-      end
+      if (crash_step + seed) mod 4 = 0 then
+        ignore
+          (trial "universal"
+             (Test_universal.counter_world ~nthreads:2 ~capacity:128)
+             (Test_universal.increments ~nthreads:2)
+             {
+               seed;
+               crash_step;
+               evict_p = float_of_int (seed mod 3) /. 2.;
+               restart_seed = seed;
+             })
     done
   done
 

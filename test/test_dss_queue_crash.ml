@@ -1,280 +1,115 @@
-(** Crash-recovery tests for the detectable queues: a crash is injected
-    at {e every} step of sequential detectable programs (with the cache
-    either fully lost or fully evicted, plus a randomized mix), recovery
-    runs, the interrupted operation is resolved and — where the
-    application wants exactly-once semantics — retried.  Every recorded
-    history, including the post-crash [resolve] responses, is checked for
-    strict linearizability against [D<queue>]; structural invariants are
-    checked after every recovery.  The sweeps and the randomized
-    concurrent crash trials run on every detectable queue (the DSS queue
-    and the log and CASWE baselines): what Theorem 1 claims for the DSS
-    queue holds for the baselines too.  Multi-crash and exhaustive
-    scenarios of the DSS queue follow.  [cross_queue_suite] runs the same
-    sweeps and trials on their cross-queue inputs. *)
+(** Crash-recovery tests for the detectable queues.  The sweeps crash a
+    trial ({!Helpers.sweep}) at {e every} step of one detectable
+    operation (with the cache either fully lost or fully evicted, plus a
+    randomized mix); the concurrent trials crash two threads' operations
+    at random.  Each trial recovers, resolves, retries, drains, and is
+    checked for strict linearizability against [D<queue>] (the DSS
+    queue's centralized recovery also checks its structural invariants).
+    Both run on every detectable queue (the DSS queue and the log and
+    CASWE baselines): what Theorem 1 claims for the DSS queue holds for
+    the baselines too.  The per-thread sweeps run only the DSS queue,
+    the one queue that recovers thread by thread.  Multi-crash and
+    exhaustive scenarios of the DSS queue follow.  [cross_queue_suite]
+    runs the same sweeps and trials on their cross-queue inputs. *)
 
 open Helpers
 
 let dq ?(nthreads = 2) ?(capacity = 48) () =
   make_dss_queue ~reclaim:true ~nthreads ~capacity ()
 
-type recovery_style = Centralized | Per_thread
-
-let recover_with style (q : dq) ~nthreads =
-  match style with
-  | Centralized -> q.recover ()
-  | Per_thread ->
-      q.recover_pool ();
-      for tid = 0 to nthreads - 1 do
-        q.recover_thread ~tid
-      done
-
-let post_recovery_checks ?(style = Centralized) (q : dq) =
-  match style with
-  | Centralized ->
-      let violations = q.recovered_violations () in
-      if violations <> [] then
-        Alcotest.failf "recovery invariants violated: %s"
-          (String.concat "; " violations)
-  | Per_thread ->
-      (* Per-thread recovery deliberately leaves head/tail repair to the
-         normal helping mechanisms, so only X consistency is checked
-         (through resolve + lincheck by the caller). *)
-      ()
-
-(* Drain the queue with recorded non-detectable dequeues so the checker
-   validates the final abstract state, not just the resolve responses. *)
-let drain_recorded rec_ (q : dq) ~tid =
-  let rec go guard =
-    if guard > 0 then begin
-      let v = ref 0 in
-      ignore
-        (Recorder.record rec_ ~tid (Dss_spec.Base Specs.Queue.Dequeue)
-           (fun () ->
-             v := q.dequeue ~tid;
-             deq_response !v));
-      if !v <> Queue_intf.empty_value then go (guard - 1)
-    end
-  in
-  go 100
-
-(* A sweep runs on every detectable queue once per (capacity, seed0)
-   run, restarting step [s] with seed [seed0 + s]. *)
-let sweep ~runs ~evict_p run =
-  List.iter
-    (fun (capacity, seed0) ->
-      List.iter
-        (fun (name, setup) ->
-          run name
-            (sweep_crashes ~setup ~heap:dq_heap ~evict_p ~seed:(fun step ->
-                 seed0 + step)))
-        (queues ~capacity))
-    runs
+let post_recovery_checks (q : dq) =
+  let violations = q.recovered_violations () in
+  if violations <> [] then
+    Alcotest.failf "recovery invariants violated: %s"
+      (String.concat "; " violations)
 
 (* ---------------------------------------------------------------------- *)
-(* Crash at every step: detectable enqueue                                 *)
+(* Crash at every step                                                     *)
 (* ---------------------------------------------------------------------- *)
 
-let sweep_enqueue ?(runs = [ (48, 1000) ]) ~evict_p ~style () =
-  sweep ~runs ~evict_p @@ fun name sweep_crashes ->
-  let crashed =
-    sweep_crashes (fun ~step q ->
-        let rec_ = Recorder.create () in
-        (* Non-empty start so both list shapes are exercised; recorded so
-           the checker knows the abstract state. *)
-        Record.enqueue rec_ q ~tid:1 90;
-        let thread () =
-          Record.prep_enqueue rec_ q ~tid:0 5;
-          Record.exec_enqueue rec_ q ~tid:0 5
-        in
-        ( [ thread ],
-          fun outcome -> function
-            | None ->
-                (* Program ran to completion: the sweep covered every
-                   step. *)
-                Sim.check_thread_errors outcome;
-                check_strict ~nthreads:2 (Recorder.history rec_)
-            | Some q ->
-                Recorder.crash rec_;
-                recover_with style q ~nthreads:2;
-                post_recovery_checks ~style q;
-                Record.resolve rec_ q ~tid:0;
-                (* Exactly-once completion: retry based on the
-                   resolution. *)
-                (match q.resolve ~tid:0 with
-                | Queue_intf.Enq_done 5 -> ()
-                | Queue_intf.Enq_pending 5 ->
-                    Record.exec_enqueue rec_ q ~tid:0 5
-                | Queue_intf.Nothing ->
-                    Record.prep_enqueue rec_ q ~tid:0 5;
-                    Record.exec_enqueue rec_ q ~tid:0 5
-                | r ->
-                    Alcotest.failf
-                      "%s: unexpected resolution after enqueue crash: %s" name
-                      (Format.asprintf "%a" Queue_intf.pp_resolved r));
-                let fives = List.filter (( = ) 5) (q.to_list ()) in
-                Alcotest.(check int)
-                  (Printf.sprintf "%s: exactly one 5 after crash at step %d"
-                     name step)
-                  1 (List.length fives);
-                drain_recorded rec_ q ~tid:1;
-                check_strict ~nthreads:2 (Recorder.history rec_) ))
-  in
-  Alcotest.(check bool)
-    (name ^ ": sweep covered at least 10 crash points")
-    true (crashed >= 10)
+(* The four detectable queues' worlds ({!Trial.queue}), by name. *)
+let queue_worlds =
+  List.map
+    (fun (name, kind) -> (name, Trial.queue ~policy:Eager kind))
+    Trial.queues
 
-(* ---------------------------------------------------------------------- *)
-(* Crash at every step: detectable dequeue                                 *)
-(* ---------------------------------------------------------------------- *)
+(* The DSS queue's world whose recovery runs thread by thread: the pool
+   first, then each thread's own.  It leaves head/tail repair to the
+   normal helping, so it checks no structural invariants.  A baseline
+   recovers only as a whole, so it has no per-thread world. *)
+let per_thread_dss () =
+  let heap = Heap.create () in
+  let (module M) = Sim.memory heap in
+  let module Q = Dssq_core.Dss_queue.Make (M) in
+  let q = Q.create ~nthreads:2 ~capacity:64 () in
+  Heap.log_persists heap;
+  {
+    Trial.heap;
+    obj = Queue_intf.adapter (module Q) q;
+    recover =
+      (fun () ->
+        Q.recover_pool q;
+        Q.recover_thread q ~tid:0;
+        Q.recover_thread q ~tid:1);
+  }
 
-let sweep_dequeue ?(runs = [ (48, 2000) ]) ~evict_p ~style () =
-  sweep ~runs ~evict_p @@ fun name sweep_crashes ->
-  ignore
-  @@ sweep_crashes (fun ~step q ->
-         let rec_ = Recorder.create () in
-         List.iter (fun v -> Record.enqueue rec_ q ~tid:1 v) [ 1; 2; 3 ];
-         let thread () =
-           Record.prep_dequeue rec_ q ~tid:0;
-           Record.exec_dequeue rec_ q ~tid:0
-         in
-         ( [ thread ],
-           fun outcome -> function
-             | None ->
-                 Sim.check_thread_errors outcome;
-                 check_strict ~nthreads:2 (Recorder.history rec_)
-             | Some q ->
-                 Recorder.crash rec_;
-                 recover_with style q ~nthreads:2;
-                 post_recovery_checks ~style q;
-                 Record.resolve rec_ q ~tid:0;
-                 (* Retry until the dequeue has happened exactly once. *)
-                 let exec () =
-                   let v = ref 0 in
-                   ignore
-                     (Recorder.record rec_ ~tid:0
-                        (Dss_spec.Exec Specs.Queue.Dequeue) (fun () ->
-                          v := q.exec_dequeue ~tid:0;
-                          deq_response !v));
-                   !v
-                 in
-                 let dequeued =
-                   match q.resolve ~tid:0 with
-                   | Queue_intf.Deq_done v -> v
-                   | Queue_intf.Deq_pending -> exec ()
-                   | Queue_intf.Nothing ->
-                       Record.prep_dequeue rec_ q ~tid:0;
-                       exec ()
-                   | r ->
-                       Alcotest.failf
-                         "%s: unexpected resolution after dequeue crash: %s"
-                         name
-                         (Format.asprintf "%a" Queue_intf.pp_resolved r)
-                 in
-                 Alcotest.(check int)
-                   (Printf.sprintf "%s: dequeued head exactly once (step %d)"
-                      name step)
-                   1 dequeued;
-                 Alcotest.check int_list (name ^ ": remaining values") [ 2; 3 ]
-                   (q.to_list ());
-                 drain_recorded rec_ q ~tid:1;
-                 check_strict ~nthreads:2 (Recorder.history rec_) ))
+let per_thread = [ ("dss", per_thread_dss) ]
 
-(* ---------------------------------------------------------------------- *)
-(* Crash at every step: detectable dequeue on an empty queue               *)
-(* ---------------------------------------------------------------------- *)
+(* Over a preloaded 90, enqueue 5. *)
+let enqueue = queue_program ~base:[ 90 ] Specs.Queue.[ Enqueue 5 ]
 
-let sweep_dequeue_empty ~evict_p () =
-  sweep ~runs:[ (48, 3000) ] ~evict_p @@ fun name sweep_crashes ->
-  ignore
-  @@ sweep_crashes (fun ~step:_ q ->
-         let rec_ = Recorder.create () in
-         let thread () =
-           Record.prep_dequeue rec_ q ~tid:0;
-           Record.exec_dequeue rec_ q ~tid:0
-         in
-         ( [ thread ],
-           fun _ -> function
-             | None -> ()
-             | Some q ->
-                 Recorder.crash rec_;
-                 q.recover ();
-                 Record.resolve rec_ q ~tid:0;
-                 (match q.resolve ~tid:0 with
-                 | Queue_intf.Deq_empty | Queue_intf.Deq_pending
-                 | Queue_intf.Nothing ->
-                     ()
-                 | r ->
-                     Alcotest.failf
-                       "%s: unexpected resolution on empty queue: %s" name
-                       (Format.asprintf "%a" Queue_intf.pp_resolved r));
-                 check_strict ~nthreads:2 (Recorder.history rec_) ))
+(* Over a preloaded 1, 2, 3, dequeue. *)
+let dequeue = queue_program ~base:[ 1; 2; 3 ] Specs.Queue.[ Dequeue ]
+
+let dequeue_empty = queue_program ~base:[] Specs.Queue.[ Dequeue ]
 
 (* ---------------------------------------------------------------------- *)
 (* Randomized concurrent crash trials                                      *)
 (* ---------------------------------------------------------------------- *)
 
-(* Over a preloaded 50, thread 0 enqueues 60 while thread 1 dequeues
-   ({!Trial.queue} worlds).  [inputs trial] calls [trial queue inputs]
-   once per trial; [expected] is how many trials run and crash. *)
-let concurrent_trials expected inputs () =
-  let program = queue_trial ~base:[ 50 ] 60 in
-  let trials = ref 0 and crashed = ref 0 in
-  let trial (name, kind) (i : Trial.inputs) =
-    let r = Trial.run (Trial.queue ~policy:Eager kind) program i in
-    incr trials;
-    if r.crashed then incr crashed;
-    match r.verdict with
-    | Lincheck.Linearizable _ -> ()
-    | Lincheck.Not_linearizable _ ->
-        Alcotest.failf
-          "%s: seed %d crash %d evict %.1f: not strictly linearizable:@.%a"
-          name i.seed i.crash_step i.evict_p
-          (History.pp ~pp_op:program.spec.pp_op
-             ~pp_response:program.spec.pp_response)
-          r.history
-  in
-  inputs trial;
-  Alcotest.(check (pair int int))
-    "trials, crashed trials" expected (!trials, !crashed)
+(* Over a preloaded 50, thread 0 enqueues 60 while thread 1 dequeues. *)
+let enq_deq = queue_program ~base:[ 50 ] Specs.Queue.[ Enqueue 60; Dequeue ]
 
 (* The DSS queue: three eviction probabilities x 12 seeds x crash steps
    1-40. *)
-let test_concurrent_crash_lincheck =
-  concurrent_trials (1440, 1080) @@ fun trial ->
+let test_concurrent_crash_lincheck () =
+  trials (1440, 1080) @@ fun trial ->
   List.iter
     (fun evict_p ->
       for seed = 1 to 12 do
         for crash_step = 1 to 40 do
-          trial ("dss", `Dss)
-            {
-              seed;
-              crash_step;
-              evict_p;
-              restart_seed = (seed * 100) + crash_step;
-            }
+          ignore
+            (trial "dss" (Trial.queue ~policy:Eager `Dss) enq_deq
+               {
+                 seed;
+                 crash_step;
+                 evict_p;
+                 restart_seed = (seed * 100) + crash_step;
+               })
         done
       done)
     [ 0.0; 1.0; 0.5 ]
 
 (* Every queue: 6 seeds x every other crash step from 5 to 60, with the
    eviction probability cycling through 0, 0.5 and 1. *)
-let test_cross_queue_concurrent =
-  concurrent_trials (672, 540) @@ fun trial ->
+let test_cross_queue_concurrent () =
+  trials (672, 540) @@ fun trial ->
   List.iter
-    (fun queue ->
+    (fun (name, world) ->
       for seed = 1 to 6 do
         for crash_step = 5 to 60 do
           if crash_step mod 2 = seed mod 2 then
-            trial queue
-              {
-                seed;
-                crash_step;
-                evict_p = float_of_int (crash_step mod 3) /. 2.;
-                restart_seed = seed + crash_step;
-              }
+            ignore
+              (trial name world enq_deq
+                 {
+                   seed;
+                   crash_step;
+                   evict_p = float_of_int (crash_step mod 3) /. 2.;
+                   restart_seed = seed + crash_step;
+                 })
         done
       done)
-    Trial.queues
+    queue_worlds
 
 (* A thread's exception fails the trial, crash or no crash.  The world's
    exec-dequeue raises; its exec-enqueue first yields 100 times, so a
@@ -299,7 +134,8 @@ let test_trial_thread_raises () =
       { w with obj = { w.obj with exec } }
     in
     match
-      Trial.run world (queue_trial ~base:[] 60)
+      Trial.run world
+        (queue_program ~base:[] Specs.Queue.[ Enqueue 60; Dequeue ])
         { seed = 1; crash_step = step; evict_p = 0.; restart_seed = 1 }
     with
     | _ -> Alcotest.failf "crash step %d: the exception went unreported" step
@@ -308,6 +144,54 @@ let test_trial_thread_raises () =
   Alcotest.(check bool) "no crash: reported after thread 0 finished" true
     (reported max_int);
   Alcotest.(check bool) "crash: reported, thread 0 cut off" false (reported 50)
+
+(* After a crash each thread resolves, then executes a pending operation
+   once, or prepares and executes again one whose prep was lost.  The
+   world's exec first yields 100 times (a no-op outside the simulator),
+   so a crash before step 50 lands after the enqueue's prep persisted
+   and before its exec, and one before step 0 before the prep.  [execs]
+   counts the restart world's exec calls. *)
+let test_trial_retry () =
+  let after_crash crash_step =
+    let worlds = ref 0 and execs = ref 0 in
+    let world () =
+      incr worlds;
+      let restart = !worlds > 1 in
+      let w = Trial.queue ~policy:Eager `Dss () in
+      let exec ~tid op =
+        for _ = 1 to 100 do
+          Sim.yield w.heap
+        done;
+        if restart then incr execs;
+        w.obj.exec ~tid op
+      in
+      { w with obj = { w.obj with exec } }
+    in
+    let p = queue_program ~base:[] Specs.Queue.[ Enqueue 5 ] in
+    let r =
+      Trial.run world p { seed = 1; crash_step; evict_p = 0.; restart_seed = 1 }
+    in
+    let rec after = function
+      | History.Crash :: rest -> rest
+      | _ :: rest -> after rest
+      | [] -> Alcotest.fail "no crash"
+    in
+    ( !execs,
+      List.filter_map
+        (function History.Inv { op; _ } -> Some op | _ -> None)
+        (after r.history) )
+  in
+  let ops =
+    Alcotest.(pair int (list (testable (queue_spec ~nthreads:2).pp_op ( = ))))
+  in
+  let open Specs.Queue in
+  let drain = [ Dss_spec.Base Dequeue; Dss_spec.Base Dequeue ] in
+  Alcotest.check ops "prep persisted: one exec"
+    (1, Dss_spec.[ Resolve; Exec (Enqueue 5) ] @ drain)
+    (after_crash 50);
+  Alcotest.check ops "prep lost: prep, then one exec"
+    (1, Dss_spec.[ Resolve; Prep (Enqueue 5); Exec (Enqueue 5) ] @ drain)
+    (after_crash 0)
 
 (* ---------------------------------------------------------------------- *)
 (* Multiple crashes and repeated resolution                                 *)
@@ -512,27 +396,39 @@ let test_explore_dequeue_crashes () =
 let suite =
   [
     Alcotest.test_case "enqueue sweep, cache lost, centralized" `Quick
-      (sweep_enqueue ~evict_p:0.0 ~style:Centralized);
+      (sweep (141, 137) queue_worlds enqueue ~evictions:[ 0.0 ]
+         ~seed:(( + ) 1000));
     Alcotest.test_case "enqueue sweep, cache evicted, centralized" `Quick
-      (sweep_enqueue ~evict_p:1.0 ~style:Centralized);
+      (sweep (141, 137) queue_worlds enqueue ~evictions:[ 1.0 ]
+         ~seed:(( + ) 1000));
     Alcotest.test_case "enqueue sweep, random eviction, centralized" `Quick
-      (sweep_enqueue ~evict_p:0.5 ~style:Centralized);
+      (sweep (141, 137) queue_worlds enqueue ~evictions:[ 0.5 ]
+         ~seed:(( + ) 1000));
     Alcotest.test_case "enqueue sweep, cache lost, per-thread" `Quick
-      (sweep_enqueue ~evict_p:0.0 ~style:Per_thread);
+      (sweep (18, 17) per_thread enqueue ~evictions:[ 0.0 ]
+         ~seed:(( + ) 1000));
     Alcotest.test_case "enqueue sweep, random eviction, per-thread" `Quick
-      (sweep_enqueue ~evict_p:0.5 ~style:Per_thread);
+      (sweep (18, 17) per_thread enqueue ~evictions:[ 0.5 ]
+         ~seed:(( + ) 1000));
     Alcotest.test_case "dequeue sweep, cache lost" `Quick
-      (sweep_dequeue ~evict_p:0.0 ~style:Centralized);
+      (sweep (123, 119) queue_worlds dequeue ~evictions:[ 0.0 ]
+         ~seed:(( + ) 2000));
     Alcotest.test_case "dequeue sweep, cache evicted" `Quick
-      (sweep_dequeue ~evict_p:1.0 ~style:Centralized);
+      (sweep (123, 119) queue_worlds dequeue ~evictions:[ 1.0 ]
+         ~seed:(( + ) 2000));
     Alcotest.test_case "dequeue sweep, random eviction" `Quick
-      (sweep_dequeue ~evict_p:0.5 ~style:Centralized);
+      (sweep (123, 119) queue_worlds dequeue ~evictions:[ 0.5 ]
+         ~seed:(( + ) 2000));
     Alcotest.test_case "dequeue-empty sweep" `Quick
-      (sweep_dequeue_empty ~evict_p:0.5);
+      (sweep (83, 79) queue_worlds dequeue_empty ~evictions:[ 0.5 ]
+         ~seed:(( + ) 3000));
     Alcotest.test_case "concurrent crashes strictly linearizable" `Slow
       test_concurrent_crash_lincheck;
     Alcotest.test_case "trial: a thread's exception fails it" `Quick
       test_trial_thread_raises;
+    Alcotest.test_case
+      "trial: a pending operation is retried once, a lost prep re-prepared"
+      `Quick test_trial_retry;
     Alcotest.test_case "double crash: stable resolution" `Quick
       test_double_crash;
     Alcotest.test_case "recovery is idempotent" `Quick test_recover_idempotent;
@@ -544,13 +440,15 @@ let suite =
       test_explore_dequeue_crashes;
   ]
 
-(* Capacity 64 and restart seeds 100000+step / 200000+step. *)
+(* Restart seeds 100000+step / 200000+step. *)
 let cross_queue_suite =
   [
     Alcotest.test_case "enqueue crash sweep (all detectable queues)" `Quick
-      (sweep_enqueue ~runs:[ (64, 100_000) ] ~evict_p:0.5 ~style:Centralized);
+      (sweep (141, 137) queue_worlds enqueue ~evictions:[ 0.5 ]
+         ~seed:(( + ) 100_000));
     Alcotest.test_case "dequeue crash sweep (all detectable queues)" `Quick
-      (sweep_dequeue ~runs:[ (64, 200_000) ] ~evict_p:0.5 ~style:Centralized);
+      (sweep (123, 119) queue_worlds dequeue ~evictions:[ 0.5 ]
+         ~seed:(( + ) 200_000));
     Alcotest.test_case "concurrent crashes (all detectable queues)" `Slow
       test_cross_queue_concurrent;
   ]

@@ -14,7 +14,6 @@ type dr = {
   exec_write : tid:int -> unit;
   prep_read : tid:int -> unit;
   exec_read : tid:int -> int;
-  resolve : tid:int -> string;
   resolve_raw : tid:int -> resolved_reg;
 }
 
@@ -47,7 +46,6 @@ let make ?(init = 0) ~nthreads () : dr =
     exec_write = (fun ~tid -> R.exec_write r ~tid);
     prep_read = (fun ~tid -> R.prep_read r ~tid);
     exec_read = (fun ~tid -> R.exec_read r ~tid);
-    resolve = (fun ~tid -> Format.asprintf "%a" R.pp_resolved (R.resolve r ~tid));
     resolve_raw = raw;
   }
 
@@ -118,43 +116,52 @@ let test_repeated_same_value_disambiguated () =
 let setup () = make ~nthreads:2 ()
 let dr_heap r = r.heap
 
-let test_crash_sweep_write () =
-  List.iter
-    (fun evict_p ->
-      ignore
-      @@ sweep_crashes ~setup ~heap:dr_heap ~evict_p ~seed:Fun.id
-           (fun ~step r ->
-             let t () =
-               r.prep_write ~tid:0 5;
-               r.exec_write ~tid:0
-             in
-             ( [ t ],
-               fun _ -> function
-                 | None ->
-                     Alcotest.check resolved_reg "complete run resolves done"
-                       (RWrite_done 5) (r.resolve_raw ~tid:0)
-                 | Some r ->
-                     (* No recovery procedure exists or is needed. *)
-                     (match r.resolve_raw ~tid:0 with
-                     | RWrite_done 5 ->
-                         Alcotest.(check int)
-                           (Printf.sprintf "done => value present (step %d)" step)
-                           5 (r.read ~tid:1)
-                     | RWrite_pending 5 ->
-                         Alcotest.(check int)
-                           (Printf.sprintf "pending => value absent (step %d)" step)
-                           0 (r.read ~tid:1);
-                         (* exactly-once retry *)
-                         r.exec_write ~tid:0;
-                         Alcotest.(check int) "retry lands" 5 (r.read ~tid:1)
-                     | RNothing -> Alcotest.(check int) "prep lost" 0 (r.read ~tid:1)
-                     | _ ->
-                         Alcotest.failf "unexpected resolution at step %d: %s"
-                           step (r.resolve ~tid:0));
-                     (* Resolution must be stable across further resolves. *)
-                     Alcotest.check resolved_reg "resolve idempotent"
-                       (r.resolve_raw ~tid:0) (r.resolve_raw ~tid:0) )))
-    [ 0.0; 1.0; 0.5 ]
+let dreg ~nthreads = Dss_spec.make ~nthreads (Reg.spec ())
+
+(* The register's world and program for threads writing [values] from
+   0, then a read of the register.  A write is idempotent, so the
+   trial's retry would hide a resolve that reports a write which took
+   effect as pending or lost: the world's recovery checks, before any
+   retry, that the register holds no value whose write its thread does
+   not resolve as done.  The values must be distinct and not 0. *)
+let register values =
+  let world () =
+    let heap = Heap.create () in
+    let (module M) = Sim.memory heap in
+    let module R = Dssq_core.Dss_register.Make (M) in
+    let r = R.create ~nthreads:(List.length values) () in
+    Heap.log_persists heap;
+    let recover () =
+      R.recover r;
+      List.iteri
+        (fun tid v ->
+          match R.resolve r ~tid with
+          | R.Write_done _ -> ()
+          | res ->
+              if R.read r ~tid = v then
+                Alcotest.failf "the register holds %d, thread %d resolves %a"
+                  v tid R.pp_resolved res)
+        values
+    in
+    {
+      Trial.heap;
+      obj = Dssq_core.Dss_register.adapter (module R) r;
+      recover;
+    }
+  in
+  ( world,
+    ({
+       spec = dreg ~nthreads:(List.length values);
+       base = [];
+       threads = List.map (fun v -> Reg.Write v) values;
+       observe = Reads [ Reg.Read ];
+     }
+      : _ Trial.program) )
+
+let test_crash_sweep_write =
+  let world, p = register [ 5 ] in
+  sweep (33, 30) [ ("register", world) ] p ~evictions:[ 0.0; 1.0; 0.5 ]
+    ~seed:Fun.id
 
 let test_crash_then_overwrite_detection_survives () =
   (* Crash mid-write; whatever resolve says first must not change after
@@ -169,6 +176,8 @@ let test_crash_then_overwrite_detection_survives () =
     if outcome.Sim.crashed then begin
       let r = restart ~setup ~heap:dr_heap r ~evict_p:0.5 ~seed:step in
       let first = r.resolve_raw ~tid:0 in
+      Alcotest.check resolved_reg "resolve idempotent" first
+        (r.resolve_raw ~tid:0);
       r.write ~tid:1 77;
       r.prep_write ~tid:1 78;
       r.exec_write ~tid:1;
@@ -179,8 +188,6 @@ let test_crash_then_overwrite_detection_survives () =
   done
 
 (* --------------------- concurrent linearizability ------------------ *)
-
-let dreg ~nthreads = Dss_spec.make ~nthreads (Reg.spec ())
 
 let test_concurrent_lincheck () =
   let spec = dreg ~nthreads:3 in
@@ -214,52 +221,18 @@ let test_concurrent_lincheck () =
   done
 
 let test_concurrent_crash_lincheck () =
-  let spec = dreg ~nthreads:2 in
+  let world, p = register [ 10; 20 ] in
+  trials (500, 434) @@ fun trial ->
   for seed = 1 to 20 do
     for crash_step = 1 to 25 do
-      let r = setup () in
-      let rec_ = Recorder.create () in
-      let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
-      let writer v ~tid () =
-        record ~tid (Dss_spec.Prep (Reg.Write v)) (fun () ->
-            r.prep_write ~tid v;
-            Dss_spec.Ack);
-        record ~tid (Dss_spec.Exec (Reg.Write v)) (fun () ->
-            r.exec_write ~tid;
-            Dss_spec.Ret Reg.Ok)
-      in
-      let outcome =
-        Sim.run r.heap ~policy:(Sim.Random_seed seed)
-          ~crash:(Sim.Crash_at_step crash_step)
-          ~threads:[ writer 10 ~tid:0; writer 20 ~tid:1 ]
-      in
-      let r =
-        if not outcome.Sim.crashed then r
-        else
-          restart ~setup ~heap:dr_heap r
-            ~evict_p:(float_of_int (seed mod 3) /. 2.) ~seed
-      in
-      if outcome.Sim.crashed then begin
-        Recorder.crash rec_;
-        let resolved_resp ~tid =
-          match r.resolve_raw ~tid with
-          | RNothing -> Dss_spec.Status (None, None)
-          | RWrite_pending v -> Dss_spec.Status (Some (Reg.Write v), None)
-          | RWrite_done v -> Dss_spec.Status (Some (Reg.Write v), Some Reg.Ok)
-          | RRead_pending -> Dss_spec.Status (Some Reg.Read, None)
-          | RRead_done v ->
-              Dss_spec.Status (Some Reg.Read, Some (Reg.Value v))
-        in
-        record ~tid:0 Dss_spec.Resolve (fun () -> resolved_resp ~tid:0);
-        record ~tid:1 Dss_spec.Resolve (fun () -> resolved_resp ~tid:1)
-      end;
-      (* Final read validates the state. *)
-      record ~tid:0 (Dss_spec.Base Reg.Read) (fun () ->
-          Dss_spec.Ret (Reg.Value (r.read ~tid:0)));
-      match Lincheck.check ~mode:Lincheck.Strict spec (Recorder.history rec_) with
-      | Lincheck.Linearizable _ -> ()
-      | Lincheck.Not_linearizable _ ->
-          Alcotest.failf "seed %d, crash %d: not linearizable" seed crash_step
+      ignore
+        (trial "register" world p
+           {
+             seed;
+             crash_step;
+             evict_p = float_of_int (seed mod 3) /. 2.;
+             restart_seed = seed;
+           })
     done
   done
 

@@ -15,7 +15,6 @@ type ds = {
   prep_pop : tid:int -> unit;
   exec_pop : tid:int -> int;
   resolve : tid:int -> Queue_intf.resolved;
-  recover : unit -> unit;
   to_list : unit -> int list;
 }
 
@@ -34,7 +33,6 @@ let make ?(reclaim = true) ~nthreads ~capacity () : ds =
     prep_pop = (fun ~tid -> S.prep_pop s ~tid);
     exec_pop = (fun ~tid -> S.exec_pop s ~tid);
     resolve = (fun ~tid -> S.resolve s ~tid);
-    recover = (fun () -> S.recover s);
     to_list = (fun () -> S.to_list s);
   }
 
@@ -126,77 +124,38 @@ let test_concurrent_lincheck () =
 
 (* ------------------------- crash sweeps ---------------------------- *)
 
-let setup () = make ~nthreads:2 ~capacity:48 ()
-let ds_heap s = s.heap
+let world () =
+  let heap = Heap.create () in
+  let (module M) = Sim.memory heap in
+  let module S = Dssq_core.Dss_stack.Make (M) in
+  let s = S.create ~nthreads:2 ~capacity:48 () in
+  Heap.log_persists heap;
+  {
+    Trial.heap;
+    obj = Queue_intf.stack_adapter (module S) s;
+    recover = (fun () -> S.recover s);
+  }
 
-let test_crash_sweep_push () =
-  List.iter
-    (fun evict_p ->
-      ignore
-      @@ sweep_crashes ~setup ~heap:ds_heap ~evict_p
-           ~seed:(fun step -> 7000 + step)
-           (fun ~step s ->
-             s.push ~tid:1 90;
-             let t () =
-               s.prep_push ~tid:0 5;
-               s.exec_push ~tid:0
-             in
-             ( [ t ],
-               fun _ -> function
-                 | None -> ()
-                 | Some s ->
-                     s.recover ();
-                     (match s.resolve ~tid:0 with
-                     | Queue_intf.Enq_done 5 -> ()
-                     | Queue_intf.Enq_pending 5 -> s.exec_push ~tid:0
-                     | Queue_intf.Nothing ->
-                         s.prep_push ~tid:0 5;
-                         s.exec_push ~tid:0
-                     | r ->
-                         Alcotest.failf "unexpected resolution: %s"
-                           (Format.asprintf "%a" Queue_intf.pp_resolved r));
-                     let fives = List.filter (( = ) 5) (s.to_list ()) in
-                     Alcotest.(check int)
-                       (Printf.sprintf "exactly one 5 (crash step %d)" step)
-                       1 (List.length fives);
-                     Alcotest.(check bool) "90 never lost" true
-                       (List.mem 90 (s.to_list ())) )))
-    [ 0.0; 1.0; 0.5 ]
+(* Thread 0 pushes [base], then preps and execs [op]; the stack is
+   drained at the end.  Each eviction probability is swept, restarting
+   step [s] with seed [seed0 + s]. *)
+let sweep_stack expected ~seed0 ~base op () =
+  let p : _ Trial.program =
+    {
+      spec = dstack ~nthreads:2;
+      base = List.map (fun v -> St.Push v) base;
+      threads = [ op ];
+      observe = Drain (St.Pop, St.Empty);
+    }
+  in
+  sweep expected [ ("stack", world) ] p ~evictions:[ 0.0; 1.0; 0.5 ]
+    ~seed:(( + ) seed0) ()
 
-let test_crash_sweep_pop () =
-  List.iter
-    (fun evict_p ->
-      ignore
-      @@ sweep_crashes ~setup ~heap:ds_heap ~evict_p
-           ~seed:(fun step -> 8000 + step)
-           (fun ~step s ->
-             List.iter (fun v -> s.push ~tid:1 v) [ 1; 2; 3 ];
-             let t () =
-               s.prep_pop ~tid:0;
-               ignore (s.exec_pop ~tid:0)
-             in
-             ( [ t ],
-               fun _ -> function
-                 | None -> ()
-                 | Some s ->
-                     s.recover ();
-                     let popped =
-                       match s.resolve ~tid:0 with
-                       | Queue_intf.Deq_done v -> v
-                       | Queue_intf.Deq_pending -> s.exec_pop ~tid:0
-                       | Queue_intf.Nothing ->
-                           s.prep_pop ~tid:0;
-                           s.exec_pop ~tid:0
-                       | r ->
-                           Alcotest.failf "unexpected resolution: %s"
-                             (Format.asprintf "%a" Queue_intf.pp_resolved r)
-                     in
-                     Alcotest.(check int)
-                       (Printf.sprintf "popped the top exactly once (crash step %d)"
-                          step)
-                       3 popped;
-                     Alcotest.check int_list "remaining" [ 2; 1 ] (s.to_list ()) )))
-    [ 0.0; 1.0; 0.5 ]
+let test_crash_sweep_push =
+  sweep_stack (48, 45) ~seed0:7000 ~base:[ 90 ] (St.Push 5)
+
+let test_crash_sweep_pop =
+  sweep_stack (42, 39) ~seed0:8000 ~base:[ 1; 2; 3 ] St.Pop
 
 let test_values_conserved_concurrent () =
   for seed = 1 to 15 do

@@ -65,44 +65,22 @@ let test_concurrent_lincheck_nested () =
 let test_crash_sweep_nested () =
   (* The crash sweep on the nested instantiation, sampled (every step is
      slow: each queue word is a full detectable object). *)
-  let setup () = snd (make_nested ~capacity:48 ()) in
-  let step = ref 0 in
-  let finished = ref false in
-  while not !finished do
-    let q = setup () in
-    let rec_ = Recorder.create () in
-    Record.enqueue rec_ q ~tid:1 90;
-    let t () =
-      Record.prep_enqueue rec_ q ~tid:0 5;
-      Record.exec_enqueue rec_ q ~tid:0 5
-    in
-    let outcome = Sim.run q.heap ~crash:(Sim.Crash_at_step !step) ~threads:[ t ] in
-    if not outcome.Sim.crashed then begin
-      Sim.check_thread_errors outcome;
-      finished := true
-    end
-    else begin
-      Recorder.crash rec_;
-      let q = restart ~setup ~heap:dq_heap q ~evict_p:0.5 ~seed:(9000 + !step) in
-      q.recover ();
-      Record.resolve rec_ q ~tid:0;
-      (match q.resolve ~tid:0 with
-      | Queue_intf.Enq_done 5 -> ()
-      | Queue_intf.Enq_pending 5 -> Record.exec_enqueue rec_ q ~tid:0 5
-      | Queue_intf.Nothing ->
-          Record.prep_enqueue rec_ q ~tid:0 5;
-          Record.exec_enqueue rec_ q ~tid:0 5
-      | r ->
-          Alcotest.failf "unexpected resolution: %s"
-            (Format.asprintf "%a" Queue_intf.pp_resolved r));
-      let fives = List.filter (( = ) 5) (q.to_list ()) in
-      Alcotest.(check int)
-        (Printf.sprintf "exactly one 5 (nested, crash step %d)" !step)
-        1 (List.length fives);
-      check_strict ~nthreads:2 (Recorder.history rec_)
-    end;
-    step := !step + 3 (* sample every third step; nested ops are long *)
-  done
+  let world () =
+    let heap = Heap.create () in
+    let (module B) = Sim.memory heap in
+    let module NM = Dssq_core.Nested_memory.Make (B) (Config2) in
+    let module Q = Dssq_core.Dss_queue.Make (NM) in
+    let q = Q.create ~nthreads:2 ~capacity:48 () in
+    Heap.log_persists heap;
+    {
+      Trial.heap;
+      obj = Queue_intf.adapter (module Q) q;
+      recover = (fun () -> Q.recover q);
+    }
+  in
+  sweep ~stride:3 (11, 10) [ ("nested", world) ]
+    (queue_program ~base:[ 90 ] Specs.Queue.[ Enqueue 5 ])
+    ~evictions:[ 0.5 ] ~seed:(( + ) 9000) ()
 
 let test_both_levels_detectable () =
   (* A thread uses the queue detectably while another uses a raw

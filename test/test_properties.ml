@@ -170,7 +170,9 @@ let prop_crash_recovery_linearizable =
       let r =
         Trial.run
           (Trial.queue ~policy:Eager `Dss)
-          (queue_trial ~base:(List.init preload (fun i -> i + 1)) 10)
+          (queue_program
+             ~base:(List.init preload (fun i -> i + 1))
+             Specs.Queue.[ Enqueue 10; Dequeue ])
           { seed; crash_step; evict_p; restart_seed = seed + 1 }
       in
       match r.verdict with

@@ -85,38 +85,47 @@ let test_concurrent_detectable_ops () =
       (u.resolve ~tid:1 = (Some Cnt.Increment, Some Cnt.Ok))
   done
 
-let test_crash_every_step () =
-  (* Crash a detectable increment at every step; after the crash, resolve
-     reports effect iff the log slot persisted, and a retry yields
-     exactly-once semantics. *)
-  List.iter
-    (fun evict_p ->
-      ignore
-      @@ sweep_crashes
-           ~setup:(fun () -> make_u ~nthreads:1 ~capacity:64 (Cnt.spec ()))
-           ~heap:(fun u -> u.heap) ~evict_p ~seed:Fun.id
-           (fun ~step u ->
-             let t () =
-               u.prep ~tid:0 Cnt.Increment;
-               ignore (u.exec ~tid:0 Cnt.Increment)
-             in
-             ( [ t ],
-               fun _ -> function
-                 | None -> ()
-                 | Some u ->
-                     (match u.resolve ~tid:0 with
-                     | Some Cnt.Increment, Some Cnt.Ok -> ()
-                     | Some Cnt.Increment, None ->
-                         ignore (u.exec ~tid:0 Cnt.Increment)
-                     | None, None ->
-                         u.prep ~tid:0 Cnt.Increment;
-                         ignore (u.exec ~tid:0 Cnt.Increment)
-                     | _ -> Alcotest.fail "unexpected resolution");
-                     Alcotest.(check bool)
-                       (Printf.sprintf "exactly one increment (step %d)" step)
-                       true
-                       (u.apply ~tid:0 Cnt.Get = Some (Cnt.Value 1)) )))
-    [ 0.0; 1.0; 0.5 ]
+(* The universal construction of [D<counter>] as a trial world. *)
+let counter_world ~nthreads ~capacity () =
+  let heap = Heap.create () in
+  let (module M) = Sim.memory heap in
+  let module U = Dssq_universal.Universal.Make (M) in
+  let u = U.create ~nthreads ~capacity (Cnt.spec ()) in
+  Heap.log_persists heap;
+  {
+    Trial.heap;
+    obj =
+      {
+        prep = U.prep u;
+        exec =
+          (fun ~tid op ->
+            match U.exec u ~tid op with
+            | Some r -> r
+            | None -> failwith "exec: no pending prep");
+        base = (fun ~tid op -> Option.get (U.apply u ~tid op));
+        resolve =
+          (fun ~tid : _ Dssq_core.Detectable_intf.resolved ->
+            match U.resolve u ~tid with
+            | Some op, Some r -> Done (op, r)
+            | Some op, None -> Pending op
+            | None, _ -> Nothing);
+      };
+    recover = (fun () -> ignore (U.recover u));
+  }
+
+(* The threads' increments from 0, then a read of the count. *)
+let increments ~nthreads : _ Trial.program =
+  {
+    spec = Dss_spec.make ~nthreads (Cnt.spec ());
+    base = [];
+    threads = List.init nthreads (fun _ -> Cnt.Increment);
+    observe = Reads [ Cnt.Get ];
+  }
+
+let test_crash_every_step =
+  sweep (39, 36)
+    [ ("universal", counter_world ~nthreads:1 ~capacity:64) ]
+    (increments ~nthreads:1) ~evictions:[ 0.0; 1.0; 0.5 ] ~seed:Fun.id
 
 let test_log_prefix_property () =
   (* After any crash the persisted log has no holes: replay never skips
