@@ -1017,37 +1017,17 @@ let bechamel_cmd =
     Term.(const bechamel $ const ())
 
 (* What the model checker pays per explored execution before it runs a
-   step, for each object of the litmus corpus, at the default parameters
-   (line size 1, sc) and the object's first program: a restart world —
-   the layout alone (heap, WAL, root directory, object, recorder), as
-   every crash branch builds it — and a live world — the layout, its
-   mark and the prologue (seed operations and recorded preps), as every
-   replay builds it.  The set-up closure ([d_setup ~params ~prog]:
-   program lookup and verdict cache) is built once, outside the timed
-   loop, as a corpus run builds it once and calls it per execution.
-   Words per set-up are [Gc.minor_words] over [setup_words_n] set-ups:
-   deterministic, so the column compares builds on any host.  Blocks too
-   large for the minor heap (over 256 words) are allocated in the major
-   heap directly and not counted. *)
+   step, for each object of the litmus corpus: the restart and live
+   worlds of {!Scenarios.setup_worlds}.  Words per set-up are
+   [Gc.minor_words] over [setup_words_n] set-ups: deterministic, so the
+   column compares builds on any host (test/golden/setup-words.expected
+   pins it).  Blocks too large for the minor heap (over 256 words) are
+   allocated in the major heap directly and not counted. *)
 let setup_words_n = 1000
 
 let setup () =
   let open Bechamel in
-  let setups =
-    List.concat_map
-      (fun (d : Scenarios.descriptor) ->
-        let prog = List.hd d.d_progs in
-        let layout = d.d_setup ~params:Scenarios.default_params ~prog in
-        let live () =
-          let w = layout () in
-          Heap.log_persists w.Dssq_sim.Explore.heap;
-          w.prologue ();
-          w
-        in
-        let name = d.d_obj ^ "/" ^ prog in
-        [ (name ^ " restart", layout); (name ^ " live", live) ])
-      Scenarios.registry
-  in
+  let setups = Scenarios.setup_worlds () in
   let tests =
     List.map
       (fun (name, setup) ->

@@ -726,3 +726,28 @@ let cases ?(objects = objects) ?(crash_modes = [ false; true ])
     objects
 
 let find_case ~cases:cs name = List.find_opt (fun c -> c.name = name) cs
+
+(** What the model checker builds per explored execution, for each object
+    of the corpus at the default parameters (line size 1, sc) and the
+    object's first program: a restart world — the layout alone (heap,
+    WAL, root directory, object, recorder), as every crash branch builds
+    it — and a live world — the layout, its mark and the prologue (seed
+    operations and recorded preps), as every replay builds it.  Named
+    ["<obj>/<prog> restart"] and ["<obj>/<prog> live"].  The set-up
+    closure ([d_setup ~params ~prog]: program lookup and verdict cache)
+    is built once, outside the returned thunks, as a corpus run builds
+    it once and calls it per execution. *)
+let setup_worlds () =
+  List.concat_map
+    (fun d ->
+      let prog = List.hd d.d_progs in
+      let layout = d.d_setup ~params:default_params ~prog in
+      let live () =
+        let w = layout () in
+        Heap.log_persists w.Explore.heap;
+        w.prologue ();
+        w
+      in
+      let name = d.d_obj ^ "/" ^ prog in
+      [ (name ^ " restart", layout); (name ^ " live", live) ])
+    registry

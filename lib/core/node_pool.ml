@@ -75,17 +75,27 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
        initialized node costs one write-back, not three.  Blocks start at
        line boundaries, so distinct nodes never share a line and there is
        no false sharing between them.  The arrays are per-field views
-       over the same cells. *)
-    let nodes =
-      Array.init (capacity + 1) (fun i ->
-          match
-            M.alloc_block
-              ~name:(fun () -> "node" ^ string_of_int i)
-              [ 0; Tagged.null; -1 ]
-          with
-          | [ v; n; d ] -> (v, n, d)
-          | _ -> assert false)
+       over the same cells, filled as the blocks are allocated. *)
+    let node i =
+      M.alloc_block
+        ~name:(fun () -> "node" ^ string_of_int i)
+        [ 0; Tagged.null; -1 ]
     in
+    let value, next, deq_tid =
+      match node 0 with
+      | [ v; n; d ] ->
+          let a x = Array.make (capacity + 1) x in
+          (a v, a n, a d)
+      | _ -> assert false
+    in
+    for i = 1 to capacity do
+      match node i with
+      | [ v; n; d ] ->
+          value.(i) <- v;
+          next.(i) <- n;
+          deq_tid.(i) <- d
+      | _ -> assert false
+    done;
     let free_lists = Array.init nthreads (fun _ -> Padded.make []) in
     (* Stripe nodes across threads; reversed so threads pop low indices
        first, which keeps tests readable. *)
@@ -94,9 +104,9 @@ module Make (M : Dssq_memory.Memory_intf.S) = struct
       Padded.set free_lists.(owner) (i :: Padded.get free_lists.(owner))
     done;
     {
-      value = Array.map (fun (v, _, _) -> v) nodes;
-      next = Array.map (fun (_, n, _) -> n) nodes;
-      deq_tid = Array.map (fun (_, _, d) -> d) nodes;
+      value;
+      next;
+      deq_tid;
       capacity;
       nthreads;
       free_lists;

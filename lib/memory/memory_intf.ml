@@ -25,9 +25,10 @@
     and is the regression anchor for all pre-line figures. *)
 
 (** Persist lines: the unit at which the modelled cache tracks dirtiness,
-    writes back ([flush]), and evicts at a crash.  Both backends share
-    this state machine and the placement allocator below; only the cell
-    payload representation differs. *)
+    writes back ([flush]), and evicts at a crash.  This is the native
+    backend's line; the simulated heap keeps lines of its own
+    ([Dssq_pmem.Cell.line], with its dirty-line index slot and members)
+    and places cells into them exactly as {!Alloc} does. *)
 module Line = struct
   let default_size = 8
   (** Words per line.  Eight 64-bit words = the 64-byte x86 cache line of
@@ -36,12 +37,8 @@ module Line = struct
   type t = { id : int; size : int; dirty : int Atomic.t }
   (** One persist line.  [dirty] records whether any member cell holds
       an unpersisted store — set by every store/CAS to a member, cleared
-      by write-back — as {!clean} ([-1]) or a non-negative {e slot}.  A
-      backend that indexes its dirty lines keeps the line's position in
-      that index there (the simulated heap does), so entering and leaving
-      the index costs O(1) and no per-line table; the native backend
-      just stores 0.  Atomic because native-backend domains share
-      lines. *)
+      by write-back — as {!clean} ([-1]) or 0.  Atomic because
+      native-backend domains share lines. *)
 
   (** Where [alloc] places a fresh cell. *)
   type placement =
@@ -64,21 +61,19 @@ module Line = struct
   let set_slot l s = Atomic.set l.dirty s
 
   (** Whether a flush of this line would perform a write-back, without
-      changing any state — the simulator's cost model asks this before
-      the operation applies. *)
+      changing any state. *)
   let flush_pending l = l.size <= 1 || is_dirty l
 
   (** Clear the line's dirtiness, returning whether it {e was} dirty —
       i.e. whether a write-back happens.  There is no size-1 special
       case here: the legacy always-charge rule at line size 1 is the
-      eager paths' own ({!flush_pending}), whereas a coalescing drain
+      eager paths' own, whereas a coalescing drain
       writes back exactly the lines that hold unpersisted stores, at
       any line size. *)
   let take_dirty l = Atomic.exchange l.dirty clean >= 0
 
   (** Sequential placement of cells into lines.  Not thread-safe: the
-      simulator allocates from one domain; the native backend serializes
-      calls with its own lock. *)
+      native backend serializes calls with its own lock. *)
   module Alloc = struct
     type line = t
 

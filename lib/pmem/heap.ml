@@ -5,8 +5,9 @@
     coroutines scheduled by [Dssq_sim], so plain mutation here is safe and
     deterministic.
 
-    Persistence is line-granular: cells are placed into persist lines by
-    a {!Line.Alloc} allocator at allocation time, [flush] writes back the
+    Persistence is line-granular: cells are placed into persist lines at
+    allocation time, as {!Dssq_memory.Memory_intf.Line.Alloc} places
+    them for the native backend, [flush] writes back the
     cell's whole line (persisting every dirty member), flushing a clean
     line is elided, and a crash evicts or drops each line as a unit.
 
@@ -25,7 +26,6 @@
     lines an execution dirtied, not the size of the heap. *)
 
 module PE = Dssq_memory.Persist_event
-module Line = Dssq_memory.Memory_intf.Line
 module Policy = Dssq_memory.Memory_intf.Policy
 module Name = Dssq_memory.Memory_intf.Name
 
@@ -41,6 +41,22 @@ type stats = {
   mutable elided_fences : int;
 }
 
+(* The heap's persist lines: its own records ({!Cell.line}), holding
+   their members and their dirty-index slot, placed as
+   {!Dssq_memory.Memory_intf.Line.Alloc} places the native backend's. *)
+module Line = struct
+  type t = Cell.line
+
+  type placement = Dssq_memory.Memory_intf.Line.placement =
+    | Packed
+    | Isolated
+
+  let id (l : t) = l.Cell.lid
+  let is_dirty = Cell.line_is_dirty
+end
+
+open Cell
+
 (* One thread's persist buffer: the lines it has flushed (and, under
    [Combine], stored) since its last drain, plus the flush calls the next
    drain's single barrier absorbs. *)
@@ -49,29 +65,30 @@ type fifo = {
   mutable calls : int;
 }
 
-(* A line's member cells, most recent first: a list over cells of any
-   type, one block per member and no [Cell.Packed] box. *)
-type members = Nil | Cons : 'a Cell.t * members -> members
-
 type t = {
   mutable next_id : int;
-  line_alloc : Line.Alloc.t;
-  mutable line_members : members array;
-      (* line id -> member cells, most recent first; flush persists all
-         dirty members.  [Line.Alloc] hands ids out densely and in order,
-         so slots [0, line_count) are exactly the lines in use (every
-         line has a member, which also gives the line itself); the table
-         grows by doubling.  A line's members are contiguous in
-         allocation order ([Packed] fills only the open line; [Isolated]
-         and blocks align), so walking line ids downwards and each line's
-         members in order visits every cell most recently allocated
-         first. *)
+  line_size : int;
+  mutable open_line : Line.t;
+  mutable room : int;
+      (* The line [Packed] cells fill: [open_line] takes [room] more
+         cells.  [room = 0] means no line is open, and the next [Packed]
+         cell opens one. *)
+  mutable lines : Line.t array array;
+      (* line id -> line, in chunks of [chunk_size]: line [lid] is slot
+         [lid land chunk_mask] of chunk [lid lsr chunk_bits].  Ids are
+         handed out densely and in order, so slots [0, line_count) are
+         exactly the lines in use.  A full chunk is never copied: only
+         the small chunk directory grows.  A line's members are
+         contiguous in allocation order ([Packed] fills only the open
+         line; [Isolated] and blocks close it), so walking line ids
+         downwards and each line's members in order visits every cell
+         most recently allocated first. *)
   mutable line_count : int;
   mutable dirty : int array;
   mutable ndirty : int;
       (* The dirty-line index.  Invariant: slots [0, ndirty) hold the
          ids of exactly the lines whose dirty flag is set, in no order,
-         and each such line's flag is its slot here ({!Line.slot}).  A
+         and each such line's [slot] is its slot here.  A
          store to a clean line appends it, a write-back moves the last
          entry into its slot, a crash empties it: O(1) each, and
          allocation only when the array grows past the heap's peak dirty
@@ -85,9 +102,12 @@ type t = {
       (* Thread on whose behalf memory operations currently apply: set by
          the stepping machine before each step, -1 in direct mode.  Keys
          the per-thread persist buffers. *)
-  fifos : (int, fifo) Hashtbl.t;
-      (* tid -> persist buffer.  Buffered lines stay dirty, so the crash
-         adversary covers the whole flush-to-drain window. *)
+  mutable fifos : fifo array;
+      (* Persist buffers: slot [tid + 1] is thread [tid]'s ([-1], direct
+         mode, has slot 0).  Empty until the first buffered flush or
+         store, so an eager heap allocates none.  Buffered lines stay
+         dirty, so the crash adversary covers the whole flush-to-drain
+         window. *)
   policy : Policy.t;
   mutable version : int;
       (* Bumped by every change to what a crash could leave behind: a
@@ -96,12 +116,25 @@ type t = {
          drain, elided flushes and empty fences leave it alone, so an
          unchanged version means an unchanged crash state. *)
   mutable logging : bool;
+  mutable logged : Bytes.t;
   mutable persisted_log : int list;
       (* While [logging]: the lines whose persisted words changed since
-         {!log_persists}, newest first, possibly repeated.  What a crash
+         {!log_persists}, each once, newest first.  Invariant: byte [lid]
+         of [logged] is set exactly when [lid] is in the log, so entering
+         a line is one byte test; the bytes are allocated at the first
+         mark and cleared entry by entry at the next.  What a crash
          leaves differs from the state at the mark only on these lines
-         and the dirty ones, so {!crash_into} loads just those. *)
+         and the dirty ones, so {!crash_into} loads just those, each
+         once. *)
 }
+
+let chunk_bits = 5
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+
+(* Stands in for "no open line" ([room = 0]): never handed out, so never
+   mutated. *)
+let no_line = { lid = -1; slot = clean; members = Nil }
 
 let create ?(line_size = 1) ?policy ?(combine = false) () =
   let policy =
@@ -111,10 +144,13 @@ let create ?(line_size = 1) ?policy ?(combine = false) () =
         invalid_arg "Heap.create: ~combine:true with a different ~policy"
     | Some p -> p
   in
+  if line_size < 1 then invalid_arg "Heap.create: line_size must be >= 1";
   {
     next_id = 0;
-    line_alloc = Line.Alloc.create ~size:line_size ();
-    line_members = [||];
+    line_size;
+    open_line = no_line;
+    room = 0;
+    lines = [||];
     line_count = 0;
     dirty = [||];
     ndirty = 0;
@@ -132,10 +168,11 @@ let create ?(line_size = 1) ?policy ?(combine = false) () =
       };
     in_sim = false;
     cur_tid = -1;
-    fifos = Hashtbl.create 8;
+    fifos = [||];
     policy;
     version = 0;
     logging = false;
+    logged = Bytes.empty;
     persisted_log = [];
   }
 
@@ -143,18 +180,47 @@ let policy t = t.policy
 
 let touch t = t.version <- t.version + 1
 
-let line_size t = Line.Alloc.line_size t.line_alloc
+let line_size t = t.line_size
 
-(* Enter a freshly placed line: ids arrive densely and in order, so a
-   new line's id is always [line_count]. *)
-let add_line t =
-  let n = t.line_count in
-  if n = Array.length t.line_members then begin
-    let a = Array.make (max 64 (2 * n)) Nil in
-    Array.blit t.line_members 0 a 0 n;
-    t.line_members <- a
-  end;
-  t.line_count <- n + 1
+let line_of t lid = t.lines.(lid lsr chunk_bits).(lid land chunk_mask)
+
+(* A fresh line, entered in the table: ids are dense and in order, so
+   its id is [line_count]. *)
+let new_line t =
+  let lid = t.line_count in
+  let l = { lid; slot = clean; members = Nil } in
+  let c = lid lsr chunk_bits in
+  if lid land chunk_mask = 0 then begin
+    if c = Array.length t.lines then begin
+      let a = Array.make (max 4 (2 * c)) [||] in
+      Array.blit t.lines 0 a 0 c;
+      t.lines <- a
+    end;
+    t.lines.(c) <- Array.make chunk_size l
+  end
+  else t.lines.(c).(lid land chunk_mask) <- l;
+  t.line_count <- lid + 1;
+  l
+
+(* The line for the next cell.  [Packed] fills the open line, opening a
+   new one when it is full; [Isolated] takes a private line and leaves
+   no line open, so later packed cells cannot share it. *)
+let place t (placement : Line.placement) =
+  match placement with
+  | Isolated ->
+      t.room <- 0;
+      new_line t
+  | Packed ->
+      if t.room > 0 then begin
+        t.room <- t.room - 1;
+        t.open_line
+      end
+      else begin
+        let l = new_line t in
+        t.open_line <- l;
+        t.room <- t.line_size - 1;
+        l
+      end
 
 (* A fresh cell on [line]: element [elem] of a block named [name], or a
    scalar cell when [elem] is -1. *)
@@ -172,21 +238,20 @@ let add_cell t ~name ~elem (line : Line.t) v =
   in
   t.next_id <- t.next_id + 1;
   touch t;
-  let lid = line.Line.id in
-  if lid = t.line_count then add_line t;
-  t.line_members.(lid) <- Cons (cell, t.line_members.(lid));
+  line.members <-
+    (match line.members with Nil -> One cell | ms -> Cons (cell, ms));
   if PE.is_on () then
     PE.emit Alloc ~tid:t.cur_tid ~cell:cell.Cell.id ~name:(Cell.name cell)
-      ~line:lid ~dirty:false;
+      ~line:line.lid ~dirty:false;
   cell
 
-let alloc t ?(name = Name.none) ?placement v =
-  add_cell t ~name ~elem:(-1) (Line.Alloc.place ?placement t.line_alloc) v
+let alloc t ?(name = Name.none) ?(placement = Line.Packed) v =
+  add_cell t ~name ~elem:(-1) (place t placement) v
 
 let rec alloc_elems t name i = function
   | [] -> []
   | v :: vs ->
-      let c = add_cell t ~name ~elem:i (Line.Alloc.place t.line_alloc) v in
+      let c = add_cell t ~name ~elem:i (place t Packed) v in
       c :: alloc_elems t name (i + 1) vs
 
 (** Co-located cells: the block starts at a fresh line boundary and the
@@ -196,23 +261,18 @@ let rec alloc_elems t name i = function
     the block's [name] and its own index; {!Cell.name} composes the two
     only when forced. *)
 let alloc_block t ?(name = Name.none) vs =
-  Line.Alloc.align t.line_alloc;
+  t.room <- 0;
   let cells = alloc_elems t name 0 vs in
-  Line.Alloc.align t.line_alloc;
+  t.room <- 0;
   cells
 
 let rec packed = function
   | Nil -> []
+  | One c -> [ Cell.Packed c ]
   | Cons (c, rest) -> Cell.Packed c :: packed rest
 
 let members t (l : Line.t) =
-  if l.Line.id < t.line_count then packed t.line_members.(l.Line.id) else []
-
-(* A line is entered with its first member. *)
-let line_of t lid =
-  match t.line_members.(lid) with
-  | Cons (c, _) -> c.Cell.line
-  | Nil -> assert false
+  if l.lid < t.line_count then packed (line_of t l.lid).members else []
 
 let line t lid =
   if lid < 0 || lid >= t.line_count then invalid_arg "Heap.line";
@@ -223,31 +283,31 @@ let line t lid =
 
 (* A store to [l]: enter it unless it is already dirty. *)
 let mark_dirty t (l : Line.t) =
-  if Line.slot l < 0 then begin
+  if l.slot < 0 then begin
     let n = t.ndirty in
     if n = Array.length t.dirty then begin
       let a = Array.make (max 8 (2 * n)) 0 in
       Array.blit t.dirty 0 a 0 n;
       t.dirty <- a
     end;
-    t.dirty.(n) <- l.Line.id;
-    Line.set_slot l n;
+    t.dirty.(n) <- l.lid;
+    l.slot <- n;
     t.ndirty <- n + 1
   end
 
 (* A write-back of [l]: take it out, returning whether it was dirty. *)
 let take_dirty t (l : Line.t) =
-  let s = Line.slot l in
+  let s = l.slot in
   if s < 0 then false
   else begin
     let n = t.ndirty - 1 in
     if s < n then begin
       let last = t.dirty.(n) in
       t.dirty.(s) <- last;
-      Line.set_slot (line_of t last) s
+      (line_of t last).slot <- s
     end;
     t.ndirty <- n;
-    Line.set_slot l Line.clean;
+    l.slot <- clean;
     true
   end
 
@@ -265,49 +325,85 @@ let dirty_ids t ~keep =
    [PE.is_on] first. *)
 let emit t kind (c : 'a Cell.t) =
   PE.emit kind ~tid:t.cur_tid ~cell:c.Cell.id ~name:(Cell.name c)
-    ~line:c.Cell.line.Line.id ~dirty:c.Cell.dirty
+    ~line:c.Cell.line.lid ~dirty:c.Cell.dirty
+
+(* A line leaving a persist buffer, or written back by a crash's drain
+   prefix, reported under the line's most recently allocated member:
+   clean, as the line is after the write-back. *)
+let emit_write_back t ~effective ~adversary (l : Line.t) =
+  let emit_clean (c : _ Cell.t) =
+    PE.emit
+      (Write_back { effective; adversary })
+      ~tid:t.cur_tid ~cell:c.id ~name:(Cell.name c) ~line:l.lid ~dirty:false
+  in
+  match l.members with
+  | Nil -> ()
+  | One c -> emit_clean c
+  | Cons (c, _) -> emit_clean c
 
 (* A cell-less event: a fence or the end of a crash. *)
 let emit_system t kind =
   PE.emit kind ~tid:t.cur_tid ~cell:(-1) ~name:"" ~line:(-1) ~dirty:false
 
+(* While logging, enter [lid] into the log, once. *)
+let note_persisted t lid =
+  if t.logging then begin
+    let n = Bytes.length t.logged in
+    if lid >= n then begin
+      (* A line allocated after the mark. *)
+      let b = Bytes.make (max (lid + 1) (2 * n)) '\000' in
+      Bytes.blit t.logged 0 b 0 n;
+      t.logged <- b
+    end;
+    if Bytes.get t.logged lid = '\000' then begin
+      Bytes.set t.logged lid '\001';
+      t.persisted_log <- lid :: t.persisted_log
+    end
+  end
+
 let log_persist t lid =
   touch t;
-  if t.logging then t.persisted_log <- lid :: t.persisted_log
+  note_persisted t lid
+
+(* Persist [m] if it is dirty, returning whether it was. *)
+let persist_cell (m : _ Cell.t) =
+  m.dirty && begin
+    m.persisted <- m.volatile;
+    m.dirty <- false;
+    true
+  end
 
 (* Write the whole line back: every dirty member persists in the one
    write-back (CLWB acts on the full cache line). *)
 let persist_line t (l : Line.t) =
   let rec go changed = function
     | Nil -> changed
-    | Cons (m, rest) ->
-        if m.Cell.dirty then begin
-          m.Cell.persisted <- m.Cell.volatile;
-          m.Cell.dirty <- false;
-          go true rest
-        end
-        else go changed rest
+    | One m -> persist_cell m || changed
+    | Cons (m, rest) -> go (persist_cell m || changed) rest
   in
-  if go false t.line_members.(l.Line.id) then log_persist t l.Line.id
+  if go false l.members then log_persist t l.lid
 
 (* ------------------------------------------------------------------ *)
 (* Per-thread persist buffers.  Defined before the plain operations
    because stores consult them: under [Coalesced] a store first drains
    the storing thread's buffer, under [Combine] it enqueues its own
-   line.  Under [Eager] the table stays empty. *)
+   line.  Under [Eager] none is ever allocated. *)
 
 let fifo t tid =
-  match Hashtbl.find_opt t.fifos tid with
-  | Some f -> f
-  | None ->
-      let f = { entries = []; calls = 0 } in
-      Hashtbl.add t.fifos tid f;
-      f
+  let i = tid + 1 in
+  let n = Array.length t.fifos in
+  if i >= n then
+    t.fifos <-
+      Array.init (max 4 (i + 1)) (fun j ->
+          if j < n then t.fifos.(j) else { entries = []; calls = 0 });
+  t.fifos.(i)
 
-let pending_for t ~tid =
-  match Hashtbl.find_opt t.fifos tid with
-  | Some f -> f.entries <> []
-  | None -> false
+(* Thread [tid]'s buffered lines, newest first. *)
+let entries t tid =
+  let i = tid + 1 in
+  if i < Array.length t.fifos then t.fifos.(i).entries else []
+
+let pending_for t ~tid = entries t tid <> []
 
 let buffered (f : fifo) (line : Line.t) = List.memq line f.entries
 
@@ -331,10 +427,7 @@ let write_back t ~on ~adversary (line : Line.t) =
     persist_line t line
   end
   else t.stats.elided_flushes <- t.stats.elided_flushes + 1;
-  if on then
-    match t.line_members.(line.Line.id) with
-    | Cons (m, _) -> emit t (Write_back { effective; adversary }) m
-    | Nil -> ()
+  if on then emit_write_back t ~effective ~adversary line
 
 (* Buffered flush: record the cell's line in the current thread's FIFO
    instead of writing it back now.  A line already buffered is
@@ -369,17 +462,17 @@ let flush_buffered t (c : 'a Cell.t) : PE.flush =
     shared line), one fence for the barrier, and [k-1] elided fences for
     the [k] flush calls the barrier absorbed. *)
 let drain_fifo t ~on =
-  match Hashtbl.find_opt t.fifos t.cur_tid with
-  | None | Some { entries = []; _ } -> ()
-  | Some f ->
-      let fifo = List.rev f.entries and calls = f.calls in
-      f.entries <- [];
-      f.calls <- 0;
-      touch t;
-      List.iter (write_back t ~on ~adversary:false) fifo;
-      t.stats.fences <- t.stats.fences + 1;
-      t.stats.elided_fences <- t.stats.elided_fences + max 0 (calls - 1);
-      if on then emit_system t (Fence calls)
+  if pending_for t ~tid:t.cur_tid then begin
+    let f = t.fifos.(t.cur_tid + 1) in
+    let fifo = List.rev f.entries and calls = f.calls in
+    f.entries <- [];
+    f.calls <- 0;
+    touch t;
+    List.iter (write_back t ~on ~adversary:false) fifo;
+    t.stats.fences <- t.stats.fences + 1;
+    t.stats.elided_fences <- t.stats.elided_fences + max 0 (calls - 1);
+    if on then emit_system t (Fence calls)
+  end
 
 let drain t = drain_fifo t ~on:(PE.is_on ())
 
@@ -408,16 +501,16 @@ let after_store t (line : Line.t) =
     [Coalesced] every store drains first, so a buffered line is exactly
     a dirty line whose fate the per-line verdicts already decide. *)
 let pending_fifos t =
+  let rec from i acc =
+    if i < 0 then acc
+    else
+      match t.fifos.(i).entries with
+      | [] -> from (i - 1) acc
+      | entries ->
+          from (i - 1) ((i - 1, List.rev_map Line.id entries) :: acc)
+  in
   if not (Policy.relaxed t.policy) then []
-  else
-    Hashtbl.fold
-      (fun tid f acc ->
-        match f.entries with
-        | [] -> acc
-        | entries ->
-            (tid, List.rev_map (fun (l : Line.t) -> l.Line.id) entries) :: acc)
-      t.fifos []
-    |> List.sort compare
+  else from (Array.length t.fifos - 1) []
 
 let read t (c : 'a Cell.t) : 'a =
   t.stats.reads <- t.stats.reads + 1;
@@ -456,10 +549,10 @@ let cas t (c : 'a Cell.t) ~(expected : 'a) ~(desired : 'a) =
   hit
 
 (* At line size 1 every flush writes back, clean or not: the seed's
-   word-granular model charged each one ({!Line.flush_effective}). *)
+   word-granular model charged each one. *)
 let flush_eager t (c : 'a Cell.t) : PE.flush =
   let line = c.Cell.line in
-  if take_dirty t line || line.Line.size <= 1 then begin
+  if take_dirty t line || t.line_size <= 1 then begin
     t.stats.flushes <- t.stats.flushes + 1;
     persist_line t c.Cell.line;
     Written_back
@@ -479,8 +572,7 @@ let flush t c =
     any state — asked by cost models before the flush applies.  A
     buffered flush of a clean line is elided at any line size. *)
 let flush_pending t (c : 'a Cell.t) =
-  if t.policy = Policy.Eager then Line.flush_pending c.Cell.line
-  else Line.is_dirty c.Cell.line
+  t.policy = Policy.Eager && t.line_size <= 1 || Line.is_dirty c.Cell.line
 
 let fence t =
   if pending_for t ~tid:t.cur_tid then drain t
@@ -492,11 +584,12 @@ let fence t =
 let dirty_count t =
   let rec count n = function
     | Nil -> n
+    | One c -> if c.Cell.dirty then n + 1 else n
     | Cons (c, rest) -> count (if c.Cell.dirty then n + 1 else n) rest
   in
   let n = ref 0 in
   for i = 0 to t.ndirty - 1 do
-    n := count !n t.line_members.(t.dirty.(i))
+    n := count !n (line_of t t.dirty.(i)).members
   done;
   !n
 
@@ -512,11 +605,13 @@ let dirty_lines t = dirty_ids t ~keep:(fun _ -> true)
     free-form verdicts range over the dirty lines {e outside} every
     buffer (stores issued and never flushed). *)
 let crash_candidate_lines t =
+  let rec unbuffered l i =
+    i < 0 || ((not (buffered t.fifos.(i) l)) && unbuffered l (i - 1))
+  in
   if not (Policy.relaxed t.policy) then dirty_lines t
   else
     dirty_ids t ~keep:(fun lid ->
-        let l = line_of t lid in
-        not (Hashtbl.fold (fun _ f acc -> acc || buffered f l) t.fifos false))
+        unbuffered (line_of t lid) (Array.length t.fifos - 1))
 
 (* ------------------------------------------------------------------ *)
 (* A crash: its image, loaded into a fresh heap or into the crashed one. *)
@@ -549,50 +644,46 @@ let drained_lines t ~on drains =
   let taken = ref [] and drained = ref [] in
   List.iter
     (fun (tid, count) ->
-      match Hashtbl.find_opt t.fifos tid with
-      | None -> ()
-      | Some f ->
+      match entries t tid with
+      | [] -> ()
+      | entries ->
           let off = Option.value ~default:0 (List.assoc_opt tid !taken) in
           List.iteri
             (fun i (l : Line.t) ->
               if i >= off && i < off + count then begin
-                let lid = l.Line.id in
+                let lid = l.lid in
                 let effective =
                   Line.is_dirty l && not (List.mem lid !drained)
                 in
                 if effective then t.stats.flushes <- t.stats.flushes + 1
                 else t.stats.elided_flushes <- t.stats.elided_flushes + 1;
                 drained := lid :: !drained;
-                if on then
-                  match t.line_members.(lid) with
-                  | Cons (m, _) ->
-                      PE.emit
-                        (Write_back { effective; adversary = true })
-                        ~tid:t.cur_tid ~cell:m.Cell.id ~name:(Cell.name m)
-                        ~line:lid ~dirty:false
-                  | Nil -> ()
+                if on then emit_write_back t ~effective ~adversary:true l
               end)
-            (List.rev f.entries);
+            (List.rev entries);
           taken := (tid, off + count) :: !taken)
     drains;
   !drained
 
 (* Load one line's image: [s] are the crashed heap's members, [d] the
    target's; a dirty member survives when [persists]. *)
+let load_cell t ~on ~lid ~persists ~drained (c : _ Cell.t) (c' : _ Cell.t) =
+  if c.id <> c'.id then
+    mismatch "line %d holds cell %d, the target heap's cell %d" lid c.id c'.id;
+  if c.dirty then begin
+    if on && not drained then
+      PE.emit (Verdict persists) ~tid:t.cur_tid ~cell:c.id ~name:(Cell.name c)
+        ~line:lid ~dirty:false;
+    transfer c c' (if persists then c.volatile else c.persisted)
+  end
+  else transfer c c' c.persisted
+
 let rec load_line t ~on ~lid ~persists ~drained s d =
   match (s, d) with
   | Nil, Nil -> ()
+  | One c, One c' -> load_cell t ~on ~lid ~persists ~drained c c'
   | Cons (c, srest), Cons (c', drest) ->
-      if c.Cell.id <> c'.Cell.id then
-        mismatch "line %d holds cell %d, the target heap's cell %d" lid c.Cell.id
-          c'.Cell.id;
-      if c.Cell.dirty then begin
-        if on && not drained then
-          PE.emit (Verdict persists) ~tid:t.cur_tid ~cell:c.Cell.id
-            ~name:(Cell.name c) ~line:lid ~dirty:false;
-        transfer c c' (if persists then c.Cell.volatile else c.Cell.persisted)
-      end
-      else transfer c c' c.Cell.persisted;
+      load_cell t ~on ~lid ~persists ~drained c c';
       load_line t ~on ~lid ~persists ~drained srest drest
   | _ -> mismatch "line %d holds a different number of cells" lid
 
@@ -609,15 +700,11 @@ let crash_into t ~into ~drains ~evict =
   let dirty = List.rev (dirty_lines t) in
   let drained = if drains = [] then [] else drained_lines t ~on drains in
   let load ~on lid =
-    let s = t.line_members.(lid) in
+    let l = line_of t lid in
     let drained = drained <> [] && List.mem lid drained in
-    let persists =
-      match s with
-      | Cons (c, _) when Line.is_dirty c.Cell.line -> drained || evict lid
-      | _ -> false
-    in
-    load_line t ~on ~lid ~persists ~drained s into.line_members.(lid);
-    if into.logging then into.persisted_log <- lid :: into.persisted_log
+    let persists = Line.is_dirty l && (drained || evict lid) in
+    load_line t ~on ~lid ~persists ~drained l.members (line_of into lid).members;
+    note_persisted into lid
   in
   (* Only the lines [t] changed since its mark can differ from [into]:
      the dirty ones — most recently allocated first, one verdict each,
@@ -630,17 +717,20 @@ let crash_into t ~into ~drains ~evict =
       (fun lid -> if not (Line.is_dirty (line_of t lid)) then load ~on:false lid)
       t.persisted_log;
   for i = 0 to into.ndirty - 1 do
-    Line.set_slot (line_of into into.dirty.(i)) Line.clean
+    (line_of into into.dirty.(i)).slot <- clean
   done;
   into.ndirty <- 0;
   (* Power loss wipes the persist buffers with the rest of volatile
      state: a buffered line that missed its drain prefix was still
      dirty, so its verdict above decided its fate. *)
-  Hashtbl.reset into.fifos;
+  into.fifos <- [||];
   touch into;
   if on then emit_system t Crashed
 
 let log_persists t =
+  if t.logging && Bytes.length t.logged >= t.line_count then
+    List.iter (fun lid -> Bytes.set t.logged lid '\000') t.persisted_log
+  else t.logged <- Bytes.make t.line_count '\000';
   t.logging <- true;
   t.persisted_log <- []
 

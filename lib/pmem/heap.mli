@@ -15,8 +15,20 @@
     thread owns one FIFO persist buffer that flushes enter and drains
     empty oldest first (see DESIGN.md §9 for the policy table). *)
 
-module Line = Dssq_memory.Memory_intf.Line
 module Policy = Dssq_memory.Memory_intf.Policy
+
+(** The heap's persist lines, placed as
+    {!Dssq_memory.Memory_intf.Line.Alloc} places the native backend's. *)
+module Line : sig
+  type t = Cell.line
+
+  type placement = Dssq_memory.Memory_intf.Line.placement =
+    | Packed
+    | Isolated
+
+  val id : t -> int
+  val is_dirty : t -> bool
+end
 
 type stats = {
   mutable reads : int;
@@ -37,23 +49,23 @@ type fifo
 (** One thread's persist buffer: its buffered lines in FIFO order and the
     flush calls the next drain absorbs. *)
 
-type members
-(** One line's member cells, most recent first. *)
-
 type t = {
   mutable next_id : int;  (** cells allocated so far; the next cell's id *)
-  line_alloc : Line.Alloc.t;
-  mutable line_members : members array;
-      (** line id -> member cells; ids are dense, slots [0, line_count)
-          live.  A line's members are contiguous in allocation order, so
-          walking line ids downwards visits every cell most recently
-          allocated first. *)
+  line_size : int;
+  mutable open_line : Line.t;
+  mutable room : int;
+      (** [Packed] cells fill [open_line] while [room > 0] *)
+  mutable lines : Line.t array array;
+      (** line id -> line, in fixed-size chunks; ids are dense, ids
+          [0, line_count) live.  A line's members are contiguous in
+          allocation order, so walking line ids downwards visits every
+          cell most recently allocated first. *)
   mutable line_count : int;
   mutable dirty : int array;
   mutable ndirty : int;
       (** the dirty-line index: slots [0, ndirty) hold the ids of
           exactly the lines whose dirty flag is set, each flag holding
-          its slot ({!Line.slot}) *)
+          its slot (its {!Cell.line} [slot]) *)
   stats : stats;
   mutable in_sim : bool;
       (** when true, memory operations must go through the scheduler;
@@ -62,7 +74,10 @@ type t = {
       (** thread on whose behalf memory operations currently apply (set
           by the stepping machine; -1 in direct mode) — keys the
           per-thread persist buffers *)
-  fifos : (int, fifo) Hashtbl.t;  (** tid -> persist buffer *)
+  mutable fifos : fifo array;
+      (** slot [tid + 1] -> thread [tid]'s persist buffer (direct mode,
+          tid [-1], has slot 0); empty until the first buffered flush or
+          store, so an eager heap allocates none *)
   policy : Policy.t;
   mutable version : int;
       (** bumped by every change to what a crash could leave behind —
@@ -71,15 +86,19 @@ type t = {
           else: reads, failed CASes, elided flushes and fences with
           nothing buffered leave it alone *)
   mutable logging : bool;
+  mutable logged : Bytes.t;
+      (** while [logging], byte [lid] is set exactly when line [lid] is
+          in [persisted_log] *)
   mutable persisted_log : int list;
       (** while [logging], the lines whose persisted words changed since
-          {!log_persists} (see {!crash_into}) *)
+          {!log_persists}, each once (see {!crash_into}) *)
 }
 
 val create : ?line_size:int -> ?policy:Policy.t -> ?combine:bool -> unit -> t
 (** [line_size] defaults to 1 — the original word-granular persistence
     model (every flush charged, no elision, per-word crash eviction).
-    Pass [Line.default_size] (8) for the cache-line model.  [policy]
+    Pass {!Dssq_memory.Memory_intf.Line.default_size} (8) for the
+    cache-line model; a size below 1 raises [Invalid_argument].  [policy]
     (default [Eager], the model every pre-relaxed figure anchors to) is
     the heap's {!policy} for its whole life.  [~combine:true] is
     shorthand for [~policy:Combine] (flat-combining batch epochs,
@@ -185,18 +204,19 @@ val crash_into :
     same case (a cold restart, which leaves [t]'s cells as they
     were).  A cold
     restart visits only the lines [t] changed since its {!log_persists}
-    mark — its dirty lines and the logged ones — and writes only cells
-    whose value differs, so [into] must hold the same cells, in the same
-    order, on the same lines, and the state [t] held at the mark.  A
-    marked [into] logs every line loaded, so a later crash of [into]
-    keeps this image.
+    mark — its dirty lines and the logged ones, each line once — and
+    writes only cells whose value differs, so [into] must hold the same
+    cells, in the same order, on the same lines, and the state [t] held
+    at the mark.  A marked [into] logs every line loaded (once, like any
+    logged line), so a later crash of [into] keeps this image.
     @raise Invalid_argument when a cold restart's [t] has no mark.
     @raise Layout_mismatch when the cell count, a line's members or
     the line ids differ. *)
 
 val log_persists : t -> unit
 (** Mark the heap's state now, and from here on log each line whose
-    persisted words change, for a cold {!crash_into}. *)
+    persisted words change, for a cold {!crash_into}.  The log is a
+    set: a per-line logged flag, cleared here, admits each line once. *)
 
 val dirty_count : t -> int
 (** Dirty cells. *)

@@ -61,6 +61,11 @@
       schedules (where most concurrency bugs live) are judged before
       deep ones and no execution is checked twice across rounds.
 
+    The search carries each execution's decisions newest first, so a
+    branch costs one cons; the forward {!schedule} is built only where
+    one is read: a later sibling's replay, a {!Violation} (and the token
+    printed from it), and {!replay_schedule}.
+
     [setup] must build a fresh, fully independent scenario each time it
     is called: a fresh heap, fresh memory module, fresh object, fresh
     thread closures — and the same cells in the same order each time,
@@ -383,17 +388,19 @@ let raised machine =
 (* A thread's exception ([raised], read off the machine that ran the
    execution) fails the execution before recovery or the check run: a
    crash would otherwise mark the thread's operation pending and mask
-   it. *)
-let finish t schedule scenario ~raised ~crashed =
+   it.  [rev_schedule] is the execution's decisions, newest first. *)
+let finish t rev_schedule scenario ~raised ~crashed =
   t.executions <- t.executions + 1;
   if t.executions > t.limit then raise (Too_many_executions t.executions);
-  Option.iter (fun exn -> raise (Violation { schedule; exn })) raised;
-  try
-    if crashed then t.on_crash scenario.ctx scenario.heap;
-    t.check scenario.ctx scenario.heap ~crashed
-  with
-  | Too_many_executions _ as e -> raise e
-  | e -> raise (Violation { schedule; exn = e })
+  match raised with
+  | Some exn -> raise (Violation { schedule = List.rev rev_schedule; exn })
+  | None -> (
+      try
+        if crashed then t.on_crash scenario.ctx scenario.heap;
+        t.check scenario.ctx scenario.heap ~crashed
+      with
+      | Too_many_executions _ as e -> raise e
+      | e -> raise (Violation { schedule = List.rev rev_schedule; exn = e }))
 
 (* ------------------------------------------------------------------ *)
 (* Independence relation, keyed on memory identity.                    *)
@@ -580,11 +587,11 @@ let is_new fresh vs =
   | `None -> false
   | `Evicting l -> List.exists (fun v -> v.line = l && v.evicted) vs
 
-(* [scenario] and [machine] are live and positioned after [prefix];
-   [parent] is what the parent crash point offers this one (see
-   [new_choices]). *)
-let rec dfs t scenario machine prefix depth ~parent ~sleep ~last ~preemptions
-    ~round =
+(* [scenario] and [machine] are live and positioned after the decisions
+   [rev_prefix], newest first; [parent] is what the parent crash point
+   offers this one (see [new_choices]). *)
+let rec dfs t scenario machine rev_prefix depth ~parent ~sleep ~last
+    ~preemptions ~round =
   if depth > t.max_steps then
     failwith "Explore: max_steps exceeded (livelock under exploration?)";
   let fifos = if t.crashes then Heap.pending_fifos scenario.heap else [] in
@@ -611,11 +618,12 @@ let rec dfs t scenario machine prefix depth ~parent ~sleep ~last ~preemptions
        (fun (drains, vs) ->
          if not (is_new fresh vs) then incr skipped
          else begin
-           let schedule = prefix @ drains @ [ Crash vs ] in
            let crashed = cold_restart t scenario ~drains vs in
            t.crash_branches <- t.crash_branches + 1;
            if drains <> [] then t.drain_branches <- t.drain_branches + 1;
-           finish t schedule crashed ~raised ~crashed:true
+           finish t
+             (Crash vs :: List.rev_append drains rev_prefix)
+             crashed ~raised ~crashed:true
          end)
        choices;
      t.skipped_branches <- t.skipped_branches + !skipped;
@@ -625,7 +633,7 @@ let rec dfs t scenario machine prefix depth ~parent ~sleep ~last ~preemptions
   match Machine.runnable machine with
   | [] ->
       if round_matches round preemptions then
-        finish t prefix scenario ~raised:(raised machine) ~crashed:false
+        finish t rev_prefix scenario ~raised:(raised machine) ~crashed:false
   | runnable ->
       (* Sleep-set reduction: [sleep] holds (tid, access) pairs whose
          step is covered by an already-explored sibling branch; entries
@@ -665,7 +673,7 @@ let rec dfs t scenario machine prefix depth ~parent ~sleep ~last ~preemptions
                 List.filter (fun (_, a) -> independent a access) !sleep
               in
               t.branches <- t.branches + 1;
-              let child = prefix @ [ Sched tid ] in
+              let child = Sched tid :: rev_prefix in
               let scenario, machine =
                 if !live then begin
                   live := false;
@@ -673,7 +681,7 @@ let rec dfs t scenario machine prefix depth ~parent ~sleep ~last ~preemptions
                   (scenario, machine)
                 end
                 else
-                  let scenario, machine, _ = replay t child in
+                  let scenario, machine, _ = replay t (List.rev child) in
                   (scenario, machine)
               in
               let parent =
@@ -744,7 +752,7 @@ let replay_schedule t schedule =
   let crashed = outcome = `Crashed in
   if (not crashed) && Machine.runnable machine <> [] then
     invalid_arg "Explore.replay_schedule: schedule is incomplete";
-  finish t schedule scenario ~raised:(raised machine) ~crashed;
+  finish t (List.rev schedule) scenario ~raised:(raised machine) ~crashed;
   if crashed then `Crashed else `Completed
 
 type outcome = Passed of [ `Completed | `Crashed ] | Failed of exn

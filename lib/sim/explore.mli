@@ -11,7 +11,10 @@
     image and the crashed world's history.  So [setup] must build a
     fresh, independent layout each call, allocating the same cells in
     the same order.  A crash point runs only the branches whose image
-    its parent point did not already produce (see {!stats}). *)
+    its parent point did not already produce (see {!stats}).  The search
+    carries each execution's decisions newest first: a forward
+    {!schedule} is built only for a later sibling's replay, a
+    {!Violation} and its token, and {!replay_schedule}. *)
 
 exception Too_many_executions of int
 

@@ -695,7 +695,12 @@ let golden_p1 = "golden/explore-p1.expected"
 (* The same corpus's counts before crash points were skipped, frozen. *)
 let unskipped_p1 = "golden/explore-p1-unskipped.expected"
 
-let render_p1 () =
+(* The eager corpus at preemption bound 2, in the same columns: the
+   sweep that holds the queue slice the benchmark times, so a change to
+   what that slice explores shows here first. *)
+let golden_p2_eager = "golden/explore-p2-eager.expected"
+
+let render ~max_preemptions policies =
   let b = Buffer.create 8192 in
   Buffer.add_string b
     "# case status executions crash_branches crash_points drain_branches \
@@ -714,10 +719,9 @@ let render_p1 () =
               Printf.bprintf b "%s fail %s\n" c.Scenarios.name
                 (Explore.schedule_to_string schedule))
         (Scenarios.cases
-           ~params:
-             { Scenarios.default_params with policy; max_preemptions = 1 }
+           ~params:{ Scenarios.default_params with policy; max_preemptions }
            ()))
-    Heap.Policy.[ Eager; Coalesced; Px86; Combine ];
+    policies;
   Buffer.contents b
 
 (* Case name -> the rest of its line, comments skipped. *)
@@ -753,12 +757,13 @@ let check_nothing_dropped actual =
             (String.concat " " was))
     before now
 
-let test_corpus_golden_p1 () =
-  let expected = In_channel.with_open_bin golden_p1 In_channel.input_all in
-  let actual = render_p1 () in
-  check_nothing_dropped actual;
+(* [actual] against the golden file [golden]; on a mismatch the
+   rendering is written next to the test binary as [<name>.actual]. *)
+let check_golden golden actual =
+  let expected = In_channel.with_open_bin golden In_channel.input_all in
+  let out = Filename.(remove_extension (basename golden)) ^ ".actual" in
   if actual <> expected then begin
-    Out_channel.with_open_bin "explore-p1.actual" (fun oc ->
+    Out_channel.with_open_bin out (fun oc ->
         Out_channel.output_string oc actual);
     let rec first_diff = function
       | e :: es, a :: as_ -> if e = a then first_diff (es, as_) else (e, a)
@@ -772,9 +777,20 @@ let test_corpus_golden_p1 () =
     in
     Alcotest.failf "corpus counts differ from %s: expected %S, got %S (full \
                     rendering in %s)"
-      golden_p1 e a
-      (Filename.concat (Sys.getcwd ()) "explore-p1.actual")
+      golden e a
+      (Filename.concat (Sys.getcwd ()) out)
   end
+
+let test_corpus_golden_p1 () =
+  let actual =
+    render ~max_preemptions:1 Heap.Policy.[ Eager; Coalesced; Px86; Combine ]
+  in
+  check_nothing_dropped actual;
+  check_golden golden_p1 actual
+
+let test_corpus_golden_p2_eager () =
+  check_golden golden_p2_eager
+    (render ~max_preemptions:2 Heap.Policy.[ Eager ])
 
 (* --------------------------- verdict cache --------------------------- *)
 
@@ -1571,6 +1587,8 @@ let suite =
       test_chain_replays;
     Alcotest.test_case "corpus counts at bound 1 match the golden file" `Slow
       test_corpus_golden_p1;
+    Alcotest.test_case "eager corpus counts at bound 2 match the golden file"
+      `Slow test_corpus_golden_p2_eager;
     Alcotest.test_case "verdict cache never masks a failure" `Quick
       test_verdict_cache;
     QCheck_alcotest.to_alcotest prop_recorder_hash;

@@ -141,7 +141,7 @@ let test_crash_random_deterministic () =
 
 (* ------------------- line-granular persistence ----------------------- *)
 
-module Line = Dssq_memory.Memory_intf.Line
+module Line = Heap.Line
 
 let test_clean_flush_elided () =
   let h = Heap.create ~line_size:4 () in
@@ -353,13 +353,13 @@ let prop_dense_line_table =
       in
       let lines =
         Array.to_list cells |> List.map Cell.line
-        |> List.sort_uniq (fun (a : Line.t) b -> compare a.Line.id b.Line.id)
+        |> List.sort_uniq (fun (a : Line.t) b -> compare (Line.id a) (Line.id b))
       in
       let members_match =
         List.for_all
           (fun (l : Line.t) ->
             List.map (fun (Cell.Packed c) -> c.Cell.id) (Heap.members h l)
-            = reference l.Line.id)
+            = reference (Line.id l))
           lines
       in
       let n = Array.length cells in
@@ -413,19 +413,21 @@ type heap_step =
   | Drain_step of int
   | Crash_step of int  (** verdict and drain-prefix seed *)
 
+(* One step on [n] cells; [crashes] adds crash steps. *)
+let step_gen ?(crashes = false) n =
+  QCheck.Gen.(
+    let tid = int_range 0 2 and cell = int_range 0 (n - 1) in
+    frequency
+      ([
+         (4, map3 (fun t c v -> Store (t, c, v)) tid cell (int_range 1 99));
+         (2, map3 (fun t c hit -> Cas_step (t, c, hit)) tid cell bool);
+         (4, map2 (fun t c -> Flush_step (t, c)) tid cell);
+         (1, map (fun t -> Drain_step t) tid);
+       ]
+      @ if crashes then [ (1, map (fun s -> Crash_step s) int) ] else []))
+
 let arb_heap_program =
-  let step n =
-    QCheck.Gen.(
-      let tid = int_range 0 2 and cell = int_range 0 (n - 1) in
-      frequency
-        [
-          (4, map3 (fun t c v -> Store (t, c, v)) tid cell (int_range 1 99));
-          (2, map3 (fun t c hit -> Cas_step (t, c, hit)) tid cell bool);
-          (4, map2 (fun t c -> Flush_step (t, c)) tid cell);
-          (1, map (fun t -> Drain_step t) tid);
-          (1, map (fun s -> Crash_step s) int);
-        ])
-  in
+  let step = step_gen ~crashes:true in
   QCheck.make
     ~print:(fun (ls, policy, n, steps, _) ->
       Printf.sprintf "line size %d, %s, %d cells, %d steps" ls
@@ -454,7 +456,7 @@ let prop_dirty_index =
       let walk_dirty () =
         List.filter_map
           (fun (l : Line.t) ->
-            if dirty_members l <> [] then Some l.Line.id else None)
+            if dirty_members l <> [] then Some (Line.id l) else None)
           (lines ())
       in
       let agrees () =
@@ -541,6 +543,126 @@ let prop_dirty_index =
       && agrees ()
       && Heap.dirty_lines h = [])
 
+(* The persisted log is a set, and a cold restart loads exactly the
+   image.  Three set-ups of one layout run the same steps up to a mark,
+   then the same steps to a second mark, so the logged flags of the
+   first round must be cleared for the second.  [a] runs on and crashes
+   into [b], a marked restart target that logs what it loads; [b] runs
+   on and crashes into [c].  After each run the log names every line at
+   most once and every line whose persisted words changed since the
+   mark, and each target holds the image a reference computes by walking
+   every cell: a cell persists its volatile value when its line is
+   dirty and either drained by the crash's buffer prefixes or evicted. *)
+let arb_log_program =
+  let steps n = QCheck.Gen.list_size (QCheck.Gen.int_range 0 25) (step_gen n) in
+  QCheck.make
+    ~print:(fun (ls, policy, n, _, _, _, _, _) ->
+      Printf.sprintf "line size %d, %s, %d cells" ls
+        (Heap.Policy.to_string policy) n)
+    QCheck.Gen.(
+      oneofl [ 1; 8 ] >>= fun ls ->
+      oneofl Heap.Policy.all >>= fun policy ->
+      int_range 1 24 >>= fun n ->
+      steps n >>= fun pre ->
+      steps n >>= fun mid ->
+      steps n >>= fun post ->
+      steps n >>= fun post2 ->
+      int >>= fun seed -> return (ls, policy, n, pre, mid, post, post2, seed))
+
+let prop_log_is_a_set =
+  QCheck.Test.make ~count:400 ~name:"the persisted log is a set" arb_log_program
+    (fun (ls, policy, n, pre, mid, post, post2, seed) ->
+      let world () =
+        let h = Heap.create ~line_size:ls ~policy () in
+        let cells =
+          Array.init n (fun i ->
+              if i mod 5 = 4 then Heap.alloc h ~placement:Line.Isolated 0
+              else Heap.alloc h 0)
+        in
+        (h, cells)
+      in
+      let apply (h, cells) = function
+        | Store (tid, i, v) ->
+            h.Heap.cur_tid <- tid;
+            Heap.write h cells.(i) v
+        | Cas_step (tid, i, hit) ->
+            h.Heap.cur_tid <- tid;
+            let cur = Heap.read h cells.(i) in
+            ignore
+              (Heap.cas h cells.(i)
+                 ~expected:(if hit then cur else cur + 1)
+                 ~desired:(cur + 7))
+        | Flush_step (tid, i) ->
+            h.Heap.cur_tid <- tid;
+            Heap.flush h cells.(i)
+        | Drain_step tid ->
+            h.Heap.cur_tid <- tid;
+            Heap.drain h
+        | Crash_step _ -> ()
+      in
+      (* Up to the second mark: the state every restart target holds. *)
+      let marked () =
+        let w = world () in
+        List.iter (apply w) pre;
+        Heap.log_persists (fst w);
+        List.iter (apply w) mid;
+        Heap.log_persists (fst w);
+        w
+      in
+      let persisted (_, cells) = Array.map (fun c -> c.Cell.persisted) cells in
+      (* No line twice, and every line whose persisted words moved since
+         the mark ([at_mark]). *)
+      let log_is_set (h, cells) at_mark =
+        let log = h.Heap.persisted_log in
+        List.length (List.sort_uniq compare log) = List.length log
+        && Array.for_all2
+             (fun c p -> c.Cell.persisted = p || List.mem (Cell.line_id c) log)
+             cells at_mark
+      in
+      (* Crash [src] into [dst] and compare [dst] with the reference. *)
+      let restart_matches ((h, cells) as _src) (dst, dst_cells) salt =
+        let fifos = Heap.pending_fifos h in
+        let drains =
+          List.map
+            (fun (tid, f) ->
+              (tid, Hashtbl.hash (seed, salt, tid) mod (List.length f + 1)))
+            fifos
+        in
+        let drained =
+          List.concat_map
+            (fun (tid, f) -> List.filteri (fun i _ -> i < List.assoc tid drains) f)
+            fifos
+        in
+        let evict lid = Hashtbl.hash (seed, salt, lid) land 1 = 0 in
+        let expect =
+          Array.map
+            (fun c ->
+              let lid = Cell.line_id c in
+              if
+                Line.is_dirty (Cell.line c)
+                && (List.mem lid drained || evict lid)
+              then c.Cell.volatile
+              else c.Cell.persisted)
+            cells
+        in
+        Heap.crash_into h ~into:dst ~drains ~evict;
+        Array.for_all2
+          (fun c v -> c.Cell.volatile = v && c.Cell.persisted = v)
+          dst_cells expect
+        && Heap.dirty_lines dst = []
+      in
+      let a = marked () and b = marked () and c = marked () in
+      let at_mark = persisted a in
+      List.iter (apply a) post;
+      let a_ok = log_is_set a at_mark in
+      let b_at_mark = persisted b in
+      let b_ok = restart_matches a b 1 in
+      let b_logged = log_is_set b b_at_mark in
+      List.iter (apply b) post2;
+      a_ok && b_ok && b_logged
+      && log_is_set b b_at_mark
+      && restart_matches b c 2)
+
 let suite =
   [
     Alcotest.test_case "alloc: initial value persisted" `Quick
@@ -579,4 +701,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_clean_flush_only_bumps_elision;
     QCheck_alcotest.to_alcotest prop_dense_line_table;
     QCheck_alcotest.to_alcotest prop_dirty_index;
+    QCheck_alcotest.to_alcotest prop_log_is_a_set;
   ]
