@@ -32,8 +32,10 @@ open Cmdliner
 (* ------------------------------- flags ------------------------------- *)
 
 (* Every flag is declared once, here, and means the same thing in each
-   command that takes it.  Counts are checked when the flags are parsed,
-   so a zero never reaches [Queue_intf.config] or a mean. *)
+   command that takes it.  Counts, crash steps and probabilities are
+   checked when the flags are parsed, so no zero count reaches
+   [Queue_intf.config] or a mean and no crash is planned before a
+   negative step or with an eviction probability outside [0, 1]. *)
 
 let int_in ~lo ?(hi = max_int) what =
   let parse s =
@@ -45,6 +47,16 @@ let int_in ~lo ?(hi = max_int) what =
 
 let pos_int = int_in ~lo:1 "a positive integer"
 let nonneg_int = int_in ~lo:0 "a non-negative integer"
+
+let probability =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when 0. <= p && p <= 1. -> Ok p
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "expected a probability in [0, 1], got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let backend_arg =
   let backends = [ Experiments.Sim_model; Experiments.Native_domains ] in
@@ -124,12 +136,12 @@ let queue_arg names default =
 
 let step_arg default =
   Arg.(
-    value & opt int default
+    value & opt nonneg_int default
     & info [ "step" ] ~doc:"memory event to crash before")
 
 let evict_arg =
   Arg.(
-    value & opt float 0.5
+    value & opt probability 0.5
     & info [ "evict" ] ~doc:"cache eviction probability at the crash")
 
 let seed_arg default =
@@ -1836,7 +1848,8 @@ let lincheck_run kind (policy : MI.Policy.t) iterations verbose trace_json =
 let lincheck_cmd =
   let kind = queue_arg Arg.(enum Trial.queues) `Dss in
   let iterations =
-    Arg.(value & opt int 500 & info [ "n" ] ~doc:"number of random executions")
+    Arg.(
+      value & opt pos_int 500 & info [ "n" ] ~doc:"number of random executions")
   in
   let verbose = Arg.(value & flag & info [ "v" ] ~doc:"verbose") in
   let trace_json =

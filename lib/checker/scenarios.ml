@@ -7,11 +7,11 @@
     (optionally behind a {!Mutants} interposer), the object built over
     it, a {!Dssq_history.Recorder} capturing every operation — prep/exec
     pairs for the detectable DSS calls, [Base] for plain calls, and the
-    post-crash protocol (recovery, recorded [Resolve] per thread,
-    exactly-once retries of pending operations, recorded drain reads) —
-    and {!Oracle.assert_linearizable} as the per-execution check, so the
-    explorer's verdict on each case is the paper's own correctness
-    condition.
+    post-crash protocol (recovery, recorded [Resolve] per thread, one
+    re-execution of a pending operation or a fresh prep and exec of a
+    lost one, recorded drain reads) — and {!Oracle.assert_linearizable}
+    as the per-execution check, so the explorer's verdict on each case
+    is the paper's own correctness condition.
 
     Detectable operations are split direct-mode prep / explored exec:
     preps run (and are recorded) in the scenario's prologue, the
@@ -28,7 +28,12 @@
     object the same surface.  An object supplies only its specification,
     its construction and recovery wiring, and a table of {!program}s;
     the op-to-call mapping is the object's one
-    {!Dssq_core.Detectable_intf.adapter}, defined in [lib/core].
+    {!Dssq_core.Detectable_intf.adapter}, defined in [lib/core].  The
+    recorded client itself — {!base}, {!prep}, {!exec}, {!resolve} and
+    the one post-crash rule {!retry} — is written once, here: the
+    randomized crash trial ({!Dssq_trial.Trial.run}) and the concurrent
+    tests call the same functions, so the corpus and the trial record,
+    retry and judge alike.
 
     The hash map has no prep/exec split — [put]/[remove] are single
     detectable calls — so its oracle is plain strict linearizability of
@@ -277,13 +282,14 @@ type ('op, 'r) program = {
 
 let observer = 2
 
-let observe base = function
-  | Reads ops -> List.iter (fun op -> ignore (base ~tid:observer op)) ops
+(* The read-back as thread [tid], through [base]. *)
+let observe ~tid base = function
+  | Reads ops -> List.iter (fun op -> ignore (base ~tid op)) ops
   | Drain (op, last) ->
-      let rec go guard =
-        if guard > 0 && base ~tid:observer op <> last then go (guard - 1)
-      in
-      go 8
+      let guard = ref 8 in
+      while !guard > 0 && base ~tid op <> last do
+        decr guard
+      done
 
 (* The post-execution frame: after a crash, mark it and run the object's
    resolve/retry protocol; then the read-back; then the oracle, through
@@ -319,16 +325,57 @@ let history lent rec_ =
   }
 
 (* ---------------------------------------------------------------------- *)
+(* The D<T> client: every call recorded in the D<T> alphabet.              *)
+
+(* The one recorded client of a [D<T>] object: the corpus, the crash
+   trial ({!Dssq_trial.Trial.run}) and the tests call [o] only through
+   these, so each call is recorded the same way everywhere.  A call cut
+   off by a crash leaves its invocation pending. *)
+
+(** The plain operation (Axiom 4); answers its response. *)
+let base rec_ (o : (_, _) Detectable_intf.adapter) ~tid op =
+  let uid = Recorder.invoke rec_ ~tid (Dss_spec.Base op) in
+  let r = o.base ~tid op in
+  Recorder.response rec_ ~uid (Dss_spec.Ret r);
+  r
+
+let prep rec_ (o : (_, _) Detectable_intf.adapter) ~tid op =
+  let uid = Recorder.invoke rec_ ~tid (Dss_spec.Prep op) in
+  o.prep ~tid op;
+  Recorder.response rec_ ~uid Dss_spec.Ack
+
+let exec rec_ (o : (_, _) Detectable_intf.adapter) ~tid op =
+  let uid = Recorder.invoke rec_ ~tid (Dss_spec.Exec op) in
+  let r = o.exec ~tid op in
+  Recorder.response rec_ ~uid (Dss_spec.Ret r)
+
+(** Records the answer as the [D<T>] [Resolve] response and returns it
+    as the object gave it. *)
+let resolve rec_ (o : (_, _) Detectable_intf.adapter) ~tid =
+  let uid = Recorder.invoke rec_ ~tid Dss_spec.Resolve in
+  let r = o.resolve ~tid in
+  Recorder.response rec_ ~uid
+    (match r with
+    | Nothing -> Dss_spec.Status (None, None)
+    | Pending op -> Dss_spec.Status (Some op, None)
+    | Done (op, r) -> Dss_spec.Status (Some op, Some r));
+  r
+
+(** The post-crash rule of a thread whose operation was [op]: resolve;
+    execute a pending operation once, or prepare and execute [op] again
+    if its prep was lost; a done operation is left alone. *)
+let retry rec_ o ~tid op =
+  match resolve rec_ o ~tid with
+  | Pending pending -> exec rec_ o ~tid pending
+  | Nothing ->
+      prep rec_ o ~tid op;
+      exec rec_ o ~tid op
+  | Done _ -> ()
+
+(* ---------------------------------------------------------------------- *)
 (* The D<T> builder.                                                       *)
 
-(** [resolve]'s answer as the [D<T>] [Resolve] response. *)
-let status : ('op, 'r) Detectable_intf.resolved -> ('op, 'r) Dss_spec.response
-    = function
-  | Nothing -> Dss_spec.Status (None, None)
-  | Pending op -> Dss_spec.Status (Some op, None)
-  | Done (op, r) -> Dss_spec.Status (Some op, Some r)
-
-(* The one record/resolve/retry protocol for every D<T> object.
+(* The corpus's [D<T>] set-up for every object, over the client above.
    [instantiate] builds the object and its recovery system over the
    scenario's memory and returns the adapter and its recovery system's
    {!attached}. *)
@@ -343,45 +390,22 @@ let detectable_setup (type op r) ~(params : params) ~verdicts ~lent
     instantiate ~combine:(params.policy = Combine) (memory ~params heap)
   in
   let rec_ = Recorder.create () in
-  let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
-  let exec ~tid op =
-    record ~tid (Dss_spec.Exec op) (fun () -> Dss_spec.Ret (o.exec ~tid op))
-  in
-  let base ~tid op =
-    let uid = Recorder.invoke rec_ ~tid (Dss_spec.Base op) in
-    let r = o.base ~tid op in
-    Recorder.response rec_ ~uid (Dss_spec.Ret r);
-    r
-  in
   let prologue () =
-    List.iter (fun op -> ignore (base ~tid:observer op)) p.seed;
-    List.iter
-      (fun (tid, op) ->
-        record ~tid (Dss_spec.Prep op) (fun () ->
-            o.prep ~tid op;
-            Dss_spec.Ack))
-      p.preps
+    List.iter (fun op -> ignore (base rec_ o ~tid:observer op)) p.seed;
+    List.iter (fun (tid, op) -> prep rec_ o ~tid op) p.preps
   in
   let threads =
-    List.map (fun (tid, op) () -> exec ~tid op) p.preps
+    List.map (fun (tid, op) () -> exec rec_ o ~tid op) p.preps
     @ List.map
-        (fun (tid, ops) () -> List.iter (fun op -> ignore (base ~tid op)) ops)
+        (fun (tid, ops) () ->
+          List.iter (fun op -> ignore (base rec_ o ~tid op)) ops)
         p.base_threads
   in
-  (* The recorded answer decides the re-exec: one [resolve] per thread. *)
-  let retry () =
-    List.iter
-      (fun (tid, _) ->
-        match
-          Recorder.record rec_ ~tid Dss_spec.Resolve (fun () ->
-              status (o.resolve ~tid))
-        with
-        | Dss_spec.Status (Some op, None) -> exec ~tid op
-        | _ -> ())
-      p.preps
-  in
   let finish =
-    finish rec_ verdicts ~retry ~observe:(fun () -> observe base p.observe)
+    finish rec_ verdicts
+      ~retry:(fun () ->
+        List.iter (fun (tid, op) -> retry rec_ o ~tid op) p.preps)
+      ~observe:(fun () -> observe ~tid:observer (base rec_ o) p.observe)
   in
   {
     Explore.ctx =
@@ -579,7 +603,8 @@ let hashmap_setup ~(params : params) ~verdicts ~lent
       p.base_threads
   in
   let finish =
-    finish rec_ verdicts ~retry ~observe:(fun () -> observe call p.observe)
+    finish rec_ verdicts ~retry ~observe:(fun () ->
+        observe ~tid:observer call p.observe)
   in
   {
     Explore.ctx =
@@ -621,16 +646,18 @@ type descriptor = {
    and to the slot its worlds lend their histories through, so both
    live as long as the set-up closure. *)
 let descriptor ~obj ~spec progs setup =
+  let names = List.map (fun p -> p.prog) progs in
   let find prog =
     match List.find_opt (fun p -> p.prog = prog) progs with
     | Some p -> p
     | None ->
         invalid_arg
-          (Printf.sprintf "Scenarios: unknown %s program %s" obj prog)
+          (Printf.sprintf "Scenarios: unknown %s program named %s (known: %s)"
+             obj prog (String.concat ", " names))
   in
   {
     d_obj = obj;
-    d_progs = List.map (fun p -> p.prog) progs;
+    d_progs = names;
     d_nthreads =
       (fun prog ->
         let p = find prog in

@@ -3,13 +3,15 @@
     each thread preps and execs its operation under a seeded random
     schedule with a crash before a chosen step.  A crashed run restarts
     cold: a fresh world of the same layout, loaded with the crash's
-    image, recovers, and each thread follows the corpus's post-crash
-    protocol ({!Dssq_checker.Scenarios.detectable_setup}): it records
-    its [resolve], then re-executes a pending operation once, or
-    re-prepares and executes one whose prep was lost.  Thread 0 then
-    reads the object back, and the strict checker judges the whole
-    history.  [dssq lincheck] and every crash test of a [D<T>] object
-    are loops over their own inputs around {!run}. *)
+    image, recovers, and each thread follows the one post-crash rule
+    ({!Dssq_checker.Scenarios.retry}, which the explorer's corpus runs
+    too): it records its [resolve], then re-executes a pending
+    operation once, or re-prepares and executes one whose prep was
+    lost.  Thread 0 then reads the object back, and the strict checker
+    judges the whole history.  Every call goes through the corpus's
+    recorded client, so the trial and the corpus record the same
+    events for the same calls.  [dssq lincheck] and every crash test of
+    a [D<T>] object are loops over their own inputs around {!run}. *)
 
 module Heap = Dssq_pmem.Heap
 module Sim = Dssq_sim.Sim
@@ -18,6 +20,7 @@ module Dss_spec = Dssq_spec.Dss_spec
 module History = Dssq_history.History
 module Recorder = Dssq_history.Recorder
 module Lincheck = Dssq_lincheck.Lincheck
+module Scenarios = Dssq_checker.Scenarios
 
 (** An object under test: its heap, marked ({!Heap.log_persists}) at the
     end of the layout, its [D<T>] adapter and its recovery.  A world
@@ -40,7 +43,7 @@ type ('s, 'op, 'r) program = {
   spec : ('s, 'op, 'r) spec;
   base : 'op list;
   threads : 'op list;
-  observe : ('op, 'r) Dssq_checker.Scenarios.observe;
+  observe : ('op, 'r) Scenarios.observe;
 }
 
 (** The random choices: the schedule's seed, the step the crash lands
@@ -69,26 +72,11 @@ exception Thread_raised of exn
 let run setup p i =
   let live = setup () in
   let rec_ = Recorder.create () in
-  let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
   (* Every base operation, the read-back's included, is thread 0's. *)
-  let base w ~tid:_ op =
-    let uid = Recorder.invoke rec_ ~tid:0 (Dss_spec.Base op) in
-    let r = w.obj.base ~tid:0 op in
-    Recorder.response rec_ ~uid (Dss_spec.Ret r);
-    r
-  in
-  let prep w ~tid op =
-    record ~tid (Dss_spec.Prep op) (fun () ->
-        w.obj.prep ~tid op;
-        Dss_spec.Ack)
-  in
-  let exec w ~tid op =
-    record ~tid (Dss_spec.Exec op) (fun () -> Dss_spec.Ret (w.obj.exec ~tid op))
-  in
-  List.iter (fun op -> ignore (base live ~tid:0 op)) p.base;
+  List.iter (fun op -> ignore (Scenarios.base rec_ live.obj ~tid:0 op)) p.base;
   let thread tid op () =
-    prep live ~tid op;
-    exec live ~tid op
+    Scenarios.prep rec_ live.obj ~tid op;
+    Scenarios.exec rec_ live.obj ~tid op
   in
   let outcome =
     Sim.run live.heap ~policy:(Sim.Random_seed i.seed)
@@ -104,24 +92,13 @@ let run setup p i =
       Sim.restart live.heap ~into:fresh.heap ~evict_p:i.evict_p
         ~seed:i.restart_seed;
       fresh.recover ();
-      (* The recorded answer decides the retry: a pending operation is
-         executed once, a lost prep is prepared again first. *)
       List.iteri
-        (fun tid op ->
-          match
-            Recorder.record rec_ ~tid Dss_spec.Resolve (fun () ->
-                Dssq_checker.Scenarios.status (fresh.obj.resolve ~tid))
-          with
-          | Dss_spec.Status (Some pending, None) -> exec fresh ~tid pending
-          | Dss_spec.Status (None, _) ->
-              prep fresh ~tid op;
-              exec fresh ~tid op
-          | _ -> ())
+        (fun tid op -> Scenarios.retry rec_ fresh.obj ~tid op)
         p.threads;
       fresh
     end
   in
-  Dssq_checker.Scenarios.observe (base w) p.observe;
+  Scenarios.observe ~tid:0 (Scenarios.base rec_ w.obj) p.observe;
   let history = Recorder.history rec_ in
   {
     crashed = outcome.crashed;

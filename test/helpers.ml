@@ -1,7 +1,7 @@
-(** Shared helpers for the test suite: spec instances, history recording
-    around queue operations, scenario runners with crash injection, and
-    conversions between implementation-level and specification-level
-    events. *)
+(** Shared helpers for the test suite: spec instances, queue bundles
+    carrying their [D<queue>] adapter (histories are recorded through
+    the corpus's client, {!Scenarios.prep} and the rest), and scenario
+    runners with crash injection. *)
 
 module Heap = Dssq_pmem.Heap
 module Sim = Dssq_sim.Sim
@@ -15,31 +15,20 @@ module Lincheck = Dssq_lincheck.Lincheck
 module Queue_intf = Dssq_core.Queue_intf
 module Tagged = Dssq_core.Tagged
 
-(* The D<queue> specification-level alphabet. *)
-type qop = Specs.Queue.op Dss_spec.op
-type qresp = (Specs.Queue.op, Specs.Queue.response) Dss_spec.response
+(* D<queue>, for [nthreads] threads. *)
+let queue_spec ~nthreads = Dss_spec.make ~nthreads (Specs.Queue.spec ())
 
-let queue_spec ~nthreads :
-    ( (int list, Specs.Queue.op, Specs.Queue.response) Dss_spec.state,
-      qop,
-      qresp )
-    Spec.t =
-  Dss_spec.make ~nthreads (Specs.Queue.spec ())
-
-(* A dequeue's integer return and a [resolve] answer as spec responses,
-   through the one queue mapping in [Queue_intf]. *)
 module Scenarios = Dssq_checker.Scenarios
-
-let deq_response v : qresp =
-  Dss_spec.Ret (Queue_intf.removed Queue_intf.queue_ops v)
-
-let resolved_response r : qresp =
-  Scenarios.status (Queue_intf.linked_resolved Queue_intf.queue_ops r)
+module Oracle = Dssq_checker.Oracle
 
 (** A detectable queue instance bundled as closures, together with its
-    heap, so scenario code does not need the functor-generated types. *)
+    heap, so scenario code does not need the functor-generated types;
+    [obj] is its [D<queue>] adapter, for the recorded client
+    ({!Scenarios.prep} and the rest). *)
 type dq = {
   heap : Heap.t;
+  obj :
+    (Specs.Queue.op, Specs.Queue.response) Dssq_core.Detectable_intf.adapter;
   prep_enqueue : tid:int -> int -> unit;
   exec_enqueue : tid:int -> unit;
   prep_dequeue : tid:int -> unit;
@@ -64,6 +53,7 @@ let dq_of (type q) (module Q : Queue_intf.DETECTABLE_QUEUE with type t = q)
   Heap.log_persists heap;
   {
     heap;
+    obj = Queue_intf.adapter (module Q) q;
     prep_enqueue = Q.prep_enqueue q;
     exec_enqueue = Q.exec_enqueue q;
     prep_dequeue = Q.prep_dequeue q;
@@ -160,74 +150,6 @@ let sweep_crashes ~setup ~heap ~evict_p ~seed run =
   go 0
 
 let dq_heap (q : dq) = q.heap
-
-(** Recorded, detectable operation wrappers: invocation goes into the
-    history before the operation runs; if a crash cuts the operation off
-    the invocation is left pending, which is what the checker expects. *)
-module Record = struct
-  let prep_enqueue rec_ dq ~tid v =
-    ignore
-      (Recorder.record rec_ ~tid
-         (Dss_spec.Prep (Specs.Queue.Enqueue v))
-         (fun () ->
-           dq.prep_enqueue ~tid v;
-           (Dss_spec.Ack : qresp)))
-
-  let exec_enqueue rec_ dq ~tid v =
-    ignore
-      (Recorder.record rec_ ~tid
-         (Dss_spec.Exec (Specs.Queue.Enqueue v))
-         (fun () ->
-           dq.exec_enqueue ~tid;
-           (Dss_spec.Ret Specs.Queue.Ok : qresp)))
-
-  let prep_dequeue rec_ dq ~tid =
-    ignore
-      (Recorder.record rec_ ~tid
-         (Dss_spec.Prep Specs.Queue.Dequeue)
-         (fun () ->
-           dq.prep_dequeue ~tid;
-           (Dss_spec.Ack : qresp)))
-
-  let exec_dequeue rec_ dq ~tid =
-    ignore
-      (Recorder.record rec_ ~tid
-         (Dss_spec.Exec Specs.Queue.Dequeue)
-         (fun () -> deq_response (dq.exec_dequeue ~tid)))
-
-  let enqueue rec_ dq ~tid v =
-    ignore
-      (Recorder.record rec_ ~tid
-         (Dss_spec.Base (Specs.Queue.Enqueue v))
-         (fun () ->
-           dq.enqueue ~tid v;
-           (Dss_spec.Ret Specs.Queue.Ok : qresp)))
-
-  let dequeue rec_ dq ~tid =
-    ignore
-      (Recorder.record rec_ ~tid
-         (Dss_spec.Base Specs.Queue.Dequeue)
-         (fun () -> deq_response (dq.dequeue ~tid)))
-
-  let resolve rec_ dq ~tid =
-    ignore
-      (Recorder.record rec_ ~tid Dss_spec.Resolve (fun () ->
-           resolved_response (dq.resolve ~tid)))
-end
-
-let check_strict ~nthreads history =
-  let spec = queue_spec ~nthreads in
-  match Lincheck.check ~mode:Lincheck.Strict spec history with
-  | Lincheck.Linearizable _ -> ()
-  | Lincheck.Not_linearizable _ ->
-      let buf = Buffer.create 256 in
-      let fmt = Format.formatter_of_buffer buf in
-      History.pp
-        ~pp_op:(spec.Spec.pp_op)
-        ~pp_response:(spec.Spec.pp_response)
-        fmt history;
-      Format.pp_print_flush fmt ();
-      Alcotest.failf "history not strictly linearizable:@.%s" (Buffer.contents buf)
 
 (* ---------------------------------------------------------------------- *)
 (* Crash trials ({!Dssq_trial.Trial}) of D<T> objects.                     *)

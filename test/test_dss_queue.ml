@@ -212,34 +212,35 @@ let run_concurrent ~seed ~nthreads ~program =
 let test_concurrent_detectable_lincheck () =
   for seed = 1 to 25 do
     let program rec_ q ~tid =
-      Record.prep_enqueue rec_ q ~tid (10 + tid);
-      Record.exec_enqueue rec_ q ~tid (10 + tid);
-      Record.prep_dequeue rec_ q ~tid;
-      Record.exec_dequeue rec_ q ~tid;
-      Record.resolve rec_ q ~tid
+      let open Specs.Queue in
+      Scenarios.prep rec_ q.obj ~tid (Enqueue (10 + tid));
+      Scenarios.exec rec_ q.obj ~tid (Enqueue (10 + tid));
+      Scenarios.prep rec_ q.obj ~tid Dequeue;
+      Scenarios.exec rec_ q.obj ~tid Dequeue;
+      ignore (Scenarios.resolve rec_ q.obj ~tid)
     in
     let _, history = run_concurrent ~seed ~nthreads:3 ~program in
-    check_strict ~nthreads:3 history
+    Oracle.assert_linearizable (queue_spec ~nthreads:3) history
   done
 
 let test_concurrent_mixed_lincheck () =
   for seed = 1 to 25 do
     let program rec_ q ~tid =
+      let open Specs.Queue in
       if tid mod 2 = 0 then begin
-        Record.enqueue rec_ q ~tid (100 + tid);
-        Record.prep_enqueue rec_ q ~tid (200 + tid);
-        Record.exec_enqueue rec_ q ~tid (200 + tid);
-        Record.resolve rec_ q ~tid
+        ignore (Scenarios.base rec_ q.obj ~tid (Enqueue (100 + tid)));
+        Scenarios.prep rec_ q.obj ~tid (Enqueue (200 + tid));
+        Scenarios.exec rec_ q.obj ~tid (Enqueue (200 + tid))
       end
       else begin
-        Record.prep_dequeue rec_ q ~tid;
-        Record.exec_dequeue rec_ q ~tid;
-        Record.dequeue rec_ q ~tid;
-        Record.resolve rec_ q ~tid
-      end
+        Scenarios.prep rec_ q.obj ~tid Dequeue;
+        Scenarios.exec rec_ q.obj ~tid Dequeue;
+        ignore (Scenarios.base rec_ q.obj ~tid Dequeue)
+      end;
+      ignore (Scenarios.resolve rec_ q.obj ~tid)
     in
     let _, history = run_concurrent ~seed ~nthreads:4 ~program in
-    check_strict ~nthreads:4 history
+    Oracle.assert_linearizable (queue_spec ~nthreads:4) history
   done
 
 let test_concurrent_values_conserved () =

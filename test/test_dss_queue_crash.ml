@@ -203,8 +203,8 @@ let test_double_crash () =
     let q = setup () in
     let rec_ = Recorder.create () in
     let thread () =
-      Record.prep_enqueue rec_ q ~tid:0 7;
-      Record.exec_enqueue rec_ q ~tid:0 7
+      Scenarios.prep rec_ q.obj ~tid:0 (Specs.Queue.Enqueue 7);
+      Scenarios.exec rec_ q.obj ~tid:0 (Specs.Queue.Enqueue 7)
     in
     let outcome =
       Sim.run q.heap ~crash:(Sim.Crash_at_step crash1) ~threads:[ thread ]
@@ -213,7 +213,7 @@ let test_double_crash () =
       Recorder.crash rec_;
       let q = restart ~setup ~heap:dq_heap q ~evict_p:0.5 ~seed:crash1 in
       q.recover ();
-      Record.resolve rec_ q ~tid:0;
+      ignore (Scenarios.resolve rec_ q.obj ~tid:0);
       (* A second crash before the thread does anything else: resolve
          must answer the same afterwards (it is idempotent and its
          inputs are persistent). *)
@@ -221,11 +221,12 @@ let test_double_crash () =
       Recorder.crash rec_;
       let q = restart ~setup ~heap:dq_heap q ~evict_p:0.0 ~seed:(crash1 + 777) in
       q.recover ();
-      Record.resolve rec_ q ~tid:0;
+      ignore (Scenarios.resolve rec_ q.obj ~tid:0);
       let after = q.resolve ~tid:0 in
       Alcotest.check resolved "resolution stable across second crash" before
         after;
-      check_strict ~nthreads:2 (Recorder.history rec_)
+      Oracle.assert_linearizable (queue_spec ~nthreads:2)
+        (Recorder.history rec_)
     end
   done
 

@@ -5,59 +5,40 @@
 
 open Helpers
 module Reg = Specs.Register
+module D = Dssq_core.Detectable_intf
 
 type dr = {
   heap : Heap.t;
+  obj : (Reg.op, Reg.response) D.adapter;
   read : tid:int -> int;
   write : tid:int -> int -> unit;
   prep_write : tid:int -> int -> unit;
   exec_write : tid:int -> unit;
   prep_read : tid:int -> unit;
   exec_read : tid:int -> int;
-  resolve_raw : tid:int -> resolved_reg;
 }
-
-and resolved_reg =
-  | RNothing
-  | RWrite_pending of int
-  | RWrite_done of int
-  | RRead_pending
-  | RRead_done of int
 
 let make ?(init = 0) ~nthreads () : dr =
   let heap = Heap.create () in
   let (module M) = Sim.memory heap in
   let module R = Dssq_core.Dss_register.Make (M) in
   let r = R.create ~init ~nthreads () in
-  let raw ~tid =
-    match R.resolve r ~tid with
-    | R.Nothing -> RNothing
-    | R.Write_pending v -> RWrite_pending v
-    | R.Write_done v -> RWrite_done v
-    | R.Read_pending -> RRead_pending
-    | R.Read_done v -> RRead_done v
-  in
   Heap.log_persists heap;
   {
     heap;
+    obj = Dssq_core.Dss_register.adapter (module R) r;
     read = (fun ~tid -> R.read r ~tid);
     write = (fun ~tid v -> R.write r ~tid v);
     prep_write = (fun ~tid v -> R.prep_write r ~tid v);
     exec_write = (fun ~tid -> R.exec_write r ~tid);
     prep_read = (fun ~tid -> R.prep_read r ~tid);
     exec_read = (fun ~tid -> R.exec_read r ~tid);
-    resolve_raw = raw;
   }
 
-let resolved_reg : resolved_reg Alcotest.testable =
-  Alcotest.testable
-    (fun fmt -> function
-      | RNothing -> Format.pp_print_string fmt "nothing"
-      | RWrite_pending v -> Format.fprintf fmt "write %d pending" v
-      | RWrite_done v -> Format.fprintf fmt "write %d done" v
-      | RRead_pending -> Format.pp_print_string fmt "read pending"
-      | RRead_done v -> Format.fprintf fmt "read done %d" v)
-    ( = )
+(* [resolve]'s answer, through the adapter, in [D<register>]'s terms. *)
+let resolved_reg =
+  let open Reg in
+  Alcotest.testable (D.pp_resolved pp_op pp_response) ( = )
 
 let test_plain_read_write () =
   let r = make ~nthreads:2 () in
@@ -69,19 +50,24 @@ let test_plain_read_write () =
 
 let test_detectable_write_lifecycle () =
   let r = make ~nthreads:2 () in
-  Alcotest.check resolved_reg "initially nothing" RNothing (r.resolve_raw ~tid:0);
+  Alcotest.check resolved_reg "initially nothing" D.Nothing
+    (r.obj.resolve ~tid:0);
   r.prep_write ~tid:0 5;
-  Alcotest.check resolved_reg "prepared" (RWrite_pending 5) (r.resolve_raw ~tid:0);
+  Alcotest.check resolved_reg "prepared" (D.Pending (Reg.Write 5))
+    (r.obj.resolve ~tid:0);
   r.exec_write ~tid:0;
-  Alcotest.check resolved_reg "done" (RWrite_done 5) (r.resolve_raw ~tid:0);
+  Alcotest.check resolved_reg "done" (D.Done (Reg.Write 5, Reg.Ok))
+    (r.obj.resolve ~tid:0);
   Alcotest.(check int) "value visible" 5 (r.read ~tid:1)
 
 let test_detectable_read_lifecycle () =
   let r = make ~init:3 ~nthreads:1 () in
   r.prep_read ~tid:0;
-  Alcotest.check resolved_reg "prepared" RRead_pending (r.resolve_raw ~tid:0);
+  Alcotest.check resolved_reg "prepared" (D.Pending Reg.Read)
+    (r.obj.resolve ~tid:0);
   Alcotest.(check int) "read value" 3 (r.exec_read ~tid:0);
-  Alcotest.check resolved_reg "done" (RRead_done 3) (r.resolve_raw ~tid:0)
+  Alcotest.check resolved_reg "done" (D.Done (Reg.Read, Reg.Value 3))
+    (r.obj.resolve ~tid:0)
 
 let test_overwrite_preserves_detection () =
   (* The helping protocol: even after other threads overwrite the
@@ -93,10 +79,11 @@ let test_overwrite_preserves_detection () =
   r.write ~tid:1 8;
   r.prep_write ~tid:2 9;
   r.exec_write ~tid:2;
-  Alcotest.check resolved_reg "t0 still resolves done" (RWrite_done 5)
-    (r.resolve_raw ~tid:0);
-  Alcotest.check resolved_reg "t2 resolves done" (RWrite_done 9)
-    (r.resolve_raw ~tid:2)
+  Alcotest.check resolved_reg "t0 still resolves done"
+    (D.Done (Reg.Write 5, Reg.Ok))
+    (r.obj.resolve ~tid:0);
+  Alcotest.check resolved_reg "t2 resolves done" (D.Done (Reg.Write 9, Reg.Ok))
+    (r.obj.resolve ~tid:2)
 
 let test_repeated_same_value_disambiguated () =
   (* Writing the same value twice: the sequence number keeps resolve
@@ -105,11 +92,13 @@ let test_repeated_same_value_disambiguated () =
   r.prep_write ~tid:0 5;
   r.exec_write ~tid:0;
   r.prep_write ~tid:0 5;
-  Alcotest.check resolved_reg "second instance pending" (RWrite_pending 5)
-    (r.resolve_raw ~tid:0);
+  Alcotest.check resolved_reg "second instance pending"
+    (D.Pending (Reg.Write 5))
+    (r.obj.resolve ~tid:0);
   r.exec_write ~tid:0;
-  Alcotest.check resolved_reg "second instance done" (RWrite_done 5)
-    (r.resolve_raw ~tid:0)
+  Alcotest.check resolved_reg "second instance done"
+    (D.Done (Reg.Write 5, Reg.Ok))
+    (r.obj.resolve ~tid:0)
 
 (* ------------------------- crash sweeps --------------------------- *)
 
@@ -175,15 +164,15 @@ let test_crash_then_overwrite_detection_survives () =
     let outcome = Sim.run r.heap ~crash:(Sim.Crash_at_step step) ~threads:[ t ] in
     if outcome.Sim.crashed then begin
       let r = restart ~setup ~heap:dr_heap r ~evict_p:0.5 ~seed:step in
-      let first = r.resolve_raw ~tid:0 in
+      let first = r.obj.resolve ~tid:0 in
       Alcotest.check resolved_reg "resolve idempotent" first
-        (r.resolve_raw ~tid:0);
+        (r.obj.resolve ~tid:0);
       r.write ~tid:1 77;
       r.prep_write ~tid:1 78;
       r.exec_write ~tid:1;
       Alcotest.check resolved_reg
         (Printf.sprintf "detection stable under overwrite (step %d)" step)
-        first (r.resolve_raw ~tid:0)
+        first (r.obj.resolve ~tid:0)
     end
   done
 
@@ -194,30 +183,20 @@ let test_concurrent_lincheck () =
   for seed = 1 to 30 do
     let r = make ~nthreads:3 () in
     let rec_ = Recorder.create () in
-    let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
     let writer v ~tid () =
-      record ~tid (Dss_spec.Prep (Reg.Write v)) (fun () ->
-          r.prep_write ~tid v;
-          Dss_spec.Ack);
-      record ~tid (Dss_spec.Exec (Reg.Write v)) (fun () ->
-          r.exec_write ~tid;
-          Dss_spec.Ret Reg.Ok)
+      Scenarios.prep rec_ r.obj ~tid (Reg.Write v);
+      Scenarios.exec rec_ r.obj ~tid (Reg.Write v)
     in
     let reader ~tid () =
-      record ~tid (Dss_spec.Base Reg.Read) (fun () ->
-          Dss_spec.Ret (Reg.Value (r.read ~tid)));
-      record ~tid (Dss_spec.Base Reg.Read) (fun () ->
-          Dss_spec.Ret (Reg.Value (r.read ~tid)))
+      ignore (Scenarios.base rec_ r.obj ~tid Reg.Read);
+      ignore (Scenarios.base rec_ r.obj ~tid Reg.Read)
     in
     let outcome =
       Sim.run r.heap ~policy:(Sim.Random_seed seed)
         ~threads:[ writer 10 ~tid:0; writer 20 ~tid:1; reader ~tid:2 ]
     in
     Sim.check_thread_errors outcome;
-    match Lincheck.check ~mode:Lincheck.Strict spec (Recorder.history rec_) with
-    | Lincheck.Linearizable _ -> ()
-    | Lincheck.Not_linearizable _ ->
-        Alcotest.failf "seed %d: not linearizable" seed
+    Oracle.assert_linearizable spec (Recorder.history rec_)
   done
 
 let test_concurrent_crash_lincheck () =

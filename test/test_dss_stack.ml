@@ -8,6 +8,7 @@ module St = Specs.Stack
 
 type ds = {
   heap : Heap.t;
+  obj : (St.op, St.response) Dssq_core.Detectable_intf.adapter;
   push : tid:int -> int -> unit;
   pop : tid:int -> int;
   prep_push : tid:int -> int -> unit;
@@ -26,6 +27,7 @@ let make ?(reclaim = true) ~nthreads ~capacity () : ds =
   Heap.log_persists heap;
   {
     heap;
+    obj = Queue_intf.stack_adapter (module S) s;
     push = (fun ~tid v -> S.push s ~tid v);
     pop = (fun ~tid -> S.pop s ~tid);
     prep_push = (fun ~tid v -> S.prep_push s ~tid v);
@@ -85,41 +87,23 @@ let test_recycling () =
 
 let dstack ~nthreads = Dss_spec.make ~nthreads (St.spec ())
 
-let pop_response v = Dss_spec.Ret (Queue_intf.removed Queue_intf.stack_ops v)
-
-let resolved_response r =
-  Scenarios.status (Queue_intf.linked_resolved Queue_intf.stack_ops r)
-
-let check_stack_strict ~nthreads history =
-  match Lincheck.check ~mode:Lincheck.Strict (dstack ~nthreads) history with
-  | Lincheck.Linearizable _ -> ()
-  | Lincheck.Not_linearizable _ -> Alcotest.fail "stack history not linearizable"
-
 let test_concurrent_lincheck () =
   for seed = 1 to 25 do
     let s = make ~nthreads:2 ~capacity:128 () in
     let rec_ = Recorder.create () in
-    let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
     let prog ~tid () =
-      record ~tid (Dss_spec.Prep (St.Push (10 + tid))) (fun () ->
-          s.prep_push ~tid (10 + tid);
-          Dss_spec.Ack);
-      record ~tid (Dss_spec.Exec (St.Push (10 + tid))) (fun () ->
-          s.exec_push ~tid;
-          Dss_spec.Ret St.Ok);
-      record ~tid (Dss_spec.Prep St.Pop) (fun () ->
-          s.prep_pop ~tid;
-          Dss_spec.Ack);
-      record ~tid (Dss_spec.Exec St.Pop) (fun () ->
-          pop_response (s.exec_pop ~tid));
-      record ~tid Dss_spec.Resolve (fun () -> resolved_response (s.resolve ~tid))
+      Scenarios.prep rec_ s.obj ~tid (St.Push (10 + tid));
+      Scenarios.exec rec_ s.obj ~tid (St.Push (10 + tid));
+      Scenarios.prep rec_ s.obj ~tid St.Pop;
+      Scenarios.exec rec_ s.obj ~tid St.Pop;
+      ignore (Scenarios.resolve rec_ s.obj ~tid)
     in
     let outcome =
       Sim.run s.heap ~policy:(Sim.Random_seed seed)
         ~threads:[ prog ~tid:0; prog ~tid:1 ]
     in
     Sim.check_thread_errors outcome;
-    check_stack_strict ~nthreads:2 (Recorder.history rec_)
+    Oracle.assert_linearizable (dstack ~nthreads:2) (Recorder.history rec_)
   done
 
 (* ------------------------- crash sweeps ---------------------------- *)

@@ -552,7 +552,6 @@ let prop_px86_drained_equals_sc =
 (* -------- report schema: v6 carries replays, drains and skips -------- *)
 
 module Explore_report = Dssq_checker.Explore_report
-module Scenarios = Dssq_checker.Scenarios
 module Json = Dssq_obs.Json
 
 let test_report_v6_encodes () =
@@ -794,7 +793,6 @@ let test_corpus_golden_p2_eager () =
 
 (* --------------------------- verdict cache --------------------------- *)
 
-module Oracle = Dssq_checker.Oracle
 
 (* The recorder that recorded [h], whose uids count up from 0. *)
 let recorded h =
@@ -967,6 +965,45 @@ let test_prologue_state_not_restarted () =
     !restarts;
   Alcotest.(check (list int)) "the unflushed cell: lost or evicted" [ 0; 1 ]
     (List.sort_uniq compare (List.map (fun (_, _, u, _) -> u) !restarts))
+
+(* The one post-crash rule ({!Scenarios.retry}) the corpus and the crash
+   trial share, on a queue adapter whose [resolve] answers [Pending],
+   [Nothing] and [Done] in turn.  A pending operation is the one
+   executed, whatever the thread's own operation was. *)
+let test_retry_rule () =
+  let open Specs.Queue in
+  let answers =
+    ref
+      Dssq_core.Detectable_intf.
+        [ Pending (Enqueue 7); Nothing; Done (Enqueue 5, Ok) ]
+  in
+  let o : (op, response) Dssq_core.Detectable_intf.adapter =
+    {
+      prep = (fun ~tid:_ _ -> ());
+      exec = (fun ~tid:_ _ -> Ok);
+      base = (fun ~tid:_ _ -> Ok);
+      resolve =
+        (fun ~tid:_ ->
+          let a = List.hd !answers in
+          answers := List.tl !answers;
+          a);
+    }
+  in
+  let recorded () =
+    let rec_ = Recorder.create () in
+    Scenarios.retry rec_ o ~tid:0 (Enqueue 5);
+    List.filter_map
+      (function History.Inv { op; _ } -> Some op | _ -> None)
+      (Recorder.history rec_)
+  in
+  let ops = Alcotest.(list (testable (queue_spec ~nthreads:1).pp_op ( = ))) in
+  Alcotest.check ops "pending: the pending op, executed once"
+    Dss_spec.[ Resolve; Exec (Enqueue 7) ]
+    (recorded ());
+  Alcotest.check ops "nothing: prep, then exec"
+    Dss_spec.[ Resolve; Prep (Enqueue 5); Exec (Enqueue 5) ]
+    (recorded ());
+  Alcotest.check ops "done: resolve only" [ Dss_spec.Resolve ] (recorded ())
 
 (* --------------------------- explain -------------------------------- *)
 
@@ -1594,6 +1631,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_recorder_hash;
     Alcotest.test_case "crash branches never run the prologue" `Quick
       test_prologue_live_only;
+    Alcotest.test_case "one retry rule: pending, lost prep, done" `Quick
+      test_retry_rule;
     Alcotest.test_case "a restart world holds only what the prologue \
                         persisted"
       `Quick test_prologue_state_not_restarted;

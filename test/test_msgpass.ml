@@ -10,6 +10,7 @@
 
 open Helpers
 module Reg = Specs.Register
+module D = Dssq_core.Detectable_intf
 
 let test_net_basics () =
   let heap = Heap.create () in
@@ -51,19 +52,35 @@ let make_abd ~nservers ~nclients =
     A.reset_done a;
     List.init nservers (fun sid -> A.server a ~sid ~until)
   in
+  (* The register's D<T> surface, client [ci] as thread [tid]: writes
+     are detectable, reads are plain. *)
+  let obj : (Reg.op, Reg.response) D.adapter =
+    {
+      prep =
+        (fun ~tid -> function
+          | Reg.Write v -> A.prep_write a ~ci:tid v
+          | Reg.Read -> invalid_arg "ABD: a read is not detectable");
+      exec =
+        (fun ~tid _ ->
+          A.exec_write a ~ci:tid;
+          Reg.Ok);
+      base = (fun ~tid _ -> Reg.Value (A.read a ~ci:tid));
+      resolve =
+        (fun ~tid ->
+          match A.resolve a ~ci:tid with
+          | A.Nothing -> Nothing
+          | A.Write_pending v -> Pending (Reg.Write v)
+          | A.Write_done v -> Done (Reg.Write v, Reg.Ok));
+    }
+  in
   ( heap,
     servers,
     object
+      method obj = obj
       method read ~ci = A.read a ~ci
       method prep_write ~ci v = A.prep_write a ~ci v
       method exec_write ~ci = A.exec_write a ~ci
-
-      method resolve ~ci =
-        match A.resolve a ~ci with
-        | A.Nothing -> `Nothing
-        | A.Write_pending v -> `Pending v
-        | A.Write_done v -> `Done v
-
+      method resolve ~ci = obj.resolve ~tid:ci
       method finished = A.client_finished a
     end )
 
@@ -75,7 +92,9 @@ let test_failure_free_write_read () =
     a#prep_write ~ci:0 7;
     a#exec_write ~ci:0;
     Alcotest.(check int) "read back" 7 (a#read ~ci:0);
-    Alcotest.(check bool) "resolved done" true (a#resolve ~ci:0 = `Done 7);
+    Alcotest.(check bool)
+      "resolved done" true
+      (a#resolve ~ci:0 = D.Done (Reg.Write 7, Reg.Ok));
     a#finished
   in
   let outcome =
@@ -88,16 +107,10 @@ let test_failure_free_linearizable () =
   for seed = 1 to 10 do
     let heap, servers, a = make_abd ~nservers:3 ~nclients:2 in
     let rec_ = Recorder.create () in
-    let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
     let writer ~ci v () =
-      record ~tid:ci (Dss_spec.Prep (Reg.Write v)) (fun () ->
-          a#prep_write ~ci v;
-          Dss_spec.Ack);
-      record ~tid:ci (Dss_spec.Exec (Reg.Write v)) (fun () ->
-          a#exec_write ~ci;
-          Dss_spec.Ret Reg.Ok);
-      record ~tid:ci (Dss_spec.Base Reg.Read) (fun () ->
-          Dss_spec.Ret (Reg.Value (a#read ~ci)));
+      Scenarios.prep rec_ a#obj ~tid:ci (Reg.Write v);
+      Scenarios.exec rec_ a#obj ~tid:ci (Reg.Write v);
+      ignore (Scenarios.base rec_ a#obj ~tid:ci Reg.Read);
       a#finished
     in
     let outcome =
@@ -105,9 +118,7 @@ let test_failure_free_linearizable () =
         ~threads:(servers ~until:2 @ [ writer ~ci:0 10; writer ~ci:1 20 ])
     in
     Sim.check_thread_errors outcome;
-    match Lincheck.check ~mode:Lincheck.Strict spec (Recorder.history rec_) with
-    | Lincheck.Linearizable _ -> ()
-    | Lincheck.Not_linearizable _ -> Alcotest.failf "seed %d: not linearizable" seed
+    Oracle.assert_linearizable spec (Recorder.history rec_)
   done
 
 (* The crux: crash the whole system at every step of a detectable write;
@@ -124,40 +135,26 @@ let test_crash_sweep_resolve () =
            ~seed:(fun step -> 800_000 + step)
            (fun ~step (_, servers, a) ->
              let rec_ = Recorder.create () in
-             let record ~tid op f = ignore (Recorder.record rec_ ~tid op f) in
              let client () =
-               record ~tid:0 (Dss_spec.Prep (Reg.Write 5)) (fun () ->
-                   a#prep_write ~ci:0 5;
-                   Dss_spec.Ack);
-               record ~tid:0 (Dss_spec.Exec (Reg.Write 5)) (fun () ->
-                   a#exec_write ~ci:0;
-                   Dss_spec.Ret Reg.Ok);
+               Scenarios.prep rec_ a#obj ~tid:0 (Reg.Write 5);
+               Scenarios.exec rec_ a#obj ~tid:0 (Reg.Write 5);
                a#finished
              in
              ( servers ~until:1 @ [ client ],
                fun outcome -> function
                  | None -> Sim.check_thread_errors outcome
-                 | Some (heap, servers, a) -> (
+                 | Some (heap, servers, a) ->
                      Recorder.crash rec_;
                      (* Restart: fresh server incarnations, client resolves
                         then reads; messages from before the crash are
                         gone. *)
-                     let verdict = ref `Nothing in
+                     let verdict = ref D.Nothing in
                      let observed = ref (-1) in
                      let client2 () =
-                       record ~tid:0 Dss_spec.Resolve (fun () ->
-                           let r = a#resolve ~ci:0 in
-                           verdict := r;
-                           match r with
-                           | `Nothing -> Dss_spec.Status (None, None)
-                           | `Pending v ->
-                               Dss_spec.Status (Some (Reg.Write v), None)
-                           | `Done v ->
-                               Dss_spec.Status (Some (Reg.Write v), Some Reg.Ok));
-                       record ~tid:0 (Dss_spec.Base Reg.Read) (fun () ->
-                           let v = a#read ~ci:0 in
-                           observed := v;
-                           Dss_spec.Ret (Reg.Value v));
+                       verdict := Scenarios.resolve rec_ a#obj ~tid:0;
+                       (match Scenarios.base rec_ a#obj ~tid:0 Reg.Read with
+                       | Reg.Value v -> observed := v
+                       | Reg.Ok -> ());
                        a#finished
                      in
                      let outcome2 =
@@ -167,11 +164,11 @@ let test_crash_sweep_resolve () =
                      Sim.check_thread_errors outcome2;
                      (* Verdict/observation consistency (single writer): *)
                      (match !verdict with
-                     | `Done 5 ->
+                     | Done (Reg.Write 5, _) ->
                          Alcotest.(check int)
                            (Printf.sprintf "done => readable (step %d)" step)
                            5 !observed
-                     | `Pending 5 | `Nothing ->
+                     | Pending (Reg.Write 5) | Nothing ->
                          Alcotest.(check int)
                            (Printf.sprintf "pending => sealed forever (step %d)"
                               step)
@@ -180,14 +177,8 @@ let test_crash_sweep_resolve () =
                      (* Full history: recoverable linearizability
                         (persistent atomicity), the paper's condition for
                         this model. *)
-                     match
-                       Lincheck.check ~mode:Lincheck.Recoverable spec
-                         (Recorder.history rec_)
-                     with
-                     | Lincheck.Linearizable _ -> ()
-                     | Lincheck.Not_linearizable _ ->
-                         Alcotest.failf "step %d: not recoverable-linearizable"
-                           step) )))
+                     Oracle.assert_linearizable ~mode:Lincheck.Recoverable spec
+                       (Recorder.history rec_) )))
     [ 0.0; 0.5 ]
 
 let test_double_crash_stable_verdict () =

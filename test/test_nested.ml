@@ -47,19 +47,20 @@ let test_concurrent_lincheck_nested () =
   for seed = 1 to 10 do
     let _, q = make_nested ~capacity:128 () in
     let rec_ = Recorder.create () in
-    let program rec_ q ~tid =
-      Record.prep_enqueue rec_ q ~tid (10 + tid);
-      Record.exec_enqueue rec_ q ~tid (10 + tid);
-      Record.prep_dequeue rec_ q ~tid;
-      Record.exec_dequeue rec_ q ~tid;
-      Record.resolve rec_ q ~tid
+    let program ~tid () =
+      let open Specs.Queue in
+      Scenarios.prep rec_ q.obj ~tid (Enqueue (10 + tid));
+      Scenarios.exec rec_ q.obj ~tid (Enqueue (10 + tid));
+      Scenarios.prep rec_ q.obj ~tid Dequeue;
+      Scenarios.exec rec_ q.obj ~tid Dequeue;
+      ignore (Scenarios.resolve rec_ q.obj ~tid)
     in
     let outcome =
       Sim.run q.heap ~policy:(Sim.Random_seed seed)
-        ~threads:[ (fun () -> program rec_ q ~tid:0); (fun () -> program rec_ q ~tid:1) ]
+        ~threads:[ program ~tid:0; program ~tid:1 ]
     in
     Sim.check_thread_errors outcome;
-    check_strict ~nthreads:2 (Recorder.history rec_)
+    Oracle.assert_linearizable (queue_spec ~nthreads:2) (Recorder.history rec_)
   done
 
 let test_crash_sweep_nested () =
